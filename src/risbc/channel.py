@@ -17,11 +17,9 @@ Matrix rows follow the broadcast-channel convention: row k of a channel
 matrix stores the Hermitian-transposed user channel h_k^H.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .linalg import check_finite
 
 # Dedicated substream tag for frozen user positions; replication substreams
 # use the replication index, which stays far below this value.
@@ -157,15 +155,6 @@ class ChannelRealization:
     positions: np.ndarray = None  # [K+1, 3] user positions in meters
 
 
-@dataclass
-class CovarianceSet:
-    """Per-user channel covariances (i.i.d. Rayleigh: scaled identities)."""
-
-    R_d: list = field(default_factory=list)  # K strong direct covariances
-    R_r: list = field(default_factory=list)  # K+1 RIS-user covariances
-    R_c: list = field(default_factory=list)  # K+1 cascaded covariances
-
-
 # =========================================================================
 # Sampling
 # =========================================================================
@@ -244,18 +233,3 @@ def sample_realization(
         pathlosses=pl,
         positions=positions,
     )
-
-
-def build_covariances(cfg: ScenarioConfig, a: np.ndarray, pl: PathlossSet) -> CovarianceSet:
-    """Covariances of direct, RIS-user, and cascaded channels.
-
-    Under i.i.d. Rayleigh fading R_d,k and R_r,k are scaled identities and
-    the cascaded covariance is R_c,k = diag(a*) R_r,k diag(a) * L_G * N_B,
-    which collapses to L_r,k * L_G * N_B * I because |a_n| = 1.
-    """
-    a = check_finite(a, "a").ravel()
-    Da = np.diag(a)
-    R_d = [pl.L_d[k] * np.eye(cfg.n_bs) for k in range(cfg.n_strong)]
-    R_r = [pl.L_r[k] * np.eye(cfg.n_ris) for k in range(cfg.n_users)]
-    R_c = [Da.conj().T @ R @ Da * pl.L_G * cfg.n_bs for R in R_r]
-    return CovarianceSet(R_d=R_d, R_r=R_r, R_c=R_c)

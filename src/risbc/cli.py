@@ -75,7 +75,7 @@ def cmd_sweep(args) -> int:
     if args.reps is not None:
         plan = replace(plan, reps=args.reps)
 
-    result = run_sweep(plan, workers=args.workers)
+    result = run_sweep(plan)
     _finish(
         args,
         f"sweep_{plan.variable}",
@@ -108,7 +108,7 @@ def cmd_figure(args) -> int:
     seed = 0 if args.seed is None else args.seed
     reps = 200 if args.reps is None else args.reps
     cfg, plan = figure_preset(args.number, seed=seed, reps=reps)
-    result = run_sweep(plan, workers=args.workers)
+    result = run_sweep(plan)
 
     writers = [(".csv", lambda p: emit_csv(result, p))]
     reports = []
@@ -157,7 +157,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         if p is not p_bounds:
             p.add_argument("--reps", type=int, default=None, help="override replications")
-            p.add_argument("--workers", type=int, default=1, help="thread count")
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -18,77 +18,6 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def orth_projector(b: np.ndarray) -> np.ndarray:
-    """Projector onto the orthogonal complement of a unit vector.
-
-    Args:
-        b: [n] unit-norm complex vector.
-
-    Returns:
-        [n, n] matrix P = I - b b^H with P @ b = 0 and P @ P = P.
-    """
-    b = check_finite(b, "b").ravel()
-    if abs(np.linalg.norm(b) - 1.0) > 1e-12:
-        raise ValueError("unnormalized direction")
-    return np.eye(b.size, dtype=complex) - np.outer(b, b.conj())
-
-
-def range_projector(M: np.ndarray) -> np.ndarray:
-    """Projector onto the row space of M, i.e. onto range(M^H).
-
-    Equals M^H (M M^H)^{-1} M for full-row-rank M; computed via SVD.
-
-    Args:
-        M: [k, n] complex matrix with linearly independent rows.
-
-    Returns:
-        [n, n] Hermitian idempotent projector.
-    """
-    M = check_finite(M, "M")
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if s[-1] <= RANK_TOL * s[0]:
-        raise ValueError("rank deficient")
-    return Vh.conj().T @ Vh
-
-
-def gram_block_inverse(C_s: np.ndarray, d_s: np.ndarray, g: float) -> np.ndarray:
-    """Closed-form inverse of the bordered Gram matrix of the composite channel.
-
-    The (K+1)x(K+1) Gram matrix H H^H of the composite channel takes the form
-
-        [[C_s + d_s d_s^H / g,  d_s],
-         [d_s^H,                g  ]]
-
-    where C_s is the strong users' projected Gram matrix, d_s couples the
-    strong users to the weak user's reflected link, and g > 0 is the weak
-    user's channel gain.  The Schur complement w.r.t. g is exactly C_s, so
-    the inverse has C_s^{-1} as its top-left block and
-
-        [H H^H]^{-1}_{K+1,K+1} = (1 + d_s^H C_s^{-1} d_s / g) / g.
-
-    Args:
-        C_s: [K, K] Hermitian positive definite.
-        d_s: [K] complex coupling vector.
-        g: positive scalar.
-
-    Returns:
-        [K+1, K+1] inverse of the assembled Gram matrix.
-    """
-    C_s = check_finite(C_s, "C_s")
-    d_s = check_finite(d_s, "d_s").ravel()
-    if g <= 0:
-        raise ValueError("weak user unreachable")
-    K = C_s.shape[0]
-    Cinv_ds = np.linalg.solve(C_s, d_s)
-    mit = np.real(np.vdot(d_s, Cinv_ds)) / g
-    out = np.empty((K + 1, K + 1), dtype=complex)
-    out[:K, :K] = np.linalg.inv(C_s)
-    out[:K, K] = -Cinv_ds / g
-    out[K, :K] = out[:K, K].conj()
-    out[K, K] = (1.0 + mit) / g
-    return out
-
-
 def eigh_descending(A: np.ndarray):
     """Hermitian eigendecomposition with eigenvalues in decreasing order.
 

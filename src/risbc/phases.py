@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_finite
-from .se import DecompositionCache, _require_invertible
+from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
 
 
 @dataclass
@@ -46,15 +46,6 @@ def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_ris))
 
 
-def statistical_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
-    """Statistical (covariance-based) phases.
-
-    Under i.i.d. Rayleigh fading every unit-modulus vector gives the same
-    ergodic rates, so statistical phases coincide with random phases.
-    """
-    return random_phases(n_ris, rng)
-
-
 def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
     """Phases maximizing the weak user's channel gain |h_c,K+1^H theta|^2.
 
@@ -76,9 +67,7 @@ def mitigation_aware_objective(
     cache: DecompositionCache, h_c_weak: np.ndarray, theta: np.ndarray
 ) -> float:
     """f(theta) = weak gain / (1 + mitigation); p_bar-independent."""
-    theta_bar = np.append(theta, 1.0)
-    t = cache.D_s @ theta_bar
-    mit = np.real(np.vdot(t, np.linalg.solve(cache.C_s, t)))
+    mit = mitigation_term(cache, extended_phase(theta))
     return float(np.abs(h_c_weak @ theta) ** 2 / (1.0 + mit))
 
 
@@ -165,7 +154,7 @@ def optimize_mitigation_aware(
     n_ris = theta.size
 
     D_s = cache.D_s
-    E = np.linalg.solve(cache.C_s, D_s)  # C_s^{-1} D_s
+    E = cache.solve(D_s)  # C_s^{-1} D_s
     q = np.real(np.sum(D_s.conj() * E, axis=0))  # q_n = d_n^H C_s^{-1} d_n
 
     obj_prev = None
@@ -206,7 +195,11 @@ def select_phases(
     h_c_weak: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Dispatch a strategy to its phase vector for one channel realization."""
+    """Dispatch a strategy to its phase vector for one channel realization.
+
+    "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
+    unit-modulus vector gives the same ergodic rates.
+    """
     if spec.kind in ("random", "statistical"):
         return random_phases(h_c_weak.size, rng)
     if spec.kind == "align_weak":

@@ -7,9 +7,11 @@ row idealized to zero, the Gram matrix splits into
     H H^H = blkdiag(C_s, 0) + (D theta_bar)(D theta_bar)^H
 
 with C_s = H_d^s P_b_perp H_d^{s,H} the strong users' projected Gram matrix,
-D = [H_c, H_d b] and theta_bar = [theta; 1].  Everything in this module is a
-pure function of that decomposition; all SE values are in bits per channel
-use (log2), with unit noise (channels are noise-normalized at generation).
+D = [H_c, H_d b] and theta_bar = [theta; 1].  Every closed form in this
+module is a pure function of that decomposition, apart from the two
+independent SVD cross-checks and the generic-matrix oracles at the end; all
+SE values are in bits per channel use (log2), with unit noise (channels are
+noise-normalized at generation).
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .linalg import RANK_TOL, check_finite, eigh_descending, orth_projector
+from .linalg import RANK_TOL, check_finite, eigh_descending
 
 LOG2 = np.log(2.0)
 
@@ -55,7 +57,12 @@ class SEBreakdown:
 
 @dataclass
 class DecompositionCache:
-    """Channel-independent-of-theta pieces of the Gram decomposition."""
+    """Channel-independent-of-theta pieces of the Gram decomposition.
+
+    The eigendecomposition C_s = U diag(lambda) U^H is the only
+    factorization of C_s: every formula reads C_s^{-1} through `solve` and
+    `inv_diag` (both require an invertible C_s; check `cond` first).
+    """
 
     C_s: np.ndarray  # [K, K] Hermitian PSD
     D: np.ndarray  # [K+1, N_R+1], last column H_d b (weak entry 0)
@@ -70,6 +77,16 @@ class DecompositionCache:
             return np.inf
         return float(self.eigvals[0] / self.eigvals[-1])
 
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        """C_s^{-1} X = U diag(1/lambda) U^H X for X of shape [K] or [K, M]."""
+        Y = self.eigvecs.conj().T @ X
+        scale = self.eigvals[:, None] if Y.ndim == 2 else self.eigvals
+        return self.eigvecs @ (Y / scale)
+
+    def inv_diag(self) -> np.ndarray:
+        """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [K]."""
+        return np.abs(self.eigvecs) ** 2 @ (1.0 / self.eigvals)
+
 
 def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
     """The weak user's cascaded channel row h_c,K+1^H."""
@@ -77,37 +94,32 @@ def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
 
 
 def decompose(real: ChannelRealization) -> DecompositionCache:
-    """Build the Gram decomposition for the idealized (zero weak row) channel."""
-    K = real.H_d_strong.shape[0]
+    """Build the Gram decomposition for the idealized (zero weak row) channel.
+
+    C_s = H_d^s H_d^{s,H} - c c^H with c = H_d^s b (the rank-one projection
+    of b applied without forming I - b b^H), factorized once by eigh.
+    b^H P_perp b comes from the same factor through the no-reflection
+    identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b); it is 0 when C_s is
+    singular (b inside the strong users' row space).
+    """
+    b = check_finite(real.b, "b").ravel()
+    if abs(np.linalg.norm(b) - 1.0) > 1e-12:
+        raise ValueError("unnormalized direction")
+    H = real.H_d_strong
+    K = H.shape[0]
     n_ris = real.H_c.shape[1]
-    T = real.H_d_strong @ orth_projector(real.b)
-    C_s = T @ real.H_d_strong.conj().T
-    C_s = 0.5 * (C_s + C_s.conj().T)
     D = np.zeros((K + 1, n_ris + 1), dtype=complex)
     D[:, :n_ris] = real.H_c
-    D[:K, n_ris] = real.H_d_strong @ real.b
+    c = D[:K, n_ris] = H @ b
+    C_s = H @ H.conj().T - np.outer(c, c.conj())
+    C_s = 0.5 * (C_s + C_s.conj().T)
     w, U = eigh_descending(C_s)
-
-    _, s, Vh = np.linalg.svd(real.H_d_strong, full_matrices=False)
-    rows = Vh[s > RANK_TOL * s[0]]
-    proj = rows @ real.b
-    bpp = float(min(1.0, max(0.0, 1.0 - np.real(np.vdot(proj, proj)))))
-    return DecompositionCache(
-        C_s=C_s, D=D, D_s=D[:K], eigvals=w, eigvecs=U, b_proj_perp=bpp
+    cache = DecompositionCache(
+        C_s=C_s, D=D, D_s=D[:K], eigvals=w, eigvecs=U, b_proj_perp=0.0
     )
-
-
-def compose_channel(
-    real: ChannelRealization, phase: ExtendedPhase, idealized: bool = True
-) -> np.ndarray:
-    """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
-
-    With idealized=True the weak user's direct row is zero; otherwise the
-    attenuated direct channel is kept.
-    """
-    weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
-    H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
-    return H_d + (real.H_c @ phase.theta)[:, None] * real.b.conj()[None, :]
+    if w[-1] > 0:
+        cache.b_proj_perp = 1.0 / (1.0 + float(np.real(np.vdot(c, cache.solve(c)))))
+    return cache
 
 
 # =========================================================================
@@ -123,7 +135,7 @@ def weak_gain(phase: ExtendedPhase, h_c_weak: np.ndarray) -> float:
 def mitigation_term(cache: DecompositionCache, phase: ExtendedPhase) -> float:
     """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty."""
     u = cache.D_s @ phase.theta_bar
-    return float(np.real(np.vdot(u, np.linalg.solve(cache.C_s, u))))
+    return float(np.real(np.vdot(u, cache.solve(u))))
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so
@@ -153,13 +165,7 @@ def zf_inverted_gains(
     if g <= 0.0:
         raise ValueError("weak user unreachable")
     _require_invertible(cache)
-    Cinv = np.linalg.inv(cache.C_s)
-    gains = np.empty(cache.C_s.shape[0] + 1)
-    gains[:-1] = np.real(np.diag(Cinv))
-    u = cache.D_s @ phase.theta_bar
-    mit = float(np.real(np.vdot(u, Cinv @ u)))
-    gains[-1] = (1.0 + mit) / g
-    return gains
+    return np.append(cache.inv_diag(), (1.0 + mitigation_term(cache, phase)) / g)
 
 
 def se_zf_exact(
@@ -178,18 +184,6 @@ def se_zf_exact(
         se_reflect=float(per_user[-1]),
         mode="exact",
     )
-
-
-def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
-    """Zero-forcing sum SE from a generic channel matrix (rows h_k^H).
-
-    Evaluates sum_k log2(1 + p_bar / [(H H^H)^{-1}]_kk) by direct inversion;
-    oracle form of the closed-form gains, and the evaluation path for the
-    non-idealized channel with the weak user's attenuated direct row.
-    """
-    G = H @ H.conj().T
-    inv_diag = np.real(np.diag(np.linalg.inv(G)))
-    return float(np.sum(np.log2(1.0 + p_bar / inv_diag)))
 
 
 def se_dpc_exact(
@@ -219,16 +213,16 @@ def se_dpc_exact(
     )
 
 
-def se_dpc_logdet(H: np.ndarray, p_bar: float) -> float:
-    """DPC sum SE log2 det(I + p_bar H H^H) from a generic channel matrix."""
-    G = H @ H.conj().T
-    _, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + p_bar * G)
-    return float(logdet / LOG2)
-
-
 # =========================================================================
 # high-SNR SE
 # =========================================================================
+
+
+def _svd_row_space_split(H_d_strong: np.ndarray, b: np.ndarray) -> tuple:
+    """(singular values of H_d^s, b^H P_perp b) from one thin SVD of H_d^s."""
+    _, s, Vh = np.linalg.svd(H_d_strong, full_matrices=False)
+    proj = Vh @ np.asarray(b, dtype=complex).ravel()
+    return s, 1.0 - float(np.real(np.vdot(proj, proj)))
 
 
 def se_asymptotic(
@@ -251,11 +245,8 @@ def se_asymptotic(
         raise ValueError("weak user unreachable")
     if method == "ZF":
         _require_invertible(cache)
-        Cinv = np.linalg.inv(cache.C_s)
-        se_direct = float(np.sum(np.log2(p_bar / np.real(np.diag(Cinv)))))
-        u = cache.D_s @ phase.theta_bar
-        mit = float(np.real(np.vdot(u, Cinv @ u)))
-        se_reflect = float(np.log2(g * p_bar / (1.0 + mit)))
+        se_direct = float(np.sum(np.log2(p_bar / cache.inv_diag())))
+        se_reflect = float(np.log2(g * p_bar / (1.0 + mitigation_term(cache, phase))))
     elif method == "DPC":
         if cache.eigvals[-1] <= 0.0:
             se_direct = -np.inf
@@ -280,11 +271,11 @@ def se_dpc_orthogonal_form(
 
     log2 det(H_d^s H_d^{s,H} p_bar) + log2(b^H P_perp b) + log2(g p_bar),
     where P_perp projects onto the complement of the strong users' row
-    space.  Returns -inf (flagged) when b lies inside that row space.
+    space.  Computed by its own SVD, independently of `decompose`, so it
+    can serve as a cross-check of the Gram form.  Returns -inf (flagged)
+    when b lies inside that row space.
     """
-    _, s, Vh = np.linalg.svd(real.H_d_strong, full_matrices=False)
-    proj = Vh @ real.b
-    bpp = 1.0 - float(np.real(np.vdot(proj, proj)))
+    s, bpp = _svd_row_space_split(real.H_d_strong, real.b)
     if bpp <= BPP_TOL:
         return -np.inf
     g = weak_gain(phase, weak_cascaded_row(real))
@@ -311,28 +302,64 @@ def delta_se(
     delta_r = log2(1 + mitigation)                        (>= 0)
     """
     _require_invertible(cache)
-    Cinv = np.linalg.inv(cache.C_s)
-    sign, logdet = np.linalg.slogdet(cache.C_s)
-    if sign <= 0:
-        raise ValueError("direct channels rank-deficient after projection")
-    delta_d = float(logdet / LOG2 + np.sum(np.log2(np.real(np.diag(Cinv)))))
-    u = cache.D_s @ phase.theta_bar
-    mit = float(np.real(np.vdot(u, Cinv @ u)))
-    delta_r = float(np.log2(1.0 + mit))
+    delta_d = float(np.sum(np.log2(cache.eigvals)) + np.sum(np.log2(cache.inv_diag())))
+    delta_r = float(np.log2(1.0 + mitigation_term(cache, phase)))
     return delta_d, delta_r
 
 
 def mitigation_no_reflection(H_d_strong: np.ndarray, b: np.ndarray) -> float:
     """1 + mitigation in the no-usable-reflection case H_c^s theta = 0.
 
-    Collapses to 1 / (b^H P_perp b); returns +inf (flagged) when b lies in
-    the strong users' row space.
+    Collapses to 1 / (b^H P_perp b), evaluated by SVD independently of
+    `decompose`; returns +inf (flagged) when b lies in the strong users' row
+    space.
     """
-    _, s, Vh = np.linalg.svd(check_finite(H_d_strong, "H_d_strong"), full_matrices=False)
+    s, bpp = _svd_row_space_split(check_finite(H_d_strong, "H_d_strong"), b)
     if s[-1] <= RANK_TOL * s[0]:
         raise ValueError("rank deficient")
-    proj = Vh @ np.asarray(b, dtype=complex).ravel()
-    bpp = 1.0 - float(np.real(np.vdot(proj, proj)))
     if bpp <= BPP_TOL:
         return np.inf
     return 1.0 / bpp
+
+
+# =========================================================================
+# generic-matrix oracles
+# =========================================================================
+#
+# Textbook evaluations from the assembled composite channel, by direct
+# inversion and log-determinant.  They bypass the Gram decomposition
+# entirely: the tests check the closed forms above against them, and
+# se_zf_generic also evaluates the non-idealized channel whose weak user
+# keeps its attenuated direct row.
+
+
+def compose_channel(
+    real: ChannelRealization, phase: ExtendedPhase, idealized: bool = True
+) -> np.ndarray:
+    """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
+
+    With idealized=True the weak user's direct row is zero; otherwise the
+    attenuated direct channel is kept.
+    """
+    weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
+    H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
+    return H_d + (real.H_c @ phase.theta)[:, None] * real.b.conj()[None, :]
+
+
+def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
+    """Zero-forcing sum SE from a generic channel matrix (rows h_k^H).
+
+    Evaluates sum_k log2(1 + p_bar / [(H H^H)^{-1}]_kk) by direct inversion;
+    oracle form of the closed-form gains, and the evaluation path for the
+    non-idealized channel with the weak user's attenuated direct row.
+    """
+    G = H @ H.conj().T
+    inv_diag = np.real(np.diag(np.linalg.inv(G)))
+    return float(np.sum(np.log2(1.0 + p_bar / inv_diag)))
+
+
+def se_dpc_logdet(H: np.ndarray, p_bar: float) -> float:
+    """DPC sum SE log2 det(I + p_bar H H^H) from a generic channel matrix."""
+    G = H @ H.conj().T
+    _, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + p_bar * G)
+    return float(logdet / LOG2)

@@ -5,7 +5,7 @@ swept scenario variable with paired randomness: at a given replication every
 method sees the same channel draw and, for randomized strategies, the same
 phase draw, so method differences are never masked by sampling noise.  The
 channel and phase substreams are spawned from SeedSequence([seed, rep]) and
-are therefore independent of the method list and of the worker count.
+are therefore independent of the method list.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -13,9 +13,7 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -167,20 +165,18 @@ def _run_rep(cfg, xi, methods, positions, seed, rep):
     return out
 
 
-def run_sweep(plan: SweepPlan, workers: int = 1) -> SweepResult:
-    """Run the full sweep; results are independent of the worker count."""
+def run_sweep(plan: SweepPlan) -> SweepResult:
+    """Run the full sweep, one paired replication at a time."""
     rows = []
     for value in plan.values:
         cfg_v, xi = _apply_variable(plan.config, plan.variable, value)
         positions = None
         if cfg_v.freeze_positions:
             positions = draw_user_positions(cfg_v, position_rng(cfg_v.seed))
-        one_rep = partial(_run_rep, cfg_v, xi, plan.methods, positions, cfg_v.seed)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(one_rep, range(plan.reps)))
-        else:
-            records = [one_rep(r) for r in range(plan.reps)]
+        records = [
+            _run_rep(cfg_v, xi, plan.methods, positions, cfg_v.seed, r)
+            for r in range(plan.reps)
+        ]
 
         flagged = sum(rec is None for rec in records)
         if 2 * flagged > plan.reps:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from oracles import dense_reflected_rate_upper_bound
 from risbc.bounds import (
     EULER_GAMMA,
     BoundReport,
@@ -23,7 +24,6 @@ from risbc.bounds import (
 from risbc.channel import (
     PathlossSet,
     ScenarioConfig,
-    build_covariances,
     draw_user_positions,
     nominal_pathlosses,
     position_rng,
@@ -160,6 +160,36 @@ def test_chi2_check_rejects_small_samples():
         chi2_log_expectation_check(np.random.default_rng(0), reps=100)
 
 
+def test_chi2_check_passes_on_cli_substreams():
+    # `risbc bounds --seed N` draws from [N, 0xB0]; a fixed 0.01 tolerance
+    # (1.7 standard errors) failed on 6 of these 60 seeds
+    failed = [
+        seed
+        for seed in range(60)
+        if not chi2_log_expectation_check(np.random.default_rng([seed, 0xB0])).satisfied
+    ]
+    assert failed == []
+
+
+class ScaledChiSquare:
+    """Generator stand-in whose chi-squared draws are off by a factor."""
+
+    def __init__(self, factor, seed=0):
+        self.factor = factor
+        self.rng = np.random.default_rng(seed)
+
+    def chisquare(self, df, size):
+        return self.factor * self.rng.chisquare(df, size)
+
+
+def test_chi2_check_flags_shifted_distribution():
+    # a 1.1 scale shifts E[log2] by log2(1.1) = 0.14, about 23 standard errors
+    rep = chi2_log_expectation_check(ScaledChiSquare(1.1))
+    assert rep.slack == pytest.approx(np.log2(1.1), abs=0.03)
+    assert not rep.satisfied
+    assert chi2_log_expectation_check(ScaledChiSquare(1.0)).satisfied
+
+
 # ------------------------------------------------------------------ harmonic
 
 
@@ -222,16 +252,20 @@ def test_reflected_upper_bound_theta_invariant_denominator():
     cfg = ScenarioConfig(n_bs=6, n_ris=8)
     pos = draw_user_positions(cfg, position_rng(0))
     pl = nominal_pathlosses(cfg, pos)
-    covs = build_covariances(cfg, steering_vector(8, np.pi / 2, "sqrt_n"), pl)
+    a = steering_vector(8, np.pi / 2, "sqrt_n")
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8))
     t1 = random_phases(8, np.random.default_rng(4))
     t2 = random_phases(8, np.random.default_rng(5))
-    b1 = reflected_rate_upper_bound(t1, rows, covs, 10.0)
-    b2 = reflected_rate_upper_bound(t2, rows, covs, 10.0)
+    b1 = reflected_rate_upper_bound(t1, rows, pl, 10.0)
+    b2 = reflected_rate_upper_bound(t2, rows, pl, 10.0)
     g1 = np.mean(np.log2(np.abs(rows @ t1) ** 2))
     g2 = np.mean(np.log2(np.abs(rows @ t2) ** 2))
     assert b1 - b2 == pytest.approx(g1 - g2, abs=1e-9)
+    # the per-user scalar form equals the dense-covariance formula
+    for t, b in ((t1, b1), (t2, b2)):
+        dense = dense_reflected_rate_upper_bound(t, rows, cfg.n_bs, a, pl, 10.0)
+        assert b == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
 def test_reflected_upper_bound_holds_in_monte_carlo():
@@ -255,9 +289,10 @@ def test_reflected_upper_bound_holds_in_monte_carlo():
         rows[r] = h_c_weak
         thetas[r] = theta
         a = real.a
-    covs = build_covariances(cfg, a, pl)
-    bound = reflected_rate_upper_bound(thetas, rows, covs, p_bar)
+    bound = reflected_rate_upper_bound(thetas, rows, pl, p_bar)
     assert np.mean(se_r) <= bound
+    dense = dense_reflected_rate_upper_bound(thetas, rows, cfg.n_bs, a, pl, p_bar)
+    assert bound == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
 def test_standard_bound_reports_all_satisfied():

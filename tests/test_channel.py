@@ -3,7 +3,6 @@ import pytest
 
 from risbc.channel import (
     ScenarioConfig,
-    build_covariances,
     db_to_lin,
     draw_user_positions,
     nominal_pathlosses,
@@ -154,36 +153,6 @@ def test_composite_matches_cascaded_identity():
         via_g = real.H_r[k] @ (np.diag(theta) @ G @ x)
         via_c = (real.H_c[k] @ theta) * (real.b.conj() @ x)
         assert abs(via_g - via_c) < 1e-10 * max(1.0, abs(via_c))
-
-
-# ------------------------------------------------------------------ covariances
-
-
-def test_covariances_iid_identity():
-    cfg = ScenarioConfig(n_bs=4, n_ris=2)
-    pl = nominal_pathlosses(cfg, draw_user_positions(cfg, rep_rng(0, 0)))
-    pl.L_r = np.ones(cfg.n_users)
-    pl.L_G = 1.0
-    a = steering_vector(2, np.pi / 3, norm="sqrt_n")
-    covs = build_covariances(cfg, a, pl)
-    for R in covs.R_c:
-        assert np.allclose(R, 4.0 * np.eye(2), atol=1e-12)
-
-
-def test_covariances_structure():
-    cfg = ScenarioConfig(n_bs=5, n_ris=8)
-    pl = nominal_pathlosses(cfg, draw_user_positions(cfg, rep_rng(1, 0)))
-    a = steering_vector(8, 1.1, norm="sqrt_n")
-    covs = build_covariances(cfg, a, pl)
-    assert len(covs.R_d) == cfg.n_strong
-    assert len(covs.R_r) == len(covs.R_c) == cfg.n_users
-    Da = np.diag(a)
-    for k in range(cfg.n_users):
-        expected = Da.conj() @ covs.R_r[k] @ Da * pl.L_G * cfg.n_bs
-        assert np.max(np.abs(covs.R_c[k] - expected)) < 1e-12
-        assert np.real(np.trace(covs.R_c[k])) == pytest.approx(
-            cfg.n_ris * pl.L_r[k] * pl.L_G * cfg.n_bs
-        )
 
 
 def test_db_to_lin_roundtrip():

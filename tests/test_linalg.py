@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from risbc.linalg import (
-    eigh_descending,
-    gram_block_inverse,
-    orth_projector,
-    range_projector,
-)
+from oracles import gram_block_inverse, orth_projector, range_projector
+from risbc.linalg import eigh_descending
 
 
 def random_unit(rng, n):
@@ -19,7 +15,7 @@ def random_hpd(rng, n):
     return A @ A.conj().T + n * np.eye(n)
 
 
-# ------------------------------------------------------------------ projectors
+# ------------------------------------------- projectors (test-side oracles)
 
 
 def test_orth_projector_canonical():
@@ -85,7 +81,7 @@ def test_range_projector_rejects_rank_deficient():
         range_projector(M)
 
 
-# -------------------------------------------------------- gram block inverse
+# ----------------------------------- gram block inverse (test-side oracle)
 
 
 def assemble_gram(C_s, d_s, g):

@@ -11,7 +11,6 @@ from risbc.phases import (
     optimize_mitigation_aware,
     random_phases,
     select_phases,
-    statistical_phases,
 )
 from risbc.se import decompose, weak_cascaded_row
 
@@ -39,9 +38,14 @@ def test_random_phases_zero_mean():
 
 def test_statistical_equals_random_distributionally():
     # same stream position gives identical draws (alias under i.i.d. fading)
-    a = statistical_phases(16, np.random.default_rng(2))
-    b = random_phases(16, np.random.default_rng(2))
+    _, real, cache = instance(2, n_ris=16)
+    h_c_weak = weak_cascaded_row(real)
+    a = select_phases(
+        StrategySpec(kind="statistical"), cache, h_c_weak, np.random.default_rng(2)
+    )
+    b = select_phases(StrategySpec(kind="random"), cache, h_c_weak, np.random.default_rng(2))
     assert np.array_equal(a, b)
+    assert np.array_equal(a, random_phases(16, np.random.default_rng(2)))
 
 
 # ------------------------------------------------------------------ align

@@ -1,8 +1,16 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import risbc.phases
+import risbc.se
+from oracles import projected_gram
 from risbc.channel import ScenarioConfig, rep_rng, sample_realization
 from risbc.linalg import eigh_descending
+from risbc.phases import b_from_xi
 from risbc.se import (
     DecompositionCache,
     compose_channel,
@@ -84,6 +92,33 @@ def test_decompose_orthogonal_b_drops_projector():
     full = real.H_d_strong @ real.H_d_strong.conj().T
     assert np.linalg.norm(cache.C_s - full) / np.linalg.norm(full) < 1e-10
     assert cache.b_proj_perp == pytest.approx(1.0, abs=1e-10)
+
+
+def test_decompose_matches_dense_projector_oracle():
+    for seed in range(20):
+        _, real, _ = random_instance(seed, n_bs=8 + seed % 5)
+        cache = decompose(real)
+        oracle = projected_gram(real.H_d_strong, real.b)
+        assert np.linalg.norm(cache.C_s - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_decompose_rejects_unnormalized_b():
+    _, real, _ = random_instance(2)
+    with pytest.raises(ValueError, match="unnormalized"):
+        decompose(replace(real, b=2.0 * real.b))
+
+
+@pytest.mark.parametrize("n_bs", [4, 12])
+@pytest.mark.parametrize("xi", [0.01, 0.1, 1.0, 10.0, 1e3])
+def test_decompose_b_proj_perp_follows_xi(n_bs, xi):
+    # b(xi) is built so that b^H P_perp b = xi^2 / (1 + xi^2)
+    expect = xi**2 / (1.0 + xi**2)
+    for seed in range(10):
+        cfg = ScenarioConfig(n_bs=n_bs)
+        real = sample_realization(cfg, rep_rng(seed, 0))
+        real = replace(real, b=b_from_xi(real.H_d_strong, xi))
+        bpp = decompose(real).b_proj_perp
+        assert abs(bpp - expect) <= 1e-10 * expect
 
 
 def test_decompose_no_ris_leaves_direct_column():
@@ -345,3 +380,57 @@ def test_mitigation_no_reflection_b_in_row_space():
     row = real.H_d_strong[1].conj()
     b = row / np.linalg.norm(row)
     assert mitigation_no_reflection(real.H_d_strong, b) == np.inf
+
+
+# ------------------------------------------------- one factorization of C_s
+
+# The only places in se.py and phases.py allowed to factorize a matrix
+# themselves: the generic-matrix oracles, the SVD cross-check helper and the
+# b(xi) construction.  Everything else reads C_s^{-1} from the cache.
+FACTORIZATION_ALLOWED = {
+    "se_zf_generic",
+    "se_dpc_logdet",
+    "_svd_row_space_split",
+    "b_from_xi",
+}
+FACTORIZATIONS = {"inv", "solve", "slogdet", "svd"}
+
+
+def _linalg_calls(tree):
+    """(enclosing function, name) of every np.linalg factorization call."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend((owner, alias.name) for alias in node.names)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in FACTORIZATIONS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ):
+            found.append((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("module", [risbc.se, risbc.phases])
+def test_no_factorization_outside_the_cache(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    calls = _linalg_calls(tree)
+    offending = [c for c in calls if c[0] not in FACTORIZATION_ALLOWED]
+    assert offending == []
+
+
+def test_factorization_guard_sees_calls():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(C):\n    return np.linalg.inv(C)\n"
+        "def g(C, x):\n    return cache.solve(x) + np.linalg.solve(C, x)\n"
+    )
+    assert _linalg_calls(tree) == [("f", "inv"), ("g", "solve")]

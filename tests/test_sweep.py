@@ -116,20 +116,6 @@ def test_randomized_strategies_are_paired():
         assert rows[prec].se_std == pytest.approx(np.std(want[prec]), abs=1e-12)
 
 
-def test_workers_do_not_change_results():
-    plan = SweepPlan(
-        small_cfg(),
-        "ptx_dbm",
-        (10.0, 30.0),
-        (method("ZF", "random", "exact"), method("DPC", "mitigation_aware", "exact")),
-        reps=8,
-    )
-    serial = run_sweep(plan, workers=1)
-    threaded = run_sweep(plan, workers=4)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a == b
-
-
 def test_dpc_dominates_zf_pointwise():
     plan = SweepPlan(
         small_cfg(),
