@@ -101,6 +101,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_strong < 1:
+            raise ValueError("n_strong must be at least 1")
         if self.n_bs < self.n_strong + 1:
             raise ValueError(
                 f"n_bs = {self.n_bs} must be at least n_strong + 1 = "
@@ -160,9 +162,14 @@ class ChannelRealization:
 # =========================================================================
 
 
-def rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Counter-based substream for replication `rep` of a seeded run."""
-    return np.random.default_rng([seed, rep])
+def rep_seeds(seed: int, rep: int) -> list:
+    """[channel, phase] seed sequences of replication `rep` of a seeded run.
+
+    The two children of SeedSequence([seed, rep]): a replication's channel
+    draw and randomized phase draw are independent of each other and of
+    every other replication.
+    """
+    return np.random.SeedSequence([seed, rep]).spawn(2)
 
 
 def position_rng(seed: int) -> np.random.Generator:

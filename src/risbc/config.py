@@ -4,11 +4,12 @@ Run inputs are flat INI-style files with three sections:
 
     [scenario]   every ScenarioConfig field (n_bs, n_ris, ptx_dbm, ...)
     [sweep]      variable, values, reps, methods
-    [strategy]   max_sweeps, rel_tolerance, grid_points (optimizer tuning)
+    [strategy]   max_sweeps, rel_tolerance (optimizer tuning)
 
 All keys are optional; an empty file yields the default downlink scenario
-and the default transmit-power sweep.  Unknown sections or keys are
-rejected with the offending name and line number.  `serialize_config`
+and the default transmit-power sweep.  Unknown sections or keys, values
+that do not parse and values the scenario or sweep rejects are reported
+with the offending key and its line number.  `serialize_config`
 writes the fully resolved canonical text back out; its SHA-256 is the run
 identity, embedded in every output filename so CSVs can always be traced
 to the exact configuration (plus seed) that produced them.
@@ -103,9 +104,18 @@ _SCENARIO_KEYS = {
     "freeze_positions": _to_bool,
     "seed": int,
 }
-_SWEEP_KEYS = ("variable", "values", "reps", "methods")
-_STRATEGY_KEYS = {"max_sweeps": int, "rel_tolerance": float, "grid_points": int}
-_SECTIONS = ("scenario", "sweep", "strategy")
+_SWEEP_KEYS = {
+    "variable": str.strip,
+    "values": _to_floats,
+    "reps": int,
+    "methods": lambda raw: tuple(s.strip() for s in raw.split(",")),
+}
+_STRATEGY_KEYS = {"max_sweeps": int, "rel_tolerance": float}
+_SECTIONS = {
+    "scenario": _SCENARIO_KEYS,
+    "sweep": _SWEEP_KEYS,
+    "strategy": _STRATEGY_KEYS,
+}
 
 _KEY_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*[=:]")
 _SECTION_RE = re.compile(r"^\s*\[([^\]]*)\]")
@@ -144,13 +154,14 @@ def _section_items(text):
         raise ValueError(f"config parse error: {exc}") from None
     for name in cp.sections():
         if name.lower() not in _SECTIONS:
-            line = _find_line(text, name.lower())
-            at = f" (line {line})" if line is not None else ""
-            raise ValueError(f"unknown section [{name}]{at}")
+            raise ValueError(
+                f"unknown section [{name}]{_at_line(text, name.lower(), None)}"
+            )
     return {name.lower(): dict(cp[name]) for name in cp.sections()}
 
 
-def _parse_section(text, items, section, parsers):
+def _parse_section(text, items, section):
+    parsers = _SECTIONS[section]
     out = {}
     for key, raw in items.get(section, {}).items():
         if key not in parsers:
@@ -167,22 +178,35 @@ def _parse_section(text, items, section, parsers):
     return out
 
 
+def _checked(text, sections, build):
+    """Call a validating constructor, locating the key its error names.
+
+    A ValueError gains the line of the first word of its message that is a
+    key the text sets in one of `sections`; otherwise it passes unchanged.
+    """
+    try:
+        return build()
+    except ValueError as exc:
+        for word in re.findall(r"\w+", str(exc)):
+            for section in sections:
+                at = _at_line(text, section, word)
+                if at:
+                    raise ValueError(f"{exc}{at}") from None
+        raise
+
+
 def _parse_methods(labels, tuning):
     methods = []
     for label in labels:
         parts = [p.strip() for p in label.split(":")]
-        if len(parts) != 3:
-            raise ValueError(
-                f"bad method spec {label!r} (want PRECODER:strategy:mode)"
-            )
-        precoder, kind, mode = parts
-        methods.append(
-            MethodSpec(
-                precoder=precoder,
-                strategy=StrategySpec(kind=kind, **tuning),
-                mode=mode,
-            )
-        )
+        try:
+            if len(parts) != 3:
+                raise ValueError("bad method spec (want PRECODER:strategy:mode)")
+            precoder, kind, mode = parts
+            strategy = StrategySpec(kind=kind, **tuning)
+            methods.append(MethodSpec(precoder, strategy, mode))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in methods entry {label!r}") from None
     return tuple(methods)
 
 
@@ -194,37 +218,22 @@ def parse_config(text: str):
     """
     items = _section_items(text)
 
-    scenario_kwargs = _parse_section(text, items, "scenario", _SCENARIO_KEYS)
-    try:
-        cfg = ScenarioConfig(**scenario_kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{exc}{_at_line(text, 'scenario', 'n_bs')}") from None
+    scenario = _parse_section(text, items, "scenario")
+    cfg = _checked(text, ("scenario",), lambda: ScenarioConfig(**scenario))
 
-    tuning = _parse_section(text, items, "strategy", _STRATEGY_KEYS)
-
-    sweep_raw = items.get("sweep", {})
-    for key in sweep_raw:
-        if key not in _SWEEP_KEYS:
-            raise ValueError(
-                f"unknown key {key!r} in [sweep]{_at_line(text, 'sweep', key)}"
-            )
-    variable = sweep_raw.get("variable", "ptx_dbm").strip()
-    values = (
-        _to_floats(sweep_raw["values"])
-        if "values" in sweep_raw
-        else DEFAULT_SWEEP_VALUES
+    tuning = _parse_section(text, items, "strategy")
+    sweep = _parse_section(text, items, "sweep")
+    plan = _checked(
+        text,
+        ("sweep", "strategy"),
+        lambda: SweepPlan(
+            cfg,
+            sweep.get("variable", "ptx_dbm"),
+            sweep.get("values", DEFAULT_SWEEP_VALUES),
+            _parse_methods(sweep.get("methods", DEFAULT_METHOD_LABELS), tuning),
+            sweep.get("reps", 200),
+        ),
     )
-    reps = int(sweep_raw.get("reps", 200))
-    labels = (
-        tuple(s.strip() for s in sweep_raw["methods"].split(","))
-        if "methods" in sweep_raw
-        else DEFAULT_METHOD_LABELS
-    )
-    try:
-        methods = _parse_methods(labels, tuning)
-        plan = SweepPlan(cfg, variable, values, methods, reps)
-    except ValueError as exc:
-        raise ValueError(f"[sweep]: {exc}") from None
     return cfg, plan
 
 
@@ -258,7 +267,6 @@ def serialize_config(cfg: ScenarioConfig, plan: SweepPlan) -> str:
         "[strategy]",
         f"max_sweeps = {tuning.max_sweeps}",
         f"rel_tolerance = {repr(tuning.rel_tolerance)}",
-        f"grid_points = {tuning.grid_points}",
         "",
     ]
     return "\n".join(lines)

@@ -7,7 +7,9 @@ optimizer of the weak user's high-SNR ZF rate argument
 
     f(theta) = |h_c,K+1^H theta|^2 / (1 + theta_bar^H D_s^H C_s^{-1} D_s theta_bar)
 
-which trades channel gain against the mitigation penalty.  Also here: the
+which trades channel gain against the mitigation penalty.  Each element
+update maximizes a ratio of two sinusoids in that element's phase exactly,
+in closed form (the Dinkelbach root of a quadratic).  Also here: the
 construction of the BS-side direction b that interpolates between lying
 inside the strong users' row space (xi = 0) and being orthogonal to it
 (xi -> inf).
@@ -21,14 +23,17 @@ from .linalg import check_finite
 from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategySpec:
-    """Phase-strategy identity plus optimizer parameters."""
+    """Phase-strategy identity plus optimizer parameters.
+
+    Equal specs give equal phase vectors for the same draw and phase
+    substream, so a spec can key a per-draw phase cache.
+    """
 
     kind: str  # random | statistical | align_weak | mitigation_aware
     max_sweeps: int = 100
     rel_tolerance: float = 1e-8
-    grid_points: int = 1024
 
     def __post_init__(self):
         if self.kind not in ("random", "statistical", "align_weak", "mitigation_aware"):
@@ -71,57 +76,26 @@ def mitigation_aware_objective(
     return float(np.abs(h_c_weak @ theta) ** 2 / (1.0 + mit))
 
 
-def _ratio(phi, A, ctil, B, dtil):
-    """(A + 2 Re(ctil e^{j phi})) / (B + 2 Re(dtil e^{j phi})); B-part >= 1."""
-    e = np.exp(1j * np.asarray(phi))
-    return (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
+def _best_phase(phi_cur, A, ctil, B, dtil):
+    """Maximize (A + 2 Re(ctil e^{j phi})) / (B + 2 Re(dtil e^{j phi})) over phi.
 
-
-def _best_phi(phi_cur, A, ctil, B, dtil, grid_points):
-    """Maximize the 1-D phase ratio; never below the current angle's value.
-
-    The stationary points solve Im(z e^{j phi}) = kappa with
-    z = 2 (A dtil - B ctil) and kappa = -4 Im(dtil conj(ctil)), giving two
-    arcsin candidates; z = 0 means the ratio is constant.  A dense grid
-    plus golden-section refinement backs up the analytic step in case it
-    ever regresses.
+    The maximum lambda* is the value at which max_phi of the Dinkelbach
+    numerator A - lambda B + 2 Re((ctil - lambda dtil) e^{j phi}) is zero,
+    i.e. the larger root of
+        (B^2 - 4|dtil|^2) lambda^2 - 2 (A B - 4 Re(ctil dtil*)) lambda
+            + (A^2 - 4|ctil|^2) = 0,
+    whose leading coefficient is positive since B - 2|dtil| >= 1; the
+    maximizer is phi* = -arg(ctil - lambda* dtil).  The current angle is
+    kept unless phi* is at least as good, so a step never lowers the ratio.
     """
-    f_cur = _ratio(phi_cur, A, ctil, B, dtil)
-    z = 2.0 * (A * dtil - B * ctil)
-    if np.abs(z) == 0.0:
-        return phi_cur, f_cur
-    kappa = -4.0 * np.imag(dtil * np.conj(ctil))
-    base = np.arcsin(np.clip(kappa / np.abs(z), -1.0, 1.0))
-    zeta = np.angle(z)
-    cand = np.array([base - zeta, np.pi - base - zeta])
-    f_cand = _ratio(cand, A, ctil, B, dtil)
-    best = int(np.argmax(f_cand))
-    if f_cand[best] >= f_cur:
-        return float(cand[best]), float(f_cand[best])
-    # analytic step regressed (should not happen): grid + local refinement
-    phi, f = _grid_refine(A, ctil, B, dtil, grid_points)
-    if f >= f_cur:
-        return phi, f
-    return phi_cur, f_cur
-
-
-def _grid_refine(A, ctil, B, dtil, grid_points):
-    """Dense-grid maximization of the phase ratio with golden-section polish."""
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    values = _ratio(grid, A, ctil, B, dtil)
-    i = int(np.argmax(values))
-    step = 2.0 * np.pi / grid_points
-    lo, hi = grid[i] - step, grid[i] + step
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        m1 = hi - inv_gold * (hi - lo)
-        m2 = lo + inv_gold * (hi - lo)
-        if _ratio(m1, A, ctil, B, dtil) >= _ratio(m2, A, ctil, B, dtil):
-            hi = m2
-        else:
-            lo = m1
-    phi = 0.5 * (lo + hi)
-    return float(phi), float(_ratio(phi, A, ctil, B, dtil))
+    a = B * B - 4.0 * abs(dtil) ** 2
+    half_b = A * B - 4.0 * np.real(ctil * np.conj(dtil))
+    c = A * A - 4.0 * abs(ctil) ** 2
+    lam = (half_b + np.sqrt(max(half_b * half_b - a * c, 0.0))) / a
+    phi = np.array([-np.angle(ctil - lam * dtil), phi_cur])
+    e = np.exp(1j * phi)
+    f = (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
+    return float(phi[0]) if f[0] >= f[1] else float(phi_cur)
 
 
 def optimize_mitigation_aware(
@@ -132,8 +106,9 @@ def optimize_mitigation_aware(
 ) -> np.ndarray:
     """Element-wise coordinate ascent on the mitigation-aware objective.
 
-    Sweeps the elements in ascending index order; each 1-D update is solved
-    analytically and never decreases the objective.  Terminates when a full
+    Sweeps the elements in ascending index order; each 1-D update is the
+    closed-form maximizer of a ratio of two sinusoids in the element's phase
+    (`_best_phase`) and never decreases the objective.  Terminates when a full
     sweep improves the objective by less than rel_tolerance (relative) or
     after max_sweeps sweeps.
 
@@ -141,7 +116,7 @@ def optimize_mitigation_aware(
         cache: Gram decomposition of the strong users (C_s invertible).
         h_c_weak: [N_R] weak user's cascaded row h_c,K+1^H.
         init: [N_R] unit-modulus starting point.
-        spec: optimizer parameters (defaults: 100 sweeps, 1e-8, 1024).
+        spec: optimizer parameters (defaults: 100 sweeps, 1e-8).
 
     Returns:
         [N_R] unit-modulus phases with objective >= objective(init).
@@ -173,8 +148,7 @@ def optimize_mitigation_aware(
             ctil = np.conj(s0) * h_c_weak[n]
             B = 1.0 + np.real(np.vdot(t0, w0)) + q[n]
             dtil = np.vdot(t0, E[:, n])
-            phi, _ = _best_phi(np.angle(th_n), A, ctil, B, dtil, spec.grid_points)
-            new = np.exp(1j * phi)
+            new = np.exp(1j * _best_phase(np.angle(th_n), A, ctil, B, dtil))
             diff = new - th_n
             theta[n] = new
             s = s0 + h_c_weak[n] * new

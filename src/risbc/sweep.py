@@ -4,8 +4,8 @@ Runs a grid of (precoder, phase strategy, evaluation mode) methods over one
 swept scenario variable with paired randomness: at a given replication every
 method sees the same channel draw and, for randomized strategies, the same
 phase draw, so method differences are never masked by sampling noise.  The
-channel and phase substreams are spawned from SeedSequence([seed, rep]) and
-are therefore independent of the method list.
+channel and phase substreams are the `rep_seeds(seed, rep)` children of
+SeedSequence([seed, rep]) and are therefore independent of the method list.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -22,6 +22,7 @@ from .channel import (
     db_to_lin,
     draw_user_positions,
     position_rng,
+    rep_seeds,
     sample_realization,
 )
 from .phases import StrategySpec, b_from_xi, select_phases
@@ -75,7 +76,9 @@ class SweepPlan:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         self.values = tuple(float(v) for v in self.values)
         if not self.values:
-            raise ValueError("empty sweep grid")
+            raise ValueError("no sweep values given")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"sweep values must be finite, got {self.values}")
         if not all(b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.variable in ("n_bs", "n_ris") and any(
@@ -135,7 +138,7 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
 
 def _run_rep(cfg, xi, methods, positions, seed, rep):
     """One replication: all methods on one paired draw, or None if flagged."""
-    ch_ss, ph_ss = np.random.SeedSequence([seed, rep]).spawn(2)
+    ch_ss, ph_ss = rep_seeds(seed, rep)
     real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
@@ -147,16 +150,14 @@ def _run_rep(cfg, xi, methods, positions, seed, rep):
     phases = {}
     out = {}
     for m in methods:
-        key = (m.strategy.kind, m.strategy.max_sweeps,
-               m.strategy.rel_tolerance, m.strategy.grid_points)
-        if key not in phases:
+        if m.strategy not in phases:
             # fresh generator on the shared phase substream: randomized
             # strategies see identical draws whichever methods request them
             theta = select_phases(
                 m.strategy, cache, h_c_weak, np.random.default_rng(ph_ss)
             )
-            phases[key] = extended_phase(theta)
-        phase = phases[key]
+            phases[m.strategy] = extended_phase(theta)
+        phase = phases[m.strategy]
         if m.mode == "exact":
             se_fn = se_zf_exact if m.precoder == "ZF" else se_dpc_exact
             out[m.label] = se_fn(cache, phase, h_c_weak, p_bar)
@@ -227,7 +228,7 @@ def power_split_offset_check(
         positions = draw_user_positions(cfg, position_rng(cfg.seed))
     offsets = np.empty(reps)
     for r in range(reps):
-        ch_ss, _ = np.random.SeedSequence([cfg.seed, r]).spawn(2)
+        ch_ss, _ = rep_seeds(cfg.seed, r)
         real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ H_d.conj().T)

@@ -27,7 +27,7 @@ from risbc.channel import (
     draw_user_positions,
     nominal_pathlosses,
     position_rng,
-    rep_rng,
+    rep_seeds,
     sample_realization,
     steering_vector,
 )
@@ -280,9 +280,9 @@ def test_reflected_upper_bound_holds_in_monte_carlo():
     thetas = np.empty((reps, cfg.n_ris), dtype=complex)
     a = None
     for r in range(reps):
-        rng = rep_rng(cfg.seed, r)
-        real = sample_realization(cfg, rng, positions=pos)
-        theta = random_phases(cfg.n_ris, rng)
+        ch_ss, ph_ss = rep_seeds(cfg.seed, r)
+        real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
+        theta = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
         se_r[r] = se_asymptotic(cache, extended_phase(theta), h_c_weak, p_bar, "ZF").se_reflect

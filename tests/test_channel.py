@@ -8,7 +8,7 @@ from risbc.channel import (
     nominal_pathlosses,
     pathloss_db,
     position_rng,
-    rep_rng,
+    rep_seeds,
     sample_realization,
     steering_vector,
 )
@@ -60,6 +60,8 @@ def test_steering_norms():
 def test_config_feasibility_check():
     with pytest.raises(ValueError, match="zero-forcing"):
         ScenarioConfig(n_bs=2, n_strong=3)
+    with pytest.raises(ValueError, match="n_strong must be at least 1"):
+        ScenarioConfig(n_strong=0)
 
 
 def test_p_bar_divisor():
@@ -83,7 +85,7 @@ def test_positions_inside_circle():
 
 def test_realization_shapes_and_invariants():
     cfg = ScenarioConfig(n_bs=8, n_ris=16)
-    real = sample_realization(cfg, rep_rng(cfg.seed, 0))
+    real = sample_realization(cfg, np.random.default_rng(rep_seeds(cfg.seed, 0)[0]))
     K = cfg.n_strong
     assert real.H_d_strong.shape == (K, 8)
     assert real.h_d_weak.shape == (8,)
@@ -97,14 +99,14 @@ def test_realization_shapes_and_invariants():
 
 def test_weak_user_infinite_extra_loss_gives_zero_row():
     cfg = ScenarioConfig(weak_extra_loss_db=np.inf)
-    real = sample_realization(cfg, rep_rng(1, 0))
+    real = sample_realization(cfg, np.random.default_rng(rep_seeds(1, 0)[0]))
     assert np.all(real.h_d_weak == 0)
 
 
 def test_fixed_seed_reproducibility():
     cfg = ScenarioConfig()
-    r1 = sample_realization(cfg, rep_rng(7, 3))
-    r2 = sample_realization(cfg, rep_rng(7, 3))
+    r1 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
+    r2 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
     assert np.array_equal(r1.H_d_strong, r2.H_d_strong)
     assert np.array_equal(r1.H_r, r2.H_r)
     assert np.array_equal(r1.positions, r2.positions)
@@ -113,8 +115,9 @@ def test_fixed_seed_reproducibility():
 def test_frozen_positions_are_shared():
     cfg = ScenarioConfig()
     pos = draw_user_positions(cfg, position_rng(cfg.seed))
-    r1 = sample_realization(cfg, rep_rng(0, 0), positions=pos)
-    r2 = sample_realization(cfg, rep_rng(0, 1), positions=pos)
+    (ch0, _), (ch1, _) = rep_seeds(0, 0), rep_seeds(0, 1)
+    r1 = sample_realization(cfg, np.random.default_rng(ch0), positions=pos)
+    r2 = sample_realization(cfg, np.random.default_rng(ch1), positions=pos)
     assert np.array_equal(r1.positions, r2.positions)
     assert not np.array_equal(r1.H_r, r2.H_r)
 
@@ -127,7 +130,8 @@ def test_ris_channel_variance_matches_pathloss():
     acc = np.zeros(cfg.n_users)
     reps = 10_000
     for r in range(reps):
-        real = sample_realization(cfg, rep_rng(cfg.seed, r), positions=pos)
+        ch_ss, _ = rep_seeds(cfg.seed, r)
+        real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
         acc += np.sum(np.abs(real.H_r) ** 2, axis=1) / cfg.n_ris
     rel = np.abs(acc / reps - pl.L_r) / pl.L_r
     assert np.all(rel < 0.02)
@@ -135,8 +139,8 @@ def test_ris_channel_variance_matches_pathloss():
 
 def test_distinct_seeds_uncorrelated():
     n = 10_000
-    x = np.random.default_rng([0, 0]).standard_normal(n)
-    y = np.random.default_rng([1, 0]).standard_normal(n)
+    x = np.random.default_rng(rep_seeds(0, 0)[0]).standard_normal(n)
+    y = np.random.default_rng(rep_seeds(1, 0)[0]).standard_normal(n)
     rho = np.corrcoef(x, y)[0, 1]
     assert abs(rho) < 0.05
 
@@ -144,8 +148,9 @@ def test_distinct_seeds_uncorrelated():
 def test_composite_matches_cascaded_identity():
     # h_r^H Theta G x equals h_c^H theta b^H x for the rank-one LOS link
     cfg = ScenarioConfig(n_bs=6, n_ris=12)
-    rng = rep_rng(3, 0)
-    real = sample_realization(cfg, rng)
+    ch_ss, ph_ss = rep_seeds(3, 0)
+    real = sample_realization(cfg, np.random.default_rng(ch_ss))
+    rng = np.random.default_rng(ph_ss)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_ris))
     x = rng.standard_normal(cfg.n_bs) + 1j * rng.standard_normal(cfg.n_bs)
     G = np.sqrt(real.L_G * cfg.n_bs) * np.outer(real.a, real.b.conj())

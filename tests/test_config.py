@@ -58,6 +58,47 @@ def test_infeasible_scenario_names_key_and_line():
         parse_config("[scenario]\nn_bs = 2\nn_strong = 3\n")
 
 
+def test_scenario_error_names_line_of_offending_key():
+    with pytest.raises(ValueError, match=r"user_circle_radius.*\(line 3\)"):
+        parse_config("[scenario]\nn_bs = 12\nuser_circle_radius = -1\n")
+    with pytest.raises(ValueError, match=r"user_circle_radius.*\(line 2\)"):
+        parse_config("[scenario]\nuser_circle_radius = -1\n")
+
+
+def test_no_strong_user_rejected_with_line():
+    with pytest.raises(ValueError, match=r"n_strong must be at least 1 \(line 3\)"):
+        parse_config("[scenario]\nn_bs = 4\nn_strong = 0\n")
+
+
+def test_bad_reps_names_key_and_line():
+    with pytest.raises(ValueError, match=r"bad value for 'reps' in \[sweep\] \(line 3\)"):
+        parse_config("[sweep]\nvalues = 10\nreps = abc\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[sweep]\nvalues = 10, inf\n", 2),
+        ("[sweep]\nvariable = xi\n\nvalues = nan\n", 4),
+    ],
+)
+def test_non_finite_sweep_values_rejected_with_line(text, line):
+    with pytest.raises(ValueError, match=rf"values must be finite.*\(line {line}\)"):
+        parse_config(text)
+
+
+def test_strategy_error_names_line():
+    with pytest.raises(ValueError, match=r"max_sweeps.*\(line 3\)"):
+        parse_config("[strategy]\nrel_tolerance = 1e-6\nmax_sweeps = 0\n")
+
+
+def test_grid_points_is_no_longer_a_key():
+    with pytest.raises(
+        ValueError, match=r"unknown key 'grid_points' in \[strategy\] \(line 2\)"
+    ):
+        parse_config("[strategy]\ngrid_points = 256\n")
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ValueError, match=r"unknown key 'bandwidth'.*line 3"):
         parse_config("[scenario]\nn_bs = 8\nbandwidth = 10\n")
@@ -100,6 +141,8 @@ def test_bad_method_specs_rejected():
         parse_config("[sweep]\nmethods = ZF-align\n")
     with pytest.raises(ValueError, match="unknown strategy kind"):
         parse_config("[sweep]\nmethods = ZF:closest:exact\n")
+    with pytest.raises(ValueError, match=r"unknown precoder 'MRT'.*\(line 3\)"):
+        parse_config("[sweep]\nreps = 2\nmethods = MRT:random:exact\n")
     with pytest.raises(ValueError, match="strictly increasing"):
         parse_config("[sweep]\nvalues = 10, 10\n")
 
@@ -110,7 +153,7 @@ def test_serialize_round_trips():
         "[scenario]\nn_bs = 6\nn_strong = 2\nseed = 3\n"
         "[sweep]\nvariable = xi\nvalues = 0.1, 1, 10\nreps = 4\n"
         "methods = DPC:mitigation_aware:asymptotic\n"
-        "[strategy]\ngrid_points = 256\n",
+        "[strategy]\nmax_sweeps = 7\n",
     ):
         cfg, plan = parse_config(text)
         canonical = serialize_config(cfg, plan)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from risbc.channel import ScenarioConfig, rep_rng, sample_realization
+from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.phases import (
     StrategySpec,
+    _best_phase,
     align_weak_user,
     b_from_xi,
     construct_b_orthogonality,
@@ -17,7 +18,7 @@ from risbc.se import decompose, weak_cascaded_row
 
 def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
     cfg = ScenarioConfig(n_bs=n_bs, n_ris=n_ris, n_strong=n_strong, **kw)
-    real = sample_realization(cfg, rep_rng(seed, 0))
+    real = sample_realization(cfg, np.random.default_rng(rep_seeds(seed, 0)[0]))
     return cfg, real, decompose(real)
 
 
@@ -75,6 +76,65 @@ def test_align_dominates_random_search():
 
 
 # ------------------------------------------------------------------ optimizer
+
+
+def ratio(phi, A, ctil, B, dtil):
+    e = np.exp(1j * np.asarray(phi))
+    return (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
+
+
+def element_coefficients(cache, h_c_weak, theta, n):
+    """(A, ctil, B, dtil) of f(theta) as a function of element n's phase."""
+    s0 = h_c_weak @ theta - h_c_weak[n] * theta[n]
+    theta_bar = np.append(theta, 1.0)
+    theta_bar[n] = 0.0
+    E = cache.solve(cache.D_s)
+    t0 = cache.D_s @ theta_bar
+    w0 = E @ theta_bar
+    A = abs(s0) ** 2 + abs(h_c_weak[n]) ** 2
+    B = 1.0 + np.real(np.vdot(t0, w0)) + np.real(np.vdot(cache.D_s[:, n], E[:, n]))
+    return A, np.conj(s0) * h_c_weak[n], B, np.vdot(t0, E[:, n])
+
+
+def test_best_phase_matches_dense_grid_on_real_draws():
+    grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        _, real, cache = instance(seed, n_bs=8, n_ris=16, n_strong=1 + seed % 3)
+        h_c_weak = weak_cascaded_row(real)
+        theta = random_phases(16, rng)
+        for n in (0, 7, 15):
+            coef = element_coefficients(cache, h_c_weak, theta, n)
+            phi = _best_phase(np.angle(theta[n]), *coef)
+            f = ratio(phi, *coef)
+            on_grid = ratio(grid, *coef)
+            # the grid misses the peak by at most max|f''| step^2 / 8
+            second_diff = np.roll(on_grid, 1) + np.roll(on_grid, -1) - 2.0 * on_grid
+            assert on_grid.max() * (1.0 - 1e-12) <= f
+            assert f <= on_grid.max() + np.max(np.abs(second_diff)) / 8.0 + 1e-12 * f
+            # the coefficients reproduce the objective of the real draw
+            moved = theta.copy()
+            moved[n] = np.exp(1j * phi)
+            assert f == pytest.approx(
+                mitigation_aware_objective(cache, h_c_weak, moved), rel=1e-10
+            )
+
+
+def test_best_phase_keeps_an_optimal_current_angle():
+    _, real, cache = instance(12)
+    h_c_weak = weak_cascaded_row(real)
+    theta = align_weak_user(h_c_weak)
+    for n in range(8):
+        coef = element_coefficients(cache, h_c_weak, theta, n)
+        best = _best_phase(np.angle(theta[n]), *coef)
+        again = _best_phase(best, *coef)
+        assert ratio(again, *coef) >= ratio(best, *coef)
+    # no coupling: (2 + cos phi) / 3 peaks exactly at the current angle 0
+    peak = (2.0, 0.5 + 0.0j, 3.0, 0.0j)
+    assert ratio(_best_phase(0.0, *peak), *peak) >= ratio(0.0, *peak)
+    # constant ratio (no coupling, no other element): any angle is optimal
+    flat = (2.0, 0.0j, 3.0, 0.0j)
+    assert ratio(_best_phase(0.3, *flat), *flat) == 2.0 / 3.0
 
 
 def test_optimizer_monotone_from_init():

@@ -8,7 +8,7 @@ import pytest
 import risbc.phases
 import risbc.se
 from oracles import projected_gram
-from risbc.channel import ScenarioConfig, rep_rng, sample_realization
+from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.linalg import eigh_descending
 from risbc.phases import b_from_xi
 from risbc.se import (
@@ -37,9 +37,9 @@ def small_cfg(n_bs=6, n_ris=8, n_strong=3, **kw):
 
 def random_instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
     cfg = small_cfg(n_bs, n_ris, n_strong, **kw)
-    rng = rep_rng(seed, 0)
-    real = sample_realization(cfg, rng)
-    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_ris))
+    ch_ss, ph_ss = rep_seeds(seed, 0)
+    real = sample_realization(cfg, np.random.default_rng(ch_ss))
+    theta = np.exp(1j * np.random.default_rng(ph_ss).uniform(0, 2 * np.pi, cfg.n_ris))
     return cfg, real, extended_phase(theta)
 
 
@@ -115,7 +115,7 @@ def test_decompose_b_proj_perp_follows_xi(n_bs, xi):
     expect = xi**2 / (1.0 + xi**2)
     for seed in range(10):
         cfg = ScenarioConfig(n_bs=n_bs)
-        real = sample_realization(cfg, rep_rng(seed, 0))
+        real = sample_realization(cfg, np.random.default_rng(rep_seeds(seed, 0)[0]))
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
         bpp = decompose(real).b_proj_perp
         assert abs(bpp - expect) <= 1e-10 * expect

@@ -5,6 +5,7 @@ from risbc.channel import (
     ScenarioConfig,
     draw_user_positions,
     position_rng,
+    rep_seeds,
     sample_realization,
 )
 from risbc.phases import StrategySpec, random_phases
@@ -54,6 +55,11 @@ def test_plan_validation():
         SweepPlan(cfg, "n_bs", (4.5, 6.0), m)
     with pytest.raises(ValueError):
         SweepPlan(cfg, "xi", (-1.0, 2.0), m)
+    for values in ((10.0, np.inf), (np.nan,), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SweepPlan(cfg, "ptx_dbm", values, m)
+    with pytest.raises(ValueError, match="finite"):
+        SweepPlan(cfg, "xi", (np.nan,), m)
     with pytest.raises(ValueError):
         SweepPlan(cfg, "ptx_dbm", (0.0,), ())
     with pytest.raises(ValueError):
@@ -71,7 +77,7 @@ def test_harness_is_transparent():
     row = run_sweep(plan).rows[0]
 
     pos = draw_user_positions(cfg, position_rng(cfg.seed))
-    ch_ss, _ = np.random.SeedSequence([cfg.seed, 0]).spawn(2)
+    ch_ss, _ = rep_seeds(cfg.seed, 0)
     real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
     cache = decompose(real)
     h_c_weak = weak_cascaded_row(real)
@@ -101,7 +107,7 @@ def test_randomized_strategies_are_paired():
     swept = cfg.with_updates(ptx_dbm=20.0)
     want = {"ZF": [], "DPC": []}
     for rep in range(reps):
-        ch_ss, ph_ss = np.random.SeedSequence([swept.seed, rep]).spawn(2)
+        ch_ss, ph_ss = rep_seeds(swept.seed, rep)
         real = sample_realization(swept, np.random.default_rng(ch_ss))
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
