@@ -71,6 +71,15 @@ def steering_vector(n: int, angle: float, norm: str = "unit") -> np.ndarray:
 # Scenario configuration
 # =========================================================================
 
+# Real-valued ScenarioConfig fields, scalars or coordinate/coefficient tuples,
+# that must be finite.  weak_extra_loss_db may also be +inf: an absent weak
+# direct link, the idealization the Gram decomposition assumes.
+_FINITE_FIELDS = (
+    "bs_pos", "ris_pos", "user_circle_center", "user_circle_radius", "ptx_dbm",
+    "noise_dbm", "direct_extra_loss_db", "pl_direct", "pl_ris_user", "pl_los",
+    "aoa", "aod",
+)
+
 
 @dataclass
 class ScenarioConfig:
@@ -101,6 +110,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        loss = self.weak_extra_loss_db
+        if np.isnan(loss) or loss == -np.inf:
+            raise ValueError(
+                f"weak_extra_loss_db must be finite or +inf, got {loss!r}"
+            )
         if self.n_strong < 1:
             raise ValueError("n_strong must be at least 1")
         if self.n_bs < self.n_strong + 1:
@@ -144,7 +162,11 @@ class PathlossSet:
 
 @dataclass
 class ChannelRealization:
-    """One fading draw of all channels (rows are h^H, noise-normalized)."""
+    """One fading draw of all channels (rows are h^H, noise-normalized).
+
+    A stack of draws (`sample_block`) carries a leading batch axis on every
+    array but the shared steering vectors a and b.
+    """
 
     H_d_strong: np.ndarray  # [K, N_B] strong users' direct channels
     h_d_weak: np.ndarray  # [N_B] weak user's attenuated direct channel
@@ -189,11 +211,14 @@ def draw_user_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> np.nda
 
 
 def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSet:
-    """Linear gains for given user positions (L_d/L_r noise-normalized)."""
+    """Linear gains for given user positions (L_d/L_r noise-normalized).
+
+    positions: [..., K+1, 3] in meters; L_d and L_r get its leading axes.
+    """
     bs = np.asarray(cfg.bs_pos, dtype=float)
     ris = np.asarray(cfg.ris_pos, dtype=float)
-    d_bs = np.linalg.norm(positions - bs, axis=1)
-    d_ris = np.linalg.norm(positions - ris, axis=1)
+    d_bs = np.linalg.norm(positions - bs, axis=-1)
+    d_ris = np.linalg.norm(positions - ris, axis=-1)
     sigma2 = db_to_lin(cfg.noise_dbm)
 
     L_d_db = pathloss_db(cfg.pl_direct, d_bs) + cfg.direct_extra_loss_db
@@ -204,10 +229,51 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
     return PathlossSet(L_d=L_d, L_r=L_r, L_G=L_G)
 
 
-def _cn_matrix(rng, rows, cols, row_var):
-    """[rows, cols] i.i.d. CN(0, row_var[k]) entries, one variance per row."""
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return np.sqrt(np.asarray(row_var)[:, None] / 2.0) * z
+def _draw(cfg: ScenarioConfig, rng: np.random.Generator, positions):
+    """One draw's variates from its generator, in their fixed order.
+
+    User positions come first unless frozen ones are supplied, then the
+    direct and the RIS-user fading, each as the real parts of all entries
+    followed by the imaginary parts.  Returns positions [K+1, 3] and the
+    complex normals z_d [K+1, N_B] and z_r [K+1, N_R], whose real and
+    imaginary parts are standard normal.
+    """
+    if positions is None:
+        positions = draw_user_positions(cfg, rng)
+    shapes = ((cfg.n_users, cfg.n_bs), (cfg.n_users, cfg.n_ris))
+    z_d, z_r = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+    return positions, z_d, z_r
+
+
+def _assemble(cfg: ScenarioConfig, positions, z_d, z_r) -> ChannelRealization:
+    """Scale drawn normals by the pathlosses of their positions.
+
+    Works over leading batch axes: positions [..., K+1, 3], z_d
+    [..., K+1, N_B] and z_r [..., K+1, N_R] give a realization whose
+    channel arrays carry the same leading axes (a and b are shared).  z_d
+    and z_r are scaled in place and become H_d and H_r, which keeps a
+    block's peak memory at one copy of each stack.
+    """
+    pl = nominal_pathlosses(cfg, positions)
+    H_d_all = z_d
+    H_d_all *= np.sqrt(pl.L_d[..., None] / 2.0)
+    H_r = z_r
+    H_r *= np.sqrt(pl.L_r[..., None] / 2.0)
+    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    b = steering_vector(cfg.n_bs, cfg.aod, norm="unit")
+    H_c = np.sqrt(pl.L_G * cfg.n_bs) * H_r
+    H_c *= a
+    return ChannelRealization(
+        H_d_strong=H_d_all[..., : cfg.n_strong, :],
+        h_d_weak=H_d_all[..., cfg.n_strong, :],
+        H_r=H_r,
+        a=a,
+        b=b,
+        L_G=pl.L_G,
+        H_c=H_c,
+        pathlosses=pl,
+        positions=positions,
+    )
 
 
 def sample_realization(
@@ -220,23 +286,17 @@ def sample_realization(
     User positions are redrawn from `rng` unless `positions` is supplied
     (frozen-position runs pass the same array for every draw).
     """
-    if positions is None:
-        positions = draw_user_positions(cfg, rng)
-    pl = nominal_pathlosses(cfg, positions)
+    return _assemble(cfg, *_draw(cfg, rng, positions))
 
-    H_d_all = _cn_matrix(rng, cfg.n_users, cfg.n_bs, pl.L_d)
-    H_r = _cn_matrix(rng, cfg.n_users, cfg.n_ris, pl.L_r)
-    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
-    b = steering_vector(cfg.n_bs, cfg.aod, norm="unit")
-    H_c = np.sqrt(pl.L_G * cfg.n_bs) * H_r * a[None, :]
-    return ChannelRealization(
-        H_d_strong=H_d_all[: cfg.n_strong],
-        h_d_weak=H_d_all[cfg.n_strong],
-        H_r=H_r,
-        a=a,
-        b=b,
-        L_G=pl.L_G,
-        H_c=H_c,
-        pathlosses=pl,
-        positions=positions,
-    )
+
+def sample_block(cfg: ScenarioConfig, seeds, positions: np.ndarray = None):
+    """A stack of independent draws, one per seed, along a leading axis.
+
+    Entry i equals sample_realization(cfg, np.random.default_rng(seeds[i]),
+    positions): every draw keeps its own generator, so a stack holds the
+    same values whichever draws it is built from.
+    """
+    draws = [_draw(cfg, np.random.default_rng(s), positions) for s in seeds]
+    stacks = [np.stack(parts) for parts in zip(*draws)]
+    del draws  # free the per-draw copies before _assemble allocates H_c
+    return _assemble(cfg, *stacks)

@@ -1,7 +1,9 @@
 """Complex-matrix primitives shared by the spectral-efficiency formulas.
 
 All routines operate on dense complex numpy arrays (noise-normalized channel
-units) and are pure functions, safe to call concurrently.
+units), are pure functions, and broadcast over leading batch axes: a stack
+of draws [..., n, n] is handled exactly as each of its matrices would be on
+its own.
 """
 
 import numpy as np
@@ -18,6 +20,21 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def herm(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes, [..., m, n] -> [..., n, m]."""
+    return np.swapaxes(A, -1, -2).conj()
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for A [..., m, n] and x [..., n]; the result is [..., m]."""
+    return (A @ x[..., None])[..., 0]
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^H y over the last axis, [..., n] x [..., n] -> [...]."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def eigh_descending(A: np.ndarray):
     """Hermitian eigendecomposition with eigenvalues in decreasing order.
 
@@ -26,18 +43,18 @@ def eigh_descending(A: np.ndarray):
     are kept (singular inputs still return n pairs).
 
     Args:
-        A: [n, n] Hermitian matrix.
+        A: [..., n, n] Hermitian matrices.
 
     Returns:
-        (w, U): w [n] real eigenvalues descending, U [n, n] orthonormal
-        columns with A = U diag(w) U^H.
+        (w, U): w [..., n] real eigenvalues descending, U [..., n, n]
+        orthonormal columns with A = U diag(w) U^H.
     """
     A = check_finite(A, "A")
     w, U = np.linalg.eigh(A)
-    w = w[::-1].copy()
-    U = U[:, ::-1].copy()
-    for k in range(U.shape[1]):
-        piv = U[np.argmax(np.abs(U[:, k])), k]
-        if np.abs(piv) > 0:
-            U[:, k] *= np.abs(piv) / piv
+    w = w[..., ::-1].copy()
+    U = U[..., ::-1].copy()
+    rows = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    piv = np.take_along_axis(U, rows, axis=-2)
+    mag = np.abs(piv)
+    U *= np.divide(mag, piv, out=np.ones_like(piv), where=mag > 0)
     return w, U

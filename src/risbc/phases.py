@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_finite
+from .linalg import check_finite, herm, matvec
 from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
 
 
@@ -57,9 +57,9 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
     h_c_weak is the stored conjugated row h_c,K+1^H, so the aligned phases
     are exp(-j arg(row)) = exp(j arg(h_c,K+1)) and the resulting inner
     product is sum_n |h_c,K+1,n| (real and maximal).  Zero entries get
-    phase 0 by convention.
+    phase 0 by convention.  Rows [..., N_R] give phases [..., N_R].
     """
-    h_c_weak = check_finite(h_c_weak, "h_c_weak").ravel()
+    h_c_weak = check_finite(h_c_weak, "h_c_weak")
     return np.exp(-1j * np.angle(h_c_weak))
 
 
@@ -171,14 +171,30 @@ def select_phases(
 ) -> np.ndarray:
     """Dispatch a strategy to its phase vector for one channel realization.
 
+    A stack of B draws (cache and h_c_weak [B, N_R] with a leading batch
+    axis, rng an iterable of B generators, one per draw) gives [B, N_R]
+    phases, row i being what draw i gets on its own.
+
     "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
     unit-modulus vector gives the same ergodic rates.
     """
+    stacked = h_c_weak.ndim == 2
     if spec.kind in ("random", "statistical"):
-        return random_phases(h_c_weak.size, rng)
+        n_ris = h_c_weak.shape[-1]
+        if stacked:
+            return np.stack([random_phases(n_ris, r) for r in rng])
+        return random_phases(n_ris, rng)
+    aligned = align_weak_user(h_c_weak)
     if spec.kind == "align_weak":
-        return align_weak_user(h_c_weak)
-    return optimize_mitigation_aware(cache, h_c_weak, align_weak_user(h_c_weak), spec)
+        return aligned
+    if stacked:
+        return np.stack(
+            [
+                optimize_mitigation_aware(cache[i], h_c_weak[i], aligned[i], spec)
+                for i in range(len(aligned))
+            ]
+        )
+    return optimize_mitigation_aware(cache, h_c_weak, aligned, spec)
 
 
 # =========================================================================
@@ -196,27 +212,34 @@ def construct_b_orthogonality(
     range(V_s) (worst case), large xi makes b orthogonal to it.
 
     Args:
-        V_s: [N_B, K] orthonormal basis of the strong users' row space.
-        v_perp: [N_B] vector orthogonal to the columns of V_s.
+        V_s: [..., N_B, K] orthonormal basis of the strong users' row space.
+        v_perp: [..., N_B] vector orthogonal to the columns of V_s.
         xi: non-negative orthogonality parameter.
+
+    Returns:
+        [..., N_B] unit vectors, one per leading index.
     """
     V_s = check_finite(V_s, "V_s")
-    v_perp = check_finite(v_perp, "v_perp").ravel()
+    v_perp = check_finite(v_perp, "v_perp")
     if xi < 0:
         raise ValueError("xi must be non-negative")
-    if V_s.shape[0] <= V_s.shape[1]:
+    if V_s.shape[-2] <= V_s.shape[-1]:
         raise ValueError("no orthogonal complement")
-    nv = np.linalg.norm(v_perp)
-    if nv == 0 or np.linalg.norm(V_s.conj().T @ v_perp) > 1e-10 * nv:
+    nv = np.linalg.norm(v_perp, axis=-1)
+    leak = np.linalg.norm(matvec(herm(V_s), v_perp), axis=-1)
+    if np.any(nv == 0) or np.any(leak > 1e-10 * nv):
         raise ValueError("v_perp not orthogonal to the strong row space")
-    u = V_s @ np.ones(V_s.shape[1])
-    b = u / np.linalg.norm(u) + xi * v_perp / nv
-    return b / np.linalg.norm(b)
+    u = V_s @ np.ones(V_s.shape[-1])
+    b = u / np.linalg.norm(u, axis=-1)[..., None] + xi * v_perp / nv[..., None]
+    return b / np.linalg.norm(b, axis=-1)[..., None]
 
 
 def b_from_xi(H_d_strong: np.ndarray, xi: float) -> np.ndarray:
-    """Convenience wrapper deriving V_s and a complement direction via SVD."""
-    K = H_d_strong.shape[0]
+    """Convenience wrapper deriving V_s and a complement direction via SVD.
+
+    H_d_strong [..., K, N_B] gives one direction per draw, [..., N_B].
+    """
+    K = H_d_strong.shape[-2]
     _, _, Vh = np.linalg.svd(H_d_strong, full_matrices=True)
-    V = Vh.conj().T
-    return construct_b_orthogonality(V[:, :K], V[:, K], xi)
+    V = herm(Vh)
+    return construct_b_orthogonality(V[..., :K], V[..., K], xi)

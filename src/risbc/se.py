@@ -12,6 +12,14 @@ module is a pure function of that decomposition, apart from the two
 independent SVD cross-checks and the generic-matrix oracles at the end; all
 SE values are in bits per channel use (log2), with unit noise (channels are
 noise-normalized at generation).
+
+p_bar enters only at the last step: every rate is a function of the p_bar-free
+terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
+mitigation term and the DPC cross terms |U^H D_s theta_bar|^2.  `zf_sum_se` and
+`dpc_sum_se` are the rate formulas over those terms; the per-draw `se_*`
+evaluators and the batched sweep both call them.  The decomposition and the
+terms broadcast over leading batch axes, so a stack of draws is reduced in one
+pass.
 """
 
 from dataclasses import dataclass
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .linalg import RANK_TOL, check_finite, eigh_descending
+from .linalg import RANK_TOL, check_finite, eigh_descending, herm, inner, matvec
 
 LOG2 = np.log(2.0)
 
@@ -32,16 +40,17 @@ BPP_TOL = 1e-12
 class ExtendedPhase:
     """RIS phase configuration theta and its extension theta_bar = [theta; 1]."""
 
-    theta: np.ndarray  # [N_R] unit-modulus entries
-    theta_bar: np.ndarray  # [N_R + 1]
+    theta: np.ndarray  # [..., N_R] unit-modulus entries
+    theta_bar: np.ndarray  # [..., N_R + 1]
 
 
 def extended_phase(theta) -> ExtendedPhase:
-    """Validate unit-modulus phases and append the fixed direct-link entry."""
-    theta = check_finite(theta, "theta").ravel()
+    """Validate unit-modulus phases [..., N_R] and append the direct-link 1."""
+    theta = np.atleast_1d(check_finite(theta, "theta"))
     if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
         raise ValueError("phase entries must be unit modulus")
-    return ExtendedPhase(theta=theta, theta_bar=np.append(theta, 1.0))
+    one = np.ones(theta.shape[:-1] + (1,))
+    return ExtendedPhase(theta=theta, theta_bar=np.concatenate([theta, one], axis=-1))
 
 
 @dataclass
@@ -61,36 +70,53 @@ class DecompositionCache:
 
     The eigendecomposition C_s = U diag(lambda) U^H is the only
     factorization of C_s: every formula reads C_s^{-1} through `solve` and
-    `inv_diag` (both require an invertible C_s; check `cond` first).
+    `inv_diag` (both require an invertible C_s; check `cond` first).  The
+    cache of a stack of draws carries their leading batch axes on every
+    field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
     """
 
-    C_s: np.ndarray  # [K, K] Hermitian PSD
-    D: np.ndarray  # [K+1, N_R+1], last column H_d b (weak entry 0)
-    D_s: np.ndarray  # [K, N_R+1] strong-user rows of D
-    eigvals: np.ndarray  # [K] eigenvalues of C_s, descending
-    eigvecs: np.ndarray  # [K, K] matching orthonormal eigenvectors
-    b_proj_perp: float  # b^H P_perp_{H_d^{s,H}} b in [0, 1]
+    C_s: np.ndarray  # [..., K, K] Hermitian PSD
+    D: np.ndarray  # [..., K+1, N_R+1], last column H_d b (weak entry 0)
+    D_s: np.ndarray  # [..., K, N_R+1] strong-user rows of D
+    eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
+    eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
+    b_proj_perp: float  # [...] b^H P_perp_{H_d^{s,H}} b in [0, 1]
+
+    def __getitem__(self, index) -> "DecompositionCache":
+        D = self.D[index]
+        return DecompositionCache(
+            C_s=self.C_s[index],
+            D=D,
+            D_s=D[..., :-1, :],
+            eigvals=self.eigvals[index],
+            eigvecs=self.eigvecs[index],
+            b_proj_perp=self.b_proj_perp[index],
+        )
 
     def cond(self) -> float:
-        """Condition number of C_s (inf when singular)."""
-        if self.eigvals[-1] <= 0:
-            return np.inf
-        return float(self.eigvals[0] / self.eigvals[-1])
+        """Condition number of C_s (inf when singular), per draw."""
+        low = self.eigvals[..., -1]
+        out = np.full(low.shape, np.inf)
+        return np.divide(self.eigvals[..., 0], low, out=out, where=low > 0)[()]
 
     def solve(self, X: np.ndarray) -> np.ndarray:
-        """C_s^{-1} X = U diag(1/lambda) U^H X for X of shape [K] or [K, M]."""
-        Y = self.eigvecs.conj().T @ X
-        scale = self.eigvals[:, None] if Y.ndim == 2 else self.eigvals
-        return self.eigvecs @ (Y / scale)
+        """C_s^{-1} X = U diag(1/lambda) U^H X.
+
+        X is [..., K] (one vector per draw) or [..., K, M] (M columns).
+        """
+        vector = X.ndim == self.eigvals.ndim
+        Y = herm(self.eigvecs) @ (X[..., None] if vector else X)
+        Z = self.eigvecs @ (Y / self.eigvals[..., None])
+        return Z[..., 0] if vector else Z
 
     def inv_diag(self) -> np.ndarray:
-        """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [K]."""
-        return np.abs(self.eigvecs) ** 2 @ (1.0 / self.eigvals)
+        """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [..., K]."""
+        return matvec(np.abs(self.eigvecs) ** 2, 1.0 / self.eigvals)
 
 
 def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
-    """The weak user's cascaded channel row h_c,K+1^H."""
-    return real.H_c[-1]
+    """The weak user's cascaded channel row h_c,K+1^H, [..., N_R]."""
+    return real.H_c[..., -1, :]
 
 
 def decompose(real: ChannelRealization) -> DecompositionCache:
@@ -101,24 +127,33 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
     b^H P_perp b comes from the same factor through the no-reflection
     identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b); it is 0 when C_s is
     singular (b inside the strong users' row space).
+
+    A stack of draws (channel arrays with leading batch axes, b shared
+    [N_B] or per draw [..., N_B]) is decomposed in one pass, with one
+    stacked eigh.
     """
-    b = check_finite(real.b, "b").ravel()
-    if abs(np.linalg.norm(b) - 1.0) > 1e-12:
+    b = check_finite(real.b, "b")
+    if np.any(np.abs(np.linalg.norm(b, axis=-1) - 1.0) > 1e-12):
         raise ValueError("unnormalized direction")
-    H = real.H_d_strong
-    K = H.shape[0]
-    n_ris = real.H_c.shape[1]
-    D = np.zeros((K + 1, n_ris + 1), dtype=complex)
-    D[:, :n_ris] = real.H_c
-    c = D[:K, n_ris] = H @ b
-    C_s = H @ H.conj().T - np.outer(c, c.conj())
-    C_s = 0.5 * (C_s + C_s.conj().T)
+    H = check_finite(real.H_d_strong, "H_d_strong")
+    H_c = check_finite(real.H_c, "H_c")
+    K = H.shape[-2]
+    n_ris = H_c.shape[-1]
+    c = matvec(H, b)
+    D = np.zeros(c.shape[:-1] + (K + 1, n_ris + 1), dtype=complex)
+    D[..., :n_ris] = H_c
+    D[..., :K, n_ris] = c
+    C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
+    C_s = 0.5 * (C_s + herm(C_s))
     w, U = eigh_descending(C_s)
     cache = DecompositionCache(
-        C_s=C_s, D=D, D_s=D[:K], eigvals=w, eigvecs=U, b_proj_perp=0.0
+        C_s=C_s, D=D, D_s=D[..., :K, :], eigvals=w, eigvecs=U, b_proj_perp=0.0
     )
-    if w[-1] > 0:
-        cache.b_proj_perp = 1.0 / (1.0 + float(np.real(np.vdot(c, cache.solve(c)))))
+    invertible = w[..., -1] > 0
+    # singular draws get 0; their solve is discarded, so its overflow is moot
+    with np.errstate(all="ignore"):
+        bpp = 1.0 / (1.0 + np.real(inner(c, cache.solve(c))))
+    cache.b_proj_perp = np.where(invertible, bpp, 0.0)[()]
     return cache
 
 
@@ -128,14 +163,20 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 
 
 def weak_gain(phase: ExtendedPhase, h_c_weak: np.ndarray) -> float:
-    """|h_c,K+1^H theta|^2 (h_c_weak is the stored conjugated row)."""
-    return float(np.abs(h_c_weak @ phase.theta) ** 2)
+    """|h_c,K+1^H theta|^2 per draw (h_c_weak is the stored conjugated row)."""
+    return np.abs(matvec(h_c_weak[..., None, :], phase.theta)[..., 0]) ** 2
 
 
 def mitigation_term(cache: DecompositionCache, phase: ExtendedPhase) -> float:
     """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty."""
-    u = cache.D_s @ phase.theta_bar
-    return float(np.real(np.vdot(u, cache.solve(u))))
+    u = matvec(cache.D_s, phase.theta_bar)
+    return np.real(inner(u, cache.solve(u)))
+
+
+def dpc_cross_terms(cache: DecompositionCache, phase: ExtendedPhase) -> np.ndarray:
+    """|U^H D_s theta_bar|^2, [..., K]: the weak user's weight per eigenmode."""
+    u = matvec(cache.D_s, phase.theta_bar)
+    return np.abs(matvec(herm(cache.eigvecs), u)) ** 2
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so
@@ -144,8 +185,85 @@ COND_RAISE = 1e14
 
 
 def _require_invertible(cache: DecompositionCache):
-    if cache.cond() > COND_RAISE:
+    if np.any(cache.cond() > COND_RAISE):
         raise ValueError("direct channels rank-deficient after projection")
+
+
+def _require_reachable(g):
+    if np.any(g <= 0.0):
+        raise ValueError("weak user unreachable")
+
+
+# =========================================================================
+# sum SE from the p_bar-free terms
+# =========================================================================
+
+
+def _zf_gains(inv_diag, g, mit):
+    """[..., K+1] ZF inverted gains: diag(C_s^{-1}), then (1 + mit) / g."""
+    _require_reachable(g)
+    return np.concatenate([inv_diag, np.asarray((1.0 + mit) / g)[..., None]], axis=-1)
+
+
+def zf_sum_se(inv_diag, g, mit, p_bar: float, mode: str) -> tuple:
+    """ZF sum SE (total, direct, reflected) from its p_bar-free terms.
+
+    exact:      sum_k log2(1 + p_bar / e_k), e = [diag(C_s^{-1}), (1 + mit) / g]
+    asymptotic: sum_k log2(p_bar / [C_s^{-1}]_kk) + log2(g p_bar / (1 + mit))
+
+    inv_diag [..., K], weak gain g [...] and mitigation term mit [...] share
+    their leading batch axes; so do the three results.
+    """
+    if mode == "exact":
+        per_user = np.log2(1.0 + p_bar / _zf_gains(inv_diag, g, mit))
+        return (
+            np.sum(per_user, axis=-1),
+            np.sum(per_user[..., :-1], axis=-1),
+            per_user[..., -1],
+        )
+    _require_reachable(g)
+    direct = np.sum(np.log2(p_bar / inv_diag), axis=-1)
+    reflect = np.log2(g * p_bar / (1.0 + mit))
+    return direct + reflect, direct, reflect
+
+
+def dpc_sum_se(eigvals, g, cross, p_bar: float, mode: str) -> tuple:
+    """DPC sum SE (total, direct, reflected) from its p_bar-free terms.
+
+    exact:      sum_k log2(1 + lambda_k p_bar)
+                + log2(1 + g p_bar + p_bar sum_k cross_k / (1 + lambda_k p_bar))
+                (= log2 det(I + p_bar H H^H))
+    asymptotic: log2 det(C_s p_bar) + log2(g p_bar), with -inf in the direct
+                part where C_s is singular (a flagged value, not an error)
+
+    eigvals [..., K], weak gain g [...] and the cross terms [..., K] (unused
+    by the asymptotic form) share their leading batch axes.
+    """
+    if mode == "exact":
+        one_plus = 1.0 + eigvals * p_bar
+        direct = np.sum(np.log2(one_plus), axis=-1)
+        reflect = np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus, axis=-1))
+        return direct + reflect, direct, reflect
+    _require_reachable(g)
+    regular = eigvals[..., -1] > 0.0
+    safe = np.where(regular[..., None], eigvals, 1.0)
+    direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)
+    reflect = np.log2(g * p_bar)
+    return direct + reflect, direct, reflect
+
+
+def _zf_terms(cache: DecompositionCache, phase: ExtendedPhase, h_c_weak) -> tuple:
+    """(diag(C_s^{-1}), g, mitigation) of a draw; C_s must be invertible."""
+    g = weak_gain(phase, h_c_weak)
+    _require_invertible(cache)
+    return cache.inv_diag(), g, mitigation_term(cache, phase)
+
+
+def _breakdown(method: str, mode: str, rates: tuple) -> "SEBreakdown":
+    total, direct, reflect = (float(x) for x in rates)
+    return SEBreakdown(
+        method=method, se_total=total, se_direct=direct, se_reflect=reflect, mode=mode
+    )
 
 
 # =========================================================================
@@ -161,11 +279,7 @@ def zf_inverted_gains(
     Strong users get the diagonal of C_s^{-1}; the weak user gets
     (1 + mitigation) / |h_c,K+1^H theta|^2.
     """
-    g = weak_gain(phase, h_c_weak)
-    if g <= 0.0:
-        raise ValueError("weak user unreachable")
-    _require_invertible(cache)
-    return np.append(cache.inv_diag(), (1.0 + mitigation_term(cache, phase)) / g)
+    return _zf_gains(*_zf_terms(cache, phase, h_c_weak))
 
 
 def se_zf_exact(
@@ -175,15 +289,8 @@ def se_zf_exact(
     p_bar: float,
 ) -> SEBreakdown:
     """Zero-forcing sum SE with uniform per-user power p_bar."""
-    gains = zf_inverted_gains(cache, phase, h_c_weak)
-    per_user = np.log2(1.0 + p_bar / gains)
-    return SEBreakdown(
-        method="ZF",
-        se_total=float(np.sum(per_user)),
-        se_direct=float(np.sum(per_user[:-1])),
-        se_reflect=float(per_user[-1]),
-        mode="exact",
-    )
+    rates = zf_sum_se(*_zf_terms(cache, phase, h_c_weak), p_bar, "exact")
+    return _breakdown("ZF", "exact", rates)
 
 
 def se_dpc_exact(
@@ -198,19 +305,8 @@ def se_dpc_exact(
     users' eigenmode terms, the reflected part the weak user's log term.
     """
     g = weak_gain(phase, h_c_weak)
-    lam = cache.eigvals
-    u = cache.D_s @ phase.theta_bar
-    cross = np.abs(cache.eigvecs.conj().T @ u) ** 2
-    one_plus = 1.0 + lam * p_bar
-    se_direct = float(np.sum(np.log2(one_plus)))
-    se_reflect = float(np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus)))
-    return SEBreakdown(
-        method="DPC",
-        se_total=se_direct + se_reflect,
-        se_direct=se_direct,
-        se_reflect=se_reflect,
-        mode="exact",
-    )
+    rates = dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, phase), p_bar, "exact")
+    return _breakdown("DPC", "exact", rates)
 
 
 # =========================================================================
@@ -240,28 +336,14 @@ def se_asymptotic(
     A singular C_s under DPC yields -inf in the direct part (flagged value)
     instead of raising.
     """
-    g = weak_gain(phase, h_c_weak)
-    if g <= 0.0:
-        raise ValueError("weak user unreachable")
     if method == "ZF":
-        _require_invertible(cache)
-        se_direct = float(np.sum(np.log2(p_bar / cache.inv_diag())))
-        se_reflect = float(np.log2(g * p_bar / (1.0 + mitigation_term(cache, phase))))
+        rates = zf_sum_se(*_zf_terms(cache, phase, h_c_weak), p_bar, "asymptotic")
     elif method == "DPC":
-        if cache.eigvals[-1] <= 0.0:
-            se_direct = -np.inf
-        else:
-            se_direct = float(np.sum(np.log2(cache.eigvals * p_bar)))
-        se_reflect = float(np.log2(g * p_bar))
+        g = weak_gain(phase, h_c_weak)
+        rates = dpc_sum_se(cache.eigvals, g, None, p_bar, "asymptotic")
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SEBreakdown(
-        method=method,
-        se_total=se_direct + se_reflect,
-        se_direct=se_direct,
-        se_reflect=se_reflect,
-        mode="asymptotic",
-    )
+    return _breakdown(method, "asymptotic", rates)
 
 
 def se_dpc_orthogonal_form(

@@ -7,6 +7,16 @@ phase draw, so method differences are never masked by sampling noise.  The
 channel and phase substreams are the `rep_seeds(seed, rep)` children of
 SeedSequence([seed, rep]) and are therefore independent of the method list.
 
+A sweep point runs in two stages.  Stage 1 draws the replications in blocks
+of BLOCK_REPS, decomposes each block with one stacked eigh, selects every
+strategy's phases and reduces each draw to the terms its rates need that do
+not depend on transmit power: eigvals(C_s), diag(C_s^{-1}) and, per
+strategy, the weak gain, the mitigation term and the DPC cross terms.
+Stage 2 evaluates every method's rates from those terms with the vectorized
+formulas of `se`.  Transmit power enters only stage 2, so a `ptx_dbm` sweep
+runs stage 1 once and every point reuses it.  Every draw keeps its own
+generators, so results do not depend on the block size.
+
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
 averages at that sweep point; if more than half the draws at a point are
@@ -23,21 +33,31 @@ from .channel import (
     draw_user_positions,
     position_rng,
     rep_seeds,
-    sample_realization,
+    sample_block,
 )
+from .linalg import herm
 from .phases import StrategySpec, b_from_xi, select_phases
 from .se import (
+    _require_invertible,
     decompose,
+    dpc_cross_terms,
+    dpc_sum_se,
     extended_phase,
-    se_asymptotic,
-    se_dpc_exact,
-    se_zf_exact,
+    mitigation_term,
     weak_cascaded_row,
+    weak_gain,
+    zf_sum_se,
 )
 
 # Draws above this condition number are excluded from averages (the SE
 # formulas themselves only raise two orders of magnitude later).
 COND_FLAG = 1e12
+
+# Replications per stage-1 block.  It bounds the [B, K+1, N_R] channel
+# stacks, so peak memory does not grow with reps: at figure 5's N_R = 256,
+# blocks of 32 add about 1.4 MB to the peak resident set and blocks of 64
+# about 4 MB (a tenth of the whole run's).
+BLOCK_REPS = 32
 
 _VARIABLES = ("ptx_dbm", "n_bs", "n_ris", "xi")
 
@@ -136,60 +156,106 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     return cfg.with_updates(**{variable: int(value)}), None
 
 
-def _run_rep(cfg, xi, methods, positions, seed, rep):
-    """One replication: all methods on one paired draw, or None if flagged."""
-    ch_ss, ph_ss = rep_seeds(seed, rep)
-    real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
+def _frozen_positions(cfg: ScenarioConfig):
+    if cfg.freeze_positions:
+        return draw_user_positions(cfg, position_rng(cfg.seed))
+    return None
+
+
+def _rep_blocks(seed: int, reps: int):
+    """The rep_seeds of every replication, in blocks of BLOCK_REPS."""
+    for start in range(0, reps, BLOCK_REPS):
+        yield [rep_seeds(seed, r) for r in range(start, min(start + BLOCK_REPS, reps))]
+
+
+@dataclass
+class _Reduced:
+    """Stage 1 at one scenario or block: the p_bar-free terms of its kept
+    draws, which are the rows, in replication order."""
+
+    flagged: int
+    eigvals: np.ndarray  # [R, K]
+    inv_diag: np.ndarray  # [R, K]
+    terms: dict  # StrategySpec -> (g [R], mit [R], cross [R, K])
+
+
+def _reduce_block(cfg, positions, seeds, xi, strategies) -> _Reduced:
+    """Stage 1 on one block of replications; None terms if all are flagged."""
+    real = sample_block(cfg, [ch for ch, _ in seeds], positions)
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
-    if cache.cond() > COND_FLAG:
-        return None
-    h_c_weak = weak_cascaded_row(real)
-    p_bar = cfg.p_bar()
-    phases = {}
-    out = {}
-    for m in methods:
-        if m.strategy not in phases:
-            # fresh generator on the shared phase substream: randomized
-            # strategies see identical draws whichever methods request them
-            theta = select_phases(
-                m.strategy, cache, h_c_weak, np.random.default_rng(ph_ss)
-            )
-            phases[m.strategy] = extended_phase(theta)
-        phase = phases[m.strategy]
-        if m.mode == "exact":
-            se_fn = se_zf_exact if m.precoder == "ZF" else se_dpc_exact
-            out[m.label] = se_fn(cache, phase, h_c_weak, p_bar)
-        else:
-            out[m.label] = se_asymptotic(cache, phase, h_c_weak, p_bar, m.precoder)
-    return out
+    keep = ~(cache.cond() > COND_FLAG)
+    flagged = len(seeds) - int(np.count_nonzero(keep))
+    if not keep.any():
+        return _Reduced(flagged, None, None, None)
+    cache = cache[keep]
+    _require_invertible(cache)
+    h_c_weak = weak_cascaded_row(real)[keep]
+    phase_seeds = [ph for (_, ph), k in zip(seeds, keep) if k]
+    terms = {}
+    for spec in strategies:
+        # fresh generators on the shared phase substreams: randomized
+        # strategies see identical draws whichever methods request them
+        rngs = (np.random.default_rng(s) for s in phase_seeds)
+        phase = extended_phase(select_phases(spec, cache, h_c_weak, rngs))
+        terms[spec] = (
+            weak_gain(phase, h_c_weak),
+            mitigation_term(cache, phase),
+            dpc_cross_terms(cache, phase),
+        )
+    return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
+
+
+def _reduce(cfg: ScenarioConfig, xi, strategies, reps: int, where: str) -> _Reduced:
+    """Stage 1: draw, flag and reduce every replication of one scenario.
+
+    Blocks are reduced one at a time, so only one block's channel stacks
+    are alive at once.
+    """
+    positions = _frozen_positions(cfg)
+    blocks = [
+        _reduce_block(cfg, positions, seeds, xi, strategies)
+        for seeds in _rep_blocks(cfg.seed, reps)
+    ]
+    flagged = sum(b.flagged for b in blocks)
+    if 2 * flagged > reps:
+        raise RuntimeError(
+            f"{flagged}/{reps} draws flagged as ill-conditioned at {where}"
+        )
+    kept = [b for b in blocks if b.terms is not None]
+    terms = {
+        spec: tuple(map(np.concatenate, zip(*(b.terms[spec] for b in kept))))
+        for spec in strategies
+    }
+    return _Reduced(
+        flagged,
+        np.concatenate([b.eigvals for b in kept]),
+        np.concatenate([b.inv_diag for b in kept]),
+        terms,
+    )
+
+
+def _rates(m: MethodSpec, reduced: _Reduced, p_bar: float) -> tuple:
+    """Stage 2: (total, direct, reflected) rates of every kept draw."""
+    g, mit, cross = reduced.terms[m.strategy]
+    if m.precoder == "ZF":
+        return zf_sum_se(reduced.inv_diag, g, mit, p_bar, m.mode)
+    return dpc_sum_se(reduced.eigvals, g, cross, p_bar, m.mode)
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the full sweep, one paired replication at a time."""
+    """Run the full sweep: stage 1 per scenario, stage 2 per point and method."""
+    strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
     rows = []
+    reduced = None
     for value in plan.values:
         cfg_v, xi = _apply_variable(plan.config, plan.variable, value)
-        positions = None
-        if cfg_v.freeze_positions:
-            positions = draw_user_positions(cfg_v, position_rng(cfg_v.seed))
-        records = [
-            _run_rep(cfg_v, xi, plan.methods, positions, cfg_v.seed, r)
-            for r in range(plan.reps)
-        ]
-
-        flagged = sum(rec is None for rec in records)
-        if 2 * flagged > plan.reps:
-            raise RuntimeError(
-                f"{flagged}/{plan.reps} draws flagged as ill-conditioned "
-                f"at {plan.variable}={value:g}"
-            )
-        kept = [rec for rec in records if rec is not None]
+        if reduced is None or plan.variable != "ptx_dbm":
+            where = f"{plan.variable}={value:g}"
+            reduced = _reduce(cfg_v, xi, strategies, plan.reps, where)
         for m in plan.methods:
-            total = np.array([rec[m.label].se_total for rec in kept])
-            direct = np.array([rec[m.label].se_direct for rec in kept])
-            reflect = np.array([rec[m.label].se_reflect for rec in kept])
+            total, direct, reflect = _rates(m, reduced, cfg_v.p_bar())
             rows.append(
                 SweepRow(
                     sweep_var=plan.variable,
@@ -201,8 +267,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                     se_std=float(np.std(total)),
                     se_d_mean=float(np.mean(direct)),
                     se_r_mean=float(np.mean(reflect)),
-                    reps=len(kept),
-                    flagged=flagged,
+                    reps=len(total),
+                    flagged=reduced.flagged,
                 )
             )
     return SweepResult(plan=plan, rows=rows)
@@ -223,17 +289,14 @@ def power_split_offset_check(
     K = cfg.n_strong
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()
-    positions = None
-    if cfg.freeze_positions:
-        positions = draw_user_positions(cfg, position_rng(cfg.seed))
-    offsets = np.empty(reps)
-    for r in range(reps):
-        ch_ss, _ = rep_seeds(cfg.seed, r)
-        real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
+    positions = _frozen_positions(cfg)
+    offsets = []
+    for seeds in _rep_blocks(cfg.seed, reps):
+        real = sample_block(cfg, [ch for ch, _ in seeds], positions)
         H_d = real.H_d_strong
-        _, logdet = np.linalg.slogdet(H_d @ H_d.conj().T)
+        _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)
         cache = decompose(replace(real, b=b_from_xi(H_d, xi_large)))
-        shared = float(np.sum(np.log2(cache.eigvals * p_bar)))
-        offsets[r] = alone - shared
-    return float(np.mean(offsets))
+        shared = np.sum(np.log2(cache.eigvals * p_bar), axis=-1)
+        offsets.append(alone - shared)
+    return float(np.mean(np.concatenate(offsets)))

@@ -87,6 +87,44 @@ def test_non_finite_sweep_values_rejected_with_line(text, line):
         parse_config(text)
 
 
+def test_nan_power_rejected_with_line():
+    # a NaN power used to run and write se_mean = nan on every row
+    text = (
+        "[scenario]\nn_bs = 6\nptx_dbm = nan\n"
+        "[sweep]\nvariable = n_bs\nvalues = 4, 6\n"
+    )
+    with pytest.raises(ValueError, match=r"ptx_dbm must be finite.*\(line 3\)"):
+        parse_config(text)
+
+
+def test_infinite_noise_rejected_with_line():
+    # an infinite noise floor used to abort as "2/2 draws flagged as ill-conditioned"
+    with pytest.raises(ValueError, match=r"noise_dbm must be finite.*\(line 2\)"):
+        parse_config("[scenario]\nnoise_dbm = inf\n")
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("bs_pos", "0, nan, 10"),
+        ("ris_pos", "inf, 0, 10"),
+        ("user_circle_center", "95, 10, -inf"),
+        ("user_circle_radius", "nan"),
+        ("direct_extra_loss_db", "inf"),
+        ("weak_extra_loss_db", "nan"),
+        ("weak_extra_loss_db", "-inf"),
+        ("pl_direct", "35.1, nan"),
+        ("pl_ris_user", "inf, 22"),
+        ("pl_los", "30, -inf"),
+        ("aoa", "nan"),
+        ("aod", "inf"),
+    ],
+)
+def test_non_finite_scenario_value_rejected_with_line(key, raw):
+    with pytest.raises(ValueError, match=rf"{key} must be finite.*\(line 3\)"):
+        parse_config(f"[scenario]\nn_bs = 12\n{key} = {raw}\n")
+
+
 def test_strategy_error_names_line():
     with pytest.raises(ValueError, match=r"max_sweeps.*\(line 3\)"):
         parse_config("[strategy]\nrel_tolerance = 1e-6\nmax_sweeps = 0\n")

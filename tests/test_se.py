@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import risbc.linalg
 import risbc.phases
 import risbc.se
+import risbc.sweep
 from oracles import projected_gram
 from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.linalg import eigh_descending
@@ -384,14 +386,17 @@ def test_mitigation_no_reflection_b_in_row_space():
 
 # ------------------------------------------------- one factorization of C_s
 
-# The only places in se.py and phases.py allowed to factorize a matrix
-# themselves: the generic-matrix oracles, the SVD cross-check helper and the
-# b(xi) construction.  Everything else reads C_s^{-1} from the cache.
+# The only places in se.py, phases.py, sweep.py and linalg.py allowed to
+# factorize a matrix themselves: the generic-matrix oracles, the SVD
+# cross-check helper, the b(xi) construction and the offset check's
+# independent log det of H_d H_d^H.  Everything else, the batched sweep
+# included, reads C_s^{-1} from the cache's eigh factor.
 FACTORIZATION_ALLOWED = {
     "se_zf_generic",
     "se_dpc_logdet",
     "_svd_row_space_split",
     "b_from_xi",
+    "power_split_offset_check",
 }
 FACTORIZATIONS = {"inv", "solve", "slogdet", "svd"}
 
@@ -419,7 +424,7 @@ def _linalg_calls(tree):
     return found
 
 
-@pytest.mark.parametrize("module", [risbc.se, risbc.phases])
+@pytest.mark.parametrize("module", [risbc.se, risbc.phases, risbc.sweep, risbc.linalg])
 def test_no_factorization_outside_the_cache(module):
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     calls = _linalg_calls(tree)

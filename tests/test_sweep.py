@@ -1,6 +1,10 @@
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
+from risbc import sweep
 from risbc.channel import (
     ScenarioConfig,
     draw_user_positions,
@@ -8,8 +12,15 @@ from risbc.channel import (
     rep_seeds,
     sample_realization,
 )
-from risbc.phases import StrategySpec, random_phases
-from risbc.se import decompose, extended_phase, se_asymptotic, se_zf_exact, weak_cascaded_row
+from risbc.phases import StrategySpec, b_from_xi, random_phases, select_phases
+from risbc.se import (
+    decompose,
+    extended_phase,
+    se_asymptotic,
+    se_dpc_exact,
+    se_zf_exact,
+    weak_cascaded_row,
+)
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
@@ -211,3 +222,141 @@ def test_power_split_offset_three_strong_users():
     cfg = ScenarioConfig(n_bs=4, n_strong=3, n_ris=8, ptx_dbm=40)
     off = power_split_offset_check(cfg, reps=50)
     assert off == pytest.approx(3 * np.log2(4.0 / 3.0), abs=1e-6)
+
+
+# ------------------------------------------------- batched engine vs per draw
+
+ALL_METHODS = tuple(
+    method(precoder, kind, mode)
+    for precoder, kind, mode in product(
+        ("ZF", "DPC"),
+        ("random", "statistical", "align_weak", "mitigation_aware"),
+        ("exact", "asymptotic"),
+    )
+)
+
+
+def per_draw_draws(plan, value):
+    """(cfg, cache, h_c_weak, phase seed) of every draw at one sweep point,
+    by the per-draw public API; cache is None for a flagged draw."""
+    cfg, xi = plan.config, None
+    if plan.variable == "xi":
+        xi = value
+    elif plan.variable == "ptx_dbm":
+        cfg = cfg.with_updates(ptx_dbm=value)
+    else:
+        cfg = cfg.with_updates(**{plan.variable: int(value)})
+    positions = None
+    if cfg.freeze_positions:
+        positions = draw_user_positions(cfg, position_rng(cfg.seed))
+    for rep in range(plan.reps):
+        ch_ss, ph_ss = rep_seeds(cfg.seed, rep)
+        rng = np.random.default_rng(ch_ss)
+        real = sample_realization(cfg, rng, positions=positions)
+        if xi is not None:
+            real = replace(real, b=b_from_xi(real.H_d_strong, xi))
+        cache = decompose(real)
+        yield cfg, cache, weak_cascaded_row(real), ph_ss
+
+
+def per_draw_rows(plan):
+    """The sweep's rows from a loop of sample_realization -> decompose ->
+    select_phases -> se_*, one draw and one method at a time."""
+    rows = []
+    for value in plan.values:
+        kept, flagged = [], 0
+        for cfg, cache, h_c_weak, ph_ss in per_draw_draws(plan, value):
+            if cache.cond() > sweep.COND_FLAG:
+                flagged += 1
+                continue
+            out, phases = {}, {}
+            for m in plan.methods:
+                if m.strategy not in phases:
+                    rng = np.random.default_rng(ph_ss)
+                    phases[m.strategy] = extended_phase(
+                        select_phases(m.strategy, cache, h_c_weak, rng)
+                    )
+                phase = phases[m.strategy]
+                if m.mode == "asymptotic":
+                    br = se_asymptotic(cache, phase, h_c_weak, cfg.p_bar(), m.precoder)
+                else:
+                    fn = se_zf_exact if m.precoder == "ZF" else se_dpc_exact
+                    br = fn(cache, phase, h_c_weak, cfg.p_bar())
+                out[m.label] = br
+            kept.append(out)
+        for m in plan.methods:
+            total = np.array([rec[m.label].se_total for rec in kept])
+            rows.append((
+                value, m.label, np.mean(total), np.std(total),
+                np.mean([rec[m.label].se_direct for rec in kept]),
+                np.mean([rec[m.label].se_reflect for rec in kept]),
+                len(kept), flagged,
+            ))
+    return rows
+
+
+def assert_rows_match(result, expected):
+    assert len(result.rows) == len(expected)
+    for row, want in zip(result.rows, expected):
+        label = f"{row.precoder}:{row.strategy}:{row.mode}"
+        assert (row.value, label, row.reps, row.flagged) == (
+            want[0], want[1], want[6], want[7]
+        )
+        got = (row.se_mean, row.se_std, row.se_d_mean, row.se_r_mean)
+        for a, b in zip(got, want[2:6]):
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (label, a, b)
+
+
+@pytest.mark.parametrize(
+    "variable, values, block",
+    [
+        ("ptx_dbm", (0.0, 20.0, 40.0), 4),
+        ("n_bs", (3.0, 6.0), 4),
+        ("n_ris", (4.0, 8.0), 4),
+        ("xi", (0.5, 5.0), 4),
+        ("ptx_dbm", (20.0,), None),
+    ],
+)
+def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
+    # reps is never a multiple of the block size: the last block is partial
+    if block is None:
+        reps = sweep.BLOCK_REPS + 3
+    else:
+        monkeypatch.setattr(sweep, "BLOCK_REPS", block)
+        reps = 2 * block + 2
+    cfg = small_cfg(freeze_positions=variable == "n_ris")
+    plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=reps)
+    assert_rows_match(run_sweep(plan), per_draw_rows(plan))
+
+
+def test_partial_flagging_matches_per_draw_loop(monkeypatch):
+    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (20.0,), ALL_METHODS, reps=12)
+    conds = [cache.cond() for _, cache, _, _ in per_draw_draws(plan, 20.0)]
+    monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
+    result = run_sweep(plan)
+    assert {(r.reps, r.flagged) for r in result.rows} == {(6, 6)}
+    assert_rows_match(result, per_draw_rows(plan))
+
+
+def test_rows_do_not_depend_on_block_size(monkeypatch):
+    cfg = small_cfg(freeze_positions=True)
+    methods = (
+        method("ZF", "random", "exact"),
+        method("DPC", "mitigation_aware", "asymptotic"),
+        method("ZF", "align_weak", "asymptotic"),
+    )
+    plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), methods, reps=9)
+    rows = []
+    for block in (1, 7, sweep.BLOCK_REPS):
+        monkeypatch.setattr(sweep, "BLOCK_REPS", block)
+        rows.append(run_sweep(plan).rows)
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_power_point_does_not_depend_on_the_grid():
+    methods = (method("ZF", "random", "exact"), method("DPC", "align_weak", "exact"))
+    cfg = small_cfg()
+    grid = run_sweep(SweepPlan(cfg, "ptx_dbm", (10.0, 20.0, 30.0), methods, reps=5))
+    alone = run_sweep(SweepPlan(cfg, "ptx_dbm", (20.0,), methods, reps=5))
+    assert [r for r in grid.rows if r.value == 20.0] == alone.rows
