@@ -16,12 +16,11 @@ from risbc.channel import (
     nominal_pathlosses,
     position_rng,
 )
-from risbc.phases import StrategySpec
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 cfg = ScenarioConfig(ptx_dbm=40.0, direct_extra_loss_db=20.0, freeze_positions=True)
 methods = tuple(
-    MethodSpec(precoder, StrategySpec(kind=kind), "asymptotic")
+    MethodSpec(precoder, kind, "asymptotic")
     for precoder in ("ZF", "DPC")
     for kind in ("random", "align_weak")
 )

@@ -15,7 +15,6 @@ power split: K log2((K+1)/K) bpcu.
 import numpy as np
 
 from risbc.channel import ScenarioConfig
-from risbc.phases import StrategySpec
 from risbc.sweep import MethodSpec, SweepPlan, power_split_offset_check, run_sweep
 
 cfg = ScenarioConfig(n_bs=4, ptx_dbm=40.0)
@@ -23,7 +22,7 @@ plan = SweepPlan(
     cfg,
     "xi",
     tuple(float(x) for x in np.logspace(-2.0, 3.0, 11)),
-    (MethodSpec("DPC", StrategySpec(kind="align_weak"), "asymptotic"),),
+    (MethodSpec("DPC", "align_weak", "asymptotic"),),
     reps=100,
 )
 result = run_sweep(plan)

@@ -10,12 +10,11 @@ optimal there.
 """
 
 from risbc.channel import ScenarioConfig
-from risbc.phases import StrategySpec
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 cfg = ScenarioConfig()  # 30 dBm, 12 BS antennas, 64 elements
 methods = tuple(
-    MethodSpec(precoder, StrategySpec(kind=kind), "exact")
+    MethodSpec(precoder, kind, "exact")
     for precoder, kind in (
         ("ZF", "random"),
         ("ZF", "align_weak"),

@@ -75,7 +75,11 @@ def cmd_sweep(args) -> int:
     if args.reps is not None:
         plan = replace(plan, reps=args.reps)
 
-    result = run_sweep(plan)
+    try:
+        result = run_sweep(plan)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _finish(
         args,
         f"sweep_{plan.variable}",

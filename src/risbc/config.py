@@ -1,15 +1,15 @@
 """Config parsing, run manifests, figure presets, and CSV emission.
 
-Run inputs are flat INI-style files with three sections:
+Run inputs are flat INI-style files with two sections:
 
     [scenario]   every ScenarioConfig field (n_bs, n_ris, ptx_dbm, ...)
     [sweep]      variable, values, reps, methods
-    [strategy]   max_sweeps, rel_tolerance (optimizer tuning)
 
 All keys are optional; an empty file yields the default downlink scenario
-and the default transmit-power sweep.  Unknown sections or keys, values
-that do not parse and values the scenario or sweep rejects are reported
-with the offending key and its line number.  `serialize_config`
+and the default transmit-power sweep.  Unknown or repeated sections
+(names are case-insensitive; [DEFAULT] is not special), unknown keys,
+values that do not parse and values the scenario or sweep rejects are
+reported with the offending section or key and its line number.  `serialize_config`
 writes the fully resolved canonical text back out; its SHA-256 is the run
 identity, embedded in every output filename so CSVs can always be traced
 to the exact configuration (plus seed) that produced them.
@@ -37,7 +37,6 @@ from .channel import (
     nominal_pathlosses,
     position_rng,
 )
-from .phases import StrategySpec
 from .sweep import MethodSpec, SweepPlan, SweepResult
 
 SWEEP_CSV_HEADER = (
@@ -110,25 +109,21 @@ _SWEEP_KEYS = {
     "reps": int,
     "methods": lambda raw: tuple(s.strip() for s in raw.split(",")),
 }
-_STRATEGY_KEYS = {"max_sweeps": int, "rel_tolerance": float}
-_SECTIONS = {
-    "scenario": _SCENARIO_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "strategy": _STRATEGY_KEYS,
-}
+_SECTIONS = {"scenario": _SCENARIO_KEYS, "sweep": _SWEEP_KEYS}
 
 _KEY_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*[=:]")
 _SECTION_RE = re.compile(r"^\s*\[([^\]]*)\]")
 
 
 def _find_line(text, section, key=None):
-    """Line number of a key inside a section (or of the section header)."""
+    """Line number of a key inside a section (lower-case name), or of the
+    header of the section named exactly `section` when key is None."""
     current = None
     for number, line in enumerate(text.splitlines(), 1):
         m = _SECTION_RE.match(line)
         if m:
             current = m.group(1).strip().lower()
-            if key is None and current == section:
+            if key is None and m.group(1) == section:
                 return number
             continue
         if key is None:
@@ -147,17 +142,24 @@ def _at_line(text, section, key):
 def _section_items(text):
     import configparser
 
-    cp = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] would otherwise be merged into every
+    # section, or silently ignored when it stands alone
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from None
+    items = {}
     for name in cp.sections():
         if name.lower() not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]{_at_line(text, name, None)}")
+        if name.lower() in items:
             raise ValueError(
-                f"unknown section [{name}]{_at_line(text, name.lower(), None)}"
+                f"repeated section [{name}]{_at_line(text, name, None)}: "
+                "section names are case-insensitive"
             )
-    return {name.lower(): dict(cp[name]) for name in cp.sections()}
+        items[name.lower()] = dict(cp[name])
+    return items
 
 
 def _parse_section(text, items, section):
@@ -195,16 +197,14 @@ def _checked(text, sections, build):
         raise
 
 
-def _parse_methods(labels, tuning):
+def _parse_methods(labels):
     methods = []
     for label in labels:
         parts = [p.strip() for p in label.split(":")]
         try:
             if len(parts) != 3:
                 raise ValueError("bad method spec (want PRECODER:strategy:mode)")
-            precoder, kind, mode = parts
-            strategy = StrategySpec(kind=kind, **tuning)
-            methods.append(MethodSpec(precoder, strategy, mode))
+            methods.append(MethodSpec(*parts))
         except ValueError as exc:
             raise ValueError(f"{exc} in methods entry {label!r}") from None
     return tuple(methods)
@@ -221,16 +221,15 @@ def parse_config(text: str):
     scenario = _parse_section(text, items, "scenario")
     cfg = _checked(text, ("scenario",), lambda: ScenarioConfig(**scenario))
 
-    tuning = _parse_section(text, items, "strategy")
     sweep = _parse_section(text, items, "sweep")
     plan = _checked(
         text,
-        ("sweep", "strategy"),
+        ("sweep",),
         lambda: SweepPlan(
             cfg,
             sweep.get("variable", "ptx_dbm"),
             sweep.get("values", DEFAULT_SWEEP_VALUES),
-            _parse_methods(sweep.get("methods", DEFAULT_METHOD_LABELS), tuning),
+            _parse_methods(sweep.get("methods", DEFAULT_METHOD_LABELS)),
             sweep.get("reps", 200),
         ),
     )
@@ -260,13 +259,6 @@ def serialize_config(cfg: ScenarioConfig, plan: SweepPlan) -> str:
         "values = " + ", ".join(repr(v) for v in plan.values),
         f"reps = {plan.reps}",
         "methods = " + ", ".join(m.label for m in plan.methods),
-    ]
-    tuning = plan.methods[0].strategy
-    lines += [
-        "",
-        "[strategy]",
-        f"max_sweeps = {tuning.max_sweeps}",
-        f"rel_tolerance = {repr(tuning.rel_tolerance)}",
         "",
     ]
     return "\n".join(lines)
@@ -376,41 +368,29 @@ def figure_preset(number: int, seed: int = 0, reps: int = 200):
        with the ergodic closed-form report of `figure5_bound_reports`.
     """
     base = ScenarioConfig(seed=seed)
+    labels = DEFAULT_METHOD_LABELS
     if number == 2:
-        cfg = base
-        plan = SweepPlan(
-            cfg, "ptx_dbm", DEFAULT_SWEEP_VALUES,
-            _parse_methods(DEFAULT_METHOD_LABELS, {}), reps,
-        )
+        cfg, variable, values = base, "ptx_dbm", DEFAULT_SWEEP_VALUES
     elif number == 3:
         cfg = base.with_updates(n_bs=4, ptx_dbm=40.0)
-        plan = SweepPlan(
-            cfg, "xi", tuple(float(x) for x in np.logspace(-2.0, 3.0, 11)),
-            _parse_methods(DEFAULT_METHOD_LABELS, {}), reps,
-        )
+        variable, values = "xi", tuple(float(x) for x in np.logspace(-2.0, 3.0, 11))
     elif number == 4:
         cfg = base.with_updates(ptx_dbm=40.0)
-        plan = SweepPlan(
-            cfg, "n_bs", (4.0, 6.0, 8.0, 10.0, 12.0),
-            _parse_methods(DEFAULT_METHOD_LABELS, {}), reps,
-        )
+        variable, values = "n_bs", (4.0, 6.0, 8.0, 10.0, 12.0)
     elif number == 5:
         cfg = base.with_updates(
             ptx_dbm=40.0, direct_extra_loss_db=20.0, freeze_positions=True
         )
+        variable, values = "n_ris", (16.0, 32.0, 64.0, 128.0, 256.0)
         labels = (
             "ZF:random:asymptotic",
             "ZF:align_weak:asymptotic",
             "DPC:random:asymptotic",
             "DPC:align_weak:asymptotic",
         )
-        plan = SweepPlan(
-            cfg, "n_ris", (16.0, 32.0, 64.0, 128.0, 256.0),
-            _parse_methods(labels, {}), reps,
-        )
     else:
         raise ValueError("figure must be 2, 3, 4, or 5")
-    return cfg, plan
+    return cfg, SweepPlan(cfg, variable, values, _parse_methods(labels), reps)
 
 
 def figure5_bound_reports(result: SweepResult) -> list:

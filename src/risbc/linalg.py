@@ -38,9 +38,10 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def eigh_descending(A: np.ndarray):
     """Hermitian eigendecomposition with eigenvalues in decreasing order.
 
-    The decomposition is made deterministic by rotating each eigenvector so
-    that its largest-magnitude entry is real and positive.  Zero eigenvalues
-    are kept (singular inputs still return n pairs).
+    Each eigenvector keeps the arbitrary phase `eigh` gives it: every
+    formula that reads U (solves, diag(C_s^{-1}), |U^H x|^2) is invariant
+    under U -> U diag(e^{j phi}).  Zero eigenvalues are kept (singular
+    inputs still return n pairs).
 
     Args:
         A: [..., n, n] Hermitian matrices.
@@ -51,10 +52,4 @@ def eigh_descending(A: np.ndarray):
     """
     A = check_finite(A, "A")
     w, U = np.linalg.eigh(A)
-    w = w[..., ::-1].copy()
-    U = U[..., ::-1].copy()
-    rows = np.argmax(np.abs(U), axis=-2)[..., None, :]
-    piv = np.take_along_axis(U, rows, axis=-2)
-    mag = np.abs(piv)
-    U *= np.divide(mag, piv, out=np.ones_like(piv), where=mag > 0)
-    return w, U
+    return w[..., ::-1], U[..., ::-1]

@@ -15,33 +15,18 @@ inside the strong users' row space (xi = 0) and being orthogonal to it
 (xi -> inf).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import check_finite, herm, matvec
 from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """Phase-strategy identity plus optimizer parameters.
+STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
 
-    Equal specs give equal phase vectors for the same draw and phase
-    substream, so a spec can key a per-draw phase cache.
-    """
-
-    kind: str  # random | statistical | align_weak | mitigation_aware
-    max_sweeps: int = 100
-    rel_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("random", "statistical", "align_weak", "mitigation_aware"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
+# Coordinate ascent stops after MAX_SWEEPS sweeps, or once a full sweep
+# raises the objective by less than REL_TOLERANCE (relative).
+MAX_SWEEPS = 100
+REL_TOLERANCE = 1e-8
 
 
 def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,27 +87,23 @@ def optimize_mitigation_aware(
     cache: DecompositionCache,
     h_c_weak: np.ndarray,
     init: np.ndarray,
-    spec: StrategySpec = None,
 ) -> np.ndarray:
     """Element-wise coordinate ascent on the mitigation-aware objective.
 
     Sweeps the elements in ascending index order; each 1-D update is the
     closed-form maximizer of a ratio of two sinusoids in the element's phase
     (`_best_phase`) and never decreases the objective.  Terminates when a full
-    sweep improves the objective by less than rel_tolerance (relative) or
-    after max_sweeps sweeps.
+    sweep improves the objective by less than REL_TOLERANCE (relative) or
+    after MAX_SWEEPS sweeps.
 
     Args:
         cache: Gram decomposition of the strong users (C_s invertible).
         h_c_weak: [N_R] weak user's cascaded row h_c,K+1^H.
         init: [N_R] unit-modulus starting point.
-        spec: optimizer parameters (defaults: 100 sweeps, 1e-8).
 
     Returns:
         [N_R] unit-modulus phases with objective >= objective(init).
     """
-    if spec is None:
-        spec = StrategySpec(kind="mitigation_aware")
     _require_invertible(cache)
     h_c_weak = check_finite(h_c_weak, "h_c_weak").ravel()
     theta = check_finite(init, "init").ravel().copy()
@@ -133,7 +114,7 @@ def optimize_mitigation_aware(
     q = np.real(np.sum(D_s.conj() * E, axis=0))  # q_n = d_n^H C_s^{-1} d_n
 
     obj_prev = None
-    for _ in range(spec.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # refresh maintained quantities each sweep to kill fp drift
         theta_bar = np.append(theta, 1.0)
         t = D_s @ theta_bar  # D_s theta_bar
@@ -155,7 +136,7 @@ def optimize_mitigation_aware(
             t += D_s[:, n] * diff
             w += E[:, n] * diff
         obj = np.abs(s) ** 2 / (1.0 + np.real(np.vdot(t, w)))
-        if obj_prev is not None and obj - obj_prev <= spec.rel_tolerance * max(
+        if obj_prev is not None and obj - obj_prev <= REL_TOLERANCE * max(
             obj_prev, 1e-300
         ):
             break
@@ -164,12 +145,12 @@ def optimize_mitigation_aware(
 
 
 def select_phases(
-    spec: StrategySpec,
+    kind: str,
     cache: DecompositionCache,
     h_c_weak: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Dispatch a strategy to its phase vector for one channel realization.
+    """Phases of strategy `kind` (one of STRATEGIES) for one channel draw.
 
     A stack of B draws (cache and h_c_weak [B, N_R] with a leading batch
     axis, rng an iterable of B generators, one per draw) gives [B, N_R]
@@ -178,23 +159,25 @@ def select_phases(
     "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
     unit-modulus vector gives the same ergodic rates.
     """
+    if kind not in STRATEGIES:
+        raise ValueError(f"unknown strategy kind {kind!r}")
     stacked = h_c_weak.ndim == 2
-    if spec.kind in ("random", "statistical"):
+    if kind in ("random", "statistical"):
         n_ris = h_c_weak.shape[-1]
         if stacked:
             return np.stack([random_phases(n_ris, r) for r in rng])
         return random_phases(n_ris, rng)
     aligned = align_weak_user(h_c_weak)
-    if spec.kind == "align_weak":
+    if kind == "align_weak":
         return aligned
     if stacked:
         return np.stack(
             [
-                optimize_mitigation_aware(cache[i], h_c_weak[i], aligned[i], spec)
+                optimize_mitigation_aware(cache[i], h_c_weak[i], aligned[i])
                 for i in range(len(aligned))
             ]
         )
-    return optimize_mitigation_aware(cache, h_c_weak, aligned, spec)
+    return optimize_mitigation_aware(cache, h_c_weak, aligned)
 
 
 # =========================================================================

@@ -80,7 +80,6 @@ class DecompositionCache:
     D_s: np.ndarray  # [..., K, N_R+1] strong-user rows of D
     eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
     eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
-    b_proj_perp: float  # [...] b^H P_perp_{H_d^{s,H}} b in [0, 1]
 
     def __getitem__(self, index) -> "DecompositionCache":
         D = self.D[index]
@@ -90,7 +89,6 @@ class DecompositionCache:
             D_s=D[..., :-1, :],
             eigvals=self.eigvals[index],
             eigvecs=self.eigvecs[index],
-            b_proj_perp=self.b_proj_perp[index],
         )
 
     def cond(self) -> float:
@@ -113,6 +111,19 @@ class DecompositionCache:
         """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [..., K]."""
         return matvec(np.abs(self.eigvecs) ** 2, 1.0 / self.eigvals)
 
+    def b_proj_perp(self) -> float:
+        """b^H P_perp_{H_d^{s,H}} b in [0, 1], per draw.
+
+        From the no-reflection identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b)
+        with c = H_d^s b, the last column of D_s; 0 where C_s is singular
+        (b inside the strong users' row space).
+        """
+        c = self.D_s[..., -1]
+        # singular draws get 0; their solve is discarded, so its overflow is moot
+        with np.errstate(all="ignore"):
+            bpp = 1.0 / (1.0 + np.real(inner(c, self.solve(c))))
+        return np.where(self.eigvals[..., -1] > 0, bpp, 0.0)[()]
+
 
 def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
     """The weak user's cascaded channel row h_c,K+1^H, [..., N_R]."""
@@ -124,9 +135,6 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 
     C_s = H_d^s H_d^{s,H} - c c^H with c = H_d^s b (the rank-one projection
     of b applied without forming I - b b^H), factorized once by eigh.
-    b^H P_perp b comes from the same factor through the no-reflection
-    identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b); it is 0 when C_s is
-    singular (b inside the strong users' row space).
 
     A stack of draws (channel arrays with leading batch axes, b shared
     [N_B] or per draw [..., N_B]) is decomposed in one pass, with one
@@ -146,15 +154,7 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
     C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
     C_s = 0.5 * (C_s + herm(C_s))
     w, U = eigh_descending(C_s)
-    cache = DecompositionCache(
-        C_s=C_s, D=D, D_s=D[..., :K, :], eigvals=w, eigvecs=U, b_proj_perp=0.0
-    )
-    invertible = w[..., -1] > 0
-    # singular draws get 0; their solve is discarded, so its overflow is moot
-    with np.errstate(all="ignore"):
-        bpp = 1.0 / (1.0 + np.real(inner(c, cache.solve(c))))
-    cache.b_proj_perp = np.where(invertible, bpp, 0.0)[()]
-    return cache
+    return DecompositionCache(C_s=C_s, D=D, D_s=D[..., :K, :], eigvals=w, eigvecs=U)
 
 
 # =========================================================================
@@ -167,16 +167,19 @@ def weak_gain(phase: ExtendedPhase, h_c_weak: np.ndarray) -> float:
     return np.abs(matvec(h_c_weak[..., None, :], phase.theta)[..., 0]) ** 2
 
 
-def mitigation_term(cache: DecompositionCache, phase: ExtendedPhase) -> float:
-    """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty."""
-    u = matvec(cache.D_s, phase.theta_bar)
-    return np.real(inner(u, cache.solve(u)))
-
-
 def dpc_cross_terms(cache: DecompositionCache, phase: ExtendedPhase) -> np.ndarray:
     """|U^H D_s theta_bar|^2, [..., K]: the weak user's weight per eigenmode."""
     u = matvec(cache.D_s, phase.theta_bar)
     return np.abs(matvec(herm(cache.eigvecs), u)) ** 2
+
+
+def mitigation_term(cache: DecompositionCache, phase: ExtendedPhase) -> float:
+    """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty.
+
+    Formed as sum_k cross_k / lambda_k from the `dpc_cross_terms`, so it
+    needs no solve of its own.
+    """
+    return np.sum(dpc_cross_terms(cache, phase) / cache.eigvals, axis=-1)
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so

@@ -36,14 +36,13 @@ from .channel import (
     sample_block,
 )
 from .linalg import herm
-from .phases import StrategySpec, b_from_xi, select_phases
+from .phases import STRATEGIES, b_from_xi, select_phases
 from .se import (
     _require_invertible,
     decompose,
     dpc_cross_terms,
     dpc_sum_se,
     extended_phase,
-    mitigation_term,
     weak_cascaded_row,
     weak_gain,
     zf_sum_se,
@@ -67,18 +66,20 @@ class MethodSpec:
     """One curve of a sweep: precoder x phase strategy x evaluation mode."""
 
     precoder: str  # ZF | DPC
-    strategy: StrategySpec
+    strategy: str  # one of phases.STRATEGIES
     mode: str  # exact | asymptotic
 
     def __post_init__(self):
         if self.precoder not in ("ZF", "DPC"):
             raise ValueError(f"unknown precoder {self.precoder!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy kind {self.strategy!r}")
         if self.mode not in ("exact", "asymptotic"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def label(self) -> str:
-        return f"{self.precoder}:{self.strategy.kind}:{self.mode}"
+        return f"{self.precoder}:{self.strategy}:{self.mode}"
 
 
 @dataclass
@@ -107,6 +108,13 @@ class SweepPlan:
             raise ValueError(f"{self.variable} values must be integers")
         if self.variable == "xi" and self.values[0] < 0:
             raise ValueError("xi values must be nonnegative")
+        for value in self.values:
+            try:
+                _apply_variable(self.config, self.variable, value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"values: at {self.variable} = {value:g}, {exc}"
+                ) from None
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("no methods given")
@@ -176,7 +184,7 @@ class _Reduced:
     flagged: int
     eigvals: np.ndarray  # [R, K]
     inv_diag: np.ndarray  # [R, K]
-    terms: dict  # StrategySpec -> (g [R], mit [R], cross [R, K])
+    terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
 
 
 def _reduce_block(cfg, positions, seeds, xi, strategies) -> _Reduced:
@@ -194,16 +202,15 @@ def _reduce_block(cfg, positions, seeds, xi, strategies) -> _Reduced:
     h_c_weak = weak_cascaded_row(real)[keep]
     phase_seeds = [ph for (_, ph), k in zip(seeds, keep) if k]
     terms = {}
-    for spec in strategies:
+    for kind in strategies:
         # fresh generators on the shared phase substreams: randomized
         # strategies see identical draws whichever methods request them
         rngs = (np.random.default_rng(s) for s in phase_seeds)
-        phase = extended_phase(select_phases(spec, cache, h_c_weak, rngs))
-        terms[spec] = (
-            weak_gain(phase, h_c_weak),
-            mitigation_term(cache, phase),
-            dpc_cross_terms(cache, phase),
-        )
+        phase = extended_phase(select_phases(kind, cache, h_c_weak, rngs))
+        cross = dpc_cross_terms(cache, phase)
+        # the mitigation term, as `mitigation_term` forms it
+        mit = np.sum(cross / cache.eigvals, axis=-1)
+        terms[kind] = (weak_gain(phase, h_c_weak), mit, cross)
     return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
 
 
@@ -225,8 +232,8 @@ def _reduce(cfg: ScenarioConfig, xi, strategies, reps: int, where: str) -> _Redu
         )
     kept = [b for b in blocks if b.terms is not None]
     terms = {
-        spec: tuple(map(np.concatenate, zip(*(b.terms[spec] for b in kept))))
-        for spec in strategies
+        kind: tuple(map(np.concatenate, zip(*(b.terms[kind] for b in kept))))
+        for kind in strategies
     }
     return _Reduced(
         flagged,
@@ -261,7 +268,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                     sweep_var=plan.variable,
                     value=float(value),
                     precoder=m.precoder,
-                    strategy=m.strategy.kind,
+                    strategy=m.strategy,
                     mode=m.mode,
                     se_mean=float(np.mean(total)),
                     se_std=float(np.std(total)),

@@ -31,7 +31,6 @@ from risbc.channel import (
 )
 from risbc.linalg import eigh_descending
 from risbc.phases import (
-    StrategySpec,
     align_weak_user,
     mitigation_aware_objective,
     optimize_mitigation_aware,
@@ -119,7 +118,7 @@ def test_criterion_03_dpc_projection_split_identity(capsys):
     used = 0
     for cfg, real, phase in instances(9103, 200):
         cache = decompose(real)
-        if cache.b_proj_perp <= 1e-8:
+        if cache.b_proj_perp() <= 1e-8:
             continue
         used += 1
         p_bar = cfg.p_bar()
@@ -215,7 +214,7 @@ def saturation():
         ptx_dbm=40.0, direct_extra_loss_db=20.0, freeze_positions=True
     )
     methods = tuple(
-        MethodSpec(p, StrategySpec(kind=k), "asymptotic")
+        MethodSpec(p, k, "asymptotic")
         for p in ("ZF", "DPC")
         for k in ("random", "align_weak")
     )
@@ -332,9 +331,7 @@ def test_criterion_10_gap_decomposition(capsys):
     D = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     D[-1, -1] = 0.0
     w, U = eigh_descending(C_s)
-    cache = DecompositionCache(
-        C_s=C_s, D=D, D_s=D[:-1], eigvals=w, eigvecs=U, b_proj_perp=1.0
-    )
+    cache = DecompositionCache(C_s=C_s, D=D, D_s=D[:-1], eigvals=w, eigvecs=U)
     phase = extended_phase(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
     d_diag, _ = delta_se(cache, phase, D[-1, :-1])
 

@@ -71,6 +71,17 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     assert "n_bs" in capsys.readouterr().err
 
 
+def test_sweep_all_flagged_exits_2(tmp_path, capsys):
+    # xi = 0 puts b inside the strong users' row space: C_s is singular on
+    # every draw, so the run aborts
+    cfg = tmp_path / "xi0.ini"
+    cfg.write_text("[sweep]\nvariable = xi\nvalues = 0\nreps = 2\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: 2/2 draws flagged as ill-conditioned at xi=0" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bounds_all_satisfied(tmp_path):
     assert main(["bounds", "--out", str(tmp_path), "--grid-points", "50"]) == 0
     lines = csv_lines(only(tmp_path.glob("bounds_*.csv")))

@@ -18,7 +18,6 @@ from risbc.config import (
     serialize_config,
 )
 from risbc.bounds import BoundReport
-from risbc.phases import StrategySpec
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 
@@ -125,16 +124,52 @@ def test_non_finite_scenario_value_rejected_with_line(key, raw):
         parse_config(f"[scenario]\nn_bs = 12\n{key} = {raw}\n")
 
 
-def test_strategy_error_names_line():
-    with pytest.raises(ValueError, match=r"max_sweeps.*\(line 3\)"):
-        parse_config("[strategy]\nrel_tolerance = 1e-6\nmax_sweeps = 0\n")
-
-
 def test_grid_points_is_no_longer_a_key():
-    with pytest.raises(
-        ValueError, match=r"unknown key 'grid_points' in \[strategy\] \(line 2\)"
-    ):
+    with pytest.raises(ValueError, match=r"unknown section \[strategy\] \(line 1\)"):
         parse_config("[strategy]\ngrid_points = 256\n")
+
+
+def test_strategy_section_rejected_with_line():
+    with pytest.raises(ValueError, match=r"unknown section \[strategy\] \(line 3\)"):
+        parse_config("[sweep]\nreps = 2\n[strategy]\nmax_sweeps = 7\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[DEFAULT]\nn_bs = 8\n", 1),
+        ("[scenario]\nn_ris = 8\n[DEFAULT]\nn_bs = 8\n", 3),
+    ],
+)
+def test_default_section_is_not_merged(text, line):
+    message = rf"unknown section \[DEFAULT\] \(line {line}\)"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+
+
+def test_repeated_section_rejected_with_line():
+    with pytest.raises(ValueError, match=r"repeated section \[Scenario\] \(line 3\)"):
+        parse_config("[scenario]\nn_bs = 8\n[Scenario]\nn_bs = 10\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[sweep]\nvariable = n_ris\nvalues = 0, 4\n",
+            r"n_ris = 0, n_ris must be at least 1",
+        ),
+        (
+            "[scenario]\nn_bs = 4\n[sweep]\nvariable = n_bs\nvalues = 3, 4\n",
+            r"n_bs = 3, n_bs = 3 must be at least n_strong \+ 1",
+        ),
+    ],
+)
+def test_out_of_domain_sweep_value_rejected_with_line(text, message):
+    # `values` is the last line of each text
+    line = text.count("\n")
+    with pytest.raises(ValueError, match=rf"^values: at {message}.*\(line {line}\)$"):
+        parse_config(text)
 
 
 def test_unknown_key_names_line():
@@ -161,17 +196,12 @@ def test_sweep_section_parses_and_tuning_applies():
         "values = 16, 32\n"
         "reps = 5\n"
         "methods = DPC:mitigation_aware:exact\n"
-        "[strategy]\n"
-        "max_sweeps = 7\n"
-        "rel_tolerance = 1e-6\n"
     )
     assert plan.variable == "n_ris"
     assert plan.values == (16.0, 32.0)
     assert plan.reps == 5
     (m,) = plan.methods
     assert m.label == "DPC:mitigation_aware:exact"
-    assert m.strategy.max_sweeps == 7
-    assert m.strategy.rel_tolerance == 1e-6
 
 
 def test_bad_method_specs_rejected():
@@ -190,8 +220,7 @@ def test_serialize_round_trips():
         "",
         "[scenario]\nn_bs = 6\nn_strong = 2\nseed = 3\n"
         "[sweep]\nvariable = xi\nvalues = 0.1, 1, 10\nreps = 4\n"
-        "methods = DPC:mitigation_aware:asymptotic\n"
-        "[strategy]\nmax_sweeps = 7\n",
+        "methods = DPC:mitigation_aware:asymptotic\n",
     ):
         cfg, plan = parse_config(text)
         canonical = serialize_config(cfg, plan)
@@ -206,10 +235,7 @@ def test_serialize_round_trips():
 
 def small_result(reps=1, values=(30.0,), labels=("ZF:align_weak:exact",)):
     cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=8)
-    methods = tuple(
-        MethodSpec(p, StrategySpec(kind=k), m)
-        for p, k, m in (label.split(":") for label in labels)
-    )
+    methods = tuple(MethodSpec(*label.split(":")) for label in labels)
     return run_sweep(SweepPlan(cfg, "ptx_dbm", values, methods, reps))
 
 

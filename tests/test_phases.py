@@ -3,7 +3,6 @@ import pytest
 
 from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.phases import (
-    StrategySpec,
     _best_phase,
     align_weak_user,
     b_from_xi,
@@ -41,10 +40,8 @@ def test_statistical_equals_random_distributionally():
     # same stream position gives identical draws (alias under i.i.d. fading)
     _, real, cache = instance(2, n_ris=16)
     h_c_weak = weak_cascaded_row(real)
-    a = select_phases(
-        StrategySpec(kind="statistical"), cache, h_c_weak, np.random.default_rng(2)
-    )
-    b = select_phases(StrategySpec(kind="random"), cache, h_c_weak, np.random.default_rng(2))
+    a = select_phases("statistical", cache, h_c_weak, np.random.default_rng(2))
+    b = select_phases("random", cache, h_c_weak, np.random.default_rng(2))
     assert np.array_equal(a, b)
     assert np.array_equal(a, random_phases(16, np.random.default_rng(2)))
 
@@ -195,23 +192,21 @@ def test_optimizer_matches_dense_grid_on_toys():
 
 
 def test_strategy_spec_validation():
-    with pytest.raises(ValueError, match="unknown strategy"):
-        StrategySpec(kind="exhaustive")
-    with pytest.raises(ValueError, match="max_sweeps"):
-        StrategySpec(kind="random", max_sweeps=0)
-    with pytest.raises(ValueError, match="rel_tolerance"):
-        StrategySpec(kind="random", rel_tolerance=0.0)
+    # an unknown kind must not fall through to the optimizer
+    _, real, cache = instance(9)
+    with pytest.raises(ValueError, match="unknown strategy kind 'exhaustive'"):
+        select_phases("exhaustive", cache, weak_cascaded_row(real), None)
 
 
 def test_select_phases_dispatch():
     _, real, cache = instance(9)
     h_c_weak = weak_cascaded_row(real)
     rng = np.random.default_rng(0)
-    t_rand = select_phases(StrategySpec(kind="random"), cache, h_c_weak, rng)
+    t_rand = select_phases("random", cache, h_c_weak, rng)
     assert t_rand.shape == (8,)
-    t_align = select_phases(StrategySpec(kind="align_weak"), cache, h_c_weak, rng)
+    t_align = select_phases("align_weak", cache, h_c_weak, rng)
     assert np.array_equal(t_align, align_weak_user(h_c_weak))
-    t_mit = select_phases(StrategySpec(kind="mitigation_aware"), cache, h_c_weak, rng)
+    t_mit = select_phases("mitigation_aware", cache, h_c_weak, rng)
     f_align = mitigation_aware_objective(cache, h_c_weak, t_align)
     f_mit = mitigation_aware_objective(cache, h_c_weak, t_mit)
     assert f_mit >= f_align * (1.0 - 1e-9)

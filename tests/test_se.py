@@ -47,9 +47,7 @@ def random_instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
 
 def synthetic_cache(C_s, D):
     w, U = eigh_descending(C_s)
-    return DecompositionCache(
-        C_s=C_s, D=D, D_s=D[:-1], eigvals=w, eigvecs=U, b_proj_perp=1.0
-    )
+    return DecompositionCache(C_s=C_s, D=D, D_s=D[:-1], eigvals=w, eigvecs=U)
 
 
 # ------------------------------------------------------------------ phases
@@ -93,7 +91,7 @@ def test_decompose_orthogonal_b_drops_projector():
     cache = decompose(real)
     full = real.H_d_strong @ real.H_d_strong.conj().T
     assert np.linalg.norm(cache.C_s - full) / np.linalg.norm(full) < 1e-10
-    assert cache.b_proj_perp == pytest.approx(1.0, abs=1e-10)
+    assert cache.b_proj_perp() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_decompose_matches_dense_projector_oracle():
@@ -119,7 +117,7 @@ def test_decompose_b_proj_perp_follows_xi(n_bs, xi):
         cfg = ScenarioConfig(n_bs=n_bs)
         real = sample_realization(cfg, np.random.default_rng(rep_seeds(seed, 0)[0]))
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
-        bpp = decompose(real).b_proj_perp
+        bpp = decompose(real).b_proj_perp()
         assert abs(bpp - expect) <= 1e-10 * expect
 
 
@@ -292,7 +290,7 @@ def test_orthogonal_form_matches_asymptotic():
     for seed in range(30):
         cfg, real, ph = random_instance(seed)
         cache = decompose(real)
-        if cache.b_proj_perp <= 1e-8:
+        if cache.b_proj_perp() <= 1e-8:
             continue
         split = se_dpc_orthogonal_form(real, ph, cfg.p_bar())
         asym = se_asymptotic(cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC")

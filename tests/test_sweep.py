@@ -12,7 +12,7 @@ from risbc.channel import (
     rep_seeds,
     sample_realization,
 )
-from risbc.phases import StrategySpec, b_from_xi, random_phases, select_phases
+from risbc.phases import b_from_xi, random_phases, select_phases
 from risbc.se import (
     decompose,
     extended_phase,
@@ -30,7 +30,7 @@ from risbc.sweep import (
 
 
 def method(precoder, kind, mode):
-    return MethodSpec(precoder=precoder, strategy=StrategySpec(kind=kind), mode=mode)
+    return MethodSpec(precoder=precoder, strategy=kind, mode=mode)
 
 
 def small_cfg(**kw):
@@ -51,6 +51,8 @@ def test_method_rejects_unknowns():
         method("MRT", "align_weak", "exact")
     with pytest.raises(ValueError):
         method("ZF", "align_weak", "closed_form")
+    with pytest.raises(ValueError, match="unknown strategy kind 'exhaustive'"):
+        method("ZF", "exhaustive", "exact")
 
 
 def test_plan_validation():
