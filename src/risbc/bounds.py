@@ -44,7 +44,11 @@ class BoundReport:
 
 
 def _e1_series(x: float) -> float:
-    """Power series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!), x <= 1."""
+    """Power series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!), x <= 1.
+
+    Raises RuntimeError if _E1_MAX_ITER terms do not converge (at most 20
+    are needed on (0, 1]).
+    """
     total = -EULER_GAMMA - np.log(x)
     term = 1.0  # (-x)^k / k!
     for k in range(1, _E1_MAX_ITER):
@@ -52,15 +56,16 @@ def _e1_series(x: float) -> float:
         contrib = -term / k
         total += contrib
         if abs(contrib) < 1e-18 * abs(total):
-            break
-    return total
+            return total
+    raise RuntimeError(f"E1 series did not converge at x = {x!r}")
 
 
 def _e1_continued_fraction(x: float) -> float:
     """Modified-Lentz evaluation of F(x) = x+1 - 1^2/(x+3 - 2^2/(x+5 - ...)).
 
     E1(x) = e^{-x} / F(x) for x > 0; the denominator chain is well behaved
-    for x > 1.
+    for x > 1 (at most 83 steps).  Raises RuntimeError if _E1_MAX_ITER steps
+    do not converge.
     """
     tiny = 1e-300
     b = x + 1.0
@@ -78,8 +83,8 @@ def _e1_continued_fraction(x: float) -> float:
         delta = C * D
         f *= delta
         if abs(delta - 1.0) < 1e-15:
-            break
-    return f
+            return f
+    raise RuntimeError(f"E1 continued fraction did not converge at x = {x!r}")
 
 
 def exp_integral_e1(x: float) -> float:

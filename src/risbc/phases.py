@@ -8,12 +8,20 @@ optimizer of the weak user's high-SNR ZF rate argument
     f(theta) = |h_c,K+1^H theta|^2 / (1 + theta_bar^H D_s^H C_s^{-1} D_s theta_bar)
 
 which trades channel gain against the mitigation penalty.  Each element
-update maximizes a ratio of two sinusoids in that element's phase exactly,
-in closed form (the Dinkelbach root of a quadratic).  Also here: the
-construction of the BS-side direction b that interpolates between lying
-inside the strong users' row space (xi = 0) and being orthogonal to it
-(xi -> inf).
+update maximizes a ratio of two sinusoids in that element's phasor x,
+(A + 2 Re(ctil x)) / (B + 2 Re(dtil x)), exactly, in closed form (the
+Dinkelbach root of a quadratic).  The element loop works on Python scalars:
+with t = D_s theta_bar, e_n = (C_s^{-1} D_s)[:, n], q_n = d_n^H e_n,
+v = t^H C_s^{-1} t and u_n = t^H e_n, the denominator coefficients are
+B = 1 + v - 2 Re(theta_n u_n) + 2 q_n and dtil = u_n - conj(theta_n) q_n,
+so one element costs one K-length inner product and one K-length update.
+Also here: the construction of the BS-side direction b that interpolates
+between lying inside the strong users' row space (xi = 0) and being
+orthogonal to it (xi -> inf).
 """
+
+import math
+from operator import mul
 
 import numpy as np
 
@@ -61,26 +69,32 @@ def mitigation_aware_objective(
     return float(np.abs(h_c_weak @ theta) ** 2 / (1.0 + mit))
 
 
-def _best_phase(phi_cur, A, ctil, B, dtil):
-    """Maximize (A + 2 Re(ctil e^{j phi})) / (B + 2 Re(dtil e^{j phi})) over phi.
+def _best_phase(theta_n, A, ctil, B, dtil):
+    """Maximize (A + 2 Re(ctil x)) / (B + 2 Re(dtil x)) over unit phasors x.
 
-    The maximum lambda* is the value at which max_phi of the Dinkelbach
-    numerator A - lambda B + 2 Re((ctil - lambda dtil) e^{j phi}) is zero,
-    i.e. the larger root of
+    The maximum lambda* is the value at which max_x of the Dinkelbach
+    numerator A - lambda B + 2 Re((ctil - lambda dtil) x) is zero, i.e. the
+    larger root of
         (B^2 - 4|dtil|^2) lambda^2 - 2 (A B - 4 Re(ctil dtil*)) lambda
             + (A^2 - 4|ctil|^2) = 0,
     whose leading coefficient is positive since B - 2|dtil| >= 1; the
-    maximizer is phi* = -arg(ctil - lambda* dtil).  The current angle is
-    kept unless phi* is at least as good, so a step never lowers the ratio.
+    maximizer is x* = conj(z) / |z| with z = ctil - lambda* dtil.  The
+    current phasor theta_n is kept when z = 0 (every phase is optimal) or
+    unless x* is at least as good, so a step never lowers the ratio.
     """
     a = B * B - 4.0 * abs(dtil) ** 2
-    half_b = A * B - 4.0 * np.real(ctil * np.conj(dtil))
+    half_b = A * B - 4.0 * (ctil * dtil.conjugate()).real
     c = A * A - 4.0 * abs(ctil) ** 2
-    lam = (half_b + np.sqrt(max(half_b * half_b - a * c, 0.0))) / a
-    phi = np.array([-np.angle(ctil - lam * dtil), phi_cur])
-    e = np.exp(1j * phi)
-    f = (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
-    return float(phi[0]) if f[0] >= f[1] else float(phi_cur)
+    disc = half_b * half_b - a * c
+    lam = (half_b + (math.sqrt(disc) if disc > 0.0 else 0.0)) / a
+    z = ctil - lam * dtil
+    r = abs(z)
+    if r == 0.0:
+        return theta_n
+    x = z.conjugate() / r
+    f_new = (A + 2.0 * (ctil * x).real) / (B + 2.0 * (dtil * x).real)
+    f_cur = (A + 2.0 * (ctil * theta_n).real) / (B + 2.0 * (dtil * theta_n).real)
+    return x if f_new >= f_cur else theta_n
 
 
 def optimize_mitigation_aware(
@@ -95,6 +109,17 @@ def optimize_mitigation_aware(
     (`_best_phase`) and never decreases the objective.  Terminates when a full
     sweep improves the objective by less than REL_TOLERANCE (relative) or
     after MAX_SWEEPS sweeps.
+
+    The element loop runs on Python scalars.  With t = D_s theta_bar,
+    e_n = (C_s^{-1} D_s)[:, n], q_n = d_n^H e_n, v = t^H C_s^{-1} t (real)
+    and u_n = t^H e_n, element n's ratio has
+        A = |s0|^2 + |h_n|^2,  ctil = conj(s0) h_n  (s0 = s - h_n theta_n),
+        B = 1 + v - 2 Re(theta_n u_n) + 2 q_n,  dtil = u_n - conj(theta_n) q_n,
+    and a step Delta updates t += d_n Delta and
+    v += 2 Re(Delta u_n) + |Delta|^2 q_n.  So an element costs one K-length
+    inner product (u_n) and one K-length update (t); C_s^{-1} t is never
+    formed.  t, v and s = h_c,K+1^H theta are recomputed from numpy at the
+    start of every sweep, so rounding does not accumulate across sweeps.
 
     Args:
         cache: Gram decomposition of the strong users (C_s invertible).
@@ -111,31 +136,39 @@ def optimize_mitigation_aware(
 
     D_s = cache.D_s
     E = cache.solve(D_s)  # C_s^{-1} D_s
-    q = np.real(np.sum(D_s.conj() * E, axis=0))  # q_n = d_n^H C_s^{-1} d_n
+    q = np.real(np.sum(D_s.conj() * E, axis=0))  # q_n = d_n^H e_n
+    # per-element columns as Python scalars; u_n = t^H e_n = conj(t . conj(e_n))
+    h = h_c_weak.tolist()
+    h_sq = (np.abs(h_c_weak) ** 2).tolist()
+    d_cols = D_s[:, :n_ris].T.tolist()
+    e_conj_cols = E[:, :n_ris].T.conj().tolist()
+    q = q.tolist()
 
     obj_prev = None
     for _ in range(MAX_SWEEPS):
-        # refresh maintained quantities each sweep to kill fp drift
         theta_bar = np.append(theta, 1.0)
-        t = D_s @ theta_bar  # D_s theta_bar
-        w = E @ theta_bar  # C_s^{-1} D_s theta_bar
-        s = h_c_weak @ theta  # h_c,K+1^H theta
+        t = D_s @ theta_bar
+        v = float(np.real(np.vdot(t, E @ theta_bar)))
+        s = complex(h_c_weak @ theta)
+        t, th = t.tolist(), theta.tolist()
         for n in range(n_ris):
-            th_n = theta[n]
-            s0 = s - h_c_weak[n] * th_n
-            t0 = t - D_s[:, n] * th_n
-            w0 = w - E[:, n] * th_n
-            A = np.abs(s0) ** 2 + np.abs(h_c_weak[n]) ** 2
-            ctil = np.conj(s0) * h_c_weak[n]
-            B = 1.0 + np.real(np.vdot(t0, w0)) + q[n]
-            dtil = np.vdot(t0, E[:, n])
-            new = np.exp(1j * _best_phase(np.angle(th_n), A, ctil, B, dtil))
-            diff = new - th_n
-            theta[n] = new
-            s = s0 + h_c_weak[n] * new
-            t += D_s[:, n] * diff
-            w += E[:, n] * diff
-        obj = np.abs(s) ** 2 / (1.0 + np.real(np.vdot(t, w)))
+            th_n, h_n, q_n = th[n], h[n], q[n]
+            u = sum(map(mul, t, e_conj_cols[n])).conjugate()
+            s0 = s - h_n * th_n
+            new = _best_phase(
+                th_n,
+                abs(s0) ** 2 + h_sq[n],
+                s0.conjugate() * h_n,
+                1.0 + v - 2.0 * (th_n * u).real + 2.0 * q_n,
+                u - th_n.conjugate() * q_n,
+            )
+            delta = new - th_n
+            th[n] = new
+            s = s0 + h_n * new
+            t = [tk + dk * delta for tk, dk in zip(t, d_cols[n])]
+            v += 2.0 * (delta * u).real + abs(delta) ** 2 * q_n
+        theta = np.array(th)
+        obj = abs(s) ** 2 / (1.0 + v)
         if obj_prev is not None and obj - obj_prev <= REL_TOLERANCE * max(
             obj_prev, 1e-300
         ):

@@ -106,8 +106,10 @@ class SweepPlan:
             v != int(v) for v in self.values
         ):
             raise ValueError(f"{self.variable} values must be integers")
-        if self.variable == "xi" and self.values[0] < 0:
-            raise ValueError("xi values must be nonnegative")
+        if self.variable == "xi" and self.values[0] <= 0:
+            # b_from_xi(., 0) puts b inside the strong users' row space, so
+            # C_s would be singular on every draw
+            raise ValueError("xi values must be positive (xi = 0 makes C_s singular)")
         for value in self.values:
             try:
                 _apply_variable(self.config, self.variable, value)

@@ -3,12 +3,14 @@ closed forms against.
 
 Nothing in `risbc` imports this module: each routine here builds the full
 matrix that the runtime code avoids (projectors, bordered Gram inverses,
-per-user covariance matrices), so that a test can check a shortcut against
-the textbook formula.
+per-user covariance matrices), or takes the direct numpy route the runtime
+code shortcuts (the mitigation-aware coordinate ascent), so that a test can
+check a shortcut against the textbook formula.
 """
 
 import numpy as np
 
+from risbc import phases
 from risbc.bounds import EULER_GAMMA
 from risbc.linalg import RANK_TOL, check_finite
 
@@ -114,3 +116,64 @@ def dense_reflected_rate_upper_bound(theta, h_c_weak_draws, n_bs, a, pl, p_bar):
         denom += quad / np.real(np.trace(R_d))
     denom *= np.exp(-EULER_GAMMA)
     return float(np.mean(np.log2(gain * p_bar / denom)))
+
+
+def reference_best_phase(phi_cur, A, ctil, B, dtil):
+    """Maximize (A + 2 Re(ctil e^{j phi})) / (B + 2 Re(dtil e^{j phi})) over phi.
+
+    The angle form of the Dinkelbach step: lambda* is the larger root of
+        (B^2 - 4|dtil|^2) lambda^2 - 2 (A B - 4 Re(ctil dtil*)) lambda
+            + (A^2 - 4|ctil|^2) = 0,
+    the maximizer is phi* = -arg(ctil - lambda* dtil), and the current
+    angle is kept unless phi* is at least as good.
+    """
+    a = B * B - 4.0 * abs(dtil) ** 2
+    half_b = A * B - 4.0 * np.real(ctil * np.conj(dtil))
+    c = A * A - 4.0 * abs(ctil) ** 2
+    lam = (half_b + np.sqrt(max(half_b * half_b - a * c, 0.0))) / a
+    phi = np.array([-np.angle(ctil - lam * dtil), phi_cur])
+    e = np.exp(1j * phi)
+    f = (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
+    return float(phi[0]) if f[0] >= f[1] else float(phi_cur)
+
+
+def reference_optimize_mitigation_aware(cache, h_c_weak, init):
+    """Element-wise coordinate ascent on |h^H theta|^2 / (1 + mitigation),
+    every step in numpy: t = D_s theta_bar and w = C_s^{-1} t are carried as
+    K-vectors, and element n's coefficients come from t0 = t - d_n theta_n
+    and w0 = w - e_n theta_n.  Same sweep order, cap and stopping rule as
+    `phases.optimize_mitigation_aware`.
+    """
+    h_c_weak = np.asarray(h_c_weak, dtype=complex).ravel()
+    theta = np.asarray(init, dtype=complex).ravel().copy()
+    D_s = cache.D_s
+    E = cache.solve(D_s)
+    q = np.real(np.sum(D_s.conj() * E, axis=0))
+    obj_prev = None
+    for _ in range(phases.MAX_SWEEPS):
+        theta_bar = np.append(theta, 1.0)
+        t = D_s @ theta_bar
+        w = E @ theta_bar
+        s = h_c_weak @ theta
+        for n in range(theta.size):
+            th_n = theta[n]
+            s0 = s - h_c_weak[n] * th_n
+            t0 = t - D_s[:, n] * th_n
+            w0 = w - E[:, n] * th_n
+            A = np.abs(s0) ** 2 + np.abs(h_c_weak[n]) ** 2
+            ctil = np.conj(s0) * h_c_weak[n]
+            B = 1.0 + np.real(np.vdot(t0, w0)) + q[n]
+            dtil = np.vdot(t0, E[:, n])
+            new = np.exp(1j * reference_best_phase(np.angle(th_n), A, ctil, B, dtil))
+            diff = new - th_n
+            theta[n] = new
+            s = s0 + h_c_weak[n] * new
+            t += D_s[:, n] * diff
+            w += E[:, n] * diff
+        obj = np.abs(s) ** 2 / (1.0 + np.real(np.vdot(t, w)))
+        if obj_prev is not None and obj - obj_prev <= phases.REL_TOLERANCE * max(
+            obj_prev, 1e-300
+        ):
+            break
+        obj_prev = obj
+    return theta

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import exp1
 
 from oracles import dense_reflected_rate_upper_bound
+from risbc import bounds
 from risbc.bounds import (
     EULER_GAMMA,
     BoundReport,
@@ -94,6 +95,16 @@ def test_e1_rejects_nonpositive():
             exp_integral_e1(bad)
         with pytest.raises(ValueError):
             exp_integral_e1_scaled(bad)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 30.0])
+def test_e1_raises_when_the_cap_is_reached(x, monkeypatch):
+    # two terms/steps converge nowhere: neither loop may return a partial sum
+    monkeypatch.setattr(bounds, "_E1_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match=rf"did not converge at x = {x!r}"):
+        exp_integral_e1(x)
+    with pytest.raises(RuntimeError, match=rf"did not converge at x = {x!r}"):
+        exp_integral_e1_scaled(x)
 
 
 # ------------------------------------------------------------------ bound grid

@@ -72,13 +72,13 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_sweep_all_flagged_exits_2(tmp_path, capsys):
-    # xi = 0 puts b inside the strong users' row space: C_s is singular on
-    # every draw, so the run aborts
+    # xi -> 0 puts b inside the strong users' row space: at xi = 1e-9 C_s is
+    # numerically singular on every draw, so the run aborts
     cfg = tmp_path / "xi0.ini"
-    cfg.write_text("[sweep]\nvariable = xi\nvalues = 0\nreps = 2\n", encoding="utf-8")
+    cfg.write_text("[sweep]\nvariable = xi\nvalues = 1e-9\nreps = 2\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "error: 2/2 draws flagged as ill-conditioned at xi=0" in err
+    assert "error: 2/2 draws flagged as ill-conditioned at xi=1e-09" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -172,6 +172,14 @@ def test_out_of_domain_sweep_value_rejected_with_line(text, message):
         parse_config(text)
 
 
+@pytest.mark.parametrize("values", ["0", "0, 1"])
+def test_xi_zero_rejected_with_line(values):
+    # xi = 0 makes every draw's C_s singular: rejected before any draw
+    text = f"[sweep]\nvariable = xi\nreps = 2\n\nvalues = {values}\n"
+    with pytest.raises(ValueError, match=r"xi values must be positive.*\(line 5\)$"):
+        parse_config(text)
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ValueError, match=r"unknown key 'bandwidth'.*line 3"):
         parse_config("[scenario]\nn_bs = 8\nbandwidth = 10\n")

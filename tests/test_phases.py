@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from risbc import phases
 from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.phases import (
     _best_phase,
@@ -13,6 +16,8 @@ from risbc.phases import (
     select_phases,
 )
 from risbc.se import decompose, weak_cascaded_row
+
+from oracles import reference_optimize_mitigation_aware
 
 
 def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
@@ -75,13 +80,13 @@ def test_align_dominates_random_search():
 # ------------------------------------------------------------------ optimizer
 
 
-def ratio(phi, A, ctil, B, dtil):
-    e = np.exp(1j * np.asarray(phi))
-    return (A + 2.0 * np.real(ctil * e)) / (B + 2.0 * np.real(dtil * e))
+def ratio(x, A, ctil, B, dtil):
+    """Element n's ratio at unit phasor(s) x."""
+    return (A + 2.0 * np.real(ctil * x)) / (B + 2.0 * np.real(dtil * x))
 
 
 def element_coefficients(cache, h_c_weak, theta, n):
-    """(A, ctil, B, dtil) of f(theta) as a function of element n's phase."""
+    """(A, ctil, B, dtil) of f(theta) as a function of element n's phasor."""
     s0 = h_c_weak @ theta - h_c_weak[n] * theta[n]
     theta_bar = np.append(theta, 1.0)
     theta_bar[n] = 0.0
@@ -94,7 +99,7 @@ def element_coefficients(cache, h_c_weak, theta, n):
 
 
 def test_best_phase_matches_dense_grid_on_real_draws():
-    grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
     rng = np.random.default_rng(11)
     for seed in range(20):
         _, real, cache = instance(seed, n_bs=8, n_ris=16, n_strong=1 + seed % 3)
@@ -102,8 +107,8 @@ def test_best_phase_matches_dense_grid_on_real_draws():
         theta = random_phases(16, rng)
         for n in (0, 7, 15):
             coef = element_coefficients(cache, h_c_weak, theta, n)
-            phi = _best_phase(np.angle(theta[n]), *coef)
-            f = ratio(phi, *coef)
+            x = _best_phase(theta[n], *coef)
+            f = ratio(x, *coef)
             on_grid = ratio(grid, *coef)
             # the grid misses the peak by at most max|f''| step^2 / 8
             second_diff = np.roll(on_grid, 1) + np.roll(on_grid, -1) - 2.0 * on_grid
@@ -111,7 +116,7 @@ def test_best_phase_matches_dense_grid_on_real_draws():
             assert f <= on_grid.max() + np.max(np.abs(second_diff)) / 8.0 + 1e-12 * f
             # the coefficients reproduce the objective of the real draw
             moved = theta.copy()
-            moved[n] = np.exp(1j * phi)
+            moved[n] = x
             assert f == pytest.approx(
                 mitigation_aware_objective(cache, h_c_weak, moved), rel=1e-10
             )
@@ -123,15 +128,22 @@ def test_best_phase_keeps_an_optimal_current_angle():
     theta = align_weak_user(h_c_weak)
     for n in range(8):
         coef = element_coefficients(cache, h_c_weak, theta, n)
-        best = _best_phase(np.angle(theta[n]), *coef)
+        best = _best_phase(theta[n], *coef)
         again = _best_phase(best, *coef)
         assert ratio(again, *coef) >= ratio(best, *coef)
-    # no coupling: (2 + cos phi) / 3 peaks exactly at the current angle 0
+    # no coupling: (2 + cos phi) / 3 peaks exactly at the current phasor 1
     peak = (2.0, 0.5 + 0.0j, 3.0, 0.0j)
-    assert ratio(_best_phase(0.0, *peak), *peak) >= ratio(0.0, *peak)
-    # constant ratio (no coupling, no other element): any angle is optimal
+    assert ratio(_best_phase(1.0 + 0.0j, *peak), *peak) >= ratio(1.0, *peak)
+    # constant ratio (no coupling, no other element): any phasor is optimal
     flat = (2.0, 0.0j, 3.0, 0.0j)
-    assert ratio(_best_phase(0.3, *flat), *flat) == 2.0 / 3.0
+    assert ratio(_best_phase(cmath.exp(0.3j), *flat), *flat) == 2.0 / 3.0
+    # ctil = lambda dtil and A = lambda B: the ratio is 1/2 for every phase,
+    # so z = ctil - lambda* dtil = 0 has no direction and the current phasor
+    # comes back (conj(z) / |z| would divide by zero)
+    const = (1.5, 0.25 + 0.25j, 3.0, 0.5 + 0.5j)
+    cur = cmath.exp(0.3j)
+    assert _best_phase(cur, *const) == cur
+    assert ratio(cur, *const) == 0.5
 
 
 def test_optimizer_monotone_from_init():
@@ -168,6 +180,37 @@ def test_optimizer_reduces_to_alignment_without_coupling():
     theta = optimize_mitigation_aware(cache, h_c_weak, init)
     gain = abs(h_c_weak @ theta) ** 2
     assert gain == pytest.approx(np.sum(np.abs(h_c_weak)) ** 2, rel=1e-9)
+    # with no gain either (h_3 = 0), element 3's ratio is constant: its step
+    # has no direction and the start is kept
+    h_c_weak = h_c_weak.copy()
+    h_c_weak[3] = 0.0
+    theta = optimize_mitigation_aware(cache, h_c_weak, init)
+    assert theta[3] == init[3]
+
+
+REFERENCE_CASES = [(12, n_ris, k) for n_ris in (8, 64, 256) for k in (1, 2, 3)]
+REFERENCE_CASES += [(4, 16, k) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n_bs, n_ris, n_strong", REFERENCE_CASES)
+def test_optimizer_matches_numpy_reference(n_bs, n_ris, n_strong, monkeypatch):
+    # the scalar element loop against the numpy coordinate ascent: the
+    # same steps in a different arithmetic, so the same local optimum.  At
+    # N_R = 256 every draw runs to the 100-sweep cap, about 1 s per draw for
+    # the reference, so both stop after 10 sweeps (2560 element steps).
+    if n_ris == 256:
+        monkeypatch.setattr(phases, "MAX_SWEEPS", 10)
+    for seed in range(5):
+        _, real, cache = instance(seed, n_bs=n_bs, n_ris=n_ris, n_strong=n_strong)
+        h_c_weak = weak_cascaded_row(real)
+        init = align_weak_user(h_c_weak)
+        theta = optimize_mitigation_aware(cache, h_c_weak, init)
+        ref = reference_optimize_mitigation_aware(cache, h_c_weak, init)
+        f = mitigation_aware_objective(cache, h_c_weak, theta)
+        f_ref = mitigation_aware_objective(cache, h_c_weak, ref)
+        f_init = mitigation_aware_objective(cache, h_c_weak, init)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        assert f >= f_init * (1.0 - 1e-12)
 
 
 def test_optimizer_matches_dense_grid_on_toys():

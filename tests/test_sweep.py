@@ -68,6 +68,8 @@ def test_plan_validation():
         SweepPlan(cfg, "n_bs", (4.5, 6.0), m)
     with pytest.raises(ValueError):
         SweepPlan(cfg, "xi", (-1.0, 2.0), m)
+    with pytest.raises(ValueError, match="xi values must be positive"):
+        SweepPlan(cfg, "xi", (0.0, 2.0), m)
     for values in ((10.0, np.inf), (np.nan,), (-np.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             SweepPlan(cfg, "ptx_dbm", values, m)
@@ -179,12 +181,13 @@ def test_n_ris_sweep_applies_variable():
 
 
 def test_xi_zero_draws_are_flagged_and_abort():
-    # xi = 0 puts the BS-RIS direction inside the strong users' row space,
-    # so every projected Gram matrix is singular and every draw is flagged
+    # xi -> 0 puts the BS-RIS direction inside the strong users' row space
+    # (xi = 0 itself is rejected by SweepPlan): at xi = 1e-9 every projected
+    # Gram matrix has cond above 1e15, so every draw is flagged
     plan = SweepPlan(
         small_cfg(),
         "xi",
-        (0.0,),
+        (1e-9,),
         (method("DPC", "align_weak", "exact"),),
         reps=4,
     )
