@@ -19,11 +19,10 @@ from risbc.bounds import (
 
 print("e^x E1(x) vs its two lower bounds\n")
 print(f"{'x':>8} {'e^x E1(x)':>11} {'tight rhs':>11} {'slack':>9} {'classical rhs':>14}")
-for x in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4):
-    tight = e1_product_bound_check(x)
-    classical = e1_product_log_bound_check(x)
+xs = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4])
+for tight, classical in zip(e1_product_bound_check(xs), e1_product_log_bound_check(xs)):
     print(
-        f"{x:8.0e} {tight.lhs:11.6f} {tight.rhs:11.6f}"
+        f"{tight.setting:8.0e} {tight.lhs:11.6f} {tight.rhs:11.6f}"
         f" {tight.slack:9.2e} {classical.rhs:14.6f}"
     )
 

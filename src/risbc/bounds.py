@@ -10,8 +10,9 @@ On top of these sit the ergodic upper bound on the weak user's high-SNR ZF
 rate (harmonic-mean step over the strong users' cascaded covariances) and
 the closed forms for random/statistical and gain-aligned RIS phases.
 
-All bound checks return a BoundReport carrying both sides and the slack so
-callers can assert positivity with explicit margins.
+All bound checks return BoundReports carrying both sides and the slack so
+callers can assert positivity with explicit margins; E1 and the grid checks
+take an array of x (one report per entry) as well as a single x.
 """
 
 from dataclasses import dataclass
@@ -43,68 +44,87 @@ class BoundReport:
 # =========================================================================
 
 
-def _e1_series(x: float) -> float:
+def _e1_series(x: np.ndarray) -> np.ndarray:
     """Power series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!), x <= 1.
 
-    Raises RuntimeError if _E1_MAX_ITER terms do not converge (at most 20
-    are needed on (0, 1]).
+    Each entry of the 1-D array x stops at its own term test, so it keeps
+    the bits of a one-entry call.  Raises RuntimeError if _E1_MAX_ITER terms
+    do not converge (at most 20 are needed on (0, 1]).
     """
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
     total = -EULER_GAMMA - np.log(x)
-    term = 1.0  # (-x)^k / k!
+    term = np.ones_like(x)  # (-x)^k / k!
     for k in range(1, _E1_MAX_ITER):
         term *= -x / k
         contrib = -term / k
         total += contrib
-        if abs(contrib) < 1e-18 * abs(total):
-            return total
-    raise RuntimeError(f"E1 series did not converge at x = {x!r}")
+        done = np.abs(contrib) < 1e-18 * np.abs(total)
+        out[todo[done]] = total[done]
+        if done.all():
+            return out
+        left = ~done
+        todo, x, term, total = todo[left], x[left], term[left], total[left]
+    raise RuntimeError(f"E1 series did not converge at x = {float(x[0])!r}")
 
 
-def _e1_continued_fraction(x: float) -> float:
+def _e1_continued_fraction(x: np.ndarray) -> np.ndarray:
     """Modified-Lentz evaluation of F(x) = x+1 - 1^2/(x+3 - 2^2/(x+5 - ...)).
 
-    E1(x) = e^{-x} / F(x) for x > 0; the denominator chain is well behaved
-    for x > 1 (at most 83 steps).  Raises RuntimeError if _E1_MAX_ITER steps
-    do not converge.
+    E1(x) = e^{-x} / F(x); the chain is well behaved for x > 1 (at most 83
+    steps).  Each entry of the 1-D array x stops at its own step test.
+    Raises RuntimeError if _E1_MAX_ITER steps do not converge.
     """
     tiny = 1e-300
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
     b = x + 1.0
-    f = b if b != 0.0 else tiny
-    C = f
-    D = 0.0
+    f = b.copy()
+    C = b.copy()
+    D = np.zeros_like(x)
     for j in range(1, _E1_MAX_ITER):
         a = -float(j * j)
         b += 2.0
         D = b + a * D
-        D = 1.0 / (D if D != 0.0 else tiny)
+        D = 1.0 / np.where(D != 0.0, D, tiny)
         C = b + a / C
-        if C == 0.0:
-            C = tiny
+        C = np.where(C != 0.0, C, tiny)
         delta = C * D
         f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return f
-    raise RuntimeError(f"E1 continued fraction did not converge at x = {x!r}")
+        done = np.abs(delta - 1.0) < 1e-15
+        out[todo[done]] = f[done]
+        if done.all():
+            return out
+        left = ~done
+        todo, x, b, f, C, D = todo[left], x[left], b[left], f[left], C[left], D[left]
+    raise RuntimeError(f"E1 continued fraction did not converge at x = {float(x[0])!r}")
 
 
-def exp_integral_e1(x: float) -> float:
-    """E1(x) to about 1e-12 relative accuracy (series below 1, fraction above)."""
-    x = float(x)
-    if x <= 0:
+def _e1(x, scaled: bool):
+    """E1(x), or e^x E1(x) when scaled, for a scalar or an array of x > 0:
+    the series below 1, the continued fraction above."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise ValueError("x must be positive")
-    if x <= 1.0:
-        return _e1_series(x)
-    return np.exp(-x) * 1.0 / _e1_continued_fraction(x)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    low = flat <= 1.0
+    xs, xf = flat[low], flat[~low]
+    series = _e1_series(xs)
+    fraction = _e1_continued_fraction(xf)
+    out[low] = np.exp(xs) * series if scaled else series
+    out[~low] = 1.0 / fraction if scaled else np.exp(-xf) / fraction
+    return out.reshape(x.shape)[()]
 
 
-def exp_integral_e1_scaled(x: float) -> float:
+def exp_integral_e1(x):
+    """E1(x) to about 1e-12 relative accuracy, elementwise over x > 0."""
+    return _e1(x, scaled=False)
+
+
+def exp_integral_e1_scaled(x):
     """e^x E1(x), stable for arbitrarily large x (no overflow/underflow)."""
-    x = float(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if x <= 1.0:
-        return np.exp(x) * _e1_series(x)
-    return 1.0 / _e1_continued_fraction(x)
+    return _e1(x, scaled=True)
 
 
 # =========================================================================
@@ -112,49 +132,42 @@ def exp_integral_e1_scaled(x: float) -> float:
 # =========================================================================
 
 
-def e1_product_bound_check(x: float) -> BoundReport:
-    """Check E1(x) e^x > ln(1 + e^{-gamma} / x)."""
-    lhs = exp_integral_e1_scaled(x)
-    rhs = float(np.log1p(np.exp(-EULER_GAMMA) / x))
-    slack = lhs - rhs
-    return BoundReport(
-        name="e1_product_bound",
-        setting=float(x),
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=slack > 0.0,
-        slack=slack,
+def _grid_reports(name: str, x, lhs, rhs) -> list:
+    """One BoundReport per entry of x for the check lhs > rhs."""
+    columns = (np.ravel(v).tolist() for v in (x, lhs, rhs, lhs - rhs))
+    return [BoundReport(name, s, l, r, d > 0.0, d) for s, l, r, d in zip(*columns)]
+
+
+def _tight_rhs(x):
+    """ln(1 + e^{-gamma} / x), the bound's right-hand side."""
+    return np.log1p(np.exp(-EULER_GAMMA) / x)
+
+
+def _classical_rhs(x):
+    """-gamma + ln(1 + 1/x), the classical right-hand side."""
+    return -EULER_GAMMA + np.log1p(1.0 / x)
+
+
+def e1_product_bound_check(x) -> list:
+    """Check E1(x) e^x > ln(1 + e^{-gamma} / x), one report per entry of x."""
+    x = np.asarray(x, dtype=float)
+    return _grid_reports(
+        "e1_product_bound", x, exp_integral_e1_scaled(x), _tight_rhs(x)
     )
 
 
-def e1_product_log_bound_check(x: float) -> BoundReport:
+def e1_product_log_bound_check(x) -> list:
     """Check the classical comparison bound E1(x) e^x > -gamma + ln(1 + 1/x)."""
-    lhs = exp_integral_e1_scaled(x)
-    rhs = float(-EULER_GAMMA + np.log1p(1.0 / x))
-    slack = lhs - rhs
-    return BoundReport(
-        name="e1_product_log_bound",
-        setting=float(x),
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=slack > 0.0,
-        slack=slack,
+    x = np.asarray(x, dtype=float)
+    return _grid_reports(
+        "e1_product_log_bound", x, exp_integral_e1_scaled(x), _classical_rhs(x)
     )
 
 
-def e1_bound_comparison_check(x: float) -> BoundReport:
+def e1_bound_comparison_check(x) -> list:
     """Check that the e^{-gamma} bound is tighter than the classical one."""
-    lhs = float(np.log1p(np.exp(-EULER_GAMMA) / x))
-    rhs = float(-EULER_GAMMA + np.log1p(1.0 / x))
-    slack = lhs - rhs
-    return BoundReport(
-        name="e1_bound_comparison",
-        setting=float(x),
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=slack > 0.0,
-        slack=slack,
-    )
+    x = np.asarray(x, dtype=float)
+    return _grid_reports("e1_bound_comparison", x, _tight_rhs(x), _classical_rhs(x))
 
 
 def default_log_grid(n: int = 1000) -> np.ndarray:
@@ -162,9 +175,14 @@ def default_log_grid(n: int = 1000) -> np.ndarray:
     return np.logspace(-8.0, 4.0, n)
 
 
-def bound_gap(x: float) -> float:
+def bound_gap(x):
     """g(x) = E1(x) - e^{-x} ln(1 + e^{-gamma}/x), the bound's additive gap."""
-    return exp_integral_e1(x) - np.exp(-x) * float(np.log1p(np.exp(-EULER_GAMMA) / x))
+    x = np.asarray(x, dtype=float)
+    return exp_integral_e1(x) - np.exp(-x) * _tight_rhs(x)
+
+
+# Points of the log grid on (1e-8, 10) that the gap-shape scan evaluates.
+GAP_SCAN_POINTS = 10_000
 
 
 @dataclass
@@ -180,22 +198,23 @@ class GapStructure:
     decreasing_after: bool
 
 
-def bound_gap_structure(n_grid: int = 10_000) -> GapStructure:
+def bound_gap_structure() -> GapStructure:
     """Locate the unique interior maximum of the bound gap on (1e-8, 10)."""
-    grid = np.logspace(-8.0, 1.0, n_grid)
-    vals = np.array([bound_gap(x) for x in grid])
+    grid = np.logspace(-8.0, 1.0, GAP_SCAN_POINTS)
+    vals = bound_gap(grid)
     i = int(np.argmax(vals))
     signs = np.sign(np.diff(vals))
     changes = int(np.sum(np.diff(signs[signs != 0]) != 0))
 
     # golden-section refinement around the grid maximum
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_grid - 1)]
+    hi = grid[min(i + 1, grid.size - 1)]
     inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(80):
         m1 = hi - inv_gold * (hi - lo)
         m2 = lo + inv_gold * (hi - lo)
-        if bound_gap(m1) >= bound_gap(m2):
+        g1, g2 = bound_gap([m1, m2])
+        if g1 >= g2:
             hi = m2
         else:
             lo = m1
@@ -323,29 +342,11 @@ def chi2_log_expectation_check(
     )
 
 
-def harmonic_mean_bound_check(h: np.ndarray, M: np.ndarray) -> BoundReport:
-    """Check h^H M^{-1} h >= ||h||^4 / (h^H M h) for Hermitian PD M."""
-    h = np.asarray(h, dtype=complex).ravel()
-    M = np.asarray(M, dtype=complex)
-    lhs = float(np.real(np.vdot(h, np.linalg.solve(M, h))))
-    rhs = float(np.linalg.norm(h) ** 4 / np.real(np.vdot(h, M @ h)))
-    slack = lhs - rhs
-    return BoundReport(
-        name="harmonic_mean",
-        setting=float(h.size),
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=slack >= -1e-12,
-        slack=slack,
-    )
-
-
 def standard_bound_reports(seed: int = 0, grid_points: int = 1000) -> list:
     """The full default report list: E1 bound grid, tightness grid, gap
     structure, and the chi-squared log-expectation identity."""
     grid = default_log_grid(grid_points)
-    reports = [e1_product_bound_check(x) for x in grid]
-    reports += [e1_bound_comparison_check(x) for x in grid]
+    reports = e1_product_bound_check(grid) + e1_bound_comparison_check(grid)
     gs = bound_gap_structure()
     reports.append(
         BoundReport(

@@ -132,6 +132,36 @@ class ScenarioConfig:
             raise ValueError("user_circle_radius must be positive")
         if self.power_divisor not in ("k+1", "k"):
             raise ValueError(f"unknown power_divisor {self.power_divisor!r}")
+        self._check_links()
+
+    def _check_links(self):
+        """Reject geometry that puts a link at distance 0, or so close that
+        its log-distance model gives a pathloss below 0 dB (a gain): the
+        BS-RIS link, and the closest point of the user circle to the BS and
+        to the RIS."""
+        bs = np.asarray(self.bs_pos, dtype=float)
+        ris = np.asarray(self.ris_pos, dtype=float)
+        users = "the user circle (user_circle_center, user_circle_radius)"
+        links = (
+            ("ris_pos", "bs_pos", np.linalg.norm(ris - bs), "pl_los"),
+            (users, "bs_pos", self._circle_distance(bs), "pl_direct"),
+            (users, "ris_pos", self._circle_distance(ris), "pl_ris_user"),
+        )
+        for source, target, d, model in links:
+            loss = pathloss_db(getattr(self, model), d) if d > 0 else -np.inf
+            if loss < 0.0:
+                raise ValueError(
+                    f"{source} comes within {d:.3g} m of {target}, where "
+                    f"{model} gives a pathloss of {loss:.3g} dB; every link "
+                    "needs a pathloss of at least 0 dB"
+                )
+
+    def _circle_distance(self, point) -> float:
+        """Distance from a point to the closest point of the user circle
+        (the disc of user positions at the height of its center)."""
+        offset = point - np.asarray(self.user_circle_center, dtype=float)
+        radial = max(np.hypot(offset[0], offset[1]) - self.user_circle_radius, 0.0)
+        return float(np.hypot(radial, offset[2]))
 
     @property
     def n_users(self) -> int:

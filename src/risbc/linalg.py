@@ -8,9 +8,6 @@ its own.
 
 import numpy as np
 
-# Singular values below RANK_TOL * sigma_max are treated as zero.
-RANK_TOL = 1e-10
-
 
 def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return A as a complex ndarray, rejecting NaN/Inf entries."""
@@ -28,11 +25,6 @@ def herm(A: np.ndarray) -> np.ndarray:
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for A [..., m, n] and x [..., n]; the result is [..., m]."""
     return (A @ x[..., None])[..., 0]
-
-
-def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^H y over the last axis, [..., n] x [..., n] -> [...]."""
-    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def eigh_descending(A: np.ndarray):

@@ -8,10 +8,11 @@ row idealized to zero, the Gram matrix splits into
 
 with C_s = H_d^s P_b_perp H_d^{s,H} the strong users' projected Gram matrix,
 D = [H_c, H_d b] and theta_bar = [theta; 1].  Every closed form in this
-module is a pure function of that decomposition, apart from the two
-independent SVD cross-checks and the generic-matrix oracles at the end; all
-SE values are in bits per channel use (log2), with unit noise (channels are
-noise-normalized at generation).
+module is a pure function of that decomposition, of which the cache keeps
+the strong users' rows D_s of D and the eigendecomposition of C_s; all SE
+values are in bits per channel use (log2), with unit noise (channels are
+noise-normalized at generation).  The tests check these forms against
+generic-matrix and SVD oracles (tests/oracles.py).
 
 p_bar enters only at the last step: every rate is a function of the p_bar-free
 terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .linalg import RANK_TOL, check_finite, eigh_descending, herm, inner, matvec
-
-LOG2 = np.log(2.0)
-
-# b^H P_perp b below this is treated as "b inside the strong users' row
-# space" and the orthogonality-split DPC form is flagged -inf / +inf.
-BPP_TOL = 1e-12
+from .linalg import check_finite, eigh_descending, herm, matvec
 
 
 @dataclass
@@ -75,18 +70,13 @@ class DecompositionCache:
     field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
     """
 
-    C_s: np.ndarray  # [..., K, K] Hermitian PSD
-    D: np.ndarray  # [..., K+1, N_R+1], last column H_d b (weak entry 0)
-    D_s: np.ndarray  # [..., K, N_R+1] strong-user rows of D
+    D_s: np.ndarray  # [..., K, N_R+1] strong-user rows [H_c^s, H_d^s b] of D
     eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
     eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
 
     def __getitem__(self, index) -> "DecompositionCache":
-        D = self.D[index]
         return DecompositionCache(
-            C_s=self.C_s[index],
-            D=D,
-            D_s=D[..., :-1, :],
+            D_s=self.D_s[index],
             eigvals=self.eigvals[index],
             eigvecs=self.eigvecs[index],
         )
@@ -110,19 +100,6 @@ class DecompositionCache:
     def inv_diag(self) -> np.ndarray:
         """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [..., K]."""
         return matvec(np.abs(self.eigvecs) ** 2, 1.0 / self.eigvals)
-
-    def b_proj_perp(self) -> float:
-        """b^H P_perp_{H_d^{s,H}} b in [0, 1], per draw.
-
-        From the no-reflection identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b)
-        with c = H_d^s b, the last column of D_s; 0 where C_s is singular
-        (b inside the strong users' row space).
-        """
-        c = self.D_s[..., -1]
-        # singular draws get 0; their solve is discarded, so its overflow is moot
-        with np.errstate(all="ignore"):
-            bpp = 1.0 / (1.0 + np.real(inner(c, self.solve(c))))
-        return np.where(self.eigvals[..., -1] > 0, bpp, 0.0)[()]
 
 
 def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
@@ -148,13 +125,13 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
     K = H.shape[-2]
     n_ris = H_c.shape[-1]
     c = matvec(H, b)
-    D = np.zeros(c.shape[:-1] + (K + 1, n_ris + 1), dtype=complex)
-    D[..., :n_ris] = H_c
-    D[..., :K, n_ris] = c
+    D_s = np.empty(c.shape + (n_ris + 1,), dtype=complex)
+    D_s[..., :n_ris] = H_c[..., :K, :]
+    D_s[..., n_ris] = c
     C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
     C_s = 0.5 * (C_s + herm(C_s))
     w, U = eigh_descending(C_s)
-    return DecompositionCache(C_s=C_s, D=D, D_s=D[..., :K, :], eigvals=w, eigvecs=U)
+    return DecompositionCache(D_s=D_s, eigvals=w, eigvecs=U)
 
 
 # =========================================================================
@@ -317,13 +294,6 @@ def se_dpc_exact(
 # =========================================================================
 
 
-def _svd_row_space_split(H_d_strong: np.ndarray, b: np.ndarray) -> tuple:
-    """(singular values of H_d^s, b^H P_perp b) from one thin SVD of H_d^s."""
-    _, s, Vh = np.linalg.svd(H_d_strong, full_matrices=False)
-    proj = Vh @ np.asarray(b, dtype=complex).ravel()
-    return s, 1.0 - float(np.real(np.vdot(proj, proj)))
-
-
 def se_asymptotic(
     cache: DecompositionCache,
     phase: ExtendedPhase,
@@ -349,30 +319,6 @@ def se_asymptotic(
     return _breakdown(method, "asymptotic", rates)
 
 
-def se_dpc_orthogonal_form(
-    real: ChannelRealization, phase: ExtendedPhase, p_bar: float
-) -> float:
-    """High-SNR DPC sum SE split along the BS-RIS direction b.
-
-    log2 det(H_d^s H_d^{s,H} p_bar) + log2(b^H P_perp b) + log2(g p_bar),
-    where P_perp projects onto the complement of the strong users' row
-    space.  Computed by its own SVD, independently of `decompose`, so it
-    can serve as a cross-check of the Gram form.  Returns -inf (flagged)
-    when b lies inside that row space.
-    """
-    s, bpp = _svd_row_space_split(real.H_d_strong, real.b)
-    if bpp <= BPP_TOL:
-        return -np.inf
-    g = weak_gain(phase, weak_cascaded_row(real))
-    K = len(s)
-    return float(
-        2.0 * np.sum(np.log2(s))
-        + K * np.log2(p_bar)
-        + np.log2(bpp)
-        + np.log2(g * p_bar)
-    )
-
-
 # =========================================================================
 # DPC - ZF gap terms
 # =========================================================================
@@ -390,61 +336,3 @@ def delta_se(
     delta_d = float(np.sum(np.log2(cache.eigvals)) + np.sum(np.log2(cache.inv_diag())))
     delta_r = float(np.log2(1.0 + mitigation_term(cache, phase)))
     return delta_d, delta_r
-
-
-def mitigation_no_reflection(H_d_strong: np.ndarray, b: np.ndarray) -> float:
-    """1 + mitigation in the no-usable-reflection case H_c^s theta = 0.
-
-    Collapses to 1 / (b^H P_perp b), evaluated by SVD independently of
-    `decompose`; returns +inf (flagged) when b lies in the strong users' row
-    space.
-    """
-    s, bpp = _svd_row_space_split(check_finite(H_d_strong, "H_d_strong"), b)
-    if s[-1] <= RANK_TOL * s[0]:
-        raise ValueError("rank deficient")
-    if bpp <= BPP_TOL:
-        return np.inf
-    return 1.0 / bpp
-
-
-# =========================================================================
-# generic-matrix oracles
-# =========================================================================
-#
-# Textbook evaluations from the assembled composite channel, by direct
-# inversion and log-determinant.  They bypass the Gram decomposition
-# entirely: the tests check the closed forms above against them, and
-# se_zf_generic also evaluates the non-idealized channel whose weak user
-# keeps its attenuated direct row.
-
-
-def compose_channel(
-    real: ChannelRealization, phase: ExtendedPhase, idealized: bool = True
-) -> np.ndarray:
-    """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
-
-    With idealized=True the weak user's direct row is zero; otherwise the
-    attenuated direct channel is kept.
-    """
-    weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
-    H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
-    return H_d + (real.H_c @ phase.theta)[:, None] * real.b.conj()[None, :]
-
-
-def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
-    """Zero-forcing sum SE from a generic channel matrix (rows h_k^H).
-
-    Evaluates sum_k log2(1 + p_bar / [(H H^H)^{-1}]_kk) by direct inversion;
-    oracle form of the closed-form gains, and the evaluation path for the
-    non-idealized channel with the weak user's attenuated direct row.
-    """
-    G = H @ H.conj().T
-    inv_diag = np.real(np.diag(np.linalg.inv(G)))
-    return float(np.sum(np.log2(1.0 + p_bar / inv_diag)))
-
-
-def se_dpc_logdet(H: np.ndarray, p_bar: float) -> float:
-    """DPC sum SE log2 det(I + p_bar H H^H) from a generic channel matrix."""
-    G = H @ H.conj().T
-    _, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + p_bar * G)
-    return float(logdet / LOG2)

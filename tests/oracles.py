@@ -1,18 +1,141 @@
-"""Independent dense-matrix oracles that the tests compare the runtime
-closed forms against.
+"""Independent oracles that the tests compare the runtime closed forms against.
 
-Nothing in `risbc` imports this module: each routine here builds the full
-matrix that the runtime code avoids (projectors, bordered Gram inverses,
-per-user covariance matrices), or takes the direct numpy route the runtime
-code shortcuts (the mitigation-aware coordinate ascent), so that a test can
-check a shortcut against the textbook formula.
+Nothing in `risbc` imports this module.  Each routine here either builds the
+full matrix that the runtime code avoids (the assembled composite channel,
+projectors, bordered Gram inverses, per-user covariance matrices), takes a
+factorization of its own (generic inversion and log-determinant, the SVD
+cross-checks of the projection split), or takes the direct numpy route the
+runtime code shortcuts (the mitigation-aware coordinate ascent), so that a
+test can check a shortcut against the textbook formula.
 """
 
 import numpy as np
 
 from risbc import phases
-from risbc.bounds import EULER_GAMMA
-from risbc.linalg import RANK_TOL, check_finite
+from risbc.bounds import EULER_GAMMA, BoundReport
+from risbc.channel import ChannelRealization
+from risbc.linalg import check_finite
+from risbc.se import DecompositionCache, ExtendedPhase, weak_cascaded_row, weak_gain
+
+LOG2 = np.log(2.0)
+
+# Singular values below RANK_TOL * sigma_max are treated as zero.
+RANK_TOL = 1e-10
+
+# b^H P_perp b below this is treated as "b inside the strong users' row
+# space" and the orthogonality-split DPC form is flagged -inf / +inf.
+BPP_TOL = 1e-12
+
+
+# =========================================================================
+# generic-matrix oracles
+# =========================================================================
+#
+# Textbook evaluations from the assembled composite channel, by direct
+# inversion and log-determinant.  They bypass the Gram decomposition
+# entirely; se_zf_generic and se_dpc_logdet also evaluate the non-idealized
+# channel whose weak user keeps its attenuated direct row.
+
+
+def compose_channel(
+    real: ChannelRealization, phase: ExtendedPhase, idealized: bool = True
+) -> np.ndarray:
+    """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
+
+    With idealized=True the weak user's direct row is zero; otherwise the
+    attenuated direct channel is kept.
+    """
+    weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
+    H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
+    return H_d + (real.H_c @ phase.theta)[:, None] * real.b.conj()[None, :]
+
+
+def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
+    """Zero-forcing sum SE from a generic channel matrix (rows h_k^H).
+
+    Evaluates sum_k log2(1 + p_bar / [(H H^H)^{-1}]_kk) by direct inversion.
+    """
+    G = H @ H.conj().T
+    inv_diag = np.real(np.diag(np.linalg.inv(G)))
+    return float(np.sum(np.log2(1.0 + p_bar / inv_diag)))
+
+
+def se_dpc_logdet(H: np.ndarray, p_bar: float) -> float:
+    """DPC sum SE log2 det(I + p_bar H H^H) from a generic channel matrix."""
+    G = H @ H.conj().T
+    _, logdet = np.linalg.slogdet(np.eye(G.shape[0]) + p_bar * G)
+    return float(logdet / LOG2)
+
+
+# =========================================================================
+# projection-split cross-checks
+# =========================================================================
+
+
+def _svd_row_space_split(H_d_strong: np.ndarray, b: np.ndarray) -> tuple:
+    """(singular values of H_d^s, b^H P_perp b) from one thin SVD of H_d^s."""
+    _, s, Vh = np.linalg.svd(H_d_strong, full_matrices=False)
+    proj = Vh @ np.asarray(b, dtype=complex).ravel()
+    return s, 1.0 - float(np.real(np.vdot(proj, proj)))
+
+
+def se_dpc_orthogonal_form(
+    real: ChannelRealization, phase: ExtendedPhase, p_bar: float
+) -> float:
+    """High-SNR DPC sum SE split along the BS-RIS direction b.
+
+    log2 det(H_d^s H_d^{s,H} p_bar) + log2(b^H P_perp b) + log2(g p_bar),
+    where P_perp projects onto the complement of the strong users' row
+    space.  Computed by its own SVD, independently of `decompose`, so it
+    can serve as a cross-check of the Gram form.  Returns -inf (flagged)
+    when b lies inside that row space.
+    """
+    s, bpp = _svd_row_space_split(real.H_d_strong, real.b)
+    if bpp <= BPP_TOL:
+        return -np.inf
+    g = weak_gain(phase, weak_cascaded_row(real))
+    K = len(s)
+    return float(
+        2.0 * np.sum(np.log2(s))
+        + K * np.log2(p_bar)
+        + np.log2(bpp)
+        + np.log2(g * p_bar)
+    )
+
+
+def mitigation_no_reflection(H_d_strong: np.ndarray, b: np.ndarray) -> float:
+    """1 + mitigation in the no-usable-reflection case H_c^s theta = 0.
+
+    Collapses to 1 / (b^H P_perp b), evaluated by SVD independently of
+    `decompose`; returns +inf (flagged) when b lies in the strong users' row
+    space.
+    """
+    s, bpp = _svd_row_space_split(check_finite(H_d_strong, "H_d_strong"), b)
+    if s[-1] <= RANK_TOL * s[0]:
+        raise ValueError("rank deficient")
+    if bpp <= BPP_TOL:
+        return np.inf
+    return 1.0 / bpp
+
+
+def b_proj_perp(cache: DecompositionCache) -> float:
+    """b^H P_perp_{H_d^{s,H}} b in [0, 1] from a decomposition, per draw.
+
+    From the no-reflection identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b)
+    with c = H_d^s b, the last column of D_s; 0 where C_s is singular
+    (b inside the strong users' row space).
+    """
+    c = cache.D_s[..., -1]
+    # singular draws get 0; their solve is discarded, so its overflow is moot
+    with np.errstate(all="ignore"):
+        quad = np.real(np.sum(c.conj() * cache.solve(c), axis=-1))
+        bpp = 1.0 / (1.0 + quad)
+    return np.where(cache.eigvals[..., -1] > 0, bpp, 0.0)[()]
+
+
+# =========================================================================
+# dense-matrix oracles
+# =========================================================================
 
 
 def orth_projector(b: np.ndarray) -> np.ndarray:
@@ -116,6 +239,67 @@ def dense_reflected_rate_upper_bound(theta, h_c_weak_draws, n_bs, a, pl, p_bar):
         denom += quad / np.real(np.trace(R_d))
     denom *= np.exp(-EULER_GAMMA)
     return float(np.mean(np.log2(gain * p_bar / denom)))
+
+
+def harmonic_mean_bound_check(h: np.ndarray, M: np.ndarray) -> BoundReport:
+    """Check h^H M^{-1} h >= ||h||^4 / (h^H M h) for Hermitian PD M."""
+    h = np.asarray(h, dtype=complex).ravel()
+    M = np.asarray(M, dtype=complex)
+    lhs = float(np.real(np.vdot(h, np.linalg.solve(M, h))))
+    rhs = float(np.linalg.norm(h) ** 4 / np.real(np.vdot(h, M @ h)))
+    slack = lhs - rhs
+    return BoundReport(
+        name="harmonic_mean",
+        setting=float(h.size),
+        lhs=lhs,
+        rhs=rhs,
+        satisfied=slack >= -1e-12,
+        slack=slack,
+    )
+
+
+# =========================================================================
+# E1 one x at a time
+# =========================================================================
+
+
+def reference_e1(x: float, scaled: bool = False) -> float:
+    """E1(x), or e^x E1(x) when scaled, by the scalar loops that the array
+    E1 of `risbc.bounds` runs entry by entry: the power series for x <= 1,
+    the modified-Lentz continued fraction of Numerical Recipes 6.3 above."""
+    x = float(x)
+    if x <= 1.0:
+        total = -EULER_GAMMA - np.log(x)
+        term = 1.0
+        for k in range(1, 300):
+            term *= -x / k
+            contrib = -term / k
+            total += contrib
+            if abs(contrib) < 1e-18 * abs(total):
+                return np.exp(x) * total if scaled else total
+    else:
+        tiny = 1e-300
+        b = x + 1.0
+        f = C = b
+        D = 0.0
+        for j in range(1, 300):
+            a = -float(j * j)
+            b += 2.0
+            D = b + a * D
+            D = 1.0 / (D if D != 0.0 else tiny)
+            C = b + a / C
+            if C == 0.0:
+                C = tiny
+            delta = C * D
+            f *= delta
+            if abs(delta - 1.0) < 1e-15:
+                return 1.0 / f if scaled else np.exp(-x) * 1.0 / f
+    raise RuntimeError(f"no convergence at x = {x!r}")
+
+
+# =========================================================================
+# mitigation-aware coordinate ascent in numpy
+# =========================================================================
 
 
 def reference_best_phase(phi_cur, A, ctil, B, dtil):

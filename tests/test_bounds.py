@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from oracles import dense_reflected_rate_upper_bound
+from oracles import (
+    dense_reflected_rate_upper_bound,
+    harmonic_mean_bound_check,
+    reference_e1,
+)
 from risbc import bounds
 from risbc.bounds import (
     EULER_GAMMA,
@@ -17,7 +21,6 @@ from risbc.bounds import (
     e1_product_log_bound_check,
     exp_integral_e1,
     exp_integral_e1_scaled,
-    harmonic_mean_bound_check,
     random_phase_closed_forms,
     reflected_rate_upper_bound,
     standard_bound_reports,
@@ -47,6 +50,9 @@ GAP_VALUE_MAX = 0.128194279305
 BRACKET_HI = 0.7188315329474753
 LOG2_2_EXP_NEG_GAMMA = 0.16725382272313285
 
+# the points at which E1 is compared with scipy
+SCIPY_POINTS = np.logspace(-8, np.log10(700.0), 400)
+
 
 # ------------------------------------------------------------------ E1
 
@@ -58,8 +64,24 @@ def test_e1_reference_values():
 
 
 def test_e1_matches_scipy_across_regimes():
-    for x in np.logspace(-8, np.log10(700.0), 400):
+    for x in SCIPY_POINTS:
         assert exp_integral_e1(x) == pytest.approx(float(exp1(x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_e1_array_matches_one_element_calls_bit_for_bit(scaled):
+    # every entry stops at its own term test; running an entry on until the
+    # whole array has converged moves the low bits of the continued fraction
+    e1 = exp_integral_e1_scaled if scaled else exp_integral_e1
+    xs = np.concatenate([default_log_grid(1000), SCIPY_POINTS])
+    whole = e1(xs)
+    assert whole.shape == xs.shape
+    single = [e1(float(x)) for x in xs]
+    assert all(np.ndim(v) == 0 for v in single)
+    assert whole.tobytes() == np.array(single).tobytes()
+    # and each value keeps the bits of the scalar loop
+    reference = [reference_e1(x, scaled) for x in xs]
+    assert whole.tobytes() == np.array(reference).tobytes()
 
 
 def test_e1_series_fraction_crossover_consistent():
@@ -111,23 +133,30 @@ def test_e1_raises_when_the_cap_is_reached(x, monkeypatch):
 
 
 def test_product_bound_positive_on_grid():
-    for x in default_log_grid(1000):
-        rep = e1_product_bound_check(x)
+    grid = default_log_grid(1000)
+    reports = e1_product_bound_check(grid)
+    assert [rep.setting for rep in reports] == grid.tolist()
+    for rep in reports:
         assert rep.satisfied and rep.slack > 0.0
 
 
 def test_product_bound_known_slacks():
-    assert e1_product_bound_check(1.0).slack == pytest.approx(0.150726412042, abs=1e-9)
-    tiny = e1_product_bound_check(1e-8)
+    one, tiny, far = e1_product_bound_check([1.0, 1e-8, 1e4])
+    assert one.slack == pytest.approx(0.150726412042, abs=1e-9)
     assert 0.0 < tiny.slack < 1e-6
-    far = e1_product_bound_check(1e4)
     assert 0.0 < far.slack < 1e-4
+    # a single x gives a one-report list
+    (single,) = e1_product_bound_check(1.0)
+    assert single == one
 
 
 def test_log_bound_positive_and_weaker():
-    for x in default_log_grid(1000):
-        assert e1_product_log_bound_check(x).slack > 0.0
-        comp = e1_bound_comparison_check(x)
+    grid = default_log_grid(1000)
+    log_reports = e1_product_log_bound_check(grid)
+    comparisons = e1_bound_comparison_check(grid)
+    assert len(log_reports) == len(comparisons) == grid.size
+    for log_rep, comp in zip(log_reports, comparisons):
+        assert log_rep.slack > 0.0
         assert comp.satisfied and comp.slack > 0.0
 
 

@@ -64,6 +64,29 @@ def test_scenario_error_names_line_of_offending_key():
         parse_config("[scenario]\nuser_circle_radius = -1\n")
 
 
+def test_user_circle_at_the_bs_rejected_with_line():
+    # a 1e-9 m user circle around the BS used to run and report ~450 bpcu
+    text = "[scenario]\nuser_circle_center = 0, 0, 10\nuser_circle_radius = 1e-9\n"
+    with pytest.raises(ValueError, match=r"user circle.*bs_pos.*pl_direct.*\(line 2\)"):
+        parse_config(text)
+
+
+def test_ris_at_the_bs_rejected_with_line():
+    # used to abort mid-run with a bare "distance must be positive"
+    with pytest.raises(ValueError, match=r"ris_pos .*bs_pos.*pl_los.*\(line 3\)"):
+        parse_config("[scenario]\nn_ris = 8\nris_pos = 0, 0, 10\n")
+
+
+def test_links_need_a_pathloss_of_at_least_0_db():
+    # pl_los = 30 + 22 log10(d) crosses 0 dB at d = 4.3 cm
+    ScenarioConfig(ris_pos=(0.05, 0.0, 10.0))
+    with pytest.raises(ValueError, match=r"ris_pos comes within 0.04 m.*-0.755 dB"):
+        ScenarioConfig(ris_pos=(0.04, 0.0, 10.0))
+    # a user circle passing 1 cm below the RIS: pl_ris_user gives -6.49 dB
+    with pytest.raises(ValueError, match=r"within 0.01 m of ris_pos.*pl_ris_user"):
+        ScenarioConfig(user_circle_center=(100.0, 0.0, 9.99), user_circle_radius=1.0)
+
+
 def test_no_strong_user_rejected_with_line():
     with pytest.raises(ValueError, match=r"n_strong must be at least 1 \(line 3\)"):
         parse_config("[scenario]\nn_bs = 4\nn_strong = 0\n")
