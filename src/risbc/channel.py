@@ -214,14 +214,54 @@ class ChannelRealization:
 # =========================================================================
 
 
+# Indices of a replication's two streams in rep_seeds.
+CHANNEL, PHASE = 0, 1
+
+
+def _rep_seed(seed: int, rep: int, stream: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([seed, rep], spawn_key=(stream,))
+
+
 def rep_seeds(seed: int, rep: int) -> list:
     """[channel, phase] seed sequences of replication `rep` of a seeded run.
 
-    The two children of SeedSequence([seed, rep]): a replication's channel
-    draw and randomized phase draw are independent of each other and of
-    every other replication.
+    The two children of SeedSequence([seed, rep]), built directly from their
+    spawn keys: a replication's channel draw and randomized phase draw are
+    independent of each other and of every other replication.
     """
-    return np.random.SeedSequence([seed, rep]).spawn(2)
+    return [_rep_seed(seed, rep, stream) for stream in (CHANNEL, PHASE)]
+
+
+class ReplicationStreams:
+    """The channel and phase generators of every replication of a seeded run.
+
+    Replication `rep` draws its channel from rep_seeds(seed, rep)[0] and its
+    random phases from rep_seeds(seed, rep)[1].  A stream's initial PCG64
+    state is built on first use and kept as its two integers, so a run that
+    revisits a replication at every sweep point seeds it once, and a run
+    without random phases never builds a phase state.  A draw rewinds one
+    private generator to the stored state; only the block samplers below
+    use it, and they return arrays.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._states = {}  # (rep, CHANNEL | PHASE) -> (PCG64 state, increment)
+        self._rng = np.random.Generator(np.random.PCG64(0))
+
+    def _rewound(self, rep: int, stream: int) -> np.random.Generator:
+        key = (rep, stream)
+        if key not in self._states:
+            state = np.random.PCG64(_rep_seed(self.seed, rep, stream)).state
+            self._states[key] = (state["state"]["state"], state["state"]["inc"])
+        state, inc = self._states[key]
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
 
 def position_rng(seed: int) -> np.random.Generator:
@@ -259,20 +299,37 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
     return PathlossSet(L_d=L_d, L_r=L_r, L_G=L_G)
 
 
-def _draw(cfg: ScenarioConfig, rng: np.random.Generator, positions):
-    """One draw's variates from its generator, in their fixed order.
+def _variates(cfg: ScenarioConfig, rng: np.random.Generator, positions, out):
+    """Draw one realization's variates from `rng`, in their fixed order.
 
-    User positions come first unless frozen ones are supplied, then the
-    direct and the RIS-user fading, each as the real parts of all entries
-    followed by the imaginary parts.  Returns positions [K+1, 3] and the
-    complex normals z_d [K+1, N_B] and z_r [K+1, N_R], whose real and
-    imaginary parts are standard normal.
+    User positions come first unless frozen ones are supplied; then `out`
+    [2(K+1)(N_B+N_R)] is filled with standard normals: the real parts of the
+    direct fading, its imaginary parts, then the same for the RIS-user
+    fading.  Returns the positions [K+1, 3].
     """
     if positions is None:
         positions = draw_user_positions(cfg, rng)
-    shapes = ((cfg.n_users, cfg.n_bs), (cfg.n_users, cfg.n_ris))
-    z_d, z_r = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
-    return positions, z_d, z_r
+    rng.standard_normal(out=out)
+    return positions
+
+
+def _complex_normals(cfg: ScenarioConfig, x: np.ndarray):
+    """z_d [..., K+1, N_B] and z_r [..., K+1, N_R] from variates x [..., M]
+    laid out as `_variates` fills them, each equal to re + 1j * im (formed
+    as 1j * im, then += re, which adds the same two terms without a
+    temporary)."""
+    lead, start, out = x.shape[:-1], 0, []
+    for n in (cfg.n_bs, cfg.n_ris):
+        size = cfg.n_users * n
+        re, im = (
+            x[..., i : i + size].reshape(*lead, cfg.n_users, n)
+            for i in (start, start + size)
+        )
+        z = 1j * im
+        z += re
+        out.append(z)
+        start += 2 * size
+    return out
 
 
 def _assemble(cfg: ScenarioConfig, positions, z_d, z_r) -> ChannelRealization:
@@ -306,6 +363,10 @@ def _assemble(cfg: ScenarioConfig, positions, z_d, z_r) -> ChannelRealization:
     )
 
 
+def _variate_count(cfg: ScenarioConfig) -> int:
+    return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
+
+
 def sample_realization(
     cfg: ScenarioConfig,
     rng: np.random.Generator,
@@ -316,17 +377,47 @@ def sample_realization(
     User positions are redrawn from `rng` unless `positions` is supplied
     (frozen-position runs pass the same array for every draw).
     """
-    return _assemble(cfg, *_draw(cfg, rng, positions))
+    x = np.empty(_variate_count(cfg))
+    positions = _variates(cfg, rng, positions, x)
+    return _assemble(cfg, positions, *_complex_normals(cfg, x))
 
 
-def sample_block(cfg: ScenarioConfig, seeds, positions: np.ndarray = None):
-    """A stack of independent draws, one per seed, along a leading axis.
+def sample_block(
+    cfg: ScenarioConfig,
+    streams: ReplicationStreams,
+    reps,
+    positions: np.ndarray = None,
+) -> ChannelRealization:
+    """The draws of replications `reps` of a run, stacked along a leading axis.
 
-    Entry i equals sample_realization(cfg, np.random.default_rng(seeds[i]),
-    positions): every draw keeps its own generator, so a stack holds the
-    same values whichever draws it is built from.
+    Entry i equals, bit for bit, sample_realization(cfg,
+    np.random.default_rng(rep_seeds(streams.seed, reps[i])[0]), positions):
+    every draw starts from its own replication's channel state, so a stack
+    holds the same values whichever draws it is built from.
     """
-    draws = [_draw(cfg, np.random.default_rng(s), positions) for s in seeds]
-    stacks = [np.stack(parts) for parts in zip(*draws)]
-    del draws  # free the per-draw copies before _assemble allocates H_c
-    return _assemble(cfg, *stacks)
+    x = np.empty((len(reps), _variate_count(cfg)))
+    drawn = [
+        _variates(cfg, streams._rewound(rep, CHANNEL), positions, row)
+        for rep, row in zip(reps, x)
+    ]
+    if positions is None:
+        positions = np.stack(drawn)
+    else:
+        positions = np.broadcast_to(positions, (len(reps), *positions.shape))
+    z_d, z_r = _complex_normals(cfg, x)
+    del x  # free the variates before _assemble allocates H_c
+    return _assemble(cfg, positions, z_d, z_r)
+
+
+def random_phase_block(streams: ReplicationStreams, reps, n_ris: int) -> np.ndarray:
+    """Random phases [len(reps), N_R] of replications `reps` of a run.
+
+    Row i equals, bit for bit, phases.random_phases(n_ris,
+    np.random.default_rng(rep_seeds(streams.seed, reps[i])[1])): angles
+    uniform on [0, 2*pi) from the start of the replication's phase stream.
+    """
+    u = np.empty((len(reps), n_ris))
+    for rep, row in zip(reps, u):
+        streams._rewound(rep, PHASE).random(out=row)
+    u *= 2.0 * np.pi
+    return np.exp(1j * u)

@@ -300,33 +300,24 @@ def write_manifest(manifest: RunManifest, path) -> None:
 # =========================================================================
 
 
-def _g9(value) -> str:
-    return format(float(value), ".9g")
+# One row each, with every float as "%.9g" (the text of format(float(v),
+# ".9g")), formatted by a single % operation per row.
+_SWEEP_ROW = "%s,%.9g,%s,%s,%s,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
+_BOUND_ROW = "%s,%.9g,%.9g,%.9g,%.9g,%s\n"
 
 
 def emit_csv(result: SweepResult, path) -> None:
     """Long-format sweep CSV: one row per (sweep value, method)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in result.rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.sweep_var,
-                        _g9(r.value),
-                        r.precoder,
-                        r.strategy,
-                        r.mode,
-                        _g9(r.se_mean),
-                        _g9(r.se_std),
-                        _g9(r.se_d_mean),
-                        _g9(r.se_r_mean),
-                        str(r.reps),
-                        str(r.flagged),
-                    ]
-                )
-                + "\n"
+        fh.writelines(
+            _SWEEP_ROW
+            % (
+                r.sweep_var, r.value, r.precoder, r.strategy, r.mode, r.se_mean,
+                r.se_std, r.se_d_mean, r.se_r_mean, r.reps, r.flagged,
             )
+            for r in result.rows
+        )
 
 
 def emit_bound_report(reports, path) -> None:
@@ -335,20 +326,14 @@ def emit_bound_report(reports, path) -> None:
         raise ValueError("empty bound report")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(BOUND_CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(
-                ",".join(
-                    [
-                        r.name,
-                        _g9(r.setting),
-                        _g9(r.lhs),
-                        _g9(r.rhs),
-                        _g9(r.slack),
-                        "true" if r.satisfied else "false",
-                    ]
-                )
-                + "\n"
+        fh.writelines(
+            _BOUND_ROW
+            % (
+                r.name, r.setting, r.lhs, r.rhs, r.slack,
+                "true" if r.satisfied else "false",
             )
+            for r in reports
+        )
 
 
 # =========================================================================

@@ -30,6 +30,8 @@ from .se import DecompositionCache, _require_invertible, extended_phase, mitigat
 
 
 STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
+# The strategies that draw their phases at random.
+RANDOM_STRATEGIES = ("random", "statistical")
 
 # Coordinate ascent stops after MAX_SWEEPS sweeps, or once a full sweep
 # raises the objective by less than REL_TOLERANCE (relative).
@@ -186,8 +188,10 @@ def select_phases(
     """Phases of strategy `kind` (one of STRATEGIES) for one channel draw.
 
     A stack of B draws (cache and h_c_weak [B, N_R] with a leading batch
-    axis, rng an iterable of B generators, one per draw) gives [B, N_R]
-    phases, row i being what draw i gets on its own.
+    axis) gives [B, N_R] phases, row i being what draw i gets on its own.
+    Only the RANDOM_STRATEGIES read `rng`, and only for one draw: a sweep
+    draws a block's random phases from its replications' own phase streams
+    (`channel.random_phase_block`).
 
     "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
     unit-modulus vector gives the same ergodic rates.
@@ -195,11 +199,12 @@ def select_phases(
     if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
     stacked = h_c_weak.ndim == 2
-    if kind in ("random", "statistical"):
-        n_ris = h_c_weak.shape[-1]
+    if kind in RANDOM_STRATEGIES:
         if stacked:
-            return np.stack([random_phases(n_ris, r) for r in rng])
-        return random_phases(n_ris, rng)
+            raise ValueError(
+                "random phases of a stack come from channel.random_phase_block"
+            )
+        return random_phases(h_c_weak.shape[-1], rng)
     aligned = align_weak_user(h_c_weak)
     if kind == "align_weak":
         return aligned

@@ -6,6 +6,9 @@ method sees the same channel draw and, for randomized strategies, the same
 phase draw, so method differences are never masked by sampling noise.  The
 channel and phase substreams are the `rep_seeds(seed, rep)` children of
 SeedSequence([seed, rep]) and are therefore independent of the method list.
+A run seeds each replication's streams once, in one
+`channel.ReplicationStreams`, and every sweep point redraws from their
+start, so a point gives the same rows whichever points run before it.
 
 A sweep point runs in two stages.  Stage 1 draws the replications in blocks
 of BLOCK_REPS, decomposes each block with one stacked eigh, selects every
@@ -14,8 +17,10 @@ not depend on transmit power: eigvals(C_s), diag(C_s^{-1}) and, per
 strategy, the weak gain, the mitigation term and the DPC cross terms.
 Stage 2 evaluates every method's rates from those terms with the vectorized
 formulas of `se`.  Transmit power enters only stage 2, so a `ptx_dbm` sweep
-runs stage 1 once and every point reuses it.  Every draw keeps its own
-generators, so results do not depend on the block size.
+runs stage 1 once and every point reuses it.  A block's variates are drawn
+straight into one stack (`channel.sample_block`, `channel.random_phase_block`),
+each draw from its own replication's streams, so results do not depend on
+the block size.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -28,15 +33,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (
+    ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
     draw_user_positions,
     position_rng,
-    rep_seeds,
+    random_phase_block,
     sample_block,
 )
 from .linalg import herm
-from .phases import STRATEGIES, b_from_xi, select_phases
+from .phases import RANDOM_STRATEGIES, STRATEGIES, b_from_xi, select_phases
 from .se import (
     _require_invertible,
     decompose,
@@ -172,10 +178,9 @@ def _frozen_positions(cfg: ScenarioConfig):
     return None
 
 
-def _rep_blocks(seed: int, reps: int):
-    """The rep_seeds of every replication, in blocks of BLOCK_REPS."""
-    for start in range(0, reps, BLOCK_REPS):
-        yield [rep_seeds(seed, r) for r in range(start, min(start + BLOCK_REPS, reps))]
+def _blocks(reps: int):
+    """The replication indices of a run, in blocks of BLOCK_REPS."""
+    return [range(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
 
 
 @dataclass
@@ -189,26 +194,32 @@ class _Reduced:
     terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
 
 
-def _reduce_block(cfg, positions, seeds, xi, strategies) -> _Reduced:
+def _reduce_block(cfg, streams, positions, reps, xi, strategies) -> _Reduced:
     """Stage 1 on one block of replications; None terms if all are flagged."""
-    real = sample_block(cfg, [ch for ch, _ in seeds], positions)
+    real = sample_block(cfg, streams, reps, positions)
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
     keep = ~(cache.cond() > COND_FLAG)
-    flagged = len(seeds) - int(np.count_nonzero(keep))
+    flagged = len(reps) - int(np.count_nonzero(keep))
     if not keep.any():
         return _Reduced(flagged, None, None, None)
     cache = cache[keep]
     _require_invertible(cache)
     h_c_weak = weak_cascaded_row(real)[keep]
-    phase_seeds = [ph for (_, ph), k in zip(seeds, keep) if k]
+    random_theta = None
     terms = {}
     for kind in strategies:
-        # fresh generators on the shared phase substreams: randomized
-        # strategies see identical draws whichever methods request them
-        rngs = (np.random.default_rng(s) for s in phase_seeds)
-        phase = extended_phase(select_phases(kind, cache, h_c_weak, rngs))
+        if kind in RANDOM_STRATEGIES:
+            # every randomized strategy gets the same draws: the kept
+            # replications' phase streams, from their start
+            if random_theta is None:
+                kept = [rep for rep, k in zip(reps, keep) if k]
+                random_theta = random_phase_block(streams, kept, cfg.n_ris)
+            theta = random_theta
+        else:
+            theta = select_phases(kind, cache, h_c_weak, None)
+        phase = extended_phase(theta)
         cross = dpc_cross_terms(cache, phase)
         # the mitigation term, as `mitigation_term` forms it
         mit = np.sum(cross / cache.eigvals, axis=-1)
@@ -216,7 +227,9 @@ def _reduce_block(cfg, positions, seeds, xi, strategies) -> _Reduced:
     return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
 
 
-def _reduce(cfg: ScenarioConfig, xi, strategies, reps: int, where: str) -> _Reduced:
+def _reduce(
+    cfg: ScenarioConfig, streams, xi, strategies, reps: int, where: str
+) -> _Reduced:
     """Stage 1: draw, flag and reduce every replication of one scenario.
 
     Blocks are reduced one at a time, so only one block's channel stacks
@@ -224,8 +237,8 @@ def _reduce(cfg: ScenarioConfig, xi, strategies, reps: int, where: str) -> _Redu
     """
     positions = _frozen_positions(cfg)
     blocks = [
-        _reduce_block(cfg, positions, seeds, xi, strategies)
-        for seeds in _rep_blocks(cfg.seed, reps)
+        _reduce_block(cfg, streams, positions, block, xi, strategies)
+        for block in _blocks(reps)
     ]
     flagged = sum(b.flagged for b in blocks)
     if 2 * flagged > reps:
@@ -256,13 +269,14 @@ def _rates(m: MethodSpec, reduced: _Reduced, p_bar: float) -> tuple:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run the full sweep: stage 1 per scenario, stage 2 per point and method."""
     strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
+    streams = ReplicationStreams(plan.config.seed)
     rows = []
     reduced = None
     for value in plan.values:
         cfg_v, xi = _apply_variable(plan.config, plan.variable, value)
         if reduced is None or plan.variable != "ptx_dbm":
             where = f"{plan.variable}={value:g}"
-            reduced = _reduce(cfg_v, xi, strategies, plan.reps, where)
+            reduced = _reduce(cfg_v, streams, xi, strategies, plan.reps, where)
         for m in plan.methods:
             total, direct, reflect = _rates(m, reduced, cfg_v.p_bar())
             rows.append(
@@ -298,10 +312,11 @@ def power_split_offset_check(
     K = cfg.n_strong
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()
+    streams = ReplicationStreams(cfg.seed)
     positions = _frozen_positions(cfg)
     offsets = []
-    for seeds in _rep_blocks(cfg.seed, reps):
-        real = sample_block(cfg, [ch for ch, _ in seeds], positions)
+    for block in _blocks(reps):
+        real = sample_block(cfg, streams, block, positions)
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)

@@ -1,17 +1,26 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import risbc.phases
+import risbc.sweep
 from risbc.channel import (
+    ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
     draw_user_positions,
     nominal_pathlosses,
     pathloss_db,
     position_rng,
+    random_phase_block,
     rep_seeds,
+    sample_block,
     sample_realization,
     steering_vector,
 )
+from risbc.phases import random_phases
 
 
 # ------------------------------------------------------------------ pathloss
@@ -164,3 +173,115 @@ def test_db_to_lin_roundtrip():
     assert db_to_lin(0.0) == 1.0
     assert db_to_lin(-np.inf) == 0.0
     assert db_to_lin(10.0) == pytest.approx(10.0)
+
+
+# ------------------------------------------------------- replication streams
+
+
+@pytest.mark.parametrize(
+    "seed, rep", [(0, 0), (0, 1), (3, 7), (12345, 299), (2**40, 3)]
+)
+def test_rep_seeds_are_the_spawned_children(seed, rep):
+    want = np.random.SeedSequence([seed, rep]).spawn(2)
+    got = rep_seeds(seed, rep)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.entropy == w.entropy
+        assert g.spawn_key == w.spawn_key
+        assert np.array_equal(g.generate_state(8), w.generate_state(8))
+
+
+def reference_draw(cfg, rep, positions=None):
+    """The defining per-draw realization of replication `rep`."""
+    ch_ss, _ = rep_seeds(cfg.seed, rep)
+    return sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
+
+
+def assert_block_is_reference(cfg, block, reps, positions=None):
+    assert block.H_r.shape == (len(reps), cfg.n_users, cfg.n_ris)
+    for i, rep in enumerate(reps):
+        want = reference_draw(cfg, rep, positions)
+        for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
+            assert np.array_equal(getattr(block, name)[i], getattr(want, name)), name
+        for name in ("L_d", "L_r"):
+            got = getattr(block.pathlosses, name)[i]
+            assert np.array_equal(got, getattr(want.pathlosses, name)), name
+        assert block.L_G == want.L_G
+        assert np.array_equal(block.a, want.a) and np.array_equal(block.b, want.b)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_sample_block_equals_per_draw_reference(frozen):
+    cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=11)
+    positions = draw_user_positions(cfg, position_rng(cfg.seed)) if frozen else None
+    streams = ReplicationStreams(cfg.seed)
+    # out of order, repeated and revisited: every draw rewinds to its state
+    for reps in ([4, 0, 9], range(3), [9, 4, 4], range(1)):
+        block = sample_block(cfg, streams, reps, positions)
+        assert_block_is_reference(cfg, block, reps, positions)
+
+
+def test_sample_block_states_carry_across_shapes():
+    # a cached state serves every scenario: n_ris and n_bs change the
+    # number of variates drawn from it, not where it starts
+    streams = ReplicationStreams(5)
+    for n_bs, n_ris in ((4, 8), (4, 64), (9, 3), (4, 8)):
+        cfg = ScenarioConfig(n_bs=n_bs, n_strong=2, n_ris=n_ris, seed=5)
+        reps = range(2, 6)
+        assert_block_is_reference(cfg, sample_block(cfg, streams, reps), reps)
+
+
+def test_random_phase_block_equals_random_phases():
+    streams = ReplicationStreams(3)
+    for n_ris, reps in ((16, [0, 5, 2]), (3, range(4)), (16, [5])):
+        block = random_phase_block(streams, reps, n_ris)
+        assert block.shape == (len(reps), n_ris)
+        for row, rep in zip(block, reps):
+            _, ph_ss = rep_seeds(3, rep)
+            want = random_phases(n_ris, np.random.default_rng(ph_ss))
+            assert np.array_equal(row, want)
+
+
+def test_phase_and_channel_streams_are_separate():
+    # drawing a replication's phases does not move its channel stream
+    cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=6, seed=2)
+    streams = ReplicationStreams(cfg.seed)
+    random_phase_block(streams, [1, 2], cfg.n_ris)
+    assert_block_is_reference(cfg, sample_block(cfg, streams, [2, 1]), [2, 1])
+
+
+# ----------------------------------------------------- one seeding scheme
+
+# Replication seeding has one home, channel.py: the sweep and the phase
+# strategies receive drawn arrays (or a caller's generator), never build one.
+SEEDING = {"default_rng", "SeedSequence"}
+
+
+def _seeding_names(tree):
+    """Every use of a seeding constructor by name, attribute or import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in SEEDING:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in SEEDING:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(a.name for a in node.names if a.name in SEEDING)
+    return found
+
+
+@pytest.mark.parametrize("module", [risbc.sweep, risbc.phases])
+def test_no_seeding_outside_channel(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    assert _seeding_names(tree) == []
+
+
+def test_seeding_guard_sees_uses():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.random import SeedSequence\n"
+        "def f(s):\n    return np.random.default_rng(s), SeedSequence(s)\n"
+    )
+    assert sorted(_seeding_names(tree)) == [
+        "SeedSequence", "SeedSequence", "default_rng"
+    ]

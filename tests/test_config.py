@@ -18,7 +18,7 @@ from risbc.config import (
     serialize_config,
 )
 from risbc.bounds import BoundReport
-from risbc.sweep import MethodSpec, SweepPlan, run_sweep
+from risbc.sweep import MethodSpec, SweepPlan, SweepResult, SweepRow, run_sweep
 
 
 # ------------------------------------------------------------------ parsing
@@ -313,6 +313,51 @@ def test_bound_report_emission(tmp_path):
     assert lines[2].endswith(",false")
     with pytest.raises(ValueError):
         emit_bound_report([], tmp_path / "empty.csv")
+
+
+# Floats whose "%.9g" text must equal format(float(v), ".9g"): the special
+# values, a subnormal-range value and numpy scalars.
+ODD_FLOATS = (
+    np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 1.0 / 3.0, 123456789.5,
+    np.float64(2.0 / 3.0), np.float32(0.1), np.float64(-np.inf),
+)
+
+
+def _g9(value) -> str:
+    return format(float(value), ".9g")
+
+
+def test_csv_rows_equal_per_float_formatting(tmp_path):
+    rows = [
+        SweepRow("ptx_dbm", v, "ZF", "random", "exact", v, -v, v, 2 * v, 7, 1)
+        for v in ODD_FLOATS
+    ]
+    plan = SweepPlan(ScenarioConfig(), "ptx_dbm", (0.0,),
+                     (MethodSpec("ZF", "random", "exact"),), reps=7)
+    emit_csv(SweepResult(plan, rows), tmp_path / "sweep.csv")
+    want = [SWEEP_CSV_HEADER] + [
+        ",".join([
+            r.sweep_var, _g9(r.value), r.precoder, r.strategy, r.mode,
+            _g9(r.se_mean), _g9(r.se_std), _g9(r.se_d_mean), _g9(r.se_r_mean),
+            str(r.reps), str(r.flagged),
+        ])
+        for r in rows
+    ]
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
+    reports = [
+        BoundReport("odd", v, v, -v, k % 2 == 0, 3 * v)
+        for k, v in enumerate(ODD_FLOATS)
+    ]
+    emit_bound_report(reports, tmp_path / "bounds.csv")
+    want = [BOUND_CSV_HEADER] + [
+        ",".join([
+            r.name, _g9(r.setting), _g9(r.lhs), _g9(r.rhs), _g9(r.slack),
+            "true" if r.satisfied else "false",
+        ])
+        for r in reports
+    ]
+    assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
 def test_manifest_hash8(tmp_path):

@@ -255,6 +255,16 @@ def test_select_phases_dispatch():
     assert f_mit >= f_align * (1.0 - 1e-9)
 
 
+def test_select_phases_draws_random_phases_for_one_draw_only():
+    _, real, cache = instance(9)
+    h_c_weak = weak_cascaded_row(real)
+    stack = np.stack([h_c_weak, h_c_weak])
+    with pytest.raises(ValueError, match="random_phase_block"):
+        select_phases("random", cache, stack, np.random.default_rng(0))
+    aligned = select_phases("align_weak", cache, stack, None)
+    assert np.array_equal(aligned, align_weak_user(stack))
+
+
 # ------------------------------------------------------- b(xi) construction
 
 

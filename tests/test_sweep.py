@@ -9,7 +9,9 @@ from risbc.channel import (
     ScenarioConfig,
     draw_user_positions,
     position_rng,
+    random_phase_block,
     rep_seeds,
+    sample_block,
     sample_realization,
 )
 from risbc.phases import b_from_xi, random_phases, select_phases
@@ -365,3 +367,74 @@ def test_power_point_does_not_depend_on_the_grid():
     grid = run_sweep(SweepPlan(cfg, "ptx_dbm", (10.0, 20.0, 30.0), methods, reps=5))
     alone = run_sweep(SweepPlan(cfg, "ptx_dbm", (20.0,), methods, reps=5))
     assert [r for r in grid.rows if r.value == 20.0] == alone.rows
+
+
+def test_element_point_does_not_depend_on_the_grid():
+    # every n_ris point redraws from the cached replication states: a point
+    # run after others gives the rows it gives alone
+    methods = (
+        method("ZF", "random", "asymptotic"), method("DPC", "align_weak", "exact")
+    )
+    cfg = small_cfg(freeze_positions=True)
+    values = (4.0, 8.0, 12.0)
+    grid = run_sweep(SweepPlan(cfg, "n_ris", values, methods, reps=5))
+    for value in values:
+        alone = run_sweep(SweepPlan(cfg, "n_ris", (value,), methods, reps=5))
+        assert [r for r in grid.rows if r.value == value] == alone.rows
+
+
+@pytest.mark.parametrize(
+    "variable, values, frozen",
+    [
+        ("n_ris", (4.0, 9.0), True),
+        ("n_ris", (4.0, 9.0), False),
+        ("n_bs", (3.0, 6.0), False),
+        ("xi", (0.5, 5.0), True),
+        ("ptx_dbm", (10.0, 30.0), False),
+    ],
+)
+def test_sweep_draws_equal_the_reference_definition(
+    monkeypatch, variable, values, frozen
+):
+    # every block the sweep draws, partial last block included, equals
+    # sample_realization / random_phases on default_rng of rep_seeds
+    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
+    channels, phases = [], []
+
+    def spy_block(cfg, streams, reps, positions=None):
+        real = sample_block(cfg, streams, reps, positions)
+        channels.append((cfg, list(reps), positions, real))
+        return real
+
+    def spy_phases(streams, reps, n_ris):
+        theta = random_phase_block(streams, reps, n_ris)
+        phases.append((list(reps), n_ris, theta))
+        return theta
+
+    monkeypatch.setattr(sweep, "sample_block", spy_block)
+    monkeypatch.setattr(sweep, "random_phase_block", spy_phases)
+    methods = (
+        method("ZF", "random", "exact"),
+        method("DPC", "statistical", "asymptotic"),
+        method("ZF", "align_weak", "asymptotic"),
+    )
+    cfg = small_cfg(freeze_positions=frozen)
+    plan = SweepPlan(cfg, variable, values, methods, reps=8)
+    run_sweep(plan)
+
+    drawn_points = 1 if variable == "ptx_dbm" else len(values)
+    assert [len(reps) for _, reps, _, _ in channels] == [3, 3, 2] * drawn_points
+    for cfg, reps, positions, real in channels:
+        assert (positions is not None) == frozen
+        for i, rep in enumerate(reps):
+            ch_ss, _ = rep_seeds(cfg.seed, rep)
+            want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
+            for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
+                assert np.array_equal(getattr(real, name)[i], getattr(want, name))
+    # one phase block per channel block (the two random strategies share it)
+    assert len(phases) == len(channels)
+    for reps, n_ris, theta in phases:
+        for row, rep in zip(theta, reps):
+            _, ph_ss = rep_seeds(plan.config.seed, rep)
+            want = random_phases(n_ris, np.random.default_rng(ph_ss))
+            assert np.array_equal(row, want)
