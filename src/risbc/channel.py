@@ -194,8 +194,8 @@ class PathlossSet:
 class ChannelRealization:
     """One fading draw of all channels (rows are h^H, noise-normalized).
 
-    A stack of draws (`sample_block`) carries a leading batch axis on every
-    array but the shared steering vectors a and b.
+    A stack of draws (`sample_block`, `realize_block`) carries a leading
+    batch axis on every array but the shared steering vectors a and b.
     """
 
     H_d_strong: np.ndarray  # [K, N_B] strong users' direct channels
@@ -233,35 +233,20 @@ def rep_seeds(seed: int, rep: int) -> list:
 
 
 class ReplicationStreams:
-    """The channel and phase generators of every replication of a seeded run.
+    """The channel and phase streams of every replication of a seeded run.
 
     Replication `rep` draws its channel from rep_seeds(seed, rep)[0] and its
-    random phases from rep_seeds(seed, rep)[1].  A stream's initial PCG64
-    state is built on first use and kept as its two integers, so a run that
-    revisits a replication at every sweep point seeds it once, and a run
-    without random phases never builds a phase state.  A draw rewinds one
-    private generator to the stored state; only the block samplers below
-    use it, and they return arrays.
+    random phases from rep_seeds(seed, rep)[1].  A run draws each stream
+    once, at its largest sweep point, and every point uses a prefix of those
+    variates, so a stream's generator is built on demand and not kept.  Only
+    the block samplers below use it, and they return arrays.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._states = {}  # (rep, CHANNEL | PHASE) -> (PCG64 state, increment)
-        self._rng = np.random.Generator(np.random.PCG64(0))
 
-    def _rewound(self, rep: int, stream: int) -> np.random.Generator:
-        key = (rep, stream)
-        if key not in self._states:
-            state = np.random.PCG64(_rep_seed(self.seed, rep, stream)).state
-            self._states[key] = (state["state"]["state"], state["state"]["inc"])
-        state, inc = self._states[key]
-        self._rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._rng
+    def _generator(self, rep: int, stream: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(_rep_seed(self.seed, rep, stream)))
 
 
 def position_rng(seed: int) -> np.random.Generator:
@@ -382,6 +367,48 @@ def sample_realization(
     return _assemble(cfg, positions, *_complex_normals(cfg, x))
 
 
+def draw_block(
+    cfg: ScenarioConfig,
+    streams: ReplicationStreams,
+    reps,
+    positions: np.ndarray = None,
+) -> tuple:
+    """The variates of replications `reps` of a run, one row per draw.
+
+    Returns (positions [len(reps), K+1, 3], x [len(reps), 2(K+1)(N_B+N_R)]):
+    row i is replication reps[i]'s channel stream from its start, laid out
+    as `_variates` fills it.  Frozen positions are broadcast to every draw.
+    Positions depend only on K and the normals are drawn in order, so the
+    variates of a scenario with fewer elements or antennas are a prefix of
+    each row: `realize_block` builds any such scenario from this draw.
+    """
+    x = np.empty((len(reps), _variate_count(cfg)))
+    drawn = [
+        _variates(cfg, streams._generator(rep, CHANNEL), positions, row)
+        for rep, row in zip(reps, x)
+    ]
+    if positions is None:
+        positions = np.stack(drawn)
+    else:
+        positions = np.broadcast_to(positions, (len(reps), *positions.shape))
+    return positions, x
+
+
+def realize_block(
+    cfg: ScenarioConfig, positions: np.ndarray, x: np.ndarray
+) -> ChannelRealization:
+    """The stacked realization of scenario `cfg` from drawn variates.
+
+    positions and x are a `draw_block` result for a scenario with the same K
+    and at least cfg's N_B and N_R; only the prefix x[:, :2(K+1)(N_B+N_R)] is
+    read.  A caller that passes its only reference to x has the variates
+    freed before `_assemble` allocates H_c.
+    """
+    z_d, z_r = _complex_normals(cfg, x[:, : _variate_count(cfg)])
+    del x
+    return _assemble(cfg, positions, z_d, z_r)
+
+
 def sample_block(
     cfg: ScenarioConfig,
     streams: ReplicationStreams,
@@ -392,21 +419,12 @@ def sample_block(
 
     Entry i equals, bit for bit, sample_realization(cfg,
     np.random.default_rng(rep_seeds(streams.seed, reps[i])[0]), positions):
-    every draw starts from its own replication's channel state, so a stack
+    every draw starts from its own replication's channel stream, so a stack
     holds the same values whichever draws it is built from.
     """
-    x = np.empty((len(reps), _variate_count(cfg)))
-    drawn = [
-        _variates(cfg, streams._rewound(rep, CHANNEL), positions, row)
-        for rep, row in zip(reps, x)
-    ]
-    if positions is None:
-        positions = np.stack(drawn)
-    else:
-        positions = np.broadcast_to(positions, (len(reps), *positions.shape))
-    z_d, z_r = _complex_normals(cfg, x)
-    del x  # free the variates before _assemble allocates H_c
-    return _assemble(cfg, positions, z_d, z_r)
+    # popping the variates from a list hands realize_block the only reference
+    positions, *x = draw_block(cfg, streams, reps, positions)
+    return realize_block(cfg, positions, x.pop())
 
 
 def random_phase_block(streams: ReplicationStreams, reps, n_ris: int) -> np.ndarray:
@@ -415,9 +433,11 @@ def random_phase_block(streams: ReplicationStreams, reps, n_ris: int) -> np.ndar
     Row i equals, bit for bit, phases.random_phases(n_ris,
     np.random.default_rng(rep_seeds(streams.seed, reps[i])[1])): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
+    The uniforms are drawn in order, so the phases of fewer elements are a
+    prefix of each row.
     """
     u = np.empty((len(reps), n_ris))
     for rep, row in zip(reps, u):
-        streams._rewound(rep, PHASE).random(out=row)
+        streams._generator(rep, PHASE).random(out=row)
     u *= 2.0 * np.pi
     return np.exp(1j * u)

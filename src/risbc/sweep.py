@@ -6,21 +6,23 @@ method sees the same channel draw and, for randomized strategies, the same
 phase draw, so method differences are never masked by sampling noise.  The
 channel and phase substreams are the `rep_seeds(seed, rep)` children of
 SeedSequence([seed, rep]) and are therefore independent of the method list.
-A run seeds each replication's streams once, in one
-`channel.ReplicationStreams`, and every sweep point redraws from their
-start, so a point gives the same rows whichever points run before it.
 
-A sweep point runs in two stages.  Stage 1 draws the replications in blocks
-of BLOCK_REPS, decomposes each block with one stacked eigh, selects every
-strategy's phases and reduces each draw to the terms its rates need that do
-not depend on transmit power: eigvals(C_s), diag(C_s^{-1}) and, per
-strategy, the weak gain, the mitigation term and the DPC cross terms.
-Stage 2 evaluates every method's rates from those terms with the vectorized
-formulas of `se`.  Transmit power enters only stage 2, so a `ptx_dbm` sweep
-runs stage 1 once and every point reuses it.  A block's variates are drawn
-straight into one stack (`channel.sample_block`, `channel.random_phase_block`),
-each draw from its own replication's streams, so results do not depend on
-the block size.
+A sweep runs in two stages.  Stage 1 draws the replications in blocks of
+BLOCK_REPS and, at every sweep point, decomposes each block with one stacked
+eigh, selects every strategy's phases and reduces each draw to the terms its
+rates need that do not depend on transmit power: eigvals(C_s),
+diag(C_s^{-1}) and, per strategy, the weak gain, the mitigation term and the
+DPC cross terms.  Stage 2 evaluates every method's rates from those terms
+with the vectorized formulas of `se`.  Transmit power enters only stage 2,
+so a `ptx_dbm` sweep runs stage 1 at one point and every point reuses it.
+
+Each replication's streams are drawn once per run.  A block's channel
+variates are drawn at the point with the most of them
+(`channel.draw_block`), and its random phases at the largest N_R
+(`channel.random_phase_block`); every point realizes its block from a prefix
+of those variates (`channel.realize_block`).  Both streams are read in
+order from their start, so the prefix is exactly what the point would draw
+alone: rows depend neither on the block size nor on the other sweep points.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -28,7 +30,7 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,9 +38,11 @@ from .channel import (
     ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
+    draw_block,
     draw_user_positions,
     position_rng,
     random_phase_block,
+    realize_block,
     sample_block,
 )
 from .linalg import herm
@@ -97,6 +101,8 @@ class SweepPlan:
     values: tuple
     methods: tuple
     reps: int = 200
+    # (scenario, xi) of every value, built and validated by __post_init__
+    points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variable not in _VARIABLES:
@@ -116,13 +122,15 @@ class SweepPlan:
             # b_from_xi(., 0) puts b inside the strong users' row space, so
             # C_s would be singular on every draw
             raise ValueError("xi values must be positive (xi = 0 makes C_s singular)")
+        points = []
         for value in self.values:
             try:
-                _apply_variable(self.config, self.variable, value)
+                points.append(_apply_variable(self.config, self.variable, value))
             except ValueError as exc:
                 raise ValueError(
                     f"values: at {self.variable} = {value:g}, {exc}"
                 ) from None
+        self.points = tuple(points)
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("no methods given")
@@ -194,29 +202,29 @@ class _Reduced:
     terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
 
 
-def _reduce_block(cfg, streams, positions, reps, xi, strategies) -> _Reduced:
-    """Stage 1 on one block of replications; None terms if all are flagged."""
-    real = sample_block(cfg, streams, reps, positions)
+def _reduce_block(cfg, real, xi, strategies, random_theta) -> _Reduced:
+    """Stage 1 on one realized block of scenario `cfg`; None terms if all
+    its draws are flagged.  random_theta holds the block's random phases
+    [B, >= N_R], or is None if no strategy is random.  A caller that passes
+    its only reference to `real` has the channel stacks freed once they are
+    decomposed."""
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
     keep = ~(cache.cond() > COND_FLAG)
-    flagged = len(reps) - int(np.count_nonzero(keep))
+    flagged = len(keep) - int(np.count_nonzero(keep))
     if not keep.any():
         return _Reduced(flagged, None, None, None)
+    h_c_weak = weak_cascaded_row(real)[keep]
+    del real  # the only reference: the channel stacks are freed here
     cache = cache[keep]
     _require_invertible(cache)
-    h_c_weak = weak_cascaded_row(real)[keep]
-    random_theta = None
     terms = {}
     for kind in strategies:
         if kind in RANDOM_STRATEGIES:
             # every randomized strategy gets the same draws: the kept
             # replications' phase streams, from their start
-            if random_theta is None:
-                kept = [rep for rep, k in zip(reps, keep) if k]
-                random_theta = random_phase_block(streams, kept, cfg.n_ris)
-            theta = random_theta
+            theta = random_theta[keep, : cfg.n_ris]
         else:
             theta = select_phases(kind, cache, h_c_weak, None)
         phase = extended_phase(theta)
@@ -227,35 +235,76 @@ def _reduce_block(cfg, streams, positions, reps, xi, strategies) -> _Reduced:
     return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
 
 
-def _reduce(
-    cfg: ScenarioConfig, streams, xi, strategies, reps: int, where: str
-) -> _Reduced:
-    """Stage 1: draw, flag and reduce every replication of one scenario.
+def _reduce_points(points, order, streams, reps, frozen, strategies) -> list:
+    """Stage 1 on one block of replications at every point; one _Reduced
+    per point.
 
-    Blocks are reduced one at a time, so only one block's channel stacks
-    are alive at once.
+    The block's channel variates are drawn once, at the last point of
+    `order` (the one with the most), and its random phases once, at that
+    point's N_R; every point realizes its draws from a prefix of them.
     """
-    positions = _frozen_positions(cfg)
-    blocks = [
-        _reduce_block(cfg, streams, positions, block, xi, strategies)
-        for block in _blocks(reps)
-    ]
-    flagged = sum(b.flagged for b in blocks)
-    if 2 * flagged > reps:
-        raise RuntimeError(
-            f"{flagged}/{reps} draws flagged as ill-conditioned at {where}"
+    largest = points[order[-1]][0]
+    # *x holds the variates in a list, so the last point can pop the only
+    # reference and realize_block frees them before building its channels
+    positions, *x = draw_block(largest, streams, reps, frozen)
+    theta = None
+    if any(kind in RANDOM_STRATEGIES for kind in strategies):
+        theta = random_phase_block(streams, reps, largest.n_ris)
+    reduced = [None] * len(points)
+    for i in order:
+        cfg, xi = points[i]
+        # _reduce_block takes the only reference to the realization
+        reduced[i] = _reduce_block(
+            cfg,
+            realize_block(cfg, positions, x.pop() if i == order[-1] else x[0]),
+            xi,
+            strategies,
+            theta,
         )
-    kept = [b for b in blocks if b.terms is not None]
-    terms = {
-        kind: tuple(map(np.concatenate, zip(*(b.terms[kind] for b in kept))))
-        for kind in strategies
-    }
-    return _Reduced(
-        flagged,
-        np.concatenate([b.eigvals for b in kept]),
-        np.concatenate([b.inv_diag for b in kept]),
-        terms,
+    return reduced
+
+
+def _reduce(plan: SweepPlan, strategies) -> list:
+    """Stage 1: draw, flag and reduce every replication at every point.
+
+    Returns one _Reduced per stage-1 point: every point of the plan, or the
+    first of a ptx_dbm sweep.  Blocks are reduced one at a time, so only one
+    block's variates and channel stacks are alive at once.  Points are
+    realized in order of variate count (K is fixed along a sweep, so
+    N_B + N_R orders them), the largest last.
+    """
+    points = plan.points[:1] if plan.variable == "ptx_dbm" else plan.points
+    order = sorted(
+        range(len(points)), key=lambda i: points[i][0].n_bs + points[i][0].n_ris
     )
+    frozen = _frozen_positions(points[order[-1]][0])
+    streams = ReplicationStreams(plan.config.seed)
+    blocks = [
+        _reduce_points(points, order, streams, block, frozen, strategies)
+        for block in _blocks(plan.reps)
+    ]
+    reduced = []
+    for value, point in zip(plan.values, zip(*blocks)):
+        flagged = sum(b.flagged for b in point)
+        if 2 * flagged > plan.reps:
+            raise RuntimeError(
+                f"{flagged}/{plan.reps} draws flagged as ill-conditioned at "
+                f"{plan.variable}={value:g}"
+            )
+        kept = [b for b in point if b.terms is not None]
+        terms = {
+            kind: tuple(map(np.concatenate, zip(*(b.terms[kind] for b in kept))))
+            for kind in strategies
+        }
+        reduced.append(
+            _Reduced(
+                flagged,
+                np.concatenate([b.eigvals for b in kept]),
+                np.concatenate([b.inv_diag for b in kept]),
+                terms,
+            )
+        )
+    return reduced
 
 
 def _rates(m: MethodSpec, reduced: _Reduced, p_bar: float) -> tuple:
@@ -269,16 +318,13 @@ def _rates(m: MethodSpec, reduced: _Reduced, p_bar: float) -> tuple:
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run the full sweep: stage 1 per scenario, stage 2 per point and method."""
     strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
-    streams = ReplicationStreams(plan.config.seed)
+    reduced = _reduce(plan, strategies)
+    # a ptx_dbm sweep's one stage-1 point serves every power
+    reduced *= len(plan.values) // len(reduced)
     rows = []
-    reduced = None
-    for value in plan.values:
-        cfg_v, xi = _apply_variable(plan.config, plan.variable, value)
-        if reduced is None or plan.variable != "ptx_dbm":
-            where = f"{plan.variable}={value:g}"
-            reduced = _reduce(cfg_v, streams, xi, strategies, plan.reps, where)
+    for value, (cfg_v, _), red in zip(plan.values, plan.points, reduced):
         for m in plan.methods:
-            total, direct, reflect = _rates(m, reduced, cfg_v.p_bar())
+            total, direct, reflect = _rates(m, red, cfg_v.p_bar())
             rows.append(
                 SweepRow(
                     sweep_var=plan.variable,
@@ -291,7 +337,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                     se_d_mean=float(np.mean(direct)),
                     se_r_mean=float(np.mean(reflect)),
                     reps=len(total),
-                    flagged=reduced.flagged,
+                    flagged=red.flagged,
                 )
             )
     return SweepResult(plan=plan, rows=rows)

@@ -10,11 +10,13 @@ from risbc.channel import (
     ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
+    draw_block,
     draw_user_positions,
     nominal_pathlosses,
     pathloss_db,
     position_rng,
     random_phase_block,
+    realize_block,
     rep_seeds,
     sample_block,
     sample_realization,
@@ -215,15 +217,16 @@ def test_sample_block_equals_per_draw_reference(frozen):
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=11)
     positions = draw_user_positions(cfg, position_rng(cfg.seed)) if frozen else None
     streams = ReplicationStreams(cfg.seed)
-    # out of order, repeated and revisited: every draw rewinds to its state
+    # out of order, repeated and revisited: every draw builds its
+    # replication's stream afresh and reads it from the start
     for reps in ([4, 0, 9], range(3), [9, 4, 4], range(1)):
         block = sample_block(cfg, streams, reps, positions)
         assert_block_is_reference(cfg, block, reps, positions)
 
 
 def test_sample_block_states_carry_across_shapes():
-    # a cached state serves every scenario: n_ris and n_bs change the
-    # number of variates drawn from it, not where it starts
+    # one streams object serves every scenario: n_ris and n_bs change the
+    # number of variates drawn from a stream, not where it starts
     streams = ReplicationStreams(5)
     for n_bs, n_ris in ((4, 8), (4, 64), (9, 3), (4, 8)):
         cfg = ScenarioConfig(n_bs=n_bs, n_strong=2, n_ris=n_ris, seed=5)
@@ -240,6 +243,31 @@ def test_random_phase_block_equals_random_phases():
             _, ph_ss = rep_seeds(3, rep)
             want = random_phases(n_ris, np.random.default_rng(ph_ss))
             assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("larger", [{"n_ris": 40}, {"n_bs": 11}])
+def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
+    # a scenario with fewer elements or antennas realizes, from the prefix
+    # of a larger scenario's variates, exactly the block it draws alone
+    small = ScenarioConfig(n_bs=4, n_strong=2, n_ris=8, seed=13)
+    large = small.with_updates(**larger)
+    positions = draw_user_positions(small, position_rng(13)) if frozen else None
+    streams = ReplicationStreams(13)
+    reps = [3, 0, 7, 0]
+    got = realize_block(small, *draw_block(large, streams, reps, positions))
+    want = sample_block(small, streams, reps, positions)
+    for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_random_phase_block_prefixes():
+    streams = ReplicationStreams(8)
+    reps = [2, 9, 0]
+    wide = random_phase_block(streams, reps, 256)
+    for n_ris in (1, 16, 255, 256):
+        narrow = random_phase_block(streams, reps, n_ris)
+        assert np.array_equal(wide[:, :n_ris], narrow)
 
 
 def test_phase_and_channel_streams_are_separate():

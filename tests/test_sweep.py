@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -6,12 +7,16 @@ import pytest
 
 from risbc import sweep
 from risbc.channel import (
+    CHANNEL,
+    PHASE,
+    ReplicationStreams,
     ScenarioConfig,
+    draw_block,
     draw_user_positions,
     position_rng,
     random_phase_block,
+    realize_block,
     rep_seeds,
-    sample_block,
     sample_realization,
 )
 from risbc.phases import b_from_xi, random_phases, select_phases
@@ -81,6 +86,25 @@ def test_plan_validation():
         SweepPlan(cfg, "ptx_dbm", (0.0,), ())
     with pytest.raises(ValueError):
         SweepPlan(cfg, "ptx_dbm", (0.0,), m, reps=0)
+
+
+def test_plan_keeps_its_validated_points(monkeypatch):
+    # the plan builds each point's scenario once; run_sweep builds none, and
+    # replace rebuilds the points from the new fields
+    m = (method("ZF", "align_weak", "exact"),)
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (10.0, 20.0), m, reps=2)
+    assert [(cfg.ptx_dbm, xi) for cfg, xi in plan.points] == [
+        (10.0, None), (20.0, None)
+    ]
+    built = []
+    post_init = ScenarioConfig.__post_init__
+    monkeypatch.setattr(
+        ScenarioConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg)
+    )
+    run_sweep(plan)
+    assert built == []
+    moved = replace(plan, config=small_cfg(n_ris=5), variable="xi", values=(1.0, 3.0))
+    assert [(cfg.n_ris, xi) for cfg, xi in moved.points] == [(5, 1.0), (5, 3.0)]
 
 
 # ------------------------------------------------------------------ harness
@@ -370,17 +394,22 @@ def test_power_point_does_not_depend_on_the_grid():
 
 
 def test_element_point_does_not_depend_on_the_grid():
-    # every n_ris point redraws from the cached replication states: a point
-    # run after others gives the rows it gives alone
+    # every point of an n_ris, n_bs or xi sweep realizes its draws from a
+    # prefix of the largest point's variates: a point run with others gives
+    # the rows it gives alone
     methods = (
         method("ZF", "random", "asymptotic"), method("DPC", "align_weak", "exact")
     )
     cfg = small_cfg(freeze_positions=True)
-    values = (4.0, 8.0, 12.0)
-    grid = run_sweep(SweepPlan(cfg, "n_ris", values, methods, reps=5))
-    for value in values:
-        alone = run_sweep(SweepPlan(cfg, "n_ris", (value,), methods, reps=5))
-        assert [r for r in grid.rows if r.value == value] == alone.rows
+    for variable, values in (
+        ("n_ris", (4.0, 8.0, 12.0)),
+        ("n_bs", (3.0, 5.0, 7.0)),
+        ("xi", (0.5, 2.0, 8.0)),
+    ):
+        grid = run_sweep(SweepPlan(cfg, variable, values, methods, reps=5))
+        for value in values:
+            alone = run_sweep(SweepPlan(cfg, variable, (value,), methods, reps=5))
+            assert [r for r in grid.rows if r.value == value] == alone.rows
 
 
 @pytest.mark.parametrize(
@@ -396,14 +425,21 @@ def test_element_point_does_not_depend_on_the_grid():
 def test_sweep_draws_equal_the_reference_definition(
     monkeypatch, variable, values, frozen
 ):
-    # every block the sweep draws, partial last block included, equals
-    # sample_realization / random_phases on default_rng of rep_seeds
+    # every block the sweep realizes, at every point and partial last block
+    # included, equals sample_realization / random_phases on default_rng of
+    # rep_seeds, and each replication's two streams are built once per run
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    channels, phases = [], []
+    draws, realized, phases, built = [], [], [], Counter()
 
-    def spy_block(cfg, streams, reps, positions=None):
-        real = sample_block(cfg, streams, reps, positions)
-        channels.append((cfg, list(reps), positions, real))
+    def spy_draw(cfg, streams, reps, positions=None):
+        drawn = draw_block(cfg, streams, reps, positions)
+        draws.append((drawn[1], list(reps), positions))
+        return drawn
+
+    def spy_realize(cfg, positions, x):
+        reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
+        real = realize_block(cfg, positions, x)
+        realized.append((cfg, reps, frozen_positions, real))
         return real
 
     def spy_phases(streams, reps, n_ris):
@@ -411,8 +447,16 @@ def test_sweep_draws_equal_the_reference_definition(
         phases.append((list(reps), n_ris, theta))
         return theta
 
-    monkeypatch.setattr(sweep, "sample_block", spy_block)
+    generator = ReplicationStreams._generator
+
+    def spy_generator(streams, rep, stream):
+        built[rep, stream] += 1
+        return generator(streams, rep, stream)
+
+    monkeypatch.setattr(sweep, "draw_block", spy_draw)
+    monkeypatch.setattr(sweep, "realize_block", spy_realize)
     monkeypatch.setattr(sweep, "random_phase_block", spy_phases)
+    monkeypatch.setattr(ReplicationStreams, "_generator", spy_generator)
     methods = (
         method("ZF", "random", "exact"),
         method("DPC", "statistical", "asymptotic"),
@@ -423,18 +467,23 @@ def test_sweep_draws_equal_the_reference_definition(
     run_sweep(plan)
 
     drawn_points = 1 if variable == "ptx_dbm" else len(values)
-    assert [len(reps) for _, reps, _, _ in channels] == [3, 3, 2] * drawn_points
-    for cfg, reps, positions, real in channels:
+    # blocks outside, points inside: each block is realized at every point
+    sizes = [len(reps) for _, reps, _, _ in realized]
+    assert sizes == [size for size in (3, 3, 2) for _ in range(drawn_points)]
+    for cfg, reps, positions, real in realized:
         assert (positions is not None) == frozen
         for i, rep in enumerate(reps):
             ch_ss, _ = rep_seeds(cfg.seed, rep)
             want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
             for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
                 assert np.array_equal(getattr(real, name)[i], getattr(want, name))
-    # one phase block per channel block (the two random strategies share it)
-    assert len(phases) == len(channels)
+    # one phase block per drawn block (the two random strategies share it)
+    assert len(phases) == len(draws) == 3
     for reps, n_ris, theta in phases:
         for row, rep in zip(theta, reps):
             _, ph_ss = rep_seeds(plan.config.seed, rep)
             want = random_phases(n_ris, np.random.default_rng(ph_ss))
             assert np.array_equal(row, want)
+    # whatever the number of points, each stream is built once per run
+    once = {(rep, stream): 1 for rep in range(8) for stream in (CHANNEL, PHASE)}
+    assert built == Counter(once)
