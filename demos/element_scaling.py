@@ -10,12 +10,7 @@ rate keeps climbing -- 1 bpcu per element doubling with random phases,
 """
 
 from risbc.bounds import aligned_phase_closed_forms, random_phase_closed_forms
-from risbc.channel import (
-    ScenarioConfig,
-    draw_user_positions,
-    nominal_pathlosses,
-    position_rng,
-)
+from risbc.channel import ScenarioConfig, frozen_positions, nominal_pathlosses
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 cfg = ScenarioConfig(ptx_dbm=40.0, direct_extra_loss_db=20.0, freeze_positions=True)
@@ -27,7 +22,7 @@ methods = tuple(
 values = (16.0, 32.0, 64.0, 128.0, 256.0)
 result = run_sweep(SweepPlan(cfg, "n_ris", values, methods, reps=500))
 
-pl = nominal_pathlosses(cfg, draw_user_positions(cfg, position_rng(cfg.seed)))
+pl = nominal_pathlosses(cfg, frozen_positions(cfg))
 p_bar = cfg.p_bar()
 
 means = {

@@ -15,6 +15,11 @@ physical (it multiplies the already-normalized RIS-user channels).
 
 Matrix rows follow the broadcast-channel convention: row k of a channel
 matrix stores the Hermitian-transposed user channel h_k^H.
+
+Replication `rep` of the run seeded `seed` draws its channel from
+rep_seeds(seed, rep)[0] and its random phases from rep_seeds(seed, rep)[1];
+`draw_block` and `random_phase_block` draw a block of replications from the
+run seed, and `frozen_positions` gives the user positions a run may freeze.
 """
 
 from dataclasses import dataclass, replace
@@ -194,8 +199,8 @@ class PathlossSet:
 class ChannelRealization:
     """One fading draw of all channels (rows are h^H, noise-normalized).
 
-    A stack of draws (`sample_block`, `realize_block`) carries a leading
-    batch axis on every array but the shared steering vectors a and b.
+    A stack of draws (`realize_block`) carries a leading batch axis on
+    every array but the shared steering vectors a and b.
     """
 
     H_d_strong: np.ndarray  # [K, N_B] strong users' direct channels
@@ -232,26 +237,23 @@ def rep_seeds(seed: int, rep: int) -> list:
     return [_rep_seed(seed, rep, stream) for stream in (CHANNEL, PHASE)]
 
 
-class ReplicationStreams:
-    """The channel and phase streams of every replication of a seeded run.
-
-    Replication `rep` draws its channel from rep_seeds(seed, rep)[0] and its
-    random phases from rep_seeds(seed, rep)[1].  A run draws each stream
-    once, at its largest sweep point, and every point uses a prefix of those
-    variates, so a stream's generator is built on demand and not kept.  Only
-    the block samplers below use it, and they return arrays.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def _generator(self, rep: int, stream: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(_rep_seed(self.seed, rep, stream)))
+def _generator(seed: int, rep: int, stream: int) -> np.random.Generator:
+    """A new generator at the start of stream `stream` (CHANNEL or PHASE) of
+    replication `rep` of the run seeded `seed`."""
+    return np.random.Generator(np.random.PCG64(_rep_seed(seed, rep, stream)))
 
 
 def position_rng(seed: int) -> np.random.Generator:
     """Dedicated substream for frozen user positions."""
     return np.random.default_rng([seed, POSITION_STREAM])
+
+
+def frozen_positions(cfg: ScenarioConfig):
+    """The run's frozen user positions [K+1, 3], drawn from the position
+    stream of cfg.seed, or None when every draw redraws its own."""
+    if cfg.freeze_positions:
+        return draw_user_positions(cfg, position_rng(cfg.seed))
+    return None
 
 
 def draw_user_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -369,22 +371,24 @@ def sample_realization(
 
 def draw_block(
     cfg: ScenarioConfig,
-    streams: ReplicationStreams,
+    seed: int,
     reps,
     positions: np.ndarray = None,
 ) -> tuple:
-    """The variates of replications `reps` of a run, one row per draw.
+    """The variates of replications `reps` of run `seed`, one row per draw.
 
     Returns (positions [len(reps), K+1, 3], x [len(reps), 2(K+1)(N_B+N_R)]):
     row i is replication reps[i]'s channel stream from its start, laid out
-    as `_variates` fills it.  Frozen positions are broadcast to every draw.
+    as `_variates` fills it; draw i of realize_block(cfg, positions, x) is,
+    bit for bit, sample_realization(cfg, default_rng(rep_seeds(seed,
+    reps[i])[0]), positions).  Frozen positions are broadcast to every draw.
     Positions depend only on K and the normals are drawn in order, so the
     variates of a scenario with fewer elements or antennas are a prefix of
     each row: `realize_block` builds any such scenario from this draw.
     """
     x = np.empty((len(reps), _variate_count(cfg)))
     drawn = [
-        _variates(cfg, streams._generator(rep, CHANNEL), positions, row)
+        _variates(cfg, _generator(seed, rep, CHANNEL), positions, row)
         for rep, row in zip(reps, x)
     ]
     if positions is None:
@@ -409,35 +413,17 @@ def realize_block(
     return _assemble(cfg, positions, z_d, z_r)
 
 
-def sample_block(
-    cfg: ScenarioConfig,
-    streams: ReplicationStreams,
-    reps,
-    positions: np.ndarray = None,
-) -> ChannelRealization:
-    """The draws of replications `reps` of a run, stacked along a leading axis.
-
-    Entry i equals, bit for bit, sample_realization(cfg,
-    np.random.default_rng(rep_seeds(streams.seed, reps[i])[0]), positions):
-    every draw starts from its own replication's channel stream, so a stack
-    holds the same values whichever draws it is built from.
-    """
-    # popping the variates from a list hands realize_block the only reference
-    positions, *x = draw_block(cfg, streams, reps, positions)
-    return realize_block(cfg, positions, x.pop())
-
-
-def random_phase_block(streams: ReplicationStreams, reps, n_ris: int) -> np.ndarray:
-    """Random phases [len(reps), N_R] of replications `reps` of a run.
+def random_phase_block(seed: int, reps, n_ris: int) -> np.ndarray:
+    """Random phases [len(reps), N_R] of replications `reps` of run `seed`.
 
     Row i equals, bit for bit, phases.random_phases(n_ris,
-    np.random.default_rng(rep_seeds(streams.seed, reps[i])[1])): angles
+    np.random.default_rng(rep_seeds(seed, reps[i])[1])): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
     The uniforms are drawn in order, so the phases of fewer elements are a
     prefix of each row.
     """
     u = np.empty((len(reps), n_ris))
     for rep, row in zip(reps, u):
-        streams._generator(rep, PHASE).random(out=row)
+        _generator(seed, rep, PHASE).random(out=row)
     u *= 2.0 * np.pi
     return np.exp(1j * u)

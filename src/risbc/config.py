@@ -31,12 +31,8 @@ from .bounds import (
     aligned_phase_closed_forms,
     random_phase_closed_forms,
 )
-from .channel import (
-    ScenarioConfig,
-    draw_user_positions,
-    nominal_pathlosses,
-    position_rng,
-)
+from .channel import ScenarioConfig, frozen_positions, nominal_pathlosses
+from .phases import RANDOM_STRATEGIES
 from .sweep import MethodSpec, SweepPlan, SweepResult
 
 SWEEP_CSV_HEADER = (
@@ -388,7 +384,7 @@ def figure5_bound_reports(result: SweepResult) -> list:
     cfg = result.plan.config
     if not cfg.freeze_positions:
         raise ValueError("closed-form comparison needs frozen user positions")
-    pl = nominal_pathlosses(cfg, draw_user_positions(cfg, position_rng(cfg.seed)))
+    pl = nominal_pathlosses(cfg, frozen_positions(cfg))
     p_bar = cfg.p_bar()
     reports = []
     for row in result.rows:
@@ -396,7 +392,7 @@ def figure5_bound_reports(result: SweepResult) -> list:
             continue
         cfg_v = cfg.with_updates(n_ris=int(row.value))
         mc = row.se_r_mean
-        if row.strategy in ("random", "statistical"):
+        if row.strategy in RANDOM_STRATEGIES:
             lin_upper, dpc_value = random_phase_closed_forms(cfg_v, pl, p_bar)
             if row.precoder == "ZF":
                 reports.append(BoundReport(

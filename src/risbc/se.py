@@ -17,10 +17,11 @@ generic-matrix and SVD oracles (tests/oracles.py).
 p_bar enters only at the last step: every rate is a function of the p_bar-free
 terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
 mitigation term and the DPC cross terms |U^H D_s theta_bar|^2.  `zf_sum_se` and
-`dpc_sum_se` are the rate formulas over those terms; the per-draw `se_*`
-evaluators and the batched sweep both call them.  The decomposition and the
-terms broadcast over leading batch axes, so a stack of draws is reduced in one
-pass.
+`dpc_sum_se` are the rate formulas over those terms; `sum_se` forms the terms
+of a precoder from a draw's cache and phases and calls them, and the batched
+sweep calls them on the terms it keeps.  The decomposition, the terms and the
+rates broadcast over leading batch axes, so one call serves one draw or a
+stack of draws.
 """
 
 from dataclasses import dataclass
@@ -46,17 +47,6 @@ def extended_phase(theta) -> ExtendedPhase:
         raise ValueError("phase entries must be unit modulus")
     one = np.ones(theta.shape[:-1] + (1,))
     return ExtendedPhase(theta=theta, theta_bar=np.concatenate([theta, one], axis=-1))
-
-
-@dataclass
-class SEBreakdown:
-    """Sum SE with its direct (strong users) and reflected (weak user) parts."""
-
-    method: str  # "ZF" | "DPC"
-    se_total: float
-    se_direct: float
-    se_reflect: float
-    mode: str  # "exact" | "asymptotic"
 
 
 @dataclass
@@ -192,15 +182,18 @@ def zf_sum_se(inv_diag, g, mit, p_bar: float, mode: str) -> tuple:
     asymptotic: sum_k log2(p_bar / [C_s^{-1}]_kk) + log2(g p_bar / (1 + mit))
 
     inv_diag [..., K], weak gain g [...] and mitigation term mit [...] share
-    their leading batch axes; so do the three results.
+    their leading batch axes; so do the three results (numpy scalars for
+    one draw).
     """
     if mode == "exact":
         per_user = np.log2(1.0 + p_bar / _zf_gains(inv_diag, g, mit))
         return (
             np.sum(per_user, axis=-1),
             np.sum(per_user[..., :-1], axis=-1),
-            per_user[..., -1],
+            per_user[..., -1][()],
         )
+    if mode != "asymptotic":
+        raise ValueError(f"unknown mode {mode!r}")
     _require_reachable(g)
     direct = np.sum(np.log2(p_bar / inv_diag), axis=-1)
     reflect = np.log2(g * p_bar / (1.0 + mit))
@@ -217,37 +210,26 @@ def dpc_sum_se(eigvals, g, cross, p_bar: float, mode: str) -> tuple:
                 part where C_s is singular (a flagged value, not an error)
 
     eigvals [..., K], weak gain g [...] and the cross terms [..., K] (unused
-    by the asymptotic form) share their leading batch axes.
+    by the asymptotic form) share their leading batch axes; so do the three
+    results (numpy scalars for one draw).
     """
     if mode == "exact":
         one_plus = 1.0 + eigvals * p_bar
         direct = np.sum(np.log2(one_plus), axis=-1)
         reflect = np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus, axis=-1))
         return direct + reflect, direct, reflect
+    if mode != "asymptotic":
+        raise ValueError(f"unknown mode {mode!r}")
     _require_reachable(g)
     regular = eigvals[..., -1] > 0.0
     safe = np.where(regular[..., None], eigvals, 1.0)
-    direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)
+    direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)[()]
     reflect = np.log2(g * p_bar)
     return direct + reflect, direct, reflect
 
 
-def _zf_terms(cache: DecompositionCache, phase: ExtendedPhase, h_c_weak) -> tuple:
-    """(diag(C_s^{-1}), g, mitigation) of a draw; C_s must be invertible."""
-    g = weak_gain(phase, h_c_weak)
-    _require_invertible(cache)
-    return cache.inv_diag(), g, mitigation_term(cache, phase)
-
-
-def _breakdown(method: str, mode: str, rates: tuple) -> "SEBreakdown":
-    total, direct, reflect = (float(x) for x in rates)
-    return SEBreakdown(
-        method=method, se_total=total, se_direct=direct, se_reflect=reflect, mode=mode
-    )
-
-
 # =========================================================================
-# exact SE
+# sum SE of a draw or a stack of draws
 # =========================================================================
 
 
@@ -259,64 +241,28 @@ def zf_inverted_gains(
     Strong users get the diagonal of C_s^{-1}; the weak user gets
     (1 + mitigation) / |h_c,K+1^H theta|^2.
     """
-    return _zf_gains(*_zf_terms(cache, phase, h_c_weak))
+    g = weak_gain(phase, h_c_weak)
+    _require_invertible(cache)
+    return _zf_gains(cache.inv_diag(), g, mitigation_term(cache, phase))
 
 
-def se_zf_exact(
-    cache: DecompositionCache,
-    phase: ExtendedPhase,
-    h_c_weak: np.ndarray,
-    p_bar: float,
-) -> SEBreakdown:
-    """Zero-forcing sum SE with uniform per-user power p_bar."""
-    rates = zf_sum_se(*_zf_terms(cache, phase, h_c_weak), p_bar, "exact")
-    return _breakdown("ZF", "exact", rates)
+def sum_se(cache, phase, h_c_weak, p_bar: float, precoder: str, mode: str) -> tuple:
+    """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
+    "exact" or "asymptotic", with uniform per-user power p_bar.
 
-
-def se_dpc_exact(
-    cache: DecompositionCache,
-    phase: ExtendedPhase,
-    h_c_weak: np.ndarray,
-    p_bar: float,
-) -> SEBreakdown:
-    """DPC sum SE via the eigen-expansion of the Gram decomposition.
-
-    Equals log2 det(I + p_bar H H^H); the direct part collects the strong
-    users' eigenmode terms, the reflected part the weak user's log term.
+    The direct part is the strong users' rate, the reflected part the weak
+    user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
+    singular C_s is -inf in its direct part (a flagged value) instead.  A
+    cache, phase and h_c_weak with leading batch axes give one rate per draw.
     """
     g = weak_gain(phase, h_c_weak)
-    rates = dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, phase), p_bar, "exact")
-    return _breakdown("DPC", "exact", rates)
-
-
-# =========================================================================
-# high-SNR SE
-# =========================================================================
-
-
-def se_asymptotic(
-    cache: DecompositionCache,
-    phase: ExtendedPhase,
-    h_c_weak: np.ndarray,
-    p_bar: float,
-    method: str,
-) -> SEBreakdown:
-    """High-SNR sum SE (power-offset form, additive direct/reflected split).
-
-    ZF:  sum_k log2(p_bar / [C_s^{-1}]_kk) + log2(g p_bar / (1 + mitigation))
-    DPC: log2 det(C_s p_bar) + log2(g p_bar)
-
-    A singular C_s under DPC yields -inf in the direct part (flagged value)
-    instead of raising.
-    """
-    if method == "ZF":
-        rates = zf_sum_se(*_zf_terms(cache, phase, h_c_weak), p_bar, "asymptotic")
-    elif method == "DPC":
-        g = weak_gain(phase, h_c_weak)
-        rates = dpc_sum_se(cache.eigvals, g, None, p_bar, "asymptotic")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _breakdown(method, "asymptotic", rates)
+    if precoder == "ZF":
+        _require_invertible(cache)
+        mit = mitigation_term(cache, phase)
+        return zf_sum_se(cache.inv_diag(), g, mit, p_bar, mode)
+    if precoder == "DPC":
+        return dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, phase), p_bar, mode)
+    raise ValueError(f"unknown precoder {precoder!r}")
 
 
 # =========================================================================
@@ -324,9 +270,7 @@ def se_asymptotic(
 # =========================================================================
 
 
-def delta_se(
-    cache: DecompositionCache, phase: ExtendedPhase, h_c_weak: np.ndarray
-) -> tuple:
+def delta_se(cache: DecompositionCache, phase: ExtendedPhase) -> tuple:
     """High-SNR DPC-over-ZF gap, split into direct and reflected parts.
 
     delta_d = log2 det(C_s) + sum_k log2([C_s^{-1}]_kk)   (>= 0)

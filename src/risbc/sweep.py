@@ -13,11 +13,12 @@ eigh, selects every strategy's phases and reduces each draw to the terms its
 rates need that do not depend on transmit power: eigvals(C_s),
 diag(C_s^{-1}) and, per strategy, the weak gain, the mitigation term and the
 DPC cross terms.  Stage 2 evaluates every method's rates from those terms
-with the vectorized formulas of `se`.  Transmit power enters only stage 2,
-so a `ptx_dbm` sweep runs stage 1 at one point and every point reuses it.
+with `se.zf_sum_se` and `se.dpc_sum_se`, the formulas `se.sum_se` applies to
+a draw.  Transmit power enters only stage 2, so a `ptx_dbm` sweep runs
+stage 1 at one point and every point reuses it.
 
-Each replication's streams are drawn once per run.  A block's channel
-variates are drawn at the point with the most of them
+Each replication's streams are drawn once per run, from the run seed.  A
+block's channel variates are drawn at the point with the most of them
 (`channel.draw_block`), and its random phases at the largest N_R
 (`channel.random_phase_block`); every point realizes its block from a prefix
 of those variates (`channel.realize_block`).  Both streams are read in
@@ -35,15 +36,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import (
-    ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
     draw_block,
-    draw_user_positions,
-    position_rng,
+    frozen_positions,
     random_phase_block,
     realize_block,
-    sample_block,
 )
 from .linalg import herm
 from .phases import RANDOM_STRATEGIES, STRATEGIES, b_from_xi, select_phases
@@ -180,12 +178,6 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     return cfg.with_updates(**{variable: int(value)}), None
 
 
-def _frozen_positions(cfg: ScenarioConfig):
-    if cfg.freeze_positions:
-        return draw_user_positions(cfg, position_rng(cfg.seed))
-    return None
-
-
 def _blocks(reps: int):
     """The replication indices of a run, in blocks of BLOCK_REPS."""
     return [range(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
@@ -235,7 +227,7 @@ def _reduce_block(cfg, real, xi, strategies, random_theta) -> _Reduced:
     return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
 
 
-def _reduce_points(points, order, streams, reps, frozen, strategies) -> list:
+def _reduce_points(points, order, seed, reps, frozen, strategies) -> list:
     """Stage 1 on one block of replications at every point; one _Reduced
     per point.
 
@@ -246,10 +238,10 @@ def _reduce_points(points, order, streams, reps, frozen, strategies) -> list:
     largest = points[order[-1]][0]
     # *x holds the variates in a list, so the last point can pop the only
     # reference and realize_block frees them before building its channels
-    positions, *x = draw_block(largest, streams, reps, frozen)
+    positions, *x = draw_block(largest, seed, reps, frozen)
     theta = None
     if any(kind in RANDOM_STRATEGIES for kind in strategies):
-        theta = random_phase_block(streams, reps, largest.n_ris)
+        theta = random_phase_block(seed, reps, largest.n_ris)
     reduced = [None] * len(points)
     for i in order:
         cfg, xi = points[i]
@@ -277,10 +269,9 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     order = sorted(
         range(len(points)), key=lambda i: points[i][0].n_bs + points[i][0].n_ris
     )
-    frozen = _frozen_positions(points[order[-1]][0])
-    streams = ReplicationStreams(plan.config.seed)
+    frozen = frozen_positions(points[order[-1]][0])
     blocks = [
-        _reduce_points(points, order, streams, block, frozen, strategies)
+        _reduce_points(points, order, plan.config.seed, block, frozen, strategies)
         for block in _blocks(plan.reps)
     ]
     reduced = []
@@ -358,11 +349,10 @@ def power_split_offset_check(
     K = cfg.n_strong
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()
-    streams = ReplicationStreams(cfg.seed)
-    positions = _frozen_positions(cfg)
+    positions = frozen_positions(cfg)
     offsets = []
     for block in _blocks(reps):
-        real = sample_block(cfg, streams, block, positions)
+        real = realize_block(cfg, *draw_block(cfg, cfg.seed, block, positions))
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)

@@ -36,7 +36,7 @@ from risbc.channel import (
     steering_vector,
 )
 from risbc.phases import random_phases
-from risbc.se import decompose, extended_phase, se_asymptotic, weak_cascaded_row
+from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
 
 # reference values computed with 40-digit arithmetic
 E1_AT_1 = 0.2193839343955202737
@@ -325,7 +325,9 @@ def test_reflected_upper_bound_holds_in_monte_carlo():
         theta = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
-        se_r[r] = se_asymptotic(cache, extended_phase(theta), h_c_weak, p_bar, "ZF").se_reflect
+        _, _, se_r[r] = sum_se(
+            cache, extended_phase(theta), h_c_weak, p_bar, "ZF", "asymptotic"
+        )
         rows[r] = h_c_weak
         thetas[r] = theta
         a = real.a

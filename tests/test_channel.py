@@ -7,18 +7,17 @@ import pytest
 import risbc.phases
 import risbc.sweep
 from risbc.channel import (
-    ReplicationStreams,
     ScenarioConfig,
     db_to_lin,
     draw_block,
     draw_user_positions,
+    frozen_positions,
     nominal_pathlosses,
     pathloss_db,
     position_rng,
     random_phase_block,
     realize_block,
     rep_seeds,
-    sample_block,
     sample_realization,
     steering_vector,
 )
@@ -133,6 +132,14 @@ def test_frozen_positions_are_shared():
     assert not np.array_equal(r1.H_r, r2.H_r)
 
 
+def test_frozen_positions_come_from_the_position_stream():
+    cfg = ScenarioConfig(n_strong=2, n_bs=4, seed=9)
+    assert frozen_positions(cfg) is None
+    frozen = cfg.with_updates(freeze_positions=True)
+    want = draw_user_positions(frozen, position_rng(9))
+    assert np.array_equal(frozen_positions(frozen), want)
+
+
 def test_ris_channel_variance_matches_pathloss():
     # law of large numbers: mean ||h_r,k||^2 / N_R approaches the linear gain
     cfg = ScenarioConfig(n_ris=16, freeze_positions=True)
@@ -212,32 +219,34 @@ def assert_block_is_reference(cfg, block, reps, positions=None):
         assert np.array_equal(block.a, want.a) and np.array_equal(block.b, want.b)
 
 
+def drawn_block(cfg, reps, positions=None):
+    """The stacked draws of replications `reps` of the run seeded cfg.seed."""
+    return realize_block(cfg, *draw_block(cfg, cfg.seed, reps, positions))
+
+
 @pytest.mark.parametrize("frozen", [False, True])
-def test_sample_block_equals_per_draw_reference(frozen):
+def test_block_equals_per_draw_reference(frozen):
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=11)
     positions = draw_user_positions(cfg, position_rng(cfg.seed)) if frozen else None
-    streams = ReplicationStreams(cfg.seed)
     # out of order, repeated and revisited: every draw builds its
     # replication's stream afresh and reads it from the start
     for reps in ([4, 0, 9], range(3), [9, 4, 4], range(1)):
-        block = sample_block(cfg, streams, reps, positions)
+        block = drawn_block(cfg, reps, positions)
         assert_block_is_reference(cfg, block, reps, positions)
 
 
-def test_sample_block_states_carry_across_shapes():
-    # one streams object serves every scenario: n_ris and n_bs change the
-    # number of variates drawn from a stream, not where it starts
-    streams = ReplicationStreams(5)
+def test_block_equals_reference_across_shapes():
+    # one run seed serves every scenario: n_ris and n_bs change the number
+    # of variates drawn from a stream, not where it starts
     for n_bs, n_ris in ((4, 8), (4, 64), (9, 3), (4, 8)):
         cfg = ScenarioConfig(n_bs=n_bs, n_strong=2, n_ris=n_ris, seed=5)
         reps = range(2, 6)
-        assert_block_is_reference(cfg, sample_block(cfg, streams, reps), reps)
+        assert_block_is_reference(cfg, drawn_block(cfg, reps), reps)
 
 
 def test_random_phase_block_equals_random_phases():
-    streams = ReplicationStreams(3)
     for n_ris, reps in ((16, [0, 5, 2]), (3, range(4)), (16, [5])):
-        block = random_phase_block(streams, reps, n_ris)
+        block = random_phase_block(3, reps, n_ris)
         assert block.shape == (len(reps), n_ris)
         for row, rep in zip(block, reps):
             _, ph_ss = rep_seeds(3, rep)
@@ -253,29 +262,26 @@ def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
     small = ScenarioConfig(n_bs=4, n_strong=2, n_ris=8, seed=13)
     large = small.with_updates(**larger)
     positions = draw_user_positions(small, position_rng(13)) if frozen else None
-    streams = ReplicationStreams(13)
     reps = [3, 0, 7, 0]
-    got = realize_block(small, *draw_block(large, streams, reps, positions))
-    want = sample_block(small, streams, reps, positions)
+    got = realize_block(small, *draw_block(large, 13, reps, positions))
+    want = drawn_block(small, reps, positions)
     for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_random_phase_block_prefixes():
-    streams = ReplicationStreams(8)
     reps = [2, 9, 0]
-    wide = random_phase_block(streams, reps, 256)
+    wide = random_phase_block(8, reps, 256)
     for n_ris in (1, 16, 255, 256):
-        narrow = random_phase_block(streams, reps, n_ris)
+        narrow = random_phase_block(8, reps, n_ris)
         assert np.array_equal(wide[:, :n_ris], narrow)
 
 
 def test_phase_and_channel_streams_are_separate():
     # drawing a replication's phases does not move its channel stream
     cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=6, seed=2)
-    streams = ReplicationStreams(cfg.seed)
-    random_phase_block(streams, [1, 2], cfg.n_ris)
-    assert_block_is_reference(cfg, sample_block(cfg, streams, [2, 1]), [2, 1])
+    random_phase_block(cfg.seed, [1, 2], cfg.n_ris)
+    assert_block_is_reference(cfg, drawn_block(cfg, [2, 1]), [2, 1])
 
 
 # ----------------------------------------------------- one seeding scheme

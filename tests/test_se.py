@@ -26,14 +26,14 @@ from risbc.se import (
     DecompositionCache,
     decompose,
     delta_se,
+    dpc_sum_se,
     extended_phase,
     mitigation_term,
-    se_asymptotic,
-    se_dpc_exact,
-    se_zf_exact,
+    sum_se,
     weak_cascaded_row,
     weak_gain,
     zf_inverted_gains,
+    zf_sum_se,
 )
 
 
@@ -180,8 +180,8 @@ def test_zf_gains_weak_unreachable():
 def test_se_zf_zero_power():
     _, real, ph = random_instance(6)
     cache = decompose(real)
-    out = se_zf_exact(cache, ph, weak_cascaded_row(real), 0.0)
-    assert out.se_total == 0.0
+    total, _, _ = sum_se(cache, ph, weak_cascaded_row(real), 0.0, "ZF", "exact")
+    assert total == 0.0
 
 
 def test_se_zf_decoupled_users():
@@ -189,17 +189,19 @@ def test_se_zf_decoupled_users():
     cache = synthetic_cache(np.eye(K, dtype=complex), np.zeros((K + 1, 4), dtype=complex))
     ph = extended_phase(np.ones(3))
     h_c_weak = np.array([1.0, 0, 0], dtype=complex)
-    out = se_zf_exact(cache, ph, h_c_weak, 5.0)
-    assert out.se_total == pytest.approx((K + 1) * np.log2(6.0), abs=1e-12)
+    total, _, _ = sum_se(cache, ph, h_c_weak, 5.0, "ZF", "exact")
+    assert total == pytest.approx((K + 1) * np.log2(6.0), abs=1e-12)
 
 
 def test_se_zf_matches_generic_form():
     for seed in range(20):
         cfg, real, ph = random_instance(seed)
         cache = decompose(real)
-        out = se_zf_exact(cache, ph, weak_cascaded_row(real), cfg.p_bar())
+        total, _, _ = sum_se(
+            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "ZF", "exact"
+        )
         oracle = se_zf_generic(compose_channel(real, ph), cfg.p_bar())
-        assert abs(out.se_total - oracle) < 1e-10 * max(1.0, abs(oracle))
+        assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
 # ------------------------------------------------------------------ DPC
@@ -209,15 +211,17 @@ def test_se_dpc_matches_logdet():
     for seed in range(30):
         cfg, real, ph = random_instance(seed, n_bs=8, n_ris=16)
         cache = decompose(real)
-        out = se_dpc_exact(cache, ph, weak_cascaded_row(real), cfg.p_bar())
+        total, _, _ = sum_se(
+            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC", "exact"
+        )
         oracle = se_dpc_logdet(compose_channel(real, ph), cfg.p_bar())
-        assert abs(out.se_total - oracle) < 1e-10 * max(1.0, abs(oracle))
+        assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
 def test_se_dpc_zero_power():
     _, real, ph = random_instance(7)
     cache = decompose(real)
-    assert se_dpc_exact(cache, ph, weak_cascaded_row(real), 0.0).se_total == 0.0
+    assert sum_se(cache, ph, weak_cascaded_row(real), 0.0, "DPC", "exact")[0] == 0.0
 
 
 def test_se_dpc_vanishing_cross_terms():
@@ -227,9 +231,9 @@ def test_se_dpc_vanishing_cross_terms():
     )
     ph = extended_phase(np.ones(3))
     h_c_weak = np.array([2.0, 0, 0], dtype=complex)
-    out = se_dpc_exact(cache, ph, h_c_weak, 4.0)
-    assert out.se_reflect == pytest.approx(np.log2(1.0 + 4.0 * 4.0), abs=1e-12)
-    assert out.se_direct == pytest.approx(np.log2(13.0) + np.log2(9.0), abs=1e-12)
+    _, direct, reflect = sum_se(cache, ph, h_c_weak, 4.0, "DPC", "exact")
+    assert reflect == pytest.approx(np.log2(1.0 + 4.0 * 4.0), abs=1e-12)
+    assert direct == pytest.approx(np.log2(13.0) + np.log2(9.0), abs=1e-12)
 
 
 def test_dpc_dominates_zf():
@@ -238,9 +242,9 @@ def test_dpc_dominates_zf():
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
         for p_bar in (0.1, 10.0, cfg.p_bar()):
-            zf = se_zf_exact(cache, ph, h_c_weak, p_bar)
-            dpc = se_dpc_exact(cache, ph, h_c_weak, p_bar)
-            assert dpc.se_total >= zf.se_total - 1e-9
+            zf, _, _ = sum_se(cache, ph, h_c_weak, p_bar, "ZF", "exact")
+            dpc, _, _ = sum_se(cache, ph, h_c_weak, p_bar, "DPC", "exact")
+            assert dpc >= zf - 1e-9
 
 
 # ------------------------------------------------------------------ asymptotic
@@ -252,29 +256,30 @@ def test_asymptotic_diagonal_equality():
     ph = extended_phase(np.ones(2))
     h_c_weak = np.array([1.0, 0], dtype=complex)
     p_bar = 100.0
-    zf = se_asymptotic(cache, ph, h_c_weak, p_bar, "ZF")
-    dpc = se_asymptotic(cache, ph, h_c_weak, p_bar, "DPC")
-    assert zf.se_direct == pytest.approx(K * np.log2(p_bar), abs=1e-12)
-    assert dpc.se_direct == pytest.approx(K * np.log2(p_bar), abs=1e-12)
+    for precoder in ("ZF", "DPC"):
+        _, direct, _ = sum_se(cache, ph, h_c_weak, p_bar, precoder, "asymptotic")
+        assert direct == pytest.approx(K * np.log2(p_bar), abs=1e-12)
 
 
 def test_asymptotic_split_is_additive():
     cfg, real, ph = random_instance(8)
     cache = decompose(real)
     for method in ("ZF", "DPC"):
-        out = se_asymptotic(cache, ph, weak_cascaded_row(real), cfg.p_bar(), method)
-        assert out.se_total == pytest.approx(out.se_direct + out.se_reflect, abs=1e-12)
+        total, direct, reflect = sum_se(
+            cache, ph, weak_cascaded_row(real), cfg.p_bar(), method, "asymptotic"
+        )
+        assert total == pytest.approx(direct + reflect, abs=1e-12)
 
 
 def test_exact_converges_to_asymptotic():
     _, real, ph = random_instance(9)
     cache = decompose(real)
     h_c_weak = weak_cascaded_row(real)
-    for method, exact in (("ZF", se_zf_exact), ("DPC", se_dpc_exact)):
+    for method in ("ZF", "DPC"):
         gaps = []
         for p_bar in 10.0 ** np.arange(2, 9):
-            e = exact(cache, ph, h_c_weak, p_bar).se_total
-            a = se_asymptotic(cache, ph, h_c_weak, p_bar, method).se_total
+            e = sum_se(cache, ph, h_c_weak, p_bar, method, "exact")[0]
+            a = sum_se(cache, ph, h_c_weak, p_bar, method, "asymptotic")[0]
             gaps.append(abs(e - a))
         assert all(g1 <= g0 for g0, g1 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
@@ -285,8 +290,9 @@ def test_asymptotic_singular_dpc_flags_neg_inf():
     C_s = np.diag(np.array([1.0, 0.0], dtype=complex))
     cache = synthetic_cache(C_s, np.zeros((K + 1, 3), dtype=complex))
     ph = extended_phase(np.ones(2))
-    out = se_asymptotic(cache, ph, np.array([1.0, 0], dtype=complex), 10.0, "DPC")
-    assert out.se_direct == -np.inf and out.se_total == -np.inf
+    h_c_weak = np.array([1.0, 0], dtype=complex)
+    total, direct, _ = sum_se(cache, ph, h_c_weak, 10.0, "DPC", "asymptotic")
+    assert direct == -np.inf and total == -np.inf
 
 
 def test_asymptotic_dpc_dominates_zf():
@@ -294,9 +300,32 @@ def test_asymptotic_dpc_dominates_zf():
         cfg, real, ph = random_instance(seed)
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
-        zf = se_asymptotic(cache, ph, h_c_weak, cfg.p_bar(), "ZF")
-        dpc = se_asymptotic(cache, ph, h_c_weak, cfg.p_bar(), "DPC")
-        assert dpc.se_total >= zf.se_total - 1e-9
+        zf, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "DPC", "asymptotic")
+        assert dpc >= zf - 1e-9
+
+
+@pytest.mark.parametrize("mode", ["Exact", "typo", "high_snr", ""])
+def test_unknown_mode_rejected(mode):
+    cfg, real, ph = random_instance(15)
+    cache = decompose(real)
+    h_c_weak = weak_cascaded_row(real)
+    g = weak_gain(ph, h_c_weak)
+    with pytest.raises(ValueError, match="unknown mode"):
+        zf_sum_se(cache.inv_diag(), g, mitigation_term(cache, ph), 1.0, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        dpc_sum_se(cache.eigvals, g, None, 1.0, mode)
+    for precoder in ("ZF", "DPC"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            sum_se(cache, ph, h_c_weak, cfg.p_bar(), precoder, mode)
+
+
+@pytest.mark.parametrize("precoder", ["MRT", "zf", "dpc", ""])
+def test_unknown_precoder_rejected(precoder):
+    cfg, real, ph = random_instance(16)
+    cache, h_c_weak = decompose(real), weak_cascaded_row(real)
+    with pytest.raises(ValueError, match="unknown precoder"):
+        sum_se(cache, ph, h_c_weak, cfg.p_bar(), precoder, "exact")
 
 
 # ------------------------------------------- orthogonality-split DPC form
@@ -309,8 +338,10 @@ def test_orthogonal_form_matches_asymptotic():
         if b_proj_perp(cache) <= 1e-8:
             continue
         split = se_dpc_orthogonal_form(real, ph, cfg.p_bar())
-        asym = se_asymptotic(cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC")
-        assert abs(split - asym.se_total) < 1e-10 * max(1.0, abs(asym.se_total))
+        asym, _, _ = sum_se(
+            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC", "asymptotic"
+        )
+        assert abs(split - asym) < 1e-10 * max(1.0, abs(asym))
 
 
 def test_orthogonal_form_null_space_b():
@@ -344,7 +375,7 @@ def test_delta_d_zero_for_diagonal():
     C_s = np.diag(np.array([4.0, 2.0, 0.5], dtype=complex))
     cache = synthetic_cache(C_s, np.zeros((K + 1, 5), dtype=complex))
     ph = extended_phase(np.ones(4))
-    dd, dr = delta_se(cache, ph, np.array([1.0, 0, 0, 0], dtype=complex))
+    dd, dr = delta_se(cache, ph)
     assert dd == pytest.approx(0.0, abs=1e-12)
     assert dr == 0.0
 
@@ -354,12 +385,12 @@ def test_delta_terms_nonnegative_and_sum_to_gap():
         cfg, real, ph = random_instance(seed)
         cache = decompose(real)
         h_c_weak = weak_cascaded_row(real)
-        dd, dr = delta_se(cache, ph, h_c_weak)
+        dd, dr = delta_se(cache, ph)
         assert dd >= -1e-10
         assert dr >= 0.0
-        zf = se_asymptotic(cache, ph, h_c_weak, cfg.p_bar(), "ZF")
-        dpc = se_asymptotic(cache, ph, h_c_weak, cfg.p_bar(), "DPC")
-        gap = dpc.se_total - zf.se_total
+        zf, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "DPC", "asymptotic")
+        gap = dpc - zf
         assert abs((dd + dr) - gap) < 1e-10 * max(1.0, abs(gap))
 
 

@@ -5,11 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from risbc import sweep
+from risbc import channel, sweep
 from risbc.channel import (
     CHANNEL,
     PHASE,
-    ReplicationStreams,
     ScenarioConfig,
     draw_block,
     draw_user_positions,
@@ -20,14 +19,7 @@ from risbc.channel import (
     sample_realization,
 )
 from risbc.phases import b_from_xi, random_phases, select_phases
-from risbc.se import (
-    decompose,
-    extended_phase,
-    se_asymptotic,
-    se_dpc_exact,
-    se_zf_exact,
-    weak_cascaded_row,
-)
+from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
@@ -123,11 +115,13 @@ def test_harness_is_transparent():
     cache = decompose(real)
     h_c_weak = weak_cascaded_row(real)
     theta = np.exp(-1j * np.angle(h_c_weak))
-    br = se_zf_exact(cache, extended_phase(theta), h_c_weak, cfg.p_bar())
+    total, direct, reflect = sum_se(
+        cache, extended_phase(theta), h_c_weak, cfg.p_bar(), "ZF", "exact"
+    )
 
-    assert row.se_mean == pytest.approx(br.se_total, abs=1e-12)
-    assert row.se_d_mean == pytest.approx(br.se_direct, abs=1e-12)
-    assert row.se_r_mean == pytest.approx(br.se_reflect, abs=1e-12)
+    assert row.se_mean == pytest.approx(total, abs=1e-12)
+    assert row.se_d_mean == pytest.approx(direct, abs=1e-12)
+    assert row.se_r_mean == pytest.approx(reflect, abs=1e-12)
     assert row.se_std == 0.0
     assert row.reps == 1 and row.flagged == 0
 
@@ -156,7 +150,7 @@ def test_randomized_strategies_are_paired():
         phase = extended_phase(theta)
         for prec in ("ZF", "DPC"):
             want[prec].append(
-                se_asymptotic(cache, phase, h_c_weak, swept.p_bar(), prec).se_total
+                sum_se(cache, phase, h_c_weak, swept.p_bar(), prec, "asymptotic")[0]
             )
     for prec in ("ZF", "DPC"):
         assert rows[prec].se_mean == pytest.approx(np.mean(want[prec]), abs=1e-12)
@@ -292,7 +286,7 @@ def per_draw_draws(plan, value):
 
 def per_draw_rows(plan):
     """The sweep's rows from a loop of sample_realization -> decompose ->
-    select_phases -> se_*, one draw and one method at a time."""
+    select_phases -> sum_se, one draw and one method at a time."""
     rows = []
     for value in plan.values:
         kept, flagged = [], 0
@@ -307,21 +301,17 @@ def per_draw_rows(plan):
                     phases[m.strategy] = extended_phase(
                         select_phases(m.strategy, cache, h_c_weak, rng)
                     )
-                phase = phases[m.strategy]
-                if m.mode == "asymptotic":
-                    br = se_asymptotic(cache, phase, h_c_weak, cfg.p_bar(), m.precoder)
-                else:
-                    fn = se_zf_exact if m.precoder == "ZF" else se_dpc_exact
-                    br = fn(cache, phase, h_c_weak, cfg.p_bar())
-                out[m.label] = br
+                out[m.label] = sum_se(
+                    cache, phases[m.strategy], h_c_weak, cfg.p_bar(), m.precoder, m.mode
+                )
             kept.append(out)
         for m in plan.methods:
-            total = np.array([rec[m.label].se_total for rec in kept])
+            total, direct, reflect = (
+                np.array([rec[m.label][i] for rec in kept]) for i in range(3)
+            )
             rows.append((
                 value, m.label, np.mean(total), np.std(total),
-                np.mean([rec[m.label].se_direct for rec in kept]),
-                np.mean([rec[m.label].se_reflect for rec in kept]),
-                len(kept), flagged,
+                np.mean(direct), np.mean(reflect), len(kept), flagged,
             ))
     return rows
 
@@ -431,8 +421,8 @@ def test_sweep_draws_equal_the_reference_definition(
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     draws, realized, phases, built = [], [], [], Counter()
 
-    def spy_draw(cfg, streams, reps, positions=None):
-        drawn = draw_block(cfg, streams, reps, positions)
+    def spy_draw(cfg, seed, reps, positions=None):
+        drawn = draw_block(cfg, seed, reps, positions)
         draws.append((drawn[1], list(reps), positions))
         return drawn
 
@@ -442,21 +432,21 @@ def test_sweep_draws_equal_the_reference_definition(
         realized.append((cfg, reps, frozen_positions, real))
         return real
 
-    def spy_phases(streams, reps, n_ris):
-        theta = random_phase_block(streams, reps, n_ris)
+    def spy_phases(seed, reps, n_ris):
+        theta = random_phase_block(seed, reps, n_ris)
         phases.append((list(reps), n_ris, theta))
         return theta
 
-    generator = ReplicationStreams._generator
+    generator = channel._generator
 
-    def spy_generator(streams, rep, stream):
+    def spy_generator(seed, rep, stream):
         built[rep, stream] += 1
-        return generator(streams, rep, stream)
+        return generator(seed, rep, stream)
 
     monkeypatch.setattr(sweep, "draw_block", spy_draw)
     monkeypatch.setattr(sweep, "realize_block", spy_realize)
     monkeypatch.setattr(sweep, "random_phase_block", spy_phases)
-    monkeypatch.setattr(ReplicationStreams, "_generator", spy_generator)
+    monkeypatch.setattr(channel, "_generator", spy_generator)
     methods = (
         method("ZF", "random", "exact"),
         method("DPC", "statistical", "asymptotic"),
