@@ -1,0 +1,94 @@
+"""The seed-0 CSVs of the figure presets, `risbc bounds` and the
+perfbench/mit_aware.ini sweep equal the committed files in tests/golden:
+every text field exactly, every number to GOLDEN_RTOL relative.
+`tests/golden/make.py` regenerates them."""
+
+import csv
+import math
+
+import pytest
+
+from golden.make import HERE, RUNS, run
+
+GOLDEN_RTOL = 1e-8
+
+
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def mismatch(name, got_text, want_text):
+    """None if the CSVs agree, else a message naming the file, the rows that
+    differ and the largest difference."""
+    got = list(csv.reader(got_text.splitlines()))
+    want = list(csv.reader(want_text.splitlines()))
+    if len(got) != len(want):
+        return f"{name}: {len(got)} lines, golden has {len(want)}"
+    header = want[0]
+    bad_lines, worst = [], (0.0, None)
+    for line, (g, w) in enumerate(zip(got, want), 1):
+        if len(g) != len(w):
+            return f"{name} line {line}: {len(g)} fields, golden has {len(w)}"
+        bad = False
+        for column, a, b in zip(header, g, w):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b:
+                    return f"{name} line {line}, {column}: {a!r}, golden {b!r}"
+                continue
+            rel = _relative(x, y)
+            bad |= rel > GOLDEN_RTOL
+            if rel > worst[0]:
+                worst = (rel, f"line {line}, {column}: {a}, golden {b}")
+        if bad:
+            bad_lines.append(line)
+    if not bad_lines:
+        return None
+    return (
+        f"{name}: lines {bad_lines} differ by more than {GOLDEN_RTOL:g} "
+        f"relative; the largest difference, {worst[0]:.3g}, is at {worst[1]}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, files", RUNS, ids=[next(iter(files))[:-4] for _, files in RUNS]
+)
+def test_outputs_match_golden(tmp_path, argv, files):
+    problems = [
+        mismatch(
+            name,
+            path.read_text(encoding="utf-8"),
+            (HERE / name).read_text(encoding="utf-8"),
+        )
+        for name, path in run(argv, files, tmp_path).items()
+    ]
+    problems = [p for p in problems if p is not None]
+    assert not problems, "\n".join(problems)
+
+
+def test_mismatch_names_file_line_and_largest_difference():
+    want = "a,value,note\nx,1.5,ok\ny,2,ok\n"
+    assert mismatch("f.csv", want, want) is None
+    assert mismatch("f.csv", "a,value,note\nx,1.500000001,ok\ny,2,ok\n", want) is None
+    message = mismatch("f.csv", "a,value,note\nx,1.6,ok\ny,2.5,ok\n", want)
+    assert message == (
+        "f.csv: lines [2, 3] differ by more than 1e-08 relative; the largest "
+        "difference, 0.2, is at line 3, value: 2.5, golden 2"
+    )
+    assert mismatch("f.csv", "a,value,note\nx,1.5,no\ny,2,ok\n", want) == (
+        "f.csv line 2, note: 'no', golden 'ok'"
+    )
+    assert mismatch("f.csv", "a,value,note\nx,1.5,ok\n", want) == (
+        "f.csv: 2 lines, golden has 3"
+    )
