@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ValueError("user_circle_radius must be positive")
         if self.power_divisor not in ("k+1", "k"):
             raise ValueError(f"unknown power_divisor {self.power_divisor!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self._check_links()
 
     def _check_links(self):

@@ -28,6 +28,18 @@ from .config import (
 from .sweep import run_sweep
 
 
+def _at_least(low: int):
+    """argparse type: an integer of at least `low`."""
+
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # so a non-integer gets argparse's "invalid int value"
+    return parse
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -148,7 +160,10 @@ def main(argv=None) -> int:
 
     p_bounds = sub.add_parser("bounds", help="check the analytic bounds, write report")
     p_bounds.add_argument(
-        "--grid-points", type=int, default=1000, help="x grid size (default 1000)"
+        "--grid-points",
+        type=_at_least(1),
+        default=1000,
+        help="x grid size (default 1000)",
     )
     p_bounds.set_defaults(fn=cmd_bounds)
 
@@ -158,9 +173,9 @@ def main(argv=None) -> int:
 
     for p in (p_sweep, p_bounds, p_fig):
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        p.add_argument("--seed", type=_at_least(0), help="override the run seed")
         if p is not p_bounds:
-            p.add_argument("--reps", type=int, default=None, help="override replications")
+            p.add_argument("--reps", type=_at_least(1), help="override replications")
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -10,14 +10,9 @@ optimizer of the weak user's high-SNR ZF rate argument
 which trades channel gain against the mitigation penalty.  Each element
 update maximizes a ratio of two sinusoids in that element's phasor x,
 (A + 2 Re(ctil x)) / (B + 2 Re(dtil x)), exactly, in closed form (the
-Dinkelbach root of a quadratic).  The element loop works on Python scalars:
-with t = D_s theta_bar, e_n = (C_s^{-1} D_s)[:, n], q_n = d_n^H e_n,
-v = t^H C_s^{-1} t and u_n = t^H e_n, the denominator coefficients are
-B = 1 + v - 2 Re(theta_n u_n) + 2 q_n and dtil = u_n - conj(theta_n) q_n,
-so one element costs one K-length inner product and one K-length update.
-Also here: the construction of the BS-side direction b that interpolates
-between lying inside the strong users' row space (xi = 0) and being
-orthogonal to it (xi -> inf).
+Dinkelbach root of a quadratic); `optimize_mitigation_aware` gives the
+coefficients, which cost one K-length inner product per element.  The
+BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
 """
 
 import math
@@ -25,7 +20,7 @@ from operator import mul
 
 import numpy as np
 
-from .linalg import check_finite, herm, matvec
+from .linalg import check_finite
 from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
 
 
@@ -217,50 +212,3 @@ def select_phases(
         )
     return optimize_mitigation_aware(cache, h_c_weak, aligned)
 
-
-# =========================================================================
-# BS-RIS orthogonality construction
-# =========================================================================
-
-
-def construct_b_orthogonality(
-    V_s: np.ndarray, v_perp: np.ndarray, xi: float
-) -> np.ndarray:
-    """Unit vector b at prescribed orthogonality xi to the strong row space.
-
-    b' = V_s 1 / ||V_s 1|| + xi * v_perp / ||v_perp||, b = b' / ||b'||, so
-    that b^H P_perp b = xi^2 / (1 + xi^2): xi = 0 places b inside
-    range(V_s) (worst case), large xi makes b orthogonal to it.
-
-    Args:
-        V_s: [..., N_B, K] orthonormal basis of the strong users' row space.
-        v_perp: [..., N_B] vector orthogonal to the columns of V_s.
-        xi: non-negative orthogonality parameter.
-
-    Returns:
-        [..., N_B] unit vectors, one per leading index.
-    """
-    V_s = check_finite(V_s, "V_s")
-    v_perp = check_finite(v_perp, "v_perp")
-    if xi < 0:
-        raise ValueError("xi must be non-negative")
-    if V_s.shape[-2] <= V_s.shape[-1]:
-        raise ValueError("no orthogonal complement")
-    nv = np.linalg.norm(v_perp, axis=-1)
-    leak = np.linalg.norm(matvec(herm(V_s), v_perp), axis=-1)
-    if np.any(nv == 0) or np.any(leak > 1e-10 * nv):
-        raise ValueError("v_perp not orthogonal to the strong row space")
-    u = V_s @ np.ones(V_s.shape[-1])
-    b = u / np.linalg.norm(u, axis=-1)[..., None] + xi * v_perp / nv[..., None]
-    return b / np.linalg.norm(b, axis=-1)[..., None]
-
-
-def b_from_xi(H_d_strong: np.ndarray, xi: float) -> np.ndarray:
-    """Convenience wrapper deriving V_s and a complement direction via SVD.
-
-    H_d_strong [..., K, N_B] gives one direction per draw, [..., N_B].
-    """
-    K = H_d_strong.shape[-2]
-    _, _, Vh = np.linalg.svd(H_d_strong, full_matrices=True)
-    V = herm(Vh)
-    return construct_b_orthogonality(V[..., :K], V[..., K], xi)

@@ -14,6 +14,10 @@ values are in bits per channel use (log2), with unit noise (channels are
 noise-normalized at generation).  The tests check these forms against
 generic-matrix and SVD oracles (tests/oracles.py).
 
+The BS-RIS direction b enters only through its feed c = H_d^s b, the last
+column of D_s (`decompose_feed`); at orthogonality xi the feed is
+c(0) / sqrt(1 + xi^2), with c(0) from `row_space_feed`.
+
 p_bar enters only at the last step: every rate is a function of the p_bar-free
 terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
 mitigation term and the DPC cross terms |U^H D_s theta_bar|^2.  `zf_sum_se` and
@@ -97,24 +101,31 @@ def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
     return real.H_c[..., -1, :]
 
 
-def decompose(real: ChannelRealization) -> DecompositionCache:
-    """Build the Gram decomposition for the idealized (zero weak row) channel.
+def row_space_feed(H_d_strong: np.ndarray) -> np.ndarray:
+    """The feed c(0) = H_d^s u / ||u|| of u = V_s 1, [..., K].
 
-    C_s = H_d^s H_d^{s,H} - c c^H with c = H_d^s b (the rank-one projection
-    of b applied without forming I - b b^H), factorized once by eigh.
-
-    A stack of draws (channel arrays with leading batch axes, b shared
-    [N_B] or per draw [..., N_B]) is decomposed in one pass, with one
-    stacked eigh.
+    V_s holds the first K right singular vectors of H_d^s [..., K, N_B]
+    (full SVD, whose phases fix u).  The direction at orthogonality xi adds
+    xi v_perp / ||v_perp||, with v_perp in the null space of H_d^s, and is
+    normalized, so its feed H_d^s b(xi) is c(0) / sqrt(1 + xi^2).
     """
-    b = check_finite(real.b, "b")
-    if np.any(np.abs(np.linalg.norm(b, axis=-1) - 1.0) > 1e-12):
-        raise ValueError("unnormalized direction")
-    H = check_finite(real.H_d_strong, "H_d_strong")
-    H_c = check_finite(real.H_c, "H_c")
+    K = H_d_strong.shape[-2]
+    _, _, Vh = np.linalg.svd(H_d_strong, full_matrices=True)
+    u = herm(Vh)[..., :K] @ np.ones(K)
+    return matvec(H_d_strong, u / np.linalg.norm(u, axis=-1)[..., None])
+
+
+def decompose_feed(H_d_strong, H_c, c) -> DecompositionCache:
+    """Gram decomposition of the strong rows H_d^s [..., K, N_B] and
+    cascaded rows H_c [..., K+1, N_R] for the BS-RIS feed c = H_d^s b [..., K].
+
+    C_s = H_d^s H_d^{s,H} - c c^H (b's rank-one projection, without forming
+    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c].
+    """
+    H = check_finite(H_d_strong, "H_d_strong")
+    H_c = check_finite(H_c, "H_c")
     K = H.shape[-2]
     n_ris = H_c.shape[-1]
-    c = matvec(H, b)
     D_s = np.empty(c.shape + (n_ris + 1,), dtype=complex)
     D_s[..., :n_ris] = H_c[..., :K, :]
     D_s[..., n_ris] = c
@@ -122,6 +133,16 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
     C_s = 0.5 * (C_s + herm(C_s))
     w, U = eigh_descending(C_s)
     return DecompositionCache(D_s=D_s, eigvals=w, eigvecs=U)
+
+
+def decompose(real: ChannelRealization) -> DecompositionCache:
+    """Build the Gram decomposition for the idealized (zero weak row) channel
+    of a draw or a stack of draws (b shared [N_B] or per draw [..., N_B]):
+    `decompose_feed` of its feed c = H_d^s b."""
+    b = check_finite(real.b, "b")
+    if np.any(np.abs(np.linalg.norm(b, axis=-1) - 1.0) > 1e-12):
+        raise ValueError("unnormalized direction")
+    return decompose_feed(real.H_d_strong, real.H_c, matvec(real.H_d_strong, b))
 
 
 # =========================================================================
@@ -275,8 +296,9 @@ def delta_se(cache: DecompositionCache, phase: ExtendedPhase) -> tuple:
 
     delta_d = log2 det(C_s) + sum_k log2([C_s^{-1}]_kk)   (>= 0)
     delta_r = log2(1 + mitigation)                        (>= 0)
+    A stack of draws gives one pair per draw.
     """
     _require_invertible(cache)
-    delta_d = float(np.sum(np.log2(cache.eigvals)) + np.sum(np.log2(cache.inv_diag())))
-    delta_r = float(np.log2(1.0 + mitigation_term(cache, phase)))
+    delta_d = np.sum(np.log2(cache.eigvals) + np.log2(cache.inv_diag()), axis=-1)
+    delta_r = np.log2(1.0 + mitigation_term(cache, phase))
     return delta_d, delta_r

@@ -15,7 +15,9 @@ diag(C_s^{-1}) and, per strategy, the weak gain, the mitigation term and the
 DPC cross terms.  Stage 2 evaluates every method's rates from those terms
 with `se.zf_sum_se` and `se.dpc_sum_se`, the formulas `se.sum_se` applies to
 a draw.  Transmit power enters only stage 2, so a `ptx_dbm` sweep runs
-stage 1 at one point and every point reuses it.
+stage 1 at one point and every point reuses it.  An `xi` sweep realizes
+each block once and takes its feed c(0) once (`se.row_space_feed`, one SVD
+per draw); each xi point decomposes it at the feed c(0) / sqrt(1 + xi^2).
 
 Each replication's streams are drawn once per run, from the run seed.  A
 block's channel variates are drawn at the point with the most of them
@@ -31,7 +33,7 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,13 +46,15 @@ from .channel import (
     realize_block,
 )
 from .linalg import herm
-from .phases import RANDOM_STRATEGIES, STRATEGIES, b_from_xi, select_phases
+from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from .se import (
     _require_invertible,
     decompose,
+    decompose_feed,
     dpc_cross_terms,
     dpc_sum_se,
     extended_phase,
+    row_space_feed,
     weak_cascaded_row,
     weak_gain,
     zf_sum_se,
@@ -99,7 +103,7 @@ class SweepPlan:
     values: tuple
     methods: tuple
     reps: int = 200
-    # (scenario, xi) of every value, built and validated by __post_init__
+    # the scenario of every value, built and validated by __post_init__
     points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -117,8 +121,7 @@ class SweepPlan:
         ):
             raise ValueError(f"{self.variable} values must be integers")
         if self.variable == "xi" and self.values[0] <= 0:
-            # b_from_xi(., 0) puts b inside the strong users' row space, so
-            # C_s would be singular on every draw
+            # the feed c(0) of xi = 0 makes C_s singular on every draw
             raise ValueError("xi values must be positive (xi = 0 makes C_s singular)")
         points = []
         for value in self.values:
@@ -170,12 +173,12 @@ class SweepResult:
 
 
 def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
-    """Scenario for one sweep point; xi is applied to the draw, not the cfg."""
+    """Scenario for one sweep point; xi scales a draw's feed, not the cfg."""
     if variable == "xi":
-        return cfg, float(value)
+        return cfg
     if variable == "ptx_dbm":
-        return cfg.with_updates(ptx_dbm=float(value)), None
-    return cfg.with_updates(**{variable: int(value)}), None
+        return cfg.with_updates(ptx_dbm=float(value))
+    return cfg.with_updates(**{variable: int(value)})
 
 
 def _blocks(reps: int):
@@ -194,62 +197,73 @@ class _Reduced:
     terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
 
 
-def _reduce_block(cfg, real, xi, strategies, random_theta) -> _Reduced:
-    """Stage 1 on one realized block of scenario `cfg`; None terms if all
-    its draws are flagged.  random_theta holds the block's random phases
-    [B, >= N_R], or is None if no strategy is random.  A caller that passes
-    its only reference to `real` has the channel stacks freed once they are
-    decomposed."""
-    if xi is not None:
-        real = replace(real, b=b_from_xi(real.H_d_strong, xi))
-    cache = decompose(real)
-    keep = ~(cache.cond() > COND_FLAG)
-    flagged = len(keep) - int(np.count_nonzero(keep))
-    if not keep.any():
-        return _Reduced(flagged, None, None, None)
-    h_c_weak = weak_cascaded_row(real)[keep]
+def _reduce_block(cfg, real, xis, strategies, random_theta) -> list:
+    """Stage 1 on one realized block of scenario `cfg`: one _Reduced at its
+    own b, or one per xi of an xi sweep's `xis` at the feed c(0)/sqrt(1+xi^2);
+    None terms where all draws are flagged.  random_theta holds the block's
+    random phases [B, >= N_R], or None if no strategy is random.  A caller
+    that passes its only reference to `real` has the channel stacks freed."""
+    # a copy: a view into H_c would keep the channel stacks alive
+    weak_rows = weak_cascaded_row(real).copy()
+    if xis is None:
+        caches = [decompose(real)]
+    else:
+        c0 = row_space_feed(real.H_d_strong)
+        # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
+        caches = [
+            decompose_feed(real.H_d_strong, real.H_c, c0 / np.hypot(1.0, xi))
+            for xi in xis
+        ]
     del real  # the only reference: the channel stacks are freed here
-    cache = cache[keep]
-    _require_invertible(cache)
-    terms = {}
-    for kind in strategies:
-        if kind in RANDOM_STRATEGIES:
-            # every randomized strategy gets the same draws: the kept
-            # replications' phase streams, from their start
-            theta = random_theta[keep, : cfg.n_ris]
-        else:
-            theta = select_phases(kind, cache, h_c_weak, None)
-        phase = extended_phase(theta)
-        cross = dpc_cross_terms(cache, phase)
-        # the mitigation term, as `mitigation_term` forms it
-        mit = np.sum(cross / cache.eigvals, axis=-1)
-        terms[kind] = (weak_gain(phase, h_c_weak), mit, cross)
-    return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
+    reduced = []
+    while caches:
+        cache = caches.pop(0)  # the only reference: freed once masked
+        keep = ~(cache.cond() > COND_FLAG)
+        flagged = len(keep) - int(np.count_nonzero(keep))
+        if not keep.any():
+            reduced.append(_Reduced(flagged, None, None, None))
+            continue
+        cache, h_c_weak = cache[keep], weak_rows[keep]
+        _require_invertible(cache)
+        terms = {}
+        for kind in strategies:
+            if kind in RANDOM_STRATEGIES:
+                # every randomized strategy gets the same draws: the kept
+                # replications' phase streams, from their start
+                theta = random_theta[keep, : cfg.n_ris]
+            else:
+                theta = select_phases(kind, cache, h_c_weak, None)
+            phase = extended_phase(theta)
+            cross = dpc_cross_terms(cache, phase)
+            # the mitigation term, as `mitigation_term` forms it
+            mit = np.sum(cross / cache.eigvals, axis=-1)
+            terms[kind] = (weak_gain(phase, h_c_weak), mit, cross)
+        reduced.append(_Reduced(flagged, cache.eigvals, cache.inv_diag(), terms))
+    return reduced
 
 
-def _reduce_points(points, order, seed, reps, frozen, strategies) -> list:
-    """Stage 1 on one block of replications at every point; one _Reduced
-    per point.
+def _reduce_points(scenarios, xis, seed, reps, frozen, strategies) -> list:
+    """Stage 1 on one block of replications; one _Reduced per stage-1 point.
 
-    The block's channel variates are drawn once, at the last point of
-    `order` (the one with the most), and its random phases once, at that
-    point's N_R; every point realizes its draws from a prefix of them.
+    The block's channel variates are drawn once, at the last scenario (the
+    one with the most: sweep values increase and K is fixed), and its random
+    phases once, at that scenario's N_R; every scenario realizes its draws
+    from a prefix of them.
     """
-    largest = points[order[-1]][0]
-    # *x holds the variates in a list, so the last point can pop the only
+    largest = scenarios[-1]
+    # *x holds the variates in a list, so the last scenario can pop the only
     # reference and realize_block frees them before building its channels
     positions, *x = draw_block(largest, seed, reps, frozen)
     theta = None
     if any(kind in RANDOM_STRATEGIES for kind in strategies):
         theta = random_phase_block(seed, reps, largest.n_ris)
-    reduced = [None] * len(points)
-    for i in order:
-        cfg, xi = points[i]
+    reduced = []
+    for cfg in scenarios:
         # _reduce_block takes the only reference to the realization
-        reduced[i] = _reduce_block(
+        reduced += _reduce_block(
             cfg,
-            realize_block(cfg, positions, x.pop() if i == order[-1] else x[0]),
-            xi,
+            realize_block(cfg, positions, x.pop() if cfg is largest else x[0]),
+            xis,
             strategies,
             theta,
         )
@@ -260,18 +274,15 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     """Stage 1: draw, flag and reduce every replication at every point.
 
     Returns one _Reduced per stage-1 point: every point of the plan, or the
-    first of a ptx_dbm sweep.  Blocks are reduced one at a time, so only one
-    block's variates and channel stacks are alive at once.  Points are
-    realized in order of variate count (K is fixed along a sweep, so
-    N_B + N_R orders them), the largest last.
+    first of a ptx_dbm sweep.  A ptx_dbm or xi sweep realizes one scenario.
+    Blocks are reduced one at a time, so only one block's variates and
+    channel stacks are alive at once.
     """
-    points = plan.points[:1] if plan.variable == "ptx_dbm" else plan.points
-    order = sorted(
-        range(len(points)), key=lambda i: points[i][0].n_bs + points[i][0].n_ris
-    )
-    frozen = frozen_positions(points[order[-1]][0])
+    scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
+    xis = plan.values if plan.variable == "xi" else None
+    frozen = frozen_positions(scenarios[-1])
     blocks = [
-        _reduce_points(points, order, plan.config.seed, block, frozen, strategies)
+        _reduce_points(scenarios, xis, plan.config.seed, block, frozen, strategies)
         for block in _blocks(plan.reps)
     ]
     reduced = []
@@ -313,7 +324,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     # a ptx_dbm sweep's one stage-1 point serves every power
     reduced *= len(plan.values) // len(reduced)
     rows = []
-    for value, (cfg_v, _), red in zip(plan.values, plan.points, reduced):
+    for value, cfg_v, red in zip(plan.values, plan.points, reduced):
         for m in plan.methods:
             total, direct, reflect = _rates(m, red, cfg_v.p_bar())
             rows.append(
@@ -356,7 +367,8 @@ def power_split_offset_check(
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)
-        cache = decompose(replace(real, b=b_from_xi(H_d, xi_large)))
+        c = row_space_feed(H_d) / np.hypot(1.0, xi_large)
+        cache = decompose_feed(H_d, real.H_c, c)
         shared = np.sum(np.log2(cache.eigvals * p_bar), axis=-1)
         offsets.append(alone - shared)
     return float(np.mean(np.concatenate(offsets)))

@@ -4,7 +4,8 @@ Nothing in `risbc` imports this module.  Each routine here either builds the
 full matrix that the runtime code avoids (the assembled composite channel,
 projectors, bordered Gram inverses, per-user covariance matrices), takes a
 factorization of its own (generic inversion and log-determinant, the SVD
-cross-checks of the projection split), or takes the direct numpy route the
+cross-checks of the projection split, the SVD construction of the BS-RIS
+direction b at orthogonality xi), or takes the direct numpy route the
 runtime code shortcuts (the mitigation-aware coordinate ascent), so that a
 test can check a shortcut against the textbook formula.
 """
@@ -14,7 +15,7 @@ import numpy as np
 from risbc import phases
 from risbc.bounds import EULER_GAMMA, BoundReport
 from risbc.channel import ChannelRealization
-from risbc.linalg import check_finite
+from risbc.linalg import check_finite, herm, matvec
 from risbc.se import DecompositionCache, ExtendedPhase, weak_cascaded_row, weak_gain
 
 LOG2 = np.log(2.0)
@@ -131,6 +132,51 @@ def b_proj_perp(cache: DecompositionCache) -> float:
         quad = np.real(np.sum(c.conj() * cache.solve(c), axis=-1))
         bpp = 1.0 / (1.0 + quad)
     return np.where(cache.eigvals[..., -1] > 0, bpp, 0.0)[()]
+
+
+def construct_b_orthogonality(
+    V_s: np.ndarray, v_perp: np.ndarray, xi: float
+) -> np.ndarray:
+    """Unit vector b at prescribed orthogonality xi to the strong row space.
+
+    b' = V_s 1 / ||V_s 1|| + xi * v_perp / ||v_perp||, b = b' / ||b'||, so
+    that b^H P_perp b = xi^2 / (1 + xi^2): xi = 0 places b inside
+    range(V_s) (worst case), large xi makes b orthogonal to it.  The
+    runtime never builds b: it scales the feed, c(xi) = c(0) / sqrt(1 + xi^2)
+    (`risbc.se.row_space_feed`).
+
+    Args:
+        V_s: [..., N_B, K] orthonormal basis of the strong users' row space.
+        v_perp: [..., N_B] vector orthogonal to the columns of V_s.
+        xi: non-negative orthogonality parameter.
+
+    Returns:
+        [..., N_B] unit vectors, one per leading index.
+    """
+    V_s = check_finite(V_s, "V_s")
+    v_perp = check_finite(v_perp, "v_perp")
+    if xi < 0:
+        raise ValueError("xi must be non-negative")
+    if V_s.shape[-2] <= V_s.shape[-1]:
+        raise ValueError("no orthogonal complement")
+    nv = np.linalg.norm(v_perp, axis=-1)
+    leak = np.linalg.norm(matvec(herm(V_s), v_perp), axis=-1)
+    if np.any(nv == 0) or np.any(leak > 1e-10 * nv):
+        raise ValueError("v_perp not orthogonal to the strong row space")
+    u = V_s @ np.ones(V_s.shape[-1])
+    b = u / np.linalg.norm(u, axis=-1)[..., None] + xi * v_perp / nv[..., None]
+    return b / np.linalg.norm(b, axis=-1)[..., None]
+
+
+def b_from_xi(H_d_strong: np.ndarray, xi: float) -> np.ndarray:
+    """b(xi) with V_s and a complement direction from the full SVD of H_d^s.
+
+    H_d_strong [..., K, N_B] gives one direction per draw, [..., N_B].
+    """
+    K = H_d_strong.shape[-2]
+    _, _, Vh = np.linalg.svd(H_d_strong, full_matrices=True)
+    V = herm(Vh)
+    return construct_b_orthogonality(V[..., :K], V[..., K], xi)
 
 
 # =========================================================================

@@ -123,6 +123,33 @@ def test_figure5_emits_bound_sidecar(tmp_path):
     assert bound_csv.name in manifest["outputs"]
 
 
+@pytest.mark.parametrize(
+    "argv, low",
+    [
+        (["sweep", "--reps", "0"], 1),
+        (["figure", "2", "--reps", "-3"], 1),
+        (["bounds", "--grid-points", "0"], 1),
+        (["bounds", "--grid-points", "-5"], 1),
+        (["sweep", "--seed", "-1"], 0),
+        (["figure", "3", "--seed", "-1"], 0),
+        (["bounds", "--seed", "-1"], 0),
+    ],
+)
+def test_out_of_range_flag_exits_2_with_one_error_line(tmp_path, capsys, argv, low):
+    # these used to end in a traceback, or (--grid-points 0) to check no
+    # grid point and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    flag, value = argv[-2:]
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"risbc {argv[0]}: error: argument {flag}: must be at least {low}, got {value}"
+    ]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_rejects_unknown_number():
     with pytest.raises(SystemExit):
         main(["figure", "9"])

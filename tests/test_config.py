@@ -92,6 +92,13 @@ def test_no_strong_user_rejected_with_line():
         parse_config("[scenario]\nn_bs = 4\nn_strong = 0\n")
 
 
+def test_negative_seed_rejected_with_line():
+    # a negative seed used to pass and die in numpy's seeding, naming no line
+    with pytest.raises(ValueError, match=r"seed must be non-negative.* \(line 4\)"):
+        parse_config("[scenario]\nn_bs = 6\n\nseed = -4\n")
+    ScenarioConfig(seed=0)
+
+
 def test_bad_reps_names_key_and_line():
     with pytest.raises(ValueError, match=r"bad value for 'reps' in \[sweep\] \(line 3\)"):
         parse_config("[sweep]\nvalues = 10\nreps = abc\n")

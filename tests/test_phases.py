@@ -8,8 +8,6 @@ from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
 from risbc.phases import (
     _best_phase,
     align_weak_user,
-    b_from_xi,
-    construct_b_orthogonality,
     mitigation_aware_objective,
     optimize_mitigation_aware,
     random_phases,
@@ -17,7 +15,12 @@ from risbc.phases import (
 )
 from risbc.se import decompose, weak_cascaded_row
 
-from oracles import projected_gram, reference_optimize_mitigation_aware
+from oracles import (
+    b_from_xi,
+    construct_b_orthogonality,
+    projected_gram,
+    reference_optimize_mitigation_aware,
+)
 
 
 def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
@@ -265,7 +268,7 @@ def test_select_phases_draws_random_phases_for_one_draw_only():
     assert np.array_equal(aligned, align_weak_user(stack))
 
 
-# ------------------------------------------------------- b(xi) construction
+# ---------------------------------- b(xi) construction (the oracle of c(xi))
 
 
 def test_construct_b_xi_relation():

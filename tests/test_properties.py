@@ -12,9 +12,10 @@ import pytest
 
 from risbc import sweep
 from risbc.channel import ScenarioConfig, draw_block, random_phase_block, realize_block
-from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, b_from_xi, select_phases
+from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
+from oracles import b_from_xi
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

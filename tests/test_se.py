@@ -11,6 +11,7 @@ import risbc.phases
 import risbc.se
 import risbc.sweep
 from oracles import (
+    b_from_xi,
     b_proj_perp,
     compose_channel,
     mitigation_no_reflection,
@@ -19,9 +20,14 @@ from oracles import (
     se_dpc_orthogonal_form,
     se_zf_generic,
 )
-from risbc.channel import ScenarioConfig, rep_seeds, sample_realization
-from risbc.linalg import eigh_descending, herm
-from risbc.phases import b_from_xi
+from risbc.channel import (
+    ScenarioConfig,
+    draw_block,
+    realize_block,
+    rep_seeds,
+    sample_realization,
+)
+from risbc.linalg import eigh_descending, herm, matvec
 from risbc.se import (
     DecompositionCache,
     decompose,
@@ -29,6 +35,7 @@ from risbc.se import (
     dpc_sum_se,
     extended_phase,
     mitigation_term,
+    row_space_feed,
     sum_se,
     weak_cascaded_row,
     weak_gain,
@@ -135,6 +142,22 @@ def test_decompose_b_proj_perp_follows_xi(n_bs, xi):
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
         bpp = b_proj_perp(decompose(real))
         assert abs(bpp - expect) <= 1e-10 * expect
+
+
+def test_scaled_row_space_feed_matches_the_b_construction():
+    # b(xi) differs from b(0) by a null-space direction of H_d^s, so its
+    # feed H_d^s b(xi) is c(0) / sqrt(1 + xi^2): on a stack of draws, at xi
+    # from 1e-2 to 1e3
+    for n_bs in (4, 12):
+        cfg = ScenarioConfig(n_bs=n_bs)
+        real = realize_block(cfg, *draw_block(cfg, 5, range(40)))
+        H = real.H_d_strong
+        c0 = row_space_feed(H)
+        assert c0.shape == H.shape[:-1]
+        for xi in np.logspace(-2.0, 3.0, 11):
+            want = matvec(H, b_from_xi(H, xi))
+            err = np.linalg.norm(c0 / np.hypot(1.0, xi) - want, axis=-1)
+            assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=-1))
 
 
 def test_decompose_no_ris_leaves_direct_column():
@@ -394,6 +417,19 @@ def test_delta_terms_nonnegative_and_sum_to_gap():
         assert abs((dd + dr) - gap) < 1e-10 * max(1.0, abs(gap))
 
 
+def test_delta_se_of_a_stack_is_per_draw():
+    cfg = small_cfg()
+    real = realize_block(cfg, *draw_block(cfg, 4, range(4)))
+    cache = decompose(real)
+    theta = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * np.pi, (4, cfg.n_ris)))
+    dd, dr = delta_se(cache, extended_phase(theta))
+    assert dd.shape == dr.shape == (4,)
+    for i in range(4):
+        dd_i, dr_i = delta_se(cache[i], extended_phase(theta[i]))
+        assert abs(dd[i] - dd_i) <= 1e-12 * max(1.0, abs(dd_i))
+        assert abs(dr[i] - dr_i) <= 1e-12 * max(1.0, abs(dr_i))
+
+
 # ------------------------------------------------- no-reflection mitigation
 
 
@@ -432,11 +468,12 @@ def test_mitigation_no_reflection_b_in_row_space():
 # ------------------------------------------------- one factorization of C_s
 
 # The only places in se.py, phases.py, sweep.py, linalg.py and bounds.py
-# allowed to factorize a matrix themselves: the b(xi) construction and the
-# offset check's independent log det of H_d H_d^H.  Everything else, the
+# allowed to factorize a matrix themselves: the SVD behind the feed c(0) of
+# the orthogonality construction and the offset check's independent log
+# det of H_d H_d^H.  Everything else, the
 # batched sweep included, reads C_s^{-1} from the cache's eigh factor; the
 # generic-matrix and SVD cross-checks live in tests/oracles.py.
-FACTORIZATION_ALLOWED = {"b_from_xi", "power_split_offset_check"}
+FACTORIZATION_ALLOWED = {"row_space_feed", "power_split_offset_check"}
 FACTORIZATIONS = {"inv", "solve", "slogdet", "svd"}
 
 

@@ -18,14 +18,21 @@ from risbc.channel import (
     rep_seeds,
     sample_realization,
 )
-from risbc.phases import b_from_xi, random_phases, select_phases
-from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
+from risbc.phases import random_phases, select_phases
+from risbc.se import (
+    decompose,
+    extended_phase,
+    row_space_feed,
+    sum_se,
+    weak_cascaded_row,
+)
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
     power_split_offset_check,
     run_sweep,
 )
+from oracles import b_from_xi
 
 
 def method(precoder, kind, mode):
@@ -85,9 +92,8 @@ def test_plan_keeps_its_validated_points(monkeypatch):
     # replace rebuilds the points from the new fields
     m = (method("ZF", "align_weak", "exact"),)
     plan = SweepPlan(small_cfg(), "ptx_dbm", (10.0, 20.0), m, reps=2)
-    assert [(cfg.ptx_dbm, xi) for cfg, xi in plan.points] == [
-        (10.0, None), (20.0, None)
-    ]
+    assert all(isinstance(cfg, ScenarioConfig) for cfg in plan.points)
+    assert [cfg.ptx_dbm for cfg in plan.points] == [10.0, 20.0]
     built = []
     post_init = ScenarioConfig.__post_init__
     monkeypatch.setattr(
@@ -96,7 +102,9 @@ def test_plan_keeps_its_validated_points(monkeypatch):
     run_sweep(plan)
     assert built == []
     moved = replace(plan, config=small_cfg(n_ris=5), variable="xi", values=(1.0, 3.0))
-    assert [(cfg.n_ris, xi) for cfg, xi in moved.points] == [(5, 1.0), (5, 3.0)]
+    # xi scales each draw's feed: every xi point is the plan's scenario
+    assert moved.points == (moved.config, moved.config)
+    assert moved.points[0].n_ris == 5
 
 
 # ------------------------------------------------------------------ harness
@@ -227,12 +235,41 @@ def test_xi_sweep_moves_direct_rate():
     assert rows[1].se_d_mean > rows[0].se_d_mean
 
 
+def test_xi_sweep_reaches_the_orthogonal_limit():
+    # at xi = 1e200, xi^2 overflows; the feed c(0) / hypot(1, xi) does not,
+    # and the rows equal those at xi = 1e100, where the feed already vanishes
+    methods = (
+        method("DPC", "align_weak", "exact"), method("ZF", "align_weak", "asymptotic")
+    )
+    rows = run_sweep(SweepPlan(small_cfg(), "xi", (1e100, 1e200), methods, reps=6)).rows
+    for near, far in zip(rows[:2], rows[2:]):
+        assert far.flagged == 0
+        assert far.se_mean == pytest.approx(near.se_mean, rel=1e-12)
+
+
 def test_series_unknown_label():
     plan = SweepPlan(
         small_cfg(), "ptx_dbm", (10.0,), (method("ZF", "align_weak", "exact"),), reps=1
     )
     with pytest.raises(KeyError):
         run_sweep(plan).series("DPC:align_weak:exact")
+
+
+def test_xi_sweep_takes_one_feed_per_block(monkeypatch):
+    # the SVD behind c(0) runs once per block, whatever the number of xi
+    # points
+    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
+    feeds = []
+
+    def spy_feed(H_d_strong):
+        feeds.append(len(H_d_strong))
+        return row_space_feed(H_d_strong)
+
+    monkeypatch.setattr(sweep, "row_space_feed", spy_feed)
+    methods = (method("ZF", "align_weak", "exact"), method("DPC", "random", "exact"))
+    plan = SweepPlan(small_cfg(), "xi", (0.1, 1.0, 10.0, 100.0), methods, reps=8)
+    run_sweep(plan)
+    assert feeds == [3, 3, 2]
 
 
 # ------------------------------------------------------------------ offset
@@ -456,8 +493,9 @@ def test_sweep_draws_equal_the_reference_definition(
     plan = SweepPlan(cfg, variable, values, methods, reps=8)
     run_sweep(plan)
 
-    drawn_points = 1 if variable == "ptx_dbm" else len(values)
     # blocks outside, points inside: each block is realized at every point
+    # that has a scenario of its own; a ptx_dbm or xi sweep has one scenario
+    drawn_points = 1 if variable in ("ptx_dbm", "xi") else len(values)
     sizes = [len(reps) for _, reps, _, _ in realized]
     assert sizes == [size for size in (3, 3, 2) for _ in range(drawn_points)]
     for cfg, reps, positions, real in realized:
