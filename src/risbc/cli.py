@@ -4,7 +4,8 @@ Every run is deterministic for a fixed seed and writes CSVs whose filenames
 embed the first 8 hex digits of the canonical-config hash, next to a JSON
 manifest sidecar recording the full hash, seed, and output list.  The
 `bounds` subcommand (and `figure 5`, which emits a closed-form report next
-to its sweep) exits nonzero if any checked inequality is violated.
+to its sweep) exits nonzero if any checked inequality is violated.  An
+unusable --config or --out path exits 2 with one `error:` line.
 """
 
 import argparse
@@ -47,7 +48,6 @@ def _utc_now() -> str:
 def _finish(args, name, config_path, canonical, seed, writers):
     """Write outputs + manifest into --out; writers: [(suffix, fn), ...]."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sha = config_hash(canonical)
     full = f"{name}_{sha[:8]}"
     outputs = []
@@ -71,13 +71,14 @@ def _finish(args, name, config_path, canonical, seed, writers):
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        config_path = str(args.config)
-    else:
-        text, config_path = "", "<defaults>"
+    config_path = str(args.config) if args.config else "<defaults>"
     try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
         cfg, plan = parse_config(text)
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
+        reason = getattr(exc, "strerror", exc)
+        print(f"error: cannot read {args.config}: {reason}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -178,6 +179,11 @@ def main(argv=None) -> int:
             p.add_argument("--reps", type=_at_least(1), help="override replications")
 
     args = parser.parse_args(argv)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

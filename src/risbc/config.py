@@ -139,8 +139,11 @@ def _section_items(text):
     import configparser
 
     # no default section: [DEFAULT] would otherwise be merged into every
-    # section, or silently ignored when it stands alone
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    # section, or silently ignored when it stands alone.  A ";" or "#" after
+    # whitespace starts an inline comment, as in the README example.
+    cp = configparser.ConfigParser(
+        interpolation=None, default_section="", inline_comment_prefixes=(";", "#")
+    )
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -11,8 +11,10 @@ which trades channel gain against the mitigation penalty.  Each element
 update maximizes a ratio of two sinusoids in that element's phasor x,
 (A + 2 Re(ctil x)) / (B + 2 Re(dtil x)), exactly, in closed form (the
 Dinkelbach root of a quadratic); `optimize_mitigation_aware` gives the
-coefficients, which cost one K-length inner product per element.  The
-BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
+coefficients, which cost one K-length inner product per element.  Every
+strategy reads a draw from its `se.DecompositionCache` alone, the weak row
+h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep, not
+here (`se.row_space_feed`).
 """
 
 import math
@@ -21,7 +23,7 @@ from operator import mul
 import numpy as np
 
 from .linalg import check_finite
-from .se import DecompositionCache, _require_invertible, extended_phase, mitigation_term
+from .se import DecompositionCache, _require_invertible, mitigation_term, weak_gain
 
 
 STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
@@ -58,12 +60,9 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
 # =========================================================================
 
 
-def mitigation_aware_objective(
-    cache: DecompositionCache, h_c_weak: np.ndarray, theta: np.ndarray
-) -> float:
+def mitigation_aware_objective(cache: DecompositionCache, theta: np.ndarray) -> float:
     """f(theta) = weak gain / (1 + mitigation); p_bar-independent."""
-    mit = mitigation_term(cache, extended_phase(theta))
-    return float(np.abs(h_c_weak @ theta) ** 2 / (1.0 + mit))
+    return float(weak_gain(cache, theta) / (1.0 + mitigation_term(cache, theta)))
 
 
 def _best_phase(theta_n, A, ctil, B, dtil):
@@ -95,9 +94,7 @@ def _best_phase(theta_n, A, ctil, B, dtil):
 
 
 def optimize_mitigation_aware(
-    cache: DecompositionCache,
-    h_c_weak: np.ndarray,
-    init: np.ndarray,
+    cache: DecompositionCache, init: np.ndarray
 ) -> np.ndarray:
     """Element-wise coordinate ascent on the mitigation-aware objective.
 
@@ -119,15 +116,15 @@ def optimize_mitigation_aware(
     start of every sweep, so rounding does not accumulate across sweeps.
 
     Args:
-        cache: Gram decomposition of the strong users (C_s invertible).
-        h_c_weak: [N_R] weak user's cascaded row h_c,K+1^H.
+        cache: one draw's decomposition (C_s invertible), whose h_c_weak
+            is the weak user's cascaded row h_c,K+1^H.
         init: [N_R] unit-modulus starting point.
 
     Returns:
         [N_R] unit-modulus phases with objective >= objective(init).
     """
     _require_invertible(cache)
-    h_c_weak = check_finite(h_c_weak, "h_c_weak").ravel()
+    h_c_weak = cache.h_c_weak
     theta = check_finite(init, "init").ravel().copy()
     n_ris = theta.size
 
@@ -175,15 +172,12 @@ def optimize_mitigation_aware(
 
 
 def select_phases(
-    kind: str,
-    cache: DecompositionCache,
-    h_c_weak: np.ndarray,
-    rng: np.random.Generator,
+    kind: str, cache: DecompositionCache, rng: np.random.Generator
 ) -> np.ndarray:
     """Phases of strategy `kind` (one of STRATEGIES) for one channel draw.
 
-    A stack of B draws (cache and h_c_weak [B, N_R] with a leading batch
-    axis) gives [B, N_R] phases, row i being what draw i gets on its own.
+    A stack of B draws (a cache with a leading batch axis) gives [B, N_R]
+    phases, row i being what draw i gets on its own.
     Only the RANDOM_STRATEGIES read `rng`, and only for one draw: a sweep
     draws a block's random phases from its replications' own phase streams
     (`channel.random_phase_block`).
@@ -193,22 +187,19 @@ def select_phases(
     """
     if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    stacked = h_c_weak.ndim == 2
+    stacked = cache.h_c_weak.ndim == 2
     if kind in RANDOM_STRATEGIES:
         if stacked:
             raise ValueError(
                 "random phases of a stack come from channel.random_phase_block"
             )
-        return random_phases(h_c_weak.shape[-1], rng)
-    aligned = align_weak_user(h_c_weak)
+        return random_phases(cache.h_c_weak.shape[-1], rng)
+    aligned = align_weak_user(cache.h_c_weak)
     if kind == "align_weak":
         return aligned
     if stacked:
         return np.stack(
-            [
-                optimize_mitigation_aware(cache[i], h_c_weak[i], aligned[i])
-                for i in range(len(aligned))
-            ]
+            [optimize_mitigation_aware(cache[i], a) for i, a in enumerate(aligned)]
         )
-    return optimize_mitigation_aware(cache, h_c_weak, aligned)
+    return optimize_mitigation_aware(cache, aligned)
 

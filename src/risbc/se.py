@@ -8,9 +8,11 @@ row idealized to zero, the Gram matrix splits into
 
 with C_s = H_d^s P_b_perp H_d^{s,H} the strong users' projected Gram matrix,
 D = [H_c, H_d b] and theta_bar = [theta; 1].  Every closed form in this
-module is a pure function of that decomposition, of which the cache keeps
-the strong users' rows D_s of D and the eigendecomposition of C_s; all SE
-values are in bits per channel use (log2), with unit noise (channels are
+module is a pure function of that decomposition and of theta.  The cache
+is the whole draw: the strong users' rows D_s of D, the weak user's row
+h_c,K+1^H (D's last row is [h_c,K+1^H, 0]) and the eigendecomposition of
+C_s, so every theta-dependent function takes (cache, theta).  All SE values
+are in bits per channel use (log2), with unit noise (channels are
 noise-normalized at generation).  The tests check these forms against
 generic-matrix and SVD oracles (tests/oracles.py).
 
@@ -23,9 +25,9 @@ terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
 mitigation term and the DPC cross terms |U^H D_s theta_bar|^2.  `zf_sum_se` and
 `dpc_sum_se` are the rate formulas over those terms; `sum_se` forms the terms
 of a precoder from a draw's cache and phases and calls them, and the batched
-sweep calls them on the terms it keeps.  The decomposition, the terms and the
-rates broadcast over leading batch axes, so one call serves one draw or a
-stack of draws.
+sweep calls them on the terms it keeps.  The decomposition, the phases, the
+terms and the rates broadcast over leading batch axes, so one call serves
+one draw or a stack of draws.
 """
 
 from dataclasses import dataclass
@@ -37,29 +39,13 @@ from .linalg import check_finite, eigh_descending, herm, matvec
 
 
 @dataclass
-class ExtendedPhase:
-    """RIS phase configuration theta and its extension theta_bar = [theta; 1]."""
-
-    theta: np.ndarray  # [..., N_R] unit-modulus entries
-    theta_bar: np.ndarray  # [..., N_R + 1]
-
-
-def extended_phase(theta) -> ExtendedPhase:
-    """Validate unit-modulus phases [..., N_R] and append the direct-link 1."""
-    theta = np.atleast_1d(check_finite(theta, "theta"))
-    if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
-        raise ValueError("phase entries must be unit modulus")
-    one = np.ones(theta.shape[:-1] + (1,))
-    return ExtendedPhase(theta=theta, theta_bar=np.concatenate([theta, one], axis=-1))
-
-
-@dataclass
 class DecompositionCache:
-    """Channel-independent-of-theta pieces of the Gram decomposition.
+    """A draw's Gram decomposition: everything its rates need but theta.
 
     The eigendecomposition C_s = U diag(lambda) U^H is the only
     factorization of C_s: every formula reads C_s^{-1} through `solve` and
     `inv_diag` (both require an invertible C_s; check `cond` first).  The
+    weak user's row of D is [h_c,K+1^H, 0], so h_c_weak completes D.  The
     cache of a stack of draws carries their leading batch axes on every
     field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
     """
@@ -67,12 +53,14 @@ class DecompositionCache:
     D_s: np.ndarray  # [..., K, N_R+1] strong-user rows [H_c^s, H_d^s b] of D
     eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
     eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
+    h_c_weak: np.ndarray  # [..., N_R] weak user's cascaded row h_c,K+1^H
 
     def __getitem__(self, index) -> "DecompositionCache":
         return DecompositionCache(
             D_s=self.D_s[index],
             eigvals=self.eigvals[index],
             eigvecs=self.eigvecs[index],
+            h_c_weak=self.h_c_weak[index],
         )
 
     def cond(self) -> float:
@@ -96,11 +84,6 @@ class DecompositionCache:
         return matvec(np.abs(self.eigvecs) ** 2, 1.0 / self.eigvals)
 
 
-def weak_cascaded_row(real: ChannelRealization) -> np.ndarray:
-    """The weak user's cascaded channel row h_c,K+1^H, [..., N_R]."""
-    return real.H_c[..., -1, :]
-
-
 def row_space_feed(H_d_strong: np.ndarray) -> np.ndarray:
     """The feed c(0) = H_d^s u / ||u|| of u = V_s 1, [..., K].
 
@@ -120,7 +103,8 @@ def decompose_feed(H_d_strong, H_c, c) -> DecompositionCache:
     cascaded rows H_c [..., K+1, N_R] for the BS-RIS feed c = H_d^s b [..., K].
 
     C_s = H_d^s H_d^{s,H} - c c^H (b's rank-one projection, without forming
-    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c].
+    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c].  The weak
+    row is copied, so the cache does not keep the H_c stack alive.
     """
     H = check_finite(H_d_strong, "H_d_strong")
     H_c = check_finite(H_c, "H_c")
@@ -132,7 +116,9 @@ def decompose_feed(H_d_strong, H_c, c) -> DecompositionCache:
     C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
     C_s = 0.5 * (C_s + herm(C_s))
     w, U = eigh_descending(C_s)
-    return DecompositionCache(D_s=D_s, eigvals=w, eigvecs=U)
+    return DecompositionCache(
+        D_s=D_s, eigvals=w, eigvecs=U, h_c_weak=H_c[..., K, :].copy()
+    )
 
 
 def decompose(real: ChannelRealization) -> DecompositionCache:
@@ -150,24 +136,35 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 # =========================================================================
 
 
-def weak_gain(phase: ExtendedPhase, h_c_weak: np.ndarray) -> float:
-    """|h_c,K+1^H theta|^2 per draw (h_c_weak is the stored conjugated row)."""
-    return np.abs(matvec(h_c_weak[..., None, :], phase.theta)[..., 0]) ** 2
+def _theta_bar(theta) -> np.ndarray:
+    """theta_bar = [theta; 1] of phases theta [..., N_R], which must be finite
+    and unit modulus (ValueError otherwise)."""
+    theta = np.atleast_1d(check_finite(theta, "theta"))
+    if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
+        raise ValueError("phase entries must be unit modulus")
+    one = np.ones(theta.shape[:-1] + (1,))
+    return np.concatenate([theta, one], axis=-1)
 
 
-def dpc_cross_terms(cache: DecompositionCache, phase: ExtendedPhase) -> np.ndarray:
+def weak_gain(cache: DecompositionCache, theta) -> np.ndarray:
+    """|h_c,K+1^H theta|^2 per draw (cache.h_c_weak is the conjugated row)."""
+    theta = _theta_bar(theta)[..., :-1]
+    return np.abs(matvec(cache.h_c_weak[..., None, :], theta)[..., 0]) ** 2
+
+
+def dpc_cross_terms(cache: DecompositionCache, theta) -> np.ndarray:
     """|U^H D_s theta_bar|^2, [..., K]: the weak user's weight per eigenmode."""
-    u = matvec(cache.D_s, phase.theta_bar)
+    u = matvec(cache.D_s, _theta_bar(theta))
     return np.abs(matvec(herm(cache.eigvecs), u)) ** 2
 
 
-def mitigation_term(cache: DecompositionCache, phase: ExtendedPhase) -> float:
+def mitigation_term(cache: DecompositionCache, theta) -> np.ndarray:
     """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty.
 
     Formed as sum_k cross_k / lambda_k from the `dpc_cross_terms`, so it
     needs no solve of its own.
     """
-    return np.sum(dpc_cross_terms(cache, phase) / cache.eigvals, axis=-1)
+    return np.sum(dpc_cross_terms(cache, theta) / cache.eigvals, axis=-1)
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so
@@ -254,35 +251,33 @@ def dpc_sum_se(eigvals, g, cross, p_bar: float, mode: str) -> tuple:
 # =========================================================================
 
 
-def zf_inverted_gains(
-    cache: DecompositionCache, phase: ExtendedPhase, h_c_weak: np.ndarray
-) -> np.ndarray:
+def zf_inverted_gains(cache: DecompositionCache, theta) -> np.ndarray:
     """Inverted channel gains e_k^T (H H^H)^{-1} e_k of zero-forcing.
 
     Strong users get the diagonal of C_s^{-1}; the weak user gets
     (1 + mitigation) / |h_c,K+1^H theta|^2.
     """
-    g = weak_gain(phase, h_c_weak)
+    g = weak_gain(cache, theta)
     _require_invertible(cache)
-    return _zf_gains(cache.inv_diag(), g, mitigation_term(cache, phase))
+    return _zf_gains(cache.inv_diag(), g, mitigation_term(cache, theta))
 
 
-def sum_se(cache, phase, h_c_weak, p_bar: float, precoder: str, mode: str) -> tuple:
+def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
     """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
     "exact" or "asymptotic", with uniform per-user power p_bar.
 
     The direct part is the strong users' rate, the reflected part the weak
     user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
     singular C_s is -inf in its direct part (a flagged value) instead.  A
-    cache, phase and h_c_weak with leading batch axes give one rate per draw.
+    cache and phases with leading batch axes give one rate per draw.
     """
-    g = weak_gain(phase, h_c_weak)
+    g = weak_gain(cache, theta)
     if precoder == "ZF":
         _require_invertible(cache)
-        mit = mitigation_term(cache, phase)
+        mit = mitigation_term(cache, theta)
         return zf_sum_se(cache.inv_diag(), g, mit, p_bar, mode)
     if precoder == "DPC":
-        return dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, phase), p_bar, mode)
+        return dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, theta), p_bar, mode)
     raise ValueError(f"unknown precoder {precoder!r}")
 
 
@@ -291,7 +286,7 @@ def sum_se(cache, phase, h_c_weak, p_bar: float, precoder: str, mode: str) -> tu
 # =========================================================================
 
 
-def delta_se(cache: DecompositionCache, phase: ExtendedPhase) -> tuple:
+def delta_se(cache: DecompositionCache, theta) -> tuple:
     """High-SNR DPC-over-ZF gap, split into direct and reflected parts.
 
     delta_d = log2 det(C_s) + sum_k log2([C_s^{-1}]_kk)   (>= 0)
@@ -300,5 +295,5 @@ def delta_se(cache: DecompositionCache, phase: ExtendedPhase) -> tuple:
     """
     _require_invertible(cache)
     delta_d = np.sum(np.log2(cache.eigvals) + np.log2(cache.inv_diag()), axis=-1)
-    delta_r = np.log2(1.0 + mitigation_term(cache, phase))
+    delta_r = np.log2(1.0 + mitigation_term(cache, theta))
     return delta_d, delta_r

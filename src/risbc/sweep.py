@@ -9,15 +9,17 @@ SeedSequence([seed, rep]) and are therefore independent of the method list.
 
 A sweep runs in two stages.  Stage 1 draws the replications in blocks of
 BLOCK_REPS and, at every sweep point, decomposes each block with one stacked
-eigh, selects every strategy's phases and reduces each draw to the terms its
-rates need that do not depend on transmit power: eigvals(C_s),
-diag(C_s^{-1}) and, per strategy, the weak gain, the mitigation term and the
-DPC cross terms.  Stage 2 evaluates every method's rates from those terms
-with `se.zf_sum_se` and `se.dpc_sum_se`, the formulas `se.sum_se` applies to
-a draw.  Transmit power enters only stage 2, so a `ptx_dbm` sweep runs
-stage 1 at one point and every point reuses it.  An `xi` sweep realizes
-each block once and takes its feed c(0) once (`se.row_space_feed`, one SVD
-per draw); each xi point decomposes it at the feed c(0) / sqrt(1 + xi^2).
+eigh into a cache that is the whole block (weak rows included), masks the
+flagged draws out of it, selects every strategy's phases from it and
+reduces each draw to the terms its rates need that do not depend on
+transmit power: eigvals(C_s), diag(C_s^{-1}) and, per strategy, the weak
+gain, the mitigation term and the DPC cross terms.  Stage 2 evaluates every
+method's rates from those terms with `se.zf_sum_se` and `se.dpc_sum_se`,
+the formulas `se.sum_se` applies to a draw.  Transmit power enters only
+stage 2, so a `ptx_dbm` sweep runs stage 1 at one point and every point
+reuses it.  An `xi` sweep realizes each block once and takes its feed c(0)
+once (`se.row_space_feed`, one SVD per draw); each xi point decomposes it at
+the feed c(0) / sqrt(1 + xi^2), one xi at a time.
 
 Each replication's streams are drawn once per run, from the run seed.  A
 block's channel variates are drawn at the point with the most of them
@@ -45,7 +47,7 @@ from .channel import (
     random_phase_block,
     realize_block,
 )
-from .linalg import herm
+from .linalg import herm, matvec
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from .se import (
     _require_invertible,
@@ -53,10 +55,7 @@ from .se import (
     decompose_feed,
     dpc_cross_terms,
     dpc_sum_se,
-    extended_phase,
     row_space_feed,
-    weak_cascaded_row,
-    weak_gain,
     zf_sum_se,
 )
 
@@ -197,49 +196,53 @@ class _Reduced:
     terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
 
 
+def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
+    """Stage 1 on one decomposed block of scenario `cfg` (None terms where
+    all draws are flagged).  random_theta holds the block's random phases
+    [B, >= N_R], or None if no strategy is random.  A caller that passes its
+    only reference to `cache` has it freed once it is masked."""
+    keep = ~(cache.cond() > COND_FLAG)
+    flagged = len(keep) - int(np.count_nonzero(keep))
+    if not keep.any():
+        return _Reduced(flagged, None, None, None)
+    cache = cache[keep]
+    _require_invertible(cache)
+    terms = {}
+    for kind in strategies:
+        if kind in RANDOM_STRATEGIES:
+            # every randomized strategy gets the same draws: the kept
+            # replications' phase streams, from their start
+            theta = random_theta[keep, : cfg.n_ris]
+        else:
+            theta = select_phases(kind, cache, None)
+        cross = dpc_cross_terms(cache, theta)  # the one check of theta
+        # mit and g as `mitigation_term` and `weak_gain` form them
+        mit = np.sum(cross / cache.eigvals, axis=-1)
+        g = np.abs(matvec(cache.h_c_weak[..., None, :], theta)[..., 0]) ** 2
+        terms[kind] = (g, mit, cross)
+    return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
+
+
 def _reduce_block(cfg, real, xis, strategies, random_theta) -> list:
     """Stage 1 on one realized block of scenario `cfg`: one _Reduced at its
-    own b, or one per xi of an xi sweep's `xis` at the feed c(0)/sqrt(1+xi^2);
-    None terms where all draws are flagged.  random_theta holds the block's
-    random phases [B, >= N_R], or None if no strategy is random.  A caller
-    that passes its only reference to `real` has the channel stacks freed."""
-    # a copy: a view into H_c would keep the channel stacks alive
-    weak_rows = weak_cascaded_row(real).copy()
+    own b, or one per xi of an xi sweep's `xis` at the feed c(0)/sqrt(1+xi^2).
+    A caller that passes its only reference to `real` has the channel stacks
+    freed before any phase is selected; an xi sweep keeps H_d^s and H_c
+    instead and decomposes one xi at a time, which holds less than all."""
     if xis is None:
         caches = [decompose(real)]
-    else:
-        c0 = row_space_feed(real.H_d_strong)
-        # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
-        caches = [
-            decompose_feed(real.H_d_strong, real.H_c, c0 / np.hypot(1.0, xi))
-            for xi in xis
-        ]
-    del real  # the only reference: the channel stacks are freed here
-    reduced = []
-    while caches:
-        cache = caches.pop(0)  # the only reference: freed once masked
-        keep = ~(cache.cond() > COND_FLAG)
-        flagged = len(keep) - int(np.count_nonzero(keep))
-        if not keep.any():
-            reduced.append(_Reduced(flagged, None, None, None))
-            continue
-        cache, h_c_weak = cache[keep], weak_rows[keep]
-        _require_invertible(cache)
-        terms = {}
-        for kind in strategies:
-            if kind in RANDOM_STRATEGIES:
-                # every randomized strategy gets the same draws: the kept
-                # replications' phase streams, from their start
-                theta = random_theta[keep, : cfg.n_ris]
-            else:
-                theta = select_phases(kind, cache, h_c_weak, None)
-            phase = extended_phase(theta)
-            cross = dpc_cross_terms(cache, phase)
-            # the mitigation term, as `mitigation_term` forms it
-            mit = np.sum(cross / cache.eigvals, axis=-1)
-            terms[kind] = (weak_gain(phase, h_c_weak), mit, cross)
-        reduced.append(_Reduced(flagged, cache.eigvals, cache.inv_diag(), terms))
-    return reduced
+        del real  # the only reference: the channel stacks are freed here
+        # pop() hands _reduce_cache the only reference to the cache
+        return [_reduce_cache(cfg, caches.pop(), strategies, random_theta)]
+    H_d, H_c = real.H_d_strong, real.H_c
+    del real
+    c0 = row_space_feed(H_d)
+    # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
+    feeds = [c0 / np.hypot(1.0, xi) for xi in xis]
+    return [
+        _reduce_cache(cfg, decompose_feed(H_d, H_c, c), strategies, random_theta)
+        for c in feeds
+    ]
 
 
 def _reduce_points(scenarios, xis, seed, reps, frozen, strategies) -> list:

@@ -16,7 +16,7 @@ from risbc import phases
 from risbc.bounds import EULER_GAMMA, BoundReport
 from risbc.channel import ChannelRealization
 from risbc.linalg import check_finite, herm, matvec
-from risbc.se import DecompositionCache, ExtendedPhase, weak_cascaded_row, weak_gain
+from risbc.se import DecompositionCache
 
 LOG2 = np.log(2.0)
 
@@ -39,7 +39,7 @@ BPP_TOL = 1e-12
 
 
 def compose_channel(
-    real: ChannelRealization, phase: ExtendedPhase, idealized: bool = True
+    real: ChannelRealization, theta: np.ndarray, idealized: bool = True
 ) -> np.ndarray:
     """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
 
@@ -48,7 +48,7 @@ def compose_channel(
     """
     weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
     H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
-    return H_d + (real.H_c @ phase.theta)[:, None] * real.b.conj()[None, :]
+    return H_d + (real.H_c @ theta)[:, None] * real.b.conj()[None, :]
 
 
 def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
@@ -81,20 +81,21 @@ def _svd_row_space_split(H_d_strong: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def se_dpc_orthogonal_form(
-    real: ChannelRealization, phase: ExtendedPhase, p_bar: float
+    real: ChannelRealization, theta: np.ndarray, p_bar: float
 ) -> float:
     """High-SNR DPC sum SE split along the BS-RIS direction b.
 
     log2 det(H_d^s H_d^{s,H} p_bar) + log2(b^H P_perp b) + log2(g p_bar),
     where P_perp projects onto the complement of the strong users' row
-    space.  Computed by its own SVD, independently of `decompose`, so it
+    space and g = |h_c,K+1^H theta|^2.  Computed by its own SVD and from
+    the realization's own weak row, independently of `decompose`, so it
     can serve as a cross-check of the Gram form.  Returns -inf (flagged)
     when b lies inside that row space.
     """
     s, bpp = _svd_row_space_split(real.H_d_strong, real.b)
     if bpp <= BPP_TOL:
         return -np.inf
-    g = weak_gain(phase, weak_cascaded_row(real))
+    g = np.abs(real.H_c[-1] @ theta) ** 2
     K = len(s)
     return float(
         2.0 * np.sum(np.log2(s))
@@ -367,14 +368,14 @@ def reference_best_phase(phi_cur, A, ctil, B, dtil):
     return float(phi[0]) if f[0] >= f[1] else float(phi_cur)
 
 
-def reference_optimize_mitigation_aware(cache, h_c_weak, init):
+def reference_optimize_mitigation_aware(cache, init):
     """Element-wise coordinate ascent on |h^H theta|^2 / (1 + mitigation),
     every step in numpy: t = D_s theta_bar and w = C_s^{-1} t are carried as
     K-vectors, and element n's coefficients come from t0 = t - d_n theta_n
     and w0 = w - e_n theta_n.  Same sweep order, cap and stopping rule as
     `phases.optimize_mitigation_aware`.
     """
-    h_c_weak = np.asarray(h_c_weak, dtype=complex).ravel()
+    h_c_weak = cache.h_c_weak
     theta = np.asarray(init, dtype=complex).ravel().copy()
     D_s = cache.D_s
     E = cache.solve(D_s)

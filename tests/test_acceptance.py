@@ -49,10 +49,8 @@ from risbc.se import (
     DecompositionCache,
     decompose,
     delta_se,
-    extended_phase,
     mitigation_term,
     sum_se,
-    weak_cascaded_row,
     zf_inverted_gains,
 )
 from risbc.sweep import MethodSpec, SweepPlan, power_split_offset_check, run_sweep
@@ -80,15 +78,15 @@ def instances(tag, count):
         rng = np.random.default_rng([tag, i])
         real = sample_realization(cfg, rng)
         theta = random_phases(cfg.n_ris, rng)
-        yield cfg, real, extended_phase(theta)
+        yield cfg, real, theta
 
 
 def test_criterion_01_zf_gains_match_generic_inverse(capsys):
     start = time.perf_counter()
     worst = 0.0
-    for cfg, real, phase in instances(9101, 500):
-        gains = zf_inverted_gains(decompose(real), phase, weak_cascaded_row(real))
-        H = compose_channel(real, phase)
+    for cfg, real, theta in instances(9101, 500):
+        gains = zf_inverted_gains(decompose(real), theta)
+        H = compose_channel(real, theta)
         direct = np.real(np.diag(np.linalg.inv(H @ H.conj().T)))
         worst = max(worst, float(np.max(np.abs(gains - direct) / direct)))
     elapsed = time.perf_counter() - start
@@ -102,12 +100,10 @@ def test_criterion_01_zf_gains_match_generic_inverse(capsys):
 
 def test_criterion_02_dpc_eigenform_matches_logdet(capsys):
     worst = 0.0
-    for cfg, real, phase in instances(9102, 500):
+    for cfg, real, theta in instances(9102, 500):
         p_bar = cfg.p_bar()
-        closed, _, _ = sum_se(
-            decompose(real), phase, weak_cascaded_row(real), p_bar, "DPC", "exact"
-        )
-        generic = se_dpc_logdet(compose_channel(real, phase), p_bar)
+        closed, _, _ = sum_se(decompose(real), theta, p_bar, "DPC", "exact")
+        generic = se_dpc_logdet(compose_channel(real, theta), p_bar)
         worst = max(worst, abs(closed - generic) / abs(generic))
     ok = worst <= 1e-10
     _report(
@@ -120,16 +116,14 @@ def test_criterion_02_dpc_eigenform_matches_logdet(capsys):
 def test_criterion_03_dpc_projection_split_identity(capsys):
     worst = 0.0
     used = 0
-    for cfg, real, phase in instances(9103, 200):
+    for cfg, real, theta in instances(9103, 200):
         cache = decompose(real)
         if b_proj_perp(cache) <= 1e-8:
             continue
         used += 1
         p_bar = cfg.p_bar()
-        split = se_dpc_orthogonal_form(real, phase, p_bar)
-        gram, _, _ = sum_se(
-            cache, phase, weak_cascaded_row(real), p_bar, "DPC", "asymptotic"
-        )
+        split = se_dpc_orthogonal_form(real, theta, p_bar)
+        gram, _, _ = sum_se(cache, theta, p_bar, "DPC", "asymptotic")
         worst = max(worst, abs(split - gram) / abs(gram))
     ok = worst <= 1e-10 and used >= 100
     _report(
@@ -144,16 +138,15 @@ def test_criterion_04_exact_converges_to_asymptotic(capsys):
     real = sample_realization(cfg, np.random.default_rng([9104, 0]))
     cache = decompose(real)
     assert cache.cond() < 1e6  # well-conditioned draw
-    h_c_weak = weak_cascaded_row(real)
-    phase = extended_phase(align_weak_user(h_c_weak))
+    theta = align_weak_user(cache.h_c_weak)
     p_40dbm = db_to_lin(40.0) / cfg.n_users
 
     gaps = {"ZF": [], "DPC": []}
     for decade in range(5):
         p_bar = p_40dbm * 10.0**decade
         for method in gaps:
-            exact = sum_se(cache, phase, h_c_weak, p_bar, method, "exact")[0]
-            asym = sum_se(cache, phase, h_c_weak, p_bar, method, "asymptotic")[0]
+            exact = sum_se(cache, theta, p_bar, method, "exact")[0]
+            asym = sum_se(cache, theta, p_bar, method, "asymptotic")[0]
             gaps[method].append(abs(exact - asym))
     ok = all(
         g[0] < 0.1 and all(b < a for a, b in zip(g, g[1:])) for g in gaps.values()
@@ -187,11 +180,11 @@ def test_criterion_05_exponential_integral_bound(capsys):
 
 def test_criterion_06_no_reflection_mitigation_identity(capsys):
     worst = 0.0
-    for cfg, real, phase in instances(9106, 100):
+    for cfg, real, theta in instances(9106, 100):
         muted = real.H_c.copy()
         muted[: cfg.n_strong] = 0.0
         cache = decompose(replace(real, H_c=muted))
-        lhs = 1.0 + mitigation_term(cache, phase)
+        lhs = 1.0 + mitigation_term(cache, theta)
         rhs = mitigation_no_reflection(real.H_d_strong, real.b)
         worst = max(worst, abs(lhs - rhs) / rhs)
     ok = worst <= 1e-10
@@ -314,15 +307,14 @@ def test_criterion_09_orthogonality_power_split_offset(capsys):
 def test_criterion_10_gap_decomposition(capsys):
     worst_gap = 0.0
     min_delta = np.inf
-    for cfg, real, phase in instances(9110, 100):
+    for cfg, real, theta in instances(9110, 100):
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        d_d, d_r = delta_se(cache, phase)
+        d_d, d_r = delta_se(cache, theta)
         min_delta = min(min_delta, d_d, d_r)
         p_bar = cfg.p_bar()
         gap = (
-            sum_se(cache, phase, h_c_weak, p_bar, "DPC", "asymptotic")[0]
-            - sum_se(cache, phase, h_c_weak, p_bar, "ZF", "asymptotic")[0]
+            sum_se(cache, theta, p_bar, "DPC", "asymptotic")[0]
+            - sum_se(cache, theta, p_bar, "ZF", "asymptotic")[0]
         )
         worst_gap = max(
             worst_gap, abs(d_d + d_r - gap) / max(1.0, abs(gap))
@@ -333,9 +325,8 @@ def test_criterion_10_gap_decomposition(capsys):
     C_s = np.diag([2.0, 0.5, 1.0]).astype(complex)
     D = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     w, U = eigh_descending(C_s)
-    cache = DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U)
-    phase = extended_phase(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-    d_diag, _ = delta_se(cache, phase)
+    cache = DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U, h_c_weak=D[-1, :-1])
+    d_diag, _ = delta_se(cache, np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
 
     ok = min_delta >= -1e-12 and worst_gap <= 1e-10 and abs(d_diag) <= 1e-12
     _report(
@@ -354,11 +345,10 @@ def test_criterion_11_optimizer_monotone_and_grid_optimal(capsys):
         )
         real = sample_realization(cfg, np.random.default_rng([9111, i]))
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        init = align_weak_user(h_c_weak)
-        f_init = mitigation_aware_objective(cache, h_c_weak, init)
-        theta = optimize_mitigation_aware(cache, h_c_weak, init)
-        f_opt = mitigation_aware_objective(cache, h_c_weak, theta)
+        init = align_weak_user(cache.h_c_weak)
+        f_init = mitigation_aware_objective(cache, init)
+        theta = optimize_mitigation_aware(cache, init)
+        f_opt = mitigation_aware_objective(cache, theta)
         worst_rel = min(worst_rel, (f_opt - f_init) / f_init)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
@@ -368,9 +358,9 @@ def test_criterion_11_optimizer_monotone_and_grid_optimal(capsys):
         cfg = ScenarioConfig(n_bs=3, n_strong=1, n_ris=2)
         real = sample_realization(cfg, np.random.default_rng([9112, seed]))
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        theta = optimize_mitigation_aware(cache, h_c_weak, align_weak_user(h_c_weak))
-        f_opt = mitigation_aware_objective(cache, h_c_weak, theta)
+        h_c_weak = cache.h_c_weak
+        theta = optimize_mitigation_aware(cache, align_weak_user(h_c_weak))
+        f_opt = mitigation_aware_objective(cache, theta)
         C_s = projected_gram(real.H_d_strong, real.b)
         best = 0.0
         for t1 in e1:
@@ -410,17 +400,16 @@ def test_supplementary_attenuated_weak_row_is_negligible(capsys):
         cfg = ScenarioConfig(ptx_dbm=40.0)
         rng = np.random.default_rng([9500, i])
         real = sample_realization(cfg, rng)
-        phase = extended_phase(align_weak_user(weak_cascaded_row(real)))
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
+        theta = align_weak_user(cache.h_c_weak)
         p_bar = cfg.p_bar()
-        H_att = compose_channel(real, phase, idealized=False)
+        H_att = compose_channel(real, theta, idealized=False)
         worst = max(
             worst,
             abs(se_zf_generic(H_att, p_bar)
-                - sum_se(cache, phase, h_c_weak, p_bar, "ZF", "exact")[0]),
+                - sum_se(cache, theta, p_bar, "ZF", "exact")[0]),
             abs(se_dpc_logdet(H_att, p_bar)
-                - sum_se(cache, phase, h_c_weak, p_bar, "DPC", "exact")[0]),
+                - sum_se(cache, theta, p_bar, "DPC", "exact")[0]),
         )
     ok = worst < 0.05
     _report(

@@ -36,7 +36,7 @@ from risbc.channel import (
     steering_vector,
 )
 from risbc.phases import random_phases
-from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
+from risbc.se import decompose, sum_se
 
 # reference values computed with 40-digit arithmetic
 E1_AT_1 = 0.2193839343955202737
@@ -324,11 +324,8 @@ def test_reflected_upper_bound_holds_in_monte_carlo():
         real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
         theta = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        _, _, se_r[r] = sum_se(
-            cache, extended_phase(theta), h_c_weak, p_bar, "ZF", "asymptotic"
-        )
-        rows[r] = h_c_weak
+        _, _, se_r[r] = sum_se(cache, theta, p_bar, "ZF", "asymptotic")
+        rows[r] = cache.h_c_weak
         thetas[r] = theta
         a = real.a
     bound = reflected_rate_upper_bound(thetas, rows, pl, p_bar)

@@ -71,6 +71,41 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     assert "n_bs" in capsys.readouterr().err
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_missing_config_exits_2_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert "No such file" in one_error_line(capsys)
+
+
+def test_directory_as_config_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in one_error_line(capsys)
+
+
+def test_non_utf8_config_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes("[scenario]\n; r\xe9glage\nn_bs = 8\n".encode("latin-1"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "can't decode byte 0xe9" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["bounds"], ["figure", "2"]])
+def test_file_as_out_dir_exits_2_with_one_line(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main([*argv, "--out", str(taken)]) == 2
+    assert "File exists" in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def test_sweep_all_flagged_exits_2(tmp_path, capsys):
     # xi -> 0 puts b inside the strong users' row space: at xi = 1e-9 C_s is
     # numerically singular on every draw, so the run aborts

@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,25 @@ def test_empty_text_gives_full_defaults():
     assert plan.values == tuple(float(v) for v in range(0, 41, 5))
     assert plan.reps == 200
     assert tuple(m.label for m in plan.methods) == DEFAULT_METHOD_LABELS
+
+
+def test_readme_config_example_parses():
+    # its values carry inline "; ..." comments, which used to end up in the
+    # values (n_bs = '12   ; BS antennas ...')
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(
+        r"^```ini\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.S | re.M
+    )
+    cfg, plan = parse_config(block)
+    assert cfg.n_bs == 12 and cfg.n_ris == 64 and cfg.n_strong == 3
+    assert cfg.bs_pos == (0.0, 0.0, 10.0) and cfg.pl_ris_user == (37.51, 22.0)
+    assert cfg.power_divisor == "k+1" and cfg.freeze_positions is False
+    assert plan.variable == "ptx_dbm"
+    assert plan.values == tuple(float(v) for v in range(0, 41, 5))
+    assert [m.label for m in plan.methods] == [
+        "ZF:align_weak:exact",
+        "DPC:align_weak:exact",
+    ]
 
 
 def test_scenario_keys_parse():

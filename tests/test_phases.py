@@ -13,7 +13,7 @@ from risbc.phases import (
     random_phases,
     select_phases,
 )
-from risbc.se import decompose, weak_cascaded_row
+from risbc.se import decompose
 
 from oracles import (
     b_from_xi,
@@ -46,10 +46,9 @@ def test_random_phases_zero_mean():
 
 def test_statistical_equals_random_distributionally():
     # same stream position gives identical draws (alias under i.i.d. fading)
-    _, real, cache = instance(2, n_ris=16)
-    h_c_weak = weak_cascaded_row(real)
-    a = select_phases("statistical", cache, h_c_weak, np.random.default_rng(2))
-    b = select_phases("random", cache, h_c_weak, np.random.default_rng(2))
+    _, _, cache = instance(2, n_ris=16)
+    a = select_phases("statistical", cache, np.random.default_rng(2))
+    b = select_phases("random", cache, np.random.default_rng(2))
     assert np.array_equal(a, b)
     assert np.array_equal(a, random_phases(16, np.random.default_rng(2)))
 
@@ -88,8 +87,9 @@ def ratio(x, A, ctil, B, dtil):
     return (A + 2.0 * np.real(ctil * x)) / (B + 2.0 * np.real(dtil * x))
 
 
-def element_coefficients(cache, h_c_weak, theta, n):
+def element_coefficients(cache, theta, n):
     """(A, ctil, B, dtil) of f(theta) as a function of element n's phasor."""
+    h_c_weak = cache.h_c_weak
     s0 = h_c_weak @ theta - h_c_weak[n] * theta[n]
     theta_bar = np.append(theta, 1.0)
     theta_bar[n] = 0.0
@@ -105,11 +105,10 @@ def test_best_phase_matches_dense_grid_on_real_draws():
     grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
     rng = np.random.default_rng(11)
     for seed in range(20):
-        _, real, cache = instance(seed, n_bs=8, n_ris=16, n_strong=1 + seed % 3)
-        h_c_weak = weak_cascaded_row(real)
+        _, _, cache = instance(seed, n_bs=8, n_ris=16, n_strong=1 + seed % 3)
         theta = random_phases(16, rng)
         for n in (0, 7, 15):
-            coef = element_coefficients(cache, h_c_weak, theta, n)
+            coef = element_coefficients(cache, theta, n)
             x = _best_phase(theta[n], *coef)
             f = ratio(x, *coef)
             on_grid = ratio(grid, *coef)
@@ -120,17 +119,14 @@ def test_best_phase_matches_dense_grid_on_real_draws():
             # the coefficients reproduce the objective of the real draw
             moved = theta.copy()
             moved[n] = x
-            assert f == pytest.approx(
-                mitigation_aware_objective(cache, h_c_weak, moved), rel=1e-10
-            )
+            assert f == pytest.approx(mitigation_aware_objective(cache, moved), rel=1e-10)
 
 
 def test_best_phase_keeps_an_optimal_current_angle():
-    _, real, cache = instance(12)
-    h_c_weak = weak_cascaded_row(real)
-    theta = align_weak_user(h_c_weak)
+    _, _, cache = instance(12)
+    theta = align_weak_user(cache.h_c_weak)
     for n in range(8):
-        coef = element_coefficients(cache, h_c_weak, theta, n)
+        coef = element_coefficients(cache, theta, n)
         best = _best_phase(theta[n], *coef)
         again = _best_phase(best, *coef)
         assert ratio(again, *coef) >= ratio(best, *coef)
@@ -151,42 +147,39 @@ def test_best_phase_keeps_an_optimal_current_angle():
 
 def test_optimizer_monotone_from_init():
     for seed in range(100):
-        _, real, cache = instance(seed)
-        h_c_weak = weak_cascaded_row(real)
-        init = align_weak_user(h_c_weak)
-        theta = optimize_mitigation_aware(cache, h_c_weak, init)
+        _, _, cache = instance(seed)
+        init = align_weak_user(cache.h_c_weak)
+        theta = optimize_mitigation_aware(cache, init)
         assert np.max(np.abs(np.abs(theta) - 1.0)) < 1e-12
-        f0 = mitigation_aware_objective(cache, h_c_weak, init)
-        f1 = mitigation_aware_objective(cache, h_c_weak, theta)
+        f0 = mitigation_aware_objective(cache, init)
+        f1 = mitigation_aware_objective(cache, theta)
         assert f1 >= f0 * (1.0 - 1e-9)
 
 
 def test_optimizer_monotone_from_random_inits():
     rng = np.random.default_rng(4)
     for seed in range(20):
-        _, real, cache = instance(seed, n_ris=6)
-        h_c_weak = weak_cascaded_row(real)
+        _, _, cache = instance(seed, n_ris=6)
         init = random_phases(6, rng)
-        theta = optimize_mitigation_aware(cache, h_c_weak, init)
-        f0 = mitigation_aware_objective(cache, h_c_weak, init)
-        f1 = mitigation_aware_objective(cache, h_c_weak, theta)
+        theta = optimize_mitigation_aware(cache, init)
+        f0 = mitigation_aware_objective(cache, init)
+        f1 = mitigation_aware_objective(cache, theta)
         assert f1 >= f0 * (1.0 - 1e-9)
 
 
 def test_optimizer_reduces_to_alignment_without_coupling():
     # D_s rows that do not touch the theta entries: denominator constant
-    _, real, cache = instance(7)
+    _, _, cache = instance(7)
     cache.D_s[:, :-1] = 0.0
-    h_c_weak = weak_cascaded_row(real)
+    h_c_weak = cache.h_c_weak
     init = random_phases(8, np.random.default_rng(5))
-    theta = optimize_mitigation_aware(cache, h_c_weak, init)
+    theta = optimize_mitigation_aware(cache, init)
     gain = abs(h_c_weak @ theta) ** 2
     assert gain == pytest.approx(np.sum(np.abs(h_c_weak)) ** 2, rel=1e-9)
     # with no gain either (h_3 = 0), element 3's ratio is constant: its step
     # has no direction and the start is kept
-    h_c_weak = h_c_weak.copy()
-    h_c_weak[3] = 0.0
-    theta = optimize_mitigation_aware(cache, h_c_weak, init)
+    cache.h_c_weak[3] = 0.0
+    theta = optimize_mitigation_aware(cache, init)
     assert theta[3] == init[3]
 
 
@@ -203,14 +196,13 @@ def test_optimizer_matches_numpy_reference(n_bs, n_ris, n_strong, monkeypatch):
     if n_ris == 256:
         monkeypatch.setattr(phases, "MAX_SWEEPS", 10)
     for seed in range(5):
-        _, real, cache = instance(seed, n_bs=n_bs, n_ris=n_ris, n_strong=n_strong)
-        h_c_weak = weak_cascaded_row(real)
-        init = align_weak_user(h_c_weak)
-        theta = optimize_mitigation_aware(cache, h_c_weak, init)
-        ref = reference_optimize_mitigation_aware(cache, h_c_weak, init)
-        f = mitigation_aware_objective(cache, h_c_weak, theta)
-        f_ref = mitigation_aware_objective(cache, h_c_weak, ref)
-        f_init = mitigation_aware_objective(cache, h_c_weak, init)
+        _, _, cache = instance(seed, n_bs=n_bs, n_ris=n_ris, n_strong=n_strong)
+        init = align_weak_user(cache.h_c_weak)
+        theta = optimize_mitigation_aware(cache, init)
+        ref = reference_optimize_mitigation_aware(cache, init)
+        f = mitigation_aware_objective(cache, theta)
+        f_ref = mitigation_aware_objective(cache, ref)
+        f_init = mitigation_aware_objective(cache, init)
         assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
         assert f >= f_init * (1.0 - 1e-12)
 
@@ -221,9 +213,9 @@ def test_optimizer_matches_dense_grid_on_toys():
     e1 = np.exp(1j * grid)
     for seed in range(5):
         _, real, cache = instance(seed, n_bs=3, n_ris=2, n_strong=1)
-        h_c_weak = weak_cascaded_row(real)
-        theta = optimize_mitigation_aware(cache, h_c_weak, align_weak_user(h_c_weak))
-        f_opt = mitigation_aware_objective(cache, h_c_weak, theta)
+        h_c_weak = cache.h_c_weak
+        theta = optimize_mitigation_aware(cache, align_weak_user(h_c_weak))
+        f_opt = mitigation_aware_objective(cache, theta)
         C_s = projected_gram(real.H_d_strong, real.b)
         best = 0.0
         for t1 in e1:
@@ -239,33 +231,31 @@ def test_optimizer_matches_dense_grid_on_toys():
 
 def test_strategy_spec_validation():
     # an unknown kind must not fall through to the optimizer
-    _, real, cache = instance(9)
+    _, _, cache = instance(9)
     with pytest.raises(ValueError, match="unknown strategy kind 'exhaustive'"):
-        select_phases("exhaustive", cache, weak_cascaded_row(real), None)
+        select_phases("exhaustive", cache, None)
 
 
 def test_select_phases_dispatch():
-    _, real, cache = instance(9)
-    h_c_weak = weak_cascaded_row(real)
+    _, _, cache = instance(9)
     rng = np.random.default_rng(0)
-    t_rand = select_phases("random", cache, h_c_weak, rng)
+    t_rand = select_phases("random", cache, rng)
     assert t_rand.shape == (8,)
-    t_align = select_phases("align_weak", cache, h_c_weak, rng)
-    assert np.array_equal(t_align, align_weak_user(h_c_weak))
-    t_mit = select_phases("mitigation_aware", cache, h_c_weak, rng)
-    f_align = mitigation_aware_objective(cache, h_c_weak, t_align)
-    f_mit = mitigation_aware_objective(cache, h_c_weak, t_mit)
+    t_align = select_phases("align_weak", cache, rng)
+    assert np.array_equal(t_align, align_weak_user(cache.h_c_weak))
+    t_mit = select_phases("mitigation_aware", cache, rng)
+    f_align = mitigation_aware_objective(cache, t_align)
+    f_mit = mitigation_aware_objective(cache, t_mit)
     assert f_mit >= f_align * (1.0 - 1e-9)
 
 
 def test_select_phases_draws_random_phases_for_one_draw_only():
-    _, real, cache = instance(9)
-    h_c_weak = weak_cascaded_row(real)
-    stack = np.stack([h_c_weak, h_c_weak])
+    _, _, cache = instance(9)
+    stack = cache[np.newaxis][[0, 0]]  # the draw twice, as a stack of two
     with pytest.raises(ValueError, match="random_phase_block"):
-        select_phases("random", cache, stack, np.random.default_rng(0))
-    aligned = select_phases("align_weak", cache, stack, None)
-    assert np.array_equal(aligned, align_weak_user(stack))
+        select_phases("random", stack, np.random.default_rng(0))
+    aligned = select_phases("align_weak", stack, None)
+    assert np.array_equal(aligned, align_weak_user(stack.h_c_weak))
 
 
 # ---------------------------------- b(xi) construction (the oracle of c(xi))

@@ -13,9 +13,10 @@ import pytest
 from risbc import sweep
 from risbc.channel import ScenarioConfig, draw_block, random_phase_block, realize_block
 from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
-from risbc.se import decompose, extended_phase, sum_se, weak_cascaded_row
+from risbc.se import decompose, sum_se
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import b_from_xi
+from test_sweep import assert_rows_match, per_draw_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,8 +36,8 @@ METHODS = tuple(
 
 
 @st.composite
-def plans(draw):
-    """A small n_ris, n_bs or xi sweep of 1 to 4 points."""
+def plans(draw, variables=("n_ris", "n_bs", "xi")):
+    """A small sweep of 1 to 4 points over one of `variables`."""
     n_strong = draw(st.integers(1, 3))
     cfg = ScenarioConfig(
         n_strong=n_strong,
@@ -46,8 +47,9 @@ def plans(draw):
         freeze_positions=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32)),
     )
-    variable = draw(st.sampled_from(("n_ris", "n_bs", "xi")))
+    variable = draw(st.sampled_from(variables))
     grid = {
+        "ptx_dbm": st.sampled_from((0.0, 10.0, 20.0, 30.0, 40.0)),
         "n_ris": st.integers(1, 16),
         "n_bs": st.integers(n_strong + 1, n_strong + 8),
         "xi": st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 16.0)),
@@ -102,25 +104,63 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     cache = decompose(real)
     keep = ~(cache.cond() > sweep.COND_FLAG)
     hypothesis.assume(keep.any())
-    cache, h_c_weak = cache[keep], weak_cascaded_row(real)[keep]
+    cache = cache[keep]
     random_theta = random_phase_block(cfg.seed, reps, cfg.n_ris)[keep]
     for kind in STRATEGIES:
         theta = (
             random_theta
             if kind in RANDOM_STRATEGIES
-            else select_phases(kind, cache, h_c_weak, None)
+            else select_phases(kind, cache, None)
         )
-        phase = extended_phase(theta)
         for mode in ("exact", "asymptotic"):
             total = {}
             for precoder in ("ZF", "DPC"):
-                rates = sum_se(cache, phase, h_c_weak, cfg.p_bar(), precoder, mode)
-                for i in range(len(h_c_weak)):
-                    alone = sum_se(
-                        cache[i], extended_phase(theta[i]), h_c_weak[i],
-                        cfg.p_bar(), precoder, mode,
-                    )
+                rates = sum_se(cache, theta, cfg.p_bar(), precoder, mode)
+                for i in range(len(theta)):
+                    alone = sum_se(cache[i], theta[i], cfg.p_bar(), precoder, mode)
                     for got, want in zip(rates, alone):
                         assert abs(got[i] - want) <= 1e-12 * abs(want)
                 total[precoder] = rates[0]
             assert np.all(total["DPC"] >= total["ZF"] - 1e-9)
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(plans(("ptx_dbm", "n_ris", "n_bs", "xi")))
+def test_sweep_rows_equal_the_per_draw_loop(plan):
+    # the batched two-stage sweep gives the rows of a loop of
+    # sample_realization -> decompose -> select_phases -> sum_se
+    assert_rows_match(run_sweep(plan), per_draw_rows(plan))
+
+
+# p_bar from far below to far above every draw's eigenvalues, in decades
+P_BARS = 10.0 ** np.arange(-2.0, 11.0)
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks(), st.sampled_from(STRATEGIES))
+def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
+    # exact - asymptotic = sum_i log2(1 + 1 / (p_bar mu_i)) >= 0 for ZF
+    # (mu_i = 1 / e_i) and DPC (mu_i the eigenvalues of H H^H): the gap is
+    # nonnegative and does not grow with p_bar, on every draw
+    cfg, xi, reps = stack
+    real = realize_block(cfg, *draw_block(cfg, cfg.seed, reps))
+    if xi is not None:
+        real = replace(real, b=b_from_xi(real.H_d_strong, xi))
+    cache = decompose(real)
+    keep = ~(cache.cond() > sweep.COND_FLAG)
+    hypothesis.assume(keep.any())
+    cache = cache[keep]
+    if kind in RANDOM_STRATEGIES:
+        theta = random_phase_block(cfg.seed, reps, cfg.n_ris)[keep]
+    else:
+        theta = select_phases(kind, cache, None)
+    for precoder in ("ZF", "DPC"):
+        gaps = np.array([
+            sum_se(cache, theta, p_bar, precoder, "exact")[0]
+            - sum_se(cache, theta, p_bar, precoder, "asymptotic")[0]
+            for p_bar in P_BARS
+        ])
+        # 1e-9 bpcu absorbs the rounding of rates of up to a few hundred bpcu
+        assert np.all(gaps >= -1e-9), (precoder, gaps.min())
+        steps = np.diff(gaps, axis=0)
+        assert np.all(steps <= 1e-9), (precoder, steps.max())

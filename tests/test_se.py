@@ -32,12 +32,11 @@ from risbc.se import (
     DecompositionCache,
     decompose,
     delta_se,
+    dpc_cross_terms,
     dpc_sum_se,
-    extended_phase,
     mitigation_term,
     row_space_feed,
     sum_se,
-    weak_cascaded_row,
     weak_gain,
     zf_inverted_gains,
     zf_sum_se,
@@ -53,12 +52,13 @@ def random_instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
     ch_ss, ph_ss = rep_seeds(seed, 0)
     real = sample_realization(cfg, np.random.default_rng(ch_ss))
     theta = np.exp(1j * np.random.default_rng(ph_ss).uniform(0, 2 * np.pi, cfg.n_ris))
-    return cfg, real, extended_phase(theta)
+    return cfg, real, theta
 
 
 def synthetic_cache(C_s, D):
+    """The cache of C_s and D, whose weak row is [h_c,K+1^H, 0]."""
     w, U = eigh_descending(C_s)
-    return DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U)
+    return DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U, h_c_weak=D[-1, :-1])
 
 
 def cached_gram(cache):
@@ -66,26 +66,28 @@ def cached_gram(cache):
     return (cache.eigvecs * cache.eigvals[..., None, :]) @ herm(cache.eigvecs)
 
 
-def composite_factor(cache, real, ph):
-    """D theta_bar: the strong rows from the cache, then the weak user's
-    row [h_c,K+1, 0] applied to theta_bar."""
-    return np.append(cache.D_s @ ph.theta_bar, weak_cascaded_row(real) @ ph.theta)
+def composite_factor(cache, theta):
+    """D theta_bar: the strong rows D_s, then the weak user's row
+    [h_c,K+1, 0], both from the cache."""
+    return np.append(cache.D_s @ np.append(theta, 1.0), cache.h_c_weak @ theta)
 
 
 # ------------------------------------------------------------------ phases
 
 
-def test_extended_phase_appends_one():
-    theta = np.exp(1j * np.array([0.3, -1.2, 2.5]))
-    ph = extended_phase(theta)
-    assert ph.theta_bar.shape == (4,)
-    assert ph.theta_bar[-1] == 1.0
-    assert np.array_equal(ph.theta_bar[:-1], ph.theta)
+def test_cross_terms_append_one_to_theta():
+    _, real, theta = random_instance(0)
+    cache = decompose(real)
+    u = cache.D_s[:, :-1] @ theta + cache.D_s[:, -1]
+    want = np.abs(cache.eigvecs.conj().T @ u) ** 2
+    assert np.allclose(dpc_cross_terms(cache, theta), want, rtol=1e-12, atol=0.0)
 
 
-def test_extended_phase_rejects_non_unit():
-    with pytest.raises(ValueError, match="unit modulus"):
-        extended_phase(np.array([1.0, 0.5]))
+def test_sum_se_rejects_non_unit():
+    _, real, _ = random_instance(1, n_ris=2)
+    for precoder in ("ZF", "DPC"):
+        with pytest.raises(ValueError, match="unit modulus"):
+            sum_se(decompose(real), np.array([1.0, 0.5]), 1.0, precoder, "exact")
 
 
 # ------------------------------------------------------------------ decompose
@@ -93,11 +95,11 @@ def test_extended_phase_rejects_non_unit():
 
 def test_decompose_gram_reconstruction():
     for seed in range(20):
-        _, real, ph = random_instance(seed)
+        _, real, theta = random_instance(seed)
         cache = decompose(real)
-        H = compose_channel(real, ph, idealized=True)
+        H = compose_channel(real, theta, idealized=True)
         gram = H @ H.conj().T
-        v = composite_factor(cache, real, ph)
+        v = composite_factor(cache, theta)
         K = cache.eigvals.shape[0]
         rebuilt = np.outer(v, v.conj())
         rebuilt[:K, :K] += cached_gram(cache)
@@ -123,6 +125,29 @@ def test_decompose_matches_dense_projector_oracle():
         oracle = projected_gram(real.H_d_strong, real.b)
         rebuilt = cached_gram(cache)
         assert np.linalg.norm(rebuilt - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_decompose_copies_the_weak_row(stacked):
+    cfg = small_cfg()
+    if stacked:
+        real = realize_block(cfg, *draw_block(cfg, 2, range(5)))
+    else:
+        real = sample_realization(cfg, np.random.default_rng(2))
+    cache = decompose(real)
+    assert np.array_equal(cache.h_c_weak, real.H_c[..., -1, :])
+    # a view would keep the whole H_c stack alive with the cache
+    assert not np.shares_memory(cache.h_c_weak, real.H_c)
+
+
+def test_cache_mask_selects_the_weak_rows():
+    cfg = small_cfg()
+    cache = decompose(realize_block(cfg, *draw_block(cfg, 3, range(6))))
+    mask = np.array([True, False, True, True, False, True])
+    for index in (mask, 2, slice(1, 4)):
+        picked = cache[index]
+        assert np.array_equal(picked.h_c_weak, cache.h_c_weak[index])
+        assert np.array_equal(picked.D_s, cache.D_s[index])
 
 
 def test_decompose_rejects_unnormalized_b():
@@ -161,10 +186,10 @@ def test_scaled_row_space_feed_matches_the_b_construction():
 
 
 def test_decompose_no_ris_leaves_direct_column():
-    _, real, ph = random_instance(4)
+    _, real, theta = random_instance(4)
     real.H_c = np.zeros_like(real.H_c)
     cache = decompose(real)
-    v = composite_factor(cache, real, ph)
+    v = composite_factor(cache, theta)
     expect = np.append(real.H_d_strong @ real.b, 0.0)
     assert np.max(np.abs(v - expect)) < 1e-12
 
@@ -175,19 +200,18 @@ def test_decompose_no_ris_leaves_direct_column():
 def test_zf_gains_identity_channel():
     K = 3
     D = np.zeros((K + 1, 5), dtype=complex)
+    D[-1, 0] = 1.0  # h_c_weak = [1, 0, 0, 0]
     cache = synthetic_cache(np.eye(K, dtype=complex), D)
-    ph = extended_phase(np.ones(4))
-    h_c_weak = np.array([1.0, 0, 0, 0], dtype=complex)
-    gains = zf_inverted_gains(cache, ph, h_c_weak)
+    gains = zf_inverted_gains(cache, np.ones(4))
     assert np.allclose(gains, 1.0, atol=1e-12)
 
 
 def test_zf_gains_match_generic_inverse():
     for seed in range(30):
-        _, real, ph = random_instance(seed, n_bs=8, n_ris=16)
+        _, real, theta = random_instance(seed, n_bs=8, n_ris=16)
         cache = decompose(real)
-        gains = zf_inverted_gains(cache, ph, weak_cascaded_row(real))
-        H = compose_channel(real, ph, idealized=True)
+        gains = zf_inverted_gains(cache, theta)
+        H = compose_channel(real, theta, idealized=True)
         direct = np.real(np.diag(np.linalg.inv(H @ H.conj().T)))
         assert np.max(np.abs(gains - direct) / direct) < 1e-10
 
@@ -195,35 +219,34 @@ def test_zf_gains_match_generic_inverse():
 def test_zf_gains_weak_unreachable():
     _, real, _ = random_instance(5)
     cache = decompose(real)
-    ph = extended_phase(np.ones(8))
+    cache = replace(cache, h_c_weak=np.zeros(8, dtype=complex))
     with pytest.raises(ValueError, match="unreachable"):
-        zf_inverted_gains(cache, ph, np.zeros(8, dtype=complex))
+        zf_inverted_gains(cache, np.ones(8))
 
 
 def test_se_zf_zero_power():
-    _, real, ph = random_instance(6)
+    _, real, theta = random_instance(6)
     cache = decompose(real)
-    total, _, _ = sum_se(cache, ph, weak_cascaded_row(real), 0.0, "ZF", "exact")
+    total, _, _ = sum_se(cache, theta, 0.0, "ZF", "exact")
     assert total == 0.0
 
 
 def test_se_zf_decoupled_users():
     K = 2
-    cache = synthetic_cache(np.eye(K, dtype=complex), np.zeros((K + 1, 4), dtype=complex))
-    ph = extended_phase(np.ones(3))
-    h_c_weak = np.array([1.0, 0, 0], dtype=complex)
-    total, _, _ = sum_se(cache, ph, h_c_weak, 5.0, "ZF", "exact")
+    D = np.zeros((K + 1, 4), dtype=complex)
+    D[-1, 0] = 1.0  # h_c_weak = [1, 0, 0]
+    cache = synthetic_cache(np.eye(K, dtype=complex), D)
+    total, _, _ = sum_se(cache, np.ones(3), 5.0, "ZF", "exact")
     assert total == pytest.approx((K + 1) * np.log2(6.0), abs=1e-12)
 
 
 def test_se_zf_matches_generic_form():
     for seed in range(20):
-        cfg, real, ph = random_instance(seed)
+        cfg, real, theta = random_instance(seed)
         cache = decompose(real)
-        total, _, _ = sum_se(
-            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "ZF", "exact"
+        total, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "exact"
         )
-        oracle = se_zf_generic(compose_channel(real, ph), cfg.p_bar())
+        oracle = se_zf_generic(compose_channel(real, theta), cfg.p_bar())
         assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
@@ -232,41 +255,37 @@ def test_se_zf_matches_generic_form():
 
 def test_se_dpc_matches_logdet():
     for seed in range(30):
-        cfg, real, ph = random_instance(seed, n_bs=8, n_ris=16)
+        cfg, real, theta = random_instance(seed, n_bs=8, n_ris=16)
         cache = decompose(real)
-        total, _, _ = sum_se(
-            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC", "exact"
+        total, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "exact"
         )
-        oracle = se_dpc_logdet(compose_channel(real, ph), cfg.p_bar())
+        oracle = se_dpc_logdet(compose_channel(real, theta), cfg.p_bar())
         assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
 def test_se_dpc_zero_power():
-    _, real, ph = random_instance(7)
+    _, real, theta = random_instance(7)
     cache = decompose(real)
-    assert sum_se(cache, ph, weak_cascaded_row(real), 0.0, "DPC", "exact")[0] == 0.0
+    assert sum_se(cache, theta, 0.0, "DPC", "exact")[0] == 0.0
 
 
 def test_se_dpc_vanishing_cross_terms():
     K = 2
-    cache = synthetic_cache(
-        np.diag(np.array([3.0, 2.0], dtype=complex)), np.zeros((K + 1, 4), dtype=complex)
-    )
-    ph = extended_phase(np.ones(3))
-    h_c_weak = np.array([2.0, 0, 0], dtype=complex)
-    _, direct, reflect = sum_se(cache, ph, h_c_weak, 4.0, "DPC", "exact")
+    D = np.zeros((K + 1, 4), dtype=complex)
+    D[-1, 0] = 2.0  # h_c_weak = [2, 0, 0]
+    cache = synthetic_cache(np.diag(np.array([3.0, 2.0], dtype=complex)), D)
+    _, direct, reflect = sum_se(cache, np.ones(3), 4.0, "DPC", "exact")
     assert reflect == pytest.approx(np.log2(1.0 + 4.0 * 4.0), abs=1e-12)
     assert direct == pytest.approx(np.log2(13.0) + np.log2(9.0), abs=1e-12)
 
 
 def test_dpc_dominates_zf():
     for seed in range(50):
-        cfg, real, ph = random_instance(seed)
+        cfg, real, theta = random_instance(seed)
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
         for p_bar in (0.1, 10.0, cfg.p_bar()):
-            zf, _, _ = sum_se(cache, ph, h_c_weak, p_bar, "ZF", "exact")
-            dpc, _, _ = sum_se(cache, ph, h_c_weak, p_bar, "DPC", "exact")
+            zf, _, _ = sum_se(cache, theta, p_bar, "ZF", "exact")
+            dpc, _, _ = sum_se(cache, theta, p_bar, "DPC", "exact")
             assert dpc >= zf - 1e-9
 
 
@@ -275,34 +294,32 @@ def test_dpc_dominates_zf():
 
 def test_asymptotic_diagonal_equality():
     K = 2
-    cache = synthetic_cache(np.eye(K, dtype=complex), np.zeros((K + 1, 3), dtype=complex))
-    ph = extended_phase(np.ones(2))
-    h_c_weak = np.array([1.0, 0], dtype=complex)
+    D = np.zeros((K + 1, 3), dtype=complex)
+    D[-1, 0] = 1.0  # h_c_weak = [1, 0]
+    cache = synthetic_cache(np.eye(K, dtype=complex), D)
     p_bar = 100.0
     for precoder in ("ZF", "DPC"):
-        _, direct, _ = sum_se(cache, ph, h_c_weak, p_bar, precoder, "asymptotic")
+        _, direct, _ = sum_se(cache, np.ones(2), p_bar, precoder, "asymptotic")
         assert direct == pytest.approx(K * np.log2(p_bar), abs=1e-12)
 
 
 def test_asymptotic_split_is_additive():
-    cfg, real, ph = random_instance(8)
+    cfg, real, theta = random_instance(8)
     cache = decompose(real)
     for method in ("ZF", "DPC"):
-        total, direct, reflect = sum_se(
-            cache, ph, weak_cascaded_row(real), cfg.p_bar(), method, "asymptotic"
+        total, direct, reflect = sum_se(cache, theta, cfg.p_bar(), method, "asymptotic"
         )
         assert total == pytest.approx(direct + reflect, abs=1e-12)
 
 
 def test_exact_converges_to_asymptotic():
-    _, real, ph = random_instance(9)
+    _, real, theta = random_instance(9)
     cache = decompose(real)
-    h_c_weak = weak_cascaded_row(real)
     for method in ("ZF", "DPC"):
         gaps = []
         for p_bar in 10.0 ** np.arange(2, 9):
-            e = sum_se(cache, ph, h_c_weak, p_bar, method, "exact")[0]
-            a = sum_se(cache, ph, h_c_weak, p_bar, method, "asymptotic")[0]
+            e = sum_se(cache, theta, p_bar, method, "exact")[0]
+            a = sum_se(cache, theta, p_bar, method, "asymptotic")[0]
             gaps.append(abs(e - a))
         assert all(g1 <= g0 for g0, g1 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
@@ -311,44 +328,42 @@ def test_exact_converges_to_asymptotic():
 def test_asymptotic_singular_dpc_flags_neg_inf():
     K = 2
     C_s = np.diag(np.array([1.0, 0.0], dtype=complex))
-    cache = synthetic_cache(C_s, np.zeros((K + 1, 3), dtype=complex))
-    ph = extended_phase(np.ones(2))
-    h_c_weak = np.array([1.0, 0], dtype=complex)
-    total, direct, _ = sum_se(cache, ph, h_c_weak, 10.0, "DPC", "asymptotic")
+    D = np.zeros((K + 1, 3), dtype=complex)
+    D[-1, 0] = 1.0  # h_c_weak = [1, 0]
+    cache = synthetic_cache(C_s, D)
+    total, direct, _ = sum_se(cache, np.ones(2), 10.0, "DPC", "asymptotic")
     assert direct == -np.inf and total == -np.inf
 
 
 def test_asymptotic_dpc_dominates_zf():
     for seed in range(50):
-        cfg, real, ph = random_instance(seed)
+        cfg, real, theta = random_instance(seed)
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        zf, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "ZF", "asymptotic")
-        dpc, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "DPC", "asymptotic")
+        zf, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic")
         assert dpc >= zf - 1e-9
 
 
 @pytest.mark.parametrize("mode", ["Exact", "typo", "high_snr", ""])
 def test_unknown_mode_rejected(mode):
-    cfg, real, ph = random_instance(15)
+    cfg, real, theta = random_instance(15)
     cache = decompose(real)
-    h_c_weak = weak_cascaded_row(real)
-    g = weak_gain(ph, h_c_weak)
+    g = weak_gain(cache, theta)
     with pytest.raises(ValueError, match="unknown mode"):
-        zf_sum_se(cache.inv_diag(), g, mitigation_term(cache, ph), 1.0, mode)
+        zf_sum_se(cache.inv_diag(), g, mitigation_term(cache, theta), 1.0, mode)
     with pytest.raises(ValueError, match="unknown mode"):
         dpc_sum_se(cache.eigvals, g, None, 1.0, mode)
     for precoder in ("ZF", "DPC"):
         with pytest.raises(ValueError, match="unknown mode"):
-            sum_se(cache, ph, h_c_weak, cfg.p_bar(), precoder, mode)
+            sum_se(cache, theta, cfg.p_bar(), precoder, mode)
 
 
 @pytest.mark.parametrize("precoder", ["MRT", "zf", "dpc", ""])
 def test_unknown_precoder_rejected(precoder):
-    cfg, real, ph = random_instance(16)
-    cache, h_c_weak = decompose(real), weak_cascaded_row(real)
+    cfg, real, theta = random_instance(16)
+    cache = decompose(real)
     with pytest.raises(ValueError, match="unknown precoder"):
-        sum_se(cache, ph, h_c_weak, cfg.p_bar(), precoder, "exact")
+        sum_se(cache, theta, cfg.p_bar(), precoder, "exact")
 
 
 # ------------------------------------------- orthogonality-split DPC form
@@ -356,25 +371,24 @@ def test_unknown_precoder_rejected(precoder):
 
 def test_orthogonal_form_matches_asymptotic():
     for seed in range(30):
-        cfg, real, ph = random_instance(seed)
+        cfg, real, theta = random_instance(seed)
         cache = decompose(real)
         if b_proj_perp(cache) <= 1e-8:
             continue
-        split = se_dpc_orthogonal_form(real, ph, cfg.p_bar())
-        asym, _, _ = sum_se(
-            cache, ph, weak_cascaded_row(real), cfg.p_bar(), "DPC", "asymptotic"
+        split = se_dpc_orthogonal_form(real, theta, cfg.p_bar())
+        asym, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic"
         )
         assert abs(split - asym) < 1e-10 * max(1.0, abs(asym))
 
 
 def test_orthogonal_form_null_space_b():
-    cfg, real, ph = random_instance(11)
+    cfg, real, theta = random_instance(11)
     _, _, Vh = np.linalg.svd(real.H_d_strong, full_matrices=True)
     real.b = Vh[-1].conj()
     real.H_c = real.H_c  # b does not enter the cascaded channels
-    split = se_dpc_orthogonal_form(real, ph, cfg.p_bar())
+    split = se_dpc_orthogonal_form(real, theta, cfg.p_bar())
     s = np.linalg.svd(real.H_d_strong, compute_uv=False)
-    g = weak_gain(ph, weak_cascaded_row(real))
+    g = weak_gain(decompose(real), theta)
     expect = (
         2 * np.sum(np.log2(s))
         + 3 * np.log2(cfg.p_bar())
@@ -384,10 +398,10 @@ def test_orthogonal_form_null_space_b():
 
 
 def test_orthogonal_form_b_in_row_space():
-    cfg, real, ph = random_instance(12)
+    cfg, real, theta = random_instance(12)
     row = real.H_d_strong[0].conj()
     real.b = row / np.linalg.norm(row)
-    assert se_dpc_orthogonal_form(real, ph, cfg.p_bar()) == -np.inf
+    assert se_dpc_orthogonal_form(real, theta, cfg.p_bar()) == -np.inf
 
 
 # ------------------------------------------------------------------ gap terms
@@ -397,22 +411,20 @@ def test_delta_d_zero_for_diagonal():
     K = 3
     C_s = np.diag(np.array([4.0, 2.0, 0.5], dtype=complex))
     cache = synthetic_cache(C_s, np.zeros((K + 1, 5), dtype=complex))
-    ph = extended_phase(np.ones(4))
-    dd, dr = delta_se(cache, ph)
+    dd, dr = delta_se(cache, np.ones(4))
     assert dd == pytest.approx(0.0, abs=1e-12)
     assert dr == 0.0
 
 
 def test_delta_terms_nonnegative_and_sum_to_gap():
     for seed in range(50):
-        cfg, real, ph = random_instance(seed)
+        cfg, real, theta = random_instance(seed)
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
-        dd, dr = delta_se(cache, ph)
+        dd, dr = delta_se(cache, theta)
         assert dd >= -1e-10
         assert dr >= 0.0
-        zf, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "ZF", "asymptotic")
-        dpc, _, _ = sum_se(cache, ph, h_c_weak, cfg.p_bar(), "DPC", "asymptotic")
+        zf, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic")
         gap = dpc - zf
         assert abs((dd + dr) - gap) < 1e-10 * max(1.0, abs(gap))
 
@@ -422,10 +434,10 @@ def test_delta_se_of_a_stack_is_per_draw():
     real = realize_block(cfg, *draw_block(cfg, 4, range(4)))
     cache = decompose(real)
     theta = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * np.pi, (4, cfg.n_ris)))
-    dd, dr = delta_se(cache, extended_phase(theta))
+    dd, dr = delta_se(cache, theta)
     assert dd.shape == dr.shape == (4,)
     for i in range(4):
-        dd_i, dr_i = delta_se(cache[i], extended_phase(theta[i]))
+        dd_i, dr_i = delta_se(cache[i], theta[i])
         assert abs(dd[i] - dd_i) <= 1e-12 * max(1.0, abs(dd_i))
         assert abs(dr[i] - dr_i) <= 1e-12 * max(1.0, abs(dr_i))
 
@@ -450,10 +462,10 @@ def test_mitigation_no_reflection_matches_quadratic_form():
     # zero the strong users' cascaded rows; then for any theta the
     # mitigation quadratic form collapses to 1/(b^H P_perp b) - 1
     for seed in range(30):
-        _, real, ph = random_instance(seed)
+        _, real, theta = random_instance(seed)
         real.H_c[:-1] = 0.0
         cache = decompose(real)
-        lhs = 1.0 + mitigation_term(cache, ph)
+        lhs = 1.0 + mitigation_term(cache, theta)
         rhs = mitigation_no_reflection(real.H_d_strong, real.b)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 

@@ -19,13 +19,7 @@ from risbc.channel import (
     sample_realization,
 )
 from risbc.phases import random_phases, select_phases
-from risbc.se import (
-    decompose,
-    extended_phase,
-    row_space_feed,
-    sum_se,
-    weak_cascaded_row,
-)
+from risbc.se import decompose, row_space_feed, sum_se
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
@@ -121,11 +115,8 @@ def test_harness_is_transparent():
     ch_ss, _ = rep_seeds(cfg.seed, 0)
     real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
     cache = decompose(real)
-    h_c_weak = weak_cascaded_row(real)
-    theta = np.exp(-1j * np.angle(h_c_weak))
-    total, direct, reflect = sum_se(
-        cache, extended_phase(theta), h_c_weak, cfg.p_bar(), "ZF", "exact"
-    )
+    theta = np.exp(-1j * np.angle(cache.h_c_weak))
+    total, direct, reflect = sum_se(cache, theta, cfg.p_bar(), "ZF", "exact")
 
     assert row.se_mean == pytest.approx(total, abs=1e-12)
     assert row.se_d_mean == pytest.approx(direct, abs=1e-12)
@@ -153,12 +144,10 @@ def test_randomized_strategies_are_paired():
         ch_ss, ph_ss = rep_seeds(swept.seed, rep)
         real = sample_realization(swept, np.random.default_rng(ch_ss))
         cache = decompose(real)
-        h_c_weak = weak_cascaded_row(real)
         theta = random_phases(swept.n_ris, np.random.default_rng(ph_ss))
-        phase = extended_phase(theta)
         for prec in ("ZF", "DPC"):
             want[prec].append(
-                sum_se(cache, phase, h_c_weak, swept.p_bar(), prec, "asymptotic")[0]
+                sum_se(cache, theta, swept.p_bar(), prec, "asymptotic")[0]
             )
     for prec in ("ZF", "DPC"):
         assert rows[prec].se_mean == pytest.approx(np.mean(want[prec]), abs=1e-12)
@@ -299,7 +288,7 @@ ALL_METHODS = tuple(
 
 
 def per_draw_draws(plan, value):
-    """(cfg, cache, h_c_weak, phase seed) of every draw at one sweep point,
+    """(cfg, cache, phase seed) of every draw at one sweep point,
     by the per-draw public API; cache is None for a flagged draw."""
     cfg, xi = plan.config, None
     if plan.variable == "xi":
@@ -318,7 +307,7 @@ def per_draw_draws(plan, value):
         if xi is not None:
             real = replace(real, b=b_from_xi(real.H_d_strong, xi))
         cache = decompose(real)
-        yield cfg, cache, weak_cascaded_row(real), ph_ss
+        yield cfg, cache, ph_ss
 
 
 def per_draw_rows(plan):
@@ -327,7 +316,7 @@ def per_draw_rows(plan):
     rows = []
     for value in plan.values:
         kept, flagged = [], 0
-        for cfg, cache, h_c_weak, ph_ss in per_draw_draws(plan, value):
+        for cfg, cache, ph_ss in per_draw_draws(plan, value):
             if cache.cond() > sweep.COND_FLAG:
                 flagged += 1
                 continue
@@ -335,11 +324,9 @@ def per_draw_rows(plan):
             for m in plan.methods:
                 if m.strategy not in phases:
                     rng = np.random.default_rng(ph_ss)
-                    phases[m.strategy] = extended_phase(
-                        select_phases(m.strategy, cache, h_c_weak, rng)
-                    )
+                    phases[m.strategy] = select_phases(m.strategy, cache, rng)
                 out[m.label] = sum_se(
-                    cache, phases[m.strategy], h_c_weak, cfg.p_bar(), m.precoder, m.mode
+                    cache, phases[m.strategy], cfg.p_bar(), m.precoder, m.mode
                 )
             kept.append(out)
         for m in plan.methods:
@@ -390,7 +377,7 @@ def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
 def test_partial_flagging_matches_per_draw_loop(monkeypatch):
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     plan = SweepPlan(small_cfg(), "ptx_dbm", (20.0,), ALL_METHODS, reps=12)
-    conds = [cache.cond() for _, cache, _, _ in per_draw_draws(plan, 20.0)]
+    conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, 20.0)]
     monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
     result = run_sweep(plan)
     assert {(r.reps, r.flagged) for r in result.rows} == {(6, 6)}
