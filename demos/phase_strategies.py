@@ -1,7 +1,7 @@
 """What each RIS phase strategy buys the weak user.
 
 Compares random phases, aligning to the weak user's cascaded channel,
-and the mitigation-aware element-wise optimizer under zero-forcing, on
+and the mitigation-aware optimizer under zero-forcing, on
 paired channel draws of the default downlink.  Alignment maximizes the
 weak user's raw gain but also amplifies the interference-mitigation
 penalty baked into its ZF rate; the optimizer trades a little gain for a

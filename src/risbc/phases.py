@@ -2,37 +2,34 @@
 
 Four strategies are provided: uniform random phases, statistical phases
 (identical to random under i.i.d. Rayleigh fading), weak-user alignment
-theta_n = exp(j arg(h_c,K+1,n)), and an element-wise coordinate-ascent
-optimizer of the weak user's high-SNR ZF rate argument
+theta_n = exp(j arg(h_c,K+1,n)), and a batched optimizer of the weak user's
+high-SNR ZF rate argument
 
-    f(theta) = |h_c,K+1^H theta|^2 / (1 + theta_bar^H D_s^H C_s^{-1} D_s theta_bar)
+    f(theta) = |a^H theta_bar|^2 / (1 + theta_bar^H Q theta_bar),
+    a = [h_c,K+1; 0],  Q = D_s^H C_s^{-1} D_s (rank K),
 
-which trades channel gain against the mitigation penalty.  Each element
-update maximizes a ratio of two sinusoids in that element's phasor x,
-(A + 2 Re(ctil x)) / (B + 2 Re(dtil x)), exactly, in closed form (the
-Dinkelbach root of a quadratic); `optimize_mitigation_aware` gives the
-coefficients, which cost one K-length inner product per element.  Every
-strategy reads a draw from its `se.DecompositionCache` alone, the weak row
-h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep, not
-here (`se.row_space_feed`).
+which trades channel gain against the mitigation penalty: Dinkelbach with
+majorization-minimization (MM) steps on the unit-modulus torus (Sun, Babu
+& Palomar, IEEE TSP 2017), accelerated by SQUAREM (Varadhan & Roland,
+Scand. J. Stat. 2008).  Every strategy reads a draw from its
+`se.DecompositionCache` alone, the weak row h_c,K+1^H included.  The
+BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
 """
-
-import math
-from operator import mul
 
 import numpy as np
 
-from .linalg import check_finite
-from .se import DecompositionCache, _require_invertible, mitigation_term, weak_gain
+from .linalg import check_finite, herm, matvec
+from .se import DecompositionCache, _mitigation, _require_invertible, _terms, _theta_bar
 
 
 STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
 # The strategies that draw their phases at random.
 RANDOM_STRATEGIES = ("random", "statistical")
 
-# Coordinate ascent stops after MAX_SWEEPS sweeps, or once a full sweep
-# raises the objective by less than REL_TOLERANCE (relative).
-MAX_SWEEPS = 100
+# The optimizer stops a draw after MAX_STEPS accelerated steps (two MM steps
+# and an extrapolation each), or once a step raises its objective by less
+# than REL_TOLERANCE (relative).
+MAX_STEPS = 200
 REL_TOLERANCE = 1e-8
 
 
@@ -56,119 +53,129 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
 
 
 # =========================================================================
-# mitigation-aware element-wise optimizer
+# mitigation-aware MM optimizer
 # =========================================================================
 
 
 def mitigation_aware_objective(cache: DecompositionCache, theta: np.ndarray) -> float:
     """f(theta) = weak gain / (1 + mitigation); p_bar-independent."""
-    return float(weak_gain(cache, theta) / (1.0 + mitigation_term(cache, theta)))
+    g, cross = _terms(cache, theta)
+    return float(g / (1.0 + _mitigation(cache, cross)))
 
 
-def _best_phase(theta_n, A, ctil, B, dtil):
-    """Maximize (A + 2 Re(ctil x)) / (B + 2 Re(dtil x)) over unit phasors x.
+def _mm_operands(cache: DecompositionCache):
+    """(M, M^H, mu, V) of a stack of draws.
 
-    The maximum lambda* is the value at which max_x of the Dinkelbach
-    numerator A - lambda B + 2 Re((ctil - lambda dtil) x) is zero, i.e. the
-    larger root of
-        (B^2 - 4|dtil|^2) lambda^2 - 2 (A B - 4 Re(ctil dtil*)) lambda
-            + (A^2 - 4|ctil|^2) = 0,
-    whose leading coefficient is positive since B - 2|dtil| >= 1; the
-    maximizer is x* = conj(z) / |z| with z = ctil - lambda* dtil.  The
-    current phasor theta_n is kept when z = 0 (every phase is optimal) or
-    unless x* is at least as good, so a step never lowers the ratio.
+    With the whitened rows G = Lambda^{-1/2} U^H D_s, Q = G^H G, so one
+    product with M = [G; (h_c,K+1^H, 0)] [B, K+1, N_R+1] gives g = G theta_bar
+    (theta_bar^H Q theta_bar = |g|^2) and s = h_c,K+1^H theta: Q is never
+    formed.  G G^H = V diag(mu) V^H (K x K) holds Q's nonzero eigenvalues mu,
+    ascending.
     """
-    a = B * B - 4.0 * abs(dtil) ** 2
-    half_b = A * B - 4.0 * (ctil * dtil.conjugate()).real
-    c = A * A - 4.0 * abs(ctil) ** 2
-    disc = half_b * half_b - a * c
-    lam = (half_b + (math.sqrt(disc) if disc > 0.0 else 0.0)) / a
-    z = ctil - lam * dtil
-    r = abs(z)
-    if r == 0.0:
-        return theta_n
-    x = z.conjugate() / r
-    f_new = (A + 2.0 * (ctil * x).real) / (B + 2.0 * (dtil * x).real)
-    f_cur = (A + 2.0 * (ctil * theta_n).real) / (B + 2.0 * (dtil * theta_n).real)
-    return x if f_new >= f_cur else theta_n
+    G = herm(cache.eigvecs) @ cache.D_s / np.sqrt(cache.eigvals)[..., None]
+    M = np.concatenate([G, np.zeros_like(G[..., :1, :])], axis=-2)
+    M[..., -1, :-1] = cache.h_c_weak
+    mu, V = np.linalg.eigh(G @ herm(G))
+    return M, herm(M).copy(), mu, V
+
+
+def _relaxed_maximizer(M, mu, V) -> np.ndarray:
+    """x = (Q + I/r)^{-1} a, r = N_R + 1, per draw [B, r].
+
+    As ||theta_bar||^2 = r on the torus, f <= a^H (Q + I/r)^{-1} a, which x
+    attains.  By Woodbury, x = r a - r^2 G^H V diag(1 / (1 + r mu)) V^H G a.
+    """
+    G, a, r = M[:, :-1], M[:, -1].conj(), M.shape[-1]
+    w = matvec(herm(V), matvec(G, a)) / (1.0 + r * mu)
+    return r * a - r * r * matvec(herm(G), matvec(V, w))
+
+
+def _objective(M, theta_bar):
+    """(f(theta_bar), M theta_bar) for a stack: f = |s|^2 / (1 + |g|^2)."""
+    Mt = matvec(M, theta_bar)
+    power = Mt.real**2 + Mt.imag**2
+    return power[:, -1] / (1.0 + np.sum(power[:, :-1], axis=-1)), Mt
+
+
+def _phase(x):
+    """x / |x| per entry (1 where x is 0), rotated so that the last entry is
+    1, which keeps f; a stack [B, N_R+1] of points on the torus."""
+    r = np.abs(x)
+    x = np.divide(x, r, out=np.ones_like(x), where=r > 0.0)
+    x *= x[:, -1:].conj()
+    x[:, -1] = 1.0
+    return x
+
+
+def _mm_step(M, MH, lam_max, theta_bar):
+    """(f(theta_bar), the next MM iterate) for a stack [B, N_R+1].
+
+    On the torus, Q <= lambda_max I gives a minorizer of |a^H x|^2 - f x^H Q x
+    at theta_bar, maximized by phase(f lambda_max theta_bar + a s - f Q theta_bar)
+    with s = a^H theta_bar: one product with M^H on [-f g, s].
+    """
+    f, coef = _objective(M, theta_bar)
+    coef[:, :-1] *= -f[:, None]
+    return f, _phase(matvec(MH, coef) + (f * lam_max)[:, None] * theta_bar)
 
 
 def optimize_mitigation_aware(
     cache: DecompositionCache, init: np.ndarray
 ) -> np.ndarray:
-    """Element-wise coordinate ascent on the mitigation-aware objective.
+    """Accelerated Dinkelbach-MM ascent of the mitigation-aware objective.
 
-    Sweeps the elements in ascending index order; each 1-D update is the
-    closed-form maximizer of a ratio of two sinusoids in the element's phase
-    (`_best_phase`) and never decreases the objective.  Terminates when a full
-    sweep improves the objective by less than REL_TOLERANCE (relative) or
-    after MAX_SWEEPS sweeps.
-
-    The element loop runs on Python scalars.  With t = D_s theta_bar,
-    e_n = (C_s^{-1} D_s)[:, n], q_n = d_n^H e_n, v = t^H C_s^{-1} t (real)
-    and u_n = t^H e_n, element n's ratio has
-        A = |s0|^2 + |h_n|^2,  ctil = conj(s0) h_n  (s0 = s - h_n theta_n),
-        B = 1 + v - 2 Re(theta_n u_n) + 2 q_n,  dtil = u_n - conj(theta_n) q_n,
-    and a step Delta updates t += d_n Delta and
-    v += 2 Re(Delta u_n) + |Delta|^2 q_n.  So an element costs one K-length
-    inner product (u_n) and one K-length update (t); C_s^{-1} t is never
-    formed.  t, v and s = h_c,K+1^H theta are recomputed from numpy at the
-    start of every sweep, so rounding does not accumulate across sweeps.
+    Each draw starts from the better of `init` and phase(x / x_last) of the
+    relaxed maximizer x (`_relaxed_maximizer`).  A step takes two MM steps
+    theta_0 -> theta_1 -> theta_2 (`_mm_step`; in exact arithmetic neither
+    lowers f) and moves to the SQUAREM point
+    phase(theta_0 - 2 alpha r + alpha^2 v), r = theta_1 - theta_0,
+    v = theta_2 - 2 theta_1 + theta_0, alpha = -max(1, ||r|| / ||v||), if
+    its f is at least f(theta_2), else to theta_2.  A draw stops once a step
+    raises its f by less than REL_TOLERANCE (relative), or after MAX_STEPS
+    steps, and keeps the better of its last two points, so its result does
+    not depend on the other draws of its stack.
 
     Args:
-        cache: one draw's decomposition (C_s invertible), whose h_c_weak
-            is the weak user's cascaded row h_c,K+1^H.
-        init: [N_R] unit-modulus starting point.
+        cache: one draw's decomposition, or a stack's (C_s invertible).
+        init: [N_R] or [B, N_R] unit-modulus starting points.
 
     Returns:
-        [N_R] unit-modulus phases with objective >= objective(init).
+        Unit-modulus phases shaped like init, with objective >= objective(init).
     """
     _require_invertible(cache)
-    h_c_weak = cache.h_c_weak
-    theta = check_finite(init, "init").ravel().copy()
-    n_ris = theta.size
+    init = _theta_bar(init)
+    one = init.ndim == 1
+    if one:
+        cache, init = cache[np.newaxis], init[np.newaxis]
+    M, MH, mu, V = _mm_operands(cache)
+    lam_max = mu[:, -1]
+    relaxed = _phase(_relaxed_maximizer(M, mu, V))
+    better = _objective(M, relaxed)[0] > _objective(M, init)[0]
+    theta_bar = np.where(better[:, None], relaxed, init)
 
-    D_s = cache.D_s
-    E = cache.solve(D_s)  # C_s^{-1} D_s
-    q = np.real(np.sum(D_s.conj() * E, axis=0))  # q_n = d_n^H e_n
-    # per-element columns as Python scalars; u_n = t^H e_n = conj(t . conj(e_n))
-    h = h_c_weak.tolist()
-    h_sq = (np.abs(h_c_weak) ** 2).tolist()
-    d_cols = D_s[:, :n_ris].T.tolist()
-    e_conj_cols = E[:, :n_ris].T.conj().tolist()
-    q = q.tolist()
-
-    obj_prev = None
-    for _ in range(MAX_SWEEPS):
-        theta_bar = np.append(theta, 1.0)
-        t = D_s @ theta_bar
-        v = float(np.real(np.vdot(t, E @ theta_bar)))
-        s = complex(h_c_weak @ theta)
-        t, th = t.tolist(), theta.tolist()
-        for n in range(n_ris):
-            th_n, h_n, q_n = th[n], h[n], q[n]
-            u = sum(map(mul, t, e_conj_cols[n])).conjugate()
-            s0 = s - h_n * th_n
-            new = _best_phase(
-                th_n,
-                abs(s0) ** 2 + h_sq[n],
-                s0.conjugate() * h_n,
-                1.0 + v - 2.0 * (th_n * u).real + 2.0 * q_n,
-                u - th_n.conjugate() * q_n,
-            )
-            delta = new - th_n
-            th[n] = new
-            s = s0 + h_n * new
-            t = [tk + dk * delta for tk, dk in zip(t, d_cols[n])]
-            v += 2.0 * (delta * u).real + abs(delta) ** 2 * q_n
-        theta = np.array(th)
-        obj = abs(s) ** 2 / (1.0 + v)
-        if obj_prev is not None and obj - obj_prev <= REL_TOLERANCE * max(
-            obj_prev, 1e-300
-        ):
-            break
-        obj_prev = obj
-    return theta
+    out = np.empty_like(theta_bar)
+    index = np.arange(len(out))
+    prev, f_prev = theta_bar, np.full(len(out), -np.inf)
+    for step in range(MAX_STEPS + 1):
+        f, t1 = _mm_step(M, MH, lam_max, theta_bar)
+        stop = (f - f_prev <= REL_TOLERANCE * f_prev) | (step == MAX_STEPS)
+        if stop.any():
+            last = (f >= f_prev)[stop, None]
+            out[index[stop]] = np.where(last, theta_bar[stop], prev[stop])
+            go = ~stop
+            if not go.any():
+                break
+            index, M, MH, lam_max = index[go], M[go], MH[go], lam_max[go]
+            theta_bar, t1, f = theta_bar[go], t1[go], f[go]
+        _, t2 = _mm_step(M, MH, lam_max, t1)
+        r, v = t1 - theta_bar, t2 - 2.0 * t1 + theta_bar
+        r_norm, v_norm = np.linalg.norm(r, axis=-1), np.linalg.norm(v, axis=-1)
+        ratio = np.divide(r_norm, v_norm, out=np.ones_like(r_norm), where=v_norm > 0.0)
+        alpha = -np.fmax(1.0, ratio)[:, None]
+        jump = _phase(theta_bar - 2.0 * alpha * r + alpha**2 * v)
+        keep = _objective(M, jump)[0] >= _objective(M, t2)[0]
+        prev, theta_bar, f_prev = theta_bar, np.where(keep[:, None], jump, t2), f
+    return out[0, :-1] if one else out[:, :-1]
 
 
 def select_phases(
@@ -187,9 +194,8 @@ def select_phases(
     """
     if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    stacked = cache.h_c_weak.ndim == 2
     if kind in RANDOM_STRATEGIES:
-        if stacked:
+        if cache.h_c_weak.ndim == 2:
             raise ValueError(
                 "random phases of a stack come from channel.random_phase_block"
             )
@@ -197,9 +203,5 @@ def select_phases(
     aligned = align_weak_user(cache.h_c_weak)
     if kind == "align_weak":
         return aligned
-    if stacked:
-        return np.stack(
-            [optimize_mitigation_aware(cache[i], a) for i, a in enumerate(aligned)]
-        )
     return optimize_mitigation_aware(cache, aligned)
 

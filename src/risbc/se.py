@@ -43,8 +43,8 @@ class DecompositionCache:
     """A draw's Gram decomposition: everything its rates need but theta.
 
     The eigendecomposition C_s = U diag(lambda) U^H is the only
-    factorization of C_s: every formula reads C_s^{-1} through `solve` and
-    `inv_diag` (both require an invertible C_s; check `cond` first).  The
+    factorization of C_s: every formula reads C_s^{-1} through U and lambda
+    (an invertible C_s is required; check `cond` first).  The
     weak user's row of D is [h_c,K+1^H, 0], so h_c_weak completes D.  The
     cache of a stack of draws carries their leading batch axes on every
     field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
@@ -68,16 +68,6 @@ class DecompositionCache:
         low = self.eigvals[..., -1]
         out = np.full(low.shape, np.inf)
         return np.divide(self.eigvals[..., 0], low, out=out, where=low > 0)[()]
-
-    def solve(self, X: np.ndarray) -> np.ndarray:
-        """C_s^{-1} X = U diag(1/lambda) U^H X.
-
-        X is [..., K] (one vector per draw) or [..., K, M] (M columns).
-        """
-        vector = X.ndim == self.eigvals.ndim
-        Y = herm(self.eigvecs) @ (X[..., None] if vector else X)
-        Z = self.eigvecs @ (Y / self.eigvals[..., None])
-        return Z[..., 0] if vector else Z
 
     def inv_diag(self) -> np.ndarray:
         """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [..., K]."""
@@ -146,16 +136,25 @@ def _theta_bar(theta) -> np.ndarray:
     return np.concatenate([theta, one], axis=-1)
 
 
+def _terms(cache: DecompositionCache, theta) -> tuple:
+    """(|h_c,K+1^H theta|^2, |U^H D_s theta_bar|^2) from one check of theta."""
+    theta_bar = _theta_bar(theta)
+    g = np.abs(matvec(cache.h_c_weak[..., None, :], theta_bar[..., :-1])[..., 0]) ** 2
+    return g, np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
+
+
+def _mitigation(cache: DecompositionCache, cross) -> np.ndarray:
+    return np.sum(cross / cache.eigvals, axis=-1)
+
+
 def weak_gain(cache: DecompositionCache, theta) -> np.ndarray:
     """|h_c,K+1^H theta|^2 per draw (cache.h_c_weak is the conjugated row)."""
-    theta = _theta_bar(theta)[..., :-1]
-    return np.abs(matvec(cache.h_c_weak[..., None, :], theta)[..., 0]) ** 2
+    return _terms(cache, theta)[0]
 
 
 def dpc_cross_terms(cache: DecompositionCache, theta) -> np.ndarray:
     """|U^H D_s theta_bar|^2, [..., K]: the weak user's weight per eigenmode."""
-    u = matvec(cache.D_s, _theta_bar(theta))
-    return np.abs(matvec(herm(cache.eigvecs), u)) ** 2
+    return _terms(cache, theta)[1]
 
 
 def mitigation_term(cache: DecompositionCache, theta) -> np.ndarray:
@@ -164,7 +163,7 @@ def mitigation_term(cache: DecompositionCache, theta) -> np.ndarray:
     Formed as sum_k cross_k / lambda_k from the `dpc_cross_terms`, so it
     needs no solve of its own.
     """
-    return np.sum(dpc_cross_terms(cache, theta) / cache.eigvals, axis=-1)
+    return _mitigation(cache, _terms(cache, theta)[1])
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so
@@ -257,9 +256,9 @@ def zf_inverted_gains(cache: DecompositionCache, theta) -> np.ndarray:
     Strong users get the diagonal of C_s^{-1}; the weak user gets
     (1 + mitigation) / |h_c,K+1^H theta|^2.
     """
-    g = weak_gain(cache, theta)
+    g, cross = _terms(cache, theta)
     _require_invertible(cache)
-    return _zf_gains(cache.inv_diag(), g, mitigation_term(cache, theta))
+    return _zf_gains(cache.inv_diag(), g, _mitigation(cache, cross))
 
 
 def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
@@ -271,13 +270,12 @@ def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
     singular C_s is -inf in its direct part (a flagged value) instead.  A
     cache and phases with leading batch axes give one rate per draw.
     """
-    g = weak_gain(cache, theta)
+    g, cross = _terms(cache, theta)
     if precoder == "ZF":
         _require_invertible(cache)
-        mit = mitigation_term(cache, theta)
-        return zf_sum_se(cache.inv_diag(), g, mit, p_bar, mode)
+        return zf_sum_se(cache.inv_diag(), g, _mitigation(cache, cross), p_bar, mode)
     if precoder == "DPC":
-        return dpc_sum_se(cache.eigvals, g, dpc_cross_terms(cache, theta), p_bar, mode)
+        return dpc_sum_se(cache.eigvals, g, cross, p_bar, mode)
     raise ValueError(f"unknown precoder {precoder!r}")
 
 

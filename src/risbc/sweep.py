@@ -47,13 +47,14 @@ from .channel import (
     random_phase_block,
     realize_block,
 )
-from .linalg import herm, matvec
+from .linalg import herm
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from .se import (
+    _mitigation,
     _require_invertible,
+    _terms,
     decompose,
     decompose_feed,
-    dpc_cross_terms,
     dpc_sum_se,
     row_space_feed,
     zf_sum_se,
@@ -215,11 +216,8 @@ def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
             theta = random_theta[keep, : cfg.n_ris]
         else:
             theta = select_phases(kind, cache, None)
-        cross = dpc_cross_terms(cache, theta)  # the one check of theta
-        # mit and g as `mitigation_term` and `weak_gain` form them
-        mit = np.sum(cross / cache.eigvals, axis=-1)
-        g = np.abs(matvec(cache.h_c_weak[..., None, :], theta)[..., 0]) ** 2
-        terms[kind] = (g, mit, cross)
+        g, cross = _terms(cache, theta)  # the one check of theta
+        terms[kind] = (g, _mitigation(cache, cross), cross)
     return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
 
 

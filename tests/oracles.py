@@ -5,14 +5,15 @@ full matrix that the runtime code avoids (the assembled composite channel,
 projectors, bordered Gram inverses, per-user covariance matrices), takes a
 factorization of its own (generic inversion and log-determinant, the SVD
 cross-checks of the projection split, the SVD construction of the BS-RIS
-direction b at orthogonality xi), or takes the direct numpy route the
-runtime code shortcuts (the mitigation-aware coordinate ascent), so that a
-test can check a shortcut against the textbook formula.
+direction b at orthogonality xi, the dense N_R+1 square matrix Q of the
+mitigation-aware objective), or takes a direct numpy route the runtime
+code avoids (the element-wise coordinate ascent that the batched MM
+optimizer is measured against), so that a test can check a shortcut
+against the textbook formula.
 """
 
 import numpy as np
 
-from risbc import phases
 from risbc.bounds import EULER_GAMMA, BoundReport
 from risbc.channel import ChannelRealization
 from risbc.linalg import check_finite, herm, matvec
@@ -120,6 +121,17 @@ def mitigation_no_reflection(H_d_strong: np.ndarray, b: np.ndarray) -> float:
     return 1.0 / bpp
 
 
+def cache_solve(cache: DecompositionCache, X: np.ndarray) -> np.ndarray:
+    """C_s^{-1} X = U diag(1/lambda) U^H X through the cache's eigenpairs.
+
+    X is [..., K] (one vector per draw) or [..., K, M] (M columns).
+    """
+    vector = X.ndim == cache.eigvals.ndim
+    Y = herm(cache.eigvecs) @ (X[..., None] if vector else X)
+    Z = cache.eigvecs @ (Y / cache.eigvals[..., None])
+    return Z[..., 0] if vector else Z
+
+
 def b_proj_perp(cache: DecompositionCache) -> float:
     """b^H P_perp_{H_d^{s,H}} b in [0, 1] from a decomposition, per draw.
 
@@ -130,7 +142,7 @@ def b_proj_perp(cache: DecompositionCache) -> float:
     c = cache.D_s[..., -1]
     # singular draws get 0; their solve is discarded, so its overflow is moot
     with np.errstate(all="ignore"):
-        quad = np.real(np.sum(c.conj() * cache.solve(c), axis=-1))
+        quad = np.real(np.sum(c.conj() * cache_solve(cache, c), axis=-1))
         bpp = 1.0 / (1.0 + quad)
     return np.where(cache.eigvals[..., -1] > 0, bpp, 0.0)[()]
 
@@ -345,8 +357,54 @@ def reference_e1(x: float, scaled: bool = False) -> float:
 
 
 # =========================================================================
+# the mitigation-aware objective with a dense Q
+# =========================================================================
+
+
+def mitigation_matrix(cache: DecompositionCache) -> tuple:
+    """(Q, a) of one draw, f(theta) = |a^H theta_bar|^2 / (1 + theta_bar^H Q theta_bar).
+
+    Q = D_s^H C_s^{-1} D_s [N_R+1, N_R+1] by a dense solve with C_s
+    reassembled from the cache's eigenpairs, and a = [h_c,K+1; 0].
+    """
+    C_s = (cache.eigvecs * cache.eigvals) @ cache.eigvecs.conj().T
+    Q = cache.D_s.conj().T @ np.linalg.solve(C_s, cache.D_s)
+    a = np.append(cache.h_c_weak.conj(), 0.0)
+    return 0.5 * (Q + Q.conj().T), a
+
+
+def relaxed_maximizer(cache: DecompositionCache) -> np.ndarray:
+    """x = (Q + I/(N_R+1))^{-1} a by a dense solve, [N_R+1]."""
+    Q, a = mitigation_matrix(cache)
+    return np.linalg.solve(Q + np.eye(a.size) / a.size, a)
+
+
+def relaxation_bound(cache: DecompositionCache) -> float:
+    """a^H (Q + I/(N_R+1))^{-1} a: no unit-modulus theta has a larger f."""
+    _, a = mitigation_matrix(cache)
+    return float(np.real(np.vdot(a, relaxed_maximizer(cache))))
+
+
+def reference_mm_step(cache: DecompositionCache, theta: np.ndarray) -> np.ndarray:
+    """One Dinkelbach-MM step from theta with the dense Q:
+    phase(f lambda_max(Q) theta_bar + a a^H theta_bar - f Q theta_bar),
+    rotated so that its last entry is 1; returns the [N_R] phases."""
+    Q, a = mitigation_matrix(cache)
+    tb = np.append(theta, 1.0)
+    f = abs(np.vdot(a, tb)) ** 2 / (1.0 + np.real(np.vdot(tb, Q @ tb)))
+    x = f * np.linalg.eigvalsh(Q)[-1] * tb + a * np.vdot(a, tb) - f * (Q @ tb)
+    x = x / np.abs(x)
+    return x[:-1] * np.conj(x[-1])
+
+
+# =========================================================================
 # mitigation-aware coordinate ascent in numpy
 # =========================================================================
+
+# The coordinate ascent stops after CA_MAX_SWEEPS sweeps, or once a full
+# sweep raises the objective by less than CA_REL_TOLERANCE (relative).
+CA_MAX_SWEEPS = 100
+CA_REL_TOLERANCE = 1e-8
 
 
 def reference_best_phase(phi_cur, A, ctil, B, dtil):
@@ -355,8 +413,9 @@ def reference_best_phase(phi_cur, A, ctil, B, dtil):
     The angle form of the Dinkelbach step: lambda* is the larger root of
         (B^2 - 4|dtil|^2) lambda^2 - 2 (A B - 4 Re(ctil dtil*)) lambda
             + (A^2 - 4|ctil|^2) = 0,
-    the maximizer is phi* = -arg(ctil - lambda* dtil), and the current
-    angle is kept unless phi* is at least as good.
+    whose leading coefficient is positive since B - 2|dtil| >= 1; the
+    maximizer is phi* = -arg(ctil - lambda* dtil), and the current angle is
+    kept unless phi* is at least as good, so a step never lowers the ratio.
     """
     a = B * B - 4.0 * abs(dtil) ** 2
     half_b = A * B - 4.0 * np.real(ctil * np.conj(dtil))
@@ -369,19 +428,20 @@ def reference_best_phase(phi_cur, A, ctil, B, dtil):
 
 
 def reference_optimize_mitigation_aware(cache, init):
-    """Element-wise coordinate ascent on |h^H theta|^2 / (1 + mitigation),
-    every step in numpy: t = D_s theta_bar and w = C_s^{-1} t are carried as
-    K-vectors, and element n's coefficients come from t0 = t - d_n theta_n
-    and w0 = w - e_n theta_n.  Same sweep order, cap and stopping rule as
-    `phases.optimize_mitigation_aware`.
+    """Element-wise coordinate ascent on |h^H theta|^2 / (1 + mitigation), one
+    draw, every step in numpy: t = D_s theta_bar and w = C_s^{-1} t are
+    carried as K-vectors, and element n's coefficients come from
+    t0 = t - d_n theta_n and w0 = w - e_n theta_n.  Elements are swept in
+    ascending index order; each update is `reference_best_phase` of
+    element n's ratio of two sinusoids, so the objective never falls.
     """
     h_c_weak = cache.h_c_weak
     theta = np.asarray(init, dtype=complex).ravel().copy()
     D_s = cache.D_s
-    E = cache.solve(D_s)
+    E = cache_solve(cache, D_s)
     q = np.real(np.sum(D_s.conj() * E, axis=0))
     obj_prev = None
-    for _ in range(phases.MAX_SWEEPS):
+    for _ in range(CA_MAX_SWEEPS):
         theta_bar = np.append(theta, 1.0)
         t = D_s @ theta_bar
         w = E @ theta_bar
@@ -402,7 +462,7 @@ def reference_optimize_mitigation_aware(cache, init):
             t += D_s[:, n] * diff
             w += E[:, n] * diff
         obj = np.abs(s) ** 2 / (1.0 + np.real(np.vdot(t, w)))
-        if obj_prev is not None and obj - obj_prev <= phases.REL_TOLERANCE * max(
+        if obj_prev is not None and obj - obj_prev <= CA_REL_TOLERANCE * max(
             obj_prev, 1e-300
         ):
             break

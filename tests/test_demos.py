@@ -10,13 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
-# phase_strategies.py is left out: it takes about 8 s, all of it in
-# run_sweep's mitigation-aware optimizer, which test_sweep already covers.
 SMOKE = (
     "element_scaling",
     "exact_vs_asymptotic",
     "exponential_integral_bound",
     "orthogonality_tradeoff",
+    "phase_strategies",
 )
 
 

@@ -90,6 +90,32 @@ def test_sum_se_rejects_non_unit():
             sum_se(decompose(real), np.array([1.0, 0.5]), 1.0, precoder, "exact")
 
 
+def test_theta_is_checked_once_per_call(monkeypatch):
+    # each public rate call builds (and checks) theta_bar exactly once
+    _, real, theta = random_instance(2)
+    cache = decompose(real)
+    check = risbc.se._theta_bar
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return check(t)
+
+    monkeypatch.setattr(risbc.se, "_theta_bar", spy)
+    monkeypatch.setattr(risbc.phases, "_theta_bar", spy)
+    for run in (
+        lambda: sum_se(cache, theta, 10.0, "ZF", "exact"),
+        lambda: sum_se(cache, theta, 10.0, "ZF", "asymptotic"),
+        lambda: sum_se(cache, theta, 10.0, "DPC", "exact"),
+        lambda: sum_se(cache, theta, 10.0, "DPC", "asymptotic"),
+        lambda: zf_inverted_gains(cache, theta),
+        lambda: risbc.phases.mitigation_aware_objective(cache, theta),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 # ------------------------------------------------------------------ decompose
 
 
