@@ -22,7 +22,7 @@ the CLI exit status.
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -63,41 +63,26 @@ def _to_floats(raw):
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _to_point(raw):
-    vals = _to_floats(raw)
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 coordinates, got {len(vals)}")
-    return vals
+def _to_tuple(length):
+    """Parser of `length` comma- or space-separated floats."""
+
+    def parse(raw):
+        vals = _to_floats(raw)
+        if len(vals) != length:
+            raise ValueError(f"expected {length} numbers, got {len(vals)}")
+        return vals
+
+    return parse
 
 
-def _to_pair(raw):
-    vals = _to_floats(raw)
-    if len(vals) != 2:
-        raise ValueError(f"expected 2 pathloss coefficients, got {len(vals)}")
-    return vals
-
-
-# key -> parser, in ScenarioConfig declaration order (reused for serialization)
+_PARSERS = {bool: _to_bool, int: int, float: float, str: str.strip}
+# key -> parser, in ScenarioConfig declaration order (reused for
+# serialization), chosen by the type of the field's default
 _SCENARIO_KEYS = {
-    "n_bs": int,
-    "n_ris": int,
-    "n_strong": int,
-    "bs_pos": _to_point,
-    "ris_pos": _to_point,
-    "user_circle_center": _to_point,
-    "user_circle_radius": float,
-    "ptx_dbm": float,
-    "noise_dbm": float,
-    "weak_extra_loss_db": float,
-    "direct_extra_loss_db": float,
-    "pl_direct": _to_pair,
-    "pl_ris_user": _to_pair,
-    "pl_los": _to_pair,
-    "aoa": float,
-    "aod": float,
-    "power_divisor": str.strip,
-    "freeze_positions": _to_bool,
-    "seed": int,
+    f.name: _to_tuple(len(f.default))
+    if isinstance(f.default, tuple)
+    else _PARSERS[type(f.default)]
+    for f in fields(ScenarioConfig)
 }
 _SWEEP_KEYS = {
     "variable": str.strip,

@@ -19,7 +19,7 @@ BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
 import numpy as np
 
 from .linalg import check_finite, herm, matvec
-from .se import DecompositionCache, _mitigation, _require_invertible, _terms, _theta_bar
+from .se import DecompositionCache, extended_phases, rate_terms, require_invertible
 
 
 STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
@@ -59,8 +59,8 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
 
 def mitigation_aware_objective(cache: DecompositionCache, theta: np.ndarray) -> float:
     """f(theta) = weak gain / (1 + mitigation); p_bar-independent."""
-    g, cross = _terms(cache, theta)
-    return float(g / (1.0 + _mitigation(cache, cross)))
+    terms = rate_terms(cache, theta)
+    return float(terms.g / (1.0 + terms.mitigation()))
 
 
 def _mm_operands(cache: DecompositionCache):
@@ -142,8 +142,8 @@ def optimize_mitigation_aware(
     Returns:
         Unit-modulus phases shaped like init, with objective >= objective(init).
     """
-    _require_invertible(cache)
-    init = _theta_bar(init)
+    require_invertible(cache.eigvals)
+    init = extended_phases(init)
     one = init.ndim == 1
     if one:
         cache, init = cache[np.newaxis], init[np.newaxis]

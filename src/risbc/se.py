@@ -20,17 +20,20 @@ The BS-RIS direction b enters only through its feed c = H_d^s b, the last
 column of D_s (`decompose_feed`); at orthogonality xi the feed is
 c(0) / sqrt(1 + xi^2), with c(0) from `row_space_feed`.
 
-p_bar enters only at the last step: every rate is a function of the p_bar-free
-terms eigvals(C_s), diag(C_s^{-1}), the weak gain g = |h_c,K+1^H theta|^2, the
-mitigation term and the DPC cross terms |U^H D_s theta_bar|^2.  `zf_sum_se` and
-`dpc_sum_se` are the rate formulas over those terms; `sum_se` forms the terms
-of a precoder from a draw's cache and phases and calls them, and the batched
-sweep calls them on the terms it keeps.  The decomposition, the phases, the
-terms and the rates broadcast over leading batch axes, so one call serves
-one draw or a stack of draws.
+p_bar enters only at the last step.  Every rate is a function of a draw's
+`RateTerms`, which do not depend on it: eigvals(C_s), diag(C_s^{-1}), the
+weak gain g = |h_c,K+1^H theta|^2 and the DPC cross terms
+cross = |U^H D_s theta_bar|^2, whose sum_k cross_k / lambda_k is the
+mitigation term that only linear precoding pays.  `rate_terms(cache, theta)`
+forms them and `rates(terms, p_bar, precoder, mode)` holds the four rate
+formulas; `sum_se` applies both to a draw, and the batched sweep keeps each
+strategy's terms and calls `rates` at every power.  The decomposition, the
+phases, the terms and the rates broadcast over leading batch axes, so one
+call serves one draw or a stack of draws.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,13 +68,14 @@ class DecompositionCache:
 
     def cond(self) -> float:
         """Condition number of C_s (inf when singular), per draw."""
-        low = self.eigvals[..., -1]
-        out = np.full(low.shape, np.inf)
-        return np.divide(self.eigvals[..., 0], low, out=out, where=low > 0)[()]
+        return _cond(self.eigvals)
 
-    def inv_diag(self) -> np.ndarray:
-        """[C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j, real, shape [..., K]."""
-        return matvec(np.abs(self.eigvecs) ** 2, 1.0 / self.eigvals)
+
+def _cond(eigvals):
+    """Condition number of C_s from its descending eigenvalues [..., K]."""
+    low = eigvals[..., -1]
+    out = np.full(low.shape, np.inf)
+    return np.divide(eigvals[..., 0], low, out=out, where=low > 0)[()]
 
 
 def row_space_feed(H_d_strong: np.ndarray) -> np.ndarray:
@@ -122,11 +126,11 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 
 
 # =========================================================================
-# theta-dependent scalars
+# the p_bar-free rate terms of a draw
 # =========================================================================
 
 
-def _theta_bar(theta) -> np.ndarray:
+def extended_phases(theta) -> np.ndarray:
     """theta_bar = [theta; 1] of phases theta [..., N_R], which must be finite
     and unit modulus (ValueError otherwise)."""
     theta = np.atleast_1d(check_finite(theta, "theta"))
@@ -136,34 +140,33 @@ def _theta_bar(theta) -> np.ndarray:
     return np.concatenate([theta, one], axis=-1)
 
 
-def _terms(cache: DecompositionCache, theta) -> tuple:
-    """(|h_c,K+1^H theta|^2, |U^H D_s theta_bar|^2) from one check of theta."""
-    theta_bar = _theta_bar(theta)
+class RateTerms(NamedTuple):
+    """The p_bar-free terms of a draw's rates at its phases; a stack of draws
+    carries its leading batch axes on every field."""
+
+    eigvals: np.ndarray  # [..., K] eigenvalues lambda of C_s, descending
+    inv_diag: np.ndarray  # [..., K] [C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j
+    g: np.ndarray  # [...] weak gain |h_c,K+1^H theta|^2
+    cross: np.ndarray  # [..., K] DPC cross terms |U^H D_s theta_bar|^2
+
+    def mitigation(self) -> np.ndarray:
+        """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF
+        penalty, as sum_k cross_k / lambda_k (no solve of its own)."""
+        return np.sum(self.cross / self.eigvals, axis=-1)
+
+
+def rate_terms(cache: DecompositionCache, theta) -> RateTerms:
+    """The RateTerms of a draw's cache at phases theta, from one check of
+    theta (cache.h_c_weak is the conjugated row h_c,K+1^H)."""
+    theta_bar = extended_phases(theta)
     g = np.abs(matvec(cache.h_c_weak[..., None, :], theta_bar[..., :-1])[..., 0]) ** 2
-    return g, np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
-
-
-def _mitigation(cache: DecompositionCache, cross) -> np.ndarray:
-    return np.sum(cross / cache.eigvals, axis=-1)
-
-
-def weak_gain(cache: DecompositionCache, theta) -> np.ndarray:
-    """|h_c,K+1^H theta|^2 per draw (cache.h_c_weak is the conjugated row)."""
-    return _terms(cache, theta)[0]
-
-
-def dpc_cross_terms(cache: DecompositionCache, theta) -> np.ndarray:
-    """|U^H D_s theta_bar|^2, [..., K]: the weak user's weight per eigenmode."""
-    return _terms(cache, theta)[1]
-
-
-def mitigation_term(cache: DecompositionCache, theta) -> np.ndarray:
-    """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF penalty.
-
-    Formed as sum_k cross_k / lambda_k from the `dpc_cross_terms`, so it
-    needs no solve of its own.
-    """
-    return _mitigation(cache, _terms(cache, theta)[1])
+    cross = np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
+    # only ZF and delta_se read inv_diag, after their invertibility check,
+    # so a singular C_s (whose asymptotic DPC rate is a flagged -inf) must
+    # not warn here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_diag = matvec(np.abs(cache.eigvecs) ** 2, 1.0 / cache.eigvals)
+    return RateTerms(cache.eigvals, inv_diag, g, cross)
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so
@@ -171,8 +174,10 @@ def mitigation_term(cache: DecompositionCache, theta) -> np.ndarray:
 COND_RAISE = 1e14
 
 
-def _require_invertible(cache: DecompositionCache):
-    if np.any(cache.cond() > COND_RAISE):
+def require_invertible(eigvals):
+    """ValueError unless every C_s, of descending eigenvalues [..., K], has a
+    condition number of at most COND_RAISE."""
+    if np.any(_cond(eigvals) > COND_RAISE):
         raise ValueError("direct channels rank-deficient after projection")
 
 
@@ -181,73 +186,70 @@ def _require_reachable(g):
         raise ValueError("weak user unreachable")
 
 
-# =========================================================================
-# sum SE from the p_bar-free terms
-# =========================================================================
-
-
-def _zf_gains(inv_diag, g, mit):
+def _zf_gains(terms: RateTerms) -> np.ndarray:
     """[..., K+1] ZF inverted gains: diag(C_s^{-1}), then (1 + mit) / g."""
-    _require_reachable(g)
-    return np.concatenate([inv_diag, np.asarray((1.0 + mit) / g)[..., None]], axis=-1)
-
-
-def zf_sum_se(inv_diag, g, mit, p_bar: float, mode: str) -> tuple:
-    """ZF sum SE (total, direct, reflected) from its p_bar-free terms.
-
-    exact:      sum_k log2(1 + p_bar / e_k), e = [diag(C_s^{-1}), (1 + mit) / g]
-    asymptotic: sum_k log2(p_bar / [C_s^{-1}]_kk) + log2(g p_bar / (1 + mit))
-
-    inv_diag [..., K], weak gain g [...] and mitigation term mit [...] share
-    their leading batch axes; so do the three results (numpy scalars for
-    one draw).
-    """
-    if mode == "exact":
-        per_user = np.log2(1.0 + p_bar / _zf_gains(inv_diag, g, mit))
-        return (
-            np.sum(per_user, axis=-1),
-            np.sum(per_user[..., :-1], axis=-1),
-            per_user[..., -1][()],
-        )
-    if mode != "asymptotic":
-        raise ValueError(f"unknown mode {mode!r}")
-    _require_reachable(g)
-    direct = np.sum(np.log2(p_bar / inv_diag), axis=-1)
-    reflect = np.log2(g * p_bar / (1.0 + mit))
-    return direct + reflect, direct, reflect
-
-
-def dpc_sum_se(eigvals, g, cross, p_bar: float, mode: str) -> tuple:
-    """DPC sum SE (total, direct, reflected) from its p_bar-free terms.
-
-    exact:      sum_k log2(1 + lambda_k p_bar)
-                + log2(1 + g p_bar + p_bar sum_k cross_k / (1 + lambda_k p_bar))
-                (= log2 det(I + p_bar H H^H))
-    asymptotic: log2 det(C_s p_bar) + log2(g p_bar), with -inf in the direct
-                part where C_s is singular (a flagged value, not an error)
-
-    eigvals [..., K], weak gain g [...] and the cross terms [..., K] (unused
-    by the asymptotic form) share their leading batch axes; so do the three
-    results (numpy scalars for one draw).
-    """
-    if mode == "exact":
-        one_plus = 1.0 + eigvals * p_bar
-        direct = np.sum(np.log2(one_plus), axis=-1)
-        reflect = np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus, axis=-1))
-        return direct + reflect, direct, reflect
-    if mode != "asymptotic":
-        raise ValueError(f"unknown mode {mode!r}")
-    _require_reachable(g)
-    regular = eigvals[..., -1] > 0.0
-    safe = np.where(regular[..., None], eigvals, 1.0)
-    direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)[()]
-    reflect = np.log2(g * p_bar)
-    return direct + reflect, direct, reflect
+    _require_reachable(terms.g)
+    weak = np.asarray((1.0 + terms.mitigation()) / terms.g)
+    return np.concatenate([terms.inv_diag, weak[..., None]], axis=-1)
 
 
 # =========================================================================
 # sum SE of a draw or a stack of draws
 # =========================================================================
+
+
+def rates(terms: RateTerms, p_bar: float, precoder: str, mode: str) -> tuple:
+    """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
+    "exact" or "asymptotic" from a draw's terms, with uniform per-user
+    power p_bar (mit = terms.mitigation()):
+
+    ZF exact:       sum_k log2(1 + p_bar / e_k), e = [diag(C_s^{-1}), (1 + mit) / g]
+    ZF asymptotic:  sum_k log2(p_bar / [C_s^{-1}]_kk) + log2(g p_bar / (1 + mit))
+    DPC exact:      sum_k log2(1 + lambda_k p_bar)
+                    + log2(1 + g p_bar + p_bar sum_k cross_k / (1 + lambda_k p_bar))
+                    (= log2 det(I + p_bar H H^H))
+    DPC asymptotic: log2 det(C_s p_bar) + log2(g p_bar)
+
+    The direct part is the strong users' rate, the reflected part the weak
+    user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
+    singular C_s is -inf in its direct part (a flagged value) instead.
+    Terms with leading batch axes give one rate per draw (numpy scalars for
+    one draw).
+    """
+    if precoder not in ("ZF", "DPC"):
+        raise ValueError(f"unknown precoder {precoder!r}")
+    if mode not in ("exact", "asymptotic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    eigvals, inv_diag, g, cross = terms
+    if precoder == "ZF":
+        require_invertible(eigvals)
+        if mode == "exact":
+            per_user = np.log2(1.0 + p_bar / _zf_gains(terms))
+            return (
+                np.sum(per_user, axis=-1),
+                np.sum(per_user[..., :-1], axis=-1),
+                per_user[..., -1][()],
+            )
+        _require_reachable(g)
+        direct = np.sum(np.log2(p_bar / inv_diag), axis=-1)
+        reflect = np.log2(g * p_bar / (1.0 + terms.mitigation()))
+    elif mode == "exact":
+        one_plus = 1.0 + eigvals * p_bar
+        direct = np.sum(np.log2(one_plus), axis=-1)
+        reflect = np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus, axis=-1))
+    else:
+        _require_reachable(g)
+        regular = eigvals[..., -1] > 0.0
+        safe = np.where(regular[..., None], eigvals, 1.0)
+        direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)[()]
+        reflect = np.log2(g * p_bar)
+    return direct + reflect, direct, reflect
+
+
+def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
+    """`rates` of a draw's cache at phases theta; a cache and phases with
+    leading batch axes give one rate per draw."""
+    return rates(rate_terms(cache, theta), p_bar, precoder, mode)
 
 
 def zf_inverted_gains(cache: DecompositionCache, theta) -> np.ndarray:
@@ -256,27 +258,9 @@ def zf_inverted_gains(cache: DecompositionCache, theta) -> np.ndarray:
     Strong users get the diagonal of C_s^{-1}; the weak user gets
     (1 + mitigation) / |h_c,K+1^H theta|^2.
     """
-    g, cross = _terms(cache, theta)
-    _require_invertible(cache)
-    return _zf_gains(cache.inv_diag(), g, _mitigation(cache, cross))
-
-
-def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
-    """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
-    "exact" or "asymptotic", with uniform per-user power p_bar.
-
-    The direct part is the strong users' rate, the reflected part the weak
-    user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
-    singular C_s is -inf in its direct part (a flagged value) instead.  A
-    cache and phases with leading batch axes give one rate per draw.
-    """
-    g, cross = _terms(cache, theta)
-    if precoder == "ZF":
-        _require_invertible(cache)
-        return zf_sum_se(cache.inv_diag(), g, _mitigation(cache, cross), p_bar, mode)
-    if precoder == "DPC":
-        return dpc_sum_se(cache.eigvals, g, cross, p_bar, mode)
-    raise ValueError(f"unknown precoder {precoder!r}")
+    terms = rate_terms(cache, theta)
+    require_invertible(terms.eigvals)
+    return _zf_gains(terms)
 
 
 # =========================================================================
@@ -291,7 +275,8 @@ def delta_se(cache: DecompositionCache, theta) -> tuple:
     delta_r = log2(1 + mitigation)                        (>= 0)
     A stack of draws gives one pair per draw.
     """
-    _require_invertible(cache)
-    delta_d = np.sum(np.log2(cache.eigvals) + np.log2(cache.inv_diag()), axis=-1)
-    delta_r = np.log2(1.0 + mitigation_term(cache, theta))
+    require_invertible(cache.eigvals)
+    terms = rate_terms(cache, theta)
+    delta_d = np.sum(np.log2(terms.eigvals) + np.log2(terms.inv_diag), axis=-1)
+    delta_r = np.log2(1.0 + terms.mitigation())
     return delta_d, delta_r

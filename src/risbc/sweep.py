@@ -11,15 +11,15 @@ A sweep runs in two stages.  Stage 1 draws the replications in blocks of
 BLOCK_REPS and, at every sweep point, decomposes each block with one stacked
 eigh into a cache that is the whole block (weak rows included), masks the
 flagged draws out of it, selects every strategy's phases from it and
-reduces each draw to the terms its rates need that do not depend on
-transmit power: eigvals(C_s), diag(C_s^{-1}) and, per strategy, the weak
-gain, the mitigation term and the DPC cross terms.  Stage 2 evaluates every
-method's rates from those terms with `se.zf_sum_se` and `se.dpc_sum_se`,
-the formulas `se.sum_se` applies to a draw.  Transmit power enters only
-stage 2, so a `ptx_dbm` sweep runs stage 1 at one point and every point
-reuses it.  An `xi` sweep realizes each block once and takes its feed c(0)
-once (`se.row_space_feed`, one SVD per draw); each xi point decomposes it at
-the feed c(0) / sqrt(1 + xi^2), one xi at a time.
+reduces each draw to its rates' terms that do not depend on transmit power
+(`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per strategy, the weak
+gain and the DPC cross terms).  Stage 2 evaluates every method's rates from
+its strategy's terms with `se.rates`, as `se.sum_se` does for a draw, and
+raises if a row would not be finite.  Transmit power enters only stage 2,
+so a `ptx_dbm` sweep runs stage 1 at one point and every point reuses it.
+An `xi` sweep realizes each block once and takes its feed c(0) once
+(`se.row_space_feed`, one SVD per draw); each xi point decomposes it at the
+feed c(0) / sqrt(1 + xi^2), one xi at a time.
 
 Each replication's streams are drawn once per run, from the run seed.  A
 block's channel variates are drawn at the point with the most of them
@@ -49,16 +49,7 @@ from .channel import (
 )
 from .linalg import herm
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
-from .se import (
-    _mitigation,
-    _require_invertible,
-    _terms,
-    decompose,
-    decompose_feed,
-    dpc_sum_se,
-    row_space_feed,
-    zf_sum_se,
-)
+from .se import RateTerms, decompose, decompose_feed, rate_terms, rates, row_space_feed
 
 # Draws above this condition number are excluded from averages (the SE
 # formulas themselves only raise two orders of magnitude later).
@@ -135,6 +126,9 @@ class SweepPlan:
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("no methods given")
+        for m in self.methods:
+            if self.methods.count(m) > 1:
+                raise ValueError(f"methods: {m.label} is repeated")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
 
@@ -188,13 +182,11 @@ def _blocks(reps: int):
 
 @dataclass
 class _Reduced:
-    """Stage 1 at one scenario or block: the p_bar-free terms of its kept
-    draws, which are the rows, in replication order."""
+    """Stage 1 at one scenario or block: the rate terms of its kept draws,
+    which are the rows, in replication order."""
 
     flagged: int
-    eigvals: np.ndarray  # [R, K]
-    inv_diag: np.ndarray  # [R, K]
-    terms: dict  # strategy -> (g [R], mit [R], cross [R, K])
+    terms: dict  # strategy -> se.RateTerms of the kept draws [R, ...]
 
 
 def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
@@ -205,9 +197,8 @@ def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
     keep = ~(cache.cond() > COND_FLAG)
     flagged = len(keep) - int(np.count_nonzero(keep))
     if not keep.any():
-        return _Reduced(flagged, None, None, None)
+        return _Reduced(flagged, None)
     cache = cache[keep]
-    _require_invertible(cache)
     terms = {}
     for kind in strategies:
         if kind in RANDOM_STRATEGIES:
@@ -216,9 +207,8 @@ def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
             theta = random_theta[keep, : cfg.n_ris]
         else:
             theta = select_phases(kind, cache, None)
-        g, cross = _terms(cache, theta)  # the one check of theta
-        terms[kind] = (g, _mitigation(cache, cross), cross)
-    return _Reduced(flagged, cache.eigvals, cache.inv_diag(), terms)
+        terms[kind] = rate_terms(cache, theta)
+    return _Reduced(flagged, terms)
 
 
 def _reduce_block(cfg, real, xis, strategies, random_theta) -> list:
@@ -294,28 +284,13 @@ def _reduce(plan: SweepPlan, strategies) -> list:
                 f"{flagged}/{plan.reps} draws flagged as ill-conditioned at "
                 f"{plan.variable}={value:g}"
             )
-        kept = [b for b in point if b.terms is not None]
+        kept = [b.terms for b in point if b.terms is not None]
         terms = {
-            kind: tuple(map(np.concatenate, zip(*(b.terms[kind] for b in kept))))
+            kind: RateTerms(*map(np.concatenate, zip(*(t[kind] for t in kept))))
             for kind in strategies
         }
-        reduced.append(
-            _Reduced(
-                flagged,
-                np.concatenate([b.eigvals for b in kept]),
-                np.concatenate([b.inv_diag for b in kept]),
-                terms,
-            )
-        )
+        reduced.append(_Reduced(flagged, terms))
     return reduced
-
-
-def _rates(m: MethodSpec, reduced: _Reduced, p_bar: float) -> tuple:
-    """Stage 2: (total, direct, reflected) rates of every kept draw."""
-    g, mit, cross = reduced.terms[m.strategy]
-    if m.precoder == "ZF":
-        return zf_sum_se(reduced.inv_diag, g, mit, p_bar, m.mode)
-    return dpc_sum_se(reduced.eigvals, g, cross, p_bar, m.mode)
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
@@ -327,7 +302,16 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     rows = []
     for value, cfg_v, red in zip(plan.values, plan.points, reduced):
         for m in plan.methods:
-            total, direct, reflect = _rates(m, red, cfg_v.p_bar())
+            # a rate that overflows raises below instead of warning; the
+            # total is finite exactly where both of its parts are
+            with np.errstate(all="ignore"):
+                total, direct, reflect = rates(
+                    red.terms[m.strategy], cfg_v.p_bar(), m.precoder, m.mode
+                )
+            if not np.all(np.isfinite(total)):
+                raise RuntimeError(
+                    f"{m.label} gives non-finite rates at {plan.variable}={value:g}"
+                )
             rows.append(
                 SweepRow(
                     sweep_var=plan.variable,

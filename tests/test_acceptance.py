@@ -49,7 +49,7 @@ from risbc.se import (
     DecompositionCache,
     decompose,
     delta_se,
-    mitigation_term,
+    rate_terms,
     sum_se,
     zf_inverted_gains,
 )
@@ -184,7 +184,7 @@ def test_criterion_06_no_reflection_mitigation_identity(capsys):
         muted = real.H_c.copy()
         muted[: cfg.n_strong] = 0.0
         cache = decompose(replace(real, H_c=muted))
-        lhs = 1.0 + mitigation_term(cache, theta)
+        lhs = 1.0 + rate_terms(cache, theta).mitigation()
         rhs = mitigation_no_reflection(real.H_d_strong, real.b)
         worst = max(worst, abs(lhs - rhs) / rhs)
     ok = worst <= 1e-10

@@ -117,6 +117,29 @@ def test_sweep_all_flagged_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[sweep]\nvalues = 3080\nreps = 4\n", "ptx_dbm=3080"),
+        (
+            "[scenario]\nptx_dbm = 1e308\n"
+            "[sweep]\nvariable = n_bs\nvalues = 12\nreps = 4\n",
+            "n_bs=12",
+        ),
+    ],
+    ids=["ptx_dbm", "n_bs"],
+)
+def test_sweep_non_finite_rates_exit_2(tmp_path, capsys, text, where):
+    # a power this large overflows the rates: these runs used to write rows
+    # of inf and nan and exit 0
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    line = one_error_line(capsys)
+    assert f"ZF:align_weak:exact gives non-finite rates at {where}" in line
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bounds_all_satisfied(tmp_path):
     assert main(["bounds", "--out", str(tmp_path), "--grid-points", "50"]) == 0
     lines = csv_lines(only(tmp_path.glob("bounds_*.csv")))

@@ -223,6 +223,21 @@ def test_out_of_domain_sweep_value_rejected_with_line(text, message):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "methods",
+    [
+        "ZF:random:exact, ZF:random:exact",
+        "ZF:random:exact, DPC:random:exact, ZF : random : exact",
+    ],
+)
+def test_repeated_method_rejected_with_line(methods):
+    # a repeated method used to write the same row twice per sweep point
+    text = f"[sweep]\nreps = 2\nmethods = {methods}\nvalues = 10\n"
+    message = r"^methods: ZF:random:exact is repeated \(line 3\)$"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("values", ["0", "0, 1"])
 def test_xi_zero_rejected_with_line(values):
     # xi = 0 makes every draw's C_s singular: rejected before any draw

@@ -1,8 +1,10 @@
-"""A small AST lint of the runtime package: no unused import and no private
-module-level name that nothing in the package refers to.
+"""A small AST lint of the runtime package: no unused import, no private
+module-level name that nothing in the package refers to, and no module
+importing another one's private name.
 
-Both are what a refactor leaves behind when it deletes the last caller of a
-helper or the last use of an import.
+The first two are what a refactor leaves behind when it deletes the last
+caller of a helper or the last use of an import; the third is a decision
+that belongs in one module leaking into another.
 """
 
 import ast
@@ -54,6 +56,18 @@ def _imports(tree):
                 yield node.lineno, name
 
 
+def _private_imports(tree):
+    """(line, name, module) of every private name imported from the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("risbc")
+        ):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.lineno, alias.name, module
+
+
 def _private_definitions(tree):
     """(line, name) of the module-level private functions, classes and
     assignments (dunder names excluded)."""
@@ -74,7 +88,8 @@ def lint(sources):
     """Findings of {module name: source text}, as "module:line: message"."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = {name: _used_names(tree) for name, tree in trees.items()}
-    # a private name counts as used when another module imports it by name
+    # a private name another module imports counts as used: the import is
+    # the finding
     imported = {
         alias.name
         for tree in trees.values()
@@ -87,6 +102,10 @@ def lint(sources):
         for line, bound in _imports(tree):
             if bound not in used[name]:
                 findings.append(f"{name}:{line}: unused import {bound}")
+        for line, private, module in _private_imports(tree):
+            findings.append(
+                f"{name}:{line}: private name {private} imported from {module}"
+            )
         for line, private in _private_definitions(tree):
             if private not in used[name] and private not in imported:
                 findings.append(f"{name}:{line}: unreferenced private name {private}")
@@ -122,4 +141,5 @@ def test_lint_accepts_uses_across_modules_and_in_annotations():
         "b.py": "from .a import _helper\n\nY = _helper(1)\n",
         "c.py": "from .a import np\n\ndef f(x: 'np.ndarray'):\n    return x\n",
     }
-    assert lint(sources) == []
+    # the import of another module's private name is the one finding
+    assert lint(sources) == ["b.py:1: private name _helper imported from .a"]

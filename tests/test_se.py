@@ -32,14 +32,11 @@ from risbc.se import (
     DecompositionCache,
     decompose,
     delta_se,
-    dpc_cross_terms,
-    dpc_sum_se,
-    mitigation_term,
+    rate_terms,
+    rates,
     row_space_feed,
     sum_se,
-    weak_gain,
     zf_inverted_gains,
-    zf_sum_se,
 )
 
 
@@ -80,7 +77,7 @@ def test_cross_terms_append_one_to_theta():
     cache = decompose(real)
     u = cache.D_s[:, :-1] @ theta + cache.D_s[:, -1]
     want = np.abs(cache.eigvecs.conj().T @ u) ** 2
-    assert np.allclose(dpc_cross_terms(cache, theta), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(rate_terms(cache, theta).cross, want, rtol=1e-12, atol=0.0)
 
 
 def test_sum_se_rejects_non_unit():
@@ -94,15 +91,15 @@ def test_theta_is_checked_once_per_call(monkeypatch):
     # each public rate call builds (and checks) theta_bar exactly once
     _, real, theta = random_instance(2)
     cache = decompose(real)
-    check = risbc.se._theta_bar
+    check = risbc.se.extended_phases
     calls = []
 
     def spy(t):
         calls.append(t)
         return check(t)
 
-    monkeypatch.setattr(risbc.se, "_theta_bar", spy)
-    monkeypatch.setattr(risbc.phases, "_theta_bar", spy)
+    monkeypatch.setattr(risbc.se, "extended_phases", spy)
+    monkeypatch.setattr(risbc.phases, "extended_phases", spy)
     for run in (
         lambda: sum_se(cache, theta, 10.0, "ZF", "exact"),
         lambda: sum_se(cache, theta, 10.0, "ZF", "asymptotic"),
@@ -374,12 +371,9 @@ def test_asymptotic_dpc_dominates_zf():
 def test_unknown_mode_rejected(mode):
     cfg, real, theta = random_instance(15)
     cache = decompose(real)
-    g = weak_gain(cache, theta)
-    with pytest.raises(ValueError, match="unknown mode"):
-        zf_sum_se(cache.inv_diag(), g, mitigation_term(cache, theta), 1.0, mode)
-    with pytest.raises(ValueError, match="unknown mode"):
-        dpc_sum_se(cache.eigvals, g, None, 1.0, mode)
     for precoder in ("ZF", "DPC"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            rates(rate_terms(cache, theta), 1.0, precoder, mode)
         with pytest.raises(ValueError, match="unknown mode"):
             sum_se(cache, theta, cfg.p_bar(), precoder, mode)
 
@@ -414,7 +408,7 @@ def test_orthogonal_form_null_space_b():
     real.H_c = real.H_c  # b does not enter the cascaded channels
     split = se_dpc_orthogonal_form(real, theta, cfg.p_bar())
     s = np.linalg.svd(real.H_d_strong, compute_uv=False)
-    g = weak_gain(decompose(real), theta)
+    g = rate_terms(decompose(real), theta).g
     expect = (
         2 * np.sum(np.log2(s))
         + 3 * np.log2(cfg.p_bar())
@@ -491,7 +485,7 @@ def test_mitigation_no_reflection_matches_quadratic_form():
         _, real, theta = random_instance(seed)
         real.H_c[:-1] = 0.0
         cache = decompose(real)
-        lhs = 1.0 + mitigation_term(cache, theta)
+        lhs = 1.0 + rate_terms(cache, theta).mitigation()
         rhs = mitigation_no_reflection(real.H_d_strong, real.b)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
