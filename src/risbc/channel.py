@@ -20,6 +20,10 @@ Replication `rep` of the run seeded `seed` draws its channel from
 rep_seeds(seed, rep)[0] and its random phases from rep_seeds(seed, rep)[1];
 `draw_block` and `random_phase_block` draw a block of replications from the
 run seed, and `frozen_positions` gives the user positions a run may freeze.
+A channel stream starts with the draw's 2(K+1) position uniforms, which
+`user_positions` maps to positions for one draw or a whole block: the
+per-replication loop of `draw_block` only reads the streams, and the
+block's positions take one array pass.
 """
 
 from dataclasses import dataclass, replace
@@ -259,13 +263,25 @@ def frozen_positions(cfg: ScenarioConfig):
 
 
 def draw_user_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Uniform positions in the user circle, [K+1, 3] in meters."""
+    """Uniform positions in the user circle, [K+1, 3] in meters, from the
+    next 2(K+1) uniforms of `rng`."""
+    return user_positions(cfg, rng.random(2 * cfg.n_users))
+
+
+def user_positions(cfg: ScenarioConfig, u: np.ndarray) -> np.ndarray:
+    """User positions [..., K+1, 3] from uniforms u [..., 2(K+1)] on [0, 1).
+
+    The first K+1 uniforms set the radii R sqrt(u) and the last K+1 the
+    angles 2 pi u, so a draw is uniform in the user circle.  One array pass
+    serves one draw or a block of them.
+    """
     n = cfg.n_users
-    r = cfg.user_circle_radius * np.sqrt(rng.uniform(size=n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    pos = np.tile(np.asarray(cfg.user_circle_center, dtype=float), (n, 1))
-    pos[:, 0] += r * np.cos(phi)
-    pos[:, 1] += r * np.sin(phi)
+    r = cfg.user_circle_radius * np.sqrt(u[..., :n])
+    phi = 2.0 * np.pi * u[..., n:]
+    pos = np.empty(u.shape[:-1] + (n, 3))
+    pos[...] = cfg.user_circle_center
+    pos[..., 0] += r * np.cos(phi)
+    pos[..., 1] += r * np.sin(phi)
     return pos
 
 
@@ -288,24 +304,11 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
     return PathlossSet(L_d=L_d, L_r=L_r, L_G=L_G)
 
 
-def _variates(cfg: ScenarioConfig, rng: np.random.Generator, positions, out):
-    """Draw one realization's variates from `rng`, in their fixed order.
-
-    User positions come first unless frozen ones are supplied; then `out`
-    [2(K+1)(N_B+N_R)] is filled with standard normals: the real parts of the
-    direct fading, its imaginary parts, then the same for the RIS-user
-    fading.  Returns the positions [K+1, 3].
-    """
-    if positions is None:
-        positions = draw_user_positions(cfg, rng)
-    rng.standard_normal(out=out)
-    return positions
-
-
 def _complex_normals(cfg: ScenarioConfig, x: np.ndarray):
-    """z_d [..., K+1, N_B] and z_r [..., K+1, N_R] from variates x [..., M]
-    laid out as `_variates` fills them, each equal to re + 1j * im (formed
-    as 1j * im, then += re, which adds the same two terms without a
+    """z_d [..., K+1, N_B] and z_r [..., K+1, N_R] from a draw's normals
+    x [..., M]: the real parts of the direct fading, its imaginary parts,
+    then the same for the RIS-user fading.  Each is re + 1j * im (formed as
+    1j * im, then += re, which adds the same two terms without a
     temporary)."""
     lead, start, out = x.shape[:-1], 0, []
     for n in (cfg.n_bs, cfg.n_ris):
@@ -353,6 +356,7 @@ def _assemble(cfg: ScenarioConfig, positions, z_d, z_r) -> ChannelRealization:
 
 
 def _variate_count(cfg: ScenarioConfig) -> int:
+    """Standard normals per draw, laid out as `_complex_normals` reads them."""
     return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
 
 
@@ -363,11 +367,13 @@ def sample_realization(
 ) -> ChannelRealization:
     """Draw one i.i.d. Rayleigh realization of all channels.
 
-    User positions are redrawn from `rng` unless `positions` is supplied
-    (frozen-position runs pass the same array for every draw).
+    User positions are drawn first from `rng` unless `positions` is supplied
+    (frozen-position runs pass the same array for every draw); then the
+    fading normals.
     """
-    x = np.empty(_variate_count(cfg))
-    positions = _variates(cfg, rng, positions, x)
+    if positions is None:
+        positions = draw_user_positions(cfg, rng)
+    x = rng.standard_normal(_variate_count(cfg))
     return _assemble(cfg, positions, *_complex_normals(cfg, x))
 
 
@@ -380,24 +386,26 @@ def draw_block(
     """The variates of replications `reps` of run `seed`, one row per draw.
 
     Returns (positions [len(reps), K+1, 3], x [len(reps), 2(K+1)(N_B+N_R)]):
-    row i is replication reps[i]'s channel stream from its start, laid out
-    as `_variates` fills it; draw i of realize_block(cfg, positions, x) is,
-    bit for bit, sample_realization(cfg, default_rng(rep_seeds(seed,
-    reps[i])[0]), positions).  Frozen positions are broadcast to every draw.
-    Positions depend only on K and the normals are drawn in order, so the
-    variates of a scenario with fewer elements or antennas are a prefix of
-    each row: `realize_block` builds any such scenario from this draw.
+    draw i of realize_block(cfg, positions, x) is, bit for bit,
+    sample_realization(cfg, default_rng(rep_seeds(seed, reps[i])[0]),
+    positions).  Each replication's stream is read in the loop (its 2(K+1)
+    position uniforms, then row i of x); the block's positions then come
+    from all the uniforms in one array pass (`user_positions`).  Frozen
+    positions are broadcast to every draw and read no uniforms.  Positions
+    depend only on K and the normals are drawn in order, so the variates of
+    a scenario with fewer elements or antennas are a prefix of each row:
+    `realize_block` builds any such scenario from this draw.
     """
     x = np.empty((len(reps), _variate_count(cfg)))
-    drawn = [
-        _variates(cfg, _generator(seed, rep, CHANNEL), positions, row)
-        for rep, row in zip(reps, x)
-    ]
+    u = np.empty((len(reps), 2 * cfg.n_users))
+    for rep, u_row, row in zip(reps, u, x):
+        rng = _generator(seed, rep, CHANNEL)
+        if positions is None:
+            rng.random(out=u_row)
+        rng.standard_normal(out=row)
     if positions is None:
-        positions = np.stack(drawn)
-    else:
-        positions = np.broadcast_to(positions, (len(reps), *positions.shape))
-    return positions, x
+        return user_positions(cfg, u), x
+    return np.broadcast_to(positions, (len(reps), *positions.shape)), x
 
 
 def realize_block(

@@ -10,9 +10,10 @@ import numpy as np
 
 
 def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return A as a complex ndarray, rejecting NaN/Inf entries."""
+    """Return A as a complex ndarray, rejecting NaN/Inf entries (a complex
+    entry is finite exactly when both of its parts are)."""
     A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
 

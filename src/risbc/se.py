@@ -27,9 +27,9 @@ cross = |U^H D_s theta_bar|^2, whose sum_k cross_k / lambda_k is the
 mitigation term that only linear precoding pays.  `rate_terms(cache, theta)`
 forms them and `rates(terms, p_bar, precoder, mode)` holds the four rate
 formulas; `sum_se` applies both to a draw, and the batched sweep keeps each
-strategy's terms and calls `rates` at every power.  The decomposition, the
-phases, the terms and the rates broadcast over leading batch axes, so one
-call serves one draw or a stack of draws.
+strategy's terms and calls `rates` once per method on the vector of its
+powers.  The decomposition, the phases, the terms and the rates broadcast
+over leading batch axes, so one call serves one draw or a stack of draws.
 """
 
 from dataclasses import dataclass
@@ -198,7 +198,7 @@ def _zf_gains(terms: RateTerms) -> np.ndarray:
 # =========================================================================
 
 
-def rates(terms: RateTerms, p_bar: float, precoder: str, mode: str) -> tuple:
+def rates(terms: RateTerms, p_bar, precoder: str, mode: str) -> tuple:
     """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
     "exact" or "asymptotic" from a draw's terms, with uniform per-user
     power p_bar (mit = terms.mitigation()):
@@ -214,35 +214,41 @@ def rates(terms: RateTerms, p_bar: float, precoder: str, mode: str) -> tuple:
     user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
     singular C_s is -inf in its direct part (a flagged value) instead.
     Terms with leading batch axes give one rate per draw (numpy scalars for
-    one draw).
+    one draw).  p_bar is a float or a 1-D array of powers [P], which becomes
+    the leading axis of each rate: rates[j] equals, bit for bit, the rates
+    at the float p_bar[j].
     """
     if precoder not in ("ZF", "DPC"):
         raise ValueError(f"unknown precoder {precoder!r}")
     if mode not in ("exact", "asymptotic"):
         raise ValueError(f"unknown mode {mode!r}")
     eigvals, inv_diag, g, cross = terms
+    # the powers on their own axis: p against [..., K] arrays, p_1 against [...]
+    p = np.asarray(p_bar, dtype=float)
+    p = p.reshape(p.shape + (1,) * eigvals.ndim)
+    p_1 = p[..., 0]
     if precoder == "ZF":
         require_invertible(eigvals)
         if mode == "exact":
-            per_user = np.log2(1.0 + p_bar / _zf_gains(terms))
+            per_user = np.log2(1.0 + p / _zf_gains(terms))
             return (
                 np.sum(per_user, axis=-1),
                 np.sum(per_user[..., :-1], axis=-1),
                 per_user[..., -1][()],
             )
         _require_reachable(g)
-        direct = np.sum(np.log2(p_bar / inv_diag), axis=-1)
-        reflect = np.log2(g * p_bar / (1.0 + terms.mitigation()))
+        direct = np.sum(np.log2(p / inv_diag), axis=-1)
+        reflect = np.log2(g * p_1 / (1.0 + terms.mitigation()))
     elif mode == "exact":
-        one_plus = 1.0 + eigvals * p_bar
+        one_plus = 1.0 + eigvals * p
         direct = np.sum(np.log2(one_plus), axis=-1)
-        reflect = np.log2(1.0 + g * p_bar + p_bar * np.sum(cross / one_plus, axis=-1))
+        reflect = np.log2(1.0 + g * p_1 + p_1 * np.sum(cross / one_plus, axis=-1))
     else:
         _require_reachable(g)
         regular = eigvals[..., -1] > 0.0
         safe = np.where(regular[..., None], eigvals, 1.0)
-        direct = np.where(regular, np.sum(np.log2(safe * p_bar), axis=-1), -np.inf)[()]
-        reflect = np.log2(g * p_bar)
+        direct = np.where(regular, np.sum(np.log2(safe * p), axis=-1), -np.inf)[()]
+        reflect = np.log2(g * p_1)
     return direct + reflect, direct, reflect
 
 

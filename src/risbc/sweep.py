@@ -13,10 +13,14 @@ eigh into a cache that is the whole block (weak rows included), masks the
 flagged draws out of it, selects every strategy's phases from it and
 reduces each draw to its rates' terms that do not depend on transmit power
 (`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per strategy, the weak
-gain and the DPC cross terms).  Stage 2 evaluates every method's rates from
-its strategy's terms with `se.rates`, as `se.sum_se` does for a draw, and
-raises if a row would not be finite.  Transmit power enters only stage 2,
-so a `ptx_dbm` sweep runs stage 1 at one point and every point reuses it.
+gain and the DPC cross terms).  Transmit power enters only stage 2, so a
+`ptx_dbm` sweep runs stage 1 at one point and every power shares it.  Stage
+2 evaluates each method once per stage-1 point with `se.rates`, as
+`se.sum_se` does for a draw, at the vector of powers that share the point
+(all of a `ptx_dbm` sweep's, one elsewhere), and takes the row statistics of
+the rates [P, R] along the draw axis.  It raises if a row would not be
+finite, or if one of its means is negative (a high-SNR form at a power too
+low for it).
 An `xi` sweep realizes each block once and takes its feed c(0) once
 (`se.row_space_feed`, one SVD per draw); each xi point decomposes it at the
 feed c(0) / sqrt(1 + xi^2), one xi at a time.
@@ -293,40 +297,65 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     return reduced
 
 
+def _method_rows(plan, m, red, values, p_bars) -> list:
+    """Method m's rows at the sweep values of one stage-1 point, whose powers
+    are p_bars [P], from one `rates` call: the rates [P, R] of its kept
+    draws, reduced along the draw axis."""
+    total, direct, reflect = rates(red.terms[m.strategy], p_bars, m.precoder, m.mode)
+    stats = (
+        np.mean(total, axis=-1),
+        np.std(total, axis=-1),
+        np.mean(direct, axis=-1),
+        np.mean(reflect, axis=-1),
+    )
+    return [
+        SweepRow(
+            plan.variable, float(value), m.precoder, m.strategy, m.mode,
+            *map(float, row), reps=total.shape[-1], flagged=red.flagged,
+        )
+        for value, *row in zip(values, *stats)
+    ]
+
+
+def _checked_row(plan, m, row) -> SweepRow:
+    """The row, unless its rates are not finite or one of its means is
+    negative (RuntimeError naming the method and the point)."""
+    at = f"at {plan.variable}={row.value:g}"
+    # a finite rate is a log2, at most about a thousand bpcu, so the mean is
+    # finite exactly where every draw's total (and so both parts) is
+    if not np.isfinite(row.se_mean):
+        raise RuntimeError(f"{m.label} gives non-finite rates {at}")
+    means = (row.se_mean, row.se_d_mean, row.se_r_mean)
+    if min(means) < 0.0:
+        # only a high-SNR form goes negative, at a power too low for it
+        raise RuntimeError(
+            f"{m.label} gives a negative mean rate {at} (se_mean, se_d_mean, "
+            "se_r_mean = " + ", ".join(f"{x:.4g}" for x in means) + " bpcu)"
+        )
+    return row
+
+
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Run the full sweep: stage 1 per scenario, stage 2 per point and method."""
+    """Run the full sweep: stage 1 per scenario, then stage 2 once per
+    stage-1 point and method, over every power that shares the point."""
     strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
     reduced = _reduce(plan, strategies)
-    # a ptx_dbm sweep's one stage-1 point serves every power
-    reduced *= len(plan.values) // len(reduced)
+    # a ptx_dbm sweep's one stage-1 point serves every power, any other
+    # sweep's points one power each
+    per = len(plan.values) // len(reduced)
     rows = []
-    for value, cfg_v, red in zip(plan.values, plan.points, reduced):
-        for m in plan.methods:
-            # a rate that overflows raises below instead of warning; the
-            # total is finite exactly where both of its parts are
-            with np.errstate(all="ignore"):
-                total, direct, reflect = rates(
-                    red.terms[m.strategy], cfg_v.p_bar(), m.precoder, m.mode
-                )
-            if not np.all(np.isfinite(total)):
-                raise RuntimeError(
-                    f"{m.label} gives non-finite rates at {plan.variable}={value:g}"
-                )
-            rows.append(
-                SweepRow(
-                    sweep_var=plan.variable,
-                    value=float(value),
-                    precoder=m.precoder,
-                    strategy=m.strategy,
-                    mode=m.mode,
-                    se_mean=float(np.mean(total)),
-                    se_std=float(np.std(total)),
-                    se_d_mean=float(np.mean(direct)),
-                    se_r_mean=float(np.mean(reflect)),
-                    reps=len(total),
-                    flagged=red.flagged,
-                )
-            )
+    for j, red in enumerate(reduced):
+        points = slice(j * per, (j + 1) * per)
+        # a power or rate that overflows raises in _checked_row, not a warning
+        with np.errstate(all="ignore"):
+            p_bars = np.array([cfg.p_bar() for cfg in plan.points[points]])
+            by_method = [
+                _method_rows(plan, m, red, plan.values[points], p_bars)
+                for m in plan.methods
+            ]
+        # in sweep order: point by point, the methods inside
+        for at_point in zip(*by_method):
+            rows += [_checked_row(plan, m, r) for m, r in zip(plan.methods, at_point)]
     return SweepResult(plan=plan, rows=rows)
 
 

@@ -91,6 +91,13 @@ def test_positions_inside_circle():
     center = np.asarray(cfg.user_circle_center)
     assert np.all(np.linalg.norm(pos - center, axis=1) <= cfg.user_circle_radius)
     assert np.all(pos[:, 2] == 1.5)
+    # bit for bit: radii from the stream's first K+1 uniforms, then angles
+    # uniform on [0, 2 pi) from the next K+1
+    rng = np.random.default_rng(0)
+    r = cfg.user_circle_radius * np.sqrt(rng.uniform(size=4))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    offset = np.stack([r * np.cos(phi), r * np.sin(phi), np.zeros(4)], axis=1)
+    assert np.array_equal(pos, center + offset)
 
 
 def test_realization_shapes_and_invariants():

@@ -140,6 +140,20 @@ def test_sweep_non_finite_rates_exit_2(tmp_path, capsys, text, where):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_sweep_negative_mean_exits_2(tmp_path, capsys):
+    # at -400 dBm the high-SNR forms give means of about -520 bpcu: this run
+    # used to write them and exit 0
+    cfg = tmp_path / "faint.ini"
+    cfg.write_text(
+        "[scenario]\nptx_dbm = -400\n[sweep]\nvariable = n_bs\nvalues = 12\nreps = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    line = one_error_line(capsys)
+    assert "ZF:align_weak:asymptotic gives a negative mean rate at n_bs=12" in line
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bounds_all_satisfied(tmp_path):
     assert main(["bounds", "--out", str(tmp_path), "--grid-points", "50"]) == 0
     lines = csv_lines(only(tmp_path.glob("bounds_*.csv")))

@@ -13,10 +13,10 @@ import pytest
 from risbc import sweep
 from risbc.channel import ScenarioConfig, draw_block, random_phase_block, realize_block
 from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
-from risbc.se import decompose, sum_se
+from risbc.se import decompose, rate_terms, rates, sum_se
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import b_from_xi
-from test_sweep import assert_rows_match, per_draw_rows
+from test_sweep import assert_sweep_matches
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -61,20 +61,30 @@ def plans(draw, variables=("n_ris", "n_bs", "xi")):
     return SweepPlan(cfg, variable, values, methods, reps=draw(st.integers(1, 7)))
 
 
+def rows_or_error(plan):
+    """The rows of run_sweep(plan), or the message of the RuntimeError it
+    raises (here: a row with a negative high-SNR mean)."""
+    try:
+        return run_sweep(plan).rows
+    except RuntimeError as exc:
+        return str(exc)
+
+
 @hypothesis.settings(DERANDOMIZED, max_examples=50)
 @hypothesis.given(plans())
 def test_points_equal_their_lone_runs_at_any_block_size(plan):
     # each point of a sweep realizes its draws from a prefix of the largest
-    # point's variates: its rows equal the rows of the point run alone, and
+    # point's variates: its rows equal the rows of the point run alone (or
+    # the grid raises the error of the first point that raises alone), and
     # neither depends on how the replications are blocked
-    grid = run_sweep(plan).rows
-    for value in plan.values:
-        alone = run_sweep(replace(plan, values=(value,)))
-        assert [r for r in grid if r.value == value] == alone.rows
+    grid = rows_or_error(plan)
+    alone = [rows_or_error(replace(plan, values=(value,))) for value in plan.values]
+    errors = [rows for rows in alone if isinstance(rows, str)]
+    assert grid == (errors[0] if errors else sum(alone, []))
     with pytest.MonkeyPatch.context() as mp:
         for block in (1, 3):
             mp.setattr(sweep, "BLOCK_REPS", block)
-            assert run_sweep(plan).rows == grid
+            assert rows_or_error(plan) == grid
 
 
 @st.composite
@@ -95,9 +105,11 @@ def stacks(draw):
 @hypothesis.settings(DERANDOMIZED, max_examples=50)
 @hypothesis.given(stacks())
 def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
-    # sum_se on a stack of draws gives each draw's own rates, and under every
+    # sum_se on a stack of draws gives each draw's own rates, rates at a
+    # vector of powers gives each power's rates bit for bit, and under every
     # strategy's phases DPC is at least ZF on every draw, in both modes
     cfg, xi, reps = stack
+    p_bars = cfg.p_bar() * np.array([0.1, 1.0, 10.0, 1e3])
     real = realize_block(cfg, *draw_block(cfg, cfg.seed, reps))
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
@@ -115,12 +127,17 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
         for mode in ("exact", "asymptotic"):
             total = {}
             for precoder in ("ZF", "DPC"):
-                rates = sum_se(cache, theta, cfg.p_bar(), precoder, mode)
+                stacked = sum_se(cache, theta, cfg.p_bar(), precoder, mode)
                 for i in range(len(theta)):
                     alone = sum_se(cache[i], theta[i], cfg.p_bar(), precoder, mode)
-                    for got, want in zip(rates, alone):
+                    for got, want in zip(stacked, alone):
                         assert abs(got[i] - want) <= 1e-12 * abs(want)
-                total[precoder] = rates[0]
+                total[precoder] = stacked[0]
+                terms = rate_terms(cache, theta)
+                swept = rates(terms, p_bars, precoder, mode)
+                for j, p_bar in enumerate(p_bars):
+                    for got, want in zip(swept, rates(terms, p_bar, precoder, mode)):
+                        assert np.array_equal(got[j], want)
             assert np.all(total["DPC"] >= total["ZF"] - 1e-9)
 
 
@@ -128,8 +145,9 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
 @hypothesis.given(plans(("ptx_dbm", "n_ris", "n_bs", "xi")))
 def test_sweep_rows_equal_the_per_draw_loop(plan):
     # the batched two-stage sweep gives the rows of a loop of
-    # sample_realization -> decompose -> select_phases -> sum_se
-    assert_rows_match(run_sweep(plan), per_draw_rows(plan))
+    # sample_realization -> decompose -> select_phases -> sum_se, or raises
+    # at the first of them whose mean is negative
+    assert_sweep_matches(plan)
 
 
 # p_bar from far below to far above every draw's eigenvalues, in decades

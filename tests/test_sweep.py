@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -18,8 +19,9 @@ from risbc.channel import (
     rep_seeds,
     sample_realization,
 )
+from risbc.config import figure_preset
 from risbc.phases import random_phases, select_phases
-from risbc.se import decompose, row_space_feed, sum_se
+from risbc.se import decompose, rates, row_space_feed, sum_se
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
@@ -127,18 +129,19 @@ def test_harness_is_transparent():
 
 def test_randomized_strategies_are_paired():
     # ZF and DPC with random phases must see the same draw per replication
+    # (at 40 dBm: at 20 dBm the high-SNR ZF mean of N_R = 8 is negative)
     cfg = small_cfg()
     reps = 5
     plan = SweepPlan(
         cfg,
         "ptx_dbm",
-        (20.0,),
+        (40.0,),
         (method("ZF", "random", "asymptotic"), method("DPC", "random", "asymptotic")),
         reps=reps,
     )
     rows = {(r.precoder): r for r in run_sweep(plan).rows}
 
-    swept = cfg.with_updates(ptx_dbm=20.0)
+    swept = cfg.with_updates(ptx_dbm=40.0)
     want = {"ZF": [], "DPC": []}
     for rep in range(reps):
         ch_ss, ph_ss = rep_seeds(swept.seed, rep)
@@ -352,18 +355,34 @@ def assert_rows_match(result, expected):
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (label, a, b)
 
 
+def assert_sweep_matches(plan):
+    """run_sweep(plan) gives the rows of the per-draw loop or, if one of
+    those rows has a negative mean, raises at the first such row."""
+    expected = per_draw_rows(plan)
+    negative = [want for want in expected if min(want[2], want[4], want[5]) < 0.0]
+    if not negative:
+        assert_rows_match(run_sweep(plan), expected)
+        return
+    value, label = negative[0][:2]
+    where = f"{label} gives a negative mean rate at {plan.variable}={value:g} "
+    with pytest.raises(RuntimeError, match=re.escape(where)):
+        run_sweep(plan)
+
+
 @pytest.mark.parametrize(
     "variable, values, block",
     [
-        ("ptx_dbm", (0.0, 20.0, 40.0), 4),
+        ("ptx_dbm", (30.0, 40.0, 50.0), 4),
         ("n_bs", (3.0, 6.0), 4),
         ("n_ris", (4.0, 8.0), 4),
         ("xi", (0.5, 5.0), 4),
-        ("ptx_dbm", (20.0,), None),
+        ("ptx_dbm", (40.0,), None),
     ],
 )
 def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
-    # reps is never a multiple of the block size: the last block is partial
+    # reps is never a multiple of the block size: the last block is partial.
+    # The powers are high enough for every high-SNR mean to be nonnegative
+    # (test_negative_mean_raises_at_its_first_row covers lower ones).
     if block is None:
         reps = sweep.BLOCK_REPS + 3
     else:
@@ -376,12 +395,45 @@ def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
 
 def test_partial_flagging_matches_per_draw_loop(monkeypatch):
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    plan = SweepPlan(small_cfg(), "ptx_dbm", (20.0,), ALL_METHODS, reps=12)
-    conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, 20.0)]
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (40.0,), ALL_METHODS, reps=12)
+    conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, 40.0)]
     monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
     result = run_sweep(plan)
     assert {(r.reps, r.flagged) for r in result.rows} == {(6, 6)}
     assert_rows_match(result, per_draw_rows(plan))
+
+
+def test_negative_mean_raises_at_its_first_row():
+    # the high-SNR ZF form of the weak user goes negative at low power on
+    # N_R = 8: the run raises at the first such row, as the loop says
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (0.0, 20.0, 40.0), ALL_METHODS, reps=6)
+    assert_sweep_matches(plan)
+    with pytest.raises(RuntimeError, match="ZF:random:asymptotic .* ptx_dbm=0 "):
+        run_sweep(plan)
+
+
+def test_power_sweep_calls_rates_once_per_method_and_draws_no_positions(monkeypatch):
+    # stage 2 of a ptx_dbm sweep evaluates each method once over all its
+    # powers, and draw_block derives a block's positions in one array pass
+    # instead of drawing them per replication
+    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
+    _, plan = figure_preset(2, reps=7)
+    calls = Counter()
+
+    def spy_rates(*args):
+        calls["rates"] += 1
+        return rates(*args)
+
+    def spy_positions(*args):
+        calls["draw_user_positions"] += 1
+        return draw_user_positions(*args)
+
+    monkeypatch.setattr(sweep, "rates", spy_rates)
+    monkeypatch.setattr(channel, "draw_user_positions", spy_positions)
+    for _ in range(2):
+        calls.clear()
+        run_sweep(plan)
+        assert calls == Counter(rates=len(plan.methods))
 
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):
@@ -433,7 +485,7 @@ def test_element_point_does_not_depend_on_the_grid():
         ("n_ris", (4.0, 9.0), False),
         ("n_bs", (3.0, 6.0), False),
         ("xi", (0.5, 5.0), True),
-        ("ptx_dbm", (10.0, 30.0), False),
+        ("ptx_dbm", (30.0, 40.0), False),
     ],
 )
 def test_sweep_draws_equal_the_reference_definition(
