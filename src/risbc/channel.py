@@ -17,10 +17,17 @@ Matrix rows follow the broadcast-channel convention: row k of a channel
 matrix stores the Hermitian-transposed user channel h_k^H.
 
 Replication `rep` of the run seeded `seed` draws its channel from
-rep_seeds(seed, rep)[0] and its random phases from rep_seeds(seed, rep)[1];
-`draw_block` and `random_phase_block` draw a block of replications from the
-run seed, and `frozen_positions` gives the user positions a run may freeze.
-A channel stream starts with the draw's 2(K+1) position uniforms, which
+rep_seeds(seed, rep)[0] and its random phases from rep_seeds(seed, rep)[1].
+A run does not build a SeedSequence and a PCG64 for each of them:
+`stream_states` computes where every replication's two streams start in one
+array pass (the SeedSequence hash on uint32 arrays, then PCG64's set-seed
+step on Python ints).  Both are fixed integer functions, and numpy keeps the
+streams they give stable (NEP 19); still, the pass checks its first start
+against numpy's own seeding and raises RuntimeError on a mismatch.
+`draw_block` and `random_phase_block` draw a block of replications from
+their starts through one generator set to each in turn, and
+`frozen_positions` gives the user positions a run may freeze.  A channel
+stream starts with the draw's 2(K+1) position uniforms, which
 `user_positions` maps to positions for one draw or a whole block: the
 per-replication loop of `draw_block` only reads the streams, and the
 block's positions take one array pass.
@@ -228,6 +235,9 @@ class ChannelRealization:
 # Indices of a replication's two streams in rep_seeds.
 CHANNEL, PHASE = 0, 1
 
+# Replication indices are hashed as one 32-bit entropy word.
+MAX_REP = 2**32 - 1
+
 
 def _rep_seed(seed: int, rep: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, rep], spawn_key=(stream,))
@@ -243,10 +253,135 @@ def rep_seeds(seed: int, rep: int) -> list:
     return [_rep_seed(seed, rep, stream) for stream in (CHANNEL, PHASE)]
 
 
-def _generator(seed: int, rep: int, stream: int) -> np.random.Generator:
-    """A new generator at the start of stream `stream` (CHANNEL or PHASE) of
-    replication `rep` of the run seeded `seed`."""
-    return np.random.Generator(np.random.PCG64(_rep_seed(seed, rep, stream)))
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier (O'Neill, PCG, 2014).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(n: int) -> list:
+    """The uint32 entropy words of a non-negative int, least significant
+    first (one word for 0)."""
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _seed_words(seed: int, reps: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, rep], spawn_key=(stream,)).generate_state(4,
+    uint64) of both streams of every rep, [2, R, 4], as uint32 array
+    arithmetic over the entropy [seed words, rep, zero pad to 4, stream]
+    (pool size 4)."""
+    # every word a full [streams, reps] array: broadcast operands would run
+    # other ufunc loops, whose code pages added about 0.2 MB of peak RSS
+    shape = (2, len(reps))
+    entropy = [np.full(shape, w, np.uint32) for w in _words(seed)]
+    entropy.append(np.full(shape, reps, np.uint32))
+    entropy += [np.zeros(shape, np.uint32)] * (4 - len(entropy))
+    entropy.append(np.full(shape, [[CHANNEL], [PHASE]], np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    # the steps of SeedSequence.mix_entropy, then of generate_state
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((2, len(reps), 8), "<u4")
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out[..., i] = value ^ (value >> 16)
+    # little-endian pairs of uint32 words form each uint64 word
+    return out.view("<u8")
+
+
+def _pcg64_state(words) -> tuple:
+    """PCG64's (state, inc) seeded from generate_state(4, uint64) `words`:
+    the set-seed step of pcg_setseq_128_srandom_r on Python ints."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class Streams:
+    """The starts of both streams of replications `reps` of a run, and one
+    generator that `starts` sets to each of them in turn.
+
+    words[stream, i] are the four uint64 words PCG64 seeds itself from
+    (`_seed_words`).  Indexing with a slice selects replications and shares
+    the generator.
+    """
+
+    def __init__(self, reps, words, rng):
+        self.reps, self.words, self.rng = reps, words, rng
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, index: slice) -> "Streams":
+        return Streams(self.reps[index], self.words[:, index], self.rng)
+
+    def starts(self, stream: int):
+        """The generator at the start of `stream` (CHANNEL or PHASE) of each
+        replication in turn; each start is valid until the next is taken."""
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        pcg = state["state"] = {}
+        for words in self.words[stream].tolist():
+            pcg["state"], pcg["inc"] = _pcg64_state(words)
+            self.rng.bit_generator.state = state
+            yield self.rng
+
+
+def stream_states(seed: int, reps) -> Streams:
+    """The starts of both streams of replications `reps` (ints in [0,
+    MAX_REP]) of the run seeded `seed`, from one array pass.
+
+    Stream `stream` of replication `rep` starts where
+    PCG64(rep_seeds(seed, rep)[stream]) does: the SeedSequence hash and the
+    PCG64 set-seed step are fixed integer functions, whose streams numpy
+    keeps stable (NEP 19).  The generator is built from the first
+    replication's own SeedSequence, and a RuntimeError is raised if its
+    state differs from the computed one.
+    """
+    reps = np.asarray(reps).reshape(-1)
+    if reps.size and not (0 <= reps.min() and reps.max() <= MAX_REP):
+        raise ValueError(f"replication indices must lie in [0, {MAX_REP}]")
+    reps = reps.astype(np.int64)
+    words = _seed_words(seed, reps)
+    if not reps.size:
+        return Streams(reps, words, None)
+    bit_generator = np.random.PCG64(_rep_seed(seed, int(reps[0]), CHANNEL))
+    want = bit_generator.state["state"]
+    got = dict(zip(("state", "inc"), _pcg64_state(words[CHANNEL, 0].tolist())))
+    if got != want:
+        raise RuntimeError(
+            "the vectorized SeedSequence/PCG64 seeding does not match this "
+            f"numpy {np.__version__}: replication {reps[0]} of seed {seed} "
+            f"starts at {want}, computed {got}"
+        )
+    return Streams(reps, words, np.random.Generator(bit_generator))
 
 
 def position_rng(seed: int) -> np.random.Generator:
@@ -379,33 +514,32 @@ def sample_realization(
 
 def draw_block(
     cfg: ScenarioConfig,
-    seed: int,
-    reps,
+    streams: Streams,
     positions: np.ndarray = None,
 ) -> tuple:
-    """The variates of replications `reps` of run `seed`, one row per draw.
+    """The variates of replications `streams.reps` of a run, one row per draw.
 
-    Returns (positions [len(reps), K+1, 3], x [len(reps), 2(K+1)(N_B+N_R)]):
-    draw i of realize_block(cfg, positions, x) is, bit for bit,
-    sample_realization(cfg, default_rng(rep_seeds(seed, reps[i])[0]),
-    positions).  Each replication's stream is read in the loop (its 2(K+1)
-    position uniforms, then row i of x); the block's positions then come
-    from all the uniforms in one array pass (`user_positions`).  Frozen
-    positions are broadcast to every draw and read no uniforms.  Positions
-    depend only on K and the normals are drawn in order, so the variates of
-    a scenario with fewer elements or antennas are a prefix of each row:
-    `realize_block` builds any such scenario from this draw.
+    Returns (positions [len(streams), K+1, 3], x [len(streams),
+    2(K+1)(N_B+N_R)]): draw i of realize_block(cfg, positions, x) is, bit for
+    bit, sample_realization(cfg, default_rng(rep_seeds(seed,
+    streams.reps[i])[0]), positions).  Each replication's channel stream is
+    read in the loop (its 2(K+1) position uniforms, then row i of x); the
+    block's positions then come from all the uniforms in one array pass
+    (`user_positions`).  Frozen positions are broadcast to every draw and
+    read no uniforms.  Positions depend only on K and the normals are drawn
+    in order, so the variates of a scenario with fewer elements or antennas
+    are a prefix of each row: `realize_block` builds any such scenario from
+    this draw.
     """
-    x = np.empty((len(reps), _variate_count(cfg)))
-    u = np.empty((len(reps), 2 * cfg.n_users))
-    for rep, u_row, row in zip(reps, u, x):
-        rng = _generator(seed, rep, CHANNEL)
+    x = np.empty((len(streams), _variate_count(cfg)))
+    u = np.empty((len(streams), 2 * cfg.n_users))
+    for rng, u_row, row in zip(streams.starts(CHANNEL), u, x):
         if positions is None:
             rng.random(out=u_row)
         rng.standard_normal(out=row)
     if positions is None:
         return user_positions(cfg, u), x
-    return np.broadcast_to(positions, (len(reps), *positions.shape)), x
+    return np.broadcast_to(positions, (len(streams), *positions.shape)), x
 
 
 def realize_block(
@@ -423,17 +557,17 @@ def realize_block(
     return _assemble(cfg, positions, z_d, z_r)
 
 
-def random_phase_block(seed: int, reps, n_ris: int) -> np.ndarray:
-    """Random phases [len(reps), N_R] of replications `reps` of run `seed`.
+def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:
+    """Random phases [len(streams), N_R] of replications `streams.reps`.
 
     Row i equals, bit for bit, phases.random_phases(n_ris,
-    np.random.default_rng(rep_seeds(seed, reps[i])[1])): angles
+    np.random.default_rng(rep_seeds(seed, streams.reps[i])[1])): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
     The uniforms are drawn in order, so the phases of fewer elements are a
     prefix of each row.
     """
-    u = np.empty((len(reps), n_ris))
-    for rep, row in zip(reps, u):
-        _generator(seed, rep, PHASE).random(out=row)
+    u = np.empty((len(streams), n_ris))
+    for rng, row in zip(streams.starts(PHASE), u):
+        rng.random(out=row)
     u *= 2.0 * np.pi
     return np.exp(1j * u)

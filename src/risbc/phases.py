@@ -19,7 +19,13 @@ BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
 import numpy as np
 
 from .linalg import check_finite, herm, matvec
-from .se import DecompositionCache, extended_phases, rate_terms, require_invertible
+from .se import (
+    DecompositionCache,
+    check_phase_shape,
+    extended_phases,
+    rate_terms,
+    require_invertible,
+)
 
 
 STRATEGIES = ("random", "statistical", "align_weak", "mitigation_aware")
@@ -142,6 +148,7 @@ def optimize_mitigation_aware(
     Returns:
         Unit-modulus phases shaped like init, with objective >= objective(init).
     """
+    check_phase_shape(cache, init)
     require_invertible(cache.eigvals)
     init = extended_phases(init)
     one = init.ndim == 1

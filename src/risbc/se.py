@@ -155,9 +155,21 @@ class RateTerms(NamedTuple):
         return np.sum(self.cross / self.eigvals, axis=-1)
 
 
+def check_phase_shape(cache: DecompositionCache, theta):
+    """ValueError unless phases theta have the shape of the cache's draws:
+    its batch shape, then N_R."""
+    want, got = cache.h_c_weak.shape, np.shape(theta)
+    if got != want:
+        raise ValueError(
+            f"theta has shape {got}, but the cache needs {want} "
+            f"(its batch shape, then N_R = {want[-1]})"
+        )
+
+
 def rate_terms(cache: DecompositionCache, theta) -> RateTerms:
     """The RateTerms of a draw's cache at phases theta, from one check of
     theta (cache.h_c_weak is the conjugated row h_c,K+1^H)."""
+    check_phase_shape(cache, theta)
     theta_bar = extended_phases(theta)
     g = np.abs(matvec(cache.h_c_weak[..., None, :], theta_bar[..., :-1])[..., 0]) ** 2
     cross = np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
@@ -198,6 +210,12 @@ def _zf_gains(terms: RateTerms) -> np.ndarray:
 # =========================================================================
 
 
+def _sum_log2(x):
+    """sum(log2(x), axis=-1), with log2 taken in place: x must be an array
+    nothing else refers to, which is freed on return."""
+    return np.sum(np.log2(x, out=x), axis=-1)
+
+
 def rates(terms: RateTerms, p_bar, precoder: str, mode: str) -> tuple:
     """Sum SE (total, direct, reflected) of precoder "ZF" or "DPC" in mode
     "exact" or "asymptotic" from a draw's terms, with uniform per-user
@@ -214,40 +232,51 @@ def rates(terms: RateTerms, p_bar, precoder: str, mode: str) -> tuple:
     user's.  ZF needs an invertible C_s; an asymptotic DPC rate on a
     singular C_s is -inf in its direct part (a flagged value) instead.
     Terms with leading batch axes give one rate per draw (numpy scalars for
-    one draw).  p_bar is a float or a 1-D array of powers [P], which becomes
-    the leading axis of each rate: rates[j] equals, bit for bit, the rates
-    at the float p_bar[j].
+    one draw).  p_bar is a non-negative float or a 1-D array of them [P],
+    which becomes the leading axis of each rate: rates[j] equals, bit for
+    bit, the rates at the float p_bar[j] (ValueError for any other p_bar).
+    The per-user arrays [P, ..., K] are formed in place, one at a time.
     """
     if precoder not in ("ZF", "DPC"):
         raise ValueError(f"unknown precoder {precoder!r}")
     if mode not in ("exact", "asymptotic"):
         raise ValueError(f"unknown mode {mode!r}")
+    p = np.asarray(p_bar, dtype=float)
+    if p.ndim > 1:
+        raise ValueError(f"p_bar must be a float or 1-D, got shape {p.shape}")
+    bad = p[~(p >= 0.0)]
+    if bad.size:
+        raise ValueError(f"p_bar must be non-negative, got {bad[0]}")
     eigvals, inv_diag, g, cross = terms
     # the powers on their own axis: p against [..., K] arrays, p_1 against [...]
-    p = np.asarray(p_bar, dtype=float)
     p = p.reshape(p.shape + (1,) * eigvals.ndim)
     p_1 = p[..., 0]
     if precoder == "ZF":
         require_invertible(eigvals)
         if mode == "exact":
-            per_user = np.log2(1.0 + p / _zf_gains(terms))
+            per_user = p / _zf_gains(terms)
+            per_user += 1.0
+            np.log2(per_user, out=per_user)
             return (
                 np.sum(per_user, axis=-1),
                 np.sum(per_user[..., :-1], axis=-1),
-                per_user[..., -1][()],
+                per_user[..., -1].copy()[()],
             )
         _require_reachable(g)
-        direct = np.sum(np.log2(p / inv_diag), axis=-1)
+        direct = _sum_log2(p / inv_diag)
         reflect = np.log2(g * p_1 / (1.0 + terms.mitigation()))
     elif mode == "exact":
-        one_plus = 1.0 + eigvals * p
+        one_plus = eigvals * p
+        one_plus += 1.0
         direct = np.sum(np.log2(one_plus), axis=-1)
-        reflect = np.log2(1.0 + g * p_1 + p_1 * np.sum(cross / one_plus, axis=-1))
+        weighted = np.sum(np.divide(cross, one_plus, out=one_plus), axis=-1)
+        del one_plus
+        reflect = np.log2(1.0 + g * p_1 + p_1 * weighted)
     else:
         _require_reachable(g)
         regular = eigvals[..., -1] > 0.0
         safe = np.where(regular[..., None], eigvals, 1.0)
-        direct = np.where(regular, np.sum(np.log2(safe * p), axis=-1), -np.inf)[()]
+        direct = np.where(regular, _sum_log2(safe * p), -np.inf)[()]
         reflect = np.log2(g * p_1)
     return direct + reflect, direct, reflect
 

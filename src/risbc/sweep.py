@@ -25,13 +25,17 @@ An `xi` sweep realizes each block once and takes its feed c(0) once
 (`se.row_space_feed`, one SVD per draw); each xi point decomposes it at the
 feed c(0) / sqrt(1 + xi^2), one xi at a time.
 
-Each replication's streams are drawn once per run, from the run seed.  A
-block's channel variates are drawn at the point with the most of them
-(`channel.draw_block`), and its random phases at the largest N_R
-(`channel.random_phase_block`); every point realizes its block from a prefix
-of those variates (`channel.realize_block`).  Both streams are read in
-order from their start, so the prefix is exactly what the point would draw
-alone: rows depend neither on the block size nor on the other sweep points.
+Each replication's streams are drawn once per run.  Where they start is
+computed for the whole run in one pass (`channel.stream_states`, which
+checks itself against numpy's SeedSequence seeding once per run and relies
+on numpy keeping those streams stable, NEP 19), and each block takes its
+slice of those starts.  A block's channel variates are drawn at the point
+with the most of them (`channel.draw_block`), and its random phases at the
+largest N_R (`channel.random_phase_block`); every point realizes its block
+from a prefix of those variates (`channel.realize_block`).  Both streams are
+read in order from their start, so the prefix is exactly what the point
+would draw alone: rows depend neither on the block size nor on the other
+sweep points.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -44,12 +48,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    MAX_REP,
     ScenarioConfig,
     db_to_lin,
     draw_block,
     frozen_positions,
     random_phase_block,
     realize_block,
+    stream_states,
 )
 from .linalg import herm
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
@@ -135,6 +141,11 @@ class SweepPlan:
                 raise ValueError(f"methods: {m.label} is repeated")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.reps > MAX_REP + 1:
+            raise ValueError(
+                f"reps must be at most {MAX_REP + 1}: a replication's index "
+                "seeds its streams as one 32-bit word"
+            )
 
 
 @dataclass
@@ -180,8 +191,9 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
 
 
 def _blocks(reps: int):
-    """The replication indices of a run, in blocks of BLOCK_REPS."""
-    return [range(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
+    """The replications of a run as slices of its streams, in blocks of
+    BLOCK_REPS."""
+    return [slice(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
 
 
 @dataclass
@@ -237,8 +249,9 @@ def _reduce_block(cfg, real, xis, strategies, random_theta) -> list:
     ]
 
 
-def _reduce_points(scenarios, xis, seed, reps, frozen, strategies) -> list:
-    """Stage 1 on one block of replications; one _Reduced per stage-1 point.
+def _reduce_points(scenarios, xis, streams, frozen, strategies) -> list:
+    """Stage 1 on the block of replications of `streams`; one _Reduced per
+    stage-1 point.
 
     The block's channel variates are drawn once, at the last scenario (the
     one with the most: sweep values increase and K is fixed), and its random
@@ -248,10 +261,10 @@ def _reduce_points(scenarios, xis, seed, reps, frozen, strategies) -> list:
     largest = scenarios[-1]
     # *x holds the variates in a list, so the last scenario can pop the only
     # reference and realize_block frees them before building its channels
-    positions, *x = draw_block(largest, seed, reps, frozen)
+    positions, *x = draw_block(largest, streams, frozen)
     theta = None
     if any(kind in RANDOM_STRATEGIES for kind in strategies):
-        theta = random_phase_block(seed, reps, largest.n_ris)
+        theta = random_phase_block(streams, largest.n_ris)
     reduced = []
     for cfg in scenarios:
         # _reduce_block takes the only reference to the realization
@@ -270,14 +283,16 @@ def _reduce(plan: SweepPlan, strategies) -> list:
 
     Returns one _Reduced per stage-1 point: every point of the plan, or the
     first of a ptx_dbm sweep.  A ptx_dbm or xi sweep realizes one scenario.
-    Blocks are reduced one at a time, so only one block's variates and
-    channel stacks are alive at once.
+    Every replication's stream starts are computed in one pass; blocks are
+    reduced one at a time, so only one block's variates and channel stacks
+    are alive at once.
     """
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
     xis = plan.values if plan.variable == "xi" else None
     frozen = frozen_positions(scenarios[-1])
+    streams = stream_states(plan.config.seed, range(plan.reps))
     blocks = [
-        _reduce_points(scenarios, xis, plan.config.seed, block, frozen, strategies)
+        _reduce_points(scenarios, xis, streams[block], frozen, strategies)
         for block in _blocks(plan.reps)
     ]
     reduced = []
@@ -375,9 +390,10 @@ def power_split_offset_check(
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()
     positions = frozen_positions(cfg)
+    streams = stream_states(cfg.seed, range(reps))
     offsets = []
     for block in _blocks(reps):
-        real = realize_block(cfg, *draw_block(cfg, cfg.seed, block, positions))
+        real = realize_block(cfg, *draw_block(cfg, streams[block], positions))
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)

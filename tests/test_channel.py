@@ -7,6 +7,9 @@ import pytest
 import risbc.phases
 import risbc.sweep
 from risbc.channel import (
+    CHANNEL,
+    MAX_REP,
+    PHASE,
     ScenarioConfig,
     db_to_lin,
     draw_block,
@@ -20,6 +23,7 @@ from risbc.channel import (
     rep_seeds,
     sample_realization,
     steering_vector,
+    stream_states,
 )
 from risbc.phases import random_phases
 
@@ -207,6 +211,36 @@ def test_rep_seeds_are_the_spawned_children(seed, rep):
         assert np.array_equal(g.generate_state(8), w.generate_state(8))
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**31 - 1, 2**32, 2**64, 2**200 + 7])
+def test_stream_states_start_where_pcg64_of_the_seed_sequence_does(seed):
+    # multi-word seeds, and the first and last replication index of one word
+    reps = [*range(300), MAX_REP]
+    streams = stream_states(seed, reps)
+    assert len(streams) == len(reps) and streams.reps.tolist() == reps
+    for stream in (CHANNEL, PHASE):
+        for rep, rng in zip(reps, streams.starts(stream)):
+            ss = np.random.SeedSequence([seed, rep], spawn_key=(stream,))
+            assert rng.bit_generator.state == np.random.PCG64(ss).state
+    # a slice selects replications
+    assert np.array_equal(streams[5:9].words, stream_states(seed, range(5, 9)).words)
+
+
+@pytest.mark.parametrize("constant", ["_MULT_A", "_MIX_MULT_R", "_INIT_B", "_PCG_MULT"])
+def test_stream_states_check_themselves_against_numpy(monkeypatch, constant):
+    # a numpy whose seeding differs from the vectorized one is caught at
+    # the first replication, before anything is drawn
+    monkeypatch.setattr(risbc.channel, constant, getattr(risbc.channel, constant) ^ 4)
+    with pytest.raises(RuntimeError, match="does not match this numpy"):
+        stream_states(7, range(3))
+
+
+def test_stream_states_reject_replications_outside_one_word():
+    for reps in ([MAX_REP + 1], [-1, 0], [0, 2**64]):
+        with pytest.raises(ValueError, match="replication indices must lie in"):
+            stream_states(0, reps)
+    assert len(stream_states(0, [])) == 0
+
+
 def reference_draw(cfg, rep, positions=None):
     """The defining per-draw realization of replication `rep`."""
     ch_ss, _ = rep_seeds(cfg.seed, rep)
@@ -228,7 +262,7 @@ def assert_block_is_reference(cfg, block, reps, positions=None):
 
 def drawn_block(cfg, reps, positions=None):
     """The stacked draws of replications `reps` of the run seeded cfg.seed."""
-    return realize_block(cfg, *draw_block(cfg, cfg.seed, reps, positions))
+    return realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps), positions))
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -253,7 +287,7 @@ def test_block_equals_reference_across_shapes():
 
 def test_random_phase_block_equals_random_phases():
     for n_ris, reps in ((16, [0, 5, 2]), (3, range(4)), (16, [5])):
-        block = random_phase_block(3, reps, n_ris)
+        block = random_phase_block(stream_states(3, reps), n_ris)
         assert block.shape == (len(reps), n_ris)
         for row, rep in zip(block, reps):
             _, ph_ss = rep_seeds(3, rep)
@@ -270,7 +304,7 @@ def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
     large = small.with_updates(**larger)
     positions = draw_user_positions(small, position_rng(13)) if frozen else None
     reps = [3, 0, 7, 0]
-    got = realize_block(small, *draw_block(large, 13, reps, positions))
+    got = realize_block(small, *draw_block(large, stream_states(13, reps), positions))
     want = drawn_block(small, reps, positions)
     for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -278,16 +312,16 @@ def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
 
 def test_random_phase_block_prefixes():
     reps = [2, 9, 0]
-    wide = random_phase_block(8, reps, 256)
+    wide = random_phase_block(stream_states(8, reps), 256)
     for n_ris in (1, 16, 255, 256):
-        narrow = random_phase_block(8, reps, n_ris)
+        narrow = random_phase_block(stream_states(8, reps), n_ris)
         assert np.array_equal(wide[:, :n_ris], narrow)
 
 
 def test_phase_and_channel_streams_are_separate():
     # drawing a replication's phases does not move its channel stream
     cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=6, seed=2)
-    random_phase_block(cfg.seed, [1, 2], cfg.n_ris)
+    random_phase_block(stream_states(cfg.seed, [1, 2]), cfg.n_ris)
     assert_block_is_reference(cfg, drawn_block(cfg, [2, 1]), [2, 1])
 
 

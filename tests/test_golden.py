@@ -1,6 +1,7 @@
-"""The seed-0 CSVs of the figure presets, `risbc bounds` and the
-perfbench/mit_aware.ini sweep equal the committed files in tests/golden:
-every text field exactly, every number to GOLDEN_RTOL relative.
+"""The CSVs of the figure presets, `risbc bounds` and the
+perfbench/mit_aware.ini sweep at seeds 0 and 3 equal the committed files in
+tests/golden byte for byte.  A failure names the lines whose numbers differ
+by more than GOLDEN_RTOL relative and the largest difference (`mismatch`).
 `tests/golden/make.py` regenerates them."""
 
 import csv
@@ -8,7 +9,7 @@ import math
 
 import pytest
 
-from golden.make import HERE, RUNS, run
+from golden.make import RUNS, SEEDS, golden_dir, run
 
 GOLDEN_RTOL = 1e-8
 
@@ -61,17 +62,46 @@ def mismatch(name, got_text, want_text):
     )
 
 
+def difference(name, got_text, want_text):
+    """None if the texts are identical, else `mismatch`'s message, or the
+    first differing line where every number agrees to GOLDEN_RTOL."""
+    if got_text == want_text:
+        return None
+    message = mismatch(name, got_text, want_text)
+    if message is not None:
+        return message
+    line, got, want = next(
+        (i, g, w)
+        for i, (g, w) in enumerate(
+            zip(got_text.splitlines(True), want_text.splitlines(True)), 1
+        )
+        if g != w
+    )
+    return (
+        f"{name} line {line} is not byte-identical, though its numbers agree "
+        f"to {GOLDEN_RTOL:g} relative: {got!r}, golden {want!r}"
+    )
+
+
 @pytest.mark.parametrize(
-    "argv, files", RUNS, ids=[next(iter(files))[:-4] for _, files in RUNS]
+    "argv, files, seed",
+    [
+        pytest.param(
+            argv, files, seed,
+            id=next(iter(files))[:-4] + (f"-seed{seed}" if seed else ""),
+        )
+        for seed in SEEDS
+        for argv, files in RUNS
+    ],
 )
-def test_outputs_match_golden(tmp_path, argv, files):
+def test_outputs_match_golden(tmp_path, argv, files, seed):
     problems = [
-        mismatch(
+        difference(
             name,
             path.read_text(encoding="utf-8"),
-            (HERE / name).read_text(encoding="utf-8"),
+            (golden_dir(seed) / name).read_text(encoding="utf-8"),
         )
-        for name, path in run(argv, files, tmp_path).items()
+        for name, path in run(argv, files, tmp_path, seed).items()
     ]
     problems = [p for p in problems if p is not None]
     assert not problems, "\n".join(problems)
@@ -92,3 +122,19 @@ def test_mismatch_names_file_line_and_largest_difference():
     assert mismatch("f.csv", "a,value,note\nx,1.5,ok\n", want) == (
         "f.csv: 2 lines, golden has 3"
     )
+
+
+def test_difference_requires_identical_text():
+    want = "a,value,note\nx,1.5,ok\ny,2,ok\n"
+    assert difference("f.csv", want, want) is None
+    # within the tolerance, but not the same bytes
+    assert difference("f.csv", "a,value,note\nx,1.500000001,ok\ny,2,ok\n", want) == (
+        "f.csv line 2 is not byte-identical, though its numbers agree to 1e-08 "
+        "relative: 'x,1.500000001,ok\\n', golden 'x,1.5,ok\\n'"
+    )
+    assert difference("f.csv", want.replace("\n", "\r\n"), want).startswith(
+        "f.csv line 1 is not byte-identical"
+    )
+    # beyond it, the tolerance diff is the message
+    got = "a,value,note\nx,1.6,ok\ny,2,ok\n"
+    assert difference("f.csv", got, want) == mismatch("f.csv", got, want)

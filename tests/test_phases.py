@@ -11,6 +11,7 @@ from risbc.channel import (
     realize_block,
     rep_seeds,
     sample_realization,
+    stream_states,
 )
 from risbc.phases import (
     align_weak_user,
@@ -39,7 +40,7 @@ def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
 def block(seed, reps, **kw):
     """The decomposed block of replications 0..reps-1 of a scenario."""
     cfg = ScenarioConfig(seed=seed, **kw)
-    return decompose(realize_block(cfg, *draw_block(cfg, seed, range(reps))))
+    return decompose(realize_block(cfg, *draw_block(cfg, stream_states(seed, range(reps)))))
 
 
 def objectives(cache, theta):

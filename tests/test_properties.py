@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from risbc import sweep
-from risbc.channel import ScenarioConfig, draw_block, random_phase_block, realize_block
+from risbc.channel import (
+    ScenarioConfig,
+    draw_block,
+    random_phase_block,
+    realize_block,
+    stream_states,
+)
 from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from risbc.se import decompose, rate_terms, rates, sum_se
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
@@ -110,14 +116,14 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     # strategy's phases DPC is at least ZF on every draw, in both modes
     cfg, xi, reps = stack
     p_bars = cfg.p_bar() * np.array([0.1, 1.0, 10.0, 1e3])
-    real = realize_block(cfg, *draw_block(cfg, cfg.seed, reps))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
     keep = ~(cache.cond() > sweep.COND_FLAG)
     hypothesis.assume(keep.any())
     cache = cache[keep]
-    random_theta = random_phase_block(cfg.seed, reps, cfg.n_ris)[keep]
+    random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
     for kind in STRATEGIES:
         theta = (
             random_theta
@@ -161,7 +167,7 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     # (mu_i = 1 / e_i) and DPC (mu_i the eigenvalues of H H^H): the gap is
     # nonnegative and does not grow with p_bar, on every draw
     cfg, xi, reps = stack
-    real = realize_block(cfg, *draw_block(cfg, cfg.seed, reps))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
@@ -169,7 +175,7 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     hypothesis.assume(keep.any())
     cache = cache[keep]
     if kind in RANDOM_STRATEGIES:
-        theta = random_phase_block(cfg.seed, reps, cfg.n_ris)[keep]
+        theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
     else:
         theta = select_phases(kind, cache, None)
     for precoder in ("ZF", "DPC"):

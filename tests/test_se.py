@@ -1,5 +1,6 @@
 import ast
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from risbc.channel import (
     realize_block,
     rep_seeds,
     sample_realization,
+    stream_states,
 )
 from risbc.linalg import eigh_descending, herm, matvec
 from risbc.se import (
@@ -85,6 +87,45 @@ def test_sum_se_rejects_non_unit():
     for precoder in ("ZF", "DPC"):
         with pytest.raises(ValueError, match="unit modulus"):
             sum_se(decompose(real), np.array([1.0, 0.5]), 1.0, precoder, "exact")
+
+
+def test_theta_of_the_wrong_shape_is_named():
+    # a theta one element short or long, or with a batch axis the cache
+    # lacks, fails at the boundary with both shapes, not inside numpy
+    _, real, theta = random_instance(3)
+    cache = decompose(real)
+    cfg = small_cfg()
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(2)))))
+    cases = (
+        (cache, theta[:-1], r"theta has shape \(7,\), but the cache needs \(8,\)"),
+        (cache, np.append(theta, 1.0), r"shape \(9,\), but the cache needs \(8,\)"),
+        (cache, theta[None, :], r"shape \(1, 8\), but the cache needs \(8,\)"),
+        (stack, theta, r"shape \(8,\), but the cache needs \(2, 8\)"),
+    )
+    for c, t, message in cases:
+        with pytest.raises(ValueError, match=message):
+            rate_terms(c, t)
+        with pytest.raises(ValueError, match=message):
+            sum_se(c, t, 1.0, "DPC", "exact")
+        with pytest.raises(ValueError, match=message):
+            risbc.phases.optimize_mitigation_aware(c, t)
+
+
+def test_rates_reject_bad_powers():
+    _, real, theta = random_instance(4)
+    terms = rate_terms(decompose(real), theta)
+    for p_bar, message in (
+        (-1.0, "p_bar must be non-negative, got -1.0"),
+        (np.nan, "p_bar must be non-negative, got nan"),
+        (np.array([1.0, -2.0, np.nan]), "non-negative, got -2.0"),
+        (np.ones((2, 2)), r"p_bar must be a float or 1-D, got shape \(2, 2\)"),
+    ):
+        for precoder, mode in product(("ZF", "DPC"), ("exact", "asymptotic")):
+            with pytest.raises(ValueError, match=message):
+                rates(terms, p_bar, precoder, mode)
+    # zero and infinite powers stay valid inputs
+    assert rates(terms, 0.0, "DPC", "exact")[0] == 0.0
+    assert rates(terms, np.inf, "ZF", "exact")[0] == np.inf
 
 
 def test_theta_is_checked_once_per_call(monkeypatch):
@@ -154,7 +195,7 @@ def test_decompose_matches_dense_projector_oracle():
 def test_decompose_copies_the_weak_row(stacked):
     cfg = small_cfg()
     if stacked:
-        real = realize_block(cfg, *draw_block(cfg, 2, range(5)))
+        real = realize_block(cfg, *draw_block(cfg, stream_states(2, range(5))))
     else:
         real = sample_realization(cfg, np.random.default_rng(2))
     cache = decompose(real)
@@ -165,7 +206,7 @@ def test_decompose_copies_the_weak_row(stacked):
 
 def test_cache_mask_selects_the_weak_rows():
     cfg = small_cfg()
-    cache = decompose(realize_block(cfg, *draw_block(cfg, 3, range(6))))
+    cache = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(6)))))
     mask = np.array([True, False, True, True, False, True])
     for index in (mask, 2, slice(1, 4)):
         picked = cache[index]
@@ -198,7 +239,7 @@ def test_scaled_row_space_feed_matches_the_b_construction():
     # from 1e-2 to 1e3
     for n_bs in (4, 12):
         cfg = ScenarioConfig(n_bs=n_bs)
-        real = realize_block(cfg, *draw_block(cfg, 5, range(40)))
+        real = realize_block(cfg, *draw_block(cfg, stream_states(5, range(40))))
         H = real.H_d_strong
         c0 = row_space_feed(H)
         assert c0.shape == H.shape[:-1]
@@ -451,7 +492,7 @@ def test_delta_terms_nonnegative_and_sum_to_gap():
 
 def test_delta_se_of_a_stack_is_per_draw():
     cfg = small_cfg()
-    real = realize_block(cfg, *draw_block(cfg, 4, range(4)))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(4, range(4))))
     cache = decompose(real)
     theta = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * np.pi, (4, cfg.n_ris)))
     dd, dr = delta_se(cache, theta)

@@ -9,7 +9,6 @@ import pytest
 from risbc import channel, sweep
 from risbc.channel import (
     CHANNEL,
-    PHASE,
     ScenarioConfig,
     draw_block,
     draw_user_positions,
@@ -18,6 +17,7 @@ from risbc.channel import (
     realize_block,
     rep_seeds,
     sample_realization,
+    stream_states,
 )
 from risbc.config import figure_preset
 from risbc.phases import random_phases, select_phases
@@ -81,6 +81,14 @@ def test_plan_validation():
         SweepPlan(cfg, "ptx_dbm", (0.0,), ())
     with pytest.raises(ValueError):
         SweepPlan(cfg, "ptx_dbm", (0.0,), m, reps=0)
+
+
+def test_plan_rejects_replications_beyond_one_index_word():
+    # a replication's index enters its seed as one 32-bit word
+    m = (method("ZF", "align_weak", "exact"),)
+    assert SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=2**32).reps == 2**32
+    with pytest.raises(ValueError, match="reps must be at most 4294967296"):
+        SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=2**32 + 1)
 
 
 def test_plan_keeps_its_validated_points(monkeypatch):
@@ -493,13 +501,14 @@ def test_sweep_draws_equal_the_reference_definition(
 ):
     # every block the sweep realizes, at every point and partial last block
     # included, equals sample_realization / random_phases on default_rng of
-    # rep_seeds, and each replication's two streams are built once per run
+    # rep_seeds; the run computes every stream start in one seeding pass,
+    # builds one SeedSequence (its self-check) and reads each stream once
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    draws, realized, phases, built = [], [], [], Counter()
+    draws, realized, phases, passes, built = [], [], [], [], Counter()
 
-    def spy_draw(cfg, seed, reps, positions=None):
-        drawn = draw_block(cfg, seed, reps, positions)
-        draws.append((drawn[1], list(reps), positions))
+    def spy_draw(cfg, streams, positions=None):
+        drawn = draw_block(cfg, streams, positions)
+        draws.append((drawn[1], streams.reps.tolist(), positions))
         return drawn
 
     def spy_realize(cfg, positions, x):
@@ -508,21 +517,26 @@ def test_sweep_draws_equal_the_reference_definition(
         realized.append((cfg, reps, frozen_positions, real))
         return real
 
-    def spy_phases(seed, reps, n_ris):
-        theta = random_phase_block(seed, reps, n_ris)
-        phases.append((list(reps), n_ris, theta))
+    def spy_phases(streams, n_ris):
+        theta = random_phase_block(streams, n_ris)
+        phases.append((streams.reps.tolist(), n_ris, theta))
         return theta
 
-    generator = channel._generator
+    def spy_states(seed, reps):
+        passes.append((seed, list(reps)))
+        return stream_states(seed, reps)
 
-    def spy_generator(seed, rep, stream):
+    rep_seed = channel._rep_seed
+
+    def spy_rep_seed(seed, rep, stream):
         built[rep, stream] += 1
-        return generator(seed, rep, stream)
+        return rep_seed(seed, rep, stream)
 
     monkeypatch.setattr(sweep, "draw_block", spy_draw)
     monkeypatch.setattr(sweep, "realize_block", spy_realize)
     monkeypatch.setattr(sweep, "random_phase_block", spy_phases)
-    monkeypatch.setattr(channel, "_generator", spy_generator)
+    monkeypatch.setattr(sweep, "stream_states", spy_states)
+    monkeypatch.setattr(channel, "_rep_seed", spy_rep_seed)
     methods = (
         method("ZF", "random", "exact"),
         method("DPC", "statistical", "asymptotic"),
@@ -531,6 +545,11 @@ def test_sweep_draws_equal_the_reference_definition(
     cfg = small_cfg(freeze_positions=frozen)
     plan = SweepPlan(cfg, variable, values, methods, reps=8)
     run_sweep(plan)
+    # whatever the number of points, one seeding pass and one SeedSequence
+    # per run, and each replication's streams are read in one block
+    assert passes == [(cfg.seed, list(range(8)))]
+    assert built == Counter({(0, CHANNEL): 1})
+    assert [rep for _, reps, _ in draws for rep in reps] == list(range(8))
 
     # blocks outside, points inside: each block is realized at every point
     # that has a scenario of its own; a ptx_dbm or xi sweep has one scenario
@@ -551,6 +570,3 @@ def test_sweep_draws_equal_the_reference_definition(
             _, ph_ss = rep_seeds(plan.config.seed, rep)
             want = random_phases(n_ris, np.random.default_rng(ph_ss))
             assert np.array_equal(row, want)
-    # whatever the number of points, each stream is built once per run
-    once = {(rep, stream): 1 for rep in range(8) for stream in (CHANNEL, PHASE)}
-    assert built == Counter(once)
