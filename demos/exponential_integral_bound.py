@@ -20,11 +20,11 @@ from risbc.bounds import (
 print("e^x E1(x) vs its two lower bounds\n")
 print(f"{'x':>8} {'e^x E1(x)':>11} {'tight rhs':>11} {'slack':>9} {'classical rhs':>14}")
 xs = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4])
-for tight, classical in zip(e1_product_bound_check(xs), e1_product_log_bound_check(xs)):
-    print(
-        f"{tight.setting:8.0e} {tight.lhs:11.6f} {tight.rhs:11.6f}"
-        f" {tight.slack:9.2e} {classical.rhs:14.6f}"
-    )
+tight, classical = e1_product_bound_check(xs), e1_product_log_bound_check(xs)
+for x, lhs, rhs, slack, classical_rhs in zip(
+    tight.setting, tight.lhs, tight.rhs, tight.slack, classical.rhs
+):
+    print(f"{x:8.0e} {lhs:11.6f} {rhs:11.6f} {slack:9.2e} {classical_rhs:14.6f}")
 
 gs = bound_gap_structure()
 print(
@@ -35,6 +35,6 @@ print(
 
 check = chi2_log_expectation_check(np.random.default_rng(0), reps=200_000)
 print(
-    f"\nE[log2 chi2(2)]: Monte Carlo {check.lhs:.4f} vs"
-    f" log2(2 e^-gamma) = {check.rhs:.4f}  (2e5 samples)"
+    f"\nE[log2 chi2(2)]: Monte Carlo {check.lhs[0]:.4f} vs"
+    f" log2(2 e^-gamma) = {check.rhs[0]:.4f}  (2e5 samples)"
 )

@@ -10,12 +10,12 @@ On top of these sit the ergodic upper bound on the weak user's high-SNR ZF
 rate (harmonic-mean step over the strong users' cascaded covariances) and
 the closed forms for random/statistical and gain-aligned RIS phases.
 
-All bound checks return BoundReports carrying both sides and the slack so
-callers can assert positivity with explicit margins; E1 and the grid checks
-take an array of x (one report per entry) as well as a single x.
+Every bound check returns a BoundReport table whose columns carry both sides
+and the slack of each row; E1 and the grid checks take an array of x (one
+row per entry) as well as a single x.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,16 +27,38 @@ EULER_GAMMA = 0.57721566490153286061
 _E1_MAX_ITER = 300
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundReport:
-    """One checked inequality: lhs vs rhs with slack = lhs - rhs."""
+    """Checked inequalities as 1-D columns, one row per check of lhs vs rhs
+    (slack = lhs - rhs); a scalar field, such as a single name, is repeated
+    down the table, so a scalar check is a one-row table."""
 
-    name: str
-    setting: float  # the x value or sweep setting the check ran at
-    lhs: float
-    rhs: float
-    satisfied: bool
-    slack: float
+    name: np.ndarray  # str
+    setting: np.ndarray  # the x value or sweep setting each row ran at
+    lhs: np.ndarray
+    rhs: np.ndarray
+    satisfied: np.ndarray  # bool
+    slack: np.ndarray
+
+    def __post_init__(self):
+        columns = [np.ravel(getattr(self, f.name)) for f in fields(self)]
+        for f, column in zip(fields(self), np.broadcast_arrays(*columns)):
+            setattr(self, f.name, column)
+
+    def __len__(self) -> int:
+        return self.name.size
+
+    @property
+    def violated(self) -> int:
+        """Number of rows whose check failed."""
+        return len(self) - int(np.count_nonzero(self.satisfied))
+
+    @classmethod
+    def concat(cls, *tables):
+        """One table holding the rows of `tables` in order."""
+        return cls(*(
+            np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)
+        ))
 
 
 # =========================================================================
@@ -101,11 +123,11 @@ def _e1_continued_fraction(x: np.ndarray) -> np.ndarray:
 
 
 def _e1(x, scaled: bool):
-    """E1(x), or e^x E1(x) when scaled, for a scalar or an array of x > 0:
+    """E1(x), or e^x E1(x) when scaled, for a scalar or an array of finite x > 0:
     the series below 1, the continued fraction above."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    if not np.all((x > 0) & (x < np.inf)):  # NaN fails both
+        raise ValueError("x must be positive and finite")
     flat = x.ravel()
     out = np.empty_like(flat)
     low = flat <= 1.0
@@ -132,10 +154,10 @@ def exp_integral_e1_scaled(x):
 # =========================================================================
 
 
-def _grid_reports(name: str, x, lhs, rhs) -> list:
-    """One BoundReport per entry of x for the check lhs > rhs."""
-    columns = (np.ravel(v).tolist() for v in (x, lhs, rhs, lhs - rhs))
-    return [BoundReport(name, s, l, r, d > 0.0, d) for s, l, r, d in zip(*columns)]
+def _grid_check(name: str, x, lhs, rhs) -> BoundReport:
+    """The check lhs > rhs, one row per entry of x."""
+    slack = lhs - rhs
+    return BoundReport(name, x, lhs, rhs, slack > 0.0, slack)
 
 
 def _tight_rhs(x):
@@ -148,30 +170,30 @@ def _classical_rhs(x):
     return -EULER_GAMMA + np.log1p(1.0 / x)
 
 
-def e1_product_bound_check(x) -> list:
-    """Check E1(x) e^x > ln(1 + e^{-gamma} / x), one report per entry of x."""
+def e1_product_bound_check(x) -> BoundReport:
+    """Check E1(x) e^x > ln(1 + e^{-gamma} / x), one row per entry of x."""
     x = np.asarray(x, dtype=float)
-    return _grid_reports(
+    return _grid_check(
         "e1_product_bound", x, exp_integral_e1_scaled(x), _tight_rhs(x)
     )
 
 
-def e1_product_log_bound_check(x) -> list:
+def e1_product_log_bound_check(x) -> BoundReport:
     """Check the classical comparison bound E1(x) e^x > -gamma + ln(1 + 1/x)."""
     x = np.asarray(x, dtype=float)
-    return _grid_reports(
+    return _grid_check(
         "e1_product_log_bound", x, exp_integral_e1_scaled(x), _classical_rhs(x)
     )
 
 
-def e1_bound_comparison_check(x) -> list:
+def e1_bound_comparison_check(x) -> BoundReport:
     """Check that the e^{-gamma} bound is tighter than the classical one."""
     x = np.asarray(x, dtype=float)
-    return _grid_reports("e1_bound_comparison", x, _tight_rhs(x), _classical_rhs(x))
+    return _grid_check("e1_bound_comparison", x, _tight_rhs(x), _classical_rhs(x))
 
 
 def default_log_grid(n: int = 1000) -> np.ndarray:
-    """Logarithmic x grid [1e-8, 1e4] used by the grid bound reports."""
+    """Logarithmic x grid [1e-8, 1e4] used by the grid bound checks."""
     return np.logspace(-8.0, 4.0, n)
 
 
@@ -333,30 +355,22 @@ def chi2_log_expectation_check(
     analytic = float(np.log2(2.0 * np.exp(-EULER_GAMMA)))
     slack = mc - analytic
     return BoundReport(
-        name="chi2_log_expectation",
-        setting=float(reps),
-        lhs=mc,
-        rhs=analytic,
-        satisfied=abs(slack) <= MC_TOL_SE * sem,
-        slack=slack,
+        "chi2_log_expectation", float(reps), mc, analytic,
+        abs(slack) <= MC_TOL_SE * sem, slack,
     )
 
 
-def standard_bound_reports(seed: int = 0, grid_points: int = 1000) -> list:
-    """The full default report list: E1 bound grid, tightness grid, gap
-    structure, and the chi-squared log-expectation identity."""
+def standard_bound_reports(seed: int = 0, grid_points: int = 1000) -> BoundReport:
+    """The full default report table: E1 bound grid, tightness grid, gap
+    structure, and the chi-squared log-expectation identity, in that order."""
     grid = default_log_grid(grid_points)
-    reports = e1_product_bound_check(grid) + e1_bound_comparison_check(grid)
     gs = bound_gap_structure()
-    reports.append(
+    return BoundReport.concat(
+        e1_product_bound_check(grid),
+        e1_bound_comparison_check(grid),
         BoundReport(
-            name="gap_maximum_location",
-            setting=gs.x_max,
-            lhs=gs.x_max,
-            rhs=gs.bracket_hi,
-            satisfied=gs.inside_bracket and gs.unimodal,
-            slack=gs.bracket_hi - gs.x_max,
-        )
+            "gap_maximum_location", gs.x_max, gs.x_max, gs.bracket_hi,
+            gs.inside_bracket and gs.unimodal, gs.bracket_hi - gs.x_max,
+        ),
+        chi2_log_expectation_check(np.random.default_rng([seed, 0xB0])),
     )
-    reports.append(chi2_log_expectation_check(np.random.default_rng([seed, 0xB0])))
-    return reports

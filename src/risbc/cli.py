@@ -4,8 +4,9 @@ Every run is deterministic for a fixed seed and writes CSVs whose filenames
 embed the first 8 hex digits of the canonical-config hash, next to a JSON
 manifest sidecar recording the full hash, seed, and output list.  The
 `bounds` subcommand (and `figure 5`, which emits a closed-form report next
-to its sweep) exits nonzero if any checked inequality is violated.  An
-unusable --config or --out path exits 2 with one `error:` line.
+to its sweep) exits 1 if any checked inequality is violated.  An unusable
+--config or --out path, or a run that fails (a sweep row with a negative
+mean, say), exits 2 with one `error:` line.
 """
 
 import argparse
@@ -88,11 +89,7 @@ def cmd_sweep(args) -> int:
     if args.reps is not None:
         plan = replace(plan, reps=args.reps)
 
-    try:
-        result = run_sweep(plan)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_sweep(plan)
     _finish(
         args,
         f"sweep_{plan.variable}",
@@ -116,9 +113,8 @@ def cmd_bounds(args) -> int:
         seed,
         [(".csv", lambda p: emit_bound_report(reports, p))],
     )
-    violated = sum(not r.satisfied for r in reports)
-    print(f"checked {len(reports)} bounds, {violated} violated")
-    return 1 if violated else 0
+    print(f"checked {len(reports)} bounds, {reports.violated} violated")
+    return 1 if reports.violated else 0
 
 
 def cmd_figure(args) -> int:
@@ -128,7 +124,7 @@ def cmd_figure(args) -> int:
     result = run_sweep(plan)
 
     writers = [(".csv", lambda p: emit_csv(result, p))]
-    reports = []
+    reports = None
     if args.number == 5:
         reports = figure5_bound_reports(result)
         writers.append(("_bounds.csv", lambda p: emit_bound_report(reports, p)))
@@ -140,9 +136,8 @@ def cmd_figure(args) -> int:
         seed,
         writers,
     )
-    violated = sum(not r.satisfied for r in reports)
-    if violated:
-        print(f"{violated} closed-form checks violated", file=sys.stderr)
+    if reports is not None and reports.violated:
+        print(f"{reports.violated} closed-form checks violated", file=sys.stderr)
         return 1
     return 0
 
@@ -184,7 +179,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot use --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RuntimeError as exc:  # a run that cannot finish, e.g. a negative mean
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

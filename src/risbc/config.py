@@ -304,20 +304,15 @@ def emit_csv(result: SweepResult, path) -> None:
         )
 
 
-def emit_bound_report(reports, path) -> None:
+def emit_bound_report(reports: BoundReport, path) -> None:
     """Bound-check CSV; any satisfied=false row must fail the CLI run."""
-    if not reports:
+    if not len(reports):
         raise ValueError("empty bound report")
+    columns = (reports.name, reports.setting, reports.lhs, reports.rhs, reports.slack,
+               np.where(reports.satisfied, "true", "false"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(BOUND_CSV_HEADER + "\n")
-        fh.writelines(
-            _BOUND_ROW
-            % (
-                r.name, r.setting, r.lhs, r.rhs, r.slack,
-                "true" if r.satisfied else "false",
-            )
-            for r in reports
-        )
+        fh.writelines(map(_BOUND_ROW.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 # =========================================================================
@@ -362,47 +357,37 @@ def figure_preset(number: int, seed: int = 0, reps: int = 200):
     return cfg, SweepPlan(cfg, variable, values, _parse_methods(labels), reps)
 
 
-def figure5_bound_reports(result: SweepResult) -> list:
-    """Ergodic closed-form checks against the element-count sweep's means.
+# (phase family, precoder) -> (check name, closed forms, comparison of the
+# weak user's mean reflected rate with the form: ZF's is the first of the
+# pair, DPC's the second).  The random-phase DPC value is an ergodic equality,
+# accepted within 6/sqrt(reps) (about three standard errors of the per-draw
+# log spread).
+_FIGURE5_CHECKS = {
+    ("random", "ZF"): ("weak_zf_random_upper", random_phase_closed_forms, "upper"),
+    ("random", "DPC"): ("weak_dpc_random_value", random_phase_closed_forms, "value"),
+    ("align_weak", "ZF"): ("weak_zf_aligned_upper", aligned_phase_closed_forms, "upper"),
+    ("align_weak", "DPC"): ("weak_dpc_aligned_lower", aligned_phase_closed_forms, "lower"),
+}
 
-    Upper/lower bounds are compared directly; the random-phase DPC value is
-    an ergodic equality, so it is accepted within a Monte Carlo tolerance of
-    6/sqrt(reps) (about three standard errors of the per-draw log spread).
-    """
+
+def figure5_bound_reports(result: SweepResult) -> BoundReport:
+    """Ergodic closed-form checks against the element-count sweep's means,
+    one row per asymptotic row with random or aligned phases, in row order."""
     cfg = result.plan.config
     if not cfg.freeze_positions:
         raise ValueError("closed-form comparison needs frozen user positions")
     pl = nominal_pathlosses(cfg, frozen_positions(cfg))
     p_bar = cfg.p_bar()
-    reports = []
+    rows = []
     for row in result.rows:
-        if row.mode != "asymptotic":
+        family = "random" if row.strategy in RANDOM_STRATEGIES else row.strategy
+        check = _FIGURE5_CHECKS.get((family, row.precoder))
+        if row.mode != "asymptotic" or check is None:
             continue
-        cfg_v = cfg.with_updates(n_ris=int(row.value))
-        mc = row.se_r_mean
-        if row.strategy in RANDOM_STRATEGIES:
-            lin_upper, dpc_value = random_phase_closed_forms(cfg_v, pl, p_bar)
-            if row.precoder == "ZF":
-                reports.append(BoundReport(
-                    "weak_zf_random_upper", row.value, mc, lin_upper,
-                    mc <= lin_upper, mc - lin_upper,
-                ))
-            else:
-                slack = mc - dpc_value
-                reports.append(BoundReport(
-                    "weak_dpc_random_value", row.value, mc, dpc_value,
-                    abs(slack) <= 6.0 / np.sqrt(row.reps), slack,
-                ))
-        elif row.strategy == "align_weak":
-            lin_upper, dpc_lower = aligned_phase_closed_forms(cfg_v, pl, p_bar)
-            if row.precoder == "ZF":
-                reports.append(BoundReport(
-                    "weak_zf_aligned_upper", row.value, mc, lin_upper,
-                    mc <= lin_upper, mc - lin_upper,
-                ))
-            else:
-                reports.append(BoundReport(
-                    "weak_dpc_aligned_lower", row.value, mc, dpc_lower,
-                    mc >= dpc_lower, mc - dpc_lower,
-                ))
-    return reports
+        name, closed_forms, kind = check
+        forms = closed_forms(cfg.with_updates(n_ris=int(row.value)), pl, p_bar)
+        mc, form = row.se_r_mean, forms[row.precoder == "DPC"]
+        holds = {"upper": mc <= form, "lower": mc >= form,
+                 "value": abs(mc - form) <= 6.0 / np.sqrt(row.reps)}[kind]
+        rows.append((name, row.value, mc, form, holds, mc - form))
+    return BoundReport(*(zip(*rows) if rows else [()] * 6))  # empty: no row to check

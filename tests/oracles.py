@@ -301,20 +301,14 @@ def dense_reflected_rate_upper_bound(theta, h_c_weak_draws, n_bs, a, pl, p_bar):
 
 
 def harmonic_mean_bound_check(h: np.ndarray, M: np.ndarray) -> BoundReport:
-    """Check h^H M^{-1} h >= ||h||^4 / (h^H M h) for Hermitian PD M."""
+    """Check h^H M^{-1} h >= ||h||^4 / (h^H M h) for Hermitian PD M, as a
+    one-row table."""
     h = np.asarray(h, dtype=complex).ravel()
     M = np.asarray(M, dtype=complex)
     lhs = float(np.real(np.vdot(h, np.linalg.solve(M, h))))
     rhs = float(np.linalg.norm(h) ** 4 / np.real(np.vdot(h, M @ h)))
     slack = lhs - rhs
-    return BoundReport(
-        name="harmonic_mean",
-        setting=float(h.size),
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=slack >= -1e-12,
-        slack=slack,
-    )
+    return BoundReport("harmonic_mean", float(h.size), lhs, rhs, slack >= -1e-12, slack)
 
 
 # =========================================================================

@@ -161,8 +161,8 @@ def test_criterion_04_exact_converges_to_asymptotic(capsys):
 
 def test_criterion_05_exponential_integral_bound(capsys):
     grid = default_log_grid(1000)
-    slacks = np.array([rep.slack for rep in e1_product_bound_check(grid)])
-    tighter = np.array([rep.slack for rep in e1_bound_comparison_check(grid)])
+    slacks = e1_product_bound_check(grid).slack
+    tighter = e1_bound_comparison_check(grid).slack
     gs = bound_gap_structure()
     ok = (
         np.all(slacks > 0.0)
@@ -383,11 +383,11 @@ def test_criterion_11_optimizer_monotone_and_grid_optimal(capsys):
 
 def test_criterion_12_chi_squared_log_identity(capsys):
     check = chi2_log_expectation_check(np.random.default_rng([9112, 0]), reps=100_000)
-    ok = check.satisfied and abs(check.slack) <= 0.01
+    ok = check.violated == 0 and abs(check.slack[0]) <= 0.01
     _report(
         capsys, 12, ok,
-        f"E[log2 chi2(2)] = {check.lhs:.4f} vs log2(2 e^-gamma) = "
-        f"{check.rhs:.4f} at 10^5 samples",
+        f"E[log2 chi2(2)] = {check.lhs[0]:.4f} vs log2(2 e^-gamma) = "
+        f"{check.rhs[0]:.4f} at 10^5 samples",
     )
 
 

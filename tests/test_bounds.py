@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -119,6 +121,22 @@ def test_e1_rejects_nonpositive():
             exp_integral_e1_scaled(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_e1_rejects_non_finite_before_iterating(bad, monkeypatch):
+    # NaN passes an `x <= 0` test; without an up-front check it ran the
+    # continued fraction to its cap and reported non-convergence
+    def never(x):
+        raise AssertionError("E1 iterated on bad input")
+
+    monkeypatch.setattr(bounds, "_e1_series", never)
+    monkeypatch.setattr(bounds, "_e1_continued_fraction", never)
+    for fn in (exp_integral_e1, exp_integral_e1_scaled, e1_product_bound_check):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn([1.0, bad])
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 30.0])
 def test_e1_raises_when_the_cap_is_reached(x, monkeypatch):
     # two terms/steps converge nowhere: neither loop may return a partial sum
@@ -132,22 +150,46 @@ def test_e1_raises_when_the_cap_is_reached(x, monkeypatch):
 # ------------------------------------------------------------------ bound grid
 
 
+def table_rows(table):
+    """The rows of a BoundReport as tuples of Python scalars."""
+    return list(zip(*(getattr(table, f.name).tolist() for f in fields(table))))
+
+
 def test_product_bound_positive_on_grid():
     grid = default_log_grid(1000)
     reports = e1_product_bound_check(grid)
-    assert [rep.setting for rep in reports] == grid.tolist()
-    for rep in reports:
-        assert rep.satisfied and rep.slack > 0.0
+    assert reports.setting.tolist() == grid.tolist()
+    assert set(reports.name.tolist()) == {"e1_product_bound"}
+    assert reports.satisfied.all() and (reports.slack > 0.0).all()
+    assert reports.violated == 0
 
 
 def test_product_bound_known_slacks():
-    one, tiny, far = e1_product_bound_check([1.0, 1e-8, 1e4])
-    assert one.slack == pytest.approx(0.150726412042, abs=1e-9)
-    assert 0.0 < tiny.slack < 1e-6
-    assert 0.0 < far.slack < 1e-4
-    # a single x gives a one-report list
-    (single,) = e1_product_bound_check(1.0)
-    assert single == one
+    reports = e1_product_bound_check([1.0, 1e-8, 1e4])
+    one, tiny, far = reports.slack
+    assert one == pytest.approx(0.150726412042, abs=1e-9)
+    assert 0.0 < tiny < 1e-6
+    assert 0.0 < far < 1e-4
+    # a single x gives a one-row table: the first row of the array call
+    single = e1_product_bound_check(1.0)
+    assert len(single) == 1
+    assert table_rows(single) == table_rows(reports)[:1]
+
+
+def test_table_columns_share_one_length():
+    # a scalar field is repeated down the table; concat keeps row order
+    table = BoundReport(
+        "demo", [1.0, 2.0, 3.0], 0.5, [1.0, 0.0, 1.0], [False, True, False], 0.0
+    )
+    assert len(table) == 3 and table.violated == 2
+    assert table.name.tolist() == ["demo"] * 3
+    assert table.lhs.tolist() == [0.5] * 3
+    one_row = BoundReport("longer_name", 4.0, 1.0, 0.0, True, 1.0)
+    both = BoundReport.concat(table, one_row)
+    assert both.name.tolist() == ["demo"] * 3 + ["longer_name"]
+    assert both.setting.tolist() == [1.0, 2.0, 3.0, 4.0] and both.violated == 2
+    with pytest.raises(ValueError):
+        BoundReport("demo", [1.0, 2.0], [1.0, 2.0, 3.0], 0.0, True, 0.0)
 
 
 def test_log_bound_positive_and_weaker():
@@ -155,9 +197,8 @@ def test_log_bound_positive_and_weaker():
     log_reports = e1_product_log_bound_check(grid)
     comparisons = e1_bound_comparison_check(grid)
     assert len(log_reports) == len(comparisons) == grid.size
-    for log_rep, comp in zip(log_reports, comparisons):
-        assert log_rep.slack > 0.0
-        assert comp.satisfied and comp.slack > 0.0
+    assert (log_reports.slack > 0.0).all()
+    assert comparisons.satisfied.all() and (comparisons.slack > 0.0).all()
 
 
 # ------------------------------------------------------------------ gap shape
@@ -183,10 +224,11 @@ def test_gap_structure():
 
 def test_chi2_log_expectation():
     rep = chi2_log_expectation_check(np.random.default_rng(0), reps=100_000)
-    assert rep.rhs == pytest.approx(LOG2_2_EXP_NEG_GAMMA, rel=1e-12)
-    assert rep.rhs == pytest.approx(1.0 - EULER_GAMMA / np.log(2.0), rel=1e-12)
-    assert abs(rep.slack) < 0.01
-    assert rep.satisfied
+    assert len(rep) == 1 and rep.name[0] == "chi2_log_expectation"
+    assert rep.rhs[0] == pytest.approx(LOG2_2_EXP_NEG_GAMMA, rel=1e-12)
+    assert rep.rhs[0] == pytest.approx(1.0 - EULER_GAMMA / np.log(2.0), rel=1e-12)
+    assert abs(rep.slack[0]) < 0.01
+    assert rep.violated == 0
 
 
 def test_chi2_log_scaling_additivity():
@@ -206,7 +248,7 @@ def test_chi2_check_passes_on_cli_substreams():
     failed = [
         seed
         for seed in range(60)
-        if not chi2_log_expectation_check(np.random.default_rng([seed, 0xB0])).satisfied
+        if chi2_log_expectation_check(np.random.default_rng([seed, 0xB0])).violated
     ]
     assert failed == []
 
@@ -225,9 +267,9 @@ class ScaledChiSquare:
 def test_chi2_check_flags_shifted_distribution():
     # a 1.1 scale shifts E[log2] by log2(1.1) = 0.14, about 23 standard errors
     rep = chi2_log_expectation_check(ScaledChiSquare(1.1))
-    assert rep.slack == pytest.approx(np.log2(1.1), abs=0.03)
-    assert not rep.satisfied
-    assert chi2_log_expectation_check(ScaledChiSquare(1.0)).satisfied
+    assert rep.slack[0] == pytest.approx(np.log2(1.1), abs=0.03)
+    assert rep.satisfied.tolist() == [False] and rep.violated == 1
+    assert chi2_log_expectation_check(ScaledChiSquare(1.0)).satisfied.tolist() == [True]
 
 
 # ------------------------------------------------------------------ harmonic
@@ -236,14 +278,15 @@ def test_chi2_check_flags_shifted_distribution():
 def test_harmonic_identity_matrix_is_tight():
     h = np.array([1.0 + 1j, 2.0, -1j])
     rep = harmonic_mean_bound_check(h, np.eye(3))
-    assert abs(rep.slack) < 1e-12 and rep.satisfied
+    assert len(rep) == 1
+    assert abs(rep.slack[0]) < 1e-12 and rep.violated == 0
 
 
 def test_harmonic_eigenvector_is_tight():
     M = np.diag([4.0, 1.0, 0.25])
     h = np.array([0.0, 3.0, 0.0])
     rep = harmonic_mean_bound_check(h, M)
-    assert abs(rep.slack) < 1e-12
+    assert abs(rep.slack[0]) < 1e-12
 
 
 def test_harmonic_random_trials():
@@ -253,7 +296,7 @@ def test_harmonic_random_trials():
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         M = A @ A.conj().T + 0.1 * np.eye(n)
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert harmonic_mean_bound_check(h, M).slack >= -1e-12
+        assert harmonic_mean_bound_check(h, M).slack[0] >= -1e-12
 
 
 # ------------------------------------------------------- ergodic closed forms
@@ -336,7 +379,12 @@ def test_reflected_upper_bound_holds_in_monte_carlo():
 
 def test_standard_bound_reports_all_satisfied():
     reports = standard_bound_reports(seed=0, grid_points=100)
+    assert isinstance(reports, BoundReport)
     assert len(reports) == 2 * 100 + 2
-    assert all(isinstance(r, BoundReport) for r in reports)
-    assert all(r.satisfied for r in reports)
-    assert sum(r.name == "e1_product_bound" for r in reports) == 100
+    assert reports.satisfied.all() and reports.violated == 0
+    assert reports.name.tolist() == (
+        ["e1_product_bound"] * 100 + ["e1_bound_comparison"] * 100
+        + ["gap_maximum_location", "chi2_log_expectation"]
+    )
+    grid = default_log_grid(100).tolist()
+    assert reports.setting[:200].tolist() == grid + grid

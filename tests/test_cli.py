@@ -161,17 +161,41 @@ def test_bounds_all_satisfied(tmp_path):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_bounds_violation_exits_1(tmp_path, monkeypatch):
+def test_bounds_violation_exits_1(tmp_path, monkeypatch, capsys):
     import risbc.cli as cli
 
-    monkeypatch.setattr(
-        cli,
-        "standard_bound_reports",
-        lambda seed, grid_points: [BoundReport("demo", 1.0, 0.0, 1.0, False, -1.0)],
+    # three rows, the middle one violated
+    table = BoundReport(
+        "demo", [1.0, 2.0, 3.0], [2.0, 0.0, 3.0], 1.0, [True, False, True],
+        [1.0, -1.0, 2.0],
     )
+    monkeypatch.setattr(cli, "standard_bound_reports", lambda seed, grid_points: table)
     assert main(["bounds", "--out", str(tmp_path)]) == 1
+    assert "checked 3 bounds, 1 violated" in capsys.readouterr().out
     lines = csv_lines(only(tmp_path.glob("bounds_*.csv")))
-    assert lines[1].endswith(",false")
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false", "true"]
+
+
+def test_figure5_violation_exits_1_after_writing_its_report(tmp_path, capsys):
+    # one replication is too few for the ergodic closed forms at seed 0
+    assert main(["figure", "5", "--out", str(tmp_path), "--reps", "1", "--seed", "0"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.endswith("closed-form checks violated")
+    printed = int(err.split()[0])
+    assert printed == 2
+    lines = csv_lines(only(tmp_path.glob("figure5_*_bounds.csv")))
+    assert len(lines) == 1 + 5 * 4
+    assert sum(line.endswith(",false") for line in lines[1:]) == printed
+
+
+@pytest.mark.parametrize("number, seed", [(3, 18), (5, 7)])
+def test_figure_with_a_negative_mean_exits_2(tmp_path, capsys, number, seed):
+    # one replication at these seeds gives a high-SNR form a negative mean
+    argv = ["figure", str(number), "--out", str(tmp_path), "--reps", "1"]
+    assert main(argv + ["--seed", str(seed)]) == 2
+    line = one_error_line(capsys)
+    assert "asymptotic gives a negative mean rate at " in line
+    assert not list(tmp_path.glob("*"))
 
 
 def test_figure3_emits_split_columns(tmp_path):

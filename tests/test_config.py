@@ -344,18 +344,13 @@ def test_csv_reread_reproduces_means(tmp_path):
 
 
 def test_bound_report_emission(tmp_path):
-    reports = [
-        BoundReport("demo", 1.0, 2.0, 1.5, True, 0.5),
-        BoundReport("demo", 2.0, 1.0, 1.5, False, -0.5),
-    ]
+    reports = BoundReport("demo", [1.0, 2.0], [2.0, 1.0], 1.5, [True, False], [0.5, -0.5])
     path = tmp_path / "bounds.csv"
     emit_bound_report(reports, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == BOUND_CSV_HEADER
-    assert lines[1].endswith(",true")
-    assert lines[2].endswith(",false")
+    assert lines == [BOUND_CSV_HEADER, "demo,1,2,1.5,0.5,true", "demo,2,1,1.5,-0.5,false"]
     with pytest.raises(ValueError):
-        emit_bound_report([], tmp_path / "empty.csv")
+        emit_bound_report(BoundReport(*[()] * 6), tmp_path / "empty.csv")
 
 
 # Floats whose "%.9g" text must equal format(float(v), ".9g"): the special
@@ -388,17 +383,14 @@ def test_csv_rows_equal_per_float_formatting(tmp_path):
     ]
     assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
-    reports = [
-        BoundReport("odd", v, v, -v, k % 2 == 0, 3 * v)
-        for k, v in enumerate(ODD_FLOATS)
-    ]
-    emit_bound_report(reports, tmp_path / "bounds.csv")
+    # the columns hold float64, so a float32 entry is widened once, as
+    # float() widens it
+    v = np.array(ODD_FLOATS, dtype=float)
+    even = np.arange(v.size) % 2 == 0
+    emit_bound_report(BoundReport("odd", v, v, -v, even, 3 * v), tmp_path / "bounds.csv")
     want = [BOUND_CSV_HEADER] + [
-        ",".join([
-            r.name, _g9(r.setting), _g9(r.lhs), _g9(r.rhs), _g9(r.slack),
-            "true" if r.satisfied else "false",
-        ])
-        for r in reports
+        ",".join(["odd", _g9(x), _g9(x), _g9(-x), _g9(3 * x), "true" if ok else "false"])
+        for x, ok in zip(v, even)
     ]
     assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
@@ -445,16 +437,37 @@ def test_figure_presets_shapes():
 def test_figure5_bound_reports():
     _, plan = figure_preset(5, reps=30)
     plan = SweepPlan(plan.config, "n_ris", (16.0, 32.0), plan.methods, 30)
-    reports = figure5_bound_reports(run_sweep(plan))
-    assert len(reports) == 2 * 4
-    names = {r.name for r in reports}
-    assert names == {
+    result = run_sweep(plan)
+    reports = figure5_bound_reports(result)
+    # one row per sweep row, in the sweep's row order (every row of the
+    # preset is asymptotic with random or aligned phases)
+    assert len(reports) == len(result.rows) == 2 * 4
+    assert reports.name.tolist() == 2 * [
         "weak_zf_random_upper",
-        "weak_dpc_random_value",
         "weak_zf_aligned_upper",
+        "weak_dpc_random_value",
         "weak_dpc_aligned_lower",
-    }
-    assert all(r.satisfied for r in reports)
+    ]
+    assert reports.setting.tolist() == [r.value for r in result.rows]
+    assert reports.lhs.tolist() == [r.se_r_mean for r in result.rows]
+    assert reports.satisfied.all() and reports.violated == 0
+
+
+def test_figure5_reports_skip_rows_without_a_closed_form():
+    # exact rows and mitigation-aware phases have no closed form; statistical
+    # phases share the random-phase forms
+    _, plan = figure_preset(5, reps=4)
+    methods = (
+        MethodSpec("ZF", "statistical", "asymptotic"),
+        MethodSpec("DPC", "mitigation_aware", "asymptotic"),
+        MethodSpec("DPC", "align_weak", "exact"),
+    )
+    plan = SweepPlan(plan.config, "n_ris", (16.0, 32.0), methods, 4)
+    reports = figure5_bound_reports(run_sweep(plan))
+    assert reports.name.tolist() == ["weak_zf_random_upper"] * 2
+    assert reports.setting.tolist() == [16.0, 32.0]
+    exact = SweepPlan(plan.config, "n_ris", (16.0,), methods[2:], 4)
+    assert len(figure5_bound_reports(run_sweep(exact))) == 0
 
 
 def test_figure5_reports_need_frozen_positions():

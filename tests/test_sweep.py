@@ -21,14 +21,13 @@ from risbc.channel import (
 )
 from risbc.config import figure_preset
 from risbc.phases import random_phases, select_phases
-from risbc.se import decompose, rates, row_space_feed, sum_se
+from risbc.se import decompose, decompose_feed, rates, row_space_feed, sum_se
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
     power_split_offset_check,
     run_sweep,
 )
-from oracles import b_from_xi
 
 
 def method(precoder, kind, mode):
@@ -315,9 +314,16 @@ def per_draw_draws(plan, value):
         ch_ss, ph_ss = rep_seeds(cfg.seed, rep)
         rng = np.random.default_rng(ch_ss)
         real = sample_realization(cfg, rng, positions=positions)
-        if xi is not None:
-            real = replace(real, b=b_from_xi(real.H_d_strong, xi))
-        cache = decompose(real)
+        if xi is None:
+            cache = decompose(real)
+        else:
+            # one draw's feed at xi, c(0) / sqrt(1 + xi^2); test_se checks it
+            # against the b(xi) construction.  The mitigation-aware optimizer
+            # turns ulp differences of its input into phases that differ by
+            # about 1e-11 (its maximizer is not unique), so a feed built from
+            # b(xi) puts its rows up to about 4e-12 (relative) from the sweep's
+            c = row_space_feed(real.H_d_strong) / np.hypot(1.0, xi)
+            cache = decompose_feed(real.H_d_strong, real.H_c, c)
         yield cfg, cache, ph_ss
 
 
