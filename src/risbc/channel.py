@@ -560,8 +560,8 @@ def realize_block(
 def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:
     """Random phases [len(streams), N_R] of replications `streams.reps`.
 
-    Row i equals, bit for bit, phases.random_phases(n_ris,
-    np.random.default_rng(rep_seeds(seed, streams.reps[i])[1])): angles
+    Row i equals, bit for bit, exp(1j * rng.uniform(0, 2 pi, n_ris)) of
+    rng = np.random.default_rng(rep_seeds(seed, streams.reps[i])[1]): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
     The uniforms are drawn in order, so the phases of fewer elements are a
     prefix of each row.

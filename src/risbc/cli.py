@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .bounds import standard_bound_reports
+from .channel import MAX_REP
 from .config import (
     RunManifest,
     config_hash,
@@ -30,12 +31,14 @@ from .config import (
 from .sweep import run_sweep
 
 
-def _at_least(low: int):
-    """argparse type: an integer of at least `low`."""
+def _int_in(low: int, high: int = None):
+    """argparse type: an integer of at least `low` (and at most `high`)."""
 
     def parse(text):
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return int(text)
 
     parse.__name__ = "int"  # so a non-integer gets argparse's "invalid int value"
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
     p_bounds = sub.add_parser("bounds", help="check the analytic bounds, write report")
     p_bounds.add_argument(
         "--grid-points",
-        type=_at_least(1),
+        type=_int_in(1),
         default=1000,
         help="x grid size (default 1000)",
     )
@@ -169,9 +172,10 @@ def main(argv=None) -> int:
 
     for p in (p_sweep, p_bounds, p_fig):
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--seed", type=_at_least(0), help="override the run seed")
+        p.add_argument("--seed", type=_int_in(0), help="override the run seed")
         if p is not p_bounds:
-            p.add_argument("--reps", type=_at_least(1), help="override replications")
+            reps = _int_in(1, MAX_REP + 1)  # a replication index is one 32-bit word
+            p.add_argument("--reps", type=reps, help="override replications")
 
     args = parser.parse_args(argv)
     try:

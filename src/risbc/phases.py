@@ -11,9 +11,9 @@ high-SNR ZF rate argument
 which trades channel gain against the mitigation penalty: Dinkelbach with
 majorization-minimization (MM) steps on the unit-modulus torus (Sun, Babu
 & Palomar, IEEE TSP 2017), accelerated by SQUAREM (Varadhan & Roland,
-Scand. J. Stat. 2008).  Every strategy reads a draw from its
-`se.DecompositionCache` alone, the weak row h_c,K+1^H included.  The
-BS-RIS direction is set by xi in the sweep, not here (`se.row_space_feed`).
+Scand. J. Stat. 2008).  The random strategies return the caller's draw;
+the others read a draw from its `se.DecompositionCache` alone, the weak
+row h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
 """
 
 import numpy as np
@@ -37,13 +37,6 @@ RANDOM_STRATEGIES = ("random", "statistical")
 # than REL_TOLERANCE (relative).
 MAX_STEPS = 200
 REL_TOLERANCE = 1e-8
-
-
-def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus phases with angles uniform on [0, 2*pi)."""
-    if n_ris < 1:
-        raise ValueError("need at least one element")
-    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_ris))
 
 
 def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
@@ -186,15 +179,14 @@ def optimize_mitigation_aware(
 
 
 def select_phases(
-    kind: str, cache: DecompositionCache, rng: np.random.Generator
+    kind: str, cache: DecompositionCache, random_theta: np.ndarray
 ) -> np.ndarray:
-    """Phases of strategy `kind` (one of STRATEGIES) for one channel draw.
+    """Phases of strategy `kind` (one of STRATEGIES) for a channel draw or a
+    stack of B draws ([B, N_R], row i being what draw i gets on its own).
 
-    A stack of B draws (a cache with a leading batch axis) gives [B, N_R]
-    phases, row i being what draw i gets on its own.
-    Only the RANDOM_STRATEGIES read `rng`, and only for one draw: a sweep
-    draws a block's random phases from its replications' own phase streams
-    (`channel.random_phase_block`).
+    The RANDOM_STRATEGIES return `random_theta`, the draws' random phases
+    shaped like theirs (a sweep's come from `channel.random_phase_block`);
+    the others compute theirs from the cache and ignore it.
 
     "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
     unit-modulus vector gives the same ergodic rates.
@@ -202,13 +194,9 @@ def select_phases(
     if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if kind in RANDOM_STRATEGIES:
-        if cache.h_c_weak.ndim == 2:
-            raise ValueError(
-                "random phases of a stack come from channel.random_phase_block"
-            )
-        return random_phases(cache.h_c_weak.shape[-1], rng)
+        check_phase_shape(cache, random_theta)
+        return random_theta
     aligned = align_weak_user(cache.h_c_weak)
     if kind == "align_weak":
         return aligned
     return optimize_mitigation_aware(cache, aligned)
-

@@ -8,22 +8,24 @@ channel and phase substreams are the `rep_seeds(seed, rep)` children of
 SeedSequence([seed, rep]) and are therefore independent of the method list.
 
 A sweep runs in two stages.  Stage 1 draws the replications in blocks of
-BLOCK_REPS and, at every sweep point, decomposes each block with one stacked
-eigh into a cache that is the whole block (weak rows included), masks the
-flagged draws out of it, selects every strategy's phases from it and
-reduces each draw to its rates' terms that do not depend on transmit power
-(`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per strategy, the weak
-gain and the DPC cross terms).  Transmit power enters only stage 2, so a
-`ptx_dbm` sweep runs stage 1 at one point and every power shares it.  Stage
-2 evaluates each method once per stage-1 point with `se.rates`, as
+BLOCK_REPS and reduces them at every stage-1 point, a scenario plus a feed
+divisor.  Each point decomposes a block with one stacked eigh at the feed
+H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
+block (weak rows included), masks the flagged draws out of it, takes every
+strategy's phases from `select_phases` (the random ones are the block's
+phase draws) and reduces each draw to its rates' terms that do not depend
+on transmit power (`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per
+strategy, the weak gain and the DPC cross terms).  The divisor is 1.0 at a
+scenario's own b; an xi sweep realizes its one scenario, takes the feed
+c(0) once per block (`se.row_space_feed`, one SVD per draw) and divides it
+by sqrt(1 + xi^2) at each xi.  Transmit power enters only stage 2, so a
+`ptx_dbm` sweep has one stage-1 point that every power shares.  Stage 2
+evaluates each method once per stage-1 point with `se.rates`, as
 `se.sum_se` does for a draw, at the vector of powers that share the point
-(all of a `ptx_dbm` sweep's, one elsewhere), and takes the row statistics of
-the rates [P, R] along the draw axis.  It raises if a row would not be
+(all of a `ptx_dbm` sweep's, one elsewhere), and takes the row statistics
+of the rates [P, R] along the draw axis.  It raises if a row would not be
 finite, or if one of its means is negative (a high-SNR form at a power too
 low for it).
-An `xi` sweep realizes each block once and takes its feed c(0) once
-(`se.row_space_feed`, one SVD per draw); each xi point decomposes it at the
-feed c(0) / sqrt(1 + xi^2), one xi at a time.
 
 Each replication's streams are drawn once per run.  Where they start is
 computed for the whole run in one pass (`channel.stream_states`, which
@@ -57,9 +59,9 @@ from .channel import (
     realize_block,
     stream_states,
 )
-from .linalg import herm
+from .linalg import herm, matvec
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
-from .se import RateTerms, decompose, decompose_feed, rate_terms, rates, row_space_feed
+from .se import RateTerms, decompose_feed, rate_terms, rates, row_space_feed
 
 # Draws above this condition number are excluded from averages (the SE
 # formulas themselves only raise two orders of magnitude later).
@@ -196,127 +198,78 @@ def _blocks(reps: int):
     return [slice(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
 
 
-@dataclass
-class _Reduced:
-    """Stage 1 at one scenario or block: the rate terms of its kept draws,
-    which are the rows, in replication order."""
-
-    flagged: int
-    terms: dict  # strategy -> se.RateTerms of the kept draws [R, ...]
-
-
-def _reduce_cache(cfg, cache, strategies, random_theta) -> _Reduced:
-    """Stage 1 on one decomposed block of scenario `cfg` (None terms where
-    all draws are flagged).  random_theta holds the block's random phases
-    [B, >= N_R], or None if no strategy is random.  A caller that passes its
-    only reference to `cache` has it freed once it is masked."""
-    keep = ~(cache.cond() > COND_FLAG)
-    flagged = len(keep) - int(np.count_nonzero(keep))
-    if not keep.any():
-        return _Reduced(flagged, None)
-    cache = cache[keep]
-    terms = {}
-    for kind in strategies:
-        if kind in RANDOM_STRATEGIES:
-            # every randomized strategy gets the same draws: the kept
-            # replications' phase streams, from their start
-            theta = random_theta[keep, : cfg.n_ris]
-        else:
-            theta = select_phases(kind, cache, None)
-        terms[kind] = rate_terms(cache, theta)
-    return _Reduced(flagged, terms)
-
-
-def _reduce_block(cfg, real, xis, strategies, random_theta) -> list:
-    """Stage 1 on one realized block of scenario `cfg`: one _Reduced at its
-    own b, or one per xi of an xi sweep's `xis` at the feed c(0)/sqrt(1+xi^2).
-    A caller that passes its only reference to `real` has the channel stacks
-    freed before any phase is selected; an xi sweep keeps H_d^s and H_c
-    instead and decomposes one xi at a time, which holds less than all."""
-    if xis is None:
-        caches = [decompose(real)]
-        del real  # the only reference: the channel stacks are freed here
-        # pop() hands _reduce_cache the only reference to the cache
-        return [_reduce_cache(cfg, caches.pop(), strategies, random_theta)]
-    H_d, H_c = real.H_d_strong, real.H_c
-    del real
-    c0 = row_space_feed(H_d)
-    # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
-    feeds = [c0 / np.hypot(1.0, xi) for xi in xis]
-    return [
-        _reduce_cache(cfg, decompose_feed(H_d, H_c, c), strategies, random_theta)
-        for c in feeds
-    ]
-
-
-def _reduce_points(scenarios, xis, streams, frozen, strategies) -> list:
-    """Stage 1 on the block of replications of `streams`; one _Reduced per
-    stage-1 point.
-
-    The block's channel variates are drawn once, at the last scenario (the
-    one with the most: sweep values increase and K is fixed), and its random
-    phases once, at that scenario's N_R; every scenario realizes its draws
-    from a prefix of them.
-    """
-    largest = scenarios[-1]
-    # *x holds the variates in a list, so the last scenario can pop the only
-    # reference and realize_block frees them before building its channels
-    positions, *x = draw_block(largest, streams, frozen)
-    theta = None
-    if any(kind in RANDOM_STRATEGIES for kind in strategies):
-        theta = random_phase_block(streams, largest.n_ris)
-    reduced = []
-    for cfg in scenarios:
-        # _reduce_block takes the only reference to the realization
-        reduced += _reduce_block(
-            cfg,
-            realize_block(cfg, positions, x.pop() if cfg is largest else x[0]),
-            xis,
-            strategies,
-            theta,
-        )
-    return reduced
-
-
 def _reduce(plan: SweepPlan, strategies) -> list:
     """Stage 1: draw, flag and reduce every replication at every point.
 
-    Returns one _Reduced per stage-1 point: every point of the plan, or the
-    first of a ptx_dbm sweep.  A ptx_dbm or xi sweep realizes one scenario.
-    Every replication's stream starts are computed in one pass; blocks are
-    reduced one at a time, so only one block's variates and channel stacks
-    are alive at once.
+    A stage-1 point is a scenario and a feed divisor: 1.0 for the scenario's
+    own b (x / 1.0 is exact), hypot(1, xi) for each xi of an xi sweep.  A
+    ptx_dbm or xi sweep has one scenario.  Returns one (flagged, terms) pair
+    per point, terms mapping each strategy to the se.RateTerms of its kept
+    draws [R, ...] in replication order.  A block's variates and random
+    phases are drawn once, at the last scenario (the one with the most:
+    sweep values increase and K is fixed); only one block's variates, one
+    scenario's channel stacks and one cache are alive at once.
     """
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
-    xis = plan.values if plan.variable == "xi" else None
-    frozen = frozen_positions(scenarios[-1])
+    xi_sweep = plan.variable == "xi"
+    # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
+    divisors = [np.hypot(1.0, xi) for xi in plan.values] if xi_sweep else [1.0]
+    largest = scenarios[-1]
+    frozen = frozen_positions(largest)
     streams = stream_states(plan.config.seed, range(plan.reps))
-    blocks = [
-        _reduce_points(scenarios, xis, streams[block], frozen, strategies)
-        for block in _blocks(plan.reps)
-    ]
+    flagged = [0] * (len(scenarios) * len(divisors))
+    kept = [[] for _ in flagged]  # per point, each block's {strategy: RateTerms}
+    for block in _blocks(plan.reps):
+        block_theta = None  # the last block's phases are freed here
+        if any(kind in RANDOM_STRATEGIES for kind in strategies):
+            block_theta = random_phase_block(streams[block], largest.n_ris)
+        # *x holds the variates in a list, so the last scenario can pop the
+        # only reference and realize_block frees them before its channels
+        positions, *x = draw_block(largest, streams[block], frozen)
+        for s, cfg in enumerate(scenarios):
+            real = realize_block(cfg, positions, x.pop() if cfg is largest else x[0])
+            H_d, H_c = real.H_d_strong, real.H_c
+            feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
+            del real
+            for i, divisor in enumerate(divisors):
+                cache = decompose_feed(H_d, H_c, feed / divisor)
+                if i == len(divisors) - 1:
+                    del H_d, H_c  # the channel stacks are freed before any phases
+                keep = ~(cache.cond() > COND_FLAG)
+                point = s * len(divisors) + i
+                flagged[point] += len(keep) - int(np.count_nonzero(keep))
+                if keep.any():
+                    cache = cache[keep]  # frees the unmasked cache
+                    theta = block_theta
+                    if theta is not None:  # the kept replications' phases
+                        theta = theta[keep, : cfg.n_ris]
+                    kept[point].append({
+                        kind: rate_terms(cache, select_phases(kind, cache, theta))
+                        for kind in strategies
+                    })
+                    del theta
+                del cache
     reduced = []
-    for value, point in zip(plan.values, zip(*blocks)):
-        flagged = sum(b.flagged for b in point)
-        if 2 * flagged > plan.reps:
+    for value, n_flagged, blocks in zip(plan.values, flagged, kept):
+        if 2 * n_flagged > plan.reps:
             raise RuntimeError(
-                f"{flagged}/{plan.reps} draws flagged as ill-conditioned at "
+                f"{n_flagged}/{plan.reps} draws flagged as ill-conditioned at "
                 f"{plan.variable}={value:g}"
             )
-        kept = [b.terms for b in point if b.terms is not None]
         terms = {
-            kind: RateTerms(*map(np.concatenate, zip(*(t[kind] for t in kept))))
+            kind: RateTerms(*map(np.concatenate, zip(*(t[kind] for t in blocks))))
             for kind in strategies
         }
-        reduced.append(_Reduced(flagged, terms))
+        reduced.append((n_flagged, terms))
     return reduced
 
 
 def _method_rows(plan, m, red, values, p_bars) -> list:
-    """Method m's rows at the sweep values of one stage-1 point, whose powers
-    are p_bars [P], from one `rates` call: the rates [P, R] of its kept
-    draws, reduced along the draw axis."""
-    total, direct, reflect = rates(red.terms[m.strategy], p_bars, m.precoder, m.mode)
+    """Method m's rows at the sweep values of one stage-1 point, red = its
+    (flagged, terms), whose powers are p_bars [P], from one `rates` call:
+    the rates [P, R] of its kept draws, reduced along the draw axis."""
+    flagged, terms = red
+    total, direct, reflect = rates(terms[m.strategy], p_bars, m.precoder, m.mode)
     stats = (
         np.mean(total, axis=-1),
         np.std(total, axis=-1),
@@ -326,7 +279,7 @@ def _method_rows(plan, m, red, values, p_bars) -> list:
     return [
         SweepRow(
             plan.variable, float(value), m.precoder, m.strategy, m.mode,
-            *map(float, row), reps=total.shape[-1], flagged=red.flagged,
+            *map(float, row), reps=total.shape[-1], flagged=flagged,
         )
         for value, *row in zip(values, *stats)
     ]
@@ -386,6 +339,10 @@ def power_split_offset_check(
     K log2((K+1)/K): the projection loss vanishes and only the per-user
     power split remains.
     """
+    if not 1 <= reps <= MAX_REP + 1:
+        raise ValueError(f"reps must be from 1 to {MAX_REP + 1}, got {reps}")
+    if not (np.isfinite(xi_large) and xi_large > 0):
+        raise ValueError(f"xi_large must be finite and positive, got {xi_large}")
     K = cfg.n_strong
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()

@@ -8,7 +8,8 @@ cross-checks of the projection split, the SVD construction of the BS-RIS
 direction b at orthogonality xi, the dense N_R+1 square matrix Q of the
 mitigation-aware objective), or takes a direct numpy route the runtime
 code avoids (the element-wise coordinate ascent that the batched MM
-optimizer is measured against), so that a test can check a shortcut
+optimizer is measured against, the one-draw random phases that the block
+draw is measured against), so that a test can check a shortcut
 against the textbook formula.
 """
 
@@ -348,6 +349,20 @@ def reference_e1(x: float, scaled: bool = False) -> float:
             if abs(delta - 1.0) < 1e-15:
                 return 1.0 / f if scaled else np.exp(-x) * 1.0 / f
     raise RuntimeError(f"no convergence at x = {x!r}")
+
+
+# =========================================================================
+# random phases of one draw
+# =========================================================================
+
+
+def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-modulus phases with angles uniform on [0, 2*pi), drawn one
+    vector at a time (the sweep draws a block's with
+    `channel.random_phase_block`)."""
+    if n_ris < 1:
+        raise ValueError("need at least one element")
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_ris))
 
 
 # =========================================================================

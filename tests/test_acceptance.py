@@ -17,6 +17,7 @@ from oracles import (
     compose_channel,
     mitigation_no_reflection,
     projected_gram,
+    random_phases,
     se_dpc_logdet,
     se_dpc_orthogonal_form,
     se_zf_generic,
@@ -43,7 +44,6 @@ from risbc.phases import (
     align_weak_user,
     mitigation_aware_objective,
     optimize_mitigation_aware,
-    random_phases,
 )
 from risbc.se import (
     DecompositionCache,

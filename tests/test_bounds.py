@@ -7,6 +7,7 @@ from scipy.special import exp1
 from oracles import (
     dense_reflected_rate_upper_bound,
     harmonic_mean_bound_check,
+    random_phases,
     reference_e1,
 )
 from risbc import bounds
@@ -37,7 +38,6 @@ from risbc.channel import (
     sample_realization,
     steering_vector,
 )
-from risbc.phases import random_phases
 from risbc.se import decompose, sum_se
 
 # reference values computed with 40-digit arithmetic

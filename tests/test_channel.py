@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import random_phases
 import risbc.phases
 import risbc.sweep
 from risbc.channel import (
@@ -25,7 +26,6 @@ from risbc.channel import (
     steering_vector,
     stream_states,
 )
-from risbc.phases import random_phases
 
 
 # ------------------------------------------------------------------ pathloss

@@ -246,6 +246,22 @@ def test_out_of_range_flag_exits_2_with_one_error_line(tmp_path, capsys, argv, l
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["figure", "2"]])
+def test_reps_beyond_one_index_word_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    # a replication's index seeds its streams as one 32-bit word; this used
+    # to end in SweepPlan's traceback and exit 1, the code of a violated check
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--reps", "5000000000", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"risbc {argv[0]}: error: argument --reps: must be at most 4294967296, "
+        "got 5000000000"
+    ]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_rejects_unknown_number():
     with pytest.raises(SystemExit):
         main(["figure", "9"])

@@ -17,7 +17,6 @@ from risbc.phases import (
     align_weak_user,
     mitigation_aware_objective,
     optimize_mitigation_aware,
-    random_phases,
     select_phases,
 )
 from risbc.se import decompose
@@ -26,6 +25,7 @@ from oracles import (
     b_from_xi,
     construct_b_orthogonality,
     projected_gram,
+    random_phases,
     reference_best_phase,
     reference_optimize_mitigation_aware,
 )
@@ -64,12 +64,13 @@ def test_random_phases_zero_mean():
 
 
 def test_statistical_equals_random_distributionally():
-    # same stream position gives identical draws (alias under i.i.d. fading)
+    # both take the same phase draw (alias under i.i.d. fading)
     _, _, cache = instance(2, n_ris=16)
-    a = select_phases("statistical", cache, np.random.default_rng(2))
-    b = select_phases("random", cache, np.random.default_rng(2))
+    theta = random_phases(16, np.random.default_rng(2))
+    a = select_phases("statistical", cache, theta)
+    b = select_phases("random", cache, theta)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, random_phases(16, np.random.default_rng(2)))
+    assert np.array_equal(a, theta)
 
 
 # ------------------------------------------------------------------ align
@@ -362,22 +363,27 @@ def test_strategy_spec_validation():
 
 def test_select_phases_dispatch():
     _, _, cache = instance(9)
-    rng = np.random.default_rng(0)
-    t_rand = select_phases("random", cache, rng)
-    assert t_rand.shape == (8,)
-    t_align = select_phases("align_weak", cache, rng)
+    drawn = random_phases(8, np.random.default_rng(0))
+    t_rand = select_phases("random", cache, drawn)
+    assert np.array_equal(t_rand, drawn)
+    # the other strategies ignore the random phases
+    t_align = select_phases("align_weak", cache, drawn)
     assert np.array_equal(t_align, align_weak_user(cache.h_c_weak))
-    t_mit = select_phases("mitigation_aware", cache, rng)
+    t_mit = select_phases("mitigation_aware", cache, drawn)
     f_align = mitigation_aware_objective(cache, t_align)
     f_mit = mitigation_aware_objective(cache, t_mit)
     assert f_mit >= f_align * (1.0 - 1e-9)
 
 
-def test_select_phases_draws_random_phases_for_one_draw_only():
+def test_select_phases_returns_random_phases_shaped_like_the_draws():
     _, _, cache = instance(9)
     stack = cache[np.newaxis][[0, 0]]  # the draw twice, as a stack of two
-    with pytest.raises(ValueError, match="random_phase_block"):
-        select_phases("random", stack, np.random.default_rng(0))
+    drawn = np.stack([random_phases(8, np.random.default_rng(s)) for s in (0, 1)])
+    assert np.array_equal(select_phases("random", stack, drawn), drawn)
+    # one draw's phases for a stack, or none at all, are refused
+    for wrong in (drawn[0], None):
+        with pytest.raises(ValueError, match=r"the cache needs \(2, 8\)"):
+            select_phases("random", stack, wrong)
     aligned = select_phases("align_weak", stack, None)
     assert np.array_equal(aligned, align_weak_user(stack.h_c_weak))
 

@@ -18,7 +18,7 @@ from risbc.channel import (
     realize_block,
     stream_states,
 )
-from risbc.phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
+from risbc.phases import STRATEGIES, select_phases
 from risbc.se import decompose, rate_terms, rates, sum_se
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import b_from_xi
@@ -136,11 +136,7 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     cache = cache[keep]
     random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
     for kind in STRATEGIES:
-        theta = (
-            random_theta
-            if kind in RANDOM_STRATEGIES
-            else select_phases(kind, cache, None)
-        )
+        theta = select_phases(kind, cache, random_theta)
         for mode in ("exact", "asymptotic"):
             total = {}
             for precoder in ("ZF", "DPC"):
@@ -185,10 +181,8 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     keep = ~(cache.cond() > sweep.COND_FLAG)
     hypothesis.assume(keep.any())
     cache = cache[keep]
-    if kind in RANDOM_STRATEGIES:
-        theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
-    else:
-        theta = select_phases(kind, cache, None)
+    random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
+    theta = select_phases(kind, cache, random_theta)
     for precoder in ("ZF", "DPC"):
         gaps = np.array([
             sum_se(cache, theta, p_bar, precoder, "exact")[0]

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -202,6 +203,22 @@ def test_decompose_copies_the_weak_row(stacked):
     assert np.array_equal(cache.h_c_weak, real.H_c[..., -1, :])
     # a view would keep the whole H_c stack alive with the cache
     assert not np.shares_memory(cache.h_c_weak, real.H_c)
+
+
+def test_cond_of_an_exactly_singular_c_s_is_inf_without_a_warning():
+    # the sweep flags a draw by cond() > COND_FLAG: a zero smallest
+    # eigenvalue reads inf, in a stack and for one draw, with no warning
+    eigvals = np.array([[3.0, 2.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+    stack = DecompositionCache(
+        D_s=np.zeros((3, 3, 5), complex),
+        eigvals=eigvals,
+        eigvecs=np.broadcast_to(np.eye(3), (3, 3, 3)),
+        h_c_weak=np.zeros((3, 4), complex),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(stack.cond(), [np.inf, 3.0, np.inf])
+        assert stack[0].cond() == np.inf
 
 
 def test_cache_mask_selects_the_weak_rows():

@@ -6,7 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from risbc import channel, sweep
+from oracles import random_phases
+from risbc import channel, se, sweep
 from risbc.channel import (
     CHANNEL,
     ScenarioConfig,
@@ -20,7 +21,7 @@ from risbc.channel import (
     stream_states,
 )
 from risbc.config import figure_preset
-from risbc.phases import random_phases, select_phases
+from risbc.phases import select_phases
 from risbc.se import decompose, decompose_feed, rates, row_space_feed, sum_se
 from risbc.sweep import (
     MethodSpec,
@@ -254,21 +255,43 @@ def test_series_unknown_label():
         run_sweep(plan).series("DPC:align_weak:exact")
 
 
-def test_xi_sweep_takes_one_feed_per_block(monkeypatch):
-    # the SVD behind c(0) runs once per block, whatever the number of xi
-    # points
+@pytest.mark.parametrize(
+    "variable, values, points",
+    [
+        ("ptx_dbm", (10.0, 20.0, 30.0), 1),
+        ("n_bs", (4.0, 6.0), 2),
+        ("n_ris", (4.0, 8.0), 2),
+        ("xi", (0.1, 1.0, 10.0, 100.0), 4),
+    ],
+    ids=("ptx_dbm", "n_bs", "n_ris", "xi"),
+)
+def test_sweep_takes_one_feed_per_block_and_point(monkeypatch, variable, values, points):
+    # every stage-1 point decomposes each block once (a power sweep has one
+    # point), the SVD behind an xi sweep's c(0) runs once per block, whatever
+    # the number of xi points, and nothing calls decompose
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    feeds = []
+    feeds, decomposes = [], []
 
     def spy_feed(H_d_strong):
         feeds.append(len(H_d_strong))
         return row_space_feed(H_d_strong)
 
+    def spy_decompose_feed(H_d_strong, H_c, c):
+        decomposes.append(len(c))
+        return decompose_feed(H_d_strong, H_c, c)
+
+    def no_decompose(real):
+        raise AssertionError("the sweep called decompose")
+
     monkeypatch.setattr(sweep, "row_space_feed", spy_feed)
+    monkeypatch.setattr(sweep, "decompose_feed", spy_decompose_feed)
+    monkeypatch.setattr(se, "decompose", no_decompose)
+    monkeypatch.setattr(sweep, "decompose", no_decompose, raising=False)
     methods = (method("ZF", "align_weak", "exact"), method("DPC", "random", "exact"))
-    plan = SweepPlan(small_cfg(), "xi", (0.1, 1.0, 10.0, 100.0), methods, reps=8)
+    plan = SweepPlan(small_cfg(), variable, values, methods, reps=8)
     run_sweep(plan)
-    assert feeds == [3, 3, 2]
+    assert feeds == ([3, 3, 2] if variable == "xi" else [])
+    assert decomposes == [size for size in (3, 3, 2) for _ in range(points)]
 
 
 # ------------------------------------------------------------------ offset
@@ -283,6 +306,25 @@ def test_power_split_offset_three_strong_users():
     cfg = ScenarioConfig(n_bs=4, n_strong=3, n_ris=8, ptx_dbm=40)
     off = power_split_offset_check(cfg, reps=50)
     assert off == pytest.approx(3 * np.log2(4.0 / 3.0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"xi_large": 0.0}, "xi_large must be finite and positive, got 0.0"),
+        ({"xi_large": -1.0}, "xi_large must be finite and positive, got -1.0"),
+        ({"xi_large": np.inf}, "xi_large must be finite and positive, got inf"),
+        ({"xi_large": np.nan}, "xi_large must be finite and positive, got nan"),
+        ({"reps": 0}, "reps must be from 1 to 4294967296, got 0"),
+        ({"reps": 2**32 + 1}, "reps must be from 1 to 4294967296, got 4294967297"),
+    ],
+)
+def test_power_split_offset_rejects_bad_arguments(kw, message):
+    # these used to return nan with a RuntimeWarning (xi_large = 0), return
+    # a number (xi_large < 0) or die inside numpy (reps = 0)
+    cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=8, ptx_dbm=40)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        power_split_offset_check(cfg, **kw)
 
 
 # ------------------------------------------------- batched engine vs per draw
@@ -340,8 +382,8 @@ def per_draw_rows(plan):
             out, phases = {}, {}
             for m in plan.methods:
                 if m.strategy not in phases:
-                    rng = np.random.default_rng(ph_ss)
-                    phases[m.strategy] = select_phases(m.strategy, cache, rng)
+                    drawn = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
+                    phases[m.strategy] = select_phases(m.strategy, cache, drawn)
                 out[m.label] = sum_se(
                     cache, phases[m.strategy], cfg.p_bar(), m.precoder, m.mode
                 )
