@@ -1,15 +1,19 @@
 """Command-line front end: `risbc sweep | bounds | figure <2|3|4|5>`.
 
-Every run is deterministic for a fixed seed and writes CSVs whose filenames
-embed the first 8 hex digits of the canonical-config hash, next to a JSON
-manifest sidecar recording the full hash, seed, and output list.  The
-`bounds` subcommand (and `figure 5`, which emits a closed-form report next
-to its sweep) exits 1 if any checked inequality is violated.  An unusable
---config or --out path, or a run that fails (a sweep row with a negative
-mean, say), exits 2 with one `error:` line.
+`sweep` parses its plan from --config and `figure` takes a preset one; both
+share one run path (`_run`): run the plan, write its CSV (and figure 5's
+closed-form report) and the manifest, and return the exit code.  Every run
+is deterministic for a fixed seed and writes CSVs whose filenames embed the
+first 8 hex digits of the canonical-config hash, next to a JSON manifest
+sidecar recording the full hash, seed, and output list.  `bounds` (and
+`figure 5`) exits 1 if any checked inequality is violated.  An unusable
+--config or --out path, an output that cannot be written, or a run that
+fails (a sweep row with a negative mean, say) exits 2 with one `error:` line.
 """
 
 import argparse
+import hashlib
+import json
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -18,15 +22,12 @@ from pathlib import Path
 from .bounds import standard_bound_reports
 from .channel import MAX_REP
 from .config import (
-    RunManifest,
-    config_hash,
     emit_bound_report,
     emit_csv,
     figure5_bound_reports,
     figure_preset,
     parse_config,
     serialize_config,
-    write_manifest,
 )
 from .sweep import run_sweep
 
@@ -52,33 +53,44 @@ def _utc_now() -> str:
 def _finish(args, name, config_path, canonical, seed, writers):
     """Write outputs + manifest into --out; writers: [(suffix, fn), ...]."""
     out_dir = Path(args.out)
-    sha = config_hash(canonical)
+    sha = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     full = f"{name}_{sha[:8]}"
-    outputs = []
-    for suffix, write in writers:
+    manifest = {  # config_path: the source file, or "<defaults>" / "<preset:...>"
+        "config_path": config_path, "output_dir": str(out_dir), "sweep_name": full,
+        "config_sha256": sha, "timestamp": _utc_now(), "seed": seed,
+        "outputs": [f"{full}{suffix}" for suffix, _ in writers], "hash8": sha[:8],
+    }
+    text = json.dumps(manifest, indent=2) + "\n"
+    manifest_writer = (".manifest.json", lambda p: p.write_text(text, "utf-8", newline="\n"))
+    for suffix, write in [*writers, manifest_writer]:
         path = out_dir / f"{full}{suffix}"
-        write(path)
-        outputs.append(path.name)
+        try:
+            write(path)
+        except OSError as exc:  # main turns this into one error line and exit 2
+            raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from None
         print(f"wrote {path}")
-    manifest = RunManifest(
-        config_path=config_path,
-        output_dir=str(out_dir),
-        sweep_name=full,
-        config_sha256=sha,
-        timestamp=_utc_now(),
-        seed=seed,
-        outputs=outputs,
-    )
-    manifest_path = out_dir / f"{full}.manifest.json"
-    write_manifest(manifest, manifest_path)
-    print(f"wrote {manifest_path}")
+
+
+def _run(args, name, config_path, plan, report=None) -> int:
+    """Run `plan` and write its CSV, the bound table `report(result)` when
+    `report` is given, and the manifest; exit 1 if the table has a violated
+    check, else 0."""
+    result = run_sweep(plan)
+    writers = [(".csv", lambda p: emit_csv(result, p))]
+    table = report(result) if report is not None else None
+    if table is not None:
+        writers.append(("_bounds.csv", lambda p: emit_bound_report(table, p)))
+    _finish(args, name, config_path, serialize_config(plan), plan.config.seed, writers)
+    if table is not None and table.violated:
+        print(f"{table.violated} closed-form checks violated", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_sweep(args) -> int:
-    config_path = str(args.config) if args.config else "<defaults>"
     try:
-        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-        cfg, plan = parse_config(text)
+        text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
+        plan = parse_config(text)
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         reason = getattr(exc, "strerror", exc)
         print(f"error: cannot read {args.config}: {reason}", file=sys.stderr)
@@ -86,36 +98,23 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    overrides = {}
     if args.seed is not None:
-        cfg = cfg.with_updates(seed=args.seed)
-        plan = replace(plan, config=cfg)
+        overrides["config"] = plan.config.with_updates(seed=args.seed)
     if args.reps is not None:
-        plan = replace(plan, reps=args.reps)
-
-    result = run_sweep(plan)
-    _finish(
-        args,
-        f"sweep_{plan.variable}",
-        config_path,
-        serialize_config(cfg, plan),
-        cfg.seed,
-        [(".csv", lambda p: emit_csv(result, p))],
-    )
-    return 0
+        overrides["reps"] = args.reps
+    if overrides:  # one rebuild of the plan for both
+        plan = replace(plan, **overrides)
+    config_path = str(args.config) if args.config else "<defaults>"
+    return _run(args, f"sweep_{plan.variable}", config_path, plan)
 
 
 def cmd_bounds(args) -> int:
     seed = 0 if args.seed is None else args.seed
     reports = standard_bound_reports(seed=seed, grid_points=args.grid_points)
     canonical = f"[bounds]\nseed = {seed}\ngrid_points = {args.grid_points}\n"
-    _finish(
-        args,
-        "bounds",
-        "<none>",
-        canonical,
-        seed,
-        [(".csv", lambda p: emit_bound_report(reports, p))],
-    )
+    writers = [(".csv", lambda p: emit_bound_report(reports, p))]
+    _finish(args, "bounds", "<none>", canonical, seed, writers)
     print(f"checked {len(reports)} bounds, {reports.violated} violated")
     return 1 if reports.violated else 0
 
@@ -123,26 +122,9 @@ def cmd_bounds(args) -> int:
 def cmd_figure(args) -> int:
     seed = 0 if args.seed is None else args.seed
     reps = 200 if args.reps is None else args.reps
-    cfg, plan = figure_preset(args.number, seed=seed, reps=reps)
-    result = run_sweep(plan)
-
-    writers = [(".csv", lambda p: emit_csv(result, p))]
-    reports = None
-    if args.number == 5:
-        reports = figure5_bound_reports(result)
-        writers.append(("_bounds.csv", lambda p: emit_bound_report(reports, p)))
-    _finish(
-        args,
-        f"figure{args.number}",
-        f"<preset:figure{args.number}>",
-        serialize_config(cfg, plan),
-        seed,
-        writers,
-    )
-    if reports is not None and reports.violated:
-        print(f"{reports.violated} closed-form checks violated", file=sys.stderr)
-        return 1
-    return 0
+    plan = figure_preset(args.number, seed=seed, reps=reps)
+    report = figure5_bound_reports if args.number == 5 else None
+    return _run(args, f"figure{args.number}", f"<preset:figure{args.number}>", plan, report)
 
 
 def main(argv=None) -> int:
@@ -185,7 +167,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except RuntimeError as exc:  # a run that cannot finish, e.g. a negative mean
+    except RuntimeError as exc:  # a negative mean, say, or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Config parsing, run manifests, figure presets, and CSV emission.
+"""Config parsing, figure presets, and CSV emission.
 
 Run inputs are flat INI-style files with two sections:
 
@@ -6,23 +6,23 @@ Run inputs are flat INI-style files with two sections:
     [sweep]      variable, values, reps, methods
 
 All keys are optional; an empty file yields the default downlink scenario
-and the default transmit-power sweep.  Unknown or repeated sections
-(names are case-insensitive; [DEFAULT] is not special), unknown keys,
-values that do not parse and values the scenario or sweep rejects are
-reported with the offending section or key and its line number.  `serialize_config`
-writes the fully resolved canonical text back out; its SHA-256 is the run
-identity, embedded in every output filename so CSVs can always be traced
-to the exact configuration (plus seed) that produced them.
+and the default transmit-power sweep.  A config and a figure preset each
+give one `SweepPlan`, whose scenario is `plan.config`.  Text that is not
+INI, unknown or repeated sections (names are case-insensitive; [DEFAULT]
+is not special), repeated or unknown keys, values that do not parse and
+values the scenario or sweep rejects are reported in one line with the
+offending section or key and its line number.  `serialize_config` writes
+the fully resolved canonical text of a plan back out; its SHA-256 is the
+run identity, embedded in every output filename so CSVs can always be
+traced to the exact configuration (plus seed) that produced them.
 
 Sweep results go to a long-format CSV (one row per sweep point and method)
 and bound checks to a smaller report CSV whose `satisfied` column drives
 the CLI exit status.
 """
 
-import hashlib
-import json
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -129,10 +129,19 @@ def _section_items(text):
     cp = configparser.ConfigParser(
         interpolation=None, default_section="", inline_comment_prefixes=(";", "#")
     )
+    # configparser's own messages span several lines
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"config parse error: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"text before the first [section] (line {exc.lineno})") from None
+    except configparser.ParsingError as exc:
+        raise ValueError(f"not a 'key = value' line (line {exc.errors[0][0]})") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(
+            f"repeated key {exc.option!r} in [{exc.section}] (line {exc.lineno})"
+        ) from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"repeated section [{exc.section}] (line {exc.lineno})") from None
     items = {}
     for name in cp.sections():
         if name.lower() not in _SECTIONS:
@@ -194,8 +203,8 @@ def _parse_methods(labels):
     return tuple(methods)
 
 
-def parse_config(text: str):
-    """Parse config text into (ScenarioConfig, SweepPlan).
+def parse_config(text: str) -> SweepPlan:
+    """Parse config text into a SweepPlan (its scenario is `plan.config`).
 
     Omitted keys fall back to the default downlink scenario and the default
     transmit-power sweep; the empty string is a valid config.
@@ -206,7 +215,7 @@ def parse_config(text: str):
     cfg = _checked(text, ("scenario",), lambda: ScenarioConfig(**scenario))
 
     sweep = _parse_section(text, items, "sweep")
-    plan = _checked(
+    return _checked(
         text,
         ("sweep",),
         lambda: SweepPlan(
@@ -217,7 +226,6 @@ def parse_config(text: str):
             sweep.get("reps", 200),
         ),
     )
-    return cfg, plan
 
 
 def _fmt(value):
@@ -232,10 +240,10 @@ def _fmt(value):
     return str(value)
 
 
-def serialize_config(cfg: ScenarioConfig, plan: SweepPlan) -> str:
+def serialize_config(plan: SweepPlan) -> str:
     """Canonical, fully resolved config text (the hashed run identity)."""
     lines = ["[scenario]"]
-    lines += [f"{key} = {_fmt(getattr(cfg, key))}" for key in _SCENARIO_KEYS]
+    lines += [f"{key} = {_fmt(getattr(plan.config, key))}" for key in _SCENARIO_KEYS]
     lines += [
         "",
         "[sweep]",
@@ -246,37 +254,6 @@ def serialize_config(cfg: ScenarioConfig, plan: SweepPlan) -> str:
         "",
     ]
     return "\n".join(lines)
-
-
-def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Sidecar metadata tying every output file to its exact configuration."""
-
-    config_path: str  # source file, or "<defaults>" / "<preset:...>"
-    output_dir: str
-    sweep_name: str
-    config_sha256: str  # hash of the canonical config text (timestamp-free)
-    timestamp: str
-    seed: int
-    outputs: list
-
-    @property
-    def hash8(self) -> str:
-        return self.config_sha256[:8]
-
-    def to_json(self) -> str:
-        record = asdict(self)
-        record["hash8"] = self.hash8
-        return json.dumps(record, indent=2) + "\n"
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
 
 
 # =========================================================================
@@ -290,18 +267,20 @@ _SWEEP_ROW = "%s,%.9g,%s,%s,%s,%.9g,%.9g,%.9g,%.9g,%s,%s\n"
 _BOUND_ROW = "%s,%.9g,%.9g,%.9g,%.9g,%s\n"
 
 
+def _write_csv(path, header, row_format, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row_format.__mod__, rows))
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Long-format sweep CSV: one row per (sweep value, method)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        fh.writelines(
-            _SWEEP_ROW
-            % (
-                r.sweep_var, r.value, r.precoder, r.strategy, r.mode, r.se_mean,
-                r.se_std, r.se_d_mean, r.se_r_mean, r.reps, r.flagged,
-            )
-            for r in result.rows
-        )
+    rows = (
+        (r.sweep_var, r.value, r.precoder, r.strategy, r.mode, r.se_mean,
+         r.se_std, r.se_d_mean, r.se_r_mean, r.reps, r.flagged)
+        for r in result.rows
+    )
+    _write_csv(path, SWEEP_CSV_HEADER, _SWEEP_ROW, rows)
 
 
 def emit_bound_report(reports: BoundReport, path) -> None:
@@ -310,9 +289,7 @@ def emit_bound_report(reports: BoundReport, path) -> None:
         raise ValueError("empty bound report")
     columns = (reports.name, reports.setting, reports.lhs, reports.rhs, reports.slack,
                np.where(reports.satisfied, "true", "false"))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(BOUND_CSV_HEADER + "\n")
-        fh.writelines(map(_BOUND_ROW.__mod__, zip(*(c.tolist() for c in columns))))
+    _write_csv(path, BOUND_CSV_HEADER, _BOUND_ROW, zip(*(c.tolist() for c in columns)))
 
 
 # =========================================================================
@@ -321,7 +298,7 @@ def emit_bound_report(reports: BoundReport, path) -> None:
 
 
 def figure_preset(number: int, seed: int = 0, reps: int = 200):
-    """Preset (config, plan) pairs for the four standard figures.
+    """Preset plans for the four standard figures.
 
     2: sum SE vs transmit power, exact and high-SNR curves.
     3: direct/reflected SE split vs the BS-RIS orthogonality parameter xi
@@ -354,7 +331,7 @@ def figure_preset(number: int, seed: int = 0, reps: int = 200):
         )
     else:
         raise ValueError("figure must be 2, 3, 4, or 5")
-    return cfg, SweepPlan(cfg, variable, values, _parse_methods(labels), reps)
+    return SweepPlan(cfg, variable, values, _parse_methods(labels), reps)
 
 
 # (phase family, precoder) -> (check name, closed forms, comparison of the
@@ -373,11 +350,12 @@ _FIGURE5_CHECKS = {
 def figure5_bound_reports(result: SweepResult) -> BoundReport:
     """Ergodic closed-form checks against the element-count sweep's means,
     one row per asymptotic row with random or aligned phases, in row order."""
-    cfg = result.plan.config
+    plan = result.plan
+    cfg = plan.config
     if not cfg.freeze_positions:
         raise ValueError("closed-form comparison needs frozen user positions")
     pl = nominal_pathlosses(cfg, frozen_positions(cfg))
-    p_bar = cfg.p_bar()
+    scenarios = dict(zip(plan.values, plan.points))
     rows = []
     for row in result.rows:
         family = "random" if row.strategy in RANDOM_STRATEGIES else row.strategy
@@ -385,7 +363,8 @@ def figure5_bound_reports(result: SweepResult) -> BoundReport:
         if row.mode != "asymptotic" or check is None:
             continue
         name, closed_forms, kind = check
-        forms = closed_forms(cfg.with_updates(n_ris=int(row.value)), pl, p_bar)
+        point = scenarios[row.value]
+        forms = closed_forms(point, pl, point.p_bar())
         mc, form = row.se_r_mean, forms[row.precoder == "DPC"]
         holds = {"upper": mc <= form, "lower": mc >= form,
                  "value": abs(mc - form) <= 6.0 / np.sqrt(row.reps)}[kind]

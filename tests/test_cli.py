@@ -97,6 +97,60 @@ def test_non_utf8_config_exits_2_with_one_line(tmp_path, capsys):
     assert "can't decode byte 0xe9" in one_error_line(capsys)
 
 
+def test_config_with_a_bom_runs(tmp_path):
+    # a BOM used to be text before the first section header
+    cfg = tmp_path / "bom.ini"
+    cfg.write_bytes(b"\xef\xbb\xbf[sweep]\nvalues = 10\nreps = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(csv_lines(only((tmp_path / "o").glob("sweep_ptx_dbm_*.csv")))) == 1 + 4
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds"], ["figure", "2", "--reps", "2"]], ids=["bounds", "figure2"]
+)
+@pytest.mark.parametrize("suffix", [".csv", ".manifest.json"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv, suffix):
+    # a directory where an output goes used to end in IsADirectoryError's
+    # traceback and exit 1, the code of a violated check
+    if argv[0] == "bounds":
+        argv = [*argv, "--grid-points", "5"]
+    assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+    (manifest,) = (tmp_path / "first").glob("*.manifest.json")
+    name = manifest.name.replace(".manifest.json", suffix)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    line = one_error_line(capsys)
+    assert line == f"error: cannot write {tmp_path / 'out' / name}: Is a directory"
+
+
+def test_sweep_and_figure_share_one_run_path(tmp_path):
+    # the default sweep is figure 2's plan: the same identity, bytes and manifest
+    common = ["--seed", "3", "--reps", "5"]
+    assert main(["sweep", "--out", str(tmp_path / "s"), *common]) == 0
+    assert main(["figure", "2", "--out", str(tmp_path / "f"), *common]) == 0
+    manifests = []
+    for out in ("s", "f"):
+        manifest = json.loads(
+            only((tmp_path / out).glob("*.manifest.json")).read_text(encoding="utf-8")
+        )
+        assert list(manifest) == [
+            "config_path", "output_dir", "sweep_name", "config_sha256",
+            "timestamp", "seed", "outputs", "hash8",
+        ]
+        assert manifest["hash8"] == manifest["config_sha256"][:8]
+        assert manifest["seed"] == 3
+        assert manifest["outputs"] == [manifest["sweep_name"] + ".csv"]
+        manifests.append(manifest)
+    sweep, figure = manifests
+    assert sweep["config_sha256"] == figure["config_sha256"]
+    assert (sweep["config_path"], figure["config_path"]) == ("<defaults>", "<preset:figure2>")
+    csvs = [only((tmp_path / out).glob("*.csv")) for out in ("s", "f")]
+    assert csvs[0].name == f"sweep_ptx_dbm_{sweep['hash8']}.csv"
+    assert csvs[1].name == f"figure2_{figure['hash8']}.csv"
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["sweep"], ["bounds"], ["figure", "2"]])
 def test_file_as_out_dir_exits_2_with_one_line(tmp_path, capsys, argv):
     taken = tmp_path / "taken"

@@ -10,8 +10,6 @@ from risbc.config import (
     DEFAULT_METHOD_LABELS,
     BOUND_CSV_HEADER,
     SWEEP_CSV_HEADER,
-    RunManifest,
-    config_hash,
     emit_bound_report,
     emit_csv,
     figure5_bound_reports,
@@ -27,7 +25,8 @@ from risbc.sweep import MethodSpec, SweepPlan, SweepResult, SweepRow, run_sweep
 
 
 def test_empty_text_gives_full_defaults():
-    cfg, plan = parse_config("")
+    plan = parse_config("")
+    cfg = plan.config
     assert cfg == ScenarioConfig()
     assert cfg.n_bs == 12 and cfg.n_ris == 64 and cfg.n_users == 4
     assert plan.variable == "ptx_dbm"
@@ -43,7 +42,8 @@ def test_readme_config_example_parses():
     (block,) = re.findall(
         r"^```ini\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.S | re.M
     )
-    cfg, plan = parse_config(block)
+    plan = parse_config(block)
+    cfg = plan.config
     assert cfg.n_bs == 12 and cfg.n_ris == 64 and cfg.n_strong == 3
     assert cfg.bs_pos == (0.0, 0.0, 10.0) and cfg.pl_ris_user == (37.51, 22.0)
     assert cfg.power_divisor == "k+1" and cfg.freeze_positions is False
@@ -56,7 +56,7 @@ def test_readme_config_example_parses():
 
 
 def test_scenario_keys_parse():
-    cfg, _ = parse_config(
+    cfg = parse_config(
         "[scenario]\n"
         "n_bs = 8\n"
         "ptx_dbm = 20\n"
@@ -64,7 +64,7 @@ def test_scenario_keys_parse():
         "pl_direct = 30, 35\n"
         "bs_pos = 1 2 3\n"
         "power_divisor = k\n"
-    )
+    ).config
     assert cfg.n_bs == 8
     assert cfg.ptx_dbm == 20.0
     assert cfg.freeze_positions is True
@@ -206,6 +206,22 @@ def test_repeated_section_rejected_with_line():
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("reps = 2\n[sweep]\n", r"text before the first \[section\] \(line 1\)"),
+        ("[sweep]\ngarbage\n", r"not a 'key = value' line \(line 2\)"),
+        ("[sweep]\nreps = 2\n\nreps = 3\n", r"repeated key 'reps' in \[sweep\] \(line 4\)"),
+        ("[sweep]\nreps = 2\n[sweep]\n", r"repeated section \[sweep\] \(line 3\)"),
+    ],
+    ids=["key-first", "no-equals", "repeated-key", "repeated-section"],
+)
+def test_text_that_is_not_ini_rejected_in_one_line(text, message):
+    # configparser's own messages span two or three lines
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         (
             "[sweep]\nvariable = n_ris\nvalues = 0, 4\n",
             r"n_ris = 0, n_ris must be at least 1",
@@ -264,7 +280,7 @@ def test_bad_value_names_key():
 
 
 def test_sweep_section_parses_and_tuning_applies():
-    _, plan = parse_config(
+    plan = parse_config(
         "[sweep]\n"
         "variable = n_ris\n"
         "values = 16, 32\n"
@@ -296,12 +312,12 @@ def test_serialize_round_trips():
         "[sweep]\nvariable = xi\nvalues = 0.1, 1, 10\nreps = 4\n"
         "methods = DPC:mitigation_aware:asymptotic\n",
     ):
-        cfg, plan = parse_config(text)
-        canonical = serialize_config(cfg, plan)
-        cfg2, plan2 = parse_config(canonical)
-        assert cfg2 == cfg
+        plan = parse_config(text)
+        canonical = serialize_config(plan)
+        plan2 = parse_config(canonical)
+        assert plan2.config == plan.config
         assert plan2 == plan
-        assert serialize_config(cfg2, plan2) == canonical
+        assert serialize_config(plan2) == canonical
 
 
 # ------------------------------------------------------------------ emission
@@ -395,39 +411,25 @@ def test_csv_rows_equal_per_float_formatting(tmp_path):
     assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
 
-def test_manifest_hash8(tmp_path):
-    sha = config_hash("[scenario]\n")
-    manifest = RunManifest(
-        config_path="<defaults>",
-        output_dir=str(tmp_path),
-        sweep_name=f"sweep_ptx_dbm_{sha[:8]}",
-        config_sha256=sha,
-        timestamp="2026-01-01T00:00:00+00:00",
-        seed=0,
-        outputs=["a.csv"],
-    )
-    assert manifest.hash8 == sha[:8]
-    assert f'"hash8": "{sha[:8]}"' in manifest.to_json()
-
-
 # ------------------------------------------------------------------ presets
 
 
 def test_figure_presets_shapes():
-    cfg2, plan2 = figure_preset(2)
-    assert plan2.variable == "ptx_dbm" and cfg2.n_bs == 12 and cfg2.n_ris == 64
+    plan2 = figure_preset(2)
+    assert plan2.variable == "ptx_dbm" and plan2.config.n_bs == 12
+    assert plan2.config.n_ris == 64
 
-    cfg3, plan3 = figure_preset(3)
-    assert plan3.variable == "xi" and cfg3.n_bs == 4
+    plan3 = figure_preset(3)
+    assert plan3.variable == "xi" and plan3.config.n_bs == 4
     ratios = np.diff(np.log10(plan3.values))
     assert np.allclose(ratios, ratios[0])  # log grid
 
-    _, plan4 = figure_preset(4)
+    plan4 = figure_preset(4)
     assert plan4.variable == "n_bs" and plan4.values == (4.0, 6.0, 8.0, 10.0, 12.0)
 
-    cfg5, plan5 = figure_preset(5)
+    plan5 = figure_preset(5)
     assert plan5.variable == "n_ris"
-    assert cfg5.freeze_positions and cfg5.direct_extra_loss_db == 20.0
+    assert plan5.config.freeze_positions and plan5.config.direct_extra_loss_db == 20.0
     assert all(m.mode == "asymptotic" for m in plan5.methods)
 
     with pytest.raises(ValueError):
@@ -435,7 +437,7 @@ def test_figure_presets_shapes():
 
 
 def test_figure5_bound_reports():
-    _, plan = figure_preset(5, reps=30)
+    plan = figure_preset(5, reps=30)
     plan = SweepPlan(plan.config, "n_ris", (16.0, 32.0), plan.methods, 30)
     result = run_sweep(plan)
     reports = figure5_bound_reports(result)
@@ -456,7 +458,7 @@ def test_figure5_bound_reports():
 def test_figure5_reports_skip_rows_without_a_closed_form():
     # exact rows and mitigation-aware phases have no closed form; statistical
     # phases share the random-phase forms
-    _, plan = figure_preset(5, reps=4)
+    plan = figure_preset(5, reps=4)
     methods = (
         MethodSpec("ZF", "statistical", "asymptotic"),
         MethodSpec("DPC", "mitigation_aware", "asymptotic"),

@@ -1,10 +1,11 @@
 """A small AST lint of the runtime package: no unused import, no private
-module-level name that nothing in the package refers to, and no module
-importing another one's private name.
+module-level name that nothing in the package refers to, no module
+importing another one's private name, and no public module-level name that
+nothing in the package, the tests or the demos refers to.
 
-The first two are what a refactor leaves behind when it deletes the last
-caller of a helper or the last use of an import; the third is a decision
-that belongs in one module leaking into another.
+The first two and the last are what a refactor leaves behind when it
+deletes the last caller of a helper or the last use of an import; the third
+is a decision that belongs in one module leaking into another.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 import risbc
 
 PACKAGE = Path(risbc.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _annotation_names(tree):
@@ -68,9 +70,9 @@ def _private_imports(tree):
                     yield node.lineno, alias.name, module
 
 
-def _private_definitions(tree):
-    """(line, name) of the module-level private functions, classes and
-    assignments (dunder names excluded)."""
+def _definitions(tree):
+    """(line, name) of the module-level functions, classes and assignments
+    (dunder names excluded)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -80,23 +82,40 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield node.lineno, name
 
 
-def lint(sources):
-    """Findings of {module name: source text}, as "module:line: message"."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    used = {name: _used_names(tree) for name, tree in trees.items()}
-    # a private name another module imports counts as used: the import is
-    # the finding
-    imported = {
+def _imported_names(trees):
+    """Every name imported from a module, by any of the trees."""
+    return {
         alias.name
-        for tree in trees.values()
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def lint(sources, users=None):
+    """Findings of {module name: source text}, as "module:line: message".
+
+    With `users` ({file name: source text}, the tests and demos), a public
+    module-level name that neither the modules nor the users refer to is a
+    finding too.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = {name: _used_names(tree) for name, tree in trees.items()}
+    # a private name another module imports counts as used: the import is
+    # the finding
+    imported = _imported_names(trees.values())
+    referenced = None
+    if users is not None:
+        user_trees = [ast.parse(text) for text in users.values()]
+        referenced = set().union(
+            imported, _imported_names(user_trees), *used.values(),
+            *map(_used_names, user_trees),
+        )
     findings = []
     for name, tree in trees.items():
         for line, bound in _imports(tree):
@@ -106,19 +125,28 @@ def lint(sources):
             findings.append(
                 f"{name}:{line}: private name {private} imported from {module}"
             )
-        for line, private in _private_definitions(tree):
-            if private not in used[name] and private not in imported:
-                findings.append(f"{name}:{line}: unreferenced private name {private}")
+        for line, defined in _definitions(tree):
+            if defined.startswith("_"):
+                if defined not in used[name] and defined not in imported:
+                    findings.append(f"{name}:{line}: unreferenced private name {defined}")
+            elif referenced is not None and defined not in referenced:
+                findings.append(f"{name}:{line}: unreferenced public name {defined}")
     return findings
 
 
-def test_runtime_package_is_lint_clean():
-    sources = {
+def _sources(directory, pattern="*.py"):
+    return {
         path.name: path.read_text(encoding="utf-8")
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob(pattern))
     }
+
+
+def test_runtime_package_is_lint_clean():
+    sources = _sources(PACKAGE)
     assert len(sources) >= 9
-    assert lint(sources) == []
+    users = {**_sources(ROOT / "tests"), **_sources(ROOT / "demos")}
+    assert "test_lint.py" in users and "element_scaling.py" in users
+    assert lint(sources, users) == []
 
 
 @pytest.mark.parametrize(
@@ -133,6 +161,32 @@ def test_runtime_package_is_lint_clean():
 )
 def test_lint_finds_an_injected_leftover(source, finding):
     assert lint({"m.py": source}) == [finding]
+
+
+@pytest.mark.parametrize(
+    "source, finding",
+    [
+        ("def stale():\n    pass\n", "m.py:1: unreferenced public name stale"),
+        ("class Old:\n    pass\n", "m.py:1: unreferenced public name Old"),
+        ("LIMIT = 3\n", "m.py:1: unreferenced public name LIMIT"),
+    ],
+)
+def test_lint_finds_an_unreferenced_public_name(source, finding):
+    assert lint({"m.py": source}, users={}) == [finding]
+
+
+def test_lint_counts_uses_of_public_names_in_the_package_and_its_users():
+    sources = {
+        "a.py": "LIMIT = 3\n\ndef run():\n    return LIMIT\n\nclass Kept:\n    pass\n",
+        "b.py": "from .a import run\n\nX = run()\n",
+    }
+    users = {"test_a.py": "from risbc.a import Kept\n", "demo.py": "import risbc.b\nrisbc.b.X\n"}
+    assert lint(sources, users) == []
+    # without the users, Kept and X are left over
+    assert lint(sources, users={}) == [
+        "a.py:6: unreferenced public name Kept",
+        "b.py:3: unreferenced public name X",
+    ]
 
 
 def test_lint_accepts_uses_across_modules_and_in_annotations():

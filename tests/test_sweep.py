@@ -473,7 +473,7 @@ def test_power_sweep_calls_rates_once_per_method_and_draws_no_positions(monkeypa
     # powers, and draw_block derives a block's positions in one array pass
     # instead of drawing them per replication
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    _, plan = figure_preset(2, reps=7)
+    plan = figure_preset(2, reps=7)
     calls = Counter()
 
     def spy_rates(*args):
