@@ -30,7 +30,7 @@ their starts through one generator set to each in turn, and
 stream starts with the draw's 2(K+1) position uniforms, which
 `user_positions` maps to positions for one draw or a whole block: the
 per-replication loop of `draw_block` only reads the streams, and the
-block's positions take one array pass.
+block's positions and their pathlosses take one array pass each.
 """
 
 from dataclasses import dataclass, replace
@@ -459,16 +459,15 @@ def _complex_normals(cfg: ScenarioConfig, x: np.ndarray):
     return out
 
 
-def _assemble(cfg: ScenarioConfig, positions, z_d, z_r) -> ChannelRealization:
-    """Scale drawn normals by the pathlosses of their positions.
+def _assemble(cfg: ScenarioConfig, positions, pl, z_d, z_r) -> ChannelRealization:
+    """Scale drawn normals by pl, the pathlosses of their positions.
 
-    Works over leading batch axes: positions [..., K+1, 3], z_d
-    [..., K+1, N_B] and z_r [..., K+1, N_R] give a realization whose
-    channel arrays carry the same leading axes (a and b are shared).  z_d
-    and z_r are scaled in place and become H_d and H_r, which keeps a
-    block's peak memory at one copy of each stack.
+    Works over leading batch axes: positions [..., K+1, 3], pathlosses
+    [..., K+1], z_d [..., K+1, N_B] and z_r [..., K+1, N_R] give a
+    realization whose channel arrays carry the same leading axes (a and b
+    are shared).  z_d and z_r are scaled in place and become H_d and H_r,
+    which keeps a block's peak memory at one copy of each stack.
     """
-    pl = nominal_pathlosses(cfg, positions)
     H_d_all = z_d
     H_d_all *= np.sqrt(pl.L_d[..., None] / 2.0)
     H_r = z_r
@@ -509,7 +508,8 @@ def sample_realization(
     if positions is None:
         positions = draw_user_positions(cfg, rng)
     x = rng.standard_normal(_variate_count(cfg))
-    return _assemble(cfg, positions, *_complex_normals(cfg, x))
+    pl = nominal_pathlosses(cfg, positions)
+    return _assemble(cfg, positions, pl, *_complex_normals(cfg, x))
 
 
 def draw_block(
@@ -519,17 +519,18 @@ def draw_block(
 ) -> tuple:
     """The variates of replications `streams.reps` of a run, one row per draw.
 
-    Returns (positions [len(streams), K+1, 3], x [len(streams),
-    2(K+1)(N_B+N_R)]): draw i of realize_block(cfg, positions, x) is, bit for
-    bit, sample_realization(cfg, default_rng(rep_seeds(seed,
-    streams.reps[i])[0]), positions).  Each replication's channel stream is
-    read in the loop (its 2(K+1) position uniforms, then row i of x); the
-    block's positions then come from all the uniforms in one array pass
-    (`user_positions`).  Frozen positions are broadcast to every draw and
-    read no uniforms.  Positions depend only on K and the normals are drawn
-    in order, so the variates of a scenario with fewer elements or antennas
-    are a prefix of each row: `realize_block` builds any such scenario from
-    this draw.
+    Returns (positions [len(streams), K+1, 3], their PathlossSet, x
+    [len(streams), 2(K+1)(N_B+N_R)]): draw i of
+    realize_block(cfg, positions, pathlosses, x) is, bit for bit,
+    sample_realization(cfg, default_rng(rep_seeds(seed, streams.reps[i])[0]),
+    positions).  Each replication's channel stream is read in the loop (its
+    2(K+1) position uniforms, then row i of x); the block's positions then
+    come from all the uniforms in one array pass (`user_positions`).  Frozen
+    positions are broadcast to every draw and read no uniforms.  Positions
+    depend only on K, the pathlosses on the positions and the geometry, and
+    the normals are drawn in order, so the variates of a scenario with fewer
+    elements or antennas are a prefix of each row: `realize_block` builds
+    any such scenario from this draw and its pathlosses.
     """
     x = np.empty((len(streams), _variate_count(cfg)))
     u = np.empty((len(streams), 2 * cfg.n_users))
@@ -538,23 +539,25 @@ def draw_block(
             rng.random(out=u_row)
         rng.standard_normal(out=row)
     if positions is None:
-        return user_positions(cfg, u), x
-    return np.broadcast_to(positions, (len(streams), *positions.shape)), x
+        positions = user_positions(cfg, u)
+    else:
+        positions = np.broadcast_to(positions, (len(streams), *positions.shape))
+    return positions, nominal_pathlosses(cfg, positions), x
 
 
 def realize_block(
-    cfg: ScenarioConfig, positions: np.ndarray, x: np.ndarray
+    cfg: ScenarioConfig, positions: np.ndarray, pl: PathlossSet, x: np.ndarray
 ) -> ChannelRealization:
     """The stacked realization of scenario `cfg` from drawn variates.
 
-    positions and x are a `draw_block` result for a scenario with the same K
-    and at least cfg's N_B and N_R; only the prefix x[:, :2(K+1)(N_B+N_R)] is
-    read.  A caller that passes its only reference to x has the variates
-    freed before `_assemble` allocates H_c.
+    positions, pl and x are a `draw_block` result for a scenario with the
+    same K and geometry and at least cfg's N_B and N_R; only the prefix
+    x[:, :2(K+1)(N_B+N_R)] is read.  A caller that passes its only
+    reference to x has the variates freed before `_assemble` allocates H_c.
     """
     z_d, z_r = _complex_normals(cfg, x[:, : _variate_count(cfg)])
     del x
-    return _assemble(cfg, positions, z_d, z_r)
+    return _assemble(cfg, positions, pl, z_d, z_r)
 
 
 def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:

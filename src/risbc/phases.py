@@ -106,16 +106,24 @@ def _phase(x):
     return x
 
 
-def _mm_step(M, MH, lam_max, theta_bar):
-    """(f(theta_bar), the next MM iterate) for a stack [B, N_R+1].
+def _mm_step(MH, lam_max, theta_bar, f, Mt):
+    """The next MM iterate of a stack theta_bar [B, N_R+1], from its
+    f(theta_bar) and M theta_bar (`_objective`; Mt is overwritten).
 
     On the torus, Q <= lambda_max I gives a minorizer of |a^H x|^2 - f x^H Q x
     at theta_bar, maximized by phase(f lambda_max theta_bar + a s - f Q theta_bar)
     with s = a^H theta_bar: one product with M^H on [-f g, s].
     """
-    f, coef = _objective(M, theta_bar)
-    coef[:, :-1] *= -f[:, None]
-    return f, _phase(matvec(MH, coef) + (f * lam_max)[:, None] * theta_bar)
+    Mt[:, :-1] *= -f[:, None]
+    return _phase(matvec(MH, Mt) + (f * lam_max)[:, None] * theta_bar)
+
+
+def _better(M, a, b):
+    """Per draw of stacks a and b [B, N_R+1], the point of a where its f is
+    at least b's, else b's point, with its f and M theta_bar (`_objective`)."""
+    (f_a, Ma), (f_b, Mb) = _objective(M, a), _objective(M, b)
+    pick = (f_a >= f_b)[:, None]
+    return np.where(pick, a, b), np.where(pick[:, 0], f_a, f_b), np.where(pick, Ma, Mb)
 
 
 def optimize_mitigation_aware(
@@ -129,7 +137,8 @@ def optimize_mitigation_aware(
     lowers f) and moves to the SQUAREM point
     phase(theta_0 - 2 alpha r + alpha^2 v), r = theta_1 - theta_0,
     v = theta_2 - 2 theta_1 + theta_0, alpha = -max(1, ||r|| / ||v||), if
-    its f is at least f(theta_2), else to theta_2.  A draw stops once a step
+    its f is at least f(theta_2), else to theta_2; the point it moves to
+    keeps its f and M theta_bar for the next step.  A draw stops once a step
     raises its f by less than REL_TOLERANCE (relative), or after MAX_STEPS
     steps, and keeps the better of its last two points, so its result does
     not depend on the other draws of its stack.
@@ -150,14 +159,12 @@ def optimize_mitigation_aware(
     M, MH, mu, V = _mm_operands(cache)
     lam_max = mu[:, -1]
     relaxed = _phase(_relaxed_maximizer(M, mu, V))
-    better = _objective(M, relaxed)[0] > _objective(M, init)[0]
-    theta_bar = np.where(better[:, None], relaxed, init)
+    theta_bar, f, Mt = _better(M, init, relaxed)
 
     out = np.empty_like(theta_bar)
     index = np.arange(len(out))
     prev, f_prev = theta_bar, np.full(len(out), -np.inf)
     for step in range(MAX_STEPS + 1):
-        f, t1 = _mm_step(M, MH, lam_max, theta_bar)
         stop = (f - f_prev <= REL_TOLERANCE * f_prev) | (step == MAX_STEPS)
         if stop.any():
             last = (f >= f_prev)[stop, None]
@@ -166,15 +173,16 @@ def optimize_mitigation_aware(
             if not go.any():
                 break
             index, M, MH, lam_max = index[go], M[go], MH[go], lam_max[go]
-            theta_bar, t1, f = theta_bar[go], t1[go], f[go]
-        _, t2 = _mm_step(M, MH, lam_max, t1)
+            theta_bar, f, Mt = theta_bar[go], f[go], Mt[go]
+        t1 = _mm_step(MH, lam_max, theta_bar, f, Mt)
+        t2 = _mm_step(MH, lam_max, t1, *_objective(M, t1))
         r, v = t1 - theta_bar, t2 - 2.0 * t1 + theta_bar
         r_norm, v_norm = np.linalg.norm(r, axis=-1), np.linalg.norm(v, axis=-1)
         ratio = np.divide(r_norm, v_norm, out=np.ones_like(r_norm), where=v_norm > 0.0)
         alpha = -np.fmax(1.0, ratio)[:, None]
         jump = _phase(theta_bar - 2.0 * alpha * r + alpha**2 * v)
-        keep = _objective(M, jump)[0] >= _objective(M, t2)[0]
-        prev, theta_bar, f_prev = theta_bar, np.where(keep[:, None], jump, t2), f
+        prev, f_prev = theta_bar, f
+        theta_bar, f, Mt = _better(M, jump, t2)
     return out[0, :-1] if one else out[:, :-1]
 
 

@@ -18,7 +18,8 @@ generic-matrix and SVD oracles (tests/oracles.py).
 
 The BS-RIS direction b enters only through its feed c = H_d^s b, the last
 column of D_s (`decompose_feed`); at orthogonality xi the feed is
-c(0) / sqrt(1 + xi^2), with c(0) from `row_space_feed`.
+c(0) / sqrt(1 + xi^2), with c(0) from `row_space_feed`.  A draw's cache at
+another N_R keeps its factor of C_s (`DecompositionCache.with_cascade`).
 
 p_bar enters only at the last step.  Every rate is a function of a draw's
 `RateTerms`, which do not depend on it: eigvals(C_s), diag(C_s^{-1}), the
@@ -32,7 +33,7 @@ powers.  The decomposition, the phases, the terms and the rates broadcast
 over leading batch axes, so one call serves one draw or a stack of draws.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,18 @@ class DecompositionCache:
         """Condition number of C_s (inf when singular), per draw."""
         return _cond(self.eigvals)
 
+    def with_cascade(self, H_c) -> "DecompositionCache":
+        """The same draws with cascaded rows H_c [..., K+1, N_R]: C_s and the
+        feed c do not depend on the RIS, so only D_s = [H_c^s, c] and the weak
+        row (a copy, which does not keep H_c alive) are built."""
+        H_c = check_finite(H_c, "H_c")
+        c = self.D_s[..., -1]
+        K, n_ris = c.shape[-1], H_c.shape[-1]
+        D_s = np.empty(c.shape + (n_ris + 1,), dtype=complex)
+        D_s[..., :n_ris] = H_c[..., :K, :]
+        D_s[..., n_ris] = c
+        return replace(self, D_s=D_s, h_c_weak=H_c[..., K, :].copy())
+
 
 def _cond(eigvals):
     """Condition number of C_s from its descending eigenvalues [..., K]."""
@@ -97,22 +110,15 @@ def decompose_feed(H_d_strong, H_c, c) -> DecompositionCache:
     cascaded rows H_c [..., K+1, N_R] for the BS-RIS feed c = H_d^s b [..., K].
 
     C_s = H_d^s H_d^{s,H} - c c^H (b's rank-one projection, without forming
-    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c].  The weak
-    row is copied, so the cache does not keep the H_c stack alive.
+    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c] and the
+    weak row as `DecompositionCache.with_cascade` builds them.
     """
     H = check_finite(H_d_strong, "H_d_strong")
-    H_c = check_finite(H_c, "H_c")
-    K = H.shape[-2]
-    n_ris = H_c.shape[-1]
-    D_s = np.empty(c.shape + (n_ris + 1,), dtype=complex)
-    D_s[..., :n_ris] = H_c[..., :K, :]
-    D_s[..., n_ris] = c
     C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
     C_s = 0.5 * (C_s + herm(C_s))
-    w, U = eigh_descending(C_s)
-    return DecompositionCache(
-        D_s=D_s, eigvals=w, eigvecs=U, h_c_weak=H_c[..., K, :].copy()
-    )
+    # the draws without RIS elements (D_s = [c]), then their cascaded rows
+    bare = DecompositionCache(c[..., None], *eigh_descending(C_s), c[..., :0])
+    return bare.with_cascade(H_c)
 
 
 def decompose(real: ChannelRealization) -> DecompositionCache:

@@ -11,10 +11,10 @@ A sweep runs in two stages.  Stage 1 draws the replications in blocks of
 BLOCK_REPS and reduces them at every stage-1 point, a scenario plus a feed
 divisor.  Each point decomposes a block with one stacked eigh at the feed
 H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
-block (weak rows included), masks the flagged draws out of it, takes every
-strategy's phases from `select_phases` (the random ones are the block's
-phase draws) and reduces each draw to its rates' terms that do not depend
-on transmit power (`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per
+block (weak rows included), masks the flagged draws out of it if there are
+any, takes every strategy's phases from `select_phases` (the random ones
+are the block's phase draws) and reduces each draw to its rates' terms that
+do not depend on transmit power (`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per
 strategy, the weak gain and the DPC cross terms).  The divisor is 1.0 at a
 scenario's own b; an xi sweep realizes its one scenario, takes the feed
 c(0) once per block (`se.row_space_feed`, one SVD per draw) and divides it
@@ -31,13 +31,16 @@ Each replication's streams are drawn once per run.  Where they start is
 computed for the whole run in one pass (`channel.stream_states`, which
 checks itself against numpy's SeedSequence seeding once per run and relies
 on numpy keeping those streams stable, NEP 19), and each block takes its
-slice of those starts.  A block's channel variates are drawn at the point
-with the most of them (`channel.draw_block`), and its random phases at the
+slice of those starts.  A block's channel variates and the pathlosses of
+its positions, which no swept variable changes, are drawn once, at the point
+with the most variates (`channel.draw_block`), and its random phases at the
 largest N_R (`channel.random_phase_block`); every point realizes its block
-from a prefix of those variates (`channel.realize_block`).  Both streams are
-read in order from their start, so the prefix is exactly what the point
+from a prefix of those variates (`channel.realize_block`).  Both streams
+are read in order from their start, so the prefix is exactly what the point
 would draw alone: rows depend neither on the block size nor on the other
-sweep points.
+sweep points.  The points of an n_ris sweep also share a block's factor of
+C_s and its flags, as C_s does not depend on the RIS: after the first, each
+builds only its D_s and weak rows (`se.DecompositionCache.with_cascade`).
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -205,10 +208,12 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     own b (x / 1.0 is exact), hypot(1, xi) for each xi of an xi sweep.  A
     ptx_dbm or xi sweep has one scenario.  Returns one (flagged, terms) pair
     per point, terms mapping each strategy to the se.RateTerms of its kept
-    draws [R, ...] in replication order.  A block's variates and random
-    phases are drawn once, at the last scenario (the one with the most:
-    sweep values increase and K is fixed); only one block's variates, one
-    scenario's channel stacks and one cache are alive at once.
+    draws [R, ...] in replication order.  A block's variates, pathlosses and
+    random phases are drawn once, at the last scenario (the one with the
+    most: sweep values increase and K is fixed), and serve every point; an
+    n_ris sweep's points also share the first one's factor of C_s and flags.
+    Only one block's variates, one scenario's channel stacks and one masked
+    cache are alive at once.
     """
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
     xi_sweep = plan.variable == "xi"
@@ -225,24 +230,32 @@ def _reduce(plan: SweepPlan, strategies) -> list:
             block_theta = random_phase_block(streams[block], largest.n_ris)
         # *x holds the variates in a list, so the last scenario can pop the
         # only reference and realize_block frees them before its channels
-        positions, *x = draw_block(largest, streams[block], frozen)
+        positions, pathlosses, *x = draw_block(largest, streams[block], frozen)
+        factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
-            real = realize_block(cfg, positions, x.pop() if cfg is largest else x[0])
+            real = realize_block(
+                cfg, positions, pathlosses, x.pop() if cfg is largest else x[0]
+            )
             H_d, H_c = real.H_d_strong, real.H_c
             feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
             del real
             for i, divisor in enumerate(divisors):
-                cache = decompose_feed(H_d, H_c, feed / divisor)
+                if factor is None:
+                    cache = decompose_feed(H_d, H_c, feed / divisor)
+                    keep = ~(cache.cond() > COND_FLAG)
+                    factor = cache if plan.variable == "n_ris" else None
+                else:  # keep is still the first point's mask
+                    cache = factor.with_cascade(H_c)
                 if i == len(divisors) - 1:
                     del H_d, H_c  # the channel stacks are freed before any phases
-                keep = ~(cache.cond() > COND_FLAG)
                 point = s * len(divisors) + i
                 flagged[point] += len(keep) - int(np.count_nonzero(keep))
                 if keep.any():
-                    cache = cache[keep]  # frees the unmasked cache
-                    theta = block_theta
-                    if theta is not None:  # the kept replications' phases
-                        theta = theta[keep, : cfg.n_ris]
+                    # the kept replications; a basic slice copies nothing
+                    rows = slice(None) if keep.all() else keep
+                    cache, theta = cache[rows], block_theta
+                    if theta is not None:
+                        theta = theta[rows, : cfg.n_ris]
                     kept[point].append({
                         kind: rate_terms(cache, select_phases(kind, cache, theta))
                         for kind in strategies

@@ -264,7 +264,8 @@ def test_bare_mm_step_never_lowers_f_and_matches_the_dense_step():
         theta = np.stack([random_phases(cache.h_c_weak.shape[-1], rng) for _ in cache.D_s])
         for _ in range(3):
             theta_bar = np.concatenate([theta, np.ones((len(theta), 1))], axis=-1)
-            f, nxt = phases._mm_step(M, MH, mu[:, -1], theta_bar)
+            f, Mt = phases._objective(M, theta_bar)
+            nxt = phases._mm_step(MH, mu[:, -1], theta_bar, f, Mt)
             assert np.allclose(f, objectives(cache, theta), rtol=1e-10, atol=0.0)
             want = [oracles.reference_mm_step(cache[i], t) for i, t in enumerate(theta)]
             assert np.allclose(nxt[:, :-1], want, rtol=0.0, atol=1e-9)

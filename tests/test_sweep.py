@@ -13,6 +13,7 @@ from risbc.channel import (
     ScenarioConfig,
     draw_block,
     draw_user_positions,
+    nominal_pathlosses,
     position_rng,
     random_phase_block,
     realize_block,
@@ -256,42 +257,73 @@ def test_series_unknown_label():
 
 
 @pytest.mark.parametrize(
-    "variable, values, points",
+    "variable, values, points, factors",
     [
-        ("ptx_dbm", (10.0, 20.0, 30.0), 1),
-        ("n_bs", (4.0, 6.0), 2),
-        ("n_ris", (4.0, 8.0), 2),
-        ("xi", (0.1, 1.0, 10.0, 100.0), 4),
+        ("ptx_dbm", (10.0, 20.0, 30.0), 1, 1),
+        ("n_bs", (4.0, 6.0), 2, 2),
+        ("n_ris", (4.0, 8.0, 16.0), 3, 1),
+        ("xi", (0.1, 1.0, 10.0, 100.0), 4, 4),
     ],
     ids=("ptx_dbm", "n_bs", "n_ris", "xi"),
 )
-def test_sweep_takes_one_feed_per_block_and_point(monkeypatch, variable, values, points):
-    # every stage-1 point decomposes each block once (a power sweep has one
-    # point), the SVD behind an xi sweep's c(0) runs once per block, whatever
-    # the number of xi points, and nothing calls decompose
+def test_sweep_takes_one_feed_per_block_and_point(
+    monkeypatch, variable, values, points, factors
+):
+    # every stage-1 point takes one cache of each block (a power sweep has
+    # one point), whose D_s with_cascade builds.  decompose_feed factors it
+    # first, with one eigh of C_s, except at an n_ris sweep's later points,
+    # which share the first point's factor.  The SVD behind an xi sweep's
+    # c(0) runs once per block, whatever the number of xi points, each
+    # block's pathlosses are computed once, whatever the variable, and
+    # nothing calls decompose
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    feeds, decomposes = [], []
+    calls = {name: [] for name in ("feed", "decompose", "eigh", "cascade", "pl")}
+    eigh, with_cascade = np.linalg.eigh, se.DecompositionCache.with_cascade
 
     def spy_feed(H_d_strong):
-        feeds.append(len(H_d_strong))
+        calls["feed"].append(len(H_d_strong))
         return row_space_feed(H_d_strong)
 
     def spy_decompose_feed(H_d_strong, H_c, c):
-        decomposes.append(len(c))
+        calls["decompose"].append(len(c))
         return decompose_feed(H_d_strong, H_c, c)
+
+    def spy_eigh(A):
+        calls["eigh"].append(len(A))
+        return eigh(A)
+
+    def spy_cascade(cache, H_c):
+        calls["cascade"].append(len(H_c))
+        return with_cascade(cache, H_c)
+
+    def spy_pathlosses(cfg, positions):
+        calls["pl"].append(len(positions))
+        return nominal_pathlosses(cfg, positions)
 
     def no_decompose(real):
         raise AssertionError("the sweep called decompose")
 
     monkeypatch.setattr(sweep, "row_space_feed", spy_feed)
     monkeypatch.setattr(sweep, "decompose_feed", spy_decompose_feed)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(se.DecompositionCache, "with_cascade", spy_cascade)
+    monkeypatch.setattr(channel, "nominal_pathlosses", spy_pathlosses)
     monkeypatch.setattr(se, "decompose", no_decompose)
     monkeypatch.setattr(sweep, "decompose", no_decompose, raising=False)
     methods = (method("ZF", "align_weak", "exact"), method("DPC", "random", "exact"))
     plan = SweepPlan(small_cfg(), variable, values, methods, reps=8)
     run_sweep(plan)
-    assert feeds == ([3, 3, 2] if variable == "xi" else [])
-    assert decomposes == [size for size in (3, 3, 2) for _ in range(points)]
+
+    def per_block(n):
+        return [size for size in (3, 3, 2) for _ in range(n)]
+
+    assert calls == {
+        "feed": per_block(int(variable == "xi")),
+        "decompose": per_block(factors),
+        "eigh": per_block(factors),
+        "cascade": per_block(points),
+        "pl": per_block(1),
+    }
 
 
 # ------------------------------------------------------------------ offset
@@ -449,13 +481,27 @@ def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
     assert_rows_match(run_sweep(plan), per_draw_rows(plan))
 
 
-def test_partial_flagging_matches_per_draw_loop(monkeypatch):
+@pytest.mark.parametrize(
+    "variable, values, flagged",
+    [
+        ("ptx_dbm", (40.0,), [6]),
+        ("n_ris", (4.0, 8.0), [6, 6]),
+        ("n_bs", (3.0, 6.0), [6, 2]),
+    ],
+    ids=("ptx_dbm", "n_ris", "n_bs"),
+)
+def test_partial_flagging_matches_per_draw_loop(monkeypatch, variable, values, flagged):
+    # the flag threshold at the median condition number of the first point
+    # flags half its draws.  The points of an n_ris sweep share C_s, so its
+    # flags; an n_bs sweep's do not, so a keep-mask reused across the wrong
+    # points, or not reused where it should be, shows in the rows
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    plan = SweepPlan(small_cfg(), "ptx_dbm", (40.0,), ALL_METHODS, reps=12)
-    conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, 40.0)]
+    cfg = small_cfg(ptx_dbm=40.0, freeze_positions=variable == "n_ris")
+    plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=12)
+    conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, values[0])]
     monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
     result = run_sweep(plan)
-    assert {(r.reps, r.flagged) for r in result.rows} == {(6, 6)}
+    assert [r.flagged for r in result.rows[:: len(ALL_METHODS)]] == flagged
     assert_rows_match(result, per_draw_rows(plan))
 
 
@@ -556,12 +602,12 @@ def test_sweep_draws_equal_the_reference_definition(
 
     def spy_draw(cfg, streams, positions=None):
         drawn = draw_block(cfg, streams, positions)
-        draws.append((drawn[1], streams.reps.tolist(), positions))
+        draws.append((drawn[2], streams.reps.tolist(), positions))
         return drawn
 
-    def spy_realize(cfg, positions, x):
+    def spy_realize(cfg, positions, pl, x):
         reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
-        real = realize_block(cfg, positions, x)
+        real = realize_block(cfg, positions, pl, x)
         realized.append((cfg, reps, frozen_positions, real))
         return real
 
@@ -611,6 +657,9 @@ def test_sweep_draws_equal_the_reference_definition(
             want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
             for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
                 assert np.array_equal(getattr(real, name)[i], getattr(want, name))
+            for name in ("L_d", "L_r"):
+                got = getattr(real.pathlosses, name)[i]
+                assert np.array_equal(got, getattr(want.pathlosses, name))
     # one phase block per drawn block (the two random strategies share it)
     assert len(phases) == len(draws) == 3
     for reps, n_ris, theta in phases:
