@@ -516,6 +516,7 @@ def draw_block(
     cfg: ScenarioConfig,
     streams: Streams,
     positions: np.ndarray = None,
+    pathlosses: PathlossSet = None,
 ) -> tuple:
     """The variates of replications `streams.reps` of a run, one row per draw.
 
@@ -526,11 +527,14 @@ def draw_block(
     positions).  Each replication's channel stream is read in the loop (its
     2(K+1) position uniforms, then row i of x); the block's positions then
     come from all the uniforms in one array pass (`user_positions`).  Frozen
-    positions are broadcast to every draw and read no uniforms.  Positions
-    depend only on K, the pathlosses on the positions and the geometry, and
-    the normals are drawn in order, so the variates of a scenario with fewer
-    elements or antennas are a prefix of each row: `realize_block` builds
-    any such scenario from this draw and its pathlosses.
+    positions [K+1, 3] are broadcast to every draw and read no uniforms, and
+    so are their pathlosses: `pathlosses` if given (a run of many blocks
+    computes `nominal_pathlosses(cfg, positions)` once), else computed here.
+    Positions depend only on K, the pathlosses on the positions and the
+    geometry, and the normals are drawn in order, so the variates of a
+    scenario with fewer elements or antennas are a prefix of each row:
+    `realize_block` builds any such scenario from this draw and its
+    pathlosses.
     """
     x = np.empty((len(streams), _variate_count(cfg)))
     u = np.empty((len(streams), 2 * cfg.n_users))
@@ -540,9 +544,11 @@ def draw_block(
         rng.standard_normal(out=row)
     if positions is None:
         positions = user_positions(cfg, u)
-    else:
-        positions = np.broadcast_to(positions, (len(streams), *positions.shape))
-    return positions, nominal_pathlosses(cfg, positions), x
+        return positions, nominal_pathlosses(cfg, positions), x
+    pl = nominal_pathlosses(cfg, positions) if pathlosses is None else pathlosses
+    draws = (len(streams), cfg.n_users)
+    pl = replace(pl, L_d=np.broadcast_to(pl.L_d, draws), L_r=np.broadcast_to(pl.L_r, draws))
+    return np.broadcast_to(positions, (*draws, 3)), pl, x
 
 
 def realize_block(

@@ -58,6 +58,7 @@ from .channel import (
     db_to_lin,
     draw_block,
     frozen_positions,
+    nominal_pathlosses,
     random_phase_block,
     realize_block,
     stream_states,
@@ -221,6 +222,8 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     divisors = [np.hypot(1.0, xi) for xi in plan.values] if xi_sweep else [1.0]
     largest = scenarios[-1]
     frozen = frozen_positions(largest)
+    # frozen positions have one set of pathlosses, which every block shares
+    frozen_pl = None if frozen is None else nominal_pathlosses(largest, frozen)
     streams = stream_states(plan.config.seed, range(plan.reps))
     flagged = [0] * (len(scenarios) * len(divisors))
     kept = [[] for _ in flagged]  # per point, each block's {strategy: RateTerms}
@@ -230,7 +233,7 @@ def _reduce(plan: SweepPlan, strategies) -> list:
             block_theta = random_phase_block(streams[block], largest.n_ris)
         # *x holds the variates in a list, so the last scenario can pop the
         # only reference and realize_block frees them before its channels
-        positions, pathlosses, *x = draw_block(largest, streams[block], frozen)
+        positions, pathlosses, *x = draw_block(largest, streams[block], frozen, frozen_pl)
         factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
             real = realize_block(
@@ -360,10 +363,11 @@ def power_split_offset_check(
     p_strong = db_to_lin(cfg.ptx_dbm) / K
     p_bar = cfg.p_bar()
     positions = frozen_positions(cfg)
+    pathlosses = None if positions is None else nominal_pathlosses(cfg, positions)
     streams = stream_states(cfg.seed, range(reps))
     offsets = []
     for block in _blocks(reps):
-        real = realize_block(cfg, *draw_block(cfg, streams[block], positions))
+        real = realize_block(cfg, *draw_block(cfg, streams[block], positions, pathlosses))
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)

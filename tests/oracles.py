@@ -6,11 +6,12 @@ projectors, bordered Gram inverses, per-user covariance matrices), takes a
 factorization of its own (generic inversion and log-determinant, the SVD
 cross-checks of the projection split, the SVD construction of the BS-RIS
 direction b at orthogonality xi, the dense N_R+1 square matrix Q of the
-mitigation-aware objective), or takes a direct numpy route the runtime
-code avoids (the element-wise coordinate ascent that the batched MM
-optimizer is measured against, the one-draw random phases that the block
-draw is measured against), so that a test can check a shortcut
-against the textbook formula.
+mitigation-aware objective and the dense gradient and Hessian of that
+objective in the phases), or takes a direct numpy route the runtime code
+avoids (the element-wise coordinate ascent that the batched optimizer is
+measured against, the one-draw random phases that the block draw is
+measured against), so that a test can check a shortcut against the
+textbook formula.
 """
 
 import numpy as np
@@ -404,6 +405,36 @@ def reference_mm_step(cache: DecompositionCache, theta: np.ndarray) -> np.ndarra
     x = f * np.linalg.eigvalsh(Q)[-1] * tb + a * np.vdot(a, tb) - f * (Q @ tb)
     x = x / np.abs(x)
     return x[:-1] * np.conj(x[-1])
+
+
+def phase_derivatives(cache: DecompositionCache, theta: np.ndarray) -> tuple:
+    """(f, grad f, hess f) of one draw in its phases phi (theta_n = e^{j phi_n}),
+    [N_R] and [N_R, N_R], from the dense Q and a.
+
+    A quadratic form F = theta_bar^H B theta_bar (B Hermitian, v = B theta_bar)
+    has dF/dphi_n = 2 Im(conj(theta_n) v_n) and d^2F/dphi_n dphi_m =
+    2 Re(conj(theta_n) B_nm theta_m) - [n = m] 2 Re(conj(theta_n) v_n).  With
+    N = |a^H theta_bar|^2 (B = a a^H) and D = 1 + theta_bar^H Q theta_bar,
+    f = N / D has grad f = (grad N - f grad D) / D and
+    hess f = (hess N - f hess D - grad f grad D^T - grad D grad f^T) / D.
+    """
+    Q, a = mitigation_matrix(cache)
+    tb = np.append(theta, 1.0)
+
+    def form(B):
+        v = B @ tb
+        grad = 2.0 * np.imag(tb.conj() * v)
+        hess = 2.0 * np.real(tb.conj()[:, None] * B * tb[None, :])
+        hess -= np.diag(2.0 * np.real(tb.conj() * v))
+        value = float(np.real(np.vdot(tb, v)))
+        return value, grad[:-1], hess[:-1, :-1]
+
+    (N, gN, hN), (q, gD, hD) = form(np.outer(a, a.conj())), form(Q)
+    D = 1.0 + q
+    f = N / D
+    grad = (gN - f * gD) / D
+    hess = (hN - f * hD - np.outer(grad, gD) - np.outer(gD, grad)) / D
+    return f, grad, hess
 
 
 # =========================================================================

@@ -2,13 +2,20 @@
 perfbench/mit_aware.ini sweep at seeds 0 and 3 equal the committed files in
 tests/golden byte for byte.  A failure names the lines whose numbers differ
 by more than GOLDEN_RTOL relative and the largest difference (`mismatch`).
-`tests/golden/make.py` regenerates them."""
+`tests/golden/make.py` regenerates them.  The optimizer's sweep also holds
+them when OpenBLAS runs other kernels than the ones that wrote them."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import risbc
 from golden.make import RUNS, SEEDS, golden_dir, run
 
 GOLDEN_RTOL = 1e-8
@@ -138,3 +145,73 @@ def test_difference_requires_identical_text():
     # beyond it, the tolerance diff is the message
     got = "a,value,note\nx,1.6,ok\ny,2,ok\n"
     assert difference("f.csv", got, want) == mismatch("f.csv", got, want)
+
+
+# The kernel set of the child run: not the one this machine picks (the
+# golden files were written on SkylakeX kernels), and one that any CPU with
+# AVX2 can run.
+OTHER_KERNEL = "Haswell"
+
+CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from golden.make import RUNS, SEEDS, run
+for seed in SEEDS:
+    for argv, files in RUNS:
+        if "mit_aware.csv" in files:
+            out = Path(sys.argv[2]) / str(seed)
+            for name, path in run(argv, files, out, seed).items():
+                print(seed, name, path)
+"""
+
+
+def _why_no_other_kernel():
+    """None if numpy's BLAS can be switched to OTHER_KERNEL through
+    OPENBLAS_CORETYPE, else the reason why not."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    config = blas.get("openblas configuration", "")
+    if "openblas" not in blas.get("name", "").lower() or "DYNAMIC_ARCH" not in config:
+        return f"numpy's BLAS ({blas.get('name')} {config}) is not a DYNAMIC_ARCH OpenBLAS"
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return "cannot tell whether this CPU runs OpenBLAS's Haswell kernels"
+    if " avx2" not in cpuinfo:
+        return "this CPU cannot run OpenBLAS's Haswell kernels (no AVX2)"
+    return None
+
+
+def test_mit_aware_golden_holds_on_another_blas_kernel(tmp_path):
+    # the optimizer stops each draw at a stationary point, so its rows do
+    # not depend on where a kernel's rounding would have stopped it
+    reason = _why_no_other_kernel()
+    if reason is not None:
+        pytest.skip(reason)
+    src = str(Path(risbc.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": OTHER_KERNEL,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    here = str(Path(__file__).resolve().parent)
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, here, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    written = [line.split(" ", 2) for line in child.stdout.splitlines()]
+    assert len(written) == len(SEEDS)
+    problems = [
+        difference(
+            name,
+            Path(path).read_text(encoding="utf-8"),
+            (golden_dir(int(seed)) / name).read_text(encoding="utf-8"),
+        )
+        for seed, name, path in written
+    ]
+    problems = [p for p in problems if p is not None]
+    assert not problems, "\n".join(problems)

@@ -19,7 +19,8 @@ from risbc.phases import (
     optimize_mitigation_aware,
     select_phases,
 )
-from risbc.se import decompose
+from risbc.linalg import herm
+from risbc.se import decompose, extended_phases
 
 from oracles import (
     b_from_xi,
@@ -211,14 +212,15 @@ def test_optimizer_reduces_to_alignment_without_coupling():
 REFERENCE_CASES = [(12, n_ris, k) for n_ris in (8, 64, 256) for k in (1, 2, 3)]
 REFERENCE_CASES += [(4, 16, k) for k in (1, 2, 3)]
 
-# Both optimizers stop within a relative 1e-8 of where they are going, so
+# The coordinate ascent stops within a relative 1e-8 (CA_REL_TOLERANCE) of
+# where it is going, and the batched optimizer at a stationary point, so
 # where they reach the same optimum log2 f may differ by a few 1e-8.
 STOPPING_SLACK_BITS = 1e-7
 
 
 @pytest.mark.parametrize("n_bs, n_ris, n_strong", REFERENCE_CASES)
 def test_optimizer_matches_numpy_reference(n_bs, n_ris, n_strong, monkeypatch):
-    # the batched MM optimizer against the numpy coordinate ascent (CA) it
+    # the batched optimizer against the numpy coordinate ascent (CA) it
     # replaced: they reach different local optima, so equality no longer
     # holds; on a five-draw block of each shape, the median and the mean of
     # log2 f - log2 f_CA are not below the stopping slack.  At N_R = 256 CA
@@ -331,6 +333,145 @@ def test_select_phases_of_a_stack_is_per_draw_bit_for_bit(size, monkeypatch):
     monkeypatch.setattr(phases, "_mm_step", step)
     for i in range(size):
         assert np.array_equal(theta[i], select_phases("mitigation_aware", stack[i], None))
+
+
+# ------------------------------------------------- Newton certificates
+
+
+def newton_stacks():
+    """certificate_stacks() and one N_R = 256 draw."""
+    yield from certificate_stacks()
+    yield block(3, 1, n_ris=256)
+
+
+def random_points(cache, rng):
+    """Random phases theta [B, N_R] of a stack's draws and their theta_bar."""
+    n_ris = cache.h_c_weak.shape[-1]
+    theta = np.stack([random_phases(n_ris, rng) for _ in cache.D_s])
+    return theta, extended_phases(theta)
+
+
+def test_newton_model_matches_the_dense_derivatives():
+    # grad f and -hess f = diag(delta) + Z^T E Z against the dense-Q oracle
+    rng = np.random.default_rng(15)
+    for cache in newton_stacks():
+        M = phases._mm_operands(cache)[0]
+        theta, theta_bar = random_points(cache, rng)
+        f, y, grad, delta, Z, E = phases._newton_model(M, theta_bar)
+        assert np.array_equal(y, phases._objective(M, theta_bar)[1])
+        for i, t in enumerate(theta):
+            f_i, grad_i, hess_i = oracles.phase_derivatives(cache[i], t)
+            hess = -(np.diag(delta[i]) + Z[i].T @ E[i] @ Z[i])
+            assert f[i] == pytest.approx(f_i, rel=1e-10)
+            assert np.max(np.abs(grad[i] - grad_i)) <= 1e-10 * np.max(np.abs(grad_i))
+            assert np.max(np.abs(hess - hess_i)) <= 1e-10 * np.max(np.abs(hess_i))
+
+
+def test_newton_model_matches_central_differences():
+    # grad f against differences of f (`mitigation_aware_objective`), and
+    # -hess f against differences of grad f, along a few phases of each draw
+    rng = np.random.default_rng(16)
+    h = 1e-5
+    for cache in newton_stacks():
+        M = phases._mm_operands(cache)[0]
+        theta, theta_bar = random_points(cache, rng)
+        f, _, grad, delta, Z, E = phases._newton_model(M, theta_bar)
+        for n in np.unique(np.linspace(0, theta.shape[-1] - 1, 4).astype(int)):
+            turn = np.ones(theta_bar.shape[-1], dtype=complex)
+            turn[n] = np.exp(1j * h)
+            up, down = theta_bar * turn, theta_bar * turn.conj()
+            slope = (objectives(cache, up[:, :-1]) - objectives(cache, down[:, :-1])) / (2 * h)
+            scale = np.max(np.abs(grad), axis=-1)
+            assert np.all(np.abs(slope - grad[:, n]) <= 1e-6 * scale)
+            g_up, g_down = phases._newton_model(M, up)[2], phases._newton_model(M, down)[2]
+            column = (g_up - g_down) / (2 * h)
+            hess = -(delta[:, :, None] * np.eye(theta.shape[-1]) + herm(Z) @ E @ Z)
+            assert np.all(
+                np.abs(column - hess[:, :, n]) <= 1e-6 * np.max(np.abs(hess), axis=(1, 2))[:, None]
+            )
+
+
+def test_damped_step_equals_the_dense_solve():
+    # the Woodbury step and the inertia count against np.linalg.solve and
+    # eigvalsh of the dense damped matrix, at dampings that leave it
+    # indefinite and that make it positive definite
+    rng = np.random.default_rng(17)
+    concave = []
+    for cache in newton_stacks():
+        M = phases._mm_operands(cache)[0]
+        _, theta_bar = random_points(cache, rng)
+        _, _, grad, delta, Z, E = phases._newton_model(M, theta_bar)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            damping = scale * np.max(np.abs(grad), axis=-1)
+            d, positive = phases._damped_step(Z, E, grad, delta, damping)
+            for i in range(len(d)):
+                dense = np.diag(delta[i] + damping[i]) + Z[i].T @ E[i] @ Z[i]
+                want = np.linalg.solve(dense, grad[i])
+                assert np.linalg.norm(d[i] - want) <= 1e-8 * np.linalg.norm(want)
+                assert positive[i] == (np.linalg.eigvalsh(dense)[0] > 0.0)
+                concave.append(positive[i])
+    assert any(concave) and not all(concave)
+
+
+def test_gain_is_the_change_of_f():
+    rng = np.random.default_rng(18)
+    for cache in newton_stacks():
+        M = phases._mm_operands(cache)[0]
+        theta, theta_bar = random_points(cache, rng)
+        f, y, *_ = phases._newton_model(M, theta_bar)
+        d = rng.normal(scale=0.1, size=theta.shape)
+        moved = theta * np.exp(1j * d)
+        gain, y_new = phases._gain(M, theta_bar, y, f, d)
+        want = objectives(cache, moved) - objectives(cache, theta)
+        assert np.allclose(gain, want, rtol=1e-8, atol=1e-12 * np.max(f))
+        assert np.allclose(y_new, phases._objective(M, extended_phases(moved))[1])
+
+
+def converging_blocks():
+    """The mit_aware sweep's blocks (seeds 0-19, 2 draws of the default
+    scenario) and the seed-7 64-draw default blocks at N_R = 64 and 256."""
+    yield from (block(seed, 2) for seed in range(20))
+    yield block(7, 64)
+    yield block(7, 64, n_ris=256)
+
+
+def test_every_draw_converges_and_its_steps_match_a_spy(monkeypatch):
+    # no draw reaches MAX_STEPS; every draw takes 2 MM steps in its SQUAREM
+    # step and one after each Newton trial, so steps + 1 of them in all
+    # (a draw is told apart in the spy by its lambda_max)
+    calls = []
+    step = phases._mm_step
+
+    def spy(MH, lam_max, *args):
+        calls.append(lam_max.copy())
+        return step(MH, lam_max, *args)
+
+    monkeypatch.setattr(phases, "_mm_step", spy)
+    for cache in converging_blocks():
+        calls.clear()
+        theta_bar, steps, converged = phases._ascend(
+            cache, extended_phases(align_weak_user(cache.h_c_weak))
+        )
+        assert converged.all()
+        assert steps.max() < phases.MAX_STEPS
+        lam_max = phases._mm_operands(cache)[2][:, -1]
+        assert len(set(lam_max)) == len(lam_max)
+        seen = np.concatenate(calls)
+        assert [np.count_nonzero(seen == x) for x in lam_max] == list(steps + 1)
+
+
+def test_converged_draws_are_local_maxima():
+    # at the returned phases the dense gradient meets the stop test and the
+    # dense Hessian is negative definite (draw 12 of seed 0's block ends at a
+    # saddle point if Newton steps of an indefinite damped matrix are kept)
+    for cache in [*certificate_stacks(), block(0, 16), block(7, 16, n_ris=256)]:
+        init = extended_phases(align_weak_user(cache.h_c_weak))
+        theta_bar, _, converged = phases._ascend(cache, init)
+        assert converged.all()
+        for i, t in enumerate(theta_bar[:, :-1]):
+            f, grad, hess = oracles.phase_derivatives(cache[i], t)
+            assert np.max(np.abs(grad)) <= 2.0 * phases.GRAD_TOLERANCE * f
+            assert np.linalg.eigvalsh(hess)[-1] < 0.0
 
 
 def test_optimizer_matches_dense_grid_on_toys():

@@ -326,6 +326,27 @@ def test_sweep_takes_one_feed_per_block_and_point(
     }
 
 
+def test_frozen_positions_take_their_pathlosses_once_per_run(monkeypatch):
+    # every block of a run with frozen positions shares one set of
+    # pathlosses, computed from the positions [K+1, 3] once
+    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
+    calls = []
+
+    def spy(cfg, positions):
+        calls.append(positions.shape)
+        return nominal_pathlosses(cfg, positions)
+
+    monkeypatch.setattr(channel, "nominal_pathlosses", spy)
+    monkeypatch.setattr(sweep, "nominal_pathlosses", spy)
+    cfg = small_cfg(freeze_positions=True)
+    plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), (method("ZF", "random", "exact"),), reps=8)
+    run_sweep(plan)
+    assert calls == [(cfg.n_users, 3)]
+    calls.clear()
+    power_split_offset_check(cfg, reps=8)
+    assert calls == [(cfg.n_users, 3)]
+
+
 # ------------------------------------------------------------------ offset
 
 
@@ -600,8 +621,8 @@ def test_sweep_draws_equal_the_reference_definition(
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     draws, realized, phases, passes, built = [], [], [], [], Counter()
 
-    def spy_draw(cfg, streams, positions=None):
-        drawn = draw_block(cfg, streams, positions)
+    def spy_draw(cfg, streams, positions=None, pathlosses=None):
+        drawn = draw_block(cfg, streams, positions, pathlosses)
         draws.append((drawn[2], streams.reps.tolist(), positions))
         return drawn
 
