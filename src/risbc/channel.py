@@ -439,58 +439,35 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
     return PathlossSet(L_d=L_d, L_r=L_r, L_G=L_G)
 
 
-def _complex_normals(cfg: ScenarioConfig, x: np.ndarray):
-    """z_d [..., K+1, N_B] and z_r [..., K+1, N_R] from a draw's normals
-    x [..., M]: the real parts of the direct fading, its imaginary parts,
-    then the same for the RIS-user fading.  Each is re + 1j * im (formed as
-    1j * im, then += re, which adds the same two terms without a
-    temporary)."""
-    lead, start, out = x.shape[:-1], 0, []
-    for n in (cfg.n_bs, cfg.n_ris):
-        size = cfg.n_users * n
-        re, im = (
-            x[..., i : i + size].reshape(*lead, cfg.n_users, n)
-            for i in (start, start + size)
-        )
-        z = 1j * im
-        z += re
-        out.append(z)
-        start += 2 * size
-    return out
-
-
-def _assemble(cfg: ScenarioConfig, positions, pl, z_d, z_r) -> ChannelRealization:
-    """Scale drawn normals by pl, the pathlosses of their positions.
-
-    Works over leading batch axes: positions [..., K+1, 3], pathlosses
-    [..., K+1], z_d [..., K+1, N_B] and z_r [..., K+1, N_R] give a
-    realization whose channel arrays carry the same leading axes (a and b
-    are shared).  z_d and z_r are scaled in place and become H_d and H_r,
-    which keeps a block's peak memory at one copy of each stack.
-    """
-    H_d_all = z_d
-    H_d_all *= np.sqrt(pl.L_d[..., None] / 2.0)
-    H_r = z_r
-    H_r *= np.sqrt(pl.L_r[..., None] / 2.0)
-    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
-    b = steering_vector(cfg.n_bs, cfg.aod, norm="unit")
-    H_c = np.sqrt(pl.L_G * cfg.n_bs) * H_r
-    H_c *= a
-    return ChannelRealization(
-        H_d_strong=H_d_all[..., : cfg.n_strong, :],
-        h_d_weak=H_d_all[..., cfg.n_strong, :],
-        H_r=H_r,
-        a=a,
-        b=b,
-        L_G=pl.L_G,
-        H_c=H_c,
-        pathlosses=pl,
-        positions=positions,
+def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool):
+    """The direct channels H_d [..., K+1, N_B], or with `ris` the RIS-user
+    channels H_r [..., K+1, N_R], from a draw's normals x [..., M] (the real
+    parts of the direct fading, its imaginary parts, then the same for the
+    RIS-user fading): sqrt(L / 2) (re + 1j im), formed as 1j * im, then
+    += re (which adds the same two terms without a temporary), then scaled
+    in place by the pathlosses L [..., K+1]."""
+    n, L = (cfg.n_ris, pl.L_r) if ris else (cfg.n_bs, pl.L_d)
+    start, size = 2 * cfg.n_users * cfg.n_bs * ris, cfg.n_users * n
+    re, im = (
+        x[..., i : i + size].reshape(*x.shape[:-1], cfg.n_users, n)
+        for i in (start, start + size)
     )
+    z = 1j * im
+    z += re
+    z *= np.sqrt(L[..., None] / 2.0)
+    return z
+
+
+def _cascade(cfg: ScenarioConfig, L_G: float, a, H_r: np.ndarray, out: np.ndarray):
+    """The cascaded channels sqrt(L_G N_B) H_r diag(a) of RIS-user channels
+    H_r [..., K+1, N_R], written to out (H_r itself, or a new array)."""
+    H_c = np.multiply(np.sqrt(L_G * cfg.n_bs), H_r, out=out)
+    H_c *= a
+    return H_c
 
 
 def _variate_count(cfg: ScenarioConfig) -> int:
-    """Standard normals per draw, laid out as `_complex_normals` reads them."""
+    """Standard normals per draw, laid out as `_fading` reads them."""
     return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
 
 
@@ -508,8 +485,7 @@ def sample_realization(
     if positions is None:
         positions = draw_user_positions(cfg, rng)
     x = rng.standard_normal(_variate_count(cfg))
-    pl = nominal_pathlosses(cfg, positions)
-    return _assemble(cfg, positions, pl, *_complex_normals(cfg, x))
+    return realize_block(cfg, positions, nominal_pathlosses(cfg, positions), x)
 
 
 def draw_block(
@@ -534,7 +510,7 @@ def draw_block(
     geometry, and the normals are drawn in order, so the variates of a
     scenario with fewer elements or antennas are a prefix of each row:
     `realize_block` builds any such scenario from this draw and its
-    pathlosses.
+    pathlosses, and `cascade_block` the scenario's cascaded channels alone.
     """
     x = np.empty((len(streams), _variate_count(cfg)))
     u = np.empty((len(streams), 2 * cfg.n_users))
@@ -554,16 +530,39 @@ def draw_block(
 def realize_block(
     cfg: ScenarioConfig, positions: np.ndarray, pl: PathlossSet, x: np.ndarray
 ) -> ChannelRealization:
-    """The stacked realization of scenario `cfg` from drawn variates.
+    """The realization of scenario `cfg` from drawn variates.
 
     positions, pl and x are a `draw_block` result for a scenario with the
-    same K and geometry and at least cfg's N_B and N_R; only the prefix
-    x[:, :2(K+1)(N_B+N_R)] is read.  A caller that passes its only
-    reference to x has the variates freed before `_assemble` allocates H_c.
+    same K and geometry and at least cfg's N_B and N_R, or one draw's
+    positions [K+1, 3], pathlosses and normals; only the prefix
+    x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry x's
+    leading axes (a and b are shared).  A caller that passes its only
+    reference to x has the variates freed before H_c is allocated, so a
+    block's peak memory holds one copy of each stack.
     """
-    z_d, z_r = _complex_normals(cfg, x[:, : _variate_count(cfg)])
+    H_d_all, H_r = _fading(cfg, pl, x, False), _fading(cfg, pl, x, True)
     del x
-    return _assemble(cfg, positions, pl, z_d, z_r)
+    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    return ChannelRealization(
+        H_d_strong=H_d_all[..., : cfg.n_strong, :],
+        h_d_weak=H_d_all[..., cfg.n_strong, :],
+        H_r=H_r,
+        a=a,
+        b=steering_vector(cfg.n_bs, cfg.aod, norm="unit"),
+        L_G=pl.L_G,
+        H_c=_cascade(cfg, pl.L_G, a, H_r, np.empty_like(H_r)),
+        pathlosses=pl,
+        positions=positions,
+    )
+
+
+def cascade_block(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray) -> np.ndarray:
+    """realize_block(cfg, positions, pl, x).H_c [B, K+1, N_R], bit for bit
+    (the same operations in the same order), built alone: no direct
+    channels, and H_r is scaled into H_c in place."""
+    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    H_r = _fading(cfg, pl, x, True)
+    return _cascade(cfg, pl.L_G, a, H_r, H_r)
 
 
 def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:

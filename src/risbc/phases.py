@@ -19,11 +19,11 @@ Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
 Newton step is damped in the Levenberg-Marquardt way, solved by Woodbury
 through a 2(K+1)-square system (f's negative Hessian is a diagonal plus a
 rank-2(K+1) term), kept only where its damped matrix is positive definite
-and it does not lower f, and followed by an MM step.  A draw stops once max_n |df/dphi_n| <= GRAD_TOLERANCE f, a
-stationarity test, or after MAX_STEPS steps.  The random strategies return
-the caller's draw; the others read a draw from its `se.DecompositionCache`
-alone, the weak row h_c,K+1^H included.  The BS-RIS direction is set by xi
-in the sweep.
+and it does not lower f, and followed by an MM step.  A draw stops once
+max_n |df/dphi_n| <= GRAD_TOLERANCE f, a stationarity test, or after
+MAX_STEPS steps.  The random strategies return the caller's draw; the
+others read a draw from its `se.DecompositionCache` alone, the weak row
+h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
 """
 
 import numpy as np
@@ -52,12 +52,13 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
     """Phases maximizing the weak user's channel gain |h_c,K+1^H theta|^2.
 
     h_c_weak is the stored conjugated row h_c,K+1^H, so the aligned phases
-    are exp(-j arg(row)) = exp(j arg(h_c,K+1)) and the resulting inner
-    product is sum_n |h_c,K+1,n| (real and maximal).  Zero entries get
-    phase 0 by convention.  Rows [..., N_R] give phases [..., N_R].
+    are exp(-j arg(row)) = conj(row) / |row| and the resulting inner
+    product is sum_n |h_c,K+1,n| (real and maximal).  Zero entries get 1
+    (phase 0) by convention.  Rows [..., N_R] give phases [..., N_R].
     """
     h_c_weak = check_finite(h_c_weak, "h_c_weak")
-    return np.exp(-1j * np.angle(h_c_weak))
+    r = np.abs(h_c_weak)
+    return np.divide(h_c_weak.conj(), r, out=np.ones_like(h_c_weak), where=r > 0.0)
 
 
 # =========================================================================

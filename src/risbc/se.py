@@ -7,24 +7,24 @@ row idealized to zero, the Gram matrix splits into
     H H^H = blkdiag(C_s, 0) + (D theta_bar)(D theta_bar)^H
 
 with C_s = H_d^s P_b_perp H_d^{s,H} the strong users' projected Gram matrix,
-D = [H_c, H_d b] and theta_bar = [theta; 1].  Every closed form in this
-module is a pure function of that decomposition and of theta.  The cache
-is the whole draw: the strong users' rows D_s of D, the weak user's row
-h_c,K+1^H (D's last row is [h_c,K+1^H, 0]) and the eigendecomposition of
-C_s, so every theta-dependent function takes (cache, theta).  All SE values
-are in bits per channel use (log2), with unit noise (channels are
+D = [H_c, (c; 0)] with the feed c = H_d^s b, and theta_bar = [theta; 1].
+Every closed form in this module is a pure function of that decomposition
+and of theta.  The cache is the whole draw: the cascaded rows H_c (the weak
+user's row h_c,K+1^H last), the feed c and the eigendecomposition of C_s,
+so every theta-dependent function takes (cache, theta).  All SE values are
+in bits per channel use (log2), with unit noise (channels are
 noise-normalized at generation).  The tests check these forms against
 generic-matrix and SVD oracles (tests/oracles.py).
 
-The BS-RIS direction b enters only through its feed c = H_d^s b, the last
-column of D_s (`decompose_feed`); at orthogonality xi the feed is
-c(0) / sqrt(1 + xi^2), with c(0) from `row_space_feed`.  A draw's cache at
-another N_R keeps its factor of C_s (`DecompositionCache.with_cascade`).
+The BS-RIS direction b enters only through its feed c (`decompose_feed`);
+at orthogonality xi the feed is c(0) / sqrt(1 + xi^2), with c(0) from
+`row_space_feed`.  A draw's cache at another N_R keeps its factor of C_s and
+its feed (`DecompositionCache.with_cascade`).
 
 p_bar enters only at the last step.  Every rate is a function of a draw's
 `RateTerms`, which do not depend on it: eigvals(C_s), diag(C_s^{-1}), the
 weak gain g = |h_c,K+1^H theta|^2 and the DPC cross terms
-cross = |U^H D_s theta_bar|^2, whose sum_k cross_k / lambda_k is the
+cross = |U^H (H_c^s theta + c)|^2, whose sum_k cross_k / lambda_k is the
 mitigation term that only linear precoding pays.  `rate_terms(cache, theta)`
 forms them and `rates(terms, p_bar, precoder, mode)` holds the four rate
 formulas; `sum_se` applies both to a draw, and the batched sweep keeps each
@@ -48,24 +48,34 @@ class DecompositionCache:
 
     The eigendecomposition C_s = U diag(lambda) U^H is the only
     factorization of C_s: every formula reads C_s^{-1} through U and lambda
-    (an invertible C_s is required; check `cond` first).  The
-    weak user's row of D is [h_c,K+1^H, 0], so h_c_weak completes D.  The
-    cache of a stack of draws carries their leading batch axes on every
-    field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
+    (an invertible C_s is required; check `cond` first).  H_c and c are
+    the draw's own arrays, not copies; D_s and h_c_weak are derived from
+    them.  The cache of a stack of draws carries their leading batch axes
+    on every field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
     """
 
-    D_s: np.ndarray  # [..., K, N_R+1] strong-user rows [H_c^s, H_d^s b] of D
+    H_c: np.ndarray  # [..., K+1, N_R] cascaded rows, the weak row h_c,K+1^H last
+    c: np.ndarray  # [..., K] feed H_d^s b
     eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
     eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
-    h_c_weak: np.ndarray  # [..., N_R] weak user's cascaded row h_c,K+1^H
 
     def __getitem__(self, index) -> "DecompositionCache":
         return DecompositionCache(
-            D_s=self.D_s[index],
+            H_c=self.H_c[index],
+            c=self.c[index],
             eigvals=self.eigvals[index],
             eigvecs=self.eigvecs[index],
-            h_c_weak=self.h_c_weak[index],
         )
+
+    @property
+    def D_s(self) -> np.ndarray:
+        """[..., K, N_R+1] the strong rows [H_c^s, c] of D, built per call."""
+        return np.concatenate([self.H_c[..., :-1, :], self.c[..., None]], axis=-1)
+
+    @property
+    def h_c_weak(self) -> np.ndarray:
+        """[..., N_R] the weak user's row h_c,K+1^H of H_c, a view."""
+        return self.H_c[..., -1, :]
 
     def cond(self) -> float:
         """Condition number of C_s (inf when singular), per draw."""
@@ -73,15 +83,8 @@ class DecompositionCache:
 
     def with_cascade(self, H_c) -> "DecompositionCache":
         """The same draws with cascaded rows H_c [..., K+1, N_R]: C_s and the
-        feed c do not depend on the RIS, so only D_s = [H_c^s, c] and the weak
-        row (a copy, which does not keep H_c alive) are built."""
-        H_c = check_finite(H_c, "H_c")
-        c = self.D_s[..., -1]
-        K, n_ris = c.shape[-1], H_c.shape[-1]
-        D_s = np.empty(c.shape + (n_ris + 1,), dtype=complex)
-        D_s[..., :n_ris] = H_c[..., :K, :]
-        D_s[..., n_ris] = c
-        return replace(self, D_s=D_s, h_c_weak=H_c[..., K, :].copy())
+        feed c do not depend on the RIS, so nothing else changes."""
+        return replace(self, H_c=check_finite(H_c, "H_c"))
 
 
 def _cond(eigvals):
@@ -110,15 +113,13 @@ def decompose_feed(H_d_strong, H_c, c) -> DecompositionCache:
     cascaded rows H_c [..., K+1, N_R] for the BS-RIS feed c = H_d^s b [..., K].
 
     C_s = H_d^s H_d^{s,H} - c c^H (b's rank-one projection, without forming
-    I - b b^H), factorized by one stacked eigh; D_s = [H_c^s, c] and the
-    weak row as `DecompositionCache.with_cascade` builds them.
+    I - b b^H), factorized by one stacked eigh.  The cache holds H_c and c
+    themselves, not copies.
     """
     H = check_finite(H_d_strong, "H_d_strong")
     C_s = H @ herm(H) - c[..., :, None] * c.conj()[..., None, :]
     C_s = 0.5 * (C_s + herm(C_s))
-    # the draws without RIS elements (D_s = [c]), then their cascaded rows
-    bare = DecompositionCache(c[..., None], *eigh_descending(C_s), c[..., :0])
-    return bare.with_cascade(H_c)
+    return DecompositionCache(check_finite(H_c, "H_c"), c, *eigh_descending(C_s))
 
 
 def decompose(real: ChannelRealization) -> DecompositionCache:
@@ -136,14 +137,19 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 # =========================================================================
 
 
-def extended_phases(theta) -> np.ndarray:
-    """theta_bar = [theta; 1] of phases theta [..., N_R], which must be finite
-    and unit modulus (ValueError otherwise)."""
+def unit_phases(theta) -> np.ndarray:
+    """Phases theta [..., N_R] as a complex array, which must be finite and
+    unit modulus (ValueError otherwise)."""
     theta = np.atleast_1d(check_finite(theta, "theta"))
     if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
         raise ValueError("phase entries must be unit modulus")
-    one = np.ones(theta.shape[:-1] + (1,))
-    return np.concatenate([theta, one], axis=-1)
+    return theta
+
+
+def extended_phases(theta) -> np.ndarray:
+    """theta_bar = [theta; 1] of phases theta [..., N_R] (`unit_phases`)."""
+    theta = unit_phases(theta)
+    return np.concatenate([theta, np.ones(theta.shape[:-1] + (1,))], axis=-1)
 
 
 class RateTerms(NamedTuple):
@@ -153,7 +159,7 @@ class RateTerms(NamedTuple):
     eigvals: np.ndarray  # [..., K] eigenvalues lambda of C_s, descending
     inv_diag: np.ndarray  # [..., K] [C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j
     g: np.ndarray  # [...] weak gain |h_c,K+1^H theta|^2
-    cross: np.ndarray  # [..., K] DPC cross terms |U^H D_s theta_bar|^2
+    cross: np.ndarray  # [..., K] DPC cross terms |U^H (H_c^s theta + c)|^2
 
     def mitigation(self) -> np.ndarray:
         """theta_bar^H D_s^H C_s^{-1} D_s theta_bar, the weak user's ZF
@@ -174,11 +180,12 @@ def check_phase_shape(cache: DecompositionCache, theta):
 
 def rate_terms(cache: DecompositionCache, theta) -> RateTerms:
     """The RateTerms of a draw's cache at phases theta, from one check of
-    theta (cache.h_c_weak is the conjugated row h_c,K+1^H)."""
+    theta and one product y = H_c theta: g = |y_K|^2 (H_c's rows are the
+    conjugated rows h^H) and cross = |U^H (y_{:K} + c)|^2."""
     check_phase_shape(cache, theta)
-    theta_bar = extended_phases(theta)
-    g = np.abs(matvec(cache.h_c_weak[..., None, :], theta_bar[..., :-1])[..., 0]) ** 2
-    cross = np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
+    y = matvec(cache.H_c, unit_phases(theta))
+    g = np.abs(y[..., -1]) ** 2
+    cross = np.abs(matvec(herm(cache.eigvecs), y[..., :-1] + cache.c)) ** 2
     # only ZF and delta_se read inv_diag, after their invertibility check,
     # so a singular C_s (whose asymptotic DPC rate is a flagged -inf) must
     # not warn here

@@ -38,9 +38,9 @@ largest N_R (`channel.random_phase_block`); every point realizes its block
 from a prefix of those variates (`channel.realize_block`).  Both streams
 are read in order from their start, so the prefix is exactly what the point
 would draw alone: rows depend neither on the block size nor on the other
-sweep points.  The points of an n_ris sweep also share a block's factor of
-C_s and its flags, as C_s does not depend on the RIS: after the first, each
-builds only its D_s and weak rows (`se.DecompositionCache.with_cascade`).
+sweep points.  An n_ris sweep's later points build only their cascades
+(`channel.cascade_block`), into the first point's cache with its feed,
+factor of C_s and flags (`se.DecompositionCache.with_cascade`).
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -55,6 +55,7 @@ import numpy as np
 from .channel import (
     MAX_REP,
     ScenarioConfig,
+    cascade_block,
     db_to_lin,
     draw_block,
     frozen_positions,
@@ -212,9 +213,9 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     draws [R, ...] in replication order.  A block's variates, pathlosses and
     random phases are drawn once, at the last scenario (the one with the
     most: sweep values increase and K is fixed), and serve every point; an
-    n_ris sweep's points also share the first one's factor of C_s and flags.
-    Only one block's variates, one scenario's channel stacks and one masked
-    cache are alive at once.
+    n_ris sweep's later points build only their cascades and share the first
+    one's feed, factor of C_s and flags.  Only one block's variates, one
+    scenario's channel stacks and one masked cache are alive at once.
     """
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
     xi_sweep = plan.variable == "xi"
@@ -236,21 +237,23 @@ def _reduce(plan: SweepPlan, strategies) -> list:
         positions, pathlosses, *x = draw_block(largest, streams[block], frozen, frozen_pl)
         factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
-            real = realize_block(
-                cfg, positions, pathlosses, x.pop() if cfg is largest else x[0]
-            )
-            H_d, H_c = real.H_d_strong, real.H_c
-            feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
-            del real
+            if factor is None:
+                real = realize_block(
+                    cfg, positions, pathlosses, x.pop() if cfg is largest else x[0]
+                )
+                H_d, H_c = real.H_d_strong, real.H_c
+                feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
+                del real
             for i, divisor in enumerate(divisors):
                 if factor is None:
                     cache = decompose_feed(H_d, H_c, feed / divisor)
                     keep = ~(cache.cond() > COND_FLAG)
                     factor = cache if plan.variable == "n_ris" else None
-                else:  # keep is still the first point's mask
+                else:  # only the cascade is new; keep is the first point's mask
+                    H_c = cascade_block(cfg, pathlosses, x.pop() if cfg is largest else x[0])
                     cache = factor.with_cascade(H_c)
                 if i == len(divisors) - 1:
-                    del H_d, H_c  # the channel stacks are freed before any phases
+                    H_d = H_c = None  # only the cache keeps a stack during phases
                 point = s * len(divisors) + i
                 flagged[point] += len(keep) - int(np.count_nonzero(keep))
                 if keep.any():

@@ -138,10 +138,10 @@ def b_proj_perp(cache: DecompositionCache) -> float:
     """b^H P_perp_{H_d^{s,H}} b in [0, 1] from a decomposition, per draw.
 
     From the no-reflection identity 1 + c^H C_s^{-1} c = 1 / (b^H P_perp b)
-    with c = H_d^s b, the last column of D_s; 0 where C_s is singular
-    (b inside the strong users' row space).
+    with the cache's feed c = H_d^s b; 0 where C_s is singular (b inside
+    the strong users' row space).
     """
-    c = cache.D_s[..., -1]
+    c = cache.c
     # singular draws get 0; their solve is discarded, so its overflow is moot
     with np.errstate(all="ignore"):
         quad = np.real(np.sum(c.conj() * cache_solve(cache, c), axis=-1))
@@ -364,6 +364,28 @@ def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
     if n_ris < 1:
         raise ValueError("need at least one element")
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_ris))
+
+
+def exp_aligned_phases(h_c_weak: np.ndarray) -> np.ndarray:
+    """The weak-user-aligned phases exp(-j arg(h_c,K+1^H)) of stored rows
+    [..., N_R], through the complex exponential (1 at zero entries, whose
+    angle is 0)."""
+    return np.exp(-1j * np.angle(h_c_weak))
+
+
+# =========================================================================
+# rate terms through the extended phases
+# =========================================================================
+
+
+def extended_rate_terms(cache: DecompositionCache, theta: np.ndarray) -> tuple:
+    """(g, cross) of a draw or a stack from D_s theta_bar, theta_bar =
+    [theta; 1]: g = |h_c,K+1^H theta|^2 and cross = |U^H D_s theta_bar|^2,
+    with D_s = [H_c^s, c] concatenated."""
+    theta_bar = np.concatenate([theta, np.ones(theta.shape[:-1] + (1,))], axis=-1)
+    g = np.abs(np.sum(cache.h_c_weak * theta, axis=-1)) ** 2
+    cross = np.abs(matvec(herm(cache.eigvecs), matvec(cache.D_s, theta_bar))) ** 2
+    return g, cross
 
 
 # =========================================================================

@@ -325,7 +325,7 @@ def test_criterion_10_gap_decomposition(capsys):
     C_s = np.diag([2.0, 0.5, 1.0]).astype(complex)
     D = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     w, U = eigh_descending(C_s)
-    cache = DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U, h_c_weak=D[-1, :-1])
+    cache = DecompositionCache(H_c=D[:, :-1], c=D[:-1, -1], eigvals=w, eigvecs=U)
     d_diag, _ = delta_se(cache, np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
 
     ok = min_delta >= -1e-12 and worst_gap <= 1e-10 and abs(d_diag) <= 1e-12

@@ -100,6 +100,24 @@ def test_align_dominates_random_search():
     assert aligned == pytest.approx(np.sum(np.abs(h_row)) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_align_equals_the_complex_exponential(stacked):
+    # conj(h) / |h| against exp(-j angle(h)), on real draws with some
+    # entries set to zero, which both send to exactly 1
+    if stacked:
+        rows = block(4, 40, n_ris=256).h_c_weak.copy()
+    else:
+        rows = instance(4, n_ris=256)[2].h_c_weak.copy()
+    zero = np.zeros(rows.shape, dtype=bool)
+    zero[..., ::17] = True
+    rows[zero] = 0.0
+    theta = align_weak_user(rows)
+    assert theta.shape == rows.shape
+    assert np.max(np.abs(theta - oracles.exp_aligned_phases(rows))) <= 1e-15
+    assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-15
+    assert np.all(theta[zero] == 1.0)
+
+
 # ------------------------------------------------------------------ optimizer
 
 
@@ -190,9 +208,9 @@ def test_optimizer_monotone_from_random_inits():
 
 
 def test_optimizer_reduces_to_alignment_without_coupling():
-    # D_s rows that do not touch the theta entries: denominator constant
+    # strong rows that do not touch the theta entries: denominator constant
     _, _, cache = instance(7)
-    cache.D_s[:, :-1] = 0.0
+    cache.H_c[:-1] = 0.0
     h_c_weak = cache.h_c_weak
     init = random_phases(8, np.random.default_rng(5))
     theta = optimize_mitigation_aware(cache, init)

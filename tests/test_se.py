@@ -12,6 +12,7 @@ import risbc.linalg
 import risbc.phases
 import risbc.se
 import risbc.sweep
+import oracles
 from oracles import (
     b_from_xi,
     b_proj_perp,
@@ -56,9 +57,10 @@ def random_instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
 
 
 def synthetic_cache(C_s, D):
-    """The cache of C_s and D, whose weak row is [h_c,K+1^H, 0]."""
+    """The cache of C_s and D = [H_c, (c; 0)], whose weak row is
+    [h_c,K+1^H, 0]."""
     w, U = eigh_descending(C_s)
-    return DecompositionCache(D_s=D[:-1], eigvals=w, eigvecs=U, h_c_weak=D[-1, :-1])
+    return DecompositionCache(H_c=D[:, :-1], c=D[:-1, -1], eigvals=w, eigvecs=U)
 
 
 def cached_gram(cache):
@@ -81,6 +83,21 @@ def test_cross_terms_append_one_to_theta():
     u = cache.D_s[:, :-1] @ theta + cache.D_s[:, -1]
     want = np.abs(cache.eigvecs.conj().T @ u) ** 2
     assert np.allclose(rate_terms(cache, theta).cross, want, rtol=1e-12, atol=0.0)
+
+
+def test_rate_terms_equal_the_extended_phase_product():
+    # the one product H_c theta plus the feed against D_s theta_bar, on a
+    # stack of draws and on one draw of 256 elements
+    cfg = small_cfg()
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(6, range(40)))))
+    theta = np.exp(2j * np.pi * np.random.default_rng(6).random((40, cfg.n_ris)))
+    _, real, one_theta = random_instance(7, n_bs=12, n_ris=256)
+    for cache, phases in ((stack, theta), (decompose(real), one_theta)):
+        terms = rate_terms(cache, phases)
+        g, cross = oracles.extended_rate_terms(cache, phases)
+        assert terms.g.shape == g.shape and terms.cross.shape == cross.shape
+        assert np.allclose(terms.g, g, rtol=1e-12, atol=0.0)
+        assert np.allclose(terms.cross, cross, rtol=1e-12, atol=0.0)
 
 
 def test_sum_se_rejects_non_unit():
@@ -130,18 +147,17 @@ def test_rates_reject_bad_powers():
 
 
 def test_theta_is_checked_once_per_call(monkeypatch):
-    # each public rate call builds (and checks) theta_bar exactly once
+    # each public rate call checks theta (finite, unit modulus) exactly once
     _, real, theta = random_instance(2)
     cache = decompose(real)
-    check = risbc.se.extended_phases
+    check = risbc.se.unit_phases
     calls = []
 
     def spy(t):
         calls.append(t)
         return check(t)
 
-    monkeypatch.setattr(risbc.se, "extended_phases", spy)
-    monkeypatch.setattr(risbc.phases, "extended_phases", spy)
+    monkeypatch.setattr(risbc.se, "unit_phases", spy)
     for run in (
         lambda: sum_se(cache, theta, 10.0, "ZF", "exact"),
         lambda: sum_se(cache, theta, 10.0, "ZF", "asymptotic"),
@@ -193,16 +209,23 @@ def test_decompose_matches_dense_projector_oracle():
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-def test_decompose_copies_the_weak_row(stacked):
+def test_decompose_shares_no_memory_with_the_channels_or_variates(stacked):
+    # the cache owns the cascade H_c and the feed: a view of H_d, H_r or the
+    # variates would keep those stacks alive with the cache
     cfg = small_cfg()
+    variates = []
     if stacked:
-        real = realize_block(cfg, *draw_block(cfg, stream_states(2, range(5))))
+        positions, pl, x = draw_block(cfg, stream_states(2, range(5)))
+        real = realize_block(cfg, positions, pl, x)
+        variates.append(x)
     else:
         real = sample_realization(cfg, np.random.default_rng(2))
     cache = decompose(real)
     assert np.array_equal(cache.h_c_weak, real.H_c[..., -1, :])
-    # a view would keep the whole H_c stack alive with the cache
-    assert not np.shares_memory(cache.h_c_weak, real.H_c)
+    assert np.array_equal(cache.c, matvec(real.H_d_strong, real.b))
+    fields = (cache.H_c, cache.c, cache.eigvals, cache.eigvecs)
+    for field, source in product(fields, (real.H_d_strong, real.h_d_weak, real.H_r, *variates)):
+        assert not np.shares_memory(field, source)
 
 
 def test_cond_of_an_exactly_singular_c_s_is_inf_without_a_warning():
@@ -210,10 +233,10 @@ def test_cond_of_an_exactly_singular_c_s_is_inf_without_a_warning():
     # eigenvalue reads inf, in a stack and for one draw, with no warning
     eigvals = np.array([[3.0, 2.0, 0.0], [3.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
     stack = DecompositionCache(
-        D_s=np.zeros((3, 3, 5), complex),
+        H_c=np.zeros((3, 4, 4), complex),
+        c=np.zeros((3, 3), complex),
         eigvals=eigvals,
         eigvecs=np.broadcast_to(np.eye(3), (3, 3, 3)),
-        h_c_weak=np.zeros((3, 4), complex),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -300,7 +323,9 @@ def test_zf_gains_match_generic_inverse():
 def test_zf_gains_weak_unreachable():
     _, real, _ = random_instance(5)
     cache = decompose(real)
-    cache = replace(cache, h_c_weak=np.zeros(8, dtype=complex))
+    H_c = cache.H_c.copy()
+    H_c[-1] = 0.0
+    cache = replace(cache, H_c=H_c)
     with pytest.raises(ValueError, match="unreachable"):
         zf_inverted_gains(cache, np.ones(8))
 

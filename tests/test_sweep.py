@@ -257,27 +257,28 @@ def test_series_unknown_label():
 
 
 @pytest.mark.parametrize(
-    "variable, values, points, factors",
+    "variable, values, factors, cascades",
     [
-        ("ptx_dbm", (10.0, 20.0, 30.0), 1, 1),
-        ("n_bs", (4.0, 6.0), 2, 2),
-        ("n_ris", (4.0, 8.0, 16.0), 3, 1),
-        ("xi", (0.1, 1.0, 10.0, 100.0), 4, 4),
+        ("ptx_dbm", (10.0, 20.0, 30.0), 1, 0),
+        ("n_bs", (4.0, 6.0), 2, 0),
+        ("n_ris", (4.0, 8.0, 16.0), 1, 2),
+        ("xi", (0.1, 1.0, 10.0, 100.0), 4, 0),
     ],
     ids=("ptx_dbm", "n_bs", "n_ris", "xi"),
 )
 def test_sweep_takes_one_feed_per_block_and_point(
-    monkeypatch, variable, values, points, factors
+    monkeypatch, variable, values, factors, cascades
 ):
     # every stage-1 point takes one cache of each block (a power sweep has
-    # one point), whose D_s with_cascade builds.  decompose_feed factors it
-    # first, with one eigh of C_s, except at an n_ris sweep's later points,
-    # which share the first point's factor.  The SVD behind an xi sweep's
-    # c(0) runs once per block, whatever the number of xi points, each
-    # block's pathlosses are computed once, whatever the variable, and
-    # nothing calls decompose
+    # one point).  decompose_feed builds it, with one eigh of C_s, except at
+    # an n_ris sweep's later points, which build only their cascade
+    # (cascade_block) and swap it into the first point's cache
+    # (with_cascade).  The SVD behind an xi sweep's c(0) runs once per
+    # block, whatever the number of xi points, each block's pathlosses are
+    # computed once, whatever the variable, and nothing calls decompose
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    calls = {name: [] for name in ("feed", "decompose", "eigh", "cascade", "pl")}
+    names = ("feed", "decompose", "eigh", "with_cascade", "cascade_block", "pl")
+    calls = {name: [] for name in names}
     eigh, with_cascade = np.linalg.eigh, se.DecompositionCache.with_cascade
 
     def spy_feed(H_d_strong):
@@ -292,9 +293,13 @@ def test_sweep_takes_one_feed_per_block_and_point(
         calls["eigh"].append(len(A))
         return eigh(A)
 
-    def spy_cascade(cache, H_c):
-        calls["cascade"].append(len(H_c))
+    def spy_with_cascade(cache, H_c):
+        calls["with_cascade"].append(len(H_c))
         return with_cascade(cache, H_c)
+
+    def spy_cascade_block(cfg, pl, x):
+        calls["cascade_block"].append(len(x))
+        return channel.cascade_block(cfg, pl, x)
 
     def spy_pathlosses(cfg, positions):
         calls["pl"].append(len(positions))
@@ -306,7 +311,8 @@ def test_sweep_takes_one_feed_per_block_and_point(
     monkeypatch.setattr(sweep, "row_space_feed", spy_feed)
     monkeypatch.setattr(sweep, "decompose_feed", spy_decompose_feed)
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(se.DecompositionCache, "with_cascade", spy_cascade)
+    monkeypatch.setattr(se.DecompositionCache, "with_cascade", spy_with_cascade)
+    monkeypatch.setattr(sweep, "cascade_block", spy_cascade_block)
     monkeypatch.setattr(channel, "nominal_pathlosses", spy_pathlosses)
     monkeypatch.setattr(se, "decompose", no_decompose)
     monkeypatch.setattr(sweep, "decompose", no_decompose, raising=False)
@@ -321,7 +327,8 @@ def test_sweep_takes_one_feed_per_block_and_point(
         "feed": per_block(int(variable == "xi")),
         "decompose": per_block(factors),
         "eigh": per_block(factors),
-        "cascade": per_block(points),
+        "with_cascade": per_block(cascades),
+        "cascade_block": per_block(cascades),
         "pl": per_block(1),
     }
 
@@ -345,6 +352,45 @@ def test_frozen_positions_take_their_pathlosses_once_per_run(monkeypatch):
     calls.clear()
     power_split_offset_check(cfg, reps=8)
     assert calls == [(cfg.n_users, 3)]
+
+
+def test_figure5_builds_only_the_cascade_after_its_first_point(monkeypatch):
+    # figure 5 at 300 reps runs 10 blocks over N_R = 16 ... 256: each block
+    # is realized and factored once, at N_R = 16, and its four later points
+    # build only their cascades, with no direct channels and no feed H_d^s b
+    plan = figure_preset(5, reps=300)
+    calls = {name: [] for name in ("realize", "cascade", "eigh", "feed")}
+    eigh, matvec = np.linalg.eigh, sweep.matvec
+
+    def spy_realize(cfg, positions, pl, x):
+        calls["realize"].append(cfg.n_ris)
+        return realize_block(cfg, positions, pl, x)
+
+    def spy_cascade(cfg, pl, x):
+        calls["cascade"].append(cfg.n_ris)
+        return channel.cascade_block(cfg, pl, x)
+
+    def spy_eigh(A):
+        calls["eigh"].append(len(A))
+        return eigh(A)
+
+    def spy_feed(A, x):
+        calls["feed"].append(A.shape)
+        return matvec(A, x)
+
+    monkeypatch.setattr(sweep, "realize_block", spy_realize)
+    monkeypatch.setattr(sweep, "cascade_block", spy_cascade)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(sweep, "matvec", spy_feed)
+    run_sweep(plan)
+    sizes = [32] * 9 + [12]
+    K, n_bs = plan.config.n_strong, plan.config.n_bs
+    assert calls == {
+        "realize": [16] * 10,
+        "cascade": [32, 64, 128, 256] * 10,
+        "eigh": sizes,
+        "feed": [(size, K, n_bs) for size in sizes],
+    }
 
 
 # ------------------------------------------------------------------ offset
@@ -614,12 +660,14 @@ def test_element_point_does_not_depend_on_the_grid():
 def test_sweep_draws_equal_the_reference_definition(
     monkeypatch, variable, values, frozen
 ):
-    # every block the sweep realizes, at every point and partial last block
-    # included, equals sample_realization / random_phases on default_rng of
-    # rep_seeds; the run computes every stream start in one seeding pass,
-    # builds one SeedSequence (its self-check) and reads each stream once
+    # every block the sweep realizes or cascades, at every point and partial
+    # last block included, equals sample_realization / random_phases on
+    # default_rng of rep_seeds; the run computes every stream start in one
+    # seeding pass, builds one SeedSequence (its self-check) and reads each
+    # stream once
     monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
-    draws, realized, phases, passes, built = [], [], [], [], Counter()
+    draws, realized, cascaded, phases, passes = [], [], [], [], []
+    built = Counter()
 
     def spy_draw(cfg, streams, positions=None, pathlosses=None):
         drawn = draw_block(cfg, streams, positions, pathlosses)
@@ -631,6 +679,12 @@ def test_sweep_draws_equal_the_reference_definition(
         real = realize_block(cfg, positions, pl, x)
         realized.append((cfg, reps, frozen_positions, real))
         return real
+
+    def spy_cascade(cfg, pl, x):
+        reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
+        H_c = channel.cascade_block(cfg, pl, x)
+        cascaded.append((cfg, reps, frozen_positions, H_c))
+        return H_c
 
     def spy_phases(streams, n_ris):
         theta = random_phase_block(streams, n_ris)
@@ -649,6 +703,7 @@ def test_sweep_draws_equal_the_reference_definition(
 
     monkeypatch.setattr(sweep, "draw_block", spy_draw)
     monkeypatch.setattr(sweep, "realize_block", spy_realize)
+    monkeypatch.setattr(sweep, "cascade_block", spy_cascade)
     monkeypatch.setattr(sweep, "random_phase_block", spy_phases)
     monkeypatch.setattr(sweep, "stream_states", spy_states)
     monkeypatch.setattr(channel, "_rep_seed", spy_rep_seed)
@@ -667,10 +722,22 @@ def test_sweep_draws_equal_the_reference_definition(
     assert [rep for _, reps, _ in draws for rep in reps] == list(range(8))
 
     # blocks outside, points inside: each block is realized at every point
-    # that has a scenario of its own; a ptx_dbm or xi sweep has one scenario
+    # that has a scenario of its own (a ptx_dbm or xi sweep has one
+    # scenario), except at an n_ris sweep's later points, which build only
+    # their cascade
     drawn_points = 1 if variable in ("ptx_dbm", "xi") else len(values)
-    sizes = [len(reps) for _, reps, _, _ in realized]
-    assert sizes == [size for size in (3, 3, 2) for _ in range(drawn_points)]
+    cascade_points = drawn_points - 1 if variable == "n_ris" else 0
+    for built_points, points in (
+        (realized, drawn_points - cascade_points),
+        (cascaded, cascade_points),
+    ):
+        sizes = [len(reps) for _, reps, _, _ in built_points]
+        assert sizes == [size for size in (3, 3, 2) for _ in range(points)]
+    for cfg, reps, positions, H_c in cascaded:
+        for i, rep in enumerate(reps):
+            ch_ss, _ = rep_seeds(cfg.seed, rep)
+            want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
+            assert np.array_equal(H_c[i], want.H_c)
     for cfg, reps, positions, real in realized:
         assert (positions is not None) == frozen
         for i, rep in enumerate(reps):
