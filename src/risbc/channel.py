@@ -16,9 +16,11 @@ physical (it multiplies the already-normalized RIS-user channels).
 Matrix rows follow the broadcast-channel convention: row k of a channel
 matrix stores the Hermitian-transposed user channel h_k^H.
 
-Replication `rep` of the run seeded `seed` draws its channel from
-rep_seeds(seed, rep)[0] and its random phases from rep_seeds(seed, rep)[1].
-A run does not build a SeedSequence and a PCG64 for each of them:
+Replication `rep` of the run seeded `seed` draws its channel from the
+stream SeedSequence([seed, rep], spawn_key=(CHANNEL,)) and its random
+phases from SeedSequence([seed, rep], spawn_key=(PHASE,)), the two spawned
+children of SeedSequence([seed, rep]).  A run does not build a
+SeedSequence and a PCG64 for each of them:
 `stream_states` computes where every replication's two streams start in one
 array pass (the SeedSequence hash on uint32 arrays, then PCG64's set-seed
 step on Python ints).  Both are fixed integer functions, and numpy keeps the
@@ -150,36 +152,68 @@ class ScenarioConfig:
             raise ValueError(f"unknown power_divisor {self.power_divisor!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self._check_links()
+        # a distance or gain beyond the float range is reported, not warned of
+        with np.errstate(over="ignore"):
+            self._check_links()
 
     def _check_links(self):
         """Reject geometry that puts a link at distance 0, or so close that
         its log-distance model gives a pathloss below 0 dB (a gain): the
         BS-RIS link, and the closest point of the user circle to the BS and
-        to the RIS."""
+        to the RIS.  Also reject gains outside the float range: the noise
+        power, L_G and, at the closest and the farthest point of the user
+        circle, the strong users' noise-normalized direct gains and every
+        user's RIS gain must be finite and positive (`nominal_pathlosses`
+        forms them; the weak user's direct gain may be 0)."""
+        sigma2 = db_to_lin(self.noise_dbm)
+        if not 0.0 < sigma2 < np.inf:
+            raise ValueError(
+                f"noise_dbm = {self.noise_dbm:g} gives a noise power of "
+                f"{sigma2:g} mW; it must be finite and positive"
+            )
         bs = np.asarray(self.bs_pos, dtype=float)
         ris = np.asarray(self.ris_pos, dtype=float)
         users = "the user circle (user_circle_center, user_circle_radius)"
+        # per link: its ends, the closest (and the farthest) distance between
+        # them, its pathloss model, and the gain that model sets with the
+        # gain's extra loss in dB and divisor (the noise power, or 1 for L_G)
         links = (
-            ("ris_pos", "bs_pos", np.linalg.norm(ris - bs), "pl_los"),
-            (users, "bs_pos", self._circle_distance(bs), "pl_direct"),
-            (users, "ris_pos", self._circle_distance(ris), "pl_ris_user"),
+            ("ris_pos", "bs_pos", (np.linalg.norm(ris - bs),), "pl_los",
+             "the BS-RIS gain L_G", 0.0, 1.0),
+            (users, "bs_pos", self._circle_distances(bs), "pl_direct",
+             "a strong user's direct gain (direct_extra_loss_db, noise_dbm)",
+             self.direct_extra_loss_db, sigma2),
+            (users, "ris_pos", self._circle_distances(ris), "pl_ris_user",
+             "a user's RIS gain (noise_dbm)", 0.0, sigma2),
         )
-        for source, target, d, model in links:
-            loss = pathloss_db(getattr(self, model), d) if d > 0 else -np.inf
-            if loss < 0.0:
+        for source, target, d, model, name, extra, noise in links:
+            loss = pathloss_db(getattr(self, model), d) if d[0] > 0 else [-np.inf]
+            if loss[0] < 0.0:
                 raise ValueError(
-                    f"{source} comes within {d:.3g} m of {target}, where "
-                    f"{model} gives a pathloss of {loss:.3g} dB; every link "
+                    f"{source} comes within {d[0]:.3g} m of {target}, where "
+                    f"{model} gives a pathloss of {loss[0]:.3g} dB; every link "
                     "needs a pathloss of at least 0 dB"
                 )
+            gain = db_to_lin(-(loss + extra)) / noise
+            ok = (gain > 0.0) & (gain < np.inf)
+            if not ok.all():
+                i = np.argmin(ok)  # the first distance out of range
+                raise ValueError(
+                    f"{source} at {d[i]:.3g} m from {target}: {model} gives "
+                    f"{name} of {gain[i]:.3g}, which must be finite and positive"
+                )
 
-    def _circle_distance(self, point) -> float:
-        """Distance from a point to the closest point of the user circle
-        (the disc of user positions at the height of its center)."""
+    def _circle_distances(self, point) -> tuple:
+        """Distances from a point to the closest and the farthest point of
+        the user circle (the disc of user positions at the height of its
+        center)."""
         offset = point - np.asarray(self.user_circle_center, dtype=float)
-        radial = max(np.hypot(offset[0], offset[1]) - self.user_circle_radius, 0.0)
-        return float(np.hypot(radial, offset[2]))
+        center = np.hypot(offset[0], offset[1])
+        radius = self.user_circle_radius
+        return tuple(
+            float(np.hypot(radial, offset[2]))
+            for radial in (max(center - radius, 0.0), center + radius)
+        )
 
     @property
     def n_users(self) -> int:
@@ -213,18 +247,13 @@ class ChannelRealization:
     """One fading draw of all channels (rows are h^H, noise-normalized).
 
     A stack of draws (`realize_block`) carries a leading batch axis on
-    every array but the shared steering vectors a and b.
+    every array but the shared BS-side steering vector b.
     """
 
     H_d_strong: np.ndarray  # [K, N_B] strong users' direct channels
     h_d_weak: np.ndarray  # [N_B] weak user's attenuated direct channel
-    H_r: np.ndarray  # [K+1, N_R] RIS-user channels
-    a: np.ndarray  # [N_R] RIS-side steering, ||a||^2 = N_R
     b: np.ndarray  # [N_B] BS-side steering, ||b|| = 1
-    L_G: float  # physical linear BS-RIS pathloss
     H_c: np.ndarray  # [K+1, N_R] cascaded channels sqrt(L_G N_B) h_r^H diag(a)
-    pathlosses: PathlossSet = None
-    positions: np.ndarray = None  # [K+1, 3] user positions in meters
 
 
 # =========================================================================
@@ -232,7 +261,7 @@ class ChannelRealization:
 # =========================================================================
 
 
-# Indices of a replication's two streams in rep_seeds.
+# Spawn keys of a replication's two streams.
 CHANNEL, PHASE = 0, 1
 
 # Replication indices are hashed as one 32-bit entropy word.
@@ -241,16 +270,6 @@ MAX_REP = 2**32 - 1
 
 def _rep_seed(seed: int, rep: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, rep], spawn_key=(stream,))
-
-
-def rep_seeds(seed: int, rep: int) -> list:
-    """[channel, phase] seed sequences of replication `rep` of a seeded run.
-
-    The two children of SeedSequence([seed, rep]), built directly from their
-    spawn keys: a replication's channel draw and randomized phase draw are
-    independent of each other and of every other replication.
-    """
-    return [_rep_seed(seed, rep, stream) for stream in (CHANNEL, PHASE)]
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
@@ -359,7 +378,7 @@ def stream_states(seed: int, reps) -> Streams:
     MAX_REP]) of the run seeded `seed`, from one array pass.
 
     Stream `stream` of replication `rep` starts where
-    PCG64(rep_seeds(seed, rep)[stream]) does: the SeedSequence hash and the
+    PCG64(SeedSequence([seed, rep], spawn_key=(stream,))) does: the SeedSequence hash and the
     PCG64 set-seed step are fixed integer functions, whose streams numpy
     keeps stable (NEP 19).  The generator is built from the first
     replication's own SeedSequence, and a RuntimeError is raised if its
@@ -458,14 +477,6 @@ def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool):
     return z
 
 
-def _cascade(cfg: ScenarioConfig, L_G: float, a, H_r: np.ndarray, out: np.ndarray):
-    """The cascaded channels sqrt(L_G N_B) H_r diag(a) of RIS-user channels
-    H_r [..., K+1, N_R], written to out (H_r itself, or a new array)."""
-    H_c = np.multiply(np.sqrt(L_G * cfg.n_bs), H_r, out=out)
-    H_c *= a
-    return H_c
-
-
 def _variate_count(cfg: ScenarioConfig) -> int:
     """Standard normals per draw, laid out as `_fading` reads them."""
     return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
@@ -485,7 +496,7 @@ def sample_realization(
     if positions is None:
         positions = draw_user_positions(cfg, rng)
     x = rng.standard_normal(_variate_count(cfg))
-    return realize_block(cfg, positions, nominal_pathlosses(cfg, positions), x)
+    return realize_block(cfg, nominal_pathlosses(cfg, positions), x)
 
 
 def draw_block(
@@ -498,10 +509,12 @@ def draw_block(
 
     Returns (positions [len(streams), K+1, 3], their PathlossSet, x
     [len(streams), 2(K+1)(N_B+N_R)]): draw i of
-    realize_block(cfg, positions, pathlosses, x) is, bit for bit,
-    sample_realization(cfg, default_rng(rep_seeds(seed, streams.reps[i])[0]),
-    positions).  Each replication's channel stream is read in the loop (its
-    2(K+1) position uniforms, then row i of x); the block's positions then
+    realize_block(cfg, pathlosses, x) is, bit for bit,
+    sample_realization(cfg, rng, positions) of the generator
+    rng = default_rng(SeedSequence([seed, streams.reps[i]],
+    spawn_key=(CHANNEL,))), and positions[i] the positions it draws.  Each
+    replication's channel stream is read in the loop (its 2(K+1) position
+    uniforms, then row i of x); the block's positions then
     come from all the uniforms in one array pass (`user_positions`).  Frozen
     positions [K+1, 3] are broadcast to every draw and read no uniforms, and
     so are their pathlosses: `pathlosses` if given (a run of many blocks
@@ -527,49 +540,44 @@ def draw_block(
     return np.broadcast_to(positions, (*draws, 3)), pl, x
 
 
-def realize_block(
-    cfg: ScenarioConfig, positions: np.ndarray, pl: PathlossSet, x: np.ndarray
-) -> ChannelRealization:
+def realize_block(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray) -> ChannelRealization:
     """The realization of scenario `cfg` from drawn variates.
 
-    positions, pl and x are a `draw_block` result for a scenario with the
-    same K and geometry and at least cfg's N_B and N_R, or one draw's
-    positions [K+1, 3], pathlosses and normals; only the prefix
+    pl and x are the pathlosses and normals of a `draw_block` result for a
+    scenario with the same K and geometry and at least cfg's N_B and N_R,
+    or one draw's pathlosses and normals; only the prefix
     x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry x's
-    leading axes (a and b are shared).  A caller that passes its only
-    reference to x has the variates freed before H_c is allocated, so a
-    block's peak memory holds one copy of each stack.
+    leading axes (b is shared).  H_c comes from `cascade_block`.  A caller
+    that passes its only reference to x has the variates freed on return,
+    so a block's peak memory holds one copy of each stack.
     """
-    H_d_all, H_r = _fading(cfg, pl, x, False), _fading(cfg, pl, x, True)
-    del x
-    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    H_d_all = _fading(cfg, pl, x, False)
     return ChannelRealization(
         H_d_strong=H_d_all[..., : cfg.n_strong, :],
         h_d_weak=H_d_all[..., cfg.n_strong, :],
-        H_r=H_r,
-        a=a,
         b=steering_vector(cfg.n_bs, cfg.aod, norm="unit"),
-        L_G=pl.L_G,
-        H_c=_cascade(cfg, pl.L_G, a, H_r, np.empty_like(H_r)),
-        pathlosses=pl,
-        positions=positions,
+        H_c=cascade_block(cfg, pl, x),
     )
 
 
 def cascade_block(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray) -> np.ndarray:
-    """realize_block(cfg, positions, pl, x).H_c [B, K+1, N_R], bit for bit
-    (the same operations in the same order), built alone: no direct
-    channels, and H_r is scaled into H_c in place."""
-    a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
-    H_r = _fading(cfg, pl, x, True)
-    return _cascade(cfg, pl.L_G, a, H_r, H_r)
+    """The cascaded channels sqrt(L_G N_B) H_r diag(a) [..., K+1, N_R] of
+    the RIS-user channels H_r that variates x give (`realize_block`'s
+    arguments), with a the RIS-side steering vector (||a||^2 = N_R): the
+    one builder of H_c, which `realize_block` calls and an n_ris sweep's
+    later points call alone.  H_r is scaled into H_c in place."""
+    H_c = _fading(cfg, pl, x, True)
+    np.multiply(np.sqrt(pl.L_G * cfg.n_bs), H_c, out=H_c)
+    H_c *= steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    return H_c
 
 
 def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:
     """Random phases [len(streams), N_R] of replications `streams.reps`.
 
     Row i equals, bit for bit, exp(1j * rng.uniform(0, 2 pi, n_ris)) of
-    rng = np.random.default_rng(rep_seeds(seed, streams.reps[i])[1]): angles
+    rng = default_rng(SeedSequence([seed, streams.reps[i]],
+    spawn_key=(PHASE,))): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
     The uniforms are drawn in order, so the phases of fewer elements are a
     prefix of each row.

@@ -33,7 +33,6 @@ from .se import (
     DecompositionCache,
     check_phase_shape,
     extended_phases,
-    rate_terms,
     require_invertible,
 )
 
@@ -64,12 +63,6 @@ def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
 # =========================================================================
 # mitigation-aware optimizer
 # =========================================================================
-
-
-def mitigation_aware_objective(cache: DecompositionCache, theta: np.ndarray) -> float:
-    """f(theta) = weak gain / (1 + mitigation); p_bar-independent."""
-    terms = rate_terms(cache, theta)
-    return float(terms.g / (1.0 + terms.mitigation()))
 
 
 def _mm_operands(cache: DecompositionCache):

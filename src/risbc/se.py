@@ -26,11 +26,13 @@ p_bar enters only at the last step.  Every rate is a function of a draw's
 weak gain g = |h_c,K+1^H theta|^2 and the DPC cross terms
 cross = |U^H (H_c^s theta + c)|^2, whose sum_k cross_k / lambda_k is the
 mitigation term that only linear precoding pays.  `rate_terms(cache, theta)`
-forms them and `rates(terms, p_bar, precoder, mode)` holds the four rate
-formulas; `sum_se` applies both to a draw, and the batched sweep keeps each
-strategy's terms and calls `rates` once per method on the vector of its
-powers.  The decomposition, the phases, the terms and the rates broadcast
-over leading batch axes, so one call serves one draw or a stack of draws.
+forms them once per draw and phases; `rates(terms, p_bar, precoder, mode)`
+holds the four rate formulas and `delta_se(terms)` the DPC-over-ZF gap, so
+every rate quantity of a draw reads one record.  The batched sweep keeps
+each strategy's terms and calls `rates` once per method on the vector of
+its powers.  The decomposition, the phases, the terms and the rates
+broadcast over leading batch axes, so one call serves one draw or a stack
+of draws.
 """
 
 from dataclasses import dataclass, replace
@@ -294,37 +296,22 @@ def rates(terms: RateTerms, p_bar, precoder: str, mode: str) -> tuple:
     return direct + reflect, direct, reflect
 
 
-def sum_se(cache, theta, p_bar: float, precoder: str, mode: str) -> tuple:
-    """`rates` of a draw's cache at phases theta; a cache and phases with
-    leading batch axes give one rate per draw."""
-    return rates(rate_terms(cache, theta), p_bar, precoder, mode)
-
-
-def zf_inverted_gains(cache: DecompositionCache, theta) -> np.ndarray:
-    """Inverted channel gains e_k^T (H H^H)^{-1} e_k of zero-forcing.
-
-    Strong users get the diagonal of C_s^{-1}; the weak user gets
-    (1 + mitigation) / |h_c,K+1^H theta|^2.
-    """
-    terms = rate_terms(cache, theta)
-    require_invertible(terms.eigvals)
-    return _zf_gains(terms)
-
-
 # =========================================================================
 # DPC - ZF gap terms
 # =========================================================================
 
 
-def delta_se(cache: DecompositionCache, theta) -> tuple:
-    """High-SNR DPC-over-ZF gap, split into direct and reflected parts.
+def delta_se(terms: RateTerms) -> tuple:
+    """High-SNR DPC-over-ZF gap of a draw's terms, split into direct and
+    reflected parts (C_s must be invertible, `require_invertible`):
 
     delta_d = log2 det(C_s) + sum_k log2([C_s^{-1}]_kk)   (>= 0)
     delta_r = log2(1 + mitigation)                        (>= 0)
-    A stack of draws gives one pair per draw.
+
+    It is, up to rounding, the asymptotic DPC rate minus the asymptotic ZF
+    rate at any p_bar.  Terms of a stack of draws give one pair per draw.
     """
-    require_invertible(cache.eigvals)
-    terms = rate_terms(cache, theta)
+    require_invertible(terms.eigvals)
     delta_d = np.sum(np.log2(terms.eigvals) + np.log2(terms.inv_diag), axis=-1)
     delta_r = np.log2(1.0 + terms.mitigation())
     return delta_d, delta_r

@@ -4,8 +4,9 @@ Runs a grid of (precoder, phase strategy, evaluation mode) methods over one
 swept scenario variable with paired randomness: at a given replication every
 method sees the same channel draw and, for randomized strategies, the same
 phase draw, so method differences are never masked by sampling noise.  The
-channel and phase substreams are the `rep_seeds(seed, rep)` children of
-SeedSequence([seed, rep]) and are therefore independent of the method list.
+channel and phase streams of replication rep are SeedSequence([seed, rep],
+spawn_key=(stream,)) with stream `channel.CHANNEL` or `channel.PHASE`, and
+are therefore independent of the method list.
 
 A sweep runs in two stages.  Stage 1 draws the replications in blocks of
 BLOCK_REPS and reduces them at every stage-1 point, a scenario plus a feed
@@ -14,18 +15,17 @@ H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
 block (weak rows included), masks the flagged draws out of it if there are
 any, takes every strategy's phases from `select_phases` (the random ones
 are the block's phase draws) and reduces each draw to its rates' terms that
-do not depend on transmit power (`se.rate_terms`: eigvals(C_s), diag(C_s^{-1}) and, per
-strategy, the weak gain and the DPC cross terms).  The divisor is 1.0 at a
-scenario's own b; an xi sweep realizes its one scenario, takes the feed
-c(0) once per block (`se.row_space_feed`, one SVD per draw) and divides it
-by sqrt(1 + xi^2) at each xi.  Transmit power enters only stage 2, so a
-`ptx_dbm` sweep has one stage-1 point that every power shares.  Stage 2
-evaluates each method once per stage-1 point with `se.rates`, as
-`se.sum_se` does for a draw, at the vector of powers that share the point
-(all of a `ptx_dbm` sweep's, one elsewhere), and takes the row statistics
-of the rates [P, R] along the draw axis.  It raises if a row would not be
-finite, or if one of its means is negative (a high-SNR form at a power too
-low for it).
+do not depend on transmit power (`se.rate_terms`: eigvals(C_s),
+diag(C_s^{-1}) and, per strategy, the weak gain and the DPC cross terms).
+The divisor is 1.0 at a scenario's own b; an xi sweep realizes its one
+scenario, takes the feed c(0) once per block (`se.row_space_feed`, one SVD
+per draw) and divides it by sqrt(1 + xi^2) at each xi.  Transmit power
+enters only stage 2, so a `ptx_dbm` sweep has one stage-1 point that every
+power shares.  Stage 2 evaluates each method once per stage-1 point with
+`se.rates` at the vector of powers that share the point (all of a `ptx_dbm`
+sweep's, one elsewhere), and takes the row statistics of the rates [P, R]
+along the draw axis.  It raises if a row would not be finite, or if one of
+its means is negative (a high-SNR form at a power too low for it).
 
 Each replication's streams are drawn once per run.  Where they start is
 computed for the whole run in one pass (`channel.stream_states`, which
@@ -233,14 +233,12 @@ def _reduce(plan: SweepPlan, strategies) -> list:
         if any(kind in RANDOM_STRATEGIES for kind in strategies):
             block_theta = random_phase_block(streams[block], largest.n_ris)
         # *x holds the variates in a list, so the last scenario can pop the
-        # only reference and realize_block frees them before its channels
-        positions, pathlosses, *x = draw_block(largest, streams[block], frozen, frozen_pl)
+        # only reference and realize_block's return frees them
+        _, pathlosses, *x = draw_block(largest, streams[block], frozen, frozen_pl)
         factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
             if factor is None:
-                real = realize_block(
-                    cfg, positions, pathlosses, x.pop() if cfg is largest else x[0]
-                )
+                real = realize_block(cfg, pathlosses, x.pop() if cfg is largest else x[0])
                 H_d, H_c = real.H_d_strong, real.H_c
                 feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
                 del real
@@ -370,7 +368,8 @@ def power_split_offset_check(
     streams = stream_states(cfg.seed, range(reps))
     offsets = []
     for block in _blocks(reps):
-        real = realize_block(cfg, *draw_block(cfg, streams[block], positions, pathlosses))
+        _, pl, x = draw_block(cfg, streams[block], positions, pathlosses)
+        real = realize_block(cfg, pl, x)
         H_d = real.H_d_strong
         _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
         alone = logdet / np.log(2.0) + K * np.log2(p_strong)

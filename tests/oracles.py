@@ -10,8 +10,8 @@ mitigation-aware objective and the dense gradient and Hessian of that
 objective in the phases), or takes a direct numpy route the runtime code
 avoids (the element-wise coordinate ascent that the batched optimizer is
 measured against, the one-draw random phases that the block draw is
-measured against), so that a test can check a shortcut against the
-textbook formula.
+measured against, and numpy's own seeding of a replication's streams),
+so that a test can check a shortcut against the textbook formula.
 """
 
 import numpy as np
@@ -353,8 +353,18 @@ def reference_e1(x: float, scaled: bool = False) -> float:
 
 
 # =========================================================================
-# random phases of one draw
+# numpy's seeding of a replication, and random phases of one draw
 # =========================================================================
+
+
+def rep_seeds(seed: int, rep: int) -> list:
+    """[channel, phase] seed sequences of replication `rep` of a seeded run:
+    numpy's own spawned children of SeedSequence([seed, rep]), the
+    definition that `channel.stream_states` computes the starts of in one
+    array pass.  A replication's channel draw and random phase draw are
+    independent of each other and of every other replication."""
+    return np.random.SeedSequence([seed, rep]).spawn(2)
+
 
 
 def random_phases(n_ris: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,6 +413,13 @@ def mitigation_matrix(cache: DecompositionCache) -> tuple:
     Q = cache.D_s.conj().T @ np.linalg.solve(C_s, cache.D_s)
     a = np.append(cache.h_c_weak.conj(), 0.0)
     return 0.5 * (Q + Q.conj().T), a
+
+
+def dense_objective(cache: DecompositionCache, theta: np.ndarray) -> float:
+    """f(theta) of one draw from the dense Q and a (`mitigation_matrix`)."""
+    Q, a = mitigation_matrix(cache)
+    tb = np.append(theta, 1.0)
+    return abs(np.vdot(a, tb)) ** 2 / (1.0 + np.real(np.vdot(tb, Q @ tb)))
 
 
 def relaxed_maximizer(cache: DecompositionCache) -> np.ndarray:

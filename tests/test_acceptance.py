@@ -40,19 +40,8 @@ from risbc.channel import (
     sample_realization,
 )
 from risbc.linalg import eigh_descending
-from risbc.phases import (
-    align_weak_user,
-    mitigation_aware_objective,
-    optimize_mitigation_aware,
-)
-from risbc.se import (
-    DecompositionCache,
-    decompose,
-    delta_se,
-    rate_terms,
-    sum_se,
-    zf_inverted_gains,
-)
+from risbc.phases import align_weak_user, optimize_mitigation_aware
+from risbc.se import DecompositionCache, decompose, delta_se, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, power_split_offset_check, run_sweep
 
 
@@ -81,11 +70,19 @@ def instances(tag, count):
         yield cfg, real, theta
 
 
+def objective(cache, theta):
+    """The mitigation-aware objective f = g / (1 + mitigation) at theta."""
+    terms = rate_terms(cache, theta)
+    return terms.g / (1.0 + terms.mitigation())
+
+
 def test_criterion_01_zf_gains_match_generic_inverse(capsys):
     start = time.perf_counter()
     worst = 0.0
     for cfg, real, theta in instances(9101, 500):
-        gains = zf_inverted_gains(decompose(real), theta)
+        # diag(C_s^{-1}), then the weak user's (1 + mitigation) / g
+        terms = rate_terms(decompose(real), theta)
+        gains = np.append(terms.inv_diag, (1.0 + terms.mitigation()) / terms.g)
         H = compose_channel(real, theta)
         direct = np.real(np.diag(np.linalg.inv(H @ H.conj().T)))
         worst = max(worst, float(np.max(np.abs(gains - direct) / direct)))
@@ -102,7 +99,7 @@ def test_criterion_02_dpc_eigenform_matches_logdet(capsys):
     worst = 0.0
     for cfg, real, theta in instances(9102, 500):
         p_bar = cfg.p_bar()
-        closed, _, _ = sum_se(decompose(real), theta, p_bar, "DPC", "exact")
+        closed, _, _ = rates(rate_terms(decompose(real), theta), p_bar, "DPC", "exact")
         generic = se_dpc_logdet(compose_channel(real, theta), p_bar)
         worst = max(worst, abs(closed - generic) / abs(generic))
     ok = worst <= 1e-10
@@ -123,7 +120,7 @@ def test_criterion_03_dpc_projection_split_identity(capsys):
         used += 1
         p_bar = cfg.p_bar()
         split = se_dpc_orthogonal_form(real, theta, p_bar)
-        gram, _, _ = sum_se(cache, theta, p_bar, "DPC", "asymptotic")
+        gram, _, _ = rates(rate_terms(cache, theta), p_bar, "DPC", "asymptotic")
         worst = max(worst, abs(split - gram) / abs(gram))
     ok = worst <= 1e-10 and used >= 100
     _report(
@@ -138,15 +135,15 @@ def test_criterion_04_exact_converges_to_asymptotic(capsys):
     real = sample_realization(cfg, np.random.default_rng([9104, 0]))
     cache = decompose(real)
     assert cache.cond() < 1e6  # well-conditioned draw
-    theta = align_weak_user(cache.h_c_weak)
+    terms = rate_terms(cache, align_weak_user(cache.h_c_weak))
     p_40dbm = db_to_lin(40.0) / cfg.n_users
 
     gaps = {"ZF": [], "DPC": []}
     for decade in range(5):
         p_bar = p_40dbm * 10.0**decade
         for method in gaps:
-            exact = sum_se(cache, theta, p_bar, method, "exact")[0]
-            asym = sum_se(cache, theta, p_bar, method, "asymptotic")[0]
+            exact = rates(terms, p_bar, method, "exact")[0]
+            asym = rates(terms, p_bar, method, "asymptotic")[0]
             gaps[method].append(abs(exact - asym))
     ok = all(
         g[0] < 0.1 and all(b < a for a, b in zip(g, g[1:])) for g in gaps.values()
@@ -308,13 +305,13 @@ def test_criterion_10_gap_decomposition(capsys):
     worst_gap = 0.0
     min_delta = np.inf
     for cfg, real, theta in instances(9110, 100):
-        cache = decompose(real)
-        d_d, d_r = delta_se(cache, theta)
+        terms = rate_terms(decompose(real), theta)
+        d_d, d_r = delta_se(terms)
         min_delta = min(min_delta, d_d, d_r)
         p_bar = cfg.p_bar()
         gap = (
-            sum_se(cache, theta, p_bar, "DPC", "asymptotic")[0]
-            - sum_se(cache, theta, p_bar, "ZF", "asymptotic")[0]
+            rates(terms, p_bar, "DPC", "asymptotic")[0]
+            - rates(terms, p_bar, "ZF", "asymptotic")[0]
         )
         worst_gap = max(
             worst_gap, abs(d_d + d_r - gap) / max(1.0, abs(gap))
@@ -326,7 +323,7 @@ def test_criterion_10_gap_decomposition(capsys):
     D = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     w, U = eigh_descending(C_s)
     cache = DecompositionCache(H_c=D[:, :-1], c=D[:-1, -1], eigvals=w, eigvecs=U)
-    d_diag, _ = delta_se(cache, np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+    d_diag, _ = delta_se(rate_terms(cache, np.exp(1j * rng.uniform(0, 2 * np.pi, 4))))
 
     ok = min_delta >= -1e-12 and worst_gap <= 1e-10 and abs(d_diag) <= 1e-12
     _report(
@@ -346,9 +343,9 @@ def test_criterion_11_optimizer_monotone_and_grid_optimal(capsys):
         real = sample_realization(cfg, np.random.default_rng([9111, i]))
         cache = decompose(real)
         init = align_weak_user(cache.h_c_weak)
-        f_init = mitigation_aware_objective(cache, init)
+        f_init = objective(cache, init)
         theta = optimize_mitigation_aware(cache, init)
-        f_opt = mitigation_aware_objective(cache, theta)
+        f_opt = objective(cache, theta)
         worst_rel = min(worst_rel, (f_opt - f_init) / f_init)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
@@ -360,7 +357,7 @@ def test_criterion_11_optimizer_monotone_and_grid_optimal(capsys):
         cache = decompose(real)
         h_c_weak = cache.h_c_weak
         theta = optimize_mitigation_aware(cache, align_weak_user(h_c_weak))
-        f_opt = mitigation_aware_objective(cache, theta)
+        f_opt = objective(cache, theta)
         C_s = projected_gram(real.H_d_strong, real.b)
         best = 0.0
         for t1 in e1:
@@ -402,14 +399,13 @@ def test_supplementary_attenuated_weak_row_is_negligible(capsys):
         real = sample_realization(cfg, rng)
         cache = decompose(real)
         theta = align_weak_user(cache.h_c_weak)
+        terms = rate_terms(cache, theta)
         p_bar = cfg.p_bar()
         H_att = compose_channel(real, theta, idealized=False)
         worst = max(
             worst,
-            abs(se_zf_generic(H_att, p_bar)
-                - sum_se(cache, theta, p_bar, "ZF", "exact")[0]),
-            abs(se_dpc_logdet(H_att, p_bar)
-                - sum_se(cache, theta, p_bar, "DPC", "exact")[0]),
+            abs(se_zf_generic(H_att, p_bar) - rates(terms, p_bar, "ZF", "exact")[0]),
+            abs(se_dpc_logdet(H_att, p_bar) - rates(terms, p_bar, "DPC", "exact")[0]),
         )
     ok = worst < 0.05
     _report(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import random_phases
+from oracles import random_phases, rep_seeds
 import risbc.phases
 import risbc.sweep
 from risbc.channel import (
@@ -12,6 +12,7 @@ from risbc.channel import (
     MAX_REP,
     PHASE,
     ScenarioConfig,
+    _rep_seed,
     db_to_lin,
     draw_block,
     draw_user_positions,
@@ -21,7 +22,6 @@ from risbc.channel import (
     position_rng,
     random_phase_block,
     realize_block,
-    rep_seeds,
     sample_realization,
     steering_vector,
     stream_states,
@@ -88,6 +88,19 @@ def test_p_bar_divisor():
 # ------------------------------------------------------------------ sampling
 
 
+def ris_channels(cfg, rep):
+    """(H_r [K+1, N_R], a, L_G) of replication `rep` of the run seeded
+    cfg.seed, rebuilt from its channel stream: the positions' uniforms, the
+    direct fading's normals, then the RIS-user fading's real and imaginary
+    parts."""
+    rng = np.random.default_rng(rep_seeds(cfg.seed, rep)[CHANNEL])
+    pl = nominal_pathlosses(cfg, draw_user_positions(cfg, rng))
+    rng.standard_normal(2 * cfg.n_users * cfg.n_bs)
+    re, im = rng.standard_normal((2, cfg.n_users, cfg.n_ris))
+    H_r = np.sqrt(pl.L_r[:, None] / 2.0) * (re + 1j * im)
+    return H_r, steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n"), pl.L_G
+
+
 def test_positions_inside_circle():
     cfg = ScenarioConfig()
     pos = draw_user_positions(cfg, np.random.default_rng(0))
@@ -110,11 +123,12 @@ def test_realization_shapes_and_invariants():
     K = cfg.n_strong
     assert real.H_d_strong.shape == (K, 8)
     assert real.h_d_weak.shape == (8,)
-    assert real.H_r.shape == (K + 1, 16)
+    assert real.H_c.shape == (K + 1, 16)
     assert abs(np.linalg.norm(real.b) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(real.a) ** 2 - 16.0) < 1e-9
+    H_r, a, L_G = ris_channels(cfg, 0)
+    assert abs(np.linalg.norm(a) ** 2 - 16.0) < 1e-9
     # cascaded rows follow sqrt(L_G N_B) h_r^H diag(a)
-    expected = np.sqrt(real.L_G * cfg.n_bs) * real.H_r * real.a[None, :]
+    expected = np.sqrt(L_G * cfg.n_bs) * H_r * a[None, :]
     assert np.max(np.abs(real.H_c - expected)) < 1e-12
 
 
@@ -128,9 +142,8 @@ def test_fixed_seed_reproducibility():
     cfg = ScenarioConfig()
     r1 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
     r2 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
-    assert np.array_equal(r1.H_d_strong, r2.H_d_strong)
-    assert np.array_equal(r1.H_r, r2.H_r)
-    assert np.array_equal(r1.positions, r2.positions)
+    for name in ("H_d_strong", "h_d_weak", "H_c"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
 
 
 def test_frozen_positions_are_shared():
@@ -139,8 +152,10 @@ def test_frozen_positions_are_shared():
     (ch0, _), (ch1, _) = rep_seeds(0, 0), rep_seeds(0, 1)
     r1 = sample_realization(cfg, np.random.default_rng(ch0), positions=pos)
     r2 = sample_realization(cfg, np.random.default_rng(ch1), positions=pos)
-    assert np.array_equal(r1.positions, r2.positions)
-    assert not np.array_equal(r1.H_r, r2.H_r)
+    assert not np.array_equal(r1.H_c, r2.H_c)
+    positions, pl, _ = draw_block(cfg, stream_states(0, [0, 1]), pos)
+    assert np.array_equal(positions, [pos, pos])
+    assert np.array_equal(pl.L_r, [pl.L_r[0]] * 2)
 
 
 def test_frozen_positions_come_from_the_position_stream():
@@ -152,17 +167,16 @@ def test_frozen_positions_come_from_the_position_stream():
 
 
 def test_ris_channel_variance_matches_pathloss():
-    # law of large numbers: mean ||h_r,k||^2 / N_R approaches the linear gain
+    # law of large numbers: mean ||h_r,k||^2 / N_R approaches the linear gain,
+    # with |h_c,k,n|^2 = L_G N_B |h_r,k,n|^2 (|a_n| = 1)
     cfg = ScenarioConfig(n_ris=16, freeze_positions=True)
     pos = draw_user_positions(cfg, position_rng(cfg.seed))
     pl = nominal_pathlosses(cfg, pos)
-    acc = np.zeros(cfg.n_users)
     reps = 10_000
-    for r in range(reps):
-        ch_ss, _ = rep_seeds(cfg.seed, r)
-        real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
-        acc += np.sum(np.abs(real.H_r) ** 2, axis=1) / cfg.n_ris
-    rel = np.abs(acc / reps - pl.L_r) / pl.L_r
+    _, _, x = draw_block(cfg, stream_states(cfg.seed, range(reps)), pos)
+    H_c = realize_block(cfg, pl, x).H_c
+    power = np.sum(np.abs(H_c) ** 2, axis=-1) / (pl.L_G * cfg.n_bs * cfg.n_ris)
+    rel = np.abs(np.mean(power, axis=0) - pl.L_r) / pl.L_r
     assert np.all(rel < 0.02)
 
 
@@ -176,15 +190,16 @@ def test_distinct_seeds_uncorrelated():
 
 def test_composite_matches_cascaded_identity():
     # h_r^H Theta G x equals h_c^H theta b^H x for the rank-one LOS link
-    cfg = ScenarioConfig(n_bs=6, n_ris=12)
-    ch_ss, ph_ss = rep_seeds(3, 0)
+    cfg = ScenarioConfig(n_bs=6, n_ris=12, seed=3)
+    ch_ss, ph_ss = rep_seeds(cfg.seed, 0)
     real = sample_realization(cfg, np.random.default_rng(ch_ss))
+    H_r, a, L_G = ris_channels(cfg, 0)
     rng = np.random.default_rng(ph_ss)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, cfg.n_ris))
     x = rng.standard_normal(cfg.n_bs) + 1j * rng.standard_normal(cfg.n_bs)
-    G = np.sqrt(real.L_G * cfg.n_bs) * np.outer(real.a, real.b.conj())
+    G = np.sqrt(L_G * cfg.n_bs) * np.outer(a, real.b.conj())
     for k in range(cfg.n_users):
-        via_g = real.H_r[k] @ (np.diag(theta) @ G @ x)
+        via_g = H_r[k] @ (np.diag(theta) @ G @ x)
         via_c = (real.H_c[k] @ theta) * (real.b.conj() @ x)
         assert abs(via_g - via_c) < 1e-10 * max(1.0, abs(via_c))
 
@@ -202,9 +217,10 @@ def test_db_to_lin_roundtrip():
     "seed, rep", [(0, 0), (0, 1), (3, 7), (12345, 299), (2**40, 3)]
 )
 def test_rep_seeds_are_the_spawned_children(seed, rep):
-    want = np.random.SeedSequence([seed, rep]).spawn(2)
-    got = rep_seeds(seed, rep)
-    assert len(got) == 2
+    # the runtime builds each stream's SeedSequence from its spawn key
+    want = rep_seeds(seed, rep)
+    got = [_rep_seed(seed, rep, stream) for stream in (CHANNEL, PHASE)]
+    assert len(want) == 2
     for g, w in zip(got, want):
         assert g.entropy == w.entropy
         assert g.spawn_key == w.spawn_key
@@ -242,27 +258,40 @@ def test_stream_states_reject_replications_outside_one_word():
 
 
 def reference_draw(cfg, rep, positions=None):
-    """The defining per-draw realization of replication `rep`."""
+    """The defining per-draw realization of replication `rep`, its user
+    positions (the first uniforms of its stream, unless frozen ones are
+    given) and their pathlosses."""
     ch_ss, _ = rep_seeds(cfg.seed, rep)
-    return sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
+    real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=positions)
+    if positions is None:
+        positions = draw_user_positions(cfg, np.random.default_rng(ch_ss))
+    return positions, nominal_pathlosses(cfg, positions), real
+
+
+def assert_same_draws(got, want, index=()):
+    """The (positions, pathlosses, realization) triples are equal, taking
+    draw `index` of got's stacks."""
+    (got_pos, got_pl, got_real), (want_pos, want_pl, want_real) = got, want
+    assert np.array_equal(got_pos[index], want_pos)
+    for name in ("L_d", "L_r"):
+        assert np.array_equal(getattr(got_pl, name)[index], getattr(want_pl, name)), name
+    assert got_pl.L_G == want_pl.L_G
+    for name in ("H_d_strong", "h_d_weak", "H_c"):
+        assert np.array_equal(getattr(got_real, name)[index], getattr(want_real, name)), name
+    assert np.array_equal(got_real.b, want_real.b)
 
 
 def assert_block_is_reference(cfg, block, reps, positions=None):
-    assert block.H_r.shape == (len(reps), cfg.n_users, cfg.n_ris)
+    assert block[2].H_c.shape == (len(reps), cfg.n_users, cfg.n_ris)
     for i, rep in enumerate(reps):
-        want = reference_draw(cfg, rep, positions)
-        for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
-            assert np.array_equal(getattr(block, name)[i], getattr(want, name)), name
-        for name in ("L_d", "L_r"):
-            got = getattr(block.pathlosses, name)[i]
-            assert np.array_equal(got, getattr(want.pathlosses, name)), name
-        assert block.L_G == want.L_G
-        assert np.array_equal(block.a, want.a) and np.array_equal(block.b, want.b)
+        assert_same_draws(block, reference_draw(cfg, rep, positions), i)
 
 
 def drawn_block(cfg, reps, positions=None):
-    """The stacked draws of replications `reps` of the run seeded cfg.seed."""
-    return realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps), positions))
+    """(positions, pathlosses, realization) of the stacked draws of
+    replications `reps` of the run seeded cfg.seed."""
+    positions, pl, x = draw_block(cfg, stream_states(cfg.seed, reps), positions)
+    return positions, pl, realize_block(cfg, pl, x)
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -304,10 +333,9 @@ def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
     large = small.with_updates(**larger)
     positions = draw_user_positions(small, position_rng(13)) if frozen else None
     reps = [3, 0, 7, 0]
-    got = realize_block(small, *draw_block(large, stream_states(13, reps), positions))
-    want = drawn_block(small, reps, positions)
-    for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    got_positions, pl, x = draw_block(large, stream_states(13, reps), positions)
+    got = (got_positions, pl, realize_block(small, pl, x))
+    assert_same_draws(got, drawn_block(small, reps, positions), slice(None))
 
 
 def test_random_phase_block_prefixes():

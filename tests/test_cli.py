@@ -79,6 +79,18 @@ def one_error_line(capsys):
     return line
 
 
+@pytest.mark.parametrize(
+    "line", ["noise_dbm = -4000", "pl_los = 30, 2000", "ris_pos = 1e300, 0, 10"]
+)
+def test_gains_outside_the_float_range_exit_2_with_one_line(tmp_path, capsys, line):
+    # a noise power or L_G that underflows to 0 used to end in a traceback
+    # and exit 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[scenario]\n{line}\n[sweep]\nreps = 4\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert one_error_line(capsys).endswith("(line 2)")
+
+
 def test_missing_config_exits_2_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.ini"
     assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2

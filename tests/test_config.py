@@ -108,6 +108,35 @@ def test_links_need_a_pathloss_of_at_least_0_db():
         ScenarioConfig(user_circle_center=(100.0, 0.0, 9.99), user_circle_radius=1.0)
 
 
+@pytest.mark.parametrize(
+    "updates, message",
+    [
+        ({"noise_dbm": -4000.0}, r"noise_dbm = -4000 gives a noise power of 0 mW"),
+        ({"noise_dbm": 4000.0}, r"noise_dbm = 4000 gives a noise power of inf mW"),
+        ({"pl_los": (30.0, 2000.0)}, r"^ris_pos at 100 m from bs_pos: pl_los .* L_G of 0,"),
+        ({"ris_pos": (1e300, 0.0, 10.0)}, r"^ris_pos at inf m from bs_pos: .* L_G of 0,"),
+        (
+            {"direct_extra_loss_db": -5000.0},
+            r"at 90.9 m from bs_pos: pl_direct .*\(direct_extra_loss_db, noise_dbm\) of inf,",
+        ),
+        # the user circle's nearest point is 8.5 m below the BS, its farthest
+        # 1e200 m away
+        (
+            {"user_circle_radius": 1e200},
+            r"\(user_circle_center, user_circle_radius\) at 1e\+200 m from bs_pos: "
+            r"pl_direct .* of 0,",
+        ),
+        ({"noise_dbm": -3150.0}, r"at 10.5 m from ris_pos: pl_ris_user .* of inf,"),
+    ],
+    ids=["low_noise", "high_noise", "pl_los", "ris_pos", "direct_gain", "far_user", "ris_gain"],
+)
+def test_gains_must_be_finite_and_positive(updates, message):
+    # each used to fail mid-run: a noise power or L_G of 0 ended in a
+    # traceback on non-finite channels or an unreachable weak user
+    with pytest.raises(ValueError, match=message):
+        ScenarioConfig(**updates)
+
+
 def test_no_strong_user_rejected_with_line():
     with pytest.raises(ValueError, match=r"n_strong must be at least 1 \(line 3\)"):
         parse_config("[scenario]\nn_bs = 4\nn_strong = 0\n")

@@ -1,28 +1,23 @@
-"""Smoke tests: the demo scripts and the README quick start run to the end
-in-process."""
+"""The demo scripts print, byte for byte, the stdout committed in
+tests/golden/demos (`tests/golden/make.py` regenerates it), and the README
+quick start runs to the end in-process."""
 
 import re
-import runpy
 from pathlib import Path
 
 import pytest
 
+from golden.make import DEMOS, demo_golden, demo_output
+
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ROOT / "demos"
-
-SMOKE = (
-    "element_scaling",
-    "exact_vs_asymptotic",
-    "exponential_integral_bound",
-    "orthogonality_tradeoff",
-    "phase_strategies",
-)
 
 
-@pytest.mark.parametrize("name", SMOKE)
-def test_demo_runs(name, capsys):
-    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    got = demo_output(name)
+    want = demo_golden(name).read_text(encoding="utf-8")
+    assert got.strip()
+    assert got == want
 
 
 def test_readme_quick_start_runs(capsys):

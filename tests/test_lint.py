@@ -1,14 +1,18 @@
 """A small AST lint of the runtime package: no unused import, no private
 module-level name that nothing in the package refers to, no module
-importing another one's private name, and no public module-level name that
-nothing in the package, the tests or the demos refers to.
+importing another one's private name, no public module-level name that
+nothing in the package, the tests or the demos refers to, and no
+backticked `module.name` in a docstring or comment that the package's
+module does not define.
 
-The first two and the last are what a refactor leaves behind when it
-deletes the last caller of a helper or the last use of an import; the third
-is a decision that belongs in one module leaking into another.
+The first two, the fourth and the last are what a refactor leaves behind
+when it deletes the last caller of a helper, the last use of an import or
+a function that prose still cites; the third is a decision that belongs in
+one module leaking into another.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +82,8 @@ def _definitions(tree):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            # `A, B = 0, 1` binds both names
+            targets = [e for t in targets for e in getattr(t, "elts", [t])]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
@@ -95,6 +101,38 @@ def _imported_names(trees):
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _members(tree):
+    """{class: the names its body binds} of a module's module-level classes."""
+    return {
+        node.name: {name for _, name in _definitions(node)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+# a backticked `module.name` or `module.Class.member`
+_REFERENCE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`")
+
+
+def _stale_references(text, trees):
+    """(line, reference) of every backticked `module.name` in a module's
+    text whose module is one of `trees` ({file name: tree}) and defines no
+    module-level `name` (or `name.member` of a class).  Python code holds no
+    backticks, so each one is in a docstring, a comment or a message."""
+    for line, text_line in enumerate(text.splitlines(), 1):
+        for match in _REFERENCE.finditer(text_line):
+            module, defined, member = match.groups()
+            tree = trees.get(module + ".py")
+            if tree is None:
+                continue
+            if member is None:
+                ok = defined in {n for _, n in _definitions(tree)}
+            else:
+                ok = member in _members(tree).get(defined, ())
+            if not ok:
+                yield line, match.group(0).strip("`")
 
 
 def lint(sources, users=None):
@@ -131,6 +169,8 @@ def lint(sources, users=None):
                     findings.append(f"{name}:{line}: unreferenced private name {defined}")
             elif referenced is not None and defined not in referenced:
                 findings.append(f"{name}:{line}: unreferenced public name {defined}")
+        for line, reference in _stale_references(sources[name], trees):
+            findings.append(f"{name}:{line}: stale reference {reference}")
     return findings
 
 
@@ -197,3 +237,22 @@ def test_lint_accepts_uses_across_modules_and_in_annotations():
     }
     # the import of another module's private name is the one finding
     assert lint(sources) == ["b.py:1: private name _helper imported from .a"]
+
+
+def test_lint_finds_a_stale_reference():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\nLOW, HIGH = 0, 1\n\nclass Box:\n    size: int\n\n"
+            "    def fill(self):\n        pass\n"
+        ),
+        "b.py": (
+            '"""Reads `a.LIMIT`, `a.HIGH`, `a.Box`, `a.Box.size`, `a.Box.fill` and\n'
+            '`np.linalg`; `a.gone` and `a.Box.empty` are stale."""\n'
+            "# `a.old` too\n"
+        ),
+    }
+    assert lint(sources) == [
+        "b.py:2: stale reference a.gone",
+        "b.py:2: stale reference a.Box.empty",
+        "b.py:3: stale reference a.old",
+    ]

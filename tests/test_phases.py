@@ -9,18 +9,12 @@ from risbc.channel import (
     ScenarioConfig,
     draw_block,
     realize_block,
-    rep_seeds,
     sample_realization,
     stream_states,
 )
-from risbc.phases import (
-    align_weak_user,
-    mitigation_aware_objective,
-    optimize_mitigation_aware,
-    select_phases,
-)
+from risbc.phases import align_weak_user, optimize_mitigation_aware, select_phases
 from risbc.linalg import herm
-from risbc.se import decompose, extended_phases
+from risbc.se import decompose, extended_phases, rate_terms
 
 from oracles import (
     b_from_xi,
@@ -29,6 +23,7 @@ from oracles import (
     random_phases,
     reference_best_phase,
     reference_optimize_mitigation_aware,
+    rep_seeds,
 )
 
 
@@ -41,12 +36,19 @@ def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
 def block(seed, reps, **kw):
     """The decomposed block of replications 0..reps-1 of a scenario."""
     cfg = ScenarioConfig(seed=seed, **kw)
-    return decompose(realize_block(cfg, *draw_block(cfg, stream_states(seed, range(reps)))))
+    _, pl, x = draw_block(cfg, stream_states(seed, range(reps)))
+    return decompose(realize_block(cfg, pl, x))
+
+
+def objective(cache, theta):
+    """The mitigation-aware objective f = g / (1 + mitigation) at theta."""
+    terms = rate_terms(cache, theta)
+    return terms.g / (1.0 + terms.mitigation())
 
 
 def objectives(cache, theta):
     """f of every draw of a stack."""
-    return np.array([mitigation_aware_objective(cache[i], t) for i, t in enumerate(theta)])
+    return np.array([objective(cache[i], t) for i, t in enumerate(theta)])
 
 
 # ------------------------------------------------------------------ random
@@ -158,7 +160,7 @@ def test_best_phase_matches_dense_grid_on_real_draws():
             # the coefficients reproduce the objective of the real draw
             moved = theta.copy()
             moved[n] = x
-            assert f == pytest.approx(mitigation_aware_objective(cache, moved), rel=1e-10)
+            assert f == pytest.approx(oracles.dense_objective(cache, moved), rel=1e-10)
 
 
 def test_best_phase_keeps_an_optimal_current_angle():
@@ -191,8 +193,8 @@ def test_optimizer_monotone_from_init():
         init = align_weak_user(cache.h_c_weak)
         theta = optimize_mitigation_aware(cache, init)
         assert np.max(np.abs(np.abs(theta) - 1.0)) < 1e-12
-        f0 = mitigation_aware_objective(cache, init)
-        f1 = mitigation_aware_objective(cache, theta)
+        f0 = objective(cache, init)
+        f1 = objective(cache, theta)
         assert f1 >= f0 * (1.0 - 1e-9)
 
 
@@ -202,8 +204,8 @@ def test_optimizer_monotone_from_random_inits():
         _, _, cache = instance(seed, n_ris=6)
         init = random_phases(6, rng)
         theta = optimize_mitigation_aware(cache, init)
-        f0 = mitigation_aware_objective(cache, init)
-        f1 = mitigation_aware_objective(cache, theta)
+        f0 = objective(cache, init)
+        f1 = objective(cache, theta)
         assert f1 >= f0 * (1.0 - 1e-9)
 
 
@@ -386,7 +388,7 @@ def test_newton_model_matches_the_dense_derivatives():
 
 
 def test_newton_model_matches_central_differences():
-    # grad f against differences of f (`mitigation_aware_objective`), and
+    # grad f against differences of f (`objective`), and
     # -hess f against differences of grad f, along a few phases of each draw
     rng = np.random.default_rng(16)
     h = 1e-5
@@ -500,7 +502,7 @@ def test_optimizer_matches_dense_grid_on_toys():
         _, real, cache = instance(seed, n_bs=3, n_ris=2, n_strong=1)
         h_c_weak = cache.h_c_weak
         theta = optimize_mitigation_aware(cache, align_weak_user(h_c_weak))
-        f_opt = mitigation_aware_objective(cache, theta)
+        f_opt = objective(cache, theta)
         C_s = projected_gram(real.H_d_strong, real.b)
         best = 0.0
         for t1 in e1:
@@ -530,8 +532,8 @@ def test_select_phases_dispatch():
     t_align = select_phases("align_weak", cache, drawn)
     assert np.array_equal(t_align, align_weak_user(cache.h_c_weak))
     t_mit = select_phases("mitigation_aware", cache, drawn)
-    f_align = mitigation_aware_objective(cache, t_align)
-    f_mit = mitigation_aware_objective(cache, t_mit)
+    f_align = objective(cache, t_align)
+    f_mit = objective(cache, t_mit)
     assert f_mit >= f_align * (1.0 - 1e-9)
 
 

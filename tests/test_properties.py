@@ -19,7 +19,7 @@ from risbc.channel import (
     stream_states,
 )
 from risbc.phases import STRATEGIES, select_phases
-from risbc.se import decompose, rate_terms, rates, sum_se
+from risbc.se import decompose, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import b_from_xi
 from test_sweep import assert_sweep_matches
@@ -122,12 +122,12 @@ def stacks(draw):
 @hypothesis.settings(DERANDOMIZED, max_examples=50)
 @hypothesis.given(stacks())
 def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
-    # sum_se on a stack of draws gives each draw's own rates, rates at a
+    # the rates of a stack's terms are each draw's own rates, rates at a
     # vector of powers gives each power's rates bit for bit, and under every
     # strategy's phases DPC is at least ZF on every draw, in both modes
     cfg, xi, reps = stack
     p_bars = cfg.p_bar() * np.array([0.1, 1.0, 10.0, 1e3])
-    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
@@ -137,16 +137,17 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
     for kind in STRATEGIES:
         theta = select_phases(kind, cache, random_theta)
+        terms = rate_terms(cache, theta)
+        alone = [rate_terms(cache[i], theta[i]) for i in range(len(theta))]
         for mode in ("exact", "asymptotic"):
             total = {}
             for precoder in ("ZF", "DPC"):
-                stacked = sum_se(cache, theta, cfg.p_bar(), precoder, mode)
-                for i in range(len(theta)):
-                    alone = sum_se(cache[i], theta[i], cfg.p_bar(), precoder, mode)
-                    for got, want in zip(stacked, alone):
+                stacked = rates(terms, cfg.p_bar(), precoder, mode)
+                for i, terms_i in enumerate(alone):
+                    want_i = rates(terms_i, cfg.p_bar(), precoder, mode)
+                    for got, want in zip(stacked, want_i):
                         assert abs(got[i] - want) <= 1e-12 * abs(want)
                 total[precoder] = stacked[0]
-                terms = rate_terms(cache, theta)
                 swept = rates(terms, p_bars, precoder, mode)
                 for j, p_bar in enumerate(p_bars):
                     for got, want in zip(swept, rates(terms, p_bar, precoder, mode)):
@@ -158,7 +159,8 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
 @hypothesis.given(plans(("ptx_dbm", "n_ris", "n_bs", "xi")))
 def test_sweep_rows_equal_the_per_draw_loop(plan):
     # the batched two-stage sweep gives the rows of a loop of
-    # sample_realization -> decompose -> select_phases -> sum_se, or raises
+    # sample_realization -> decompose -> select_phases -> rate_terms ->
+    # rates, or raises
     # at the first of them whose mean is negative
     assert_sweep_matches(plan)
 
@@ -174,7 +176,7 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     # (mu_i = 1 / e_i) and DPC (mu_i the eigenvalues of H H^H): the gap is
     # nonnegative and does not grow with p_bar, on every draw
     cfg, xi, reps = stack
-    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
@@ -182,11 +184,11 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     hypothesis.assume(keep.any())
     cache = cache[keep]
     random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
-    theta = select_phases(kind, cache, random_theta)
+    terms = rate_terms(cache, select_phases(kind, cache, random_theta))
     for precoder in ("ZF", "DPC"):
         gaps = np.array([
-            sum_se(cache, theta, p_bar, precoder, "exact")[0]
-            - sum_se(cache, theta, p_bar, precoder, "asymptotic")[0]
+            rates(terms, p_bar, precoder, "exact")[0]
+            - rates(terms, p_bar, precoder, "asymptotic")[0]
             for p_bar in P_BARS
         ])
         # 1e-9 bpcu absorbs the rounding of rates of up to a few hundred bpcu

@@ -23,11 +23,11 @@ from oracles import (
     se_dpc_orthogonal_form,
     se_zf_generic,
 )
+from oracles import rep_seeds
 from risbc.channel import (
     ScenarioConfig,
     draw_block,
     realize_block,
-    rep_seeds,
     sample_realization,
     stream_states,
 )
@@ -39,8 +39,6 @@ from risbc.se import (
     rate_terms,
     rates,
     row_space_feed,
-    sum_se,
-    zf_inverted_gains,
 )
 
 
@@ -89,7 +87,7 @@ def test_rate_terms_equal_the_extended_phase_product():
     # the one product H_c theta plus the feed against D_s theta_bar, on a
     # stack of draws and on one draw of 256 elements
     cfg = small_cfg()
-    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(6, range(40)))))
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(6, range(40)))[1:]))
     theta = np.exp(2j * np.pi * np.random.default_rng(6).random((40, cfg.n_ris)))
     _, real, one_theta = random_instance(7, n_bs=12, n_ris=256)
     for cache, phases in ((stack, theta), (decompose(real), one_theta)):
@@ -100,11 +98,10 @@ def test_rate_terms_equal_the_extended_phase_product():
         assert np.allclose(terms.cross, cross, rtol=1e-12, atol=0.0)
 
 
-def test_sum_se_rejects_non_unit():
+def test_rate_terms_reject_non_unit():
     _, real, _ = random_instance(1, n_ris=2)
-    for precoder in ("ZF", "DPC"):
-        with pytest.raises(ValueError, match="unit modulus"):
-            sum_se(decompose(real), np.array([1.0, 0.5]), 1.0, precoder, "exact")
+    with pytest.raises(ValueError, match="unit modulus"):
+        rate_terms(decompose(real), np.array([1.0, 0.5]))
 
 
 def test_theta_of_the_wrong_shape_is_named():
@@ -113,7 +110,7 @@ def test_theta_of_the_wrong_shape_is_named():
     _, real, theta = random_instance(3)
     cache = decompose(real)
     cfg = small_cfg()
-    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(2)))))
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(2)))[1:]))
     cases = (
         (cache, theta[:-1], r"theta has shape \(7,\), but the cache needs \(8,\)"),
         (cache, np.append(theta, 1.0), r"shape \(9,\), but the cache needs \(8,\)"),
@@ -123,8 +120,6 @@ def test_theta_of_the_wrong_shape_is_named():
     for c, t, message in cases:
         with pytest.raises(ValueError, match=message):
             rate_terms(c, t)
-        with pytest.raises(ValueError, match=message):
-            sum_se(c, t, 1.0, "DPC", "exact")
         with pytest.raises(ValueError, match=message):
             risbc.phases.optimize_mitigation_aware(c, t)
 
@@ -147,7 +142,8 @@ def test_rates_reject_bad_powers():
 
 
 def test_theta_is_checked_once_per_call(monkeypatch):
-    # each public rate call checks theta (finite, unit modulus) exactly once
+    # each public call that takes phases checks theta (finite, unit
+    # modulus) exactly once
     _, real, theta = random_instance(2)
     cache = decompose(real)
     check = risbc.se.unit_phases
@@ -159,12 +155,8 @@ def test_theta_is_checked_once_per_call(monkeypatch):
 
     monkeypatch.setattr(risbc.se, "unit_phases", spy)
     for run in (
-        lambda: sum_se(cache, theta, 10.0, "ZF", "exact"),
-        lambda: sum_se(cache, theta, 10.0, "ZF", "asymptotic"),
-        lambda: sum_se(cache, theta, 10.0, "DPC", "exact"),
-        lambda: sum_se(cache, theta, 10.0, "DPC", "asymptotic"),
-        lambda: zf_inverted_gains(cache, theta),
-        lambda: risbc.phases.mitigation_aware_objective(cache, theta),
+        lambda: rate_terms(cache, theta),
+        lambda: risbc.phases.optimize_mitigation_aware(cache, theta),
     ):
         calls.clear()
         run()
@@ -210,13 +202,13 @@ def test_decompose_matches_dense_projector_oracle():
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_decompose_shares_no_memory_with_the_channels_or_variates(stacked):
-    # the cache owns the cascade H_c and the feed: a view of H_d, H_r or the
+    # the cache owns the cascade H_c and the feed: a view of H_d or the
     # variates would keep those stacks alive with the cache
     cfg = small_cfg()
     variates = []
     if stacked:
-        positions, pl, x = draw_block(cfg, stream_states(2, range(5)))
-        real = realize_block(cfg, positions, pl, x)
+        _, pl, x = draw_block(cfg, stream_states(2, range(5)))
+        real = realize_block(cfg, pl, x)
         variates.append(x)
     else:
         real = sample_realization(cfg, np.random.default_rng(2))
@@ -224,7 +216,7 @@ def test_decompose_shares_no_memory_with_the_channels_or_variates(stacked):
     assert np.array_equal(cache.h_c_weak, real.H_c[..., -1, :])
     assert np.array_equal(cache.c, matvec(real.H_d_strong, real.b))
     fields = (cache.H_c, cache.c, cache.eigvals, cache.eigvecs)
-    for field, source in product(fields, (real.H_d_strong, real.h_d_weak, real.H_r, *variates)):
+    for field, source in product(fields, (real.H_d_strong, real.h_d_weak, *variates)):
         assert not np.shares_memory(field, source)
 
 
@@ -246,7 +238,7 @@ def test_cond_of_an_exactly_singular_c_s_is_inf_without_a_warning():
 
 def test_cache_mask_selects_the_weak_rows():
     cfg = small_cfg()
-    cache = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(6)))))
+    cache = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(6)))[1:]))
     mask = np.array([True, False, True, True, False, True])
     for index in (mask, 2, slice(1, 4)):
         picked = cache[index]
@@ -279,7 +271,7 @@ def test_scaled_row_space_feed_matches_the_b_construction():
     # from 1e-2 to 1e3
     for n_bs in (4, 12):
         cfg = ScenarioConfig(n_bs=n_bs)
-        real = realize_block(cfg, *draw_block(cfg, stream_states(5, range(40))))
+        real = realize_block(cfg, *draw_block(cfg, stream_states(5, range(40)))[1:])
         H = real.H_d_strong
         c0 = row_space_feed(H)
         assert c0.shape == H.shape[:-1]
@@ -301,12 +293,18 @@ def test_decompose_no_ris_leaves_direct_column():
 # ------------------------------------------------------------------ ZF
 
 
+def zf_gains(terms):
+    """The ZF inverted gains e_k^T (H H^H)^{-1} e_k a draw's terms hold:
+    diag(C_s^{-1}), then (1 + mitigation) / g for the weak user."""
+    return np.append(terms.inv_diag, (1.0 + terms.mitigation()) / terms.g)
+
+
 def test_zf_gains_identity_channel():
     K = 3
     D = np.zeros((K + 1, 5), dtype=complex)
     D[-1, 0] = 1.0  # h_c_weak = [1, 0, 0, 0]
     cache = synthetic_cache(np.eye(K, dtype=complex), D)
-    gains = zf_inverted_gains(cache, np.ones(4))
+    gains = zf_gains(rate_terms(cache, np.ones(4)))
     assert np.allclose(gains, 1.0, atol=1e-12)
 
 
@@ -314,7 +312,7 @@ def test_zf_gains_match_generic_inverse():
     for seed in range(30):
         _, real, theta = random_instance(seed, n_bs=8, n_ris=16)
         cache = decompose(real)
-        gains = zf_inverted_gains(cache, theta)
+        gains = zf_gains(rate_terms(cache, theta))
         H = compose_channel(real, theta, idealized=True)
         direct = np.real(np.diag(np.linalg.inv(H @ H.conj().T)))
         assert np.max(np.abs(gains - direct) / direct) < 1e-10
@@ -325,15 +323,16 @@ def test_zf_gains_weak_unreachable():
     cache = decompose(real)
     H_c = cache.H_c.copy()
     H_c[-1] = 0.0
-    cache = replace(cache, H_c=H_c)
-    with pytest.raises(ValueError, match="unreachable"):
-        zf_inverted_gains(cache, np.ones(8))
+    terms = rate_terms(replace(cache, H_c=H_c), np.ones(8))
+    for mode in ("exact", "asymptotic"):
+        with pytest.raises(ValueError, match="unreachable"):
+            rates(terms, 1.0, "ZF", mode)
 
 
 def test_se_zf_zero_power():
     _, real, theta = random_instance(6)
     cache = decompose(real)
-    total, _, _ = sum_se(cache, theta, 0.0, "ZF", "exact")
+    total, _, _ = rates(rate_terms(cache, theta), 0.0, "ZF", "exact")
     assert total == 0.0
 
 
@@ -342,7 +341,7 @@ def test_se_zf_decoupled_users():
     D = np.zeros((K + 1, 4), dtype=complex)
     D[-1, 0] = 1.0  # h_c_weak = [1, 0, 0]
     cache = synthetic_cache(np.eye(K, dtype=complex), D)
-    total, _, _ = sum_se(cache, np.ones(3), 5.0, "ZF", "exact")
+    total, _, _ = rates(rate_terms(cache, np.ones(3)), 5.0, "ZF", "exact")
     assert total == pytest.approx((K + 1) * np.log2(6.0), abs=1e-12)
 
 
@@ -350,8 +349,7 @@ def test_se_zf_matches_generic_form():
     for seed in range(20):
         cfg, real, theta = random_instance(seed)
         cache = decompose(real)
-        total, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "exact"
-        )
+        total, _, _ = rates(rate_terms(cache, theta), cfg.p_bar(), "ZF", "exact")
         oracle = se_zf_generic(compose_channel(real, theta), cfg.p_bar())
         assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
@@ -363,8 +361,7 @@ def test_se_dpc_matches_logdet():
     for seed in range(30):
         cfg, real, theta = random_instance(seed, n_bs=8, n_ris=16)
         cache = decompose(real)
-        total, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "exact"
-        )
+        total, _, _ = rates(rate_terms(cache, theta), cfg.p_bar(), "DPC", "exact")
         oracle = se_dpc_logdet(compose_channel(real, theta), cfg.p_bar())
         assert abs(total - oracle) < 1e-10 * max(1.0, abs(oracle))
 
@@ -372,7 +369,7 @@ def test_se_dpc_matches_logdet():
 def test_se_dpc_zero_power():
     _, real, theta = random_instance(7)
     cache = decompose(real)
-    assert sum_se(cache, theta, 0.0, "DPC", "exact")[0] == 0.0
+    assert rates(rate_terms(cache, theta), 0.0, "DPC", "exact")[0] == 0.0
 
 
 def test_se_dpc_vanishing_cross_terms():
@@ -380,7 +377,7 @@ def test_se_dpc_vanishing_cross_terms():
     D = np.zeros((K + 1, 4), dtype=complex)
     D[-1, 0] = 2.0  # h_c_weak = [2, 0, 0]
     cache = synthetic_cache(np.diag(np.array([3.0, 2.0], dtype=complex)), D)
-    _, direct, reflect = sum_se(cache, np.ones(3), 4.0, "DPC", "exact")
+    _, direct, reflect = rates(rate_terms(cache, np.ones(3)), 4.0, "DPC", "exact")
     assert reflect == pytest.approx(np.log2(1.0 + 4.0 * 4.0), abs=1e-12)
     assert direct == pytest.approx(np.log2(13.0) + np.log2(9.0), abs=1e-12)
 
@@ -388,10 +385,10 @@ def test_se_dpc_vanishing_cross_terms():
 def test_dpc_dominates_zf():
     for seed in range(50):
         cfg, real, theta = random_instance(seed)
-        cache = decompose(real)
+        terms = rate_terms(decompose(real), theta)
         for p_bar in (0.1, 10.0, cfg.p_bar()):
-            zf, _, _ = sum_se(cache, theta, p_bar, "ZF", "exact")
-            dpc, _, _ = sum_se(cache, theta, p_bar, "DPC", "exact")
+            zf, _, _ = rates(terms, p_bar, "ZF", "exact")
+            dpc, _, _ = rates(terms, p_bar, "DPC", "exact")
             assert dpc >= zf - 1e-9
 
 
@@ -402,30 +399,29 @@ def test_asymptotic_diagonal_equality():
     K = 2
     D = np.zeros((K + 1, 3), dtype=complex)
     D[-1, 0] = 1.0  # h_c_weak = [1, 0]
-    cache = synthetic_cache(np.eye(K, dtype=complex), D)
+    terms = rate_terms(synthetic_cache(np.eye(K, dtype=complex), D), np.ones(2))
     p_bar = 100.0
     for precoder in ("ZF", "DPC"):
-        _, direct, _ = sum_se(cache, np.ones(2), p_bar, precoder, "asymptotic")
+        _, direct, _ = rates(terms, p_bar, precoder, "asymptotic")
         assert direct == pytest.approx(K * np.log2(p_bar), abs=1e-12)
 
 
 def test_asymptotic_split_is_additive():
     cfg, real, theta = random_instance(8)
-    cache = decompose(real)
+    terms = rate_terms(decompose(real), theta)
     for method in ("ZF", "DPC"):
-        total, direct, reflect = sum_se(cache, theta, cfg.p_bar(), method, "asymptotic"
-        )
+        total, direct, reflect = rates(terms, cfg.p_bar(), method, "asymptotic")
         assert total == pytest.approx(direct + reflect, abs=1e-12)
 
 
 def test_exact_converges_to_asymptotic():
     _, real, theta = random_instance(9)
-    cache = decompose(real)
+    terms = rate_terms(decompose(real), theta)
     for method in ("ZF", "DPC"):
         gaps = []
         for p_bar in 10.0 ** np.arange(2, 9):
-            e = sum_se(cache, theta, p_bar, method, "exact")[0]
-            a = sum_se(cache, theta, p_bar, method, "asymptotic")[0]
+            e = rates(terms, p_bar, method, "exact")[0]
+            a = rates(terms, p_bar, method, "asymptotic")[0]
             gaps.append(abs(e - a))
         assert all(g1 <= g0 for g0, g1 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
@@ -437,16 +433,16 @@ def test_asymptotic_singular_dpc_flags_neg_inf():
     D = np.zeros((K + 1, 3), dtype=complex)
     D[-1, 0] = 1.0  # h_c_weak = [1, 0]
     cache = synthetic_cache(C_s, D)
-    total, direct, _ = sum_se(cache, np.ones(2), 10.0, "DPC", "asymptotic")
+    total, direct, _ = rates(rate_terms(cache, np.ones(2)), 10.0, "DPC", "asymptotic")
     assert direct == -np.inf and total == -np.inf
 
 
 def test_asymptotic_dpc_dominates_zf():
     for seed in range(50):
         cfg, real, theta = random_instance(seed)
-        cache = decompose(real)
-        zf, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "asymptotic")
-        dpc, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic")
+        terms = rate_terms(decompose(real), theta)
+        zf, _, _ = rates(terms, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = rates(terms, cfg.p_bar(), "DPC", "asymptotic")
         assert dpc >= zf - 1e-9
 
 
@@ -456,9 +452,7 @@ def test_unknown_mode_rejected(mode):
     cache = decompose(real)
     for precoder in ("ZF", "DPC"):
         with pytest.raises(ValueError, match="unknown mode"):
-            rates(rate_terms(cache, theta), 1.0, precoder, mode)
-        with pytest.raises(ValueError, match="unknown mode"):
-            sum_se(cache, theta, cfg.p_bar(), precoder, mode)
+            rates(rate_terms(cache, theta), cfg.p_bar(), precoder, mode)
 
 
 @pytest.mark.parametrize("precoder", ["MRT", "zf", "dpc", ""])
@@ -466,7 +460,7 @@ def test_unknown_precoder_rejected(precoder):
     cfg, real, theta = random_instance(16)
     cache = decompose(real)
     with pytest.raises(ValueError, match="unknown precoder"):
-        sum_se(cache, theta, cfg.p_bar(), precoder, "exact")
+        rates(rate_terms(cache, theta), cfg.p_bar(), precoder, "exact")
 
 
 # ------------------------------------------- orthogonality-split DPC form
@@ -479,8 +473,7 @@ def test_orthogonal_form_matches_asymptotic():
         if b_proj_perp(cache) <= 1e-8:
             continue
         split = se_dpc_orthogonal_form(real, theta, cfg.p_bar())
-        asym, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic"
-        )
+        asym, _, _ = rates(rate_terms(cache, theta), cfg.p_bar(), "DPC", "asymptotic")
         assert abs(split - asym) < 1e-10 * max(1.0, abs(asym))
 
 
@@ -514,7 +507,7 @@ def test_delta_d_zero_for_diagonal():
     K = 3
     C_s = np.diag(np.array([4.0, 2.0, 0.5], dtype=complex))
     cache = synthetic_cache(C_s, np.zeros((K + 1, 5), dtype=complex))
-    dd, dr = delta_se(cache, np.ones(4))
+    dd, dr = delta_se(rate_terms(cache, np.ones(4)))
     assert dd == pytest.approx(0.0, abs=1e-12)
     assert dr == 0.0
 
@@ -522,25 +515,25 @@ def test_delta_d_zero_for_diagonal():
 def test_delta_terms_nonnegative_and_sum_to_gap():
     for seed in range(50):
         cfg, real, theta = random_instance(seed)
-        cache = decompose(real)
-        dd, dr = delta_se(cache, theta)
+        terms = rate_terms(decompose(real), theta)
+        dd, dr = delta_se(terms)
         assert dd >= -1e-10
         assert dr >= 0.0
-        zf, _, _ = sum_se(cache, theta, cfg.p_bar(), "ZF", "asymptotic")
-        dpc, _, _ = sum_se(cache, theta, cfg.p_bar(), "DPC", "asymptotic")
+        zf, _, _ = rates(terms, cfg.p_bar(), "ZF", "asymptotic")
+        dpc, _, _ = rates(terms, cfg.p_bar(), "DPC", "asymptotic")
         gap = dpc - zf
         assert abs((dd + dr) - gap) < 1e-10 * max(1.0, abs(gap))
 
 
 def test_delta_se_of_a_stack_is_per_draw():
     cfg = small_cfg()
-    real = realize_block(cfg, *draw_block(cfg, stream_states(4, range(4))))
+    real = realize_block(cfg, *draw_block(cfg, stream_states(4, range(4)))[1:])
     cache = decompose(real)
     theta = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * np.pi, (4, cfg.n_ris)))
-    dd, dr = delta_se(cache, theta)
+    dd, dr = delta_se(rate_terms(cache, theta))
     assert dd.shape == dr.shape == (4,)
     for i in range(4):
-        dd_i, dr_i = delta_se(cache[i], theta[i])
+        dd_i, dr_i = delta_se(rate_terms(cache[i], theta[i]))
         assert abs(dd[i] - dd_i) <= 1e-12 * max(1.0, abs(dd_i))
         assert abs(dr[i] - dr_i) <= 1e-12 * max(1.0, abs(dr_i))
 

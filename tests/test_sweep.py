@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import random_phases
+from oracles import random_phases, rep_seeds
 from risbc import channel, se, sweep
 from risbc.channel import (
     CHANNEL,
@@ -17,13 +17,12 @@ from risbc.channel import (
     position_rng,
     random_phase_block,
     realize_block,
-    rep_seeds,
     sample_realization,
     stream_states,
 )
 from risbc.config import figure_preset
 from risbc.phases import select_phases
-from risbc.se import decompose, decompose_feed, rates, row_space_feed, sum_se
+from risbc.se import decompose, decompose_feed, rate_terms, rates, row_space_feed
 from risbc.sweep import (
     MethodSpec,
     SweepPlan,
@@ -127,7 +126,7 @@ def test_harness_is_transparent():
     real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
     cache = decompose(real)
     theta = np.exp(-1j * np.angle(cache.h_c_weak))
-    total, direct, reflect = sum_se(cache, theta, cfg.p_bar(), "ZF", "exact")
+    total, direct, reflect = rates(rate_terms(cache, theta), cfg.p_bar(), "ZF", "exact")
 
     assert row.se_mean == pytest.approx(total, abs=1e-12)
     assert row.se_d_mean == pytest.approx(direct, abs=1e-12)
@@ -159,7 +158,7 @@ def test_randomized_strategies_are_paired():
         theta = random_phases(swept.n_ris, np.random.default_rng(ph_ss))
         for prec in ("ZF", "DPC"):
             want[prec].append(
-                sum_se(cache, theta, swept.p_bar(), prec, "asymptotic")[0]
+                rates(rate_terms(cache, theta), swept.p_bar(), prec, "asymptotic")[0]
             )
     for prec in ("ZF", "DPC"):
         assert rows[prec].se_mean == pytest.approx(np.mean(want[prec]), abs=1e-12)
@@ -362,9 +361,9 @@ def test_figure5_builds_only_the_cascade_after_its_first_point(monkeypatch):
     calls = {name: [] for name in ("realize", "cascade", "eigh", "feed")}
     eigh, matvec = np.linalg.eigh, sweep.matvec
 
-    def spy_realize(cfg, positions, pl, x):
+    def spy_realize(cfg, pl, x):
         calls["realize"].append(cfg.n_ris)
-        return realize_block(cfg, positions, pl, x)
+        return realize_block(cfg, pl, x)
 
     def spy_cascade(cfg, pl, x):
         calls["cascade"].append(cfg.n_ris)
@@ -470,7 +469,8 @@ def per_draw_draws(plan, value):
 
 def per_draw_rows(plan):
     """The sweep's rows from a loop of sample_realization -> decompose ->
-    select_phases -> sum_se, one draw and one method at a time."""
+    select_phases -> rate_terms -> rates, one draw and one method at a
+    time."""
     rows = []
     for value in plan.values:
         kept, flagged = [], 0
@@ -483,9 +483,8 @@ def per_draw_rows(plan):
                 if m.strategy not in phases:
                     drawn = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
                     phases[m.strategy] = select_phases(m.strategy, cache, drawn)
-                out[m.label] = sum_se(
-                    cache, phases[m.strategy], cfg.p_bar(), m.precoder, m.mode
-                )
+                terms = rate_terms(cache, phases[m.strategy])
+                out[m.label] = rates(terms, cfg.p_bar(), m.precoder, m.mode)
             kept.append(out)
         for m in plan.methods:
             total, direct, reflect = (
@@ -674,10 +673,10 @@ def test_sweep_draws_equal_the_reference_definition(
         draws.append((drawn[2], streams.reps.tolist(), positions))
         return drawn
 
-    def spy_realize(cfg, positions, pl, x):
+    def spy_realize(cfg, pl, x):
         reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
-        real = realize_block(cfg, positions, pl, x)
-        realized.append((cfg, reps, frozen_positions, real))
+        real = realize_block(cfg, pl, x)
+        realized.append((cfg, reps, frozen_positions, pl, real))
         return real
 
     def spy_cascade(cfg, pl, x):
@@ -731,23 +730,27 @@ def test_sweep_draws_equal_the_reference_definition(
         (realized, drawn_points - cascade_points),
         (cascaded, cascade_points),
     ):
-        sizes = [len(reps) for _, reps, _, _ in built_points]
+        sizes = [len(reps) for _, reps, *_ in built_points]
         assert sizes == [size for size in (3, 3, 2) for _ in range(points)]
     for cfg, reps, positions, H_c in cascaded:
         for i, rep in enumerate(reps):
             ch_ss, _ = rep_seeds(cfg.seed, rep)
             want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
             assert np.array_equal(H_c[i], want.H_c)
-    for cfg, reps, positions, real in realized:
+    for cfg, reps, positions, pl, real in realized:
         assert (positions is not None) == frozen
         for i, rep in enumerate(reps):
             ch_ss, _ = rep_seeds(cfg.seed, rep)
             want = sample_realization(cfg, np.random.default_rng(ch_ss), positions)
-            for name in ("H_d_strong", "h_d_weak", "H_r", "H_c", "positions"):
+            for name in ("H_d_strong", "h_d_weak", "H_c"):
                 assert np.array_equal(getattr(real, name)[i], getattr(want, name))
+            if positions is None:
+                positions_i = draw_user_positions(cfg, np.random.default_rng(ch_ss))
+            else:
+                positions_i = positions
+            want_pl = nominal_pathlosses(cfg, positions_i)
             for name in ("L_d", "L_r"):
-                got = getattr(real.pathlosses, name)[i]
-                assert np.array_equal(got, getattr(want.pathlosses, name))
+                assert np.array_equal(getattr(pl, name)[i], getattr(want_pl, name))
     # one phase block per drawn block (the two random strategies share it)
     assert len(phases) == len(draws) == 3
     for reps, n_ris, theta in phases:
