@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,7 +89,7 @@ def _run(args, name, config_path, plan, report=None) -> int:
 def cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
-        plan = parse_config(text)
+        plan = parse_config(text, seed=args.seed, reps=args.reps)
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         reason = getattr(exc, "strerror", exc)
         print(f"error: cannot read {args.config}: {reason}", file=sys.stderr)
@@ -98,13 +97,6 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["config"] = plan.config.with_updates(seed=args.seed)
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if overrides:  # one rebuild of the plan for both
-        plan = replace(plan, **overrides)
     config_path = str(args.config) if args.config else "<defaults>"
     return _run(args, f"sweep_{plan.variable}", config_path, plan)
 

@@ -1,20 +1,22 @@
 """Config parsing, figure presets, and CSV emission.
 
-Run inputs are flat INI-style files with two sections:
+Run inputs are INI files with two sections, [scenario] (every
+ScenarioConfig field: n_bs, n_ris, ptx_dbm, ...) and [sweep] (variable,
+values, reps, methods).  Every key is optional: an empty file gives the
+default downlink and the default transmit-power sweep.  A config and a
+figure preset each give one `SweepPlan`, whose scenario is `plan.config`.
 
-    [scenario]   every ScenarioConfig field (n_bs, n_ris, ptx_dbm, ...)
-    [sweep]      variable, values, reps, methods
-
-All keys are optional; an empty file yields the default downlink scenario
-and the default transmit-power sweep.  A config and a figure preset each
-give one `SweepPlan`, whose scenario is `plan.config`.  Text that is not
-INI, unknown or repeated sections (names are case-insensitive; [DEFAULT]
-is not special), repeated or unknown keys, values that do not parse and
-values the scenario or sweep rejects are reported in one line with the
-offending section or key and its line number.  `serialize_config` writes
-the fully resolved canonical text of a plan back out; its SHA-256 is the
-run identity, embedded in every output filename so CSVs can always be
-traced to the exact configuration (plus seed) that produced them.
+`_read_ini` reads the text in one pass, line by line, in configparser's
+language with interpolation=None, default_section="" and
+inline_comment_prefixes=(";", "#"): "[name]" headers ([DEFAULT] is an
+ordinary one), "key = value" or "key: value" lines (keys lower-cased, both
+stripped, the value possibly empty), full-line "#"/";" comments, ";"/"#"
+comments after whitespace, and indented continuation lines joined with
+newlines.  Every config error -- text that is not INI, an unknown or
+repeated section (names are case-insensitive) or key, a value that does not
+parse or that the scenario or sweep rejects -- is one line naming its line.
+`serialize_config` writes the fully resolved canonical text of a plan back
+out; its SHA-256 is the run identity, embedded in every output filename.
 
 Sweep results go to a long-format CSV (one row per sweep point and method)
 and bound checks to a smaller report CSV whose `satisfied` column drives
@@ -60,6 +62,8 @@ def _to_bool(raw):
 
 
 def _to_floats(raw):
+    if "," in raw and not all(entry.strip() for entry in raw.split(",")):
+        raise ValueError(f"empty entry in {raw!r}")
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
@@ -92,101 +96,84 @@ _SWEEP_KEYS = {
 }
 _SECTIONS = {"scenario": _SCENARIO_KEYS, "sweep": _SWEEP_KEYS}
 
-_KEY_RE = re.compile(r"^\s*([A-Za-z_][\w.-]*)\s*[=:]")
-_SECTION_RE = re.compile(r"^\s*\[([^\]]*)\]")
+
+def _comment_start(line):
+    """Where configparser of Python 3.10-3.12 cuts an inline comment off
+    `line`, or None.  Round n looks at the n-th ";" and the n-th "#"; the
+    first round with one after whitespace cuts at the earlier such one."""
+    found = [  # (rank among the prefix's occurrences, index)
+        (line.count(prefix, 0, m.start()), m.start())
+        for prefix in ";#"
+        if (m := re.search(r"(?<!\S)" + prefix, line))
+    ]
+    return min(found)[1] if found else None
 
 
-def _find_line(text, section, key=None):
-    """Line number of a key inside a section (lower-case name), or of the
-    header of the section named exactly `section` when key is None."""
-    current = None
-    for number, line in enumerate(text.splitlines(), 1):
-        m = _SECTION_RE.match(line)
-        if m:
-            current = m.group(1).strip().lower()
-            if key is None and m.group(1) == section:
-                return number
+def _read_ini(text):
+    """{section: (header line, {key: [line, value]})} of INI text, read as
+    configparser reads it (see the module docstring), with its four syntax
+    errors as one-line ValueErrors, raised in configparser's order."""
+    sections, keys, key, indent, gap, bad_line = {}, None, None, 0, "", None
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":  # blank, or a comment
+            gap += "" if stripped else "\n"  # kept if a continuation follows
             continue
-        if key is None:
+        value = line[:_comment_start(line)].strip()
+        level = len(line) - len(line.lstrip())
+        if key and level > indent:  # a continuation line
+            keys[key][1] += gap + "\n" + value
+            gap = ""
             continue
-        m = _KEY_RE.match(line)
-        if m and current == section and m.group(1).lower() == key:
-            return number
-    return None
+        indent, gap = level, ""
+        close = value.rfind("]")
+        if value[0] == "[" and close > 1:  # "[a] x" is [a], "[a]]" is [a]]
+            name, keys, key = value[1:close], {}, None
+            if name in sections:
+                raise ValueError(f"repeated section [{name}] (line {number})")
+            sections[name] = (number, keys)
+        elif keys is None:
+            raise ValueError(f"text before the first [section] (line {number})")
+        elif "=" not in value and ":" not in value:
+            bad_line = bad_line or number
+        else:
+            cut = min(at for at in (value.find("="), value.find(":")) if at >= 0)
+            key = value[:cut].rstrip().lower()
+            if key in keys:
+                raise ValueError(f"repeated key {key!r} in [{name}] (line {number})")
+            keys[key] = [number, value[cut + 1:].strip()]
+            if not key:  # "= 1": stored as configparser does, then rejected
+                bad_line = bad_line or number
+    if bad_line:
+        raise ValueError(f"not a 'key = value' line (line {bad_line})")
+    return sections
 
 
-def _at_line(text, section, key):
-    line = _find_line(text, section, key)
-    return f" (line {line})" if line is not None else ""
-
-
-def _section_items(text):
-    import configparser
-
-    # no default section: [DEFAULT] would otherwise be merged into every
-    # section, or silently ignored when it stands alone.  A ";" or "#" after
-    # whitespace starts an inline comment, as in the README example.
-    cp = configparser.ConfigParser(
-        interpolation=None, default_section="", inline_comment_prefixes=(";", "#")
-    )
-    # configparser's own messages span several lines
-    try:
-        cp.read_string(text)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ValueError(f"text before the first [section] (line {exc.lineno})") from None
-    except configparser.ParsingError as exc:
-        raise ValueError(f"not a 'key = value' line (line {exc.errors[0][0]})") from None
-    except configparser.DuplicateOptionError as exc:
-        raise ValueError(
-            f"repeated key {exc.option!r} in [{exc.section}] (line {exc.lineno})"
-        ) from None
-    except configparser.DuplicateSectionError as exc:
-        raise ValueError(f"repeated section [{exc.section}] (line {exc.lineno})") from None
-    items = {}
-    for name in cp.sections():
-        if name.lower() not in _SECTIONS:
-            raise ValueError(f"unknown section [{name}]{_at_line(text, name, None)}")
-        if name.lower() in items:
-            raise ValueError(
-                f"repeated section [{name}]{_at_line(text, name, None)}: "
-                "section names are case-insensitive"
-            )
-        items[name.lower()] = dict(cp[name])
-    return items
-
-
-def _parse_section(text, items, section):
+def _parse_section(items, section):
     parsers = _SECTIONS[section]
     out = {}
-    for key, raw in items.get(section, {}).items():
+    for key, (line, raw) in items.get(section, {}).items():
         if key not in parsers:
-            raise ValueError(
-                f"unknown key {key!r} in [{section}]{_at_line(text, section, key)}"
-            )
+            raise ValueError(f"unknown key {key!r} in [{section}] (line {line})")
         try:
             out[key] = parsers[key](raw)
         except ValueError as exc:
             raise ValueError(
-                f"bad value for {key!r} in [{section}]"
-                f"{_at_line(text, section, key)}: {exc}"
+                f"bad value for {key!r} in [{section}] (line {line}): {exc}"
             ) from None
     return out
 
 
-def _checked(text, sections, build):
-    """Call a validating constructor, locating the key its error names.
-
-    A ValueError gains the line of the first word of its message that is a
-    key the text sets in one of `sections`; otherwise it passes unchanged.
-    """
+def _checked(items, section, build):
+    """Call a validating constructor; a ValueError gains the line of the
+    first word of its message that is a key the text sets in `section`."""
     try:
         return build()
     except ValueError as exc:
+        keys = items.get(section, {})
         for word in re.findall(r"\w+", str(exc)):
-            for section in sections:
-                at = _at_line(text, section, word)
-                if at:
-                    raise ValueError(f"{exc}{at}") from None
+            if word in keys:
+                raise ValueError(f"{exc} (line {keys[word][0]})") from None
         raise
 
 
@@ -203,27 +190,39 @@ def _parse_methods(labels):
     return tuple(methods)
 
 
-def parse_config(text: str) -> SweepPlan:
+def parse_config(text: str, *, seed: int = None, reps: int = None) -> SweepPlan:
     """Parse config text into a SweepPlan (its scenario is `plan.config`).
 
     Omitted keys fall back to the default downlink scenario and the default
-    transmit-power sweep; the empty string is a valid config.
+    transmit-power sweep; the empty string is a valid config.  `seed` and
+    `reps`, when given, replace the text's (the CLI's --seed and --reps).
     """
-    items = _section_items(text)
+    items = {}
+    for name, (line, keys) in _read_ini(text).items():
+        if name.lower() not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}] (line {line})")
+        if name.lower() in items:
+            raise ValueError(
+                f"repeated section [{name}] (line {line}): "
+                "section names are case-insensitive"
+            )
+        items[name.lower()] = keys
 
-    scenario = _parse_section(text, items, "scenario")
-    cfg = _checked(text, ("scenario",), lambda: ScenarioConfig(**scenario))
+    scenario = _parse_section(items, "scenario")
+    if seed is not None:
+        scenario["seed"] = seed
+    cfg = _checked(items, "scenario", lambda: ScenarioConfig(**scenario))
 
-    sweep = _parse_section(text, items, "sweep")
+    sweep = _parse_section(items, "sweep")
     return _checked(
-        text,
-        ("sweep",),
+        items,
+        "sweep",
         lambda: SweepPlan(
             cfg,
             sweep.get("variable", "ptx_dbm"),
             sweep.get("values", DEFAULT_SWEEP_VALUES),
             _parse_methods(sweep.get("methods", DEFAULT_METHOD_LABELS)),
-            sweep.get("reps", 200),
+            sweep.get("reps", 200) if reps is None else reps,
         ),
     )
 

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from risbc.bounds import BoundReport
+from risbc.channel import ScenarioConfig
 from risbc.cli import main
+from risbc.config import parse_config, serialize_config
 
 
 def csv_lines(path):
@@ -45,6 +49,27 @@ def test_seed_override_changes_run_identity(tmp_path):
     assert main(["sweep", "--out", str(a), "--reps", "1"]) == 0
     assert main(["sweep", "--out", str(b), "--reps", "1", "--seed", "7"]) == 0
     assert only(a.glob("sweep_*.csv")).name != only(b.glob("sweep_*.csv")).name
+
+
+def test_seed_and_reps_overrides_build_the_plan_once(tmp_path, monkeypatch):
+    # the overrides used to rebuild the parsed plan: mit_aware's scenario and
+    # its 3 points were validated twice, 8 times in all
+    import risbc.cli as cli
+
+    config = Path(__file__).resolve().parent.parent / "perfbench" / "mit_aware.ini"
+    validated, plans = [], []
+    validate = ScenarioConfig.__post_init__
+    monkeypatch.setattr(
+        ScenarioConfig, "__post_init__", lambda cfg: validated.append(validate(cfg))
+    )
+    monkeypatch.setattr(cli, "_run", lambda args, name, path, plan: plans.append(plan) or 0)
+    argv = ["sweep", "--config", str(config), "--seed", "3", "--reps", "5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(validated) == 4
+    (plan,) = plans
+    parsed = parse_config(config.read_text(encoding="utf-8"))
+    rebuilt = replace(parsed, config=parsed.config.with_updates(seed=3), reps=5)
+    assert plan == rebuilt and serialize_config(plan) == serialize_config(rebuilt)
 
 
 def test_sweep_reads_config_file(tmp_path):

@@ -1,9 +1,15 @@
+import configparser
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from risbc.channel import ScenarioConfig
 from risbc.config import (
@@ -16,9 +22,14 @@ from risbc.config import (
     figure_preset,
     parse_config,
     serialize_config,
+    _read_ini,
 )
 from risbc.bounds import BoundReport
 from risbc.sweep import MethodSpec, SweepPlan, SweepResult, SweepRow, run_sweep
+
+DERANDOMIZED = hypothesis.settings(
+    derandomize=True, deadline=None, database=None, print_blob=True
+)
 
 
 # ------------------------------------------------------------------ parsing
@@ -291,6 +302,36 @@ def test_xi_zero_rejected_with_line(values):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[scenario]\nn bs = 3\n", r"unknown key 'n bs' in \[scenario\] \(line 2\)"),
+        ("[scenario]\n2x = 1\n", r"unknown key '2x' in \[scenario\] \(line 2\)"),
+        ("[a]]\n", r"unknown section \[a\]\] \(line 1\)"),
+    ],
+)
+def test_keys_and_headers_that_are_no_identifiers_name_their_line(text, message):
+    # these keys and this header used to be reported without a line
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, key, section",
+    [
+        ("[sweep]\nvalues = 10,,20\n", "values", "sweep"),
+        ("[sweep]\nreps = 2\nvalues = 10, 20,\n", "values", "sweep"),
+        ("[scenario]\nbs_pos = 0, 0, 10,\n", "bs_pos", "scenario"),
+    ],
+)
+def test_empty_entry_in_a_number_list_rejected_with_line(text, key, section):
+    # an empty entry used to be dropped: "10,,20" ran a two-point sweep
+    line = text.count("\n")
+    message = rf"^bad value for '{key}' in \[{section}\] \(line {line}\): empty entry"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ValueError, match=r"unknown key 'bandwidth'.*line 3"):
         parse_config("[scenario]\nn_bs = 8\nbandwidth = 10\n")
@@ -347,6 +388,168 @@ def test_serialize_round_trips():
         assert plan2.config == plan.config
         assert plan2 == plan
         assert serialize_config(plan2) == canonical
+
+
+# ------------------------------------------------------------------ reader
+
+
+def configparser_read(text):
+    """configparser's {section: {key: value}} of `text` with the reader's
+    settings, or the one-line message the reader must raise instead."""
+    cp = configparser.ConfigParser(
+        interpolation=None, default_section="", inline_comment_prefixes=(";", "#")
+    )
+    try:
+        cp.read_string(text)
+    except configparser.MissingSectionHeaderError as exc:  # a ParsingError too
+        return f"text before the first [section] (line {exc.lineno})"
+    except configparser.ParsingError as exc:
+        return f"not a 'key = value' line (line {exc.errors[0][0]})"
+    except configparser.DuplicateOptionError as exc:
+        return f"repeated key {exc.option!r} in [{exc.section}] (line {exc.lineno})"
+    except configparser.DuplicateSectionError as exc:
+        return f"repeated section [{exc.section}] (line {exc.lineno})"
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+# configparser 3.13 cuts a value at the first ";" or "#" after whitespace;
+# 3.10 to 3.12, and the reader on every version, look at the n-th ";" and the
+# n-th "#" together, n = 1, 2, ...  The two differ only on a line holding both.
+CONFIGPARSER_ROUND_RULE = sys.version_info < (3, 13)
+
+
+def reader_read(text):
+    try:
+        sections = _read_ini(text)
+    except ValueError as exc:
+        return str(exc)
+    return {
+        name: {key: value for key, (_, value) in keys.items()}
+        for name, (_, keys) in sections.items()
+    }
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t"])
+# values and comments, with ";" and "#" both glued to a word and after whitespace
+_BITS = st.lists(
+    st.sampled_from(["a", "b", " ", "\t", "=", ":", "[", "]", ";", "#", "a;", "b#", " ;", " #"]),
+    max_size=5,
+).map("".join)
+_COMMENT = st.builds("".join, st.tuples(_WS, st.sampled_from(";#"), _BITS))
+# headers, in mixed case and with text after the "]"
+_HEADER = st.builds(
+    "{}[{}]{}".format,
+    _WS,
+    st.sampled_from(["s", "S", "t", "u", "U", "scenario", "Sweep", "DEFAULT", "a]", " b ", "x y"]),
+    st.sampled_from(["", " ", " x", "]", " ;c", "#c"]),
+)
+# "=" and ":" lines with stray whitespace, empty values and inline comments
+# with and without whitespace before them
+_KEY_LINE = st.builds(
+    "{}{}{}{}{}{}{}".format,
+    _WS,
+    st.sampled_from(["k", "K", "j", "J", "v2", "w", "n bs", "2x", "a.b", ""]),
+    _WS,
+    st.sampled_from("=:"),
+    _WS,
+    _BITS,
+    st.one_of(st.just(""), _COMMENT),
+)
+_BODY_LINE = st.one_of(
+    _KEY_LINE,
+    _KEY_LINE,
+    st.builds("{}{}".format, st.sampled_from([" ", "  ", "\t", "    "]), _BITS),  # continuation
+    _COMMENT,  # a full-line comment, indented or not
+    st.sampled_from(["", " ", "\t"]),  # blank
+    st.text(alphabet="ab =:;#[]\t\r", max_size=8),  # anything
+)
+# sometimes a line before the first header, then sections, some repeated
+INI_TEXTS = st.builds(
+    lambda before, sections: "\n".join(before + [line for s in sections for line in s]),
+    st.one_of(st.just([]), st.lists(_BODY_LINE, max_size=1)),
+    st.lists(
+        st.builds(lambda header, body: [header, *body], _HEADER, st.lists(_BODY_LINE, max_size=6)),
+        max_size=3,
+    ),
+)
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=300)
+@hypothesis.given(INI_TEXTS)
+def test_reader_reads_what_configparser_reads(text):
+    hypothesis.assume(
+        CONFIGPARSER_ROUND_RULE
+        or not any(";" in line and "#" in line for line in text.split("\n"))
+    )
+    want = configparser_read(text)
+    got = reader_read(text)
+    assert got == want
+    if isinstance(got, str):
+        assert re.search(r"\(line \d+\)$", got)
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=200)
+@hypothesis.given(st.text(alphabet="a ;#", max_size=12))
+def test_reader_cuts_inline_comments_where_configparser_does(value):
+    hypothesis.assume(CONFIGPARSER_ROUND_RULE or not (";" in value and "#" in value))
+    text = f"[s]\nk = {value}\n"
+    assert reader_read(text) == configparser_read(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("[s]\nk = a#b ;c\n", {"s": {"k": "a#b"}}),
+        # continuation lines, with the blank lines between them kept
+        ("[s]\nk = 1\n\n  2\n ; note\n\t3\n\n", {"s": {"k": "1\n\n2\n3"}}),
+        ("[s]\nk =\n  [t]\nj: 2", {"s": {"k": "\n[t]", "j": "2"}}),
+        ("[a] b\n[A]\n", {"a": {}, "A": {}}),
+        ("[s]\nk = 1\r\n", {"s": {"k": "1"}}),
+    ],
+)
+def test_reader_examples(text, want):
+    assert reader_read(text) == configparser_read(text) == want
+
+
+def test_reader_looks_at_the_nth_comment_prefixes_together():
+    # the first ";" is glued to "x", so the first "#" after whitespace cuts
+    # the value before the second ";" is looked at
+    text = "[s]\nk = x;y ;z #w\n"
+    assert reader_read(text) == {"s": {"k": "x;y ;z"}}
+    if CONFIGPARSER_ROUND_RULE:
+        assert configparser_read(text) == reader_read(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # configparser raises a repeated key at once, a bad line at the end
+        ("[s]\ngarbage\nk = 1\nk = 2\n", r"repeated key 'k' in \[s\] \(line 4\)"),
+        ("[s]\n= 1\nk = 2\n", r"not a 'key = value' line \(line 2\)"),
+        ("[s]\n= 1\n: 2\n", r"repeated key '' in \[s\] \(line 3\)"),
+    ],
+)
+def test_reader_raises_errors_in_configparser_order(text, message):
+    assert re.fullmatch(message, reader_read(text))
+    assert reader_read(text) == configparser_read(text)
+
+
+def test_a_sweep_run_never_imports_configparser(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from risbc.cli import main\n"
+        f"argv = ['sweep', '--config', 'perfbench/mit_aware.ini', '--out', {str(tmp_path)!r}]\n"
+        "assert main(argv) == 0\n"
+        "print('configparser' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ------------------------------------------------------------------ emission

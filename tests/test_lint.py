@@ -3,7 +3,7 @@ module-level name that nothing in the package refers to, no module
 importing another one's private name, no public module-level name that
 nothing in the package, the tests or the demos refers to, and no
 backticked `module.name` in a docstring or comment that the package's
-module does not define.
+module does not define, and no import of a module in `BANNED`.
 
 The first two, the fourth and the last are what a refactor leaves behind
 when it deletes the last caller of a helper, the last use of an import or
@@ -21,6 +21,11 @@ import risbc
 
 PACKAGE = Path(risbc.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
+
+# modules the runtime package must not import, at module level or in a
+# function: configparser's import took about a seventh of a short
+# `risbc sweep` run's main, and config reads its INI itself
+BANNED = ("configparser",)
 
 
 def _annotation_names(tree):
@@ -60,6 +65,16 @@ def _imports(tree):
             for alias in node.names:
                 name = alias.asname or alias.name.partition(".")[0]
                 yield node.lineno, name
+
+
+def _imported_modules(tree):
+    """(line, top-level module) of every absolute import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
 
 
 def _private_imports(tree):
@@ -159,6 +174,9 @@ def lint(sources, users=None):
         for line, bound in _imports(tree):
             if bound not in used[name]:
                 findings.append(f"{name}:{line}: unused import {bound}")
+        for line, module in _imported_modules(tree):
+            if module in BANNED:
+                findings.append(f"{name}:{line}: banned import {module}")
         for line, private, module in _private_imports(tree):
             findings.append(
                 f"{name}:{line}: private name {private} imported from {module}"
@@ -197,6 +215,11 @@ def test_runtime_package_is_lint_clean():
         ("def f():\n    import re\n    return 1\n", "m.py:2: unused import re"),
         ("def _stale():\n    pass\n", "m.py:1: unreferenced private name _stale"),
         ("_LIMIT = 3\n", "m.py:1: unreferenced private name _LIMIT"),
+        ("import configparser\n\nX = configparser\n", "m.py:1: banned import configparser"),
+        (
+            "def f():\n    from configparser import ConfigParser\n    return ConfigParser\n",
+            "m.py:2: banned import configparser",
+        ),
     ],
 )
 def test_lint_finds_an_injected_leftover(source, finding):
