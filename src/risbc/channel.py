@@ -35,6 +35,7 @@ per-replication loop of `draw_block` only reads the streams, and the
 block's positions and their pathlosses take one array pass each.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,13 +45,15 @@ import numpy as np
 POSITION_STREAM = 0x706F73
 
 
-def db_to_lin(x_db) -> float:
-    """Convert dB to linear scale (also maps -inf dB to exactly 0)."""
+def db_to_lin(x_db) -> np.float64 | np.ndarray:
+    """Convert dB to linear scale (also maps -inf dB to exactly 0): a numpy
+    scalar for a scalar, an array of x_db's shape for an array."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def pathloss_db(model, distance_m) -> float:
-    """Logarithmic pathloss alpha + beta * log10(d / m) in dB.
+def pathloss_db(model, distance_m) -> np.float64 | np.ndarray:
+    """Logarithmic pathloss alpha + beta * log10(d / m) in dB, a numpy
+    scalar or an array of distance_m's shape.
 
     Args:
         model: (alpha, beta) with beta the printed 10*log10 coefficient,
@@ -88,6 +91,21 @@ def steering_vector(n: int, angle: float, norm: str = "unit") -> np.ndarray:
 # =========================================================================
 # Scenario configuration
 # =========================================================================
+
+
+def _lin(x_db: float) -> float:
+    """db_to_lin of one Python float, which overflows to inf as numpy's
+    power does instead of raising OverflowError."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _floats(values) -> tuple:
+    """A coordinate or coefficient tuple as Python floats."""
+    return tuple(map(float, values))
+
 
 # Real-valued ScenarioConfig fields, scalars or coordinate/coefficient tuples,
 # that must be finite.  weak_extra_loss_db may also be +inf: an absent weak
@@ -128,12 +146,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the checks run on Python floats: numpy on 3-tuples made every
+        # scenario a sweep plan builds about five times as costly
         for name in _FINITE_FIELDS:
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            values = value if np.iterable(value) else (value,)
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         loss = self.weak_extra_loss_db
-        if np.isnan(loss) or loss == -np.inf:
+        if math.isnan(loss) or loss == -math.inf:
             raise ValueError(
                 f"weak_extra_loss_db must be finite or +inf, got {loss!r}"
             )
@@ -152,9 +173,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown power_divisor {self.power_divisor!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        # a distance or gain beyond the float range is reported, not warned of
-        with np.errstate(over="ignore"):
-            self._check_links()
+        self._check_links()
 
     def _check_links(self):
         """Reject geometry that puts a link at distance 0, or so close that
@@ -164,54 +183,62 @@ class ScenarioConfig:
         power, L_G and, at the closest and the farthest point of the user
         circle, the strong users' noise-normalized direct gains and every
         user's RIS gain must be finite and positive (`nominal_pathlosses`
-        forms them; the weak user's direct gain may be 0)."""
-        sigma2 = db_to_lin(self.noise_dbm)
-        if not 0.0 < sigma2 < np.inf:
+        forms them; the weak user's direct gain may be 0).
+
+        Distances and gains are `nominal_pathlosses`' formulas on Python
+        floats, which overflow to inf and underflow to 0 as numpy's do: the
+        BS-RIS distance is the square root of a sum of squares, and a gain
+        beyond the float range is reported, not raised or warned of."""
+        sigma2 = _lin(float(self.noise_dbm))
+        if not 0.0 < sigma2 < math.inf:
             raise ValueError(
                 f"noise_dbm = {self.noise_dbm:g} gives a noise power of "
                 f"{sigma2:g} mW; it must be finite and positive"
             )
-        bs = np.asarray(self.bs_pos, dtype=float)
-        ris = np.asarray(self.ris_pos, dtype=float)
+        bs, ris = _floats(self.bs_pos), _floats(self.ris_pos)
+        d_G = math.sqrt(sum((r - b) * (r - b) for r, b in zip(ris, bs)))
         users = "the user circle (user_circle_center, user_circle_radius)"
         # per link: its ends, the closest (and the farthest) distance between
         # them, its pathloss model, and the gain that model sets with the
         # gain's extra loss in dB and divisor (the noise power, or 1 for L_G)
         links = (
-            ("ris_pos", "bs_pos", (np.linalg.norm(ris - bs),), "pl_los",
-             "the BS-RIS gain L_G", 0.0, 1.0),
+            ("ris_pos", "bs_pos", (d_G,), "pl_los", "the BS-RIS gain L_G", 0.0, 1.0),
             (users, "bs_pos", self._circle_distances(bs), "pl_direct",
              "a strong user's direct gain (direct_extra_loss_db, noise_dbm)",
-             self.direct_extra_loss_db, sigma2),
+             float(self.direct_extra_loss_db), sigma2),
             (users, "ris_pos", self._circle_distances(ris), "pl_ris_user",
              "a user's RIS gain (noise_dbm)", 0.0, sigma2),
         )
         for source, target, d, model, name, extra, noise in links:
-            loss = pathloss_db(getattr(self, model), d) if d[0] > 0 else [-np.inf]
+            alpha, beta = _floats(getattr(self, model))
+            if d[0] > 0:
+                loss = [alpha + beta * math.log10(x) for x in d]
+            else:
+                loss = [-math.inf]
             if loss[0] < 0.0:
                 raise ValueError(
                     f"{source} comes within {d[0]:.3g} m of {target}, where "
                     f"{model} gives a pathloss of {loss[0]:.3g} dB; every link "
                     "needs a pathloss of at least 0 dB"
                 )
-            gain = db_to_lin(-(loss + extra)) / noise
-            ok = (gain > 0.0) & (gain < np.inf)
-            if not ok.all():
-                i = np.argmin(ok)  # the first distance out of range
-                raise ValueError(
-                    f"{source} at {d[i]:.3g} m from {target}: {model} gives "
-                    f"{name} of {gain[i]:.3g}, which must be finite and positive"
-                )
+            for distance, link_loss in zip(d, loss):
+                gain = _lin(-(link_loss + extra)) / noise
+                if not 0.0 < gain < math.inf:
+                    raise ValueError(
+                        f"{source} at {distance:.3g} m from {target}: {model} "
+                        f"gives {name} of {gain:.3g}, which must be finite and "
+                        "positive"
+                    )
 
     def _circle_distances(self, point) -> tuple:
         """Distances from a point to the closest and the farthest point of
         the user circle (the disc of user positions at the height of its
         center)."""
-        offset = point - np.asarray(self.user_circle_center, dtype=float)
-        center = np.hypot(offset[0], offset[1])
-        radius = self.user_circle_radius
+        dx, dy, dz = (p - c for p, c in zip(point, _floats(self.user_circle_center)))
+        center = math.hypot(dx, dy)
+        radius = float(self.user_circle_radius)
         return tuple(
-            float(np.hypot(radial, offset[2]))
+            math.hypot(radial, dz)
             for radial in (max(center - radius, 0.0), center + radius)
         )
 
@@ -477,7 +504,7 @@ def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool):
     return z
 
 
-def _variate_count(cfg: ScenarioConfig) -> int:
+def variate_count(cfg: ScenarioConfig) -> int:
     """Standard normals per draw, laid out as `_fading` reads them."""
     return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
 
@@ -495,7 +522,7 @@ def sample_realization(
     """
     if positions is None:
         positions = draw_user_positions(cfg, rng)
-    x = rng.standard_normal(_variate_count(cfg))
+    x = rng.standard_normal(variate_count(cfg))
     return realize_block(cfg, nominal_pathlosses(cfg, positions), x)
 
 
@@ -525,7 +552,7 @@ def draw_block(
     `realize_block` builds any such scenario from this draw and its
     pathlosses, and `cascade_block` the scenario's cascaded channels alone.
     """
-    x = np.empty((len(streams), _variate_count(cfg)))
+    x = np.empty((len(streams), variate_count(cfg)))
     u = np.empty((len(streams), 2 * cfg.n_users))
     for rng, u_row, row in zip(streams.starts(CHANNEL), u, x):
         if positions is None:

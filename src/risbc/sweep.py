@@ -8,9 +8,11 @@ channel and phase streams of replication rep are SeedSequence([seed, rep],
 spawn_key=(stream,)) with stream `channel.CHANNEL` or `channel.PHASE`, and
 are therefore independent of the method list.
 
-A sweep runs in two stages.  Stage 1 draws the replications in blocks of
-BLOCK_REPS and reduces them at every stage-1 point, a scenario plus a feed
-divisor.  Each point decomposes a block with one stacked eigh at the feed
+A sweep runs in two stages.  Stage 1 draws the replications in blocks, each
+as many draws of the run's largest scenario as fit in BLOCK_VARIATES
+standard normals (a budget that bounds its peak memory, see its comment),
+and reduces them at every stage-1 point, a scenario plus a feed divisor.
+Each point decomposes a block with one stacked eigh at the feed
 H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
 block (weak rows included), masks the flagged draws out of it if there are
 any, takes every strategy's phases from `select_phases` (the random ones
@@ -48,6 +50,7 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +66,7 @@ from .channel import (
     random_phase_block,
     realize_block,
     stream_states,
+    variate_count,
 )
 from .linalg import herm, matvec
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
@@ -72,11 +76,18 @@ from .se import RateTerms, decompose_feed, rate_terms, rates, row_space_feed
 # formulas themselves only raise two orders of magnitude later).
 COND_FLAG = 1e12
 
-# Replications per stage-1 block.  It bounds the [B, K+1, N_R] channel
-# stacks, so peak memory does not grow with reps: at figure 5's N_R = 256,
-# blocks of 32 add about 1.4 MB to the peak resident set and blocks of 64
-# about 4 MB (a tenth of the whole run's).
-BLOCK_REPS = 32
+# The standard normals of one stage-1 block: a block holds
+# max(1, BLOCK_VARIATES // variate_count(cfg)) draws of the run's largest
+# scenario cfg.  Its variates and what is built from them (the channel
+# stacks, the cache, the optimizer's stacks) take memory in proportion to
+# its draws times (K+1)(N_B+N_R), so the budget bounds stage 1's peak memory
+# whatever the reps.  It is figure 5's block at N_R = 256, 32 draws of 2144
+# variates, where blocks of 32 add about 1.4 MB to the peak resident set and
+# blocks of 64 about 4 MB (a tenth of the whole run's).  Figures 2-4
+# (N_R = 64) fit 112-126 draws in it, and so pay each block's fixed cost
+# (the dispatch over points and strategies, and every stacked call's own
+# overhead) about a quarter as often.
+BLOCK_VARIATES = 32 * 2144
 
 _VARIABLES = ("ptx_dbm", "n_bs", "n_ris", "xi")
 
@@ -120,7 +131,7 @@ class SweepPlan:
         self.values = tuple(float(v) for v in self.values)
         if not self.values:
             raise ValueError("no sweep values given")
-        if not np.all(np.isfinite(self.values)):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError(f"sweep values must be finite, got {self.values}")
         if not all(b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
@@ -197,10 +208,12 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     return cfg.with_updates(**{variable: int(value)})
 
 
-def _blocks(reps: int):
-    """The replications of a run as slices of its streams, in blocks of
-    BLOCK_REPS."""
-    return [slice(i, min(i + BLOCK_REPS, reps)) for i in range(0, reps, BLOCK_REPS)]
+def _blocks(reps: int, cfg: ScenarioConfig) -> list:
+    """The replications of a run whose largest scenario is cfg, as slices
+    of its streams, in blocks of as many draws of cfg as BLOCK_VARIATES
+    holds (at least one)."""
+    size = max(1, BLOCK_VARIATES // variate_count(cfg))
+    return [slice(i, min(i + size, reps)) for i in range(0, reps, size)]
 
 
 def _reduce(plan: SweepPlan, strategies) -> list:
@@ -228,7 +241,7 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     streams = stream_states(plan.config.seed, range(plan.reps))
     flagged = [0] * (len(scenarios) * len(divisors))
     kept = [[] for _ in flagged]  # per point, each block's {strategy: RateTerms}
-    for block in _blocks(plan.reps):
+    for block in _blocks(plan.reps, largest):
         block_theta = None  # the last block's phases are freed here
         if any(kind in RANDOM_STRATEGIES for kind in strategies):
             block_theta = random_phase_block(streams[block], largest.n_ris)
@@ -367,7 +380,7 @@ def power_split_offset_check(
     pathlosses = None if positions is None else nominal_pathlosses(cfg, positions)
     streams = stream_states(cfg.seed, range(reps))
     offsets = []
-    for block in _blocks(reps):
+    for block in _blocks(reps, cfg):
         _, pl, x = draw_block(cfg, streams[block], positions, pathlosses)
         real = realize_block(cfg, pl, x)
         H_d = real.H_d_strong

@@ -10,14 +10,17 @@ mitigation-aware objective and the dense gradient and Hessian of that
 objective in the phases), or takes a direct numpy route the runtime code
 avoids (the element-wise coordinate ascent that the batched optimizer is
 measured against, the one-draw random phases that the block draw is
-measured against, and numpy's own seeding of a replication's streams),
-so that a test can check a shortcut against the textbook formula.
+measured against, numpy's own seeding of a replication's streams, and
+the scenario checks on numpy arrays that the runtime makes on Python
+floats), so that a test can check a shortcut against the textbook formula.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
 from risbc.bounds import EULER_GAMMA, BoundReport
-from risbc.channel import ChannelRealization
+from risbc.channel import ChannelRealization, ScenarioConfig
 from risbc.linalg import check_finite, herm, matvec
 from risbc.se import DecompositionCache
 
@@ -547,3 +550,90 @@ def reference_optimize_mitigation_aware(cache, init):
             break
         obj_prev = obj
     return theta
+
+
+# =========================================================================
+# the scenario checks on numpy arrays
+# =========================================================================
+
+# ScenarioConfig's real-valued fields that must be finite, in its check order
+FINITE_SCENARIO_FIELDS = (
+    "bs_pos", "ris_pos", "user_circle_center", "user_circle_radius", "ptx_dbm",
+    "noise_dbm", "direct_extra_loss_db", "pl_direct", "pl_ris_user", "pl_los",
+    "aoa", "aod",
+)
+
+
+def scenario_problem(**updates):
+    """The message ScenarioConfig(**updates) must raise for its first
+    non-finite field or link out of range, or None if it has neither.
+
+    The checks run on numpy arrays under np.errstate, as the runtime made
+    them before they moved to Python floats: a distance is np.linalg.norm
+    or np.hypot, a gain 10 ** (-(loss + extra) / 10) / sigma^2, and
+    overflow gives inf and underflow 0.  The integer, radius, divisor and
+    seed checks between the two are left out: `updates` must pass them.
+    """
+    cfg = {f.name: f.default for f in fields(ScenarioConfig)}
+    cfg.update(updates)
+    for name in FINITE_SCENARIO_FIELDS:
+        if not np.all(np.isfinite(cfg[name])):
+            return f"{name} must be finite, got {cfg[name]!r}"
+    loss = cfg["weak_extra_loss_db"]
+    if np.isnan(loss) or loss == -np.inf:
+        return f"weak_extra_loss_db must be finite or +inf, got {loss!r}"
+    with np.errstate(all="ignore"):
+        return _link_problem(cfg)
+
+
+def _link_problem(cfg):
+    def lin(x_db):
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+    sigma2 = lin(cfg["noise_dbm"])
+    if not 0.0 < sigma2 < np.inf:
+        return (
+            f"noise_dbm = {cfg['noise_dbm']:g} gives a noise power of "
+            f"{sigma2:g} mW; it must be finite and positive"
+        )
+    bs = np.asarray(cfg["bs_pos"], dtype=float)
+    ris = np.asarray(cfg["ris_pos"], dtype=float)
+    center = np.asarray(cfg["user_circle_center"], dtype=float)
+    radius = cfg["user_circle_radius"]
+
+    def circle_distances(point):
+        offset = point - center
+        radial = np.hypot(offset[0], offset[1])
+        return tuple(
+            float(np.hypot(r, offset[2]))
+            for r in (max(radial - radius, 0.0), radial + radius)
+        )
+
+    users = "the user circle (user_circle_center, user_circle_radius)"
+    links = (
+        ("ris_pos", "bs_pos", (np.linalg.norm(ris - bs),), "pl_los",
+         "the BS-RIS gain L_G", 0.0, 1.0),
+        (users, "bs_pos", circle_distances(bs), "pl_direct",
+         "a strong user's direct gain (direct_extra_loss_db, noise_dbm)",
+         cfg["direct_extra_loss_db"], sigma2),
+        (users, "ris_pos", circle_distances(ris), "pl_ris_user",
+         "a user's RIS gain (noise_dbm)", 0.0, sigma2),
+    )
+    for source, target, d, model, name, extra, noise in links:
+        alpha, beta = cfg[model]
+        loss = alpha + beta * np.log10(d) if d[0] > 0 else np.array([-np.inf])
+        if loss[0] < 0.0:
+            return (
+                f"{source} comes within {d[0]:.3g} m of {target}, where "
+                f"{model} gives a pathloss of {loss[0]:.3g} dB; every link "
+                "needs a pathloss of at least 0 dB"
+            )
+        gain = lin(-(loss + extra)) / noise
+        ok = (gain > 0.0) & (gain < np.inf)
+        if not ok.all():
+            i = np.argmin(ok)
+            return (
+                f"{source} at {d[i]:.3g} m from {target}: {model} gives "
+                f"{name} of {gain[i]:.3g}, which must be finite and positive"
+            )
+    return None

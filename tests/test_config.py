@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from oracles import FINITE_SCENARIO_FIELDS, scenario_problem
 from risbc.channel import ScenarioConfig
 from risbc.config import (
     DEFAULT_METHOD_LABELS,
@@ -146,6 +147,89 @@ def test_gains_must_be_finite_and_positive(updates, message):
     # traceback on non-finite channels or an unreachable weak user
     with pytest.raises(ValueError, match=message):
         ScenarioConfig(**updates)
+
+
+NEAR = st.floats(-200.0, 200.0)
+FAR = ((1e300, 0.0, 10.0), (0.0, -1e300, 1.5), (1e300, 1e300, 1e300))
+
+
+@st.composite
+def points(draw):
+    """A point within 200 m of the origin or, in about one draw in five,
+    1e300 m out (where a distance overflows)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(FAR))
+    return draw(st.tuples(NEAR, NEAR, NEAR))
+
+
+PATHLOSS_MODELS = st.tuples(
+    st.floats(-60.0, 150.0),
+    st.one_of(st.sampled_from((0.0, 2000.0)), st.floats(0.0, 2000.0)),
+)
+
+
+@st.composite
+def scenario_updates(draw):
+    """ScenarioConfig fields that pass its integer, radius, divisor and seed
+    checks.  Each field keeps its default or takes a drawn value: positions
+    that may coincide or lie 1e300 m out, any pathloss model, noise and
+    extra losses far outside the float range of their gains, and in about
+    one draw of ten a non-finite entry in one field."""
+    default = ScenarioConfig()
+
+    def pick(name, *values):
+        return draw(st.one_of(st.just(getattr(default, name)), *values))
+
+    bs = pick("bs_pos", points())
+    # about one draw in eight puts the RIS, and one in eight the user
+    # circle, on a point already placed
+    ris = bs if draw(st.integers(0, 7)) == 0 else pick("ris_pos", points())
+    if draw(st.integers(0, 7)) == 0:
+        center = draw(st.sampled_from((bs, ris)))
+    else:
+        center = pick("user_circle_center", points())
+    updates = {
+        "bs_pos": bs,
+        "ris_pos": ris,
+        "user_circle_center": center,
+        "user_circle_radius": pick(
+            "user_circle_radius", st.sampled_from((1e-9, 1e200)), st.floats(1e-3, 300.0)
+        ),
+        "noise_dbm": pick("noise_dbm", st.floats(-4000.0, 4000.0)),
+        "direct_extra_loss_db": pick(
+            "direct_extra_loss_db", st.floats(-5000.0, 5000.0)
+        ),
+        "weak_extra_loss_db": pick(
+            "weak_extra_loss_db", st.just(np.inf), st.floats(-5000.0, 5000.0)
+        ),
+        **{
+            name: pick(name, PATHLOSS_MODELS)
+            for name in ("pl_direct", "pl_ris_user", "pl_los")
+        },
+    }
+    if draw(st.integers(0, 9)) == 0:
+        name = draw(st.sampled_from(FINITE_SCENARIO_FIELDS + ("weak_extra_loss_db",)))
+        bad = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        value = updates.get(name, getattr(default, name))
+        if isinstance(value, tuple):
+            i = draw(st.integers(0, len(value) - 1))
+            bad = value[:i] + (bad,) + value[i + 1 :]
+        updates[name] = bad
+    return updates
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=300)
+@hypothesis.given(scenario_updates())
+def test_scenario_checks_agree_with_the_numpy_oracle(updates):
+    # the finiteness and link checks run on Python floats; they reject
+    # exactly what the same checks on numpy arrays reject, with its message
+    message = scenario_problem(**updates)
+    if message is None:
+        ScenarioConfig(**updates)
+    else:
+        with pytest.raises(ValueError) as caught:
+            ScenarioConfig(**updates)
+        assert str(caught.value) == message
 
 
 def test_no_strong_user_rejected_with_line():

@@ -22,7 +22,7 @@ from risbc.phases import STRATEGIES, select_phases
 from risbc.se import decompose, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import b_from_xi
-from test_sweep import assert_sweep_matches
+from test_sweep import assert_sweep_matches, set_block
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -100,7 +100,7 @@ def test_points_equal_their_lone_runs_at_any_block_size(plan):
     assert grid == (errors[0] if errors else sum(alone, []))
     with pytest.MonkeyPatch.context() as mp:
         for block in (1, 3):
-            mp.setattr(sweep, "BLOCK_REPS", block)
+            set_block(mp, plan, block)
             assert rows_or_error(plan) == grid
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -19,6 +20,7 @@ from risbc.channel import (
     realize_block,
     sample_realization,
     stream_states,
+    variate_count,
 )
 from risbc.config import figure_preset
 from risbc.phases import select_phases
@@ -39,6 +41,12 @@ def small_cfg(**kw):
     base = dict(n_bs=4, n_strong=2, n_ris=8, ptx_dbm=30)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def set_block(monkeypatch, plan, size):
+    """Stage-1 blocks of `size` draws of the plan's largest scenario (its
+    last point; every point of a ptx_dbm or xi sweep has its shape)."""
+    monkeypatch.setattr(sweep, "BLOCK_VARIATES", size * variate_count(plan.points[-1]))
 
 
 # ------------------------------------------------------------------ specs
@@ -275,7 +283,6 @@ def test_sweep_takes_one_feed_per_block_and_point(
     # (with_cascade).  The SVD behind an xi sweep's c(0) runs once per
     # block, whatever the number of xi points, each block's pathlosses are
     # computed once, whatever the variable, and nothing calls decompose
-    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     names = ("feed", "decompose", "eigh", "with_cascade", "cascade_block", "pl")
     calls = {name: [] for name in names}
     eigh, with_cascade = np.linalg.eigh, se.DecompositionCache.with_cascade
@@ -317,6 +324,7 @@ def test_sweep_takes_one_feed_per_block_and_point(
     monkeypatch.setattr(sweep, "decompose", no_decompose, raising=False)
     methods = (method("ZF", "align_weak", "exact"), method("DPC", "random", "exact"))
     plan = SweepPlan(small_cfg(), variable, values, methods, reps=8)
+    set_block(monkeypatch, plan, 3)
     run_sweep(plan)
 
     def per_block(n):
@@ -335,7 +343,6 @@ def test_sweep_takes_one_feed_per_block_and_point(
 def test_frozen_positions_take_their_pathlosses_once_per_run(monkeypatch):
     # every block of a run with frozen positions shares one set of
     # pathlosses, computed from the positions [K+1, 3] once
-    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     calls = []
 
     def spy(cfg, positions):
@@ -346,6 +353,8 @@ def test_frozen_positions_take_their_pathlosses_once_per_run(monkeypatch):
     monkeypatch.setattr(sweep, "nominal_pathlosses", spy)
     cfg = small_cfg(freeze_positions=True)
     plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), (method("ZF", "random", "exact"),), reps=8)
+    # three blocks of cfg, the largest scenario, in both runs
+    set_block(monkeypatch, plan, 3)
     run_sweep(plan)
     assert calls == [(cfg.n_users, 3)]
     calls.clear()
@@ -537,13 +546,14 @@ def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
     # reps is never a multiple of the block size: the last block is partial.
     # The powers are high enough for every high-SNR mean to be nonnegative
     # (test_negative_mean_raises_at_its_first_row covers lower ones).
-    if block is None:
-        reps = sweep.BLOCK_REPS + 3
-    else:
-        monkeypatch.setattr(sweep, "BLOCK_REPS", block)
-        reps = 2 * block + 2
     cfg = small_cfg(freeze_positions=variable == "n_ris")
-    plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=reps)
+    if block is None:
+        # the default budget holds 9 draws of 2(K+1)(N_B+N_R) = 6864 variates
+        cfg = cfg.with_updates(n_ris=1140)
+        plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=12)
+    else:
+        plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=2 * block + 2)
+        set_block(monkeypatch, plan, block)
     assert_rows_match(run_sweep(plan), per_draw_rows(plan))
 
 
@@ -561,9 +571,9 @@ def test_partial_flagging_matches_per_draw_loop(monkeypatch, variable, values, f
     # flags half its draws.  The points of an n_ris sweep share C_s, so its
     # flags; an n_bs sweep's do not, so a keep-mask reused across the wrong
     # points, or not reused where it should be, shows in the rows
-    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     cfg = small_cfg(ptx_dbm=40.0, freeze_positions=variable == "n_ris")
     plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=12)
+    set_block(monkeypatch, plan, 3)
     conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, values[0])]
     monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
     result = run_sweep(plan)
@@ -584,8 +594,8 @@ def test_power_sweep_calls_rates_once_per_method_and_draws_no_positions(monkeypa
     # stage 2 of a ptx_dbm sweep evaluates each method once over all its
     # powers, and draw_block derives a block's positions in one array pass
     # instead of drawing them per replication
-    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     plan = figure_preset(2, reps=7)
+    set_block(monkeypatch, plan, 3)
     calls = Counter()
 
     def spy_rates(*args):
@@ -612,11 +622,84 @@ def test_rows_do_not_depend_on_block_size(monkeypatch):
         method("ZF", "align_weak", "asymptotic"),
     )
     plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), methods, reps=9)
-    rows = []
-    for block in (1, 7, sweep.BLOCK_REPS):
-        monkeypatch.setattr(sweep, "BLOCK_REPS", block)
+    rows = [run_sweep(plan).rows]  # one block under the default budget
+    for block in (1, 7):
+        set_block(monkeypatch, plan, block)
         rows.append(run_sweep(plan).rows)
     assert rows[0] == rows[1] == rows[2]
+
+
+class StopAtFirstBlock(Exception):
+    pass
+
+
+@pytest.mark.parametrize("figure", (2, 3, 4, 5))
+def test_blocks_hold_one_budget_of_variates(monkeypatch, figure):
+    # a block holds BLOCK_VARIATES // 2(K+1)(N_B+N_R) draws of the run's
+    # largest scenario: figure 5's N_R = 256 keeps its blocks of 32 (and
+    # with them its peak memory), figures 2-4 at N_R = 64 take over 100
+    plan = figure_preset(figure)
+    drawn = []
+
+    def first_block(cfg, streams, *args):
+        drawn.append((cfg, len(streams)))
+        raise StopAtFirstBlock
+
+    monkeypatch.setattr(sweep, "draw_block", first_block)
+    with pytest.raises(StopAtFirstBlock):
+        run_sweep(plan)
+    [(cfg, size)] = drawn
+    assert cfg is plan.points[-1 if plan.variable in ("n_bs", "n_ris") else 0]
+    assert size == 32 if figure == 5 else size >= 100
+
+
+def test_figure2_rows_do_not_depend_on_its_budget_blocks(monkeypatch):
+    # 250 draws of figure 2 are three blocks under the default budget, the
+    # last one partial; blocks of one draw give the same rows
+    plan = figure_preset(2, reps=250)
+    sizes = []
+
+    def spy(cfg, streams, *args):
+        sizes.append(len(streams))
+        return draw_block(cfg, streams, *args)
+
+    monkeypatch.setattr(sweep, "draw_block", spy)
+    rows = run_sweep(plan).rows
+    assert sizes == [112, 112, 26]
+    set_block(monkeypatch, plan, 1)
+    assert run_sweep(plan).rows == rows
+
+
+def largest_block_allocation(monkeypatch, plan) -> int:
+    """The most memory one stage-1 block of the plan allocates: the traced
+    peak from its draw_block call to the next block's (or to the end of
+    stage 1), less the memory traced at its start.  The stream starts and
+    the kept rate terms outlive their block and grow with reps (64 bytes a
+    draw, and 8(3K+1) bytes a draw, strategy and point)."""
+    marks = []
+
+    def spy(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return draw_block(*args)
+
+    monkeypatch.setattr(sweep, "draw_block", spy)
+    strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
+    tracemalloc.start()
+    try:
+        sweep._reduce(plan, strategies)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return max(peak - start for (start, _), (_, peak) in zip(marks, marks[1:]))
+
+
+def test_stage1_block_memory_does_not_grow_with_reps(monkeypatch):
+    # the budget, not reps, sizes a block: figure 2's largest block
+    # allocation at 2000 reps is that at 250 reps, within 10%
+    small = largest_block_allocation(monkeypatch, figure_preset(2, reps=250))
+    large = largest_block_allocation(monkeypatch, figure_preset(2, reps=2000))
+    assert large <= 1.1 * small
 
 
 def test_power_point_does_not_depend_on_the_grid():
@@ -664,7 +747,6 @@ def test_sweep_draws_equal_the_reference_definition(
     # default_rng of rep_seeds; the run computes every stream start in one
     # seeding pass, builds one SeedSequence (its self-check) and reads each
     # stream once
-    monkeypatch.setattr(sweep, "BLOCK_REPS", 3)
     draws, realized, cascaded, phases, passes = [], [], [], [], []
     built = Counter()
 
@@ -713,6 +795,7 @@ def test_sweep_draws_equal_the_reference_definition(
     )
     cfg = small_cfg(freeze_positions=frozen)
     plan = SweepPlan(cfg, variable, values, methods, reps=8)
+    set_block(monkeypatch, plan, 3)
     run_sweep(plan)
     # whatever the number of points, one seeding pass and one SeedSequence
     # per run, and each replication's streams are read in one block
