@@ -8,14 +8,22 @@ Swept on a log grid with 4 BS antennas and K = 3 strong users at 40 dBm:
 the strong-user DPC rate recovers as xi grows while the weak user's rate
 is flat -- its link only needs the projection to be nonzero.
 
-In the limit, serving the weak user costs the strong users exactly the
-power split: K log2((K+1)/K) bpcu.
+Serving the weak user costs the strong users the same on every draw: their
+high-SNR DPC rate alone (power split K ways) exceeds their part of the
+shared system's (split K+1 ways) by exactly
+
+    K log2((K+1)/K) + log2(1 + xi^-2),
+
+since det C_s = det(H H^H) (1 - c^H (H H^H)^{-1} c) (matrix determinant
+lemma) and the feed c(0) / sqrt(1 + xi^2) has c^H (H H^H)^{-1} c =
+1 / (1 + xi^2).  The last line takes this offset from one draw.
 """
 
 import numpy as np
 
-from risbc.channel import ScenarioConfig
-from risbc.sweep import MethodSpec, SweepPlan, power_split_offset_check, run_sweep
+from risbc.channel import ScenarioConfig, sample_realization
+from risbc.se import decompose_feed, rate_terms, rates, row_space_feed
+from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 cfg = ScenarioConfig(n_bs=4, ptx_dbm=40.0)
 plan = SweepPlan(
@@ -35,7 +43,19 @@ for row in result.rows:
         f" {row.se_mean:8.2f} {row.flagged:8d}"
     )
 
-offset = power_split_offset_check(cfg, xi_large=1e3, reps=500)
+real = sample_realization(cfg, np.random.default_rng(cfg.seed))
+p_strong = cfg.with_updates(power_divisor="k").p_bar()
+c = row_space_feed(real.H_d_strong) / np.hypot(1.0, 1e3)
+theta = np.ones(cfg.n_ris, dtype=complex)  # the strong users' rate ignores it
+# a zero feed leaves C_s = H H^H: the direct-only system, power split K ways
+alone, shared = (
+    rates(
+        rate_terms(decompose_feed(real.H_d_strong, real.H_c, feed), theta),
+        p_bar, "DPC", "asymptotic",
+    )[1]
+    for feed, p_bar in ((np.zeros_like(c), p_strong), (c, cfg.p_bar()))
+)
+offset = alone - shared
 target = cfg.n_strong * np.log2((cfg.n_strong + 1) / cfg.n_strong)
 print(
     f"\nstrong-user rate offset vs direct-only system at xi = 1e3: "

@@ -6,9 +6,9 @@ the identity E[ln chi2(2)] = ln 2 - gamma and the lower bound
     E1(x) e^x > ln(1 + e^{-gamma} / x)    for all x > 0,
 
 which is strictly tighter than the classical E1(x) e^x > -gamma + ln(1 + 1/x).
-On top of these sit the ergodic upper bound on the weak user's high-SNR ZF
-rate (harmonic-mean step over the strong users' cascaded covariances) and
-the closed forms for random/statistical and gain-aligned RIS phases.
+On top of these sit the closed forms for random/statistical and gain-aligned
+RIS phases, among them the ergodic upper bound on the weak user's high-SNR
+ZF rate (a harmonic-mean step over the strong users' cascaded covariances).
 
 Every bound check returns a BoundReport table whose columns carry both sides
 and the slack of each row; E1 and the grid checks take an array of x (one
@@ -263,36 +263,6 @@ def _strong_gain_ratio(pl: PathlossSet) -> float:
     return float(np.sum(pl.L_r[:-1] / pl.L_d[:-1]))
 
 
-def reflected_rate_upper_bound(
-    theta: np.ndarray,
-    h_c_weak_draws: np.ndarray,
-    pl: PathlossSet,
-    p_bar: float,
-) -> float:
-    """Monte Carlo estimate of the ergodic upper bound on the weak user's
-    high-SNR ZF rate,
-
-        E[ log2( |h_c,K+1^H theta|^2 p_bar
-                 / (e^{-gamma} sum_k theta^H R_c,k theta / tr(R_d,k)) ) ],
-
-    the sum running over the K strong users.  Under i.i.d. Rayleigh fading
-    with a unit-modulus RIS steering vector, R_c,k = L_G L_r,k N_B I and
-    R_d,k = L_d,k I, so each term is L_G L_r,k ||theta||^2 / L_d,k.  theta
-    may be a single phase vector or one row per draw (phases chosen per
-    realization).
-    """
-    rows = np.atleast_2d(np.asarray(h_c_weak_draws, dtype=complex))
-    Th = np.atleast_2d(np.asarray(theta, dtype=complex))
-    if Th.shape[0] == 1:
-        Th = np.broadcast_to(Th, rows.shape)
-    gain = np.abs(np.sum(rows * Th, axis=1)) ** 2
-    norm2 = np.sum(np.abs(Th) ** 2, axis=1)
-    denom = np.exp(-EULER_GAMMA) * pl.L_G * _strong_gain_ratio(pl) * norm2
-    if np.any(denom <= 0):
-        raise ValueError("degenerate cascaded covariances")
-    return float(np.mean(np.log2(gain * p_bar / denom)))
-
-
 def random_phase_closed_forms(
     cfg: ScenarioConfig, pl: PathlossSet, p_bar: float
 ) -> tuple:
@@ -300,7 +270,9 @@ def random_phase_closed_forms(
 
     Returns (lin_upper, dpc_value): the N_R-independent upper bound on the
     weak user's ZF rate and the exact ergodic DPC reflected rate
-    log2(e^{-gamma} L_G L_r,K+1 N_B N_R p_bar).
+    log2(e^{-gamma} L_G L_r,K+1 N_B N_R p_bar).  lin_upper is the ergodic
+    mean of log2(|h_c,K+1^H theta|^2 p_bar / (e^{-gamma} sum_k theta^H R_c,k
+    theta / tr(R_d,k))) over the K strong users, at random theta.
     """
     ratio = _strong_gain_ratio(pl)
     lin_upper = np.log2(cfg.n_bs * pl.L_r[-1] * p_bar / ratio)

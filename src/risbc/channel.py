@@ -107,6 +107,14 @@ def _floats(values) -> tuple:
     return tuple(map(float, values))
 
 
+def checked_int(name: str, value) -> int:
+    """The integer field `name` as a Python int: a Python or numpy integer,
+    not a bool or a float (ValueError naming the field)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # Real-valued ScenarioConfig fields, scalars or coordinate/coefficient tuples,
 # that must be finite.  weak_extra_loss_db may also be +inf: an absent weak
 # direct link, the idealization the Gram decomposition assumes.
@@ -146,6 +154,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_bs", "n_ris", "n_strong", "seed"):
+            setattr(self, name, checked_int(name, getattr(self, name)))
+        # "false" is truthy: only a bool may decide whether positions freeze
+        if not isinstance(self.freeze_positions, (bool, np.bool_)):
+            raise ValueError(
+                f"freeze_positions must be a bool, got {self.freeze_positions!r}"
+            )
+        self.freeze_positions = bool(self.freeze_positions)
         # the checks run on Python floats: numpy on 3-tuples made every
         # scenario a sweep plan builds about five times as costly
         for name in _FINITE_FIELDS:

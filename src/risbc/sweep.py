@@ -59,7 +59,7 @@ from .channel import (
     MAX_REP,
     ScenarioConfig,
     cascade_block,
-    db_to_lin,
+    checked_int,
     draw_block,
     frozen_positions,
     nominal_pathlosses,
@@ -68,7 +68,7 @@ from .channel import (
     stream_states,
     variate_count,
 )
-from .linalg import herm, matvec
+from .linalg import matvec
 from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
 from .se import RateTerms, decompose_feed, rate_terms, rates, row_space_feed
 
@@ -157,6 +157,7 @@ class SweepPlan:
         for m in self.methods:
             if self.methods.count(m) > 1:
                 raise ValueError(f"methods: {m.label} is repeated")
+        self.reps = checked_int("reps", self.reps)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.reps > MAX_REP + 1:
@@ -188,16 +189,6 @@ class SweepResult:
     plan: SweepPlan
     rows: list
 
-    def series(self, label: str):
-        """(values, se_mean) arrays of one method, in sweep order."""
-        picked = [r for r in self.rows if f"{r.precoder}:{r.strategy}:{r.mode}" == label]
-        if not picked:
-            raise KeyError(f"no rows for method {label!r}")
-        return (
-            np.array([r.value for r in picked]),
-            np.array([r.se_mean for r in picked]),
-        )
-
 
 def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     """Scenario for one sweep point; xi scales a draw's feed, not the cfg."""
@@ -206,14 +197,6 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     if variable == "ptx_dbm":
         return cfg.with_updates(ptx_dbm=float(value))
     return cfg.with_updates(**{variable: int(value)})
-
-
-def _blocks(reps: int, cfg: ScenarioConfig) -> list:
-    """The replications of a run whose largest scenario is cfg, as slices
-    of its streams, in blocks of as many draws of cfg as BLOCK_VARIATES
-    holds (at least one)."""
-    size = max(1, BLOCK_VARIATES // variate_count(cfg))
-    return [slice(i, min(i + size, reps)) for i in range(0, reps, size)]
 
 
 def _reduce(plan: SweepPlan, strategies) -> list:
@@ -239,15 +222,17 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     # frozen positions have one set of pathlosses, which every block shares
     frozen_pl = None if frozen is None else nominal_pathlosses(largest, frozen)
     streams = stream_states(plan.config.seed, range(plan.reps))
+    size = max(1, BLOCK_VARIATES // variate_count(largest))  # draws a block
     flagged = [0] * (len(scenarios) * len(divisors))
     kept = [[] for _ in flagged]  # per point, each block's {strategy: RateTerms}
-    for block in _blocks(plan.reps, largest):
+    for start in range(0, plan.reps, size):
+        block = streams[start : start + size]
         block_theta = None  # the last block's phases are freed here
         if any(kind in RANDOM_STRATEGIES for kind in strategies):
-            block_theta = random_phase_block(streams[block], largest.n_ris)
+            block_theta = random_phase_block(block, largest.n_ris)
         # *x holds the variates in a list, so the last scenario can pop the
         # only reference and realize_block's return frees them
-        _, pathlosses, *x = draw_block(largest, streams[block], frozen, frozen_pl)
+        _, pathlosses, *x = draw_block(largest, block, frozen, frozen_pl)
         factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
             if factor is None:
@@ -355,39 +340,3 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         for at_point in zip(*by_method):
             rows += [_checked_row(plan, m, r) for m, r in zip(plan.methods, at_point)]
     return SweepResult(plan=plan, rows=rows)
-
-
-def power_split_offset_check(
-    cfg: ScenarioConfig, xi_large: float = 1e6, reps: int = 1000
-) -> float:
-    """Mean rate offset from carrying the weak user on the RIS path.
-
-    Compares DPC over the strong users alone (transmit power split K ways)
-    against the strong-user part of the full system at high SNR with the
-    BS-RIS direction made orthogonal to the strong users' direct channels
-    (power split K+1 ways).  As xi grows the offset converges to
-    K log2((K+1)/K): the projection loss vanishes and only the per-user
-    power split remains.
-    """
-    if not 1 <= reps <= MAX_REP + 1:
-        raise ValueError(f"reps must be from 1 to {MAX_REP + 1}, got {reps}")
-    if not (np.isfinite(xi_large) and xi_large > 0):
-        raise ValueError(f"xi_large must be finite and positive, got {xi_large}")
-    K = cfg.n_strong
-    p_strong = db_to_lin(cfg.ptx_dbm) / K
-    p_bar = cfg.p_bar()
-    positions = frozen_positions(cfg)
-    pathlosses = None if positions is None else nominal_pathlosses(cfg, positions)
-    streams = stream_states(cfg.seed, range(reps))
-    offsets = []
-    for block in _blocks(reps, cfg):
-        _, pl, x = draw_block(cfg, streams[block], positions, pathlosses)
-        real = realize_block(cfg, pl, x)
-        H_d = real.H_d_strong
-        _, logdet = np.linalg.slogdet(H_d @ herm(H_d))
-        alone = logdet / np.log(2.0) + K * np.log2(p_strong)
-        c = row_space_feed(H_d) / np.hypot(1.0, xi_large)
-        cache = decompose_feed(H_d, real.H_c, c)
-        shared = np.sum(np.log2(cache.eigvals * p_bar), axis=-1)
-        offsets.append(alone - shared)
-    return float(np.mean(np.concatenate(offsets)))

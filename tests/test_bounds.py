@@ -7,13 +7,12 @@ from scipy.special import exp1
 from oracles import (
     dense_reflected_rate_upper_bound,
     harmonic_mean_bound_check,
-    random_phases,
     reference_e1,
-    rep_seeds,
 )
 from risbc import bounds
 from risbc.bounds import (
     EULER_GAMMA,
+    MC_TOL_SE,
     BoundReport,
     aligned_phase_closed_forms,
     bound_gap,
@@ -26,19 +25,19 @@ from risbc.bounds import (
     exp_integral_e1,
     exp_integral_e1_scaled,
     random_phase_closed_forms,
-    reflected_rate_upper_bound,
     standard_bound_reports,
 )
 from risbc.channel import (
     PathlossSet,
     ScenarioConfig,
-    draw_user_positions,
+    cascade_block,
+    draw_block,
+    frozen_positions,
     nominal_pathlosses,
-    position_rng,
-    sample_realization,
+    random_phase_block,
     steering_vector,
+    stream_states,
 )
-from risbc.se import decompose, rate_terms, rates
 
 # reference values computed with 40-digit arithmetic
 E1_AT_1 = 0.2193839343955202737
@@ -329,51 +328,30 @@ def test_dpc_doubling_slopes():
     assert a2 - a1 == pytest.approx(2.0, abs=1e-12)
 
 
-def test_reflected_upper_bound_theta_invariant_denominator():
-    # i.i.d. covariances make theta^H R_c theta the same for every
-    # unit-modulus theta, so swapping theta only moves the numerator
-    cfg = ScenarioConfig(n_bs=6, n_ris=8)
-    pos = draw_user_positions(cfg, position_rng(0))
-    pl = nominal_pathlosses(cfg, pos)
-    a = steering_vector(8, np.pi / 2, "sqrt_n")
-    rng = np.random.default_rng(3)
-    rows = rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8))
-    t1 = random_phases(8, np.random.default_rng(4))
-    t2 = random_phases(8, np.random.default_rng(5))
-    b1 = reflected_rate_upper_bound(t1, rows, pl, 10.0)
-    b2 = reflected_rate_upper_bound(t2, rows, pl, 10.0)
-    g1 = np.mean(np.log2(np.abs(rows @ t1) ** 2))
-    g2 = np.mean(np.log2(np.abs(rows @ t2) ** 2))
-    assert b1 - b2 == pytest.approx(g1 - g2, abs=1e-9)
-    # the per-user scalar form equals the dense-covariance formula
-    for t, b in ((t1, b1), (t2, b2)):
-        dense = dense_reflected_rate_upper_bound(t, rows, cfg.n_bs, a, pl, 10.0)
-        assert b == pytest.approx(dense, rel=1e-12, abs=1e-12)
-
-
-def test_reflected_upper_bound_holds_in_monte_carlo():
-    # smoke-scale version of the ergodic bound check with random phases
+def test_random_phase_lin_upper_is_the_mean_of_the_dense_bound():
+    # lin_upper is the ergodic mean of the dense-covariance bound over
+    # channel draws and random phases; the bound's denominator is the same
+    # at every unit-modulus theta, so its per-draw spread is that of
+    # log2 |h_c,K+1^H theta|^2
     cfg = ScenarioConfig(n_bs=12, n_ris=16, freeze_positions=True)
-    pos = draw_user_positions(cfg, position_rng(cfg.seed))
-    pl = nominal_pathlosses(cfg, pos)
-    reps = 500
-    p_bar = cfg.p_bar()
-    se_r = np.empty(reps)
-    rows = np.empty((reps, cfg.n_ris), dtype=complex)
-    thetas = np.empty((reps, cfg.n_ris), dtype=complex)
-    for r in range(reps):
-        ch_ss, ph_ss = rep_seeds(cfg.seed, r)
-        real = sample_realization(cfg, np.random.default_rng(ch_ss), positions=pos)
-        theta = random_phases(cfg.n_ris, np.random.default_rng(ph_ss))
-        cache = decompose(real)
-        _, _, se_r[r] = rates(rate_terms(cache, theta), p_bar, "ZF", "asymptotic")
-        rows[r] = cache.h_c_weak
-        thetas[r] = theta
-    bound = reflected_rate_upper_bound(thetas, rows, pl, p_bar)
+    positions = frozen_positions(cfg)
+    pl = nominal_pathlosses(cfg, positions)
+    draws, size = 20_000, 5_000
+    streams = stream_states(cfg.seed, range(draws))
+    rows, thetas = [], []
+    for start in range(0, draws, size):
+        block = streams[start : start + size]
+        _, block_pl, x = draw_block(cfg, block, positions, pl)
+        rows.append(cascade_block(cfg, block_pl, x)[:, -1, :])
+        thetas.append(random_phase_block(block, cfg.n_ris))
+    rows, thetas = np.concatenate(rows), np.concatenate(thetas)
     a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
-    assert np.mean(se_r) <= bound
-    dense = dense_reflected_rate_upper_bound(thetas, rows, cfg.n_bs, a, pl, p_bar)
-    assert bound == pytest.approx(dense, rel=1e-12, abs=1e-12)
+    p_bar = cfg.p_bar()
+    mean = dense_reflected_rate_upper_bound(thetas, rows, cfg.n_bs, a, pl, p_bar)
+    gains = np.log2(np.abs(np.sum(rows * thetas, axis=1)) ** 2)
+    sem = np.std(gains, ddof=1) / np.sqrt(draws)
+    lin_upper, _ = random_phase_closed_forms(cfg, pl, p_bar)
+    assert abs(mean - lin_upper) <= MC_TOL_SE * sem
 
 
 def test_standard_bound_reports_all_satisfied():

@@ -78,6 +78,42 @@ def test_config_feasibility_check():
         ScenarioConfig(n_strong=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("freeze_positions", "false", "a bool"),
+        ("freeze_positions", "true", "a bool"),
+        ("freeze_positions", 1, "a bool"),
+        ("freeze_positions", None, "a bool"),
+        ("n_bs", 12.5, "an integer"),
+        ("n_bs", 12.0, "an integer"),
+        ("n_bs", True, "an integer"),
+        ("n_ris", 8.5, "an integer"),
+        ("n_ris", np.float64(8.0), "an integer"),
+        ("n_strong", 2.5, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("seed", "3", "an integer"),
+    ],
+)
+def test_config_rejects_mistyped_fields(field, value, kind):
+    # "false" used to freeze the positions while the serialized config read
+    # "false", and a float count or seed died later inside numpy
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+        ScenarioConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_and_bools_as_python_values():
+    cfg = ScenarioConfig(
+        n_bs=np.int64(6), n_ris=np.uint16(8), n_strong=np.int32(2),
+        seed=np.uint64(2**40), freeze_positions=np.bool_(True),
+    )
+    assert cfg == ScenarioConfig(
+        n_bs=6, n_ris=8, n_strong=2, seed=2**40, freeze_positions=True
+    )
+    for name in ("n_bs", "n_ris", "n_strong", "seed", "freeze_positions"):
+        assert type(getattr(cfg, name)) in (int, bool)
+
+
 def test_p_bar_divisor():
     cfg = ScenarioConfig(ptx_dbm=30.0)
     assert cfg.p_bar() == pytest.approx(1000.0 / 4)

@@ -474,6 +474,19 @@ def test_serialize_round_trips():
         assert serialize_config(plan2) == canonical
 
 
+def test_numpy_fields_serialize_as_their_python_values():
+    # the hashed run identity must not depend on whether a caller passed
+    # numpy scalars (np.True_ used to serialize as "True", not "true")
+    methods = (MethodSpec("ZF", "random", "exact"),)
+    cfg = ScenarioConfig(n_bs=np.int64(6), seed=np.uint32(3), freeze_positions=np.bool_(True))
+    plan = SweepPlan(cfg, "n_ris", (8, 16), methods, reps=np.int16(4))
+    python = ScenarioConfig(n_bs=6, seed=3, freeze_positions=True)
+    assert serialize_config(plan) == serialize_config(
+        SweepPlan(python, "n_ris", (8, 16), methods, reps=4)
+    )
+    assert "freeze_positions = true\n" in serialize_config(plan)
+
+
 # ------------------------------------------------------------------ reader
 
 

@@ -575,13 +575,12 @@ def test_mitigation_no_reflection_b_in_row_space():
 
 # ------------------------------------------------- one factorization of C_s
 
-# The only places in se.py, phases.py, sweep.py, linalg.py and bounds.py
-# allowed to factorize a matrix themselves: the SVD behind the feed c(0) of
-# the orthogonality construction and the offset check's independent log
-# det of H_d H_d^H.  Everything else, the
-# batched sweep included, reads C_s^{-1} from the cache's eigh factor; the
-# generic-matrix and SVD cross-checks live in tests/oracles.py.
-FACTORIZATION_ALLOWED = {"row_space_feed", "power_split_offset_check"}
+# The only place in se.py, phases.py, sweep.py, linalg.py and bounds.py
+# allowed to factorize a matrix itself: the SVD behind the feed c(0) of the
+# orthogonality construction.  Everything else, the batched sweep included,
+# reads C_s^{-1} from the cache's eigh factor; the generic-matrix and SVD
+# cross-checks live in tests/oracles.py.
+FACTORIZATION_ALLOWED = {"row_space_feed"}
 FACTORIZATIONS = {"inv", "solve", "slogdet", "svd"}
 
 

@@ -12,6 +12,7 @@ from risbc import channel, se, sweep
 from risbc.channel import (
     CHANNEL,
     ScenarioConfig,
+    db_to_lin,
     draw_block,
     draw_user_positions,
     nominal_pathlosses,
@@ -25,12 +26,7 @@ from risbc.channel import (
 from risbc.config import figure_preset
 from risbc.phases import select_phases
 from risbc.se import decompose, decompose_feed, rate_terms, rates, row_space_feed
-from risbc.sweep import (
-    MethodSpec,
-    SweepPlan,
-    power_split_offset_check,
-    run_sweep,
-)
+from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
 
 def method(precoder, kind, mode):
@@ -41,6 +37,14 @@ def small_cfg(**kw):
     base = dict(n_bs=4, n_strong=2, n_ris=8, ptx_dbm=30)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def se_means(result, label):
+    """se_mean of one method's rows, in sweep order."""
+    return np.array([
+        r.se_mean for r in result.rows
+        if f"{r.precoder}:{r.strategy}:{r.mode}" == label
+    ])
 
 
 def set_block(monkeypatch, plan, size):
@@ -97,6 +101,20 @@ def test_plan_rejects_replications_beyond_one_index_word():
     assert SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=2**32).reps == 2**32
     with pytest.raises(ValueError, match="reps must be at most 4294967296"):
         SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=2**32 + 1)
+
+
+@pytest.mark.parametrize("reps", (2.5, 3.0, np.float64(2.0), True, "3"))
+def test_plan_rejects_replication_counts_that_are_not_integers(reps):
+    # 2.5 used to die in numpy with a TypeError, and True ran one replication
+    m = (method("ZF", "align_weak", "exact"),)
+    with pytest.raises(ValueError, match=re.escape(f"reps must be an integer, got {reps!r}")):
+        SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=reps)
+
+
+def test_plan_takes_a_numpy_integer_replication_count():
+    m = (method("ZF", "align_weak", "exact"),)
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=np.int64(3))
+    assert type(plan.reps) is int and plan.reps == 3
 
 
 def test_plan_keeps_its_validated_points(monkeypatch):
@@ -182,8 +200,8 @@ def test_dpc_dominates_zf_pointwise():
         reps=10,
     )
     result = run_sweep(plan)
-    _, zf = result.series("ZF:align_weak:exact")
-    _, dpc = result.series("DPC:align_weak:exact")
+    zf = se_means(result, "ZF:align_weak:exact")
+    dpc = se_means(result, "DPC:align_weak:exact")
     assert np.all(dpc >= zf - 1e-12)
     assert np.all(np.diff(zf) > 0) and np.all(np.diff(dpc) > 0)
 
@@ -211,7 +229,7 @@ def test_n_ris_sweep_applies_variable():
         (method("DPC", "align_weak", "asymptotic"),),
         reps=5,
     )
-    _, se = run_sweep(plan).series("DPC:align_weak:asymptotic")
+    se = se_means(run_sweep(plan), "DPC:align_weak:asymptotic")
     # aligned weak-user gain scales like N_R^2: 4 bpcu per 16x elements
     assert se[1] - se[0] > 3.0
 
@@ -253,14 +271,6 @@ def test_xi_sweep_reaches_the_orthogonal_limit():
     for near, far in zip(rows[:2], rows[2:]):
         assert far.flagged == 0
         assert far.se_mean == pytest.approx(near.se_mean, rel=1e-12)
-
-
-def test_series_unknown_label():
-    plan = SweepPlan(
-        small_cfg(), "ptx_dbm", (10.0,), (method("ZF", "align_weak", "exact"),), reps=1
-    )
-    with pytest.raises(KeyError):
-        run_sweep(plan).series("DPC:align_weak:exact")
 
 
 @pytest.mark.parametrize(
@@ -353,12 +363,9 @@ def test_frozen_positions_take_their_pathlosses_once_per_run(monkeypatch):
     monkeypatch.setattr(sweep, "nominal_pathlosses", spy)
     cfg = small_cfg(freeze_positions=True)
     plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), (method("ZF", "random", "exact"),), reps=8)
-    # three blocks of cfg, the largest scenario, in both runs
+    # three blocks of cfg, the largest scenario
     set_block(monkeypatch, plan, 3)
     run_sweep(plan)
-    assert calls == [(cfg.n_users, 3)]
-    calls.clear()
-    power_split_offset_check(cfg, reps=8)
     assert calls == [(cfg.n_users, 3)]
 
 
@@ -404,34 +411,54 @@ def test_figure5_builds_only_the_cascade_after_its_first_point(monkeypatch):
 # ------------------------------------------------------------------ offset
 
 
+def power_split_offset(cfg, reps, xi=1e6):
+    """Mean over `reps` draws of the strong users' high-SNR DPC rate alone
+    (power split K ways) minus their part of the shared system's with the
+    BS-RIS direction at orthogonality xi (power split K+1 ways)."""
+    K = cfg.n_strong
+    streams = stream_states(cfg.seed, range(reps))
+    real = realize_block(cfg, *draw_block(cfg, streams)[1:])
+    H = real.H_d_strong
+    alone = np.linalg.slogdet(H @ H.conj().swapaxes(-1, -2))[1] / np.log(2.0)
+    alone += K * np.log2(db_to_lin(cfg.ptx_dbm) / K)
+    cache = decompose_feed(H, real.H_c, row_space_feed(H) / np.hypot(1.0, xi))
+    theta = random_phase_block(streams, cfg.n_ris)
+    _, shared, _ = rates(rate_terms(cache, theta), cfg.p_bar(), "DPC", "asymptotic")
+    return float(np.mean(alone - shared))
+
+
 def test_power_split_offset_single_strong_user():
     cfg = ScenarioConfig(n_bs=4, n_strong=1, n_ris=8, ptx_dbm=40)
-    assert power_split_offset_check(cfg, reps=50) == pytest.approx(1.0, abs=1e-6)
+    assert power_split_offset(cfg, reps=50) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_power_split_offset_three_strong_users():
     cfg = ScenarioConfig(n_bs=4, n_strong=3, n_ris=8, ptx_dbm=40)
-    off = power_split_offset_check(cfg, reps=50)
+    off = power_split_offset(cfg, reps=50)
     assert off == pytest.approx(3 * np.log2(4.0 / 3.0), abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "kw, message",
-    [
-        ({"xi_large": 0.0}, "xi_large must be finite and positive, got 0.0"),
-        ({"xi_large": -1.0}, "xi_large must be finite and positive, got -1.0"),
-        ({"xi_large": np.inf}, "xi_large must be finite and positive, got inf"),
-        ({"xi_large": np.nan}, "xi_large must be finite and positive, got nan"),
-        ({"reps": 0}, "reps must be from 1 to 4294967296, got 0"),
-        ({"reps": 2**32 + 1}, "reps must be from 1 to 4294967296, got 4294967297"),
-    ],
-)
-def test_power_split_offset_rejects_bad_arguments(kw, message):
-    # these used to return nan with a RuntimeWarning (xi_large = 0), return
-    # a number (xi_large < 0) or die inside numpy (reps = 0)
-    cfg = ScenarioConfig(n_bs=4, n_strong=2, n_ris=8, ptx_dbm=40)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        power_split_offset_check(cfg, **kw)
+# ------------------------------------------------------------ xi identity
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_figure3_direct_rates_follow_the_xi_closed_form(seed):
+    # the asymptotic DPC direct rate at orthogonality xi is, on every draw,
+    # log2 det(p_bar H H^H) + log2(xi^2 / (1 + xi^2)) (matrix determinant
+    # lemma at the feed c(0) / sqrt(1 + xi^2)), so with no draw flagged the
+    # means of any two xi differ by the difference of that last term
+    result = run_sweep(figure_preset(3, seed=seed))
+    rows = [
+        r for r in result.rows
+        if (r.precoder, r.strategy, r.mode) == ("DPC", "align_weak", "asymptotic")
+    ]
+    assert len(rows) == 11 and all(r.flagged == 0 for r in rows)
+    xi = np.array([r.value for r in rows])
+    means = np.array([r.se_d_mean for r in rows])
+    term = np.log2(xi**2 / (1.0 + xi**2))
+    got = means[:, None] - means[None, :]
+    want = term[:, None] - term[None, :]
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 # ------------------------------------------------- batched engine vs per draw
