@@ -36,7 +36,7 @@ block's positions and their pathlosses take one array pass each.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -102,11 +102,6 @@ def _lin(x_db: float) -> float:
         return math.inf
 
 
-def _floats(values) -> tuple:
-    """A coordinate or coefficient tuple as Python floats."""
-    return tuple(map(float, values))
-
-
 def checked_int(name: str, value) -> int:
     """The integer field `name` as a Python int: a Python or numpy integer,
     not a bool or a float (ValueError naming the field)."""
@@ -115,14 +110,27 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
-# Real-valued ScenarioConfig fields, scalars or coordinate/coefficient tuples,
-# that must be finite.  weak_extra_loss_db may also be +inf: an absent weak
-# direct link, the idealization the Gram decomposition assumes.
-_FINITE_FIELDS = (
-    "bs_pos", "ris_pos", "user_circle_center", "user_circle_radius", "ptx_dbm",
-    "noise_dbm", "direct_extra_loss_db", "pl_direct", "pl_ris_user", "pl_los",
-    "aoa", "aod",
-)
+def checked_real(name: str, value) -> float:
+    """The real number `name` as a Python float: a Python or numpy integer
+    or float, not a bool (ValueError naming it).  A Python int beyond the
+    float range is an infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def checked_reals(name: str, values) -> tuple:
+    """An iterable of finite real numbers (`checked_real`) as a tuple of
+    Python floats (ValueError naming `name`)."""
+    if not np.iterable(values):
+        raise ValueError(f"{name} must be real numbers, got {values!r}")
+    reals = tuple(checked_real(name, v) for v in values)
+    if not all(map(math.isfinite, reals)):
+        raise ValueError(f"{name} must be finite, got {reals!r}")
+    return reals
 
 
 @dataclass
@@ -154,26 +162,32 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_bs", "n_ris", "n_strong", "seed"):
-            setattr(self, name, checked_int(name, getattr(self, name)))
-        # "false" is truthy: only a bool may decide whether positions freeze
-        if not isinstance(self.freeze_positions, (bool, np.bool_)):
-            raise ValueError(
-                f"freeze_positions must be a bool, got {self.freeze_positions!r}"
-            )
-        self.freeze_positions = bool(self.freeze_positions)
-        # the checks run on Python floats: numpy on 3-tuples made every
-        # scenario a sweep plan builds about five times as costly
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            values = value if np.iterable(value) else (value,)
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        loss = self.weak_extra_loss_db
-        if math.isnan(loss) or loss == -math.inf:
-            raise ValueError(
-                f"weak_extra_loss_db must be finite or +inf, got {loss!r}"
-            )
+        # each field is checked by its default's kind and stored as its
+        # canonical Python value, so equal scenarios serialize alike; the
+        # checks run on Python floats (numpy on 3-tuples made every scenario
+        # a sweep plan builds about five times as costly)
+        for f in fields(self):
+            name, value, kind = f.name, getattr(self, f.name), type(f.default)
+            if kind is int:
+                value = checked_int(name, value)
+            elif kind is tuple:
+                value = checked_reals(name, value)
+                if len(value) != len(f.default):
+                    raise ValueError(
+                        f"{name} must be {len(f.default)} real numbers, got {value!r}"
+                    )
+            elif kind is float:
+                value = checked_real(name, value)
+                # weak_extra_loss_db may also be +inf: an absent weak direct
+                # link, the idealization the Gram decomposition assumes
+                inf_ok = name == "weak_extra_loss_db"
+                if not (math.isfinite(value) or inf_ok and value == math.inf):
+                    bound = "finite or +inf" if inf_ok else "finite"
+                    raise ValueError(f"{name} must be {bound}, got {value!r}")
+            elif not isinstance(value, (bool, np.bool_) if kind is bool else str):
+                # "false" is truthy: only a bool may decide whether positions freeze
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+            setattr(self, name, kind(value))
         if self.n_strong < 1:
             raise ValueError("n_strong must be at least 1")
         if self.n_bs < self.n_strong + 1:
@@ -205,13 +219,13 @@ class ScenarioConfig:
         floats, which overflow to inf and underflow to 0 as numpy's do: the
         BS-RIS distance is the square root of a sum of squares, and a gain
         beyond the float range is reported, not raised or warned of."""
-        sigma2 = _lin(float(self.noise_dbm))
+        sigma2 = _lin(self.noise_dbm)
         if not 0.0 < sigma2 < math.inf:
             raise ValueError(
                 f"noise_dbm = {self.noise_dbm:g} gives a noise power of "
                 f"{sigma2:g} mW; it must be finite and positive"
             )
-        bs, ris = _floats(self.bs_pos), _floats(self.ris_pos)
+        bs, ris = self.bs_pos, self.ris_pos
         d_G = math.sqrt(sum((r - b) * (r - b) for r, b in zip(ris, bs)))
         users = "the user circle (user_circle_center, user_circle_radius)"
         # per link: its ends, the closest (and the farthest) distance between
@@ -221,12 +235,12 @@ class ScenarioConfig:
             ("ris_pos", "bs_pos", (d_G,), "pl_los", "the BS-RIS gain L_G", 0.0, 1.0),
             (users, "bs_pos", self._circle_distances(bs), "pl_direct",
              "a strong user's direct gain (direct_extra_loss_db, noise_dbm)",
-             float(self.direct_extra_loss_db), sigma2),
+             self.direct_extra_loss_db, sigma2),
             (users, "ris_pos", self._circle_distances(ris), "pl_ris_user",
              "a user's RIS gain (noise_dbm)", 0.0, sigma2),
         )
         for source, target, d, model, name, extra, noise in links:
-            alpha, beta = _floats(getattr(self, model))
+            alpha, beta = getattr(self, model)
             if d[0] > 0:
                 loss = [alpha + beta * math.log10(x) for x in d]
             else:
@@ -250,9 +264,9 @@ class ScenarioConfig:
         """Distances from a point to the closest and the farthest point of
         the user circle (the disc of user positions at the height of its
         center)."""
-        dx, dy, dz = (p - c for p, c in zip(point, _floats(self.user_circle_center)))
+        dx, dy, dz = (p - c for p, c in zip(point, self.user_circle_center))
         center = math.hypot(dx, dy)
-        radius = float(self.user_circle_radius)
+        radius = self.user_circle_radius
         return tuple(
             math.hypot(radial, dz)
             for radial in (max(center - radius, 0.0), center + radius)

@@ -67,27 +67,11 @@ def _to_floats(raw):
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _to_tuple(length):
-    """Parser of `length` comma- or space-separated floats."""
-
-    def parse(raw):
-        vals = _to_floats(raw)
-        if len(vals) != length:
-            raise ValueError(f"expected {length} numbers, got {len(vals)}")
-        return vals
-
-    return parse
-
-
-_PARSERS = {bool: _to_bool, int: int, float: float, str: str.strip}
+_PARSERS = {bool: _to_bool, int: int, float: float, str: str.strip, tuple: _to_floats}
 # key -> parser, in ScenarioConfig declaration order (reused for
-# serialization), chosen by the type of the field's default
-_SCENARIO_KEYS = {
-    f.name: _to_tuple(len(f.default))
-    if isinstance(f.default, tuple)
-    else _PARSERS[type(f.default)]
-    for f in fields(ScenarioConfig)
-}
+# serialization), chosen by the kind of the field's default; ScenarioConfig
+# checks a tuple's length
+_SCENARIO_KEYS = {f.name: _PARSERS[type(f.default)] for f in fields(ScenarioConfig)}
 _SWEEP_KEYS = {
     "variable": str.strip,
     "values": _to_floats,
@@ -228,14 +212,11 @@ def parse_config(text: str, *, seed: int = None, reps: int = None) -> SweepPlan:
 
 
 def _fmt(value):
+    """A canonical field or sweep value as config text."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
+        return ", ".join(map(repr, value))
     return str(value)
 
 
@@ -247,7 +228,7 @@ def serialize_config(plan: SweepPlan) -> str:
         "",
         "[sweep]",
         f"variable = {plan.variable}",
-        "values = " + ", ".join(repr(v) for v in plan.values),
+        f"values = {_fmt(plan.values)}",
         f"reps = {plan.reps}",
         "methods = " + ", ".join(m.label for m in plan.methods),
         "",
@@ -313,7 +294,7 @@ def figure_preset(number: int, seed: int = 0, reps: int = 200):
         cfg, variable, values = base, "ptx_dbm", DEFAULT_SWEEP_VALUES
     elif number == 3:
         cfg = base.with_updates(n_bs=4, ptx_dbm=40.0)
-        variable, values = "xi", tuple(float(x) for x in np.logspace(-2.0, 3.0, 11))
+        variable, values = "xi", np.logspace(-2.0, 3.0, 11)
     elif number == 4:
         cfg = base.with_updates(ptx_dbm=40.0)
         variable, values = "n_bs", (4.0, 6.0, 8.0, 10.0, 12.0)

@@ -50,7 +50,6 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +59,7 @@ from .channel import (
     ScenarioConfig,
     cascade_block,
     checked_int,
+    checked_reals,
     draw_block,
     frozen_positions,
     nominal_pathlosses,
@@ -128,11 +128,9 @@ class SweepPlan:
     def __post_init__(self):
         if self.variable not in _VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        self.values = tuple(float(v) for v in self.values)
+        self.values = checked_reals("values", self.values)
         if not self.values:
             raise ValueError("no sweep values given")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError(f"sweep values must be finite, got {self.values}")
         if not all(b > a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if self.variable in ("n_bs", "n_ris") and any(
@@ -195,7 +193,7 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     if variable == "xi":
         return cfg
     if variable == "ptx_dbm":
-        return cfg.with_updates(ptx_dbm=float(value))
+        return cfg.with_updates(ptx_dbm=value)
     return cfg.with_updates(**{variable: int(value)})
 
 

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +94,29 @@ def test_config_feasibility_check():
         ("n_strong", 2.5, "an integer"),
         ("seed", 1.5, "an integer"),
         ("seed", "3", "an integer"),
+        ("ptx_dbm", "30", "a real number"),
+        ("aoa", "x", "a real number"),
+        ("bs_pos", (0.0, 0.0), "3 real numbers"),
+        ("pl_direct", (35.1,), "2 real numbers"),
+        ("user_circle_radius", True, "a real number"),
+        ("ptx_dbm", True, "a real number"),
+        ("noise_dbm", None, "a real number"),
     ],
 )
 def test_config_rejects_mistyped_fields(field, value, kind):
     # "false" used to freeze the positions while the serialized config read
-    # "false", and a float count or seed died later inside numpy
+    # "false", and a float count or seed died later inside numpy; a string
+    # or None for a real died in math.isfinite with an unnamed TypeError, a
+    # short tuple in an unpacking deep in the link checks, and a bool passed
     with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
         ScenarioConfig(**{field: value})
+
+
+def test_config_takes_python_ints_beyond_the_float_range_as_infinities():
+    # float() of such an int raised OverflowError, naming no field
+    with pytest.raises(ValueError, match=r"^ptx_dbm must be finite, got -inf$"):
+        ScenarioConfig(ptx_dbm=-(10**400))
+    assert ScenarioConfig(weak_extra_loss_db=10**400).weak_extra_loss_db == math.inf
 
 
 def test_config_takes_numpy_integers_and_bools_as_python_values():

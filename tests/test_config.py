@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import os
 import re
 import subprocess
@@ -429,7 +430,8 @@ def test_unknown_section_rejected():
 def test_bad_value_names_key():
     with pytest.raises(ValueError, match=r"bad value for 'n_bs'"):
         parse_config("[scenario]\nn_bs = twelve\n")
-    with pytest.raises(ValueError, match=r"bad value for 'bs_pos'"):
+    # a tuple field's length is ScenarioConfig's check, as for the Python API
+    with pytest.raises(ValueError, match=r"^bs_pos must be 3 real numbers.*\(line 2\)$"):
         parse_config("[scenario]\nbs_pos = 1, 2\n")
 
 
@@ -476,15 +478,30 @@ def test_serialize_round_trips():
 
 def test_numpy_fields_serialize_as_their_python_values():
     # the hashed run identity must not depend on whether a caller passed
-    # numpy scalars (np.True_ used to serialize as "True", not "true")
+    # numpy scalars (np.True_ used to serialize as "True", not "true"), ints,
+    # lists or arrays: ScenarioConfig and SweepPlan store Python values, and
+    # the text they give parses back to an equal plan
     methods = (MethodSpec("ZF", "random", "exact"),)
-    cfg = ScenarioConfig(n_bs=np.int64(6), seed=np.uint32(3), freeze_positions=np.bool_(True))
-    plan = SweepPlan(cfg, "n_ris", (8, 16), methods, reps=np.int16(4))
-    python = ScenarioConfig(n_bs=6, seed=3, freeze_positions=True)
-    assert serialize_config(plan) == serialize_config(
-        SweepPlan(python, "n_ris", (8, 16), methods, reps=4)
+    python = SweepPlan(
+        ScenarioConfig(n_bs=6, seed=3, freeze_positions=True), "n_ris", (8.0, 16.0),
+        methods, reps=4,
     )
-    assert "freeze_positions = true\n" in serialize_config(plan)
+    text = serialize_config(python)
+    for line in ("freeze_positions = true", "ptx_dbm = 30.0", "bs_pos = 0.0, 0.0, 10.0"):
+        assert line + "\n" in text
+    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for updates in (
+        {"n_bs": np.int64(6), "seed": np.uint32(3), "freeze_positions": np.bool_(True)},
+        {"ptx_dbm": 30},
+        {"ptx_dbm": np.float64(30.0)},
+        {"bs_pos": [0.0, 0, 10.0]},
+        {"bs_pos": np.array([0.0, 0.0, 10.0])},
+    ):
+        cfg = ScenarioConfig(**{"n_bs": 6, "seed": 3, "freeze_positions": True, **updates})
+        plan = SweepPlan(cfg, "n_ris", (8, np.int64(16)), methods, reps=np.int16(4))
+        assert serialize_config(plan) == text, updates
+        assert hashlib.sha256(serialize_config(plan).encode("utf-8")).hexdigest() == sha
+        assert parse_config(serialize_config(plan)) == plan == python
 
 
 # ------------------------------------------------------------------ reader

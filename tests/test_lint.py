@@ -14,11 +14,14 @@ one module leaking into another.
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import risbc
+from risbc.channel import ScenarioConfig
+from risbc.config import _PARSERS
 
 PACKAGE = Path(risbc.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -198,6 +201,19 @@ def _sources(directory, pattern="*.py"):
         path.name: path.read_text(encoding="utf-8")
         for path in sorted(directory.glob(pattern))
     }
+
+
+def test_every_scenario_field_has_a_checked_kind():
+    # ScenarioConfig checks, and config.py parses, each field by the kind of
+    # its default: a default of another kind than its annotation, or of a
+    # kind neither knows, would let a new field's values pass unchecked
+    for field in fields(ScenarioConfig):
+        assert type(field.default) is field.type, field.name
+        assert field.type in _PARSERS, field.name
+        if field.type is tuple:
+            assert field.default and all(type(v) is float for v in field.default)
+        with pytest.raises(ValueError, match=f"^{field.name} must be "):
+            ScenarioConfig(**{field.name: object()})
 
 
 def test_runtime_package_is_lint_clean():

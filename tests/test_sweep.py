@@ -111,6 +111,14 @@ def test_plan_rejects_replication_counts_that_are_not_integers(reps):
         SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=reps)
 
 
+@pytest.mark.parametrize("values", (["x"], [None], [True, 5.0], 30.0))
+def test_plan_rejects_sweep_values_that_are_not_real_numbers(values):
+    # "x" and None died in float() naming no key, and True ran a point at 1 dBm
+    m = (method("ZF", "align_weak", "exact"),)
+    with pytest.raises(ValueError, match=r"^values must be (a )?real number"):
+        SweepPlan(small_cfg(), "ptx_dbm", values, m, reps=2)
+
+
 def test_plan_takes_a_numpy_integer_replication_count():
     m = (method("ZF", "align_weak", "exact"),)
     plan = SweepPlan(small_cfg(), "ptx_dbm", (30.0,), m, reps=np.int64(3))
