@@ -40,6 +40,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .linalg import out_array
+
 # Dedicated substream tag for frozen user positions; replication substreams
 # use the replication index, which stays far below this value.
 POSITION_STREAM = 0x706F73
@@ -515,20 +517,22 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
     return PathlossSet(L_d=L_d, L_r=L_r, L_G=L_G)
 
 
-def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool):
+def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool, out=None):
     """The direct channels H_d [..., K+1, N_B], or with `ris` the RIS-user
     channels H_r [..., K+1, N_R], from a draw's normals x [..., M] (the real
     parts of the direct fading, its imaginary parts, then the same for the
-    RIS-user fading): sqrt(L / 2) (re + 1j im), formed as 1j * im, then
-    += re (which adds the same two terms without a temporary), then scaled
-    in place by the pathlosses L [..., K+1]."""
+    RIS-user fading): sqrt(L / 2) (re + 1j im), formed as 1j * im into
+    `out` (`linalg.out_array`), then += re (which adds the same two terms
+    without a temporary), then scaled in place by the pathlosses L
+    [..., K+1]."""
     n, L = (cfg.n_ris, pl.L_r) if ris else (cfg.n_bs, pl.L_d)
     start, size = 2 * cfg.n_users * cfg.n_bs * ris, cfg.n_users * n
     re, im = (
         x[..., i : i + size].reshape(*x.shape[:-1], cfg.n_users, n)
         for i in (start, start + size)
     )
-    z = 1j * im
+    # np.multiply(1j, im) is 1j * im, bit for bit
+    z = np.multiply(1j, im, out=out_array(out, im.shape))
     z += re
     z *= np.sqrt(L[..., None] / 2.0)
     return z
@@ -561,6 +565,7 @@ def draw_block(
     streams: Streams,
     positions: np.ndarray = None,
     pathlosses: PathlossSet = None,
+    out: tuple = None,
 ) -> tuple:
     """The variates of replications `streams.reps` of a run, one row per draw.
 
@@ -581,9 +586,13 @@ def draw_block(
     scenario with fewer elements or antennas are a prefix of each row:
     `realize_block` builds any such scenario from this draw and its
     pathlosses, and `cascade_block` the scenario's cascaded channels alone.
+    `out`, if given, is a pair of caller-owned arrays (u, x) the position
+    uniforms [len(streams), 2(K+1)] and the normals are drawn into, and the
+    returned x is its own; without it both are new arrays.
     """
-    x = np.empty((len(streams), variate_count(cfg)))
-    u = np.empty((len(streams), 2 * cfg.n_users))
+    u, x = (None, None) if out is None else out
+    u = out_array(u, (len(streams), 2 * cfg.n_users), float)
+    x = out_array(x, (len(streams), variate_count(cfg)), float)
     for rng, u_row, row in zip(streams.starts(CHANNEL), u, x):
         if positions is None:
             rng.random(out=u_row)
@@ -597,39 +606,65 @@ def draw_block(
     return np.broadcast_to(positions, (*draws, 3)), pl, x
 
 
-def realize_block(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray) -> ChannelRealization:
+def realize_block(
+    cfg: ScenarioConfig,
+    pl: PathlossSet,
+    x: np.ndarray,
+    out: tuple = None,
+    steering: np.ndarray = None,
+) -> ChannelRealization:
     """The realization of scenario `cfg` from drawn variates.
 
     pl and x are the pathlosses and normals of a `draw_block` result for a
     scenario with the same K and geometry and at least cfg's N_B and N_R,
     or one draw's pathlosses and normals; only the prefix
     x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry x's
-    leading axes (b is shared).  H_c comes from `cascade_block`.  A caller
-    that passes its only reference to x has the variates freed on return,
-    so a block's peak memory holds one copy of each stack.
+    leading axes (b is shared).  `out`, if given, is a pair of caller-owned
+    arrays (H_d [..., K+1, N_B], H_c [..., K+1, N_R]) the direct and the
+    cascaded channels are built in, and the realization's channels are
+    views of them; without it they are new arrays.  H_c and `steering`
+    go to `cascade_block`.
     """
-    H_d_all = _fading(cfg, pl, x, False)
+    H_d, H_c = (None, None) if out is None else out
+    H_d_all = _fading(cfg, pl, x, False, H_d)
     return ChannelRealization(
         H_d_strong=H_d_all[..., : cfg.n_strong, :],
         h_d_weak=H_d_all[..., cfg.n_strong, :],
         b=steering_vector(cfg.n_bs, cfg.aod, norm="unit"),
-        H_c=cascade_block(cfg, pl, x),
+        H_c=cascade_block(cfg, pl, x, H_c, steering),
     )
 
 
-def cascade_block(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray) -> np.ndarray:
+def cascade_block(
+    cfg: ScenarioConfig,
+    pl: PathlossSet,
+    x: np.ndarray,
+    out: np.ndarray = None,
+    steering: np.ndarray = None,
+) -> np.ndarray:
     """The cascaded channels sqrt(L_G N_B) H_r diag(a) [..., K+1, N_R] of
     the RIS-user channels H_r that variates x give (`realize_block`'s
     arguments), with a the RIS-side steering vector (||a||^2 = N_R): the
     one builder of H_c, which `realize_block` calls and an n_ris sweep's
-    later points call alone.  H_r is scaled into H_c in place."""
-    H_c = _fading(cfg, pl, x, True)
+    later points call alone.  H_r is built in `out` if given (a
+    caller-owned array of H_c's shape, which is returned) or in a new
+    array, and scaled into H_c in place.  `steering` is
+    steering_vector(n, cfg.aoa, norm="sqrt_n") at any n >= N_R, whose
+    first N_R entries are a's, bit for bit (a run computes it once, at its
+    largest N_R); a is computed here if it is None."""
+    if steering is None:
+        steering = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    elif len(steering) < cfg.n_ris:
+        raise ValueError(
+            f"steering has {len(steering)} entries, fewer than N_R = {cfg.n_ris}"
+        )
+    H_c = _fading(cfg, pl, x, True, out)
     np.multiply(np.sqrt(pl.L_G * cfg.n_bs), H_c, out=H_c)
-    H_c *= steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+    H_c *= steering[: cfg.n_ris]
     return H_c
 
 
-def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:
+def random_phase_block(streams: Streams, n_ris: int, out: tuple = None) -> np.ndarray:
     """Random phases [len(streams), N_R] of replications `streams.reps`.
 
     Row i equals, bit for bit, exp(1j * rng.uniform(0, 2 pi, n_ris)) of
@@ -637,10 +672,17 @@ def random_phase_block(streams: Streams, n_ris: int) -> np.ndarray:
     spawn_key=(PHASE,))): angles
     uniform on [0, 2*pi) from the start of the replication's phase stream.
     The uniforms are drawn in order, so the phases of fewer elements are a
-    prefix of each row.
+    prefix of each row.  `out`, if given, is a pair of caller-owned arrays
+    (uniforms, phases) of the result's shape, float and complex, and the
+    phases array is returned; without it both are new arrays.  The angles
+    are scaled in place and exp is taken in place.
     """
-    u = np.empty((len(streams), n_ris))
+    u, theta = (None, None) if out is None else out
+    shape = (len(streams), n_ris)
+    u = out_array(u, shape, float)
     for rng, row in zip(streams.starts(PHASE), u):
         rng.random(out=row)
     u *= 2.0 * np.pi
-    return np.exp(1j * u)
+    # np.multiply(1j, u) is 1j * u, bit for bit
+    theta = np.multiply(1j, u, out=out_array(theta, shape))
+    return np.exp(theta, out=theta)

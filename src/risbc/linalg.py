@@ -18,6 +18,22 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def out_array(out, shape, dtype=complex) -> np.ndarray:
+    """The array a function with an optional caller-owned `out` writes its
+    result into: `out` itself, which must be an ndarray of exactly `shape`
+    and `dtype` (ValueError otherwise), or a new one when it is None."""
+    shape, dtype = tuple(shape), np.dtype(dtype)
+    if out is None:
+        return np.empty(shape, dtype)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
+        got = getattr(out, "dtype", type(out).__name__)
+        raise ValueError(
+            f"out must be a {dtype} array of shape {shape}, got {got} of shape "
+            f"{np.shape(out)}"
+        )
+    return out
+
+
 def herm(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes, [..., m, n] -> [..., n, m]."""
     return np.swapaxes(A, -1, -2).conj()

@@ -28,7 +28,7 @@ h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
 
 import numpy as np
 
-from .linalg import check_finite, herm, matvec
+from .linalg import check_finite, herm, matvec, out_array
 from .se import (
     DecompositionCache,
     check_phase_shape,
@@ -47,17 +47,24 @@ MAX_STEPS = 200
 GRAD_TOLERANCE = 1e-9
 
 
-def align_weak_user(h_c_weak: np.ndarray) -> np.ndarray:
+def align_weak_user(h_c_weak: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Phases maximizing the weak user's channel gain |h_c,K+1^H theta|^2.
 
     h_c_weak is the stored conjugated row h_c,K+1^H, so the aligned phases
     are exp(-j arg(row)) = conj(row) / |row| and the resulting inner
     product is sum_n |h_c,K+1,n| (real and maximal).  Zero entries get 1
-    (phase 0) by convention.  Rows [..., N_R] give phases [..., N_R].
+    (phase 0) by convention.  Rows [..., N_R] give phases [..., N_R],
+    written into `out` if given (a caller-owned complex array of their
+    shape, which is returned), else into a new array.
     """
     h_c_weak = check_finite(h_c_weak, "h_c_weak")
     r = np.abs(h_c_weak)
-    return np.divide(h_c_weak.conj(), r, out=np.ones_like(h_c_weak), where=r > 0.0)
+    # conj(row) / |row| in place, so a block holds no conjugated copy
+    out = np.conjugate(h_c_weak, out=out_array(out, h_c_weak.shape))
+    nonzero = r > 0.0
+    np.divide(out, r, out=out, where=nonzero)
+    out[~nonzero] = 1.0
+    return out
 
 
 # =========================================================================
@@ -302,14 +309,18 @@ def optimize_mitigation_aware(
 
 
 def select_phases(
-    kind: str, cache: DecompositionCache, random_theta: np.ndarray
+    kind: str,
+    cache: DecompositionCache,
+    random_theta: np.ndarray,
+    out: np.ndarray = None,
 ) -> np.ndarray:
     """Phases of strategy `kind` (one of STRATEGIES) for a channel draw or a
     stack of B draws ([B, N_R], row i being what draw i gets on its own).
 
     The RANDOM_STRATEGIES return `random_theta`, the draws' random phases
     shaped like theirs (a sweep's come from `channel.random_phase_block`);
-    the others compute theirs from the cache and ignore it.
+    the others compute theirs from the cache and ignore it, and start from
+    the aligned phases, written into `out` (`align_weak_user`).
 
     "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
     unit-modulus vector gives the same ergodic rates.
@@ -319,7 +330,7 @@ def select_phases(
     if kind in RANDOM_STRATEGIES:
         check_phase_shape(cache, random_theta)
         return random_theta
-    aligned = align_weak_user(cache.h_c_weak)
+    aligned = align_weak_user(cache.h_c_weak, out)
     if kind == "align_weak":
         return aligned
     return optimize_mitigation_aware(cache, aligned)

@@ -143,7 +143,10 @@ def unit_phases(theta) -> np.ndarray:
     """Phases theta [..., N_R] as a complex array, which must be finite and
     unit modulus (ValueError otherwise)."""
     theta = np.atleast_1d(check_finite(theta, "theta"))
-    if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
+    # |(|theta| - 1)| in one array, so a block holds no second copy
+    error = np.abs(theta)
+    error -= 1.0
+    if np.max(np.abs(error, out=error)) > 1e-12:
         raise ValueError("phase entries must be unit modulus")
     return theta
 

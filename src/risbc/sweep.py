@@ -42,7 +42,12 @@ are read in order from their start, so the prefix is exactly what the point
 would draw alone: rows depend neither on the block size nor on the other
 sweep points.  An n_ris sweep's later points build only their cascades
 (`channel.cascade_block`), into the first point's cache with its feed,
-factor of C_s and flags (`se.DecompositionCache.with_cascade`).
+factor of C_s and flags (`se.DecompositionCache.with_cascade`).  The
+variates, the phases and the channel stacks of every block are written
+into one workspace, allocated once per run at the block size and the
+largest scenario, and each block's rate terms into arrays of [reps, ...]
+per point and strategy, so no block allocates, frees and faults back in
+arrays of its own.
 
 Replications whose projected direct Gram matrix is ill conditioned
 (condition number above 1e12) are flagged and dropped from every method's
@@ -50,6 +55,7 @@ averages at that sweep point; if more than half the draws at a point are
 flagged the run aborts instead of reporting hollow means.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +71,7 @@ from .channel import (
     nominal_pathlosses,
     random_phase_block,
     realize_block,
+    steering_vector,
     stream_states,
     variate_count,
 )
@@ -81,12 +88,13 @@ COND_FLAG = 1e12
 # scenario cfg.  Its variates and what is built from them (the channel
 # stacks, the cache, the optimizer's stacks) take memory in proportion to
 # its draws times (K+1)(N_B+N_R), so the budget bounds stage 1's peak memory
-# whatever the reps.  It is figure 5's block at N_R = 256, 32 draws of 2144
-# variates, where blocks of 32 add about 1.4 MB to the peak resident set and
-# blocks of 64 about 4 MB (a tenth of the whole run's).  Figures 2-4
-# (N_R = 64) fit 112-126 draws in it, and so pay each block's fixed cost
-# (the dispatch over points and strategies, and every stacked call's own
-# overhead) about a quarter as often.
+# whatever the reps.  The run's `_Workspace` is allocated at this size once
+# and every block is drawn and built in it.  It is figure 5's block at
+# N_R = 256, 32 draws of 2144 variates, where blocks of 32 add about 1.4 MB
+# to the peak resident set and blocks of 64 about 4 MB (a tenth of the
+# whole run's).  Figures 2-4 (N_R = 64) fit 112-126 draws in it, and so pay
+# each block's fixed cost (the dispatch over points and strategies, and
+# every stacked call's own overhead) about a quarter as often.
 BLOCK_VARIATES = 32 * 2144
 
 _VARIABLES = ("ptx_dbm", "n_bs", "n_ris", "xi")
@@ -126,6 +134,8 @@ class SweepPlan:
     points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.config, ScenarioConfig):
+            raise ValueError(f"config must be a ScenarioConfig, got {self.config!r}")
         if self.variable not in _VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         self.values = checked_reals("values", self.values)
@@ -149,10 +159,14 @@ class SweepPlan:
                     f"values: at {self.variable} = {value:g}, {exc}"
                 ) from None
         self.points = tuple(points)
+        if not np.iterable(self.methods):
+            raise ValueError(f"methods must be MethodSpecs, got {self.methods!r}")
         self.methods = tuple(self.methods)
         if not self.methods:
             raise ValueError("no methods given")
         for m in self.methods:
+            if not isinstance(m, MethodSpec):
+                raise ValueError(f"methods must be MethodSpecs, got {m!r}")
             if self.methods.count(m) > 1:
                 raise ValueError(f"methods: {m.label} is repeated")
         self.reps = checked_int("reps", self.reps)
@@ -197,6 +211,40 @@ def _apply_variable(cfg: ScenarioConfig, variable: str, value: float):
     return cfg.with_updates(**{variable: int(value)})
 
 
+class _Workspace:
+    """The arrays stage 1 writes every block into, each allocated once per
+    run, when first taken, at its block size `size` and largest scenario
+    `cfg`: the position uniforms and variates (`draw_block`), the phase
+    uniforms and phases (`random_phase_block`), the direct and cascaded
+    channel stacks (`realize_block`, `cascade_block`) and the aligned phases
+    (`select_phases`); and the RIS steering vector at N_R, whose prefix is
+    each point's, bit for bit.  A block or a point takes a contiguous prefix
+    of a buffer (`take`), so a short last block or a smaller point needs no
+    array of its own.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, size: int):
+        draws, elements = size * cfg.n_users, size * cfg.n_ris
+        # name: (entries, dtype)
+        self.sizes = {
+            "u": (size * 2 * cfg.n_users, float),
+            "x": (size * variate_count(cfg), float),
+            "phase_u": (elements, float),
+            "theta": (elements, complex),
+            "H_d": (draws * cfg.n_bs, complex),
+            "H_c": (draws * cfg.n_ris, complex),
+            "aligned": (elements, complex),
+        }
+        self.buffers = {}
+        self.steering = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
+
+    def take(self, name: str, *shape) -> np.ndarray:
+        """The first prod(shape) entries of buffer `name`, shaped `shape`."""
+        if name not in self.buffers:
+            self.buffers[name] = np.empty(*self.sizes[name])
+        return self.buffers[name][: math.prod(shape)].reshape(shape)
+
+
 def _reduce(plan: SweepPlan, strategies) -> list:
     """Stage 1: draw, flag and reduce every replication at every point.
 
@@ -208,72 +256,89 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     random phases are drawn once, at the last scenario (the one with the
     most: sweep values increase and K is fixed), and serve every point; an
     n_ris sweep's later points build only their cascades and share the first
-    one's feed, factor of C_s and flags.  Only one block's variates, one
-    scenario's channel stacks and one masked cache are alive at once.
+    one's feed, factor of C_s and flags.  Every block is drawn and built in
+    one `_Workspace`, and each block's terms are written into arrays
+    allocated at [reps, ...] per point and strategy, whose kept prefixes are
+    returned.
     """
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
     xi_sweep = plan.variable == "xi"
     # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
     divisors = [np.hypot(1.0, xi) for xi in plan.values] if xi_sweep else [1.0]
     largest = scenarios[-1]
+    users = largest.n_users
     frozen = frozen_positions(largest)
     # frozen positions have one set of pathlosses, which every block shares
     frozen_pl = None if frozen is None else nominal_pathlosses(largest, frozen)
     streams = stream_states(plan.config.seed, range(plan.reps))
     size = max(1, BLOCK_VARIATES // variate_count(largest))  # draws a block
+    work = _Workspace(largest, size)
     flagged = [0] * (len(scenarios) * len(divisors))
-    kept = [[] for _ in flagged]  # per point, each block's {strategy: RateTerms}
-    for start in range(0, plan.reps, size):
+    kept = [0] * len(flagged)  # kept draws so far, per point
+    # per point and strategy, RateTerms (eigvals, inv_diag, g, cross) of
+    # [reps, K], [reps, K], [reps] and [reps, K]
+    K, reps = largest.n_strong, plan.reps
+    shapes = ((reps, K), (reps, K), (reps,), (reps, K))
+    terms = [
+        {kind: RateTerms(*map(np.empty, shapes)) for kind in strategies}
+        for _ in flagged
+    ]
+    for start in range(0, reps, size):
         block = streams[start : start + size]
-        block_theta = None  # the last block's phases are freed here
+        n = len(block)
+        block_theta = None
         if any(kind in RANDOM_STRATEGIES for kind in strategies):
-            block_theta = random_phase_block(block, largest.n_ris)
-        # *x holds the variates in a list, so the last scenario can pop the
-        # only reference and realize_block's return frees them
-        _, pathlosses, *x = draw_block(largest, block, frozen, frozen_pl)
+            shape = (n, largest.n_ris)
+            out = (work.take("phase_u", *shape), work.take("theta", *shape))
+            block_theta = random_phase_block(block, largest.n_ris, out=out)
+        out = (work.take("u", n, 2 * users), work.take("x", n, variate_count(largest)))
+        _, pathlosses, x = draw_block(largest, block, frozen, frozen_pl, out=out)
         factor = None  # an n_ris sweep's unmasked cache of its first point
         for s, cfg in enumerate(scenarios):
+            H_c = work.take("H_c", n, users, cfg.n_ris)
             if factor is None:
-                real = realize_block(cfg, pathlosses, x.pop() if cfg is largest else x[0])
-                H_d, H_c = real.H_d_strong, real.H_c
+                out = (work.take("H_d", n, users, cfg.n_bs), H_c)
+                real = realize_block(
+                    cfg, pathlosses, x, out=out, steering=work.steering
+                )
+                H_d = real.H_d_strong
                 feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
-                del real
             for i, divisor in enumerate(divisors):
                 if factor is None:
                     cache = decompose_feed(H_d, H_c, feed / divisor)
                     keep = ~(cache.cond() > COND_FLAG)
                     factor = cache if plan.variable == "n_ris" else None
                 else:  # only the cascade is new; keep is the first point's mask
-                    H_c = cascade_block(cfg, pathlosses, x.pop() if cfg is largest else x[0])
+                    cascade_block(cfg, pathlosses, x, out=H_c, steering=work.steering)
                     cache = factor.with_cascade(H_c)
-                if i == len(divisors) - 1:
-                    H_d = H_c = None  # only the cache keeps a stack during phases
                 point = s * len(divisors) + i
-                flagged[point] += len(keep) - int(np.count_nonzero(keep))
-                if keep.any():
+                m = int(np.count_nonzero(keep))
+                flagged[point] += n - m
+                if m:
                     # the kept replications; a basic slice copies nothing
-                    rows = slice(None) if keep.all() else keep
+                    rows = slice(None) if m == n else keep
                     cache, theta = cache[rows], block_theta
                     if theta is not None:
                         theta = theta[rows, : cfg.n_ris]
-                    kept[point].append({
-                        kind: rate_terms(cache, select_phases(kind, cache, theta))
-                        for kind in strategies
-                    })
-                    del theta
-                del cache
+                    aligned = work.take("aligned", m, cfg.n_ris)
+                    written = slice(kept[point], kept[point] + m)
+                    kept[point] += m
+                    for kind in strategies:
+                        phases = select_phases(kind, cache, theta, out=aligned)
+                        block_terms = rate_terms(cache, phases)
+                        for store, value in zip(terms[point][kind], block_terms):
+                            store[written] = value
     reduced = []
-    for value, n_flagged, blocks in zip(plan.values, flagged, kept):
-        if 2 * n_flagged > plan.reps:
+    for value, n_flagged, n_kept, point_terms in zip(plan.values, flagged, kept, terms):
+        if 2 * n_flagged > reps:
             raise RuntimeError(
-                f"{n_flagged}/{plan.reps} draws flagged as ill-conditioned at "
+                f"{n_flagged}/{reps} draws flagged as ill-conditioned at "
                 f"{plan.variable}={value:g}"
             )
-        terms = {
-            kind: RateTerms(*map(np.concatenate, zip(*(t[kind] for t in blocks))))
-            for kind in strategies
-        }
-        reduced.append((n_flagged, terms))
+        reduced.append((n_flagged, {
+            kind: RateTerms(*(store[:n_kept] for store in stores))
+            for kind, stores in point_terms.items()
+        }))
     return reduced
 
 

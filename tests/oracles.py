@@ -556,11 +556,12 @@ def reference_optimize_mitigation_aware(cache, init):
 # the scenario checks on numpy arrays
 # =========================================================================
 
-# ScenarioConfig's real-valued fields that must be finite, in its check order
-FINITE_SCENARIO_FIELDS = (
+# ScenarioConfig's real-valued fields in its check order, which is their
+# declaration order: each must be finite, weak_extra_loss_db finite or +inf
+REAL_SCENARIO_FIELDS = (
     "bs_pos", "ris_pos", "user_circle_center", "user_circle_radius", "ptx_dbm",
-    "noise_dbm", "direct_extra_loss_db", "pl_direct", "pl_ris_user", "pl_los",
-    "aoa", "aod",
+    "noise_dbm", "weak_extra_loss_db", "direct_extra_loss_db", "pl_direct",
+    "pl_ris_user", "pl_los", "aoa", "aod",
 )
 
 
@@ -576,12 +577,13 @@ def scenario_problem(**updates):
     """
     cfg = {f.name: f.default for f in fields(ScenarioConfig)}
     cfg.update(updates)
-    for name in FINITE_SCENARIO_FIELDS:
-        if not np.all(np.isfinite(cfg[name])):
-            return f"{name} must be finite, got {cfg[name]!r}"
-    loss = cfg["weak_extra_loss_db"]
-    if np.isnan(loss) or loss == -np.inf:
-        return f"weak_extra_loss_db must be finite or +inf, got {loss!r}"
+    for name in REAL_SCENARIO_FIELDS:
+        value = cfg[name]
+        if name == "weak_extra_loss_db":
+            if np.isnan(value) or value == -np.inf:
+                return f"{name} must be finite or +inf, got {value!r}"
+        elif not np.all(np.isfinite(value)):
+            return f"{name} must be finite, got {value!r}"
     with np.errstate(all="ignore"):
         return _link_problem(cfg)
 

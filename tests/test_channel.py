@@ -24,8 +24,10 @@ from risbc.channel import (
     random_phase_block,
     realize_block,
     sample_realization,
+    cascade_block,
     steering_vector,
     stream_states,
+    variate_count,
 )
 
 
@@ -397,6 +399,114 @@ def test_random_phase_block_prefixes():
     for n_ris in (1, 16, 255, 256):
         narrow = random_phase_block(stream_states(8, reps), n_ris)
         assert np.array_equal(wide[:, :n_ris], narrow)
+
+
+# ------------------------------------------------- caller-owned out arrays
+
+
+def same_bits(got, want):
+    """The two arrays have one shape and dtype and the same bytes."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def filled(shape, dtype=float):
+    """A caller's buffer, full of NaN so that an entry left unwritten shows."""
+    return np.full(shape, np.nan, dtype)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_draw_block_into_out_equals_a_new_draw(frozen):
+    cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=11)
+    positions = frozen_positions(cfg.with_updates(freeze_positions=True)) if frozen else None
+    streams = stream_states(cfg.seed, [4, 0, 9])
+    u, x = filled((3, 2 * cfg.n_users)), filled((3, variate_count(cfg)))
+    got = draw_block(cfg, streams, positions, out=(u, x))
+    want = draw_block(cfg, streams, positions)
+    assert got[2] is x
+    for got_array, want_array in ((got[0], want[0]), (got[1].L_d, want[1].L_d),
+                                  (got[1].L_r, want[1].L_r), (got[2], want[2])):
+        same_bits(got_array, want_array)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 57])
+def test_realize_and_cascade_into_out_equal_new_arrays(extra):
+    # into caller-owned stacks and with a steering vector longer by `extra`
+    # elements, whose prefix is N_R's, bit for bit
+    cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=3)
+    _, pl, x = draw_block(cfg, stream_states(cfg.seed, range(4)))
+    steering = steering_vector(cfg.n_ris + extra, cfg.aoa, norm="sqrt_n")
+    H_d = filled((4, cfg.n_users, cfg.n_bs), complex)
+    H_c = filled((4, cfg.n_users, cfg.n_ris), complex)
+    got = realize_block(cfg, pl, x, out=(H_d, H_c), steering=steering)
+    want = realize_block(cfg, pl, x)
+    assert got.H_c is H_c and np.shares_memory(got.H_d_strong, H_d)
+    for name in ("H_d_strong", "h_d_weak", "H_c", "b"):
+        same_bits(getattr(got, name), getattr(want, name))
+    H_c = filled(H_c.shape, complex)
+    assert cascade_block(cfg, pl, x, out=H_c, steering=steering) is H_c
+    same_bits(H_c, want.H_c)
+    same_bits(cascade_block(cfg, pl, x, steering=steering), want.H_c)
+
+
+def test_random_phase_block_into_out_equals_a_new_block():
+    streams = stream_states(8, [2, 9, 0])
+    u, theta = filled((3, 16)), filled((3, 16), complex)
+    got = random_phase_block(streams, 16, out=(u, theta))
+    assert got is theta
+    same_bits(got, random_phase_block(streams, 16))
+
+
+def test_steering_prefixes_equal_shorter_vectors():
+    # a run computes the RIS steering vector once, at its largest N_R
+    for angle in (np.pi / 2, np.pi / 3, 0.4):
+        wide = steering_vector(256, angle, norm="sqrt_n")
+        for n in range(1, 257):
+            same_bits(wide[:n], steering_vector(n, angle, norm="sqrt_n"))
+
+
+def test_calls_without_out_return_independent_arrays():
+    # no public call returns memory that a later call overwrites
+    cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=3)
+
+    def arrays():
+        streams = stream_states(cfg.seed, range(3))
+        _, pl, x = draw_block(cfg, streams)
+        real = realize_block(cfg, pl, x)
+        return (x, real.H_d_strong, real.H_c, cascade_block(cfg, pl, x),
+                random_phase_block(streams, cfg.n_ris))
+
+    first, second = arrays(), arrays()
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a, b)
+        same_bits(a, b)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        (np.empty((3, 8)), np.empty((3, 99))),
+        (np.empty((3, 8)), np.empty((2, 80))),
+        (np.empty((3, 8), np.float32), np.empty((3, 80))),
+        (np.empty((3, 8)), [[0.0] * 80] * 3),
+    ],
+    ids=("columns", "rows", "dtype", "list"),
+)
+def test_draw_block_rejects_an_out_of_another_shape_or_dtype(out):
+    cfg = ScenarioConfig(n_bs=6, n_strong=3, n_ris=4)
+    assert (2 * cfg.n_users, variate_count(cfg)) == (8, 80)
+    with pytest.raises(ValueError, match="^out must be a float64 array of shape"):
+        draw_block(cfg, stream_states(0, range(3)), out=out)
+
+
+def test_cascade_block_rejects_a_short_steering_vector():
+    cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7)
+    _, pl, x = draw_block(cfg, stream_states(0, range(2)))
+    with pytest.raises(ValueError, match="steering has 6 entries, fewer than N_R = 7"):
+        cascade_block(cfg, pl, x, steering=steering_vector(6, cfg.aoa, norm="sqrt_n"))
+    H_c = np.empty((2, cfg.n_users, cfg.n_ris), np.complex64)
+    with pytest.raises(ValueError, match="^out must be a complex128 array"):
+        cascade_block(cfg, pl, x, out=H_c)
 
 
 def test_phase_and_channel_streams_are_separate():

@@ -120,6 +120,35 @@ def test_align_equals_the_complex_exponential(stacked):
     assert np.all(theta[zero] == 1.0)
 
 
+def test_align_into_out_equals_a_new_array_and_the_one_expression():
+    # conj(h) / |h| taken in place, into a caller's array or a new one, is
+    # bit for bit the one expression np.divide(conj(h), |h|, where |h| > 0)
+    # with 1 elsewhere; calls without out return independent arrays
+    rows = block(4, 40, n_ris=256).h_c_weak.copy()
+    rows[:, ::17] = 0.0
+    r = np.abs(rows)
+    want = np.divide(rows.conj(), r, out=np.ones_like(rows), where=r > 0.0)
+    out = np.full(rows.shape, np.nan, complex)
+    assert align_weak_user(rows, out) is out
+    first, second = align_weak_user(rows), align_weak_user(rows)
+    assert not np.shares_memory(first, second)
+    for got in (out, first, second):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["align_weak", "mitigation_aware"])
+def test_select_phases_into_out_equals_a_new_array(kind):
+    # the aligned phases (the optimizer's start) go to a caller's array
+    cache = block(2, 6, n_ris=16)
+    out = np.full(cache.h_c_weak.shape, np.nan, complex)
+    got = select_phases(kind, cache, None, out=out)
+    assert (got is out) == (kind == "align_weak")
+    first, second = select_phases(kind, cache, None), select_phases(kind, cache, None)
+    assert not np.shares_memory(first, second)
+    for array in (first, second):
+        assert got.tobytes() == array.tobytes()
+
+
 # ------------------------------------------------------------------ optimizer
 
 

@@ -105,6 +105,33 @@ def test_points_equal_their_lone_runs_at_any_block_size(plan):
 
 
 @st.composite
+def plan_sequences(draw):
+    """Two or three plans of any variables and shapes, each with a block
+    size of 2 to 4 draws and reps that end in a short block."""
+    sequence = []
+    for plan in draw(st.lists(plans(("ptx_dbm", "n_ris", "n_bs", "xi")), min_size=2, max_size=3)):
+        block = draw(st.integers(2, 4))
+        reps = block * draw(st.integers(1, 2)) + draw(st.integers(1, block - 1))
+        sequence.append((replace(plan, reps=reps), block))
+    return sequence
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=30)
+@hypothesis.given(plan_sequences())
+def test_plans_run_one_after_another_give_the_same_rows_in_either_order(sequence):
+    # every run draws and builds its blocks in a workspace of its own: plans
+    # run one after another, in either order, give the same rows
+    def rows(plan, block):
+        with pytest.MonkeyPatch.context() as mp:
+            set_block(mp, plan, block)
+            return rows_or_error(plan)
+
+    forward = [rows(*item) for item in sequence]
+    backward = [rows(*item) for item in reversed(sequence)]
+    assert forward == backward[::-1]
+
+
+@st.composite
 def stacks(draw):
     """(cfg, xi or None, reps): a small scenario and a block of its draws."""
     n_strong = draw(st.integers(1, 3))

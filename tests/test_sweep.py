@@ -1,13 +1,18 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import random_phases, rep_seeds
+import risbc
 from risbc import channel, se, sweep
 from risbc.channel import (
     CHANNEL,
@@ -117,6 +122,25 @@ def test_plan_rejects_sweep_values_that_are_not_real_numbers(values):
     m = (method("ZF", "align_weak", "exact"),)
     with pytest.raises(ValueError, match=r"^values must be (a )?real number"):
         SweepPlan(small_cfg(), "ptx_dbm", values, m, reps=2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("methods", ("ZF:random:exact",), r"methods must be MethodSpecs, got 'ZF:random:exact'"),
+        ("methods", None, r"methods must be MethodSpecs, got None"),
+        ("config", {"n_bs": 6}, r"config must be a ScenarioConfig, got \{'n_bs': 6\}"),
+    ],
+    ids=("label", "none", "dict"),
+)
+def test_plan_rejects_mistyped_methods_and_config(field, value, message):
+    # a label in place of a MethodSpec died in run_sweep with AttributeError,
+    # methods=None with an unnamed TypeError and a dict config with an
+    # AttributeError from with_updates
+    fields = {"config": small_cfg(), "methods": (method("ZF", "align_weak", "exact"),)}
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepPlan(variable="ptx_dbm", values=(30.0,), reps=2, **fields)
 
 
 def test_plan_takes_a_numpy_integer_replication_count():
@@ -321,9 +345,9 @@ def test_sweep_takes_one_feed_per_block_and_point(
         calls["with_cascade"].append(len(H_c))
         return with_cascade(cache, H_c)
 
-    def spy_cascade_block(cfg, pl, x):
+    def spy_cascade_block(cfg, pl, x, **kw):
         calls["cascade_block"].append(len(x))
-        return channel.cascade_block(cfg, pl, x)
+        return channel.cascade_block(cfg, pl, x, **kw)
 
     def spy_pathlosses(cfg, positions):
         calls["pl"].append(len(positions))
@@ -385,13 +409,13 @@ def test_figure5_builds_only_the_cascade_after_its_first_point(monkeypatch):
     calls = {name: [] for name in ("realize", "cascade", "eigh", "feed")}
     eigh, matvec = np.linalg.eigh, sweep.matvec
 
-    def spy_realize(cfg, pl, x):
+    def spy_realize(cfg, pl, x, **kw):
         calls["realize"].append(cfg.n_ris)
-        return realize_block(cfg, pl, x)
+        return realize_block(cfg, pl, x, **kw)
 
-    def spy_cascade(cfg, pl, x):
+    def spy_cascade(cfg, pl, x, **kw):
         calls["cascade"].append(cfg.n_ris)
-        return channel.cascade_block(cfg, pl, x)
+        return channel.cascade_block(cfg, pl, x, **kw)
 
     def spy_eigh(A):
         calls["eigh"].append(len(A))
@@ -676,7 +700,7 @@ def test_blocks_hold_one_budget_of_variates(monkeypatch, figure):
     plan = figure_preset(figure)
     drawn = []
 
-    def first_block(cfg, streams, *args):
+    def first_block(cfg, streams, *args, **kw):
         drawn.append((cfg, len(streams)))
         raise StopAtFirstBlock
 
@@ -694,9 +718,9 @@ def test_figure2_rows_do_not_depend_on_its_budget_blocks(monkeypatch):
     plan = figure_preset(2, reps=250)
     sizes = []
 
-    def spy(cfg, streams, *args):
+    def spy(cfg, streams, *args, **kw):
         sizes.append(len(streams))
-        return draw_block(cfg, streams, *args)
+        return draw_block(cfg, streams, *args, **kw)
 
     monkeypatch.setattr(sweep, "draw_block", spy)
     rows = run_sweep(plan).rows
@@ -713,10 +737,10 @@ def largest_block_allocation(monkeypatch, plan) -> int:
     draw, and 8(3K+1) bytes a draw, strategy and point)."""
     marks = []
 
-    def spy(*args):
+    def spy(*args, **kw):
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
-        return draw_block(*args)
+        return draw_block(*args, **kw)
 
     monkeypatch.setattr(sweep, "draw_block", spy)
     strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
@@ -735,6 +759,64 @@ def test_stage1_block_memory_does_not_grow_with_reps(monkeypatch):
     small = largest_block_allocation(monkeypatch, figure_preset(2, reps=250))
     large = largest_block_allocation(monkeypatch, figure_preset(2, reps=2000))
     assert large <= 1.1 * small
+
+
+def reduce_peak_less_kept_terms(plan) -> int:
+    """The traced peak of stage 1 less the bytes of the terms it keeps."""
+    strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
+    tracemalloc.start()
+    try:
+        reduced = sweep._reduce(plan, strategies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(
+        array.nbytes for _, terms in reduced for kept in terms.values() for array in kept
+    )
+
+
+def test_stage1_holds_its_kept_terms_once():
+    # each block's terms go straight into arrays of [reps, ...]: figure 3
+    # at 2000 reps (1.7 MB of kept terms) peaks at most 0.3 MB above its
+    # 250-rep peak besides them; concatenating per-block pieces held the
+    # terms twice, 0.9 MB above
+    small = reduce_peak_less_kept_terms(figure_preset(3, reps=250))
+    large = reduce_peak_less_kept_terms(figure_preset(3, reps=2000))
+    assert large <= small + 0.3 * 2**20, (large / 2**20, small / 2**20)
+
+
+# counts the minor page faults of one `risbc` run in a fresh interpreter:
+# argv[1] is the output directory, the rest the command
+FAULTS_CHILD = """
+import resource, sys
+from risbc.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(sys.argv[2:] + ["--out", sys.argv[1]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(tmp_path, *command) -> int:
+    src = str(Path(risbc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", FAULTS_CHILD, str(tmp_path), *command],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.split()[-1])
+
+
+def test_stage1_blocks_do_not_fault_their_arrays_back_in(tmp_path):
+    # stage 1 allocates its block arrays once per run: figure 5's ten blocks
+    # at 320 reps take about the minor page faults of its one block at 32
+    # (freed and re-allocated blocks took about 220 faults each, 2000 more)
+    resource = pytest.importorskip("resource", reason="no resource module to count page faults")
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("this platform does not count minor page faults (ru_minflt)")
+    one = minor_faults(tmp_path / "one", "figure", "5", "--reps", "32")
+    ten = minor_faults(tmp_path / "ten", "figure", "5", "--reps", "320")
+    assert ten - one < 150, (one, ten)
 
 
 def test_power_point_does_not_depend_on_the_grid():
@@ -781,30 +863,32 @@ def test_sweep_draws_equal_the_reference_definition(
     # last block included, equals sample_realization / random_phases on
     # default_rng of rep_seeds; the run computes every stream start in one
     # seeding pass, builds one SeedSequence (its self-check) and reads each
-    # stream once
+    # stream once.  The spies keep copies: the run's workspace takes every
+    # block's arrays, so a later block overwrites them
     draws, realized, cascaded, phases, passes = [], [], [], [], []
     built = Counter()
 
-    def spy_draw(cfg, streams, positions=None, pathlosses=None):
-        drawn = draw_block(cfg, streams, positions, pathlosses)
+    def spy_draw(cfg, streams, positions=None, pathlosses=None, **kw):
+        drawn = draw_block(cfg, streams, positions, pathlosses, **kw)
         draws.append((drawn[2], streams.reps.tolist(), positions))
         return drawn
 
-    def spy_realize(cfg, pl, x):
+    def spy_realize(cfg, pl, x, **kw):
         reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
-        real = realize_block(cfg, pl, x)
-        realized.append((cfg, reps, frozen_positions, pl, real))
+        real = realize_block(cfg, pl, x, **kw)
+        copied = {name: np.copy(getattr(real, name)) for name in ("H_d_strong", "h_d_weak", "H_c")}
+        realized.append((cfg, reps, frozen_positions, pl, replace(real, **copied)))
         return real
 
-    def spy_cascade(cfg, pl, x):
+    def spy_cascade(cfg, pl, x, **kw):
         reps, frozen_positions = next((r, p) for d, r, p in draws if d is x)
-        H_c = channel.cascade_block(cfg, pl, x)
-        cascaded.append((cfg, reps, frozen_positions, H_c))
+        H_c = channel.cascade_block(cfg, pl, x, **kw)
+        cascaded.append((cfg, reps, frozen_positions, H_c.copy()))
         return H_c
 
-    def spy_phases(streams, n_ris):
-        theta = random_phase_block(streams, n_ris)
-        phases.append((streams.reps.tolist(), n_ris, theta))
+    def spy_phases(streams, n_ris, **kw):
+        theta = random_phase_block(streams, n_ris, **kw)
+        phases.append((streams.reps.tolist(), n_ris, theta.copy()))
         return theta
 
     def spy_states(seed, reps):
