@@ -13,7 +13,11 @@ def check_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return A as a complex ndarray, rejecting NaN/Inf entries (a complex
     entry is finite exactly when both of its parts are)."""
     A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A)):
+    # one pass: a sum of finite entries is finite unless it overflows, and
+    # only then (or on a non-finite entry) are the entries tested one by one
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = A.sum()
+    if not np.isfinite(total) and not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
 

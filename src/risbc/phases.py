@@ -33,6 +33,7 @@ from .se import (
     DecompositionCache,
     check_phase_shape,
     extended_phases,
+    rate_terms,
     require_invertible,
 )
 
@@ -59,8 +60,11 @@ def align_weak_user(h_c_weak: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """
     h_c_weak = check_finite(h_c_weak, "h_c_weak")
     r = np.abs(h_c_weak)
-    # conj(row) / |row| in place, so a block holds no conjugated copy
+    # conj(row) / |row| in place, so a block holds no conjugated copy; the
+    # zero entries, if any, are left out of the divide and set to 1
     out = np.conjugate(h_c_weak, out=out_array(out, h_c_weak.shape))
+    if r.all():
+        return np.divide(out, r, out=out)
     nonzero = r > 0.0
     np.divide(out, r, out=out, where=nonzero)
     out[~nonzero] = 1.0
@@ -81,7 +85,7 @@ def _mm_operands(cache: DecompositionCache):
     formed.  G G^H = V diag(mu) V^H (K x K) holds Q's nonzero eigenvalues mu,
     ascending.
     """
-    G = herm(cache.eigvecs) @ cache.D_s / np.sqrt(cache.eigvals)[..., None]
+    G = cache.eigvecs_h @ cache.D_s / np.sqrt(cache.eigvals)[..., None]
     M = np.concatenate([G, np.zeros_like(G[..., :1, :])], axis=-2)
     M[..., -1, :-1] = cache.h_c_weak
     mu, V = np.linalg.eigh(G @ herm(G))
@@ -334,3 +338,22 @@ def select_phases(
     if kind == "align_weak":
         return aligned
     return optimize_mitigation_aware(cache, aligned)
+
+
+def strategy_terms(kinds, cache: DecompositionCache, random_theta, out) -> dict:
+    """{kind: se.RateTerms} of strategies `kinds` on a stack of draws, each
+    distinct phase set formed and reduced once (`select_phases`,
+    `se.rate_terms`): "statistical" takes "random"'s terms, and
+    mitigation_aware starts from align_weak's phases, which `out` (a
+    caller-owned array of the phases' shape) holds, when kinds has both."""
+    terms = {}
+    for kind in sorted(kinds, key=STRATEGIES.index):
+        if kind == "statistical" and "random" in terms:
+            terms[kind] = terms["random"]
+            continue
+        if kind == "mitigation_aware" and "align_weak" in terms:
+            theta = optimize_mitigation_aware(cache, out)
+        else:
+            theta = select_phases(kind, cache, random_theta, out)
+        terms[kind] = rate_terms(cache, theta)
+    return terms

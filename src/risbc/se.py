@@ -25,17 +25,19 @@ p_bar enters only at the last step.  Every rate is a function of a draw's
 `RateTerms`, which do not depend on it: eigvals(C_s), diag(C_s^{-1}), the
 weak gain g = |h_c,K+1^H theta|^2 and the DPC cross terms
 cross = |U^H (H_c^s theta + c)|^2, whose sum_k cross_k / lambda_k is the
-mitigation term that only linear precoding pays.  `rate_terms(cache, theta)`
-forms them once per draw and phases; `rates(terms, p_bar, precoder, mode)`
-holds the four rate formulas and `delta_se(terms)` the DPC-over-ZF gap, so
-every rate quantity of a draw reads one record.  The batched sweep keeps
-each strategy's terms and calls `rates` once per method on the vector of
-its powers.  The decomposition, the phases, the terms and the rates
-broadcast over leading batch axes, so one call serves one draw or a stack
-of draws.
+mitigation term that only linear precoding pays.  The first two and U^H
+depend only on the factor of C_s, so the cache forms them once and its
+indexes and cascades carry them; `rate_terms(cache, theta)` forms the
+theta-dependent rest once per draw and phases;
+`rates(terms, p_bar, precoder, mode)` holds the four rate formulas and
+`delta_se(terms)` the DPC-over-ZF gap, so every rate quantity of a draw
+reads one record.  The batched sweep keeps each strategy's terms and calls
+`rates` once per method on chunks of its powers.  The decomposition, the
+phases, the terms and the rates broadcast over leading batch axes, so one
+call serves one draw or a stack of draws.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,21 +54,32 @@ class DecompositionCache:
     factorization of C_s: every formula reads C_s^{-1} through U and lambda
     (an invertible C_s is required; check `cond` first).  H_c and c are
     the draw's own arrays, not copies; D_s and h_c_weak are derived from
-    them.  The cache of a stack of draws carries their leading batch axes
-    on every field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
+    them.  The factor's theta-free terms inv_diag and eigvecs_h are formed
+    once, from eigvals and eigvecs, when the cache is built without them
+    (`_factor_terms`); indexing and `with_cascade` carry them over.  The
+    cache of a stack of draws carries their leading batch axes on every
+    field; indexing it (`cache[i]`, `cache[mask]`) selects draws.
     """
 
     H_c: np.ndarray  # [..., K+1, N_R] cascaded rows, the weak row h_c,K+1^H last
     c: np.ndarray  # [..., K] feed H_d^s b
     eigvals: np.ndarray  # [..., K] eigenvalues of C_s, descending
     eigvecs: np.ndarray  # [..., K, K] matching orthonormal eigenvectors
+    inv_diag: np.ndarray = None  # [..., K] [C_s^{-1}]_kk = sum_j |U_kj|^2 / lambda_j
+    eigvecs_h: np.ndarray = None  # [..., K, K] U^H
+
+    def __post_init__(self):
+        if self.inv_diag is None:
+            self.inv_diag, self.eigvecs_h = _factor_terms(self.eigvals, self.eigvecs)
 
     def __getitem__(self, index) -> "DecompositionCache":
         return DecompositionCache(
-            H_c=self.H_c[index],
-            c=self.c[index],
-            eigvals=self.eigvals[index],
-            eigvecs=self.eigvecs[index],
+            self.H_c[index],
+            self.c[index],
+            self.eigvals[index],
+            self.eigvecs[index],
+            self.inv_diag[index],
+            self.eigvecs_h[index],
         )
 
     @property
@@ -86,7 +99,25 @@ class DecompositionCache:
     def with_cascade(self, H_c) -> "DecompositionCache":
         """The same draws with cascaded rows H_c [..., K+1, N_R]: C_s and the
         feed c do not depend on the RIS, so nothing else changes."""
-        return replace(self, H_c=check_finite(H_c, "H_c"))
+        return DecompositionCache(
+            check_finite(H_c, "H_c"),
+            self.c,
+            self.eigvals,
+            self.eigvecs,
+            self.inv_diag,
+            self.eigvecs_h,
+        )
+
+
+def _factor_terms(eigvals, eigvecs):
+    """(inv_diag, U^H) of a factor of C_s: diag(C_s^{-1}) = |U|^2 (1/lambda)
+    and the conjugate transpose of its eigenvectors, [..., K] and [..., K, K]."""
+    # only ZF and delta_se read inv_diag, after their invertibility check,
+    # so a singular C_s (whose asymptotic DPC rate is a flagged -inf) must
+    # not warn here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_diag = matvec(np.abs(eigvecs) ** 2, 1.0 / eigvals)
+    return inv_diag, herm(eigvecs)
 
 
 def _cond(eigvals):
@@ -142,11 +173,14 @@ def decompose(real: ChannelRealization) -> DecompositionCache:
 def unit_phases(theta) -> np.ndarray:
     """Phases theta [..., N_R] as a complex array, which must be finite and
     unit modulus (ValueError otherwise)."""
-    theta = np.atleast_1d(check_finite(theta, "theta"))
-    # |(|theta| - 1)| in one array, so a block holds no second copy
-    error = np.abs(theta)
-    error -= 1.0
-    if np.max(np.abs(error, out=error)) > 1e-12:
+    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
+    # one pass: max |(|theta| - 1)| is the larger of max |theta| - 1 and
+    # 1 - min |theta|, each exact where it can pass (Sterbenz: r - 1 is exact
+    # for r in [0.5, 2]), and a NaN or infinite entry fails the first, so
+    # only a rejected theta is checked for finiteness, which is reported first
+    r = np.abs(theta)
+    if not (r.max() - 1.0 <= 1e-12 and 1.0 - r.min() <= 1e-12):
+        check_finite(theta, "theta")
         raise ValueError("phase entries must be unit modulus")
     return theta
 
@@ -186,17 +220,13 @@ def check_phase_shape(cache: DecompositionCache, theta):
 def rate_terms(cache: DecompositionCache, theta) -> RateTerms:
     """The RateTerms of a draw's cache at phases theta, from one check of
     theta and one product y = H_c theta: g = |y_K|^2 (H_c's rows are the
-    conjugated rows h^H) and cross = |U^H (y_{:K} + c)|^2."""
+    conjugated rows h^H) and cross = |U^H (y_{:K} + c)|^2, with the cache's
+    U^H; eigvals and inv_diag are the cache's own arrays."""
     check_phase_shape(cache, theta)
     y = matvec(cache.H_c, unit_phases(theta))
     g = np.abs(y[..., -1]) ** 2
-    cross = np.abs(matvec(herm(cache.eigvecs), y[..., :-1] + cache.c)) ** 2
-    # only ZF and delta_se read inv_diag, after their invertibility check,
-    # so a singular C_s (whose asymptotic DPC rate is a flagged -inf) must
-    # not warn here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_diag = matvec(np.abs(cache.eigvecs) ** 2, 1.0 / cache.eigvals)
-    return RateTerms(cache.eigvals, inv_diag, g, cross)
+    cross = np.abs(matvec(cache.eigvecs_h, y[..., :-1] + cache.c)) ** 2
+    return RateTerms(cache.eigvals, cache.inv_diag, g, cross)
 
 
 # Raise threshold is looser than the Monte Carlo flag threshold (1e12), so

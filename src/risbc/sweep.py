@@ -15,19 +15,23 @@ and reduces them at every stage-1 point, a scenario plus a feed divisor.
 Each point decomposes a block with one stacked eigh at the feed
 H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
 block (weak rows included), masks the flagged draws out of it if there are
-any, takes every strategy's phases from `select_phases` (the random ones
-are the block's phase draws) and reduces each draw to its rates' terms that
-do not depend on transmit power (`se.rate_terms`: eigvals(C_s),
-diag(C_s^{-1}) and, per strategy, the weak gain and the DPC cross terms).
+any, and reduces each draw to its rates' terms that do not depend on
+transmit power under every strategy's phases (`phases.strategy_terms`:
+eigvals(C_s) and diag(C_s^{-1}), which the cache forms once per factor,
+and, per strategy, the weak gain and the DPC cross terms; each distinct
+phase set is formed and reduced once, and the random ones are the block's
+phase draws).
 The divisor is 1.0 at a scenario's own b; an xi sweep realizes its one
 scenario, takes the feed c(0) once per block (`se.row_space_feed`, one SVD
 per draw) and divides it by sqrt(1 + xi^2) at each xi.  Transmit power
 enters only stage 2, so a `ptx_dbm` sweep has one stage-1 point that every
 power shares.  Stage 2 evaluates each method once per stage-1 point with
 `se.rates` at the vector of powers that share the point (all of a `ptx_dbm`
-sweep's, one elsewhere), and takes the row statistics of the rates [P, R]
-along the draw axis.  It raises if a row would not be finite, or if one of
-its means is negative (a high-SNR form at a power too low for it).
+sweep's, one elsewhere), in chunks of powers whose per-user rates fit in
+RATE_ENTRIES (one power at a time where one power's do not), and takes the
+row statistics of the rates [P, R] along the draw axis.  It raises if a
+row would not be finite, or if one of its means is negative (a high-SNR
+form at a power too low for it).
 
 Each replication's streams are drawn once per run.  Where they start is
 computed for the whole run in one pass (`channel.stream_states`, which
@@ -76,8 +80,8 @@ from .channel import (
     variate_count,
 )
 from .linalg import matvec
-from .phases import RANDOM_STRATEGIES, STRATEGIES, select_phases
-from .se import RateTerms, decompose_feed, rate_terms, rates, row_space_feed
+from .phases import RANDOM_STRATEGIES, STRATEGIES, strategy_terms
+from .se import RateTerms, decompose_feed, rates, row_space_feed
 
 # Draws above this condition number are excluded from averages (the SE
 # formulas themselves only raise two orders of magnitude later).
@@ -96,6 +100,14 @@ COND_FLAG = 1e12
 # each block's fixed cost (the dispatch over points and strategies, and
 # every stacked call's own overhead) about a quarter as often.
 BLOCK_VARIATES = 32 * 2144
+
+# The per-user rate entries of one stage-2 `se.rates` call: a method is
+# evaluated on chunks of max(1, RATE_ENTRIES // R(K+1)) of the powers that
+# share a stage-1 point (R kept draws), so its per-user arrays
+# [powers, R, K+1] stay within the budget (64 KB of float64) or hold one
+# power at a time.  Figure 2's nine powers at 200 draws of K = 3 (7200)
+# fit one call per method; at 20000 draws the one call held 11.7 MB.
+RATE_ENTRIES = 2**13
 
 _VARIABLES = ("ptx_dbm", "n_bs", "n_ris", "xi")
 
@@ -315,17 +327,19 @@ def _reduce(plan: SweepPlan, strategies) -> list:
                 m = int(np.count_nonzero(keep))
                 flagged[point] += n - m
                 if m:
-                    # the kept replications; a basic slice copies nothing
+                    # the kept replications; a basic slice copies nothing,
+                    # and a cache whose draws are all kept is not indexed
                     rows = slice(None) if m == n else keep
-                    cache, theta = cache[rows], block_theta
+                    if m < n:
+                        cache = cache[keep]
+                    theta = block_theta
                     if theta is not None:
                         theta = theta[rows, : cfg.n_ris]
                     aligned = work.take("aligned", m, cfg.n_ris)
                     written = slice(kept[point], kept[point] + m)
                     kept[point] += m
-                    for kind in strategies:
-                        phases = select_phases(kind, cache, theta, out=aligned)
-                        block_terms = rate_terms(cache, phases)
+                    point_terms = strategy_terms(strategies, cache, theta, aligned)
+                    for kind, block_terms in point_terms.items():
                         for store, value in zip(terms[point][kind], block_terms):
                             store[written] = value
     reduced = []
@@ -344,23 +358,30 @@ def _reduce(plan: SweepPlan, strategies) -> list:
 
 def _method_rows(plan, m, red, values, p_bars) -> list:
     """Method m's rows at the sweep values of one stage-1 point, red = its
-    (flagged, terms), whose powers are p_bars [P], from one `rates` call:
-    the rates [P, R] of its kept draws, reduced along the draw axis."""
+    (flagged, terms), whose powers are p_bars [P]: the rates [P, R] of its
+    kept draws, reduced along the draw axis, from one `rates` call per
+    chunk of max(1, RATE_ENTRIES // R(K+1)) powers."""
     flagged, terms = red
-    total, direct, reflect = rates(terms[m.strategy], p_bars, m.precoder, m.mode)
-    stats = (
-        np.mean(total, axis=-1),
-        np.std(total, axis=-1),
-        np.mean(direct, axis=-1),
-        np.mean(reflect, axis=-1),
-    )
-    return [
-        SweepRow(
-            plan.variable, float(value), m.precoder, m.strategy, m.mode,
-            *map(float, row), reps=total.shape[-1], flagged=flagged,
+    terms = terms[m.strategy]
+    per_call = max(1, RATE_ENTRIES // (terms.g.size + terms.cross.size))  # R(K+1)
+    rows = []
+    for j in range(0, len(p_bars), per_call):
+        chunk = slice(j, j + per_call)
+        total, direct, reflect = rates(terms, p_bars[chunk], m.precoder, m.mode)
+        stats = (
+            np.mean(total, axis=-1),
+            np.std(total, axis=-1),
+            np.mean(direct, axis=-1),
+            np.mean(reflect, axis=-1),
         )
-        for value, *row in zip(values, *stats)
-    ]
+        rows += [
+            SweepRow(
+                plan.variable, float(value), m.precoder, m.strategy, m.mode,
+                *map(float, row), reps=total.shape[-1], flagged=flagged,
+            )
+            for value, *row in zip(values[chunk], *stats)
+        ]
+    return rows
 
 
 def _checked_row(plan, m, row) -> SweepRow:

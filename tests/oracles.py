@@ -12,7 +12,9 @@ avoids (the element-wise coordinate ascent that the batched optimizer is
 measured against, the one-draw random phases that the block draw is
 measured against, numpy's own seeding of a replication's streams, and
 the scenario checks on numpy arrays that the runtime makes on Python
-floats), so that a test can check a shortcut against the textbook formula.
+floats, and the input checks of `linalg.check_finite`, `se.unit_phases`
+and `phases.align_weak_user` as they were before each took one pass), so
+that a test can check a shortcut against the textbook formula.
 """
 
 from dataclasses import fields
@@ -639,3 +641,44 @@ def _link_problem(cfg):
                 f"{name} of {gain[i]:.3g}, which must be finite and positive"
             )
     return None
+
+
+# =========================================================================
+# the input checks, entry by entry
+# =========================================================================
+#
+# The runtime's checks each take one pass over their array: a complex sum
+# for finiteness, the max and min modulus for unit phases, and one divide
+# for the aligned phases.  These are the former bodies, which test each
+# entry, so a test can check that both accept and reject the same arrays
+# with the same messages.
+
+
+def check_finite_reference(A, name="matrix") -> np.ndarray:
+    """A as a complex ndarray, ValueError if any entry is NaN or infinite."""
+    A = np.asarray(A, dtype=complex)
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
+def unit_phases_reference(theta) -> np.ndarray:
+    """Phases theta as a complex array: finite (checked first), then
+    max ||theta_n| - 1| <= 1e-12 (ValueError otherwise)."""
+    theta = np.atleast_1d(check_finite_reference(theta, "theta"))
+    error = np.abs(theta)
+    error -= 1.0
+    if np.max(np.abs(error, out=error)) > 1e-12:
+        raise ValueError("phase entries must be unit modulus")
+    return theta
+
+
+def align_weak_user_reference(h_c_weak) -> np.ndarray:
+    """conj(h) / |h| of finite rows h, entry by entry, with 1 where h is 0."""
+    h_c_weak = check_finite_reference(h_c_weak, "h_c_weak")
+    r = np.abs(h_c_weak)
+    out = np.conjugate(h_c_weak)
+    nonzero = r > 0.0
+    np.divide(out, r, out=out, where=nonzero)
+    out[~nonzero] = 1.0
+    return out

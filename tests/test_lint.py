@@ -4,12 +4,16 @@ importing another one's private name, no public module-level name that
 nothing in the package or the demos refers to (a name only tests use is
 runtime code without a runtime caller), and no
 backticked `module.name` in a docstring or comment that the package's
-module does not define, and no import of a module in `BANNED`.
+module does not define, no import of a module in `BANNED`, and no
+module-level list, dict or set that a function changes.
 
-The first two, the fourth and the last are what a refactor leaves behind
+The first two, the fourth and the fifth are what a refactor leaves behind
 when it deletes the last caller of a helper, the last use of an import or
 a function that prose still cites; the third is a decision that belongs in
-one module leaking into another.
+one module leaking into another.  A module-level container that a function
+fills is state shared by every run in the process (a cache that outlives
+its run and holds its arrays): per-run state lives on an object the run
+owns.
 """
 
 import ast
@@ -131,6 +135,70 @@ def _members(tree):
     }
 
 
+# constructors of a mutable container, and the methods that change one
+_CONTAINERS = ("list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+_MUTATORS = (
+    "append", "extend", "insert", "update", "setdefault", "add", "pop",
+    "popitem", "clear", "remove", "discard",
+)
+
+
+def _module_containers(tree):
+    """The names bound at module level to a list, dict or set: a display,
+    a comprehension or a call of one of _CONTAINERS."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        if isinstance(value, ast.Call):
+            func = value.func
+            mutable = getattr(func, "id", getattr(func, "attr", None)) in _CONTAINERS
+        else:
+            mutable = isinstance(value, (
+                ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
+            ))
+        if mutable:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+def _mutated_containers(tree):
+    """(line, name) of every change a function makes to a module-level
+    container: an item assigned, augmented or deleted, or a call of one of
+    _MUTATORS on it or on one of its items.  A function that binds the name itself (an argument or
+    a local) changes its own object, not the module's."""
+    containers = _module_containers(tree)
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        local = {a.arg for a in args + [func.args.vararg, func.args.kwarg] if a}
+        local |= {
+            n.id for n in ast.walk(func)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        declared = {
+            name for n in ast.walk(func) if isinstance(n, ast.Global) for name in n.names
+        }
+        shared = containers - (local - declared)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = node.func.value if node.func.attr in _MUTATORS else None
+                # an item of the container, such as a list in a dict of lists
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                found.add((node.lineno, target.id))
+    return sorted(found)
+
+
 # a backticked `module.name` or `module.Class.member`
 _REFERENCE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`")
 
@@ -193,6 +261,10 @@ def lint(sources, users=None):
                 findings.append(f"{name}:{line}: unreferenced public name {defined}")
         for line, reference in _stale_references(sources[name], trees):
             findings.append(f"{name}:{line}: stale reference {reference}")
+        for line, container in _mutated_containers(tree):
+            findings.append(
+                f"{name}:{line}: function changes module-level container {container}"
+            )
     return findings
 
 
@@ -269,6 +341,39 @@ def test_lint_counts_uses_of_public_names_in_the_package_and_its_users():
         "a.py:6: unreferenced public name Kept",
         "b.py:3: unreferenced public name X",
     ]
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("_SEEN = {}\n\ndef f(k, v):\n    _SEEN[k] = v\n", [4]),
+        ("_SEEN = dict()\n\ndef f(k):\n    return _SEEN.setdefault(k, [])\n", [4]),
+        ("_SEEN = {}\n\ndef f(d):\n    _SEEN.update(d)\n", [4]),
+        ("_SEEN = []\n\ndef f(x):\n    _SEEN.append(x)\n", [4]),
+        ("_SEEN = [0]\n\ndef f():\n    _SEEN[0] += 1\n", [4]),
+        ("_SEEN = {1}\n\ndef f():\n    del _SEEN[0]\n", [4]),
+        (
+            "from collections import defaultdict\n\n_SEEN = defaultdict(list)\n\n"
+            "def f(k):\n    def g():\n        _SEEN[k].append(1)\n        _SEEN[k] = []\n"
+            "    return g\n",
+            [7, 8],
+        ),
+    ],
+)
+def test_lint_finds_a_module_level_container_a_function_changes(source, lines):
+    assert lint({"m.py": source}) == [
+        f"m.py:{line}: function changes module-level container _SEEN" for line in lines
+    ]
+
+
+def test_lint_accepts_read_only_containers_and_local_ones():
+    source = (
+        "_TABLE = {'a': 1}\n_ORDER = ('a',)\n\n"
+        "def f(k):\n    return _TABLE[k], _ORDER[0]\n\n"
+        "def g(_TABLE):\n    _TABLE['a'] = 2\n\n"
+        "def h():\n    _ORDER = []\n    _ORDER.append(1)\n    return _ORDER\n"
+    )
+    assert lint({"m.py": source}) == []
 
 
 def test_lint_accepts_uses_across_modules_and_in_annotations():

@@ -149,6 +149,26 @@ def test_select_phases_into_out_equals_a_new_array(kind):
         assert got.tobytes() == array.tobytes()
 
 
+@pytest.mark.parametrize(
+    "kinds",
+    [phases.STRATEGIES, ("mitigation_aware", "random"), ("statistical", "align_weak")],
+)
+def test_strategy_terms_equal_each_strategy_alone(kinds):
+    # each strategy's terms are, bit for bit, rate_terms of its own
+    # select_phases; the random strategies share one record
+    cache = block(2, 6, n_ris=16)
+    rng = np.random.default_rng(4)
+    random_theta = np.array([random_phases(16, rng) for _ in range(6)])
+    terms = phases.strategy_terms(kinds, cache, random_theta, out=np.empty((6, 16), complex))
+    assert sorted(terms) == sorted(kinds)
+    for kind in kinds:
+        alone = rate_terms(cache, select_phases(kind, cache, random_theta))
+        for got, want in zip(terms[kind], alone):
+            assert got.tobytes() == want.tobytes(), kind
+    if {"random", "statistical"} <= set(kinds):
+        assert terms["random"] is terms["statistical"]
+
+
 # ------------------------------------------------------------------ optimizer
 
 

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from risbc import sweep
+from risbc import linalg, phases, se, sweep
 from risbc.channel import (
     ScenarioConfig,
     draw_block,
@@ -21,7 +21,12 @@ from risbc.channel import (
 from risbc.phases import STRATEGIES, select_phases
 from risbc.se import decompose, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
-from oracles import b_from_xi
+from oracles import (
+    align_weak_user_reference,
+    b_from_xi,
+    check_finite_reference,
+    unit_phases_reference,
+)
 from test_sweep import assert_sweep_matches, set_block
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -222,3 +227,63 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
         assert np.all(gaps >= -1e-9), (precoder, gaps.min())
         steps = np.diff(gaps, axis=0)
         assert np.all(steps <= 1e-9), (precoder, steps.max())
+
+
+# the moduli of the entries a check array starts from: unit (weighted, so
+# that many arrays pass), 1 +- 0.5, 1 and 2e-12 around the unit-modulus
+# tolerance, far from unit, and zero
+MODULI = (1.0,) * 6 + (1.0 + 5e-13, 1.0 - 5e-13) * 2 + (
+    1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 2e-12, 1.0 - 2e-12, 0.5, 2.0, 0.0)
+# parts some entries then take: non-finite, finite parts whose sum
+# overflows (their moduli, at most sqrt(2) 1e308, do not), and zero
+PARTS = (np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0)
+
+
+@st.composite
+def check_arrays(draw):
+    """A complex array of 1 to 12 entries, one or two axes, of scaled unit
+    phases, up to four of whose real or imaginary parts are in PARTS."""
+    shape = draw(st.sampled_from(((1,), (5,), (1, 4), (3, 4), (2, 6))))
+    n = int(np.prod(shape))
+    angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
+    moduli = draw(st.lists(st.sampled_from(MODULI), min_size=n, max_size=n))
+    z = np.array(moduli) * np.exp(1j * np.array(angles))
+    specials = st.tuples(st.integers(0, n - 1), st.booleans(), st.sampled_from(PARTS))
+    for i, real, part in draw(st.lists(specials, max_size=4)):
+        (z.real if real else z.imag)[i] = part
+    return z.reshape(shape)
+
+
+def outcome(check, x):
+    """("ok", the bytes and shape of check(x)), or the kind and message of
+    the error or warning (an error here) it raised."""
+    try:
+        out = check(x)
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", out.tobytes(), out.shape
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=300)
+@hypothesis.given(check_arrays())
+@hypothesis.example(np.array([np.nan, 1.0]))
+@hypothesis.example(np.array([1.0, complex(0.0, np.inf)]))
+@hypothesis.example(np.array([[1.0, -np.inf]]))
+@hypothesis.example(np.array([complex(np.nan, 2.0), 0.0]))
+@hypothesis.example(np.array([1e308, 1e308, -1e308j, -1e308j]))
+@hypothesis.example(np.array([1e308, 1e308, np.nan]))
+@hypothesis.example(np.exp(1j * np.arange(6.0)) * (1.0 + np.array([0, 5, -5, 10, -10, 20]) * 1e-13))
+@hypothesis.example(np.array([[0.0, 1j, 0.0], [2.0, 0.0, 1.0]]))
+def test_one_pass_checks_accept_and_reject_what_the_entrywise_checks_did(x):
+    # each check takes one pass (a complex sum, the max and min modulus, one
+    # divide) and falls back to the entrywise test only on a rejected or
+    # special array: old and new accept the same arrays with the same
+    # results and reject the rest with the same message, non-finite
+    # entries before modulus; on a subnormal entry of h both overflow in
+    # the divide alike
+    for new, old in (
+        (linalg.check_finite, check_finite_reference),
+        (se.unit_phases, unit_phases_reference),
+        (phases.align_weak_user, align_weak_user_reference),
+    ):
+        assert outcome(new, x) == outcome(old, x), new.__name__

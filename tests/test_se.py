@@ -246,6 +246,23 @@ def test_cache_mask_selects_the_weak_rows():
         assert np.array_equal(picked.D_s, cache.D_s[index])
 
 
+def test_cache_index_and_cascade_carry_the_factor_terms_bit_for_bit():
+    # inv_diag and U^H are formed once, when a cache is built from its
+    # factor; an indexed cache and one with another cascade carry them, and
+    # they equal the terms a cache built from the same arrays forms anew
+    cfg = small_cfg()
+    _, pathlosses, x = draw_block(cfg, stream_states(3, range(6)))
+    cache = decompose(realize_block(cfg, pathlosses, x))
+    other = realize_block(cfg.with_updates(n_ris=5), pathlosses, x).H_c
+    mask = np.array([True, False, True, True, False, True])
+    for picked in (cache, cache[mask], cache[2], cache[1:4], cache.with_cascade(other)):
+        fresh = DecompositionCache(picked.H_c, picked.c, picked.eigvals, picked.eigvecs)
+        assert picked.inv_diag.tobytes() == fresh.inv_diag.tobytes()
+        assert picked.eigvecs_h.tobytes() == fresh.eigvecs_h.tobytes()
+        assert np.array_equal(picked.eigvecs_h, picked.eigvecs.conj().swapaxes(-1, -2))
+    assert cache.with_cascade(other).inv_diag is cache.inv_diag
+
+
 def test_decompose_rejects_unnormalized_b():
     _, real, _ = random_instance(2)
     with pytest.raises(ValueError, match="unnormalized"):

@@ -673,6 +673,132 @@ def test_power_sweep_calls_rates_once_per_method_and_draws_no_positions(monkeypa
         assert calls == Counter(rates=len(plan.methods))
 
 
+def test_power_sweep_of_200_draws_calls_rates_once_per_method(monkeypatch):
+    # figure 2's nine powers at 200 draws fit one chunk of RATE_ENTRIES
+    plan = figure_preset(2, reps=200)
+    calls = []
+
+    def spy_rates(terms, p_bars, *args):
+        calls.append(len(p_bars))
+        return rates(terms, p_bars, *args)
+
+    monkeypatch.setattr(sweep, "rates", spy_rates)
+    run_sweep(plan)
+    assert calls == [len(plan.values)] * len(plan.methods)
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 4 * 10, 10**9])
+def test_rows_do_not_depend_on_the_power_chunks(monkeypatch, entries):
+    # rates on chunks of 1, 3 or all of the nine powers of figure 2 (10
+    # draws of K+1 = 4 users) give the same rows bit for bit
+    plan = figure_preset(2, reps=10)
+    rows = run_sweep(plan).rows
+    calls = []
+
+    def spy_rates(terms, p_bars, *args):
+        calls.append(len(p_bars))
+        return rates(terms, p_bars, *args)
+
+    monkeypatch.setattr(sweep, "rates", spy_rates)
+    monkeypatch.setattr(sweep, "RATE_ENTRIES", entries)
+    assert run_sweep(plan).rows == rows
+    per_call = {1: [1] * 9, 120: [3] * 3, 10**9: [9]}[entries]
+    assert calls == per_call * len(plan.methods)
+
+
+def test_stage2_holds_one_power_of_per_user_rates_at_a_time(monkeypatch):
+    # figure 2 at 3000 draws: one power's [R, K+1] rates are 96 KB, and each
+    # method's stage 2 peaks below four of them; the nine powers at once
+    # peaked at 1.4 MB
+    plan = figure_preset(2, reps=3000)
+    one_power = plan.reps * (plan.config.n_strong + 1) * 8
+    method_rows, peaks = sweep._method_rows, []
+
+    def spy(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        rows = method_rows(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return rows
+
+    monkeypatch.setattr(sweep, "_method_rows", spy)
+    tracemalloc.start()
+    try:
+        run_sweep(plan)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == len(plan.methods)
+    assert max(peaks) < 4 * one_power, (max(peaks), one_power)
+
+
+def run_counting(monkeypatch, plan, names) -> tuple:
+    """(rows, Counter of calls) of one run of the plan, counting the calls of
+    each (module, name) in `names`."""
+    calls = Counter()
+
+    def spy(module, name):
+        target = getattr(module, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return target(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in names:
+        spy(module, name)
+    return run_sweep(plan).rows, calls
+
+
+@pytest.mark.parametrize("figure, reps, blocks", [(5, 300, 10), (2, 200, 2)])
+def test_factor_terms_are_formed_once_per_factor(monkeypatch, figure, reps, blocks):
+    # inv_diag and U^H depend only on the factor of C_s: figure 5 forms them
+    # once per block (its later n_ris points carry the first one's over), not
+    # once per point and strategy (100 times), figure 2 once per block
+    _, calls = run_counting(
+        monkeypatch, figure_preset(figure, reps=reps),
+        ((se, "_factor_terms"), (sweep, "draw_block")),
+    )
+    assert calls == Counter(_factor_terms=blocks, draw_block=blocks)
+
+
+def strategy_rows(rows, kind):
+    """The rows of strategy `kind`, without the strategy's name."""
+    return [replace(r, strategy=None) for r in rows if r.strategy == kind]
+
+
+@pytest.mark.parametrize(
+    "kinds, rate_terms_per_point, aligns_per_point",
+    [
+        (("random", "statistical"), 1, 0),
+        (("align_weak", "mitigation_aware"), 2, 1),
+        (("mitigation_aware", "align_weak"), 2, 1),
+    ],
+)
+def test_stage1_forms_each_distinct_phase_set_once_per_block_point(
+    monkeypatch, kinds, rate_terms_per_point, aligns_per_point
+):
+    # "statistical" shares "random"'s phases, and mitigation_aware starts
+    # from align_weak's: at each of 3 blocks x 2 points, rate_terms runs
+    # once per distinct phase set and the phases are aligned once, and the
+    # rows are those of the strategies run alone, bit for bit
+    cfg = small_cfg(ptx_dbm=40.0, freeze_positions=True)
+    methods = tuple(method("ZF", kind, "exact") for kind in kinds)
+    plan = SweepPlan(cfg, "n_ris", (4.0, 8.0), methods, reps=7)
+    set_block(monkeypatch, plan, 3)
+    rows, calls = run_counting(
+        monkeypatch, plan, ((risbc.phases, "rate_terms"), (risbc.phases, "align_weak_user"))
+    )
+    block_points = 3 * 2
+    assert calls["rate_terms"] == rate_terms_per_point * block_points
+    assert calls["align_weak_user"] == aligns_per_point * block_points
+    assert_rows_match(run_sweep(plan), per_draw_rows(plan))
+    for kind in kinds:
+        lone = run_sweep(replace(plan, methods=(method("ZF", kind, "exact"),))).rows
+        assert len(lone) == len(plan.values)
+        assert strategy_rows(rows, kind) == strategy_rows(lone, kind)
+
+
 def test_rows_do_not_depend_on_block_size(monkeypatch):
     cfg = small_cfg(freeze_positions=True)
     methods = (
