@@ -21,7 +21,7 @@ lemma) and the feed c(0) / sqrt(1 + xi^2) has c^H (H H^H)^{-1} c =
 
 import numpy as np
 
-from risbc.channel import ScenarioConfig, sample_realization
+from risbc.channel import ScenarioConfig, db_to_lin, sample_realization
 from risbc.se import decompose_feed, rate_terms, rates, row_space_feed
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 
@@ -44,7 +44,7 @@ for row in result.rows:
     )
 
 real = sample_realization(cfg, np.random.default_rng(cfg.seed))
-p_strong = cfg.with_updates(power_divisor="k").p_bar()
+p_strong = db_to_lin(cfg.ptx_dbm) / cfg.n_strong
 c = row_space_feed(real.H_d_strong) / np.hypot(1.0, 1e3)
 theta = np.ones(cfg.n_ris, dtype=complex)  # the strong users' rate ignores it
 # a zero feed leaves C_s = H H^H: the direct-only system, power split K ways

@@ -215,9 +215,7 @@ class GapStructure:
     value_max: float  # g(x_max)
     bracket_hi: float  # e^{-2 gamma} / (1 - e^{-gamma})
     inside_bracket: bool  # x_max in (0, bracket_hi)
-    unimodal: bool  # one rise, one fall on the scan grid
-    increasing_before: bool
-    decreasing_after: bool
+    unimodal: bool  # one rise, then one fall, turning at the grid maximum
 
 
 def bound_gap_structure() -> GapStructure:
@@ -226,7 +224,9 @@ def bound_gap_structure() -> GapStructure:
     vals = bound_gap(grid)
     i = int(np.argmax(vals))
     signs = np.sign(np.diff(vals))
-    changes = int(np.sum(np.diff(signs[signs != 0]) != 0))
+    # one rise, then one fall, turning at the grid maximum
+    rise, fall = signs[:i], signs[i:]
+    unimodal = bool(np.all(rise >= 0) and np.all(fall <= 0) and rise.any() and fall.any())
 
     # golden-section refinement around the grid maximum
     lo = grid[max(i - 1, 0)]
@@ -247,9 +247,7 @@ def bound_gap_structure() -> GapStructure:
         value_max=float(bound_gap(x_max)),
         bracket_hi=bracket,
         inside_bracket=0.0 < x_max < bracket,
-        unimodal=changes == 1,
-        increasing_before=bool(np.all(signs[: max(i, 1)] >= 0)),
-        decreasing_after=bool(np.all(signs[i:] <= 0)),
+        unimodal=unimodal,
     )
 
 
@@ -260,7 +258,7 @@ def bound_gap_structure() -> GapStructure:
 
 def _strong_gain_ratio(pl: PathlossSet) -> float:
     """sum_k L_r,k / L_d,k over the K strong users."""
-    return float(np.sum(pl.L_r[:-1] / pl.L_d[:-1]))
+    return float(np.sum(pl.L_r[:-1] / pl.L_d))
 
 
 def random_phase_closed_forms(

@@ -4,8 +4,8 @@ Default values reproduce the simulated downlink: a BS at (0, 0, 10) m with
 N_B antennas, a RIS at (100, 0, 10) m with N_R reflecting elements, and
 K + 1 single-antenna users drawn uniformly in a circle of radius 5 m at
 height 1.5 m.  K "strong" users have a usable direct BS link; one "weak"
-user is reachable essentially only via the RIS (its direct link carries an
-extra 60 dB of pathloss).
+user has a negligible direct link and is served via the RIS alone, so no
+direct channel is formed for it.
 
 All fading channels are divided by the noise standard deviation at
 generation, so the per-user transmit power enters downstream SINR and SE
@@ -148,7 +148,6 @@ class ScenarioConfig:
     user_circle_radius: float = 5.0
     ptx_dbm: float = 30.0
     noise_dbm: float = -110.0
-    weak_extra_loss_db: float = 60.0
     # Extra pathloss applied to every direct BS-user link (0 in the base
     # scenario; 20 dB in the RIS-element sweep that exhibits saturation).
     direct_extra_loss_db: float = 0.0
@@ -157,9 +156,6 @@ class ScenarioConfig:
     pl_los: tuple = (30.0, 22.0)
     aoa: float = np.pi / 2
     aod: float = np.pi / 2
-    # Total power is split uniformly over "k+1" users (the weak user gets a
-    # share) or over "k" strong users only.
-    power_divisor: str = "k+1"
     freeze_positions: bool = False
     seed: int = 0
 
@@ -180,13 +176,9 @@ class ScenarioConfig:
                     )
             elif kind is float:
                 value = checked_real(name, value)
-                # weak_extra_loss_db may also be +inf: an absent weak direct
-                # link, the idealization the Gram decomposition assumes
-                inf_ok = name == "weak_extra_loss_db"
-                if not (math.isfinite(value) or inf_ok and value == math.inf):
-                    bound = "finite or +inf" if inf_ok else "finite"
-                    raise ValueError(f"{name} must be {bound}, got {value!r}")
-            elif not isinstance(value, (bool, np.bool_) if kind is bool else str):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+            elif not isinstance(value, (bool, np.bool_)):
                 # "false" is truthy: only a bool may decide whether positions freeze
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
             setattr(self, name, kind(value))
@@ -201,8 +193,6 @@ class ScenarioConfig:
             raise ValueError("n_ris must be at least 1")
         if self.user_circle_radius <= 0:
             raise ValueError("user_circle_radius must be positive")
-        if self.power_divisor not in ("k+1", "k"):
-            raise ValueError(f"unknown power_divisor {self.power_divisor!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self._check_links()
@@ -215,7 +205,7 @@ class ScenarioConfig:
         power, L_G and, at the closest and the farthest point of the user
         circle, the strong users' noise-normalized direct gains and every
         user's RIS gain must be finite and positive (`nominal_pathlosses`
-        forms them; the weak user's direct gain may be 0).
+        forms them; the weak user has no direct gain).
 
         Distances and gains are `nominal_pathlosses`' formulas on Python
         floats, which overflow to inf and underflow to 0 as numpy's do: the
@@ -279,9 +269,9 @@ class ScenarioConfig:
         return self.n_strong + 1
 
     def p_bar(self) -> float:
-        """Per-user transmit power in mW (noise-normalized SE convention)."""
-        div = self.n_users if self.power_divisor == "k+1" else self.n_strong
-        return db_to_lin(self.ptx_dbm) / div
+        """Per-user transmit power in mW, the total split uniformly over the
+        K+1 users (noise-normalized SE convention)."""
+        return db_to_lin(self.ptx_dbm) / self.n_users
 
     def with_updates(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
@@ -292,11 +282,11 @@ class PathlossSet:
     """Linear channel gains for one set of user positions.
 
     L_d and L_r are noise-normalized (divided by sigma^2); L_G is the
-    physical BS-RIS gain.  Index K (last) is the weak user; its L_d entry
-    already contains the weak-user extra loss.
+    physical BS-RIS gain.  L_d holds the K strong users' direct gains; in
+    L_r, index K (last) is the weak user.
     """
 
-    L_d: np.ndarray  # [K+1]
+    L_d: np.ndarray  # [K]
     L_r: np.ndarray  # [K+1]
     L_G: float
 
@@ -310,7 +300,6 @@ class ChannelRealization:
     """
 
     H_d_strong: np.ndarray  # [K, N_B] strong users' direct channels
-    h_d_weak: np.ndarray  # [N_B] weak user's attenuated direct channel
     b: np.ndarray  # [N_B] BS-side steering, ||b|| = 1
     H_c: np.ndarray  # [K+1, N_R] cascaded channels sqrt(L_G N_B) h_r^H diag(a)
 
@@ -501,16 +490,16 @@ def user_positions(cfg: ScenarioConfig, u: np.ndarray) -> np.ndarray:
 def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSet:
     """Linear gains for given user positions (L_d/L_r noise-normalized).
 
-    positions: [..., K+1, 3] in meters; L_d and L_r get its leading axes.
+    positions: [..., K+1, 3] in meters; L_d [..., K] (the strong users')
+    and L_r [..., K+1] get its leading axes.
     """
     bs = np.asarray(cfg.bs_pos, dtype=float)
     ris = np.asarray(cfg.ris_pos, dtype=float)
-    d_bs = np.linalg.norm(positions - bs, axis=-1)
+    d_bs = np.linalg.norm(positions[..., : cfg.n_strong, :] - bs, axis=-1)
     d_ris = np.linalg.norm(positions - ris, axis=-1)
     sigma2 = db_to_lin(cfg.noise_dbm)
 
     L_d_db = pathloss_db(cfg.pl_direct, d_bs) + cfg.direct_extra_loss_db
-    L_d_db = L_d_db + np.append(np.zeros(cfg.n_strong), cfg.weak_extra_loss_db)
     L_d = db_to_lin(-L_d_db) / sigma2
     L_r = db_to_lin(-pathloss_db(cfg.pl_ris_user, d_ris)) / sigma2
     L_G = float(db_to_lin(-pathloss_db(cfg.pl_los, np.linalg.norm(ris - bs))))
@@ -518,17 +507,21 @@ def nominal_pathlosses(cfg: ScenarioConfig, positions: np.ndarray) -> PathlossSe
 
 
 def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool, out=None):
-    """The direct channels H_d [..., K+1, N_B], or with `ris` the RIS-user
-    channels H_r [..., K+1, N_R], from a draw's normals x [..., M] (the real
-    parts of the direct fading, its imaginary parts, then the same for the
-    RIS-user fading): sqrt(L / 2) (re + 1j im), formed as 1j * im into
-    `out` (`linalg.out_array`), then += re (which adds the same two terms
-    without a temporary), then scaled in place by the pathlosses L
-    [..., K+1]."""
-    n, L = (cfg.n_ris, pl.L_r) if ris else (cfg.n_bs, pl.L_d)
+    """The strong users' direct channels H_d [..., K, N_B], or with `ris`
+    the RIS-user channels H_r [..., K+1, N_R], from a draw's normals
+    x [..., M] (the real parts of the direct fading of all K+1 users, its
+    imaginary parts, then the same for the RIS-user fading; the weak user's
+    direct normals, its last N_B of each part, are skipped):
+    sqrt(L / 2) (re + 1j im), formed as 1j * im into `out`
+    (`linalg.out_array`), then += re (which adds the same two terms without
+    a temporary), then scaled in place by the pathlosses L (L_d or L_r)."""
+    if ris:
+        rows, n, L = cfg.n_users, cfg.n_ris, pl.L_r
+    else:
+        rows, n, L = cfg.n_strong, cfg.n_bs, pl.L_d
     start, size = 2 * cfg.n_users * cfg.n_bs * ris, cfg.n_users * n
     re, im = (
-        x[..., i : i + size].reshape(*x.shape[:-1], cfg.n_users, n)
+        x[..., i : i + rows * n].reshape(*x.shape[:-1], rows, n)
         for i in (start, start + size)
     )
     # np.multiply(1j, im) is 1j * im, bit for bit
@@ -539,7 +532,9 @@ def _fading(cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, ris: bool, out=
 
 
 def variate_count(cfg: ScenarioConfig) -> int:
-    """Standard normals per draw, laid out as `_fading` reads them."""
+    """Standard normals per draw, laid out as `_fading` reads them (the
+    weak user's direct normals included, which keeps the later ones in
+    place)."""
     return 2 * cfg.n_users * (cfg.n_bs + cfg.n_ris)
 
 
@@ -601,17 +596,14 @@ def draw_block(
         positions = user_positions(cfg, u)
         return positions, nominal_pathlosses(cfg, positions), x
     pl = nominal_pathlosses(cfg, positions) if pathlosses is None else pathlosses
-    draws = (len(streams), cfg.n_users)
-    pl = replace(pl, L_d=np.broadcast_to(pl.L_d, draws), L_r=np.broadcast_to(pl.L_r, draws))
-    return np.broadcast_to(positions, (*draws, 3)), pl, x
+    draws = len(streams)
+    L_d, L_r = (np.broadcast_to(L, (draws, *L.shape)) for L in (pl.L_d, pl.L_r))
+    pl = replace(pl, L_d=L_d, L_r=L_r)
+    return np.broadcast_to(positions, (draws, *positions.shape)), pl, x
 
 
 def realize_block(
-    cfg: ScenarioConfig,
-    pl: PathlossSet,
-    x: np.ndarray,
-    out: tuple = None,
-    steering: np.ndarray = None,
+    cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, out: tuple = None
 ) -> ChannelRealization:
     """The realization of scenario `cfg` from drawn variates.
 
@@ -620,27 +612,21 @@ def realize_block(
     or one draw's pathlosses and normals; only the prefix
     x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry x's
     leading axes (b is shared).  `out`, if given, is a pair of caller-owned
-    arrays (H_d [..., K+1, N_B], H_c [..., K+1, N_R]) the direct and the
-    cascaded channels are built in, and the realization's channels are
-    views of them; without it they are new arrays.  H_c and `steering`
-    go to `cascade_block`.
+    arrays (H_d [..., K, N_B], H_c [..., K+1, N_R]) the strong users'
+    direct and the cascaded channels are built in, and returned as the
+    realization's channels; without it they are new arrays.  H_c goes to
+    `cascade_block`.
     """
     H_d, H_c = (None, None) if out is None else out
-    H_d_all = _fading(cfg, pl, x, False, H_d)
     return ChannelRealization(
-        H_d_strong=H_d_all[..., : cfg.n_strong, :],
-        h_d_weak=H_d_all[..., cfg.n_strong, :],
+        H_d_strong=_fading(cfg, pl, x, False, H_d),
         b=steering_vector(cfg.n_bs, cfg.aod, norm="unit"),
-        H_c=cascade_block(cfg, pl, x, H_c, steering),
+        H_c=cascade_block(cfg, pl, x, H_c),
     )
 
 
 def cascade_block(
-    cfg: ScenarioConfig,
-    pl: PathlossSet,
-    x: np.ndarray,
-    out: np.ndarray = None,
-    steering: np.ndarray = None,
+    cfg: ScenarioConfig, pl: PathlossSet, x: np.ndarray, out: np.ndarray = None
 ) -> np.ndarray:
     """The cascaded channels sqrt(L_G N_B) H_r diag(a) [..., K+1, N_R] of
     the RIS-user channels H_r that variates x give (`realize_block`'s
@@ -648,19 +634,10 @@ def cascade_block(
     one builder of H_c, which `realize_block` calls and an n_ris sweep's
     later points call alone.  H_r is built in `out` if given (a
     caller-owned array of H_c's shape, which is returned) or in a new
-    array, and scaled into H_c in place.  `steering` is
-    steering_vector(n, cfg.aoa, norm="sqrt_n") at any n >= N_R, whose
-    first N_R entries are a's, bit for bit (a run computes it once, at its
-    largest N_R); a is computed here if it is None."""
-    if steering is None:
-        steering = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
-    elif len(steering) < cfg.n_ris:
-        raise ValueError(
-            f"steering has {len(steering)} entries, fewer than N_R = {cfg.n_ris}"
-        )
+    array, and scaled into H_c in place."""
     H_c = _fading(cfg, pl, x, True, out)
     np.multiply(np.sqrt(pl.L_G * cfg.n_bs), H_c, out=H_c)
-    H_c *= steering[: cfg.n_ris]
+    H_c *= steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
     return H_c
 
 

@@ -67,7 +67,7 @@ def _to_floats(raw):
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-_PARSERS = {bool: _to_bool, int: int, float: float, str: str.strip, tuple: _to_floats}
+_PARSERS = {bool: _to_bool, int: int, float: float, tuple: _to_floats}
 # key -> parser, in ScenarioConfig declaration order (reused for
 # serialization), chosen by the kind of the field's default; ScenarioConfig
 # checks a tuple's length

@@ -47,6 +47,9 @@ RANDOM_STRATEGIES = ("random", "statistical")
 MAX_STEPS = 200
 GRAD_TOLERANCE = 1e-9
 
+# The smallest normal float: 1 / |h| overflows on a nonzero |h| below it.
+_TINY = np.finfo(float).tiny
+
 
 def align_weak_user(h_c_weak: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Phases maximizing the weak user's channel gain |h_c,K+1^H theta|^2.
@@ -61,13 +64,17 @@ def align_weak_user(h_c_weak: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     h_c_weak = check_finite(h_c_weak, "h_c_weak")
     r = np.abs(h_c_weak)
     # conj(row) / |row| in place, so a block holds no conjugated copy; the
-    # zero entries, if any, are left out of the divide and set to 1
+    # complex divide forms 1 / |row|, which overflows below the smallest
+    # normal float, so such entries (zero ones included), if any, are left
+    # out of it and scaled up by a power of two (exactly) first
     out = np.conjugate(h_c_weak, out=out_array(out, h_c_weak.shape))
-    if r.all():
+    if r.min(initial=np.inf) >= _TINY:
         return np.divide(out, r, out=out)
-    nonzero = r > 0.0
-    np.divide(out, r, out=out, where=nonzero)
-    out[~nonzero] = 1.0
+    small = r < _TINY
+    np.divide(out, r, out=out, where=~small)
+    scaled = out[small] * 2.0**64
+    modulus = np.abs(scaled)
+    out[small] = np.divide(scaled, modulus, out=np.ones_like(scaled), where=modulus > 0.0)
     return out
 
 

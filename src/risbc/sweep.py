@@ -75,7 +75,6 @@ from .channel import (
     nominal_pathlosses,
     random_phase_block,
     realize_block,
-    steering_vector,
     stream_states,
     variate_count,
 )
@@ -229,26 +228,24 @@ class _Workspace:
     `cfg`: the position uniforms and variates (`draw_block`), the phase
     uniforms and phases (`random_phase_block`), the direct and cascaded
     channel stacks (`realize_block`, `cascade_block`) and the aligned phases
-    (`select_phases`); and the RIS steering vector at N_R, whose prefix is
-    each point's, bit for bit.  A block or a point takes a contiguous prefix
-    of a buffer (`take`), so a short last block or a smaller point needs no
-    array of its own.
+    (`select_phases`).  A block or a point takes a contiguous prefix of a
+    buffer (`take`), so a short last block or a smaller point needs no array
+    of its own.
     """
 
     def __init__(self, cfg: ScenarioConfig, size: int):
-        draws, elements = size * cfg.n_users, size * cfg.n_ris
+        elements = size * cfg.n_ris
         # name: (entries, dtype)
         self.sizes = {
             "u": (size * 2 * cfg.n_users, float),
             "x": (size * variate_count(cfg), float),
             "phase_u": (elements, float),
             "theta": (elements, complex),
-            "H_d": (draws * cfg.n_bs, complex),
-            "H_c": (draws * cfg.n_ris, complex),
+            "H_d": (size * cfg.n_strong * cfg.n_bs, complex),
+            "H_c": (size * cfg.n_users * cfg.n_ris, complex),
             "aligned": (elements, complex),
         }
         self.buffers = {}
-        self.steering = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")
 
     def take(self, name: str, *shape) -> np.ndarray:
         """The first prod(shape) entries of buffer `name`, shaped `shape`."""
@@ -309,10 +306,8 @@ def _reduce(plan: SweepPlan, strategies) -> list:
         for s, cfg in enumerate(scenarios):
             H_c = work.take("H_c", n, users, cfg.n_ris)
             if factor is None:
-                out = (work.take("H_d", n, users, cfg.n_bs), H_c)
-                real = realize_block(
-                    cfg, pathlosses, x, out=out, steering=work.steering
-                )
+                out = (work.take("H_d", n, cfg.n_strong, cfg.n_bs), H_c)
+                real = realize_block(cfg, pathlosses, x, out=out)
                 H_d = real.H_d_strong
                 feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
             for i, divisor in enumerate(divisors):
@@ -321,7 +316,7 @@ def _reduce(plan: SweepPlan, strategies) -> list:
                     keep = ~(cache.cond() > COND_FLAG)
                     factor = cache if plan.variable == "n_ris" else None
                 else:  # only the cascade is new; keep is the first point's mask
-                    cascade_block(cfg, pathlosses, x, out=H_c, steering=work.steering)
+                    cascade_block(cfg, pathlosses, x, out=H_c)
                     cache = factor.with_cascade(H_c)
                 point = s * len(divisors) + i
                 m = int(np.count_nonzero(keep))

@@ -2,6 +2,7 @@
 
 Nothing in `risbc` imports this module.  Each routine here either builds the
 full matrix that the runtime code avoids (the assembled composite channel,
+the weak user's attenuated direct row, which the runtime does not model,
 projectors, bordered Gram inverses, per-user covariance matrices), takes a
 factorization of its own (generic inversion and log-determinant, the SVD
 cross-checks of the projection split, the SVD construction of the BS-RIS
@@ -22,7 +23,14 @@ from dataclasses import fields
 import numpy as np
 
 from risbc.bounds import EULER_GAMMA, BoundReport
-from risbc.channel import ChannelRealization, ScenarioConfig
+from risbc.channel import (
+    ChannelRealization,
+    ScenarioConfig,
+    db_to_lin,
+    draw_user_positions,
+    pathloss_db,
+    variate_count,
+)
 from risbc.linalg import check_finite, herm, matvec
 from risbc.se import DecompositionCache
 
@@ -42,21 +50,43 @@ BPP_TOL = 1e-12
 #
 # Textbook evaluations from the assembled composite channel, by direct
 # inversion and log-determinant.  They bypass the Gram decomposition
-# entirely; se_zf_generic and se_dpc_logdet also evaluate the non-idealized
-# channel whose weak user keeps its attenuated direct row.
+# entirely; se_zf_generic and se_dpc_logdet also evaluate a channel whose
+# weak user has an attenuated direct row, which the runtime does not model
+# (`weak_direct_row`).
 
 
 def compose_channel(
-    real: ChannelRealization, theta: np.ndarray, idealized: bool = True
+    real: ChannelRealization, theta: np.ndarray, weak_direct: np.ndarray = None
 ) -> np.ndarray:
     """Assemble the composite channel H = H_d + H_c theta b^H, rows h_k^H.
 
-    With idealized=True the weak user's direct row is zero; otherwise the
-    attenuated direct channel is kept.
+    The weak user's direct row is zero, the idealization the runtime
+    models, unless `weak_direct` [N_B] gives one.
     """
-    weak_direct = np.zeros_like(real.h_d_weak) if idealized else real.h_d_weak
+    if weak_direct is None:
+        weak_direct = np.zeros(real.b.shape, dtype=complex)
     H_d = np.vstack([real.H_d_strong, weak_direct[None, :]])
     return H_d + (real.H_c @ theta)[:, None] * real.b.conj()[None, :]
+
+
+def weak_direct_row(
+    cfg: ScenarioConfig, rng: np.random.Generator, extra_loss_db: float
+) -> np.ndarray:
+    """The weak user's direct row h_d,K+1^H [N_B] of the draw that
+    sample_realization(cfg, rng) makes from the same generator state, had
+    its direct link the pathloss model pl_direct at its position plus
+    direct_extra_loss_db and extra_loss_db: the stream's position uniforms,
+    then its normals, whose direct part holds the weak user's N_B real
+    parts and N_B imaginary parts last among the K+1 users' (the runtime
+    skips them)."""
+    positions = draw_user_positions(cfg, rng)
+    x = rng.standard_normal(variate_count(cfg))
+    distance = np.linalg.norm(positions[-1] - np.asarray(cfg.bs_pos))
+    loss_db = pathloss_db(cfg.pl_direct, distance) + cfg.direct_extra_loss_db
+    gain = db_to_lin(-(loss_db + extra_loss_db)) / db_to_lin(cfg.noise_dbm)
+    K, n = cfg.n_strong, cfg.n_bs
+    re, im = x[K * n : (K + 1) * n], x[(2 * K + 1) * n : (2 * K + 2) * n]
+    return np.sqrt(gain / 2.0) * (re + 1j * im)
 
 
 def se_zf_generic(H: np.ndarray, p_bar: float) -> float:
@@ -298,7 +328,7 @@ def dense_reflected_rate_upper_bound(theta, h_c_weak_draws, n_bs, a, pl, p_bar):
     n_ris = Da.shape[0]
     gain = np.abs(np.sum(rows * Th, axis=1)) ** 2
     denom = np.zeros(rows.shape[0])
-    for L_d, L_r in zip(pl.L_d[:-1], pl.L_r[:-1]):
+    for L_d, L_r in zip(pl.L_d, pl.L_r[:-1]):
         R_d = L_d * np.eye(n_bs)
         R_c = Da.conj().T @ (L_r * np.eye(n_ris)) @ Da * pl.L_G * n_bs
         quad = np.real(np.einsum("ia,ab,ib->i", Th.conj(), R_c, Th))
@@ -559,11 +589,11 @@ def reference_optimize_mitigation_aware(cache, init):
 # =========================================================================
 
 # ScenarioConfig's real-valued fields in its check order, which is their
-# declaration order: each must be finite, weak_extra_loss_db finite or +inf
+# declaration order: each must be finite
 REAL_SCENARIO_FIELDS = (
     "bs_pos", "ris_pos", "user_circle_center", "user_circle_radius", "ptx_dbm",
-    "noise_dbm", "weak_extra_loss_db", "direct_extra_loss_db", "pl_direct",
-    "pl_ris_user", "pl_los", "aoa", "aod",
+    "noise_dbm", "direct_extra_loss_db", "pl_direct", "pl_ris_user", "pl_los",
+    "aoa", "aod",
 )
 
 
@@ -574,17 +604,14 @@ def scenario_problem(**updates):
     The checks run on numpy arrays under np.errstate, as the runtime made
     them before they moved to Python floats: a distance is np.linalg.norm
     or np.hypot, a gain 10 ** (-(loss + extra) / 10) / sigma^2, and
-    overflow gives inf and underflow 0.  The integer, radius, divisor and
-    seed checks between the two are left out: `updates` must pass them.
+    overflow gives inf and underflow 0.  The integer, radius and seed
+    checks between the two are left out: `updates` must pass them.
     """
     cfg = {f.name: f.default for f in fields(ScenarioConfig)}
     cfg.update(updates)
     for name in REAL_SCENARIO_FIELDS:
         value = cfg[name]
-        if name == "weak_extra_loss_db":
-            if np.isnan(value) or value == -np.inf:
-                return f"{name} must be finite or +inf, got {value!r}"
-        elif not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(value)):
             return f"{name} must be finite, got {value!r}"
     with np.errstate(all="ignore"):
         return _link_problem(cfg)

@@ -21,6 +21,7 @@ from oracles import (
     se_dpc_logdet,
     se_dpc_orthogonal_form,
     se_zf_generic,
+    weak_direct_row,
 )
 from risbc.bounds import (
     aligned_phase_closed_forms,
@@ -419,18 +420,19 @@ def test_criterion_12_chi_squared_log_identity(capsys):
 
 def test_supplementary_attenuated_weak_row_is_negligible(capsys):
     # the idealized closed forms treat the weak user's direct row as zero;
-    # with the 60 dB extra loss the generic evaluation of the attenuated
-    # channel must agree at the highest swept power
+    # had that link 60 dB of extra loss, the generic evaluation of the
+    # attenuated channel (its row rebuilt from the pathloss model and the
+    # normals of the same draw) must agree at the highest swept power
     worst = 0.0
     for i in range(20):
         cfg = ScenarioConfig(ptx_dbm=40.0)
-        rng = np.random.default_rng([9500, i])
-        real = sample_realization(cfg, rng)
+        real = sample_realization(cfg, np.random.default_rng([9500, i]))
+        weak = weak_direct_row(cfg, np.random.default_rng([9500, i]), 60.0)
         cache = decompose(real)
         theta = align_weak_user(cache.h_c_weak)
         terms = rate_terms(cache, theta)
         p_bar = cfg.p_bar()
-        H_att = compose_channel(real, theta, idealized=False)
+        H_att = compose_channel(real, theta, weak)
         worst = max(
             worst,
             abs(se_zf_generic(H_att, p_bar) - rates(terms, p_bar, "ZF", "exact")[0]),

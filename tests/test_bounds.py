@@ -213,9 +213,25 @@ def test_gap_structure():
     assert gs.value_max == pytest.approx(GAP_VALUE_MAX, abs=1e-9)
     assert gs.inside_bracket
     assert gs.unimodal
-    assert gs.increasing_before and gs.decreasing_after
     assert gs.value_max > bound_gap(1e-8)
     assert gs.value_max > bound_gap(10.0)
+
+
+@pytest.mark.parametrize(
+    "gap, unimodal",
+    [
+        (lambda x: -np.log(np.asarray(x) / 1e-3) ** 2, True),  # one peak
+        (lambda x: np.log(np.asarray(x)), False),  # rises to the grid's end
+        (lambda x: np.log(np.asarray(x) / 1e-3) ** 2, False),  # one fall, then one rise
+        (lambda x: np.cos(np.log(np.asarray(x))), False),  # several peaks
+    ],
+    ids=("peak", "rise", "valley", "peaks"),
+)
+def test_gap_structure_is_unimodal_only_for_a_rise_then_a_fall(gap, unimodal, monkeypatch):
+    # one sign change of the slope is not enough: the rise must come
+    # first and the fall after it, turning at the grid maximum
+    monkeypatch.setattr(bounds, "bound_gap", gap)
+    assert bound_gap_structure().unimodal is unimodal
 
 
 # ------------------------------------------------------------------ chi2
@@ -302,7 +318,7 @@ def test_harmonic_random_trials():
 
 
 def unit_pathlosses(n_users):
-    return PathlossSet(L_d=np.ones(n_users), L_r=np.ones(n_users), L_G=1.0)
+    return PathlossSet(L_d=np.ones(n_users - 1), L_r=np.ones(n_users), L_G=1.0)
 
 
 def test_random_phase_forms_reduce_for_unit_gains():

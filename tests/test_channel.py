@@ -116,9 +116,9 @@ def test_config_rejects_mistyped_fields(field, value, kind):
 
 def test_config_takes_python_ints_beyond_the_float_range_as_infinities():
     # float() of such an int raised OverflowError, naming no field
-    with pytest.raises(ValueError, match=r"^ptx_dbm must be finite, got -inf$"):
-        ScenarioConfig(ptx_dbm=-(10**400))
-    assert ScenarioConfig(weak_extra_loss_db=10**400).weak_extra_loss_db == math.inf
+    for sign, name in ((-1, "-inf"), (1, "inf")):
+        with pytest.raises(ValueError, match=rf"^ptx_dbm must be finite, got {name}$"):
+            ScenarioConfig(ptx_dbm=sign * 10**400)
 
 
 def test_config_takes_numpy_integers_and_bools_as_python_values():
@@ -134,10 +134,10 @@ def test_config_takes_numpy_integers_and_bools_as_python_values():
 
 
 def test_p_bar_divisor():
-    cfg = ScenarioConfig(ptx_dbm=30.0)
-    assert cfg.p_bar() == pytest.approx(1000.0 / 4)
-    cfg_k = ScenarioConfig(ptx_dbm=30.0, power_divisor="k")
-    assert cfg_k.p_bar() == pytest.approx(1000.0 / 3)
+    # the total power is split over the K+1 users, weak user included
+    assert ScenarioConfig(ptx_dbm=30.0).p_bar() == pytest.approx(1000.0 / 4)
+    cfg = ScenarioConfig(ptx_dbm=20.0, n_strong=5)
+    assert cfg.p_bar() == pytest.approx(100.0 / 6)
 
 
 # ------------------------------------------------------------------ sampling
@@ -177,7 +177,6 @@ def test_realization_shapes_and_invariants():
     real = sample_realization(cfg, np.random.default_rng(rep_seeds(cfg.seed, 0)[0]))
     K = cfg.n_strong
     assert real.H_d_strong.shape == (K, 8)
-    assert real.h_d_weak.shape == (8,)
     assert real.H_c.shape == (K + 1, 16)
     assert abs(np.linalg.norm(real.b) - 1.0) < 1e-12
     H_r, a, L_G = ris_channels(cfg, 0)
@@ -187,17 +186,11 @@ def test_realization_shapes_and_invariants():
     assert np.max(np.abs(real.H_c - expected)) < 1e-12
 
 
-def test_weak_user_infinite_extra_loss_gives_zero_row():
-    cfg = ScenarioConfig(weak_extra_loss_db=np.inf)
-    real = sample_realization(cfg, np.random.default_rng(rep_seeds(1, 0)[0]))
-    assert np.all(real.h_d_weak == 0)
-
-
 def test_fixed_seed_reproducibility():
     cfg = ScenarioConfig()
     r1 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
     r2 = sample_realization(cfg, np.random.default_rng(rep_seeds(7, 3)[0]))
-    for name in ("H_d_strong", "h_d_weak", "H_c"):
+    for name in ("H_d_strong", "H_c"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
 
 
@@ -331,7 +324,7 @@ def assert_same_draws(got, want, index=()):
     for name in ("L_d", "L_r"):
         assert np.array_equal(getattr(got_pl, name)[index], getattr(want_pl, name)), name
     assert got_pl.L_G == want_pl.L_G
-    for name in ("H_d_strong", "h_d_weak", "H_c"):
+    for name in ("H_d_strong", "H_c"):
         assert np.array_equal(getattr(got_real, name)[index], getattr(want_real, name)), name
     assert np.array_equal(got_real.b, want_real.b)
 
@@ -431,22 +424,22 @@ def test_draw_block_into_out_equals_a_new_draw(frozen):
 
 @pytest.mark.parametrize("extra", [0, 1, 57])
 def test_realize_and_cascade_into_out_equal_new_arrays(extra):
-    # into caller-owned stacks and with a steering vector longer by `extra`
-    # elements, whose prefix is N_R's, bit for bit
+    # into caller-owned stacks, from the variates of a scenario with `extra`
+    # more elements, as a sweep's smaller points are built
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=3)
-    _, pl, x = draw_block(cfg, stream_states(cfg.seed, range(4)))
-    steering = steering_vector(cfg.n_ris + extra, cfg.aoa, norm="sqrt_n")
-    H_d = filled((4, cfg.n_users, cfg.n_bs), complex)
+    larger = cfg.with_updates(n_ris=cfg.n_ris + extra)
+    _, pl, x = draw_block(larger, stream_states(cfg.seed, range(4)))
+    H_d = filled((4, cfg.n_strong, cfg.n_bs), complex)
     H_c = filled((4, cfg.n_users, cfg.n_ris), complex)
-    got = realize_block(cfg, pl, x, out=(H_d, H_c), steering=steering)
+    got = realize_block(cfg, pl, x, out=(H_d, H_c))
     want = realize_block(cfg, pl, x)
-    assert got.H_c is H_c and np.shares_memory(got.H_d_strong, H_d)
-    for name in ("H_d_strong", "h_d_weak", "H_c", "b"):
+    assert got.H_c is H_c and got.H_d_strong is H_d
+    for name in ("H_d_strong", "H_c", "b"):
         same_bits(getattr(got, name), getattr(want, name))
     H_c = filled(H_c.shape, complex)
-    assert cascade_block(cfg, pl, x, out=H_c, steering=steering) is H_c
+    assert cascade_block(cfg, pl, x, out=H_c) is H_c
     same_bits(H_c, want.H_c)
-    same_bits(cascade_block(cfg, pl, x, steering=steering), want.H_c)
+    same_bits(cascade_block(cfg, pl, x), want.H_c)
 
 
 def test_random_phase_block_into_out_equals_a_new_block():
@@ -458,7 +451,8 @@ def test_random_phase_block_into_out_equals_a_new_block():
 
 
 def test_steering_prefixes_equal_shorter_vectors():
-    # a run computes the RIS steering vector once, at its largest N_R
+    # entry m depends on m and the angle alone: fewer elements give the
+    # prefix of more elements' vector, bit for bit
     for angle in (np.pi / 2, np.pi / 3, 0.4):
         wide = steering_vector(256, angle, norm="sqrt_n")
         for n in range(1, 257):
@@ -499,11 +493,9 @@ def test_draw_block_rejects_an_out_of_another_shape_or_dtype(out):
         draw_block(cfg, stream_states(0, range(3)), out=out)
 
 
-def test_cascade_block_rejects_a_short_steering_vector():
+def test_cascade_block_rejects_an_out_of_another_dtype():
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7)
     _, pl, x = draw_block(cfg, stream_states(0, range(2)))
-    with pytest.raises(ValueError, match="steering has 6 entries, fewer than N_R = 7"):
-        cascade_block(cfg, pl, x, steering=steering_vector(6, cfg.aoa, norm="sqrt_n"))
     H_c = np.empty((2, cfg.n_users, cfg.n_ris), np.complex64)
     with pytest.raises(ValueError, match="^out must be a complex128 array"):
         cascade_block(cfg, pl, x, out=H_c)

@@ -59,7 +59,7 @@ def test_readme_config_example_parses():
     cfg = plan.config
     assert cfg.n_bs == 12 and cfg.n_ris == 64 and cfg.n_strong == 3
     assert cfg.bs_pos == (0.0, 0.0, 10.0) and cfg.pl_ris_user == (37.51, 22.0)
-    assert cfg.power_divisor == "k+1" and cfg.freeze_positions is False
+    assert cfg.freeze_positions is False
     assert plan.variable == "ptx_dbm"
     assert plan.values == tuple(float(v) for v in range(0, 41, 5))
     assert [m.label for m in plan.methods] == [
@@ -76,14 +76,20 @@ def test_scenario_keys_parse():
         "freeze_positions = yes\n"
         "pl_direct = 30, 35\n"
         "bs_pos = 1 2 3\n"
-        "power_divisor = k\n"
     ).config
     assert cfg.n_bs == 8
     assert cfg.ptx_dbm == 20.0
     assert cfg.freeze_positions is True
     assert cfg.pl_direct == (30.0, 35.0)
     assert cfg.bs_pos == (1.0, 2.0, 3.0)
-    assert cfg.power_divisor == "k"
+
+
+@pytest.mark.parametrize("key", ["weak_extra_loss_db", "power_divisor"])
+def test_removed_scenario_keys_are_unknown(key):
+    # neither changed a result the rates read (the weak user's direct row
+    # is not modeled, and the total power is split over the K+1 users)
+    with pytest.raises(ValueError, match=rf"^unknown key '{key}' in \[scenario\] \(line 3\)$"):
+        parse_config(f"[scenario]\nn_bs = 12\n{key} = 60\n")
 
 
 def test_infeasible_scenario_names_key_and_line():
@@ -200,9 +206,6 @@ def scenario_updates(draw):
         "direct_extra_loss_db": pick(
             "direct_extra_loss_db", st.floats(-5000.0, 5000.0)
         ),
-        "weak_extra_loss_db": pick(
-            "weak_extra_loss_db", st.just(np.inf), st.floats(-5000.0, 5000.0)
-        ),
         **{
             name: pick(name, PATHLOSS_MODELS)
             for name in ("pl_direct", "pl_ris_user", "pl_los")
@@ -222,7 +225,7 @@ def scenario_updates(draw):
 
 @hypothesis.settings(DERANDOMIZED, max_examples=300)
 @hypothesis.given(scenario_updates())
-@hypothesis.example({"weak_extra_loss_db": np.nan, "aod": np.nan})
+@hypothesis.example({"direct_extra_loss_db": np.nan, "aod": np.nan})
 def test_scenario_checks_agree_with_the_numpy_oracle(updates):
     # the finiteness and link checks run on Python floats; they reject
     # exactly what the same checks on numpy arrays reject, with its message,
@@ -289,8 +292,6 @@ def test_infinite_noise_rejected_with_line():
         ("user_circle_center", "95, 10, -inf"),
         ("user_circle_radius", "nan"),
         ("direct_extra_loss_db", "inf"),
-        ("weak_extra_loss_db", "nan"),
-        ("weak_extra_loss_db", "-inf"),
         ("pl_direct", "35.1, nan"),
         ("pl_ris_user", "inf, 22"),
         ("pl_los", "30, -inf"),

@@ -2,15 +2,17 @@
 module-level name that nothing in the package refers to, no module
 importing another one's private name, no public module-level name that
 nothing in the package or the demos refers to (a name only tests use is
-runtime code without a runtime caller), and no
+runtime code without a runtime caller), no field of a dataclass or
+NamedTuple that nothing in the package or the demos reads as an attribute,
+and no
 backticked `module.name` in a docstring or comment that the package's
 module does not define, no import of a module in `BANNED`, and no
 module-level list, dict or set that a function changes.
 
-The first two, the fourth and the fifth are what a refactor leaves behind
-when it deletes the last caller of a helper, the last use of an import or
-a function that prose still cites; the third is a decision that belongs in
-one module leaking into another.  A module-level container that a function
+The first two, the fourth, the fifth and the sixth are what a refactor
+leaves behind when it deletes the last caller of a helper, the last use of
+an import or a field, or a function that prose still cites; the third is a
+decision that belongs in one module leaking into another.  A module-level container that a function
 fills is state shared by every run in the process (a cache that outlives
 its run and holds its arrays): per-run state lives on an object the run
 owns.
@@ -64,6 +66,36 @@ def _used_names(tree):
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     return used
+
+
+def _attribute_reads(tree):
+    """Every name a module reads as an attribute (x.name, not x.name = ...)."""
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+# a class decorated with one of these (called or not), or derived from one,
+# has fields: its annotated names
+_RECORDS = ("dataclass", "NamedTuple")
+
+
+def _fields(tree):
+    """(line, class, field) of every field of a module-level dataclass or
+    NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        makers = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(
+            getattr(m, "id", getattr(m, "attr", None)) in _RECORDS
+            for m in makers + node.bases
+        ):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item.lineno, node.name, item.target.id
 
 
 def _imports(tree):
@@ -226,21 +258,23 @@ def lint(sources, users=None):
     """Findings of {module name: source text}, as "module:line: message".
 
     With `users` ({file name: source text}, such as the demos), a public
-    module-level name that neither the modules nor the users refer to is a
-    finding too.
+    module-level name that neither the modules nor the users refer to, and a
+    field of a dataclass or NamedTuple that none of them reads as an
+    attribute, are findings too.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = {name: _used_names(tree) for name, tree in trees.items()}
     # a private name another module imports counts as used: the import is
     # the finding
     imported = _imported_names(trees.values())
-    referenced = None
+    referenced = read = None
     if users is not None:
         user_trees = [ast.parse(text) for text in users.values()]
         referenced = set().union(
             imported, _imported_names(user_trees), *used.values(),
             *map(_used_names, user_trees),
         )
+        read = set().union(*map(_attribute_reads, [*trees.values(), *user_trees]))
     findings = []
     for name, tree in trees.items():
         for line, bound in _imports(tree):
@@ -259,6 +293,9 @@ def lint(sources, users=None):
                     findings.append(f"{name}:{line}: unreferenced private name {defined}")
             elif referenced is not None and defined not in referenced:
                 findings.append(f"{name}:{line}: unreferenced public name {defined}")
+        for line, record, field in _fields(tree) if read is not None else ():
+            if field not in read:
+                findings.append(f"{name}:{line}: unread field {record}.{field}")
         for line, reference in _stale_references(sources[name], trees):
             findings.append(f"{name}:{line}: stale reference {reference}")
         for line, container in _mutated_containers(tree):
@@ -327,6 +364,51 @@ def test_lint_finds_an_injected_leftover(source, finding):
 )
 def test_lint_finds_an_unreferenced_public_name(source, finding):
     assert lint({"m.py": source}, users={}) == [finding]
+
+
+_RECORD_USERS = {"demo.py": "from risbc.m import Box, Terms, size\n"}
+
+
+@pytest.mark.parametrize(
+    "source, finding",
+    [
+        (
+            "from dataclasses import dataclass\n\n@dataclass\nclass Box:\n"
+            "    size: int\n    gone: int = 0\n\ndef size(b):\n    return b.size\n",
+            "m.py:6: unread field Box.gone",
+        ),
+        (
+            "import dataclasses\n\n@dataclasses.dataclass(frozen=True)\nclass Box:\n"
+            "    gone: int\n\ndef size(b):\n    b.gone = 1\n",
+            "m.py:5: unread field Box.gone",
+        ),
+        (
+            "from typing import NamedTuple\n\nclass Terms(NamedTuple):\n    g: float\n"
+            "    cross: float\n\ndef size(t):\n    return t.g\n",
+            "m.py:5: unread field Terms.cross",
+        ),
+    ],
+    ids=("dataclass", "written-only", "namedtuple"),
+)
+def test_lint_finds_an_unread_field(source, finding):
+    assert lint({"m.py": source}, users=_RECORD_USERS) == [finding]
+
+
+def test_lint_counts_field_reads_in_the_package_and_its_users_only():
+    sources = {
+        "m.py": (
+            "from dataclasses import dataclass\n\n@dataclass\nclass Box:\n"
+            "    size: int\n    kept: int\n\nclass Plain:\n    note: str\n"
+        ),
+        "n.py": "from .m import Box, Plain\n\ndef size(b: Box):\n    return b.size, Plain\n",
+    }
+    # a demo's read counts, and a plain class's annotations are no fields
+    users = {"demo.py": "from risbc.n import size\nprint(size(b).kept)\n"}
+    assert lint(sources, users) == []
+    # a test is no user: a field only it reads is left over
+    assert lint(sources, {"demo.py": "from risbc.n import size\n"}) == [
+        "m.py:6: unread field Box.kept"
+    ]
 
 
 def test_lint_counts_uses_of_public_names_in_the_package_and_its_users():

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,25 @@ def test_align_equals_the_complex_exponential(stacked):
     assert np.max(np.abs(theta - oracles.exp_aligned_phases(rows))) <= 1e-15
     assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-15
     assert np.all(theta[zero] == 1.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_align_gives_subnormal_entries_a_finite_unit_phase(stacked):
+    # the complex divide forms 1 / |h|, which overflows on an entry below
+    # the smallest normal float: such an entry gets the phase of the entry
+    # scaled up, a zero one 1, and the normal entries the divide's bits
+    tiny, s = np.finfo(float).tiny, 2.0**-1040
+    row = np.array([2.2e-309j, -5e-324, 1.0 - 2.0j, 0.0, tiny * (1 - 1j), 3 * s + 4j * s])
+    want = np.array([-1j, -1.0, (1 + 2j) / np.sqrt(5.0), 1.0, (1 + 1j) / np.sqrt(2.0), 0.6 - 0.8j])
+    if stacked:
+        row, want = np.stack([row, row[::-1]]), np.stack([want, want[::-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = align_weak_user(row)
+    assert np.all(np.isfinite(theta))
+    assert np.max(np.abs(theta - want)) <= 1e-15
+    normal = np.abs(row) >= tiny
+    assert theta[normal].tobytes() == (row[normal].conj() / np.abs(row[normal])).tobytes()
 
 
 def test_align_into_out_equals_a_new_array_and_the_one_expression():

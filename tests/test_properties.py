@@ -274,16 +274,28 @@ def outcome(check, x):
 @hypothesis.example(np.array([1e308, 1e308, np.nan]))
 @hypothesis.example(np.exp(1j * np.arange(6.0)) * (1.0 + np.array([0, 5, -5, 10, -10, 20]) * 1e-13))
 @hypothesis.example(np.array([[0.0, 1j, 0.0], [2.0, 0.0, 1.0]]))
+@hypothesis.example(np.array([2.2e-309j, 1.0, 0.0]))
 def test_one_pass_checks_accept_and_reject_what_the_entrywise_checks_did(x):
     # each check takes one pass (a complex sum, the max and min modulus, one
     # divide) and falls back to the entrywise test only on a rejected or
     # special array: old and new accept the same arrays with the same
     # results and reject the rest with the same message, non-finite
-    # entries before modulus; on a subnormal entry of h both overflow in
-    # the divide alike
+    # entries before modulus.  On a finite h with an entry below the
+    # smallest normal float, the former divide overflowed; the aligned
+    # phases are finite and unit modulus there, and the other entries'
+    # bits are the former ones
     for new, old in (
         (linalg.check_finite, check_finite_reference),
         (se.unit_phases, unit_phases_reference),
-        (phases.align_weak_user, align_weak_user_reference),
     ):
         assert outcome(new, x) == outcome(old, x), new.__name__
+    r = np.abs(x)
+    subnormal = (r > 0.0) & (r < np.finfo(float).tiny)
+    if not (subnormal.any() and np.isfinite(x).all()):
+        assert outcome(phases.align_weak_user, x) == outcome(align_weak_user_reference, x)
+        return
+    theta = phases.align_weak_user(x)
+    assert np.all(np.abs(np.abs(theta[subnormal]) - 1.0) <= 1e-15)
+    with np.errstate(all="ignore"):
+        want = align_weak_user_reference(x)
+    assert theta[~subnormal].tobytes() == want[~subnormal].tobytes()
