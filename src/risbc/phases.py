@@ -16,15 +16,18 @@ unit-modulus torus (Sun, Babu & Palomar, IEEE TSP 2017), and then hands the
 draw to a Riemannian Newton ascent in the phases phi (theta_n = e^{j phi_n};
 Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
 2008; applied to RIS phases by Yu, Xu & Schober, IEEE ICCC 2019).  Each
-Newton step is damped in the Levenberg-Marquardt way, solved by Woodbury
-through a 2(K+1)-square system (f's negative Hessian is a diagonal plus a
-rank-2(K+1) term), kept only where its damped matrix is positive definite
-and it does not lower f, and followed by an MM step.  A draw stops once
-max_n |df/dphi_n| <= GRAD_TOLERANCE f, a stationarity test, or after
-MAX_STEPS steps.  The random strategies return the caller's draw; the
-others read a draw from its `se.DecompositionCache` alone, the weak row
-h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
+Newton step is damped in the Levenberg-Marquardt way, kept only where its
+damped matrix is positive definite and it does not lower f, and followed by
+an MM step.  f's negative Hessian is a diagonal plus Z^T E Z, where E^{-1}
+is a diagonal plus a rank-2 term, so a step is one Woodbury solve through a
+2(K+1)-square eigh, whose eigenvalues also give the exact test (Haynsworth).
+A draw stops once max_n |df/dphi_n| <= GRAD_TOLERANCE f, a stationarity
+test, or after MAX_STEPS steps.  The random strategies return the caller's
+draw; the others read a draw from its `se.DecompositionCache` alone, the
+weak row h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -163,81 +166,79 @@ def _squarem_step(M, MH, lam_max, theta_bar, f, Mt):
     return _better(M, jump, t2)[0]
 
 
-def _newton_model(M, theta_bar):
-    """f and its first two derivatives in the phases phi of a stack
-    theta_bar [B, N_R+1] (theta_n = e^{j phi_n}, n < N_R; the last entry 1 is
-    fixed).
+# A damped Newton trial of a stack (`_newton_trial`); the fields after met (the
+# stop test) are None when every draw meets the stop test.
+_Trial = namedtuple(
+    "_Trial", "f met grad delta Z E_inv d concave gain change y y_new", defaults=(None,) * 10
+)
 
-    With y = M theta_bar, w_j = M_j o theta (row j of M times theta, entry by
-    entry), coef = (-f, ..., -f, 1) and D = 1 + sum_{j<K} |y_j|^2:
-        grad f = -2 sum_j coef_j Im(conj(y_j) w_j) / D,
-        -hess f = diag(delta) + Z^T E Z,
-        delta = 2 sum_j coef_j Re(conj(y_j) w_j) / D,
-    with Z = [Re w; Im w] [B, 2(K+1), N_R] and
-    E = (q p^T + p q^T - 2 diag(coef, coef)) / D, where grad f = Z^T q and
-    grad D = Z^T p: q = 2 (coef, coef) o (Im y, -Re y) / D, and p is
-    2 (Im y, -Re y) with the weak row's two entries set to 0.
 
-    Returns (f [B], y [B, K+1], grad [B, N_R], delta [B, N_R], Z, E).
+def _newton_trial(M, MH, theta_bar, lam) -> _Trial:
+    """The damped Newton trial of each draw of a stack theta_bar [B, N_R+1]
+    in its phases phi (theta_n = e^{j phi_n}, n < N_R; the last entry 1 is
+    fixed), damped by lam max|grad f| ([B] lam), with what it is formed of.
+
+    Model: with y = M theta_bar [B, K+1], D = 1 + sum_{j<K} |y_j|^2, the rows
+    Re w_0, Im w_0, ..., Re w_K, Im w_K of Z [B, 2(K+1), N_R] (w_j = M_j o
+    theta, entry by entry) and c = 2 (-f, -f, ..., 1, 1) / D (one per row),
+    z = conj(theta_bar) o M^H (c o y) gives grad f = Im z [B, N_R] and
+    -hess f = diag(delta) + Z^T E Z, delta = Re z, E = -diag(c) + (q p^T + p q^T) / D,
+    where grad f = Z^T q and grad D = Z^T p: with t = 2 (Im y_0, -Re y_0, ...),
+    q = c t / 2 and p is t with its last (the weak user's) two entries 0.
+    E's 2x2 Woodbury capacitance has determinant -D^2, and its inverse
+    E_inv = -diag(1/c) + g u^T + u g^T, u = t - p, g = (t - u / D) / (4f).
+
+    Step: with a = delta + damping and Y = E_inv + Z diag(a)^{-1} Z^T =
+    P diag(s) P^T, Woodbury gives d = (grad - Z^T Y^{-1} Z (grad / a)) / a
+    [B, N_R], and Haynsworth's inertia additivity gives the damped matrix
+    #(a < 0) + #(s > 0) - #(eig E_inv > 0) negative eigenvalues (concave [B]
+    where there are none).  E_inv has 2K positive ones where f > 0 (f = 0 is
+    a minimum, which meets the stop test): its strong block D/(2f) I is
+    positive definite and the complement of that block, -(D/2) I, negative.
+
+    Gain [B]: f(theta_bar e^{j d}) - f(theta_bar) is formed from
+    y_new - y = M change, change = theta (e^{j d} - 1) = theta (-2 sin^2(d/2)
+    + j sin d), so that a gain far below f's rounding still has its sign.
     """
     y = matvec(M, theta_bar)
-    w = M[..., :-1] * theta_bar[:, None, :-1]
-    power = y.real**2 + y.imag**2
-    D = 1.0 + np.sum(power[:, :-1], axis=-1)
-    f = power[:, -1] / D
-    coef = np.empty_like(power)
-    coef[:, :-1] = -f[:, None]
-    coef[:, -1] = 1.0
-    coef = np.concatenate([coef, coef], axis=-1) / D[:, None]
-    turned = 2.0 * np.concatenate([y.imag, -y.real], axis=-1)  # grad |y_j|^2
-    q = coef * turned
-    Z = np.concatenate([w.real, w.imag], axis=-2)
-    grad, delta = np.moveaxis(
-        herm(Z) @ np.stack([q, 2.0 * coef * np.concatenate([y.real, y.imag], -1)], -1),
-        -1, 0,
-    )
-    K = y.shape[-1] - 1
-    p = turned
-    p[:, [K, 2 * K + 1]] = 0.0
-    E = (q[:, :, None] * p[:, None, :] + p[:, :, None] * q[:, None, :]) / D[:, None, None]
-    diag = np.arange(2 * K + 2)
-    E[:, diag, diag] -= 2.0 * coef
-    return f, y, grad, delta, Z, E
+    power = y.view(float) ** 2  # (Re y_0)^2, (Im y_0)^2, ...
+    D = 1.0 + power[:, :-2].sum(-1)
+    f = power[:, -2:].sum(-1) / D
+    c = np.empty_like(power)
+    c[:, :-2] = (-2.0 * f / D)[:, None]
+    c[:, -2:] = (2.0 / D)[:, None]
+    z = theta_bar.conj() * matvec(MH, (c * y.view(float)).view(complex))
+    grad, delta = z.imag[:, :-1], z.real[:, :-1]
+    slope = np.abs(grad).max(-1)
+    met = slope <= GRAD_TOLERANCE * f
+    if met.all():
+        return _Trial(f, met)
 
-
-def _damped_step(Z, E, grad, delta, damping):
-    """The step d = (-hess f + damping I)^{-1} grad of each draw, with
-    -hess f = diag(delta) + Z^T E Z (`_newton_model`), and whether that
-    damped matrix is positive definite.
-
-    With a = delta + damping, T = Z diag(a)^{-1} Z^T and X = E + E T E
-    [B, 2(K+1), 2(K+1)], Woodbury gives d = (grad - Z^T E X^{-1} E Z
-    (grad / a)) / a, and Haynsworth's inertia additivity gives the damped
-    matrix #(a < 0) + #(eig X > 0) - #(eig E > 0) negative eigenvalues
-    (diag(a) and E invertible), so one eigh of X serves both.
-    """
-    a = delta + damping[:, None]
+    t = (-2j * y).view(float)
+    g = t / (4.0 * f[:, None])
+    g[:, -2:] *= (1.0 - 1.0 / D)[:, None]
+    E_inv = np.zeros(t.shape + t.shape[-1:])
+    E_inv[:, :, -2:] = g[:, :, None] * t[:, None, -2:]
+    E_inv = E_inv + np.swapaxes(E_inv, 1, 2)
+    E_inv.reshape(len(t), -1)[:, :: t.shape[-1] + 1] -= 1.0 / c
+    w = (M[..., :-1] * theta_bar[:, None, :-1]).view(float)
+    Z = np.swapaxes(w.reshape(*w.shape[:2], -1, 2), 2, 3).reshape(len(w), -1, w.shape[-1] // 2)
+    a = delta + (lam * slope)[:, None]
     Za = Z / a[:, None, :]
-    ET = E @ (Za @ herm(Z))
-    s, P = np.linalg.eigh(E + ET @ E)
-    u = matvec(E @ P, matvec(herm(P), matvec(E, matvec(Za, grad))) / s)
-    d = (grad - matvec(herm(Z), u)) / a
-    negative = np.count_nonzero(a < 0.0, axis=-1) + np.count_nonzero(s > 0.0, axis=-1)
-    negative -= np.count_nonzero(np.linalg.eigvalsh(E) > 0.0, axis=-1)
-    return d, negative == 0
+    Y = E_inv + Za @ np.swapaxes(Z, 1, 2)
+    if met.any():  # their steps are not taken, and f = 0 leaves Y non-finite
+        Y[met] = np.eye(len(Y[0]))
+    s, P = np.linalg.eigh(Y)
+    x = matvec(P, matvec(np.swapaxes(P, 1, 2), matvec(Za, grad)) / s)
+    d = grad / a - (x[:, None, :] @ Za)[:, 0]
+    concave = (a < 0.0).sum(-1) + (s > 0.0).sum(-1) == len(s[0]) - 2
 
-
-def _gain(M, theta_bar, y, f, d):
-    """(f(theta_bar e^{j d}) - f(theta_bar), M theta_bar e^{j d}) per draw,
-    the gain formed from the change of M theta_bar, so that a gain far below
-    f's rounding still has its sign."""
-    change = np.zeros_like(theta_bar)
-    change[:, :-1] = theta_bar[:, :-1] * (-2.0 * np.sin(0.5 * d) ** 2 + 1j * np.sin(d))
-    dy = matvec(M, change)
+    change = theta_bar[:, :-1] * (-2.0 * np.sin(0.5 * d) ** 2 + 1j * np.sin(d))
+    dy = matvec(M[..., :-1], change)
     dpower = (dy * (2.0 * y + dy).conj()).real  # |y + dy|^2 - |y|^2
-    D = 1.0 + np.sum(y.real[:, :-1] ** 2 + y.imag[:, :-1] ** 2, axis=-1)
-    dD = np.sum(dpower[:, :-1], axis=-1)
-    return (dpower[:, -1] - f * dD) / (D + dD), y + dy
+    dD = dpower[:, :-1].sum(-1)
+    gain = (dpower[:, -1] - f * dD) / (D + dD)
+    return _Trial(f, met, grad, delta, Z, E_inv, d, concave, gain, change, y, y + dy)
 
 
 def _ascend(cache: DecompositionCache, init: np.ndarray):
@@ -247,51 +248,50 @@ def _ascend(cache: DecompositionCache, init: np.ndarray):
 
     Each draw starts from the better of init [B, N_R+1] and phase(x / x_last)
     of the relaxed maximizer x (`_relaxed_maximizer`), and its first step is
-    a SQUAREM step (`_squarem_step`).  Every later step tries the damped
-    Newton step d (`_damped_step`, damping lambda max|grad f| with lambda
-    starting at 1) and keeps theta e^{j d} if its damped matrix is positive
-    definite and its f is not lower (`_gain`), dividing lambda by 3, else
-    keeps theta and multiplies lambda by 10; then it takes an MM step.  A
-    draw stops once max|grad f| <= GRAD_TOLERANCE f (converged) or after
-    MAX_STEPS steps, and every operation acts on each draw alone, so its
-    result does not depend on the other draws of its stack.
+    a SQUAREM step (`_squarem_step`).  Every later step is a damped Newton
+    trial (`_newton_trial`, lambda from 1), which keeps theta e^{j d} if its
+    damped matrix is positive definite and its f is not lower, dividing
+    lambda by 3, else keeps theta and multiplies lambda by 10, then an MM
+    step.  A draw stops once max|grad f| <= GRAD_TOLERANCE f (converged) or
+    after MAX_STEPS steps; each draw's result does not depend on the other
+    draws of its stack.  An empty stack returns at once.
     """
+    if len(init) == 0:
+        return init.copy(), np.zeros(0, int), np.zeros(0, bool)
     M, MH, mu, V = _mm_operands(cache)
     lam_max = mu[:, -1]
-    relaxed = _phase(_relaxed_maximizer(M, mu, V))
-    theta_bar, f, Mt = _better(M, init, relaxed)
+    theta_bar, f, Mt = _better(M, init, _phase(_relaxed_maximizer(M, mu, V)))
     if MAX_STEPS > 0:
         theta_bar = _squarem_step(M, MH, lam_max, theta_bar, f, Mt)
 
     out = np.empty_like(theta_bar)
-    steps = np.empty(len(out), dtype=int)
-    converged = np.empty(len(out), dtype=bool)
-    index = np.arange(len(out))
-    lam = np.ones(len(out))
-    for step in range(min(MAX_STEPS, 1), MAX_STEPS + 1):
-        f, y, grad, delta, Z, E = _newton_model(M, theta_bar)
-        slope = np.max(np.abs(grad), axis=-1)
-        met = slope <= GRAD_TOLERANCE * f
-        stop = met | (step == MAX_STEPS)
-        if stop.any():
-            out[index[stop]] = theta_bar[stop]
-            steps[index[stop]], converged[index[stop]] = step, met[stop]
-            go = ~stop
-            if not go.any():
-                break
-            index, M, MH, lam_max, lam = index[go], M[go], MH[go], lam_max[go], lam[go]
-            theta_bar, f, y, grad, delta = theta_bar[go], f[go], y[go], grad[go], delta[go]
-            Z, E, slope = Z[go], E[go], slope[go]
-        # a step that is not positive definite or overflows is refused
-        with np.errstate(all="ignore"):
-            d, concave = _damped_step(Z, E, grad, delta, lam * slope)
-            gain, y_new = _gain(M, theta_bar, y, f, d)
-        keep = concave & (gain >= 0.0)
-        lam = np.where(keep, lam / 3.0, lam * 10.0)
-        theta_bar[keep, :-1] *= np.exp(1j * d[keep])
-        f = np.where(keep, f + gain, f)
-        y = np.where(keep[:, None], y_new, y)
-        theta_bar = _mm_step(MH, lam_max, theta_bar, f, y)
+    steps, converged = np.empty(len(out), dtype=int), np.empty(len(out), dtype=bool)
+    index, lam = np.arange(len(out)), np.ones(len(out))
+    # a step that is not positive definite or overflows is refused
+    with np.errstate(all="ignore"):
+        for step in range(min(MAX_STEPS, 1), MAX_STEPS + 1):
+            trial = _newton_trial(M, MH, theta_bar, lam)
+            f, (concave, gain, change, y, y_new) = trial.f, trial[7:]
+            stop = trial.met | (step == MAX_STEPS)
+            if stop.any():
+                out[index[stop]] = theta_bar[stop]
+                steps[index[stop]], converged[index[stop]] = step, trial.met[stop]
+                if stop.all():
+                    break
+                go = ~stop
+                index, M, MH, lam_max, lam = index[go], M[go], MH[go], lam_max[go], lam[go]
+                theta_bar, f, concave, gain = theta_bar[go], f[go], concave[go], gain[go]
+                change, y, y_new = change[go], y[go], y_new[go]
+            keep = concave & (gain >= 0.0)
+            if keep.all():
+                lam, f, y = lam / 3.0, f + gain, y_new
+                theta_bar[:, :-1] += change
+            else:
+                lam = np.where(keep, lam / 3.0, lam * 10.0)
+                f = np.where(keep, f + gain, f)
+                y = np.where(keep[:, None], y_new, y)
+                theta_bar[keep, :-1] += change[keep]
+            theta_bar = _mm_step(MH, lam_max, theta_bar, f, y)
     return out, steps, converged
 
 

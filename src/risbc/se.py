@@ -179,7 +179,7 @@ def unit_phases(theta) -> np.ndarray:
     # for r in [0.5, 2]), and a NaN or infinite entry fails the first, so
     # only a rejected theta is checked for finiteness, which is reported first
     r = np.abs(theta)
-    if not (r.max() - 1.0 <= 1e-12 and 1.0 - r.min() <= 1e-12):
+    if not (r.max(initial=-np.inf) - 1.0 <= 1e-12 and 1.0 - r.min(initial=np.inf) <= 1e-12):
         check_finite(theta, "theta")
         raise ValueError("phase entries must be unit modulus")
     return theta

@@ -424,6 +424,18 @@ def test_select_phases_of_a_stack_is_per_draw_bit_for_bit(size, monkeypatch):
         assert np.array_equal(theta[i], select_phases("mitigation_aware", stack[i], None))
 
 
+def test_a_draw_without_gain_leaves_the_others_of_its_stack_alone():
+    # a draw whose weak row is zero has f = 0 everywhere, a minimum that meets
+    # the stop test at once; the other draws of its stack get what they get
+    # alone
+    cache = block(0, 3)
+    cache.H_c[1, -1] = 0.0
+    theta = select_phases("mitigation_aware", cache, None)
+    assert np.array_equal(theta[1], np.ones(64))
+    for i in (0, 2):
+        assert np.array_equal(theta[i], select_phases("mitigation_aware", cache[i], None))
+
+
 # ------------------------------------------------- Newton certificates
 
 
@@ -440,20 +452,31 @@ def random_points(cache, rng):
     return theta, extended_phases(theta)
 
 
+def newton_trial(cache, theta_bar, lam=1.0):
+    """`phases._newton_trial` of a stack at theta_bar [B, N_R+1], damped by
+    lam max|grad f|, and the stack's M."""
+    M, MH, _, _ = phases._mm_operands(cache)
+    with np.errstate(all="ignore"):
+        return phases._newton_trial(M, MH, theta_bar, np.full(len(M), lam)), M
+
+
 def test_newton_model_matches_the_dense_derivatives():
-    # grad f and -hess f = diag(delta) + Z^T E Z against the dense-Q oracle
+    # grad f and -hess f = diag(delta) + Z^T E Z of `_newton_trial` (E from
+    # its closed-form E^{-1}) against the dense-Q oracle
     rng = np.random.default_rng(15)
     for cache in newton_stacks():
-        M = phases._mm_operands(cache)[0]
         theta, theta_bar = random_points(cache, rng)
-        f, y, grad, delta, Z, E = phases._newton_model(M, theta_bar)
-        assert np.array_equal(y, phases._objective(M, theta_bar)[1])
+        trial, M = newton_trial(cache, theta_bar)
+        assert np.array_equal(trial.y, phases._objective(M, theta_bar)[1])
+        E = np.linalg.inv(trial.E_inv)
         for i, t in enumerate(theta):
             f_i, grad_i, hess_i = oracles.phase_derivatives(cache[i], t)
-            hess = -(np.diag(delta[i]) + Z[i].T @ E[i] @ Z[i])
-            assert f[i] == pytest.approx(f_i, rel=1e-10)
-            assert np.max(np.abs(grad[i] - grad_i)) <= 1e-10 * np.max(np.abs(grad_i))
+            hess = -(np.diag(trial.delta[i]) + trial.Z[i].T @ E[i] @ trial.Z[i])
+            assert trial.f[i] == pytest.approx(f_i, rel=1e-10)
+            assert np.max(np.abs(trial.grad[i] - grad_i)) <= 1e-10 * np.max(np.abs(grad_i))
             assert np.max(np.abs(hess - hess_i)) <= 1e-10 * np.max(np.abs(hess_i))
+            # E has 2K positive eigenvalues, its weak user's two negative
+            assert np.count_nonzero(np.linalg.eigvalsh(E[i]) > 0.0) == len(E[i]) - 2
 
 
 def test_newton_model_matches_central_differences():
@@ -462,9 +485,10 @@ def test_newton_model_matches_central_differences():
     rng = np.random.default_rng(16)
     h = 1e-5
     for cache in newton_stacks():
-        M = phases._mm_operands(cache)[0]
         theta, theta_bar = random_points(cache, rng)
-        f, _, grad, delta, Z, E = phases._newton_model(M, theta_bar)
+        trial = newton_trial(cache, theta_bar)[0]
+        grad, delta, Z = trial.grad, trial.delta, trial.Z
+        E = np.linalg.inv(trial.E_inv)
         for n in np.unique(np.linspace(0, theta.shape[-1] - 1, 4).astype(int)):
             turn = np.ones(theta_bar.shape[-1], dtype=complex)
             turn[n] = np.exp(1j * h)
@@ -472,7 +496,7 @@ def test_newton_model_matches_central_differences():
             slope = (objectives(cache, up[:, :-1]) - objectives(cache, down[:, :-1])) / (2 * h)
             scale = np.max(np.abs(grad), axis=-1)
             assert np.all(np.abs(slope - grad[:, n]) <= 1e-6 * scale)
-            g_up, g_down = phases._newton_model(M, up)[2], phases._newton_model(M, down)[2]
+            g_up, g_down = newton_trial(cache, up)[0].grad, newton_trial(cache, down)[0].grad
             column = (g_up - g_down) / (2 * h)
             hess = -(delta[:, :, None] * np.eye(theta.shape[-1]) + herm(Z) @ E @ Z)
             assert np.all(
@@ -481,39 +505,40 @@ def test_newton_model_matches_central_differences():
 
 
 def test_damped_step_equals_the_dense_solve():
-    # the Woodbury step and the inertia count against np.linalg.solve and
-    # eigvalsh of the dense damped matrix, at dampings that leave it
-    # indefinite and that make it positive definite
+    # the Woodbury step and the positive-definiteness test of `_newton_trial`
+    # against np.linalg.solve and eigvalsh of the dense damped matrix, at
+    # dampings that leave it indefinite (some with a negative diagonal, whose
+    # eigenvalues are counted) and that make it positive definite
     rng = np.random.default_rng(17)
-    concave = []
+    concave, negative = [], []
     for cache in newton_stacks():
-        M = phases._mm_operands(cache)[0]
         _, theta_bar = random_points(cache, rng)
-        _, _, grad, delta, Z, E = phases._newton_model(M, theta_bar)
         for scale in (0.0, 0.1, 1.0, 10.0):
-            damping = scale * np.max(np.abs(grad), axis=-1)
-            d, positive = phases._damped_step(Z, E, grad, delta, damping)
-            for i in range(len(d)):
-                dense = np.diag(delta[i] + damping[i]) + Z[i].T @ E[i] @ Z[i]
-                want = np.linalg.solve(dense, grad[i])
-                assert np.linalg.norm(d[i] - want) <= 1e-8 * np.linalg.norm(want)
-                assert positive[i] == (np.linalg.eigvalsh(dense)[0] > 0.0)
-                concave.append(positive[i])
+            trial = newton_trial(cache, theta_bar, scale)[0]
+            damping = scale * np.max(np.abs(trial.grad), axis=-1)
+            E = np.linalg.inv(trial.E_inv)
+            for i in range(len(trial.d)):
+                a = trial.delta[i] + damping[i]
+                dense = np.diag(a) + trial.Z[i].T @ E[i] @ trial.Z[i]
+                want = np.linalg.solve(dense, trial.grad[i])
+                assert np.linalg.norm(trial.d[i] - want) <= 1e-8 * np.linalg.norm(want)
+                assert trial.concave[i] == (np.linalg.eigvalsh(dense)[0] > 0.0)
+                concave.append(trial.concave[i])
+                negative.append(np.any(a < 0.0))
     assert any(concave) and not all(concave)
+    assert any(negative) and not all(negative)
 
 
 def test_gain_is_the_change_of_f():
     rng = np.random.default_rng(18)
     for cache in newton_stacks():
-        M = phases._mm_operands(cache)[0]
         theta, theta_bar = random_points(cache, rng)
-        f, y, *_ = phases._newton_model(M, theta_bar)
-        d = rng.normal(scale=0.1, size=theta.shape)
-        moved = theta * np.exp(1j * d)
-        gain, y_new = phases._gain(M, theta_bar, y, f, d)
+        trial, M = newton_trial(cache, theta_bar, 0.1)
+        moved = theta * np.exp(1j * trial.d)
+        assert np.allclose(trial.change, moved - theta, rtol=0.0, atol=1e-12)
         want = objectives(cache, moved) - objectives(cache, theta)
-        assert np.allclose(gain, want, rtol=1e-8, atol=1e-12 * np.max(f))
-        assert np.allclose(y_new, phases._objective(M, extended_phases(moved))[1])
+        assert np.allclose(trial.gain, want, rtol=1e-8, atol=1e-12 * np.max(trial.f))
+        assert np.allclose(trial.y_new, phases._objective(M, extended_phases(moved))[1])
 
 
 def converging_blocks():
@@ -547,6 +572,54 @@ def test_every_draw_converges_and_its_steps_match_a_spy(monkeypatch):
         assert len(set(lam_max)) == len(lam_max)
         seen = np.concatenate(calls)
         assert [np.count_nonzero(seen == x) for x in lam_max] == list(steps + 1)
+
+
+# What commit cabfd72 (which formed the Newton model, its damped step and
+# its gain in three helpers) returned on converging_blocks(): each draw's
+# steps, then each block's sum and min of f at the returned phases.
+PINNED_STEPS = [
+    [6, 7], [6, 7], [10, 19], [13, 6], [6, 6], [6, 6], [9, 7], [6, 6], [8, 15], [20, 6],
+    [6, 7], [10, 10], [6, 6], [7, 16], [25, 10], [11, 6], [15, 7], [11, 10], [5, 19],
+    [16, 6],
+    [
+        6, 6, 6, 7, 9, 9, 10, 6, 6, 12, 10, 7, 7, 6, 7, 9, 6, 7, 6, 7, 7, 7, 7, 9, 6, 7, 5,
+        8, 9, 6, 6, 19, 7, 10, 6, 6, 7, 7, 9, 7, 9, 10, 8, 7, 15, 6, 17, 7, 7, 5, 11, 6, 7,
+        7, 28, 26, 7, 6, 6, 7, 14, 9, 10, 10,
+    ],
+    [
+        49, 8, 14, 8, 11, 34, 16, 9, 8, 11, 16, 14, 10, 7, 11, 33, 12, 12, 26, 13, 8, 9,
+        17, 38, 11, 22, 8, 8, 8, 8, 25, 8, 8, 7, 11, 7, 10, 9, 10, 7, 14, 12, 23, 6, 10,
+        17, 11, 11, 11, 14, 29, 11, 17, 8, 14, 10, 13, 9, 9, 8, 6, 8, 14, 9,
+    ],
+]
+PINNED_F = [
+    (192.26799978478107, 85.34764010870303), (153.63501614413013, 44.99049578844088),
+    (175.9505386606024, 53.64986625853337), (125.53785635301715, 55.36112602067382),
+    (198.14517015385704, 43.54636013207079), (178.55366226542674, 48.15590655511639),
+    (112.23667209690925, 51.2733254744861), (242.24157617966455, 100.67445464202494),
+    (144.6661080420842, 48.98085754014871), (180.64191155176889, 87.22914241472084),
+    (214.29016677632492, 85.82909949360129), (142.79866601508505, 52.737205573319734),
+    (102.9500316557698, 46.09538968189008), (133.33183019456965, 62.99764211517214),
+    (169.21613171304733, 54.11302509166385), (171.12002906902734, 50.56902137405966),
+    (121.81624982979599, 52.7335418494514), (227.95158207539504, 97.73659276005397),
+    (112.71923914347516, 50.89374022249979), (118.44296995837205, 45.39082712142117),
+    (5505.732863813972, 42.13708609351135), (91676.84875811415, 713.2830663563832),
+]
+
+
+def test_the_optimizer_takes_the_pinned_steps_to_the_pinned_f():
+    # the same iterates as commit cabfd72: every step count exactly, and f
+    # at the returned phases to 1e-12 relative
+    for cache, want_steps, (want_sum, want_min) in zip(
+        converging_blocks(), PINNED_STEPS, PINNED_F, strict=True
+    ):
+        theta_bar, steps, _ = phases._ascend(
+            cache, extended_phases(align_weak_user(cache.h_c_weak))
+        )
+        assert steps.tolist() == want_steps
+        f = objectives(cache, theta_bar[:, :-1])
+        assert f.sum() == pytest.approx(want_sum, rel=1e-12)
+        assert f.min() == pytest.approx(want_min, rel=1e-12)
 
 
 def test_converged_draws_are_local_maxima():
@@ -617,6 +690,19 @@ def test_select_phases_returns_random_phases_shaped_like_the_draws():
             select_phases("random", stack, wrong)
     aligned = select_phases("align_weak", stack, None)
     assert np.array_equal(aligned, align_weak_user(stack.h_c_weak))
+
+
+def test_every_strategy_and_rate_terms_take_an_empty_stack():
+    # a [0, N_R] stack gives [0, N_R] phases and empty rate terms
+    cache = block(0, 2)[:0]
+    random_theta = np.ones((0, 64), dtype=complex)
+    for kind in phases.STRATEGIES:
+        theta = select_phases(kind, cache, random_theta)
+        assert theta.shape == (0, 64)
+        terms = rate_terms(cache, theta)
+        assert terms.g.shape == (0,) and terms.cross.shape == (0, 3)
+    assert optimize_mitigation_aware(cache, random_theta).shape == (0, 64)
+    assert [len(x) for x in phases._ascend(cache, extended_phases(random_theta))] == [0, 0, 0]
 
 
 # ---------------------------------- b(xi) construction (the oracle of c(xi))
