@@ -9,14 +9,20 @@ sidecar recording the full hash, seed, and output list.  `bounds` (and
 `figure 5`) exits 1 if any checked inequality is violated.  An unusable
 --config or --out path, an output that cannot be written, or a run that
 fails (a sweep row with a negative mean, say) exits 2 with one `error:` line.
+
+argv is read in one pass from one table (`_COMMANDS`) as the argparse parser
+in `tests/oracles.py` read it, at a fraction of that parser's first-use cost;
+a rejected one writes a usage line and one `risbc <command>: error:` line to
+stderr and raises SystemExit(2).
 """
 
-import argparse
 import hashlib
 import json
+import re
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from .bounds import standard_bound_reports
 from .channel import MAX_REP
@@ -32,21 +38,24 @@ from .sweep import run_sweep
 
 
 def _int_in(low: int, high: int = None):
-    """argparse type: an integer of at least `low` (and at most `high`)."""
+    """A converter: an integer in [low, high], else ValueError in argparse's words."""
 
     def parse(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        if high is not None and int(text) > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
-        return int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {text}")
+        if high is not None and value > high:
+            raise ValueError(f"must be at most {high}, got {text}")
+        return value
 
-    parse.__name__ = "int"  # so a non-integer gets argparse's "invalid int value"
     return parse
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _finish(args, name, config_path, canonical, seed, writers):
@@ -88,8 +97,9 @@ def _run(args, name, config_path, plan, report=None) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
-        plan = parse_config(text, seed=args.seed, reps=args.reps)
+        # "utf-8-sig" drops one BOM too, but its first use imports a codec
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        plan = parse_config(text.removeprefix("\ufeff"), seed=args.seed, reps=args.reps)
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         reason = getattr(exc, "strerror", exc)
         print(f"error: cannot read {args.config}: {reason}", file=sys.stderr)
@@ -119,39 +129,88 @@ def cmd_figure(args) -> int:
     return _run(args, f"figure{args.number}", f"<preset:figure{args.number}>", plan, report)
 
 
+_SEED, _REPS = _int_in(0), _int_in(1, MAX_REP + 1)  # a replication index is one 32-bit word
+# command: (its function, its usage, {option: converter}); "--grid-points" fills grid_points
+_COMMANDS = {
+    "sweep": (cmd_sweep, "risbc sweep  [--config run.ini] [--out DIR] [--seed N] [--reps N]",
+              {"--config": str, "--out": str, "--seed": _SEED, "--reps": _REPS}),
+    "bounds": (cmd_bounds, "risbc bounds [--out DIR] [--seed N] [--grid-points N]",
+               {"--grid-points": _int_in(1), "--out": str, "--seed": _SEED}),
+    "figure": (cmd_figure, "risbc figure {2|3|4|5} [--out DIR] [--seed N] [--reps N]",
+               {"--out": str, "--seed": _SEED, "--reps": _REPS}),
+}
+_DEFAULTS = {"--out": ".", "--grid-points": 1000}  # every other field is None
+_HELP = {"-h": None, "--help": None}
+
+
+def _option(token, options):
+    """How argparse read `token` (not "--") among `options`: None for a
+    positional, else the option it names or abbreviates (None if none) and
+    its `=value`."""
+    prefix, eq, value = token.partition("=")
+    found = [o for o in options if o == prefix or prefix[:2] == "--" and o.startswith(prefix)]
+    if len(found) == 1:
+        return found[0], value if eq else None
+    if token[:1] != "-" or token == "-" or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The fields `cmd_*` read, from argv (sys.argv[1:] if None)."""
+    tokens, i = (sys.argv[1:] if argv is None else list(argv)), 0
+    command, options, fields, extras, name = None, _HELP, {}, [], "command"
+    ended = number_end = message = None  # ended: past the first "--"
+    try:
+        while i < len(tokens):
+            token, i = tokens[i], i + 1
+            found = None if ended or token == "--" else _option(token, options)
+            if token == "--" and command and not ended:
+                ended = True  # argparse dropped it right before or after figure's number
+                if command != "figure" or "number" in fields and number_end != i - 1:
+                    extras.append(token)
+            elif found is None and command is None:
+                if token not in _COMMANDS:
+                    raise ValueError(f"invalid choice: {token!r} "
+                                     "(choose from 'sweep', 'bounds', 'figure')")
+                command, options = token, {**_HELP, **_COMMANDS[token][2]}
+                fields = {option: _DEFAULTS.get(option) for option in _COMMANDS[token][2]}
+            elif found is None and command == "figure" and "number" not in fields:
+                name, number_end = "number", i
+                fields["number"] = _int_in(2, 5)(token)
+            elif found is None or found[0] is None:
+                extras.append(token)
+            elif options[found[0]] is None:  # -h or --help
+                name = "-h/--help"
+                if found[1] is not None:
+                    raise ValueError(f"ignored explicit argument {found[1]!r}")
+                print("usage: " + "\n       ".join(c[1] for c in _COMMANDS.values()))
+                raise SystemExit(0)
+            else:
+                name, value = found
+                if value is None:
+                    if i == len(tokens) or tokens[i] == "--" or _option(tokens[i], options):
+                        raise ValueError("expected one argument")
+                    value, i = tokens[i], i + 1
+                fields[name] = options[name](value)
+        if command is None or command == "figure" and "number" not in fields:
+            missing = "number" if command else "command"
+            message = f"the following arguments are required: {missing}"
+        elif extras:
+            message = f"unrecognized arguments: {' '.join(extras)}"
+    except ValueError as exc:  # from a converter or the loop
+        message = f"argument {name}: {exc}"
+    if message:
+        usage = _COMMANDS[command][1] if command else "risbc {sweep|bounds|figure} ..."
+        prog = f"risbc {command}" if command else "risbc"
+        sys.stderr.write(f"usage: {usage}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
+    fields = {key.lstrip("-").replace("-", "_"): value for key, value in fields.items()}
+    return SimpleNamespace(command=command, fn=_COMMANDS[command][0], **fields)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="risbc",
-        description="Sum-SE sweeps and bound reports for the RIS-aided "
-        "broadcast downlink with one RIS-only user.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="run the configured Monte Carlo sweep")
-    p_sweep.add_argument("--config", help="INI config file (omit for defaults)")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_bounds = sub.add_parser("bounds", help="check the analytic bounds, write report")
-    p_bounds.add_argument(
-        "--grid-points",
-        type=_int_in(1),
-        default=1000,
-        help="x grid size (default 1000)",
-    )
-    p_bounds.set_defaults(fn=cmd_bounds)
-
-    p_fig = sub.add_parser("figure", help="run a preset figure sweep")
-    p_fig.add_argument("number", type=int, choices=(2, 3, 4, 5))
-    p_fig.set_defaults(fn=cmd_figure)
-
-    for p in (p_sweep, p_bounds, p_fig):
-        p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--seed", type=_int_in(0), help="override the run seed")
-        if p is not p_bounds:
-            reps = _int_in(1, MAX_REP + 1)  # a replication index is one 32-bit word
-            p.add_argument("--reps", type=reps, help="override replications")
-
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -14,16 +14,19 @@ measured against, the one-draw random phases that the block draw is
 measured against, numpy's own seeding of a replication's streams, and
 the scenario checks on numpy arrays that the runtime makes on Python
 floats, and the input checks of `linalg.check_finite`, `se.unit_phases`
-and `phases.align_weak_user` as they were before each took one pass), so
-that a test can check a shortcut against the textbook formula.
+and `phases.align_weak_user` as they were before each took one pass, and the
+argparse parser that `risbc.cli` read its command line with), so that a
+test can check a shortcut against the textbook formula.
 """
 
+import argparse
 from dataclasses import fields
 
 import numpy as np
 
 from risbc.bounds import EULER_GAMMA, BoundReport
 from risbc.channel import (
+    MAX_REP,
     ChannelRealization,
     ScenarioConfig,
     db_to_lin,
@@ -31,6 +34,7 @@ from risbc.channel import (
     pathloss_db,
     variate_count,
 )
+from risbc.cli import cmd_bounds, cmd_figure, cmd_sweep
 from risbc.linalg import check_finite, herm, matvec
 from risbc.se import DecompositionCache
 
@@ -709,3 +713,61 @@ def align_weak_user_reference(h_c_weak) -> np.ndarray:
     np.divide(out, r, out=out, where=nonzero)
     out[~nonzero] = 1.0
     return out
+
+
+# =========================================================================
+# the command line as argparse read it
+# =========================================================================
+#
+# `risbc.cli` reads argv from one table in one pass.  This is the argparse
+# parser it replaced, with its range-checking type, so a test can check that
+# both give the same fields or exit with the same code.
+
+
+def _int_in(low: int, high: int = None):
+    """argparse type: an integer of at least `low` (and at most `high`)."""
+
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # so a non-integer gets argparse's "invalid int value"
+    return parse
+
+
+def cli_parser_reference() -> argparse.ArgumentParser:
+    """The parser whose `parse_args(argv)` gave `risbc.cli.main` its fields."""
+    parser = argparse.ArgumentParser(
+        prog="risbc",
+        description="Sum-SE sweeps and bound reports for the RIS-aided "
+        "broadcast downlink with one RIS-only user.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_sweep = sub.add_parser("sweep", help="run the configured Monte Carlo sweep")
+    p_sweep.add_argument("--config", help="INI config file (omit for defaults)")
+    p_sweep.set_defaults(fn=cmd_sweep)
+
+    p_bounds = sub.add_parser("bounds", help="check the analytic bounds, write report")
+    p_bounds.add_argument(
+        "--grid-points",
+        type=_int_in(1),
+        default=1000,
+        help="x grid size (default 1000)",
+    )
+    p_bounds.set_defaults(fn=cmd_bounds)
+
+    p_fig = sub.add_parser("figure", help="run a preset figure sweep")
+    p_fig.add_argument("number", type=int, choices=(2, 3, 4, 5))
+    p_fig.set_defaults(fn=cmd_figure)
+
+    for p in (p_sweep, p_bounds, p_fig):
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        p.add_argument("--seed", type=_int_in(0), help="override the run seed")
+        if p is not p_bounds:
+            reps = _int_in(1, MAX_REP + 1)  # a replication index is one 32-bit word
+            p.add_argument("--reps", type=reps, help="override replications")
+    return parser

@@ -356,3 +356,50 @@ def test_reps_beyond_one_index_word_exits_2_with_one_error_line(tmp_path, capsys
 def test_figure_rejects_unknown_number():
     with pytest.raises(SystemExit):
         main(["figure", "9"])
+
+
+def test_the_manifest_timestamp_is_datetimes_at_a_fixed_instant(monkeypatch):
+    # the stamp came from datetime, which the package no longer imports
+    import time
+    from datetime import datetime, timezone
+
+    import risbc.cli as cli
+
+    instant, gmtime = 1_700_000_000.75, time.gmtime
+    monkeypatch.setattr(time, "gmtime", lambda: gmtime(instant))
+    want = datetime.fromtimestamp(instant, timezone.utc).isoformat(timespec="seconds")
+    assert cli._utc_now() == want == "2023-11-14T22:13:20+00:00"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xef\xbb\xbf[sweep]\nreps = 2\n",
+        b"\xef\xbb\xbf\xef\xbb\xbf[sweep]\nreps = 2\n",
+        b"[sweep]\r\nreps = 2\r\n",
+        b"[sweep]\rreps = 2\r",
+        b"\xef\xbb\xbf[sweep]\r\nreps = 2\r\n",
+        b"[sweep]\n; r\xe9glage\nreps = 2\n",
+    ],
+    ids=["bom", "double-bom", "crlf", "cr", "bom-crlf", "non-utf8"],
+)
+def test_config_reads_as_a_utf_8_sig_read(tmp_path, monkeypatch, capsys, raw):
+    # the utf-8-sig codec's first use imports its module: cli reads utf-8
+    # and drops one BOM, as that codec did, with read_text's newlines
+    import risbc.cli as cli
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(raw)
+    read = []
+
+    def parse_config(text, **overrides):
+        read.append(text)
+        raise ValueError("parsed")
+
+    monkeypatch.setattr(cli, "parse_config", parse_config)
+    try:
+        want = [cfg.read_text(encoding="utf-8-sig")], "error: parsed"
+    except UnicodeDecodeError as exc:
+        want = [], f"error: cannot read {cfg}: {exc}"
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert (read, one_error_line(capsys)) == want

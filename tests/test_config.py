@@ -1,5 +1,6 @@
 import configparser
 import csv
+import functools
 import hashlib
 import os
 import re
@@ -652,22 +653,46 @@ def test_reader_raises_errors_in_configparser_order(text, message):
     assert reader_read(text) == configparser_read(text)
 
 
-def test_a_sweep_run_never_imports_configparser(tmp_path):
+@pytest.fixture(scope="module")
+def modules_after_main(tmp_path_factory):
+    """run(argv): the modules in sys.modules after `main(argv)` in a fresh
+    interpreter, one interpreter per argv."""
     root = Path(__file__).resolve().parent.parent
-    code = (
-        "import sys\n"
-        "from risbc.cli import main\n"
-        f"argv = ['sweep', '--config', 'perfbench/mit_aware.ini', '--out', {str(tmp_path)!r}]\n"
-        "assert main(argv) == 0\n"
-        "print('configparser' in sys.modules)\n"
-    )
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
-        text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+
+    @functools.cache
+    def run(*argv):
+        out = tmp_path_factory.mktemp("out")
+        code = (
+            "import sys\n"
+            "from risbc.cli import main\n"
+            f"assert main([*{list(argv)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(' '.join(sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    return run
+
+
+# configparser's import took about a seventh of a short run's main, and
+# argparse's first parser about 2.5 ms of every run (gettext, which imports
+# locale); the utf-8-sig codec's first use imports its module.  datetime is
+# not here: numpy imports it (tests/test_lint.py bans it in the package)
+@pytest.mark.parametrize(
+    "module", ["configparser", "argparse", "gettext", "locale", "encodings.utf_8_sig"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--config", "perfbench/mit_aware.ini"), ("figure", "2", "--reps", "2")],
+    ids=["sweep", "figure2"],
+)
+def test_a_run_never_imports_the_modules_it_does_without(modules_after_main, argv, module):
+    assert module not in modules_after_main(*argv)
 
 
 # ------------------------------------------------------------------ emission

@@ -34,8 +34,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # modules the runtime package must not import, at module level or in a
 # function: configparser's import took about a seventh of a short
-# `risbc sweep` run's main, and config reads its INI itself
-BANNED = ("configparser",)
+# `risbc sweep` run's main, and config reads its INI itself; argparse's
+# first parser (gettext, which imports locale) took about 2.5 ms of every
+# run, and cli reads argv itself.  numpy imports datetime, so no run can
+# leave it out of sys.modules; the manifest's timestamp comes from time
+BANNED = ("configparser", "argparse", "gettext", "locale", "datetime")
 
 
 def _annotation_names(tree):

@@ -4,13 +4,15 @@ Examples come from hypothesis with a derandomized profile, so Tier-1 runs
 the same cases every time.
 """
 
+import contextlib
+import io
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from risbc import linalg, phases, se, sweep
+from risbc import cli, linalg, phases, se, sweep
 from risbc.channel import (
     ScenarioConfig,
     draw_block,
@@ -25,6 +27,7 @@ from oracles import (
     align_weak_user_reference,
     b_from_xi,
     check_finite_reference,
+    cli_parser_reference,
     unit_phases_reference,
 )
 from test_sweep import assert_sweep_matches, set_block
@@ -299,3 +302,91 @@ def test_one_pass_checks_accept_and_reject_what_the_entrywise_checks_did(x):
     with np.errstate(all="ignore"):
         want = align_weak_user_reference(x)
     assert theta[~subnormal].tobytes() == want[~subnormal].tobytes()
+
+
+# ------------------------------------------------------------- command line
+
+COMMANDS = ("sweep", "bounds", "figure")
+# every long option and each of its unique prefixes: no two share a letter
+# after "--", so "--c" is unique among all of them
+VALUED = tuple(
+    name[:end]
+    for name in ("--config", "--out", "--seed", "--reps", "--grid-points")
+    for end in range(3, len(name) + 1)
+)
+PREFIXES = (*VALUED, "--h", "--he", "--hel", "--help")
+VALUES = (
+    "0", "1", "3", "02", "1_000", "out/dir", "-1", "-3", "abc", "", "-x", "-1.5", "4294967297"
+)
+cli_tokens = st.one_of(
+    st.sampled_from((*COMMANDS, *PREFIXES, "--", "-h", *VALUES)),
+    st.builds("{}={}".format, st.sampled_from(PREFIXES), st.sampled_from(VALUES)),
+)
+
+
+def cli_outcome(parse, argv):
+    """("ok", the parsed fields) or (the exit code, the stderr lines with
+    "error:") of parse(argv)."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return "ok", vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, [line for line in err.getvalue().splitlines() if "error:" in line]
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=300)
+@hypothesis.given(
+    st.one_of(
+        st.lists(cli_tokens, max_size=6),
+        st.builds(
+            lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(cli_tokens, max_size=6)
+        ),
+        st.builds(  # a command, maybe a number, and mostly valid option-value pairs
+            lambda c, number, pairs: [c, *number, *(token for pair in pairs for token in pair)],
+            st.sampled_from(COMMANDS),
+            st.lists(st.sampled_from(("3", "02")), max_size=1),
+            st.lists(st.tuples(st.sampled_from(VALUED), st.sampled_from(VALUES[:6])), max_size=3),
+        ),
+    )
+)
+@hypothesis.example(["figure", "02"])
+@hypothesis.example(["figure", "--se", "3", "02", "--rep=1_000", "--o", "-1.5"])
+@hypothesis.example(["bounds", "--g", "3", "--o=out/dir", "--seed=0"])
+@hypothesis.example(["sweep", "--he=0", "-h"])
+@hypothesis.example(["figure", "--out", "out/dir", "--", "3"])
+@hypothesis.example(["figure", "3", "--", "--seed", "1"])
+@hypothesis.example(["figure", "--", "--", "3"])
+@hypothesis.example(["figure", "3", "--out", "out/dir", "--"])
+@hypothesis.example(["sweep", "--out", "-a b", "--config", "--c x"])
+@hypothesis.example(["figure", "--seed", "1", "4"])
+@hypothesis.example(["figure", "9"])
+@hypothesis.example(["figure"])
+@hypothesis.example(["sweep", "--rep", "5", "--se=3", "--config=", "--out=out/dir"])
+@hypothesis.example(["sweep", "--seed", "1", "--seed", "2"])
+@hypothesis.example(["sweep", "--seed", "-1"])
+@hypothesis.example(["sweep", "--"])
+@hypothesis.example(["sweep", "--out"])
+@hypothesis.example(["sweep", "--out", "-x"])
+@hypothesis.example(["sweep", "-x", "--reps", "0"])
+@hypothesis.example(["bounds", "--grid-points", "1_000", "--gri=-1.5"])
+@hypothesis.example(["bounds", "--reps", "2"])
+@hypothesis.example(["-x", "sweep", "--seed", "abc"])
+@hypothesis.example(["-x", "-h"])
+@hypothesis.example(["--", "sweep"])
+@hypothesis.example(["--he"])
+@hypothesis.example([])
+def test_the_command_line_reads_as_argparse_read_it(argv):
+    # the one-table parser gives argparse's fields, or exits with its code
+    # and one error line, word for word on a bad int or an out-of-range one
+    new = cli_outcome(cli._parse, argv)
+    old = cli_outcome(lambda a: cli_parser_reference().parse_args(a), argv)
+    if old[0] == "ok":
+        assert new == old
+        return
+    assert new[0] == old[0]
+    if old[0] == 2:
+        (line,) = new[1]
+        assert line.split(": error: ")[0] in ("risbc", *(f"risbc {c}" for c in COMMANDS))
+        if any(kind in old[1][0] for kind in ("invalid int value", "must be at")):
+            assert new[1] == old[1]
