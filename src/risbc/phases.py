@@ -22,9 +22,13 @@ an MM step.  f's negative Hessian is a diagonal plus Z^T E Z, where E^{-1}
 is a diagonal plus a rank-2 term, so a step is one Woodbury solve through a
 2(K+1)-square eigh, whose eigenvalues also give the exact test (Haynsworth).
 A draw stops once max_n |df/dphi_n| <= GRAD_TOLERANCE f, a stationarity
-test, or after MAX_STEPS steps.  The random strategies return the caller's
-draw; the others read a draw from its `se.DecompositionCache` alone, the
-weak row h_c,K+1^H included.  The BS-RIS direction is set by xi in the sweep.
+test, or after MAX_STEPS steps.
+
+`strategy_terms` is the one dispatch on the strategy: for each strategy in
+turn it takes that strategy's phases and reduces them to their rate terms.
+The random strategies take the caller's draw; the others read a draw from
+its `se.DecompositionCache` alone, the weak row h_c,K+1^H included.  The
+BS-RIS direction is set by xi in the sweep.
 """
 
 from collections import namedtuple
@@ -319,48 +323,29 @@ def optimize_mitigation_aware(
     return out[0, :-1] if one else out[:, :-1]
 
 
-def select_phases(
-    kind: str,
-    cache: DecompositionCache,
-    random_theta: np.ndarray,
-    out: np.ndarray = None,
-) -> np.ndarray:
-    """Phases of strategy `kind` (one of STRATEGIES) for a channel draw or a
-    stack of B draws ([B, N_R], row i being what draw i gets on its own).
+def strategy_terms(kinds, cache: DecompositionCache, random_theta, out=None) -> dict:
+    """{kind: se.RateTerms} of strategies `kinds` (each one of STRATEGIES),
+    in their order, for a channel draw or a stack of B draws (row i being
+    what draw i gets on its own): `se.rate_terms` of each strategy's phases.
 
-    The RANDOM_STRATEGIES return `random_theta`, the draws' random phases
+    The RANDOM_STRATEGIES take `random_theta`, the draws' random phases
     shaped like theirs (a sweep's come from `channel.random_phase_block`);
-    the others compute theirs from the cache and ignore it, and start from
-    the aligned phases, written into `out` (`align_weak_user`).
-
-    "statistical" is an alias of "random": under i.i.d. Rayleigh fading every
-    unit-modulus vector gives the same ergodic rates.
+    "statistical" is an alias of "random": under i.i.d. Rayleigh fading
+    every unit-modulus vector gives the same ergodic rates.  "align_weak"
+    takes `align_weak_user`, written into `out` (a caller-owned complex
+    array of the phases' shape) if given, and "mitigation_aware" the
+    optimizer started from those aligned phases.  An unknown kind, or
+    random phases shaped unlike the draws, raises ValueError.
     """
-    if kind not in STRATEGIES:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    if kind in RANDOM_STRATEGIES:
-        check_phase_shape(cache, random_theta)
-        return random_theta
-    aligned = align_weak_user(cache.h_c_weak, out)
-    if kind == "align_weak":
-        return aligned
-    return optimize_mitigation_aware(cache, aligned)
-
-
-def strategy_terms(kinds, cache: DecompositionCache, random_theta, out) -> dict:
-    """{kind: se.RateTerms} of strategies `kinds` on a stack of draws, each
-    distinct phase set formed and reduced once (`select_phases`,
-    `se.rate_terms`): "statistical" takes "random"'s terms, and
-    mitigation_aware starts from align_weak's phases, which `out` (a
-    caller-owned array of the phases' shape) holds, when kinds has both."""
     terms = {}
-    for kind in sorted(kinds, key=STRATEGIES.index):
-        if kind == "statistical" and "random" in terms:
-            terms[kind] = terms["random"]
-            continue
-        if kind == "mitigation_aware" and "align_weak" in terms:
-            theta = optimize_mitigation_aware(cache, out)
+    for kind in kinds:
+        if kind in RANDOM_STRATEGIES:
+            theta = random_theta
+        elif kind == "align_weak":
+            theta = align_weak_user(cache.h_c_weak, out)
+        elif kind == "mitigation_aware":
+            theta = optimize_mitigation_aware(cache, align_weak_user(cache.h_c_weak, out))
         else:
-            theta = select_phases(kind, cache, random_theta, out)
+            raise ValueError(f"unknown strategy kind {kind!r}")
         terms[kind] = rate_terms(cache, theta)
     return terms

@@ -18,9 +18,8 @@ block (weak rows included), masks the flagged draws out of it if there are
 any, and reduces each draw to its rates' terms that do not depend on
 transmit power under every strategy's phases (`phases.strategy_terms`:
 eigvals(C_s) and diag(C_s^{-1}), which the cache forms once per factor,
-and, per strategy, the weak gain and the DPC cross terms; each distinct
-phase set is formed and reduced once, and the random ones are the block's
-phase draws).
+and, per strategy, the weak gain and the DPC cross terms; the random
+strategies' phases are the block's phase draws).
 The divisor is 1.0 at a scenario's own b; an xi sweep realizes its one
 scenario, takes the feed c(0) once per block (`se.row_space_feed`, one SVD
 per draw) and divides it by sqrt(1 + xi^2) at each xi.  Transmit power
@@ -228,7 +227,7 @@ class _Workspace:
     `cfg`: the position uniforms and variates (`draw_block`), the phase
     uniforms and phases (`random_phase_block`), the direct and cascaded
     channel stacks (`realize_block`, `cascade_block`) and the aligned phases
-    (`select_phases`).  A block or a point takes a contiguous prefix of a
+    (`strategy_terms`).  A block or a point takes a contiguous prefix of a
     buffer (`take`), so a short last block or a smaller point needs no array
     of its own.
     """

@@ -11,12 +11,14 @@ mitigation-aware objective and the dense gradient and Hessian of that
 objective in the phases), or takes a direct numpy route the runtime code
 avoids (the element-wise coordinate ascent that the batched optimizer is
 measured against, the one-draw random phases that the block draw is
-measured against, numpy's own seeding of a replication's streams, and
-the scenario checks on numpy arrays that the runtime makes on Python
-floats, and the input checks of `linalg.check_finite`, `se.unit_phases`
-and `phases.align_weak_user` as they were before each took one pass, and the
-argparse parser that `risbc.cli` read its command line with), so that a
-test can check a shortcut against the textbook formula.
+measured against, numpy's own seeding of a replication's streams, each
+strategy's phases from its own functions rather than through the one
+dispatch `phases.strategy_terms`, the scenario checks on numpy arrays that
+the runtime makes on Python floats, and the input checks of
+`linalg.check_finite`, `se.unit_phases` and `phases.align_weak_user` as
+they were before each took one pass, and the argparse parser that
+`risbc.cli` read its command line with), so that a test can check a
+shortcut against the textbook formula.
 """
 
 import argparse
@@ -36,6 +38,7 @@ from risbc.channel import (
 )
 from risbc.cli import cmd_bounds, cmd_figure, cmd_sweep
 from risbc.linalg import check_finite, herm, matvec
+from risbc.phases import RANDOM_STRATEGIES, align_weak_user, optimize_mitigation_aware
 from risbc.se import DecompositionCache
 
 LOG2 = np.log(2.0)
@@ -420,6 +423,19 @@ def exp_aligned_phases(h_c_weak: np.ndarray) -> np.ndarray:
     [..., N_R], through the complex exponential (1 at zero entries, whose
     angle is 0)."""
     return np.exp(-1j * np.angle(h_c_weak))
+
+
+def strategy_phases(kind: str, cache: DecompositionCache, random_theta) -> np.ndarray:
+    """Strategy `kind`'s phases of a draw or a stack from the per-strategy
+    functions, without `phases.strategy_terms`: the random draw for the
+    random strategies, else the aligned phases, or the optimizer started
+    from them."""
+    if kind in RANDOM_STRATEGIES:
+        return random_theta
+    aligned = align_weak_user(cache.h_c_weak)
+    if kind == "align_weak":
+        return aligned
+    return optimize_mitigation_aware(cache, aligned)
 
 
 # =========================================================================

@@ -20,7 +20,7 @@ from risbc.channel import (
     realize_block,
     stream_states,
 )
-from risbc.phases import STRATEGIES, select_phases
+from risbc.phases import STRATEGIES, strategy_terms
 from risbc.se import decompose, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     b_from_xi,
     check_finite_reference,
     cli_parser_reference,
+    strategy_phases,
     unit_phases_reference,
 )
 from test_sweep import assert_sweep_matches, set_block
@@ -171,7 +172,7 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     cache = cache[keep]
     random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
     for kind in STRATEGIES:
-        theta = select_phases(kind, cache, random_theta)
+        theta = strategy_phases(kind, cache, random_theta)
         terms = rate_terms(cache, theta)
         alone = [rate_terms(cache[i], theta[i]) for i in range(len(theta))]
         for mode in ("exact", "asymptotic"):
@@ -194,9 +195,9 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
 @hypothesis.given(plans(("ptx_dbm", "n_ris", "n_bs", "xi")))
 def test_sweep_rows_equal_the_per_draw_loop(plan):
     # the batched two-stage sweep gives the rows of a loop of
-    # sample_realization -> decompose -> select_phases -> rate_terms ->
-    # rates, or raises
-    # at the first of them whose mean is negative
+    # sample_realization -> decompose -> each strategy's own phase function
+    # -> rate_terms -> rates, or raises at the first of them whose mean is
+    # negative
     assert_sweep_matches(plan)
 
 
@@ -219,7 +220,7 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     hypothesis.assume(keep.any())
     cache = cache[keep]
     random_theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
-    terms = rate_terms(cache, select_phases(kind, cache, random_theta))
+    terms = strategy_terms((kind,), cache, random_theta)[kind]
     for precoder in ("ZF", "DPC"):
         gaps = np.array([
             rates(terms, p_bar, precoder, "exact")[0]
