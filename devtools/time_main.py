@@ -7,9 +7,10 @@ For each of the three benchmark workloads (`perfbench/run.py`'s argvs) it
 starts RUNS fresh interpreters, taking the workloads in turn.  Each imports
 `risbc.cli`, warms numpy up (a first LAPACK call and a few allocations,
 as the benchmark's probe does), then runs `main(argv)` twice into a
-temporary `--out` and times each call.  The medians in milliseconds print
-as one JSON line.  Only `main` is called, so the script runs unchanged on
-any commit that has it.
+temporary `--out` and times each call.  The children write no bytecode
+cache (`PYTHONDONTWRITEBYTECODE=1`), so a timing run leaves the tree as it
+found it.  The medians in milliseconds print as one JSON line.  Only `main`
+is called, so the script runs unchanged on any commit that has it.
 """
 
 import json
@@ -46,7 +47,8 @@ print(json.dumps(times))
 def first_and_second_ms(argv):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argv)], cwd=ROOT, check=True,
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -13,10 +13,12 @@ script runs unchanged on any commit that has them.
 
 import json
 import statistics
+import sys
 import time
 
 import numpy as np
 
+sys.dont_write_bytecode = True  # a timing run leaves no __pycache__ under src/risbc
 from risbc.channel import ScenarioConfig, draw_block, realize_block, stream_states
 from risbc.phases import align_weak_user, optimize_mitigation_aware
 from risbc.se import decompose

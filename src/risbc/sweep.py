@@ -24,13 +24,13 @@ The divisor is 1.0 at a scenario's own b; an xi sweep realizes its one
 scenario, takes the feed c(0) once per block (`se.row_space_feed`, one SVD
 per draw) and divides it by sqrt(1 + xi^2) at each xi.  Transmit power
 enters only stage 2, so a `ptx_dbm` sweep has one stage-1 point that every
-power shares.  Stage 2 evaluates each method once per stage-1 point with
-`se.rates` at the vector of powers that share the point (all of a `ptx_dbm`
-sweep's, one elsewhere), in chunks of powers whose per-user rates fit in
-RATE_ENTRIES (one power at a time where one power's do not), and takes the
-row statistics of the rates [P, R] along the draw axis.  It raises if a
-row would not be finite, or if one of its means is negative (a high-SNR
-form at a power too low for it).
+power shares.  Stage 2 is one routine per stage-1 point (`_point_rows`): it
+evaluates each method with `se.rates` at the powers that share the point
+(all of a `ptx_dbm` sweep's, one elsewhere), in chunks whose per-user
+rates fit in RATE_ENTRIES, reduces the rates [P, R] along the draw axis
+into one array of row statistics, and raises at the first row in sweep
+order that would not be finite or has a negative mean (a high-SNR form at
+a power too low for it).
 
 Each replication's streams are drawn once per run.  Where they start is
 computed for the whole run in one pass (`channel.stream_states`, which
@@ -350,71 +350,56 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     return reduced
 
 
-def _method_rows(plan, m, red, values, p_bars) -> list:
-    """Method m's rows at the sweep values of one stage-1 point, red = its
-    (flagged, terms), whose powers are p_bars [P]: the rates [P, R] of its
-    kept draws, reduced along the draw axis, from one `rates` call per
-    chunk of max(1, RATE_ENTRIES // R(K+1)) powers."""
-    flagged, terms = red
-    terms = terms[m.strategy]
-    per_call = max(1, RATE_ENTRIES // (terms.g.size + terms.cross.size))  # R(K+1)
-    rows = []
-    for j in range(0, len(p_bars), per_call):
-        chunk = slice(j, j + per_call)
-        total, direct, reflect = rates(terms, p_bars[chunk], m.precoder, m.mode)
-        stats = (
-            np.mean(total, axis=-1),
-            np.std(total, axis=-1),
-            np.mean(direct, axis=-1),
-            np.mean(reflect, axis=-1),
-        )
-        rows += [
-            SweepRow(
-                plan.variable, float(value), m.precoder, m.strategy, m.mode,
-                *map(float, row), reps=total.shape[-1], flagged=flagged,
-            )
-            for value, *row in zip(values[chunk], *stats)
-        ]
-    return rows
-
-
-def _checked_row(plan, m, row) -> SweepRow:
-    """The row, unless its rates are not finite or one of its means is
-    negative (RuntimeError naming the method and the point)."""
-    at = f"at {plan.variable}={row.value:g}"
+def _point_rows(plan, flagged, terms, values, p_bars) -> list:
+    """Every method's rows at one stage-1 point, in sweep order: `flagged`
+    draws dropped, `terms` the RateTerms of the R kept draws per strategy,
+    p_bars [P] the powers.  stats [methods, 4, P] holds mean, std, direct and
+    reflected mean; the first row not finite or with a negative mean raises."""
+    stats = np.empty((len(plan.methods), 4, len(p_bars)))
+    for m, out in zip(plan.methods, stats):
+        kept = terms[m.strategy]
+        per_call = max(1, RATE_ENTRIES // (kept.g.size + kept.cross.size))  # R(K+1)
+        for j in range(0, len(p_bars), per_call):
+            chunk = slice(j, j + per_call)
+            total, direct, reflect = rates(kept, p_bars[chunk], m.precoder, m.mode)
+            out[:, chunk] = total.mean(-1), total.std(-1), direct.mean(-1), reflect.mean(-1)
     # a finite rate is a log2, at most about a thousand bpcu, so the mean is
-    # finite exactly where every draw's total (and so both parts) is
-    if not np.isfinite(row.se_mean):
-        raise RuntimeError(f"{m.label} gives non-finite rates {at}")
-    means = (row.se_mean, row.se_d_mean, row.se_r_mean)
-    if min(means) < 0.0:
-        # only a high-SNR form goes negative, at a power too low for it
+    # finite exactly where every draw's total (and so both parts) is; only a
+    # high-SNR form goes negative, at a power too low for it
+    bad = ~np.isfinite(stats[:, 0]) | (stats[:, (0, 2, 3)] < 0.0).any(axis=1)
+    rows = stats.transpose(2, 0, 1).tolist()  # [P][methods][4]: in sweep order
+    if bad.any():
+        p, i = divmod(int(bad.T.argmax()), len(plan.methods))  # the first bad row
+        label, at = plan.methods[i].label, f"at {plan.variable}={values[p]:g}"
+        mean, _, d_mean, r_mean = rows[p][i]
+        if not math.isfinite(mean):
+            raise RuntimeError(f"{label} gives non-finite rates {at}")
         raise RuntimeError(
-            f"{m.label} gives a negative mean rate {at} (se_mean, se_d_mean, "
-            "se_r_mean = " + ", ".join(f"{x:.4g}" for x in means) + " bpcu)"
+            f"{label} gives a negative mean rate {at} (se_mean, se_d_mean, "
+            f"se_r_mean = {mean:.4g}, {d_mean:.4g}, {r_mean:.4g} bpcu)"
         )
-    return row
+    return [
+        SweepRow(
+            plan.variable, value, m.precoder, m.strategy, m.mode, *row,
+            reps=len(terms[m.strategy].g), flagged=flagged,
+        )
+        for value, at_point in zip(values, rows) for m, row in zip(plan.methods, at_point)
+    ]
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run the full sweep: stage 1 per scenario, then stage 2 once per
-    stage-1 point and method, over every power that shares the point."""
+    stage-1 point, over every method and every power that shares it."""
     strategies = tuple(dict.fromkeys(m.strategy for m in plan.methods))
     reduced = _reduce(plan, strategies)
     # a ptx_dbm sweep's one stage-1 point serves every power, any other
     # sweep's points one power each
     per = len(plan.values) // len(reduced)
     rows = []
-    for j, red in enumerate(reduced):
+    for j, (flagged, terms) in enumerate(reduced):
         points = slice(j * per, (j + 1) * per)
-        # a power or rate that overflows raises in _checked_row, not a warning
+        # a power or rate that overflows raises in _point_rows, not a warning
         with np.errstate(all="ignore"):
             p_bars = np.array([cfg.p_bar() for cfg in plan.points[points]])
-            by_method = [
-                _method_rows(plan, m, red, plan.values[points], p_bars)
-                for m in plan.methods
-            ]
-        # in sweep order: point by point, the methods inside
-        for at_point in zip(*by_method):
-            rows += [_checked_row(plan, m, r) for m, r in zip(plan.methods, at_point)]
+            rows += _point_rows(plan, flagged, terms, plan.values[points], p_bars)
     return SweepResult(plan=plan, rows=rows)

@@ -673,6 +673,58 @@ def test_negative_mean_raises_at_its_first_row():
         run_sweep(plan)
 
 
+@pytest.mark.parametrize("entries", [1, sweep.RATE_ENTRIES])
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        # a later method fails at an earlier power: the earlier power raises
+        ({("ZF", "exact", 2): "negative", ("DPC", "asymptotic", 1): "inf"},
+         ("DPC", "asymptotic", 1, "inf")),
+        # at one power, a non-finite row after a negative one in plan order
+        ({("ZF", "asymptotic", 1): "negative", ("DPC", "exact", 1): "inf"},
+         ("ZF", "asymptotic", 1, "negative")),
+        # and a negative row after a non-finite one
+        ({("ZF", "exact", 0): "inf", ("DPC", "exact", 0): "negative"},
+         ("ZF", "exact", 0, "inf")),
+    ],
+    ids=("later-method-earlier-power", "negative-first", "non-finite-first"),
+)
+def test_the_first_bad_row_in_sweep_order_raises(monkeypatch, entries, bad, first):
+    # rates that give some methods' rows at some powers a non-finite total
+    # or negative means: the run raises at the first such row, power by
+    # power and the methods inside, with that row's message, however the
+    # powers are chunked
+    methods = tuple(
+        method(precoder, "align_weak", mode)
+        for precoder in ("ZF", "DPC") for mode in ("exact", "asymptotic")
+    )
+    plan = SweepPlan(small_cfg(), "ptx_dbm", (20.0, 30.0, 40.0), methods, reps=4)
+    p_bars = [cfg.p_bar() for cfg in plan.points]
+
+    def spy_rates(terms, powers, precoder, mode):
+        total, direct, reflect = map(np.array, rates(terms, powers, precoder, mode))
+        for k, p_bar in enumerate(powers):
+            kind = bad.get((precoder, mode, p_bars.index(p_bar)))
+            if kind == "inf":
+                total[k] = np.inf
+            elif kind == "negative":
+                total[k], direct[k], reflect[k] = -1.5, -2.0, 0.5
+        return total, direct, reflect
+
+    monkeypatch.setattr(sweep, "rates", spy_rates)
+    monkeypatch.setattr(sweep, "RATE_ENTRIES", entries)
+    precoder, mode, point, kind = first
+    at = f"ptx_dbm={plan.values[point]:g}"
+    expected = {
+        "inf": f"{precoder}:align_weak:{mode} gives non-finite rates at {at}",
+        "negative": f"{precoder}:align_weak:{mode} gives a negative mean rate at "
+        f"{at} (se_mean, se_d_mean, se_r_mean = -1.5, -2, 0.5 bpcu)",
+    }[kind]
+    with pytest.raises(RuntimeError) as raised:
+        run_sweep(plan)
+    assert str(raised.value) == expected
+
+
 def test_power_sweep_calls_rates_once_per_method_and_draws_no_positions(monkeypatch):
     # stage 2 of a ptx_dbm sweep evaluates each method once over all its
     # powers, and draw_block derives a block's positions in one array pass
@@ -731,28 +783,29 @@ def test_rows_do_not_depend_on_the_power_chunks(monkeypatch, entries):
 
 
 def test_stage2_holds_one_power_of_per_user_rates_at_a_time(monkeypatch):
-    # figure 2 at 3000 draws: one power's [R, K+1] rates are 96 KB, and each
-    # method's stage 2 peaks below four of them; the nine powers at once
-    # peaked at 1.4 MB
+    # figure 2 at 3000 draws: one power's [R, K+1] rates are 96 KB, and the
+    # stage 2 of its one stage-1 point peaks below four of them, so no
+    # method's rates outlive its chunk; the nine powers at once peaked at
+    # 1.4 MB per method
     plan = figure_preset(2, reps=3000)
     one_power = plan.reps * (plan.config.n_strong + 1) * 8
-    method_rows, peaks = sweep._method_rows, []
+    point_rows, peaks = sweep._point_rows, []
 
     def spy(*args):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        rows = method_rows(*args)
+        rows = point_rows(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return rows
 
-    monkeypatch.setattr(sweep, "_method_rows", spy)
+    monkeypatch.setattr(sweep, "_point_rows", spy)
     tracemalloc.start()
     try:
         run_sweep(plan)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == len(plan.methods)
-    assert max(peaks) < 4 * one_power, (max(peaks), one_power)
+    assert len(peaks) == 1
+    assert peaks[0] < 4 * one_power, (peaks[0], one_power)
 
 
 def run_counting(monkeypatch, plan, names) -> tuple:
