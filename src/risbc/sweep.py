@@ -10,16 +10,19 @@ are therefore independent of the method list.
 
 A sweep runs in two stages.  Stage 1 draws the replications in blocks, each
 as many draws of the run's largest scenario as fit in BLOCK_VARIATES
-standard normals (a budget that bounds its peak memory, see its comment),
-and reduces them at every stage-1 point, a scenario plus a feed divisor.
-Each point decomposes a block with one stacked eigh at the feed
-H_d^s b / divisor (`se.decompose_feed`) into a cache that is the whole
-block (weak rows included), masks the flagged draws out of it if there are
-any, and reduces each draw to its rates' terms that do not depend on
-transmit power under every strategy's phases (`phases.strategy_terms`:
-eigvals(C_s) and diag(C_s^{-1}), which the cache forms once per factor,
-and, per strategy, the weak gain and the DPC cross terms; the random
-strategies' phases are the block's phase draws).
+standard normals (a budget that bounds its peak memory, see its comment).
+One routine reduces a block at every stage-1 point, a scenario plus a feed
+divisor (`_block_terms`), and a driver (`_reduce`) runs it block by block
+and writes each block's terms into arrays of [reps, ...] per point and
+strategy, whose kept prefixes stage 2 reads.  At each point the block is
+decomposed with one stacked eigh at the feed H_d^s b / divisor
+(`se.decompose_feed`) into a cache that is the whole block (weak rows
+included), the flagged draws are masked out of it, and each kept draw is
+reduced to its rates' terms that do not depend on transmit power under
+every strategy's phases (`phases.strategy_terms`: eigvals(C_s) and
+diag(C_s^{-1}), which the cache forms once per factor, and, per strategy,
+the weak gain and the DPC cross terms; the random strategies' phases are
+the block's phase draws).
 The divisor is 1.0 at a scenario's own b; an xi sweep realizes its one
 scenario, takes the feed c(0) once per block (`se.row_space_feed`, one SVD
 per draw) and divides it by sqrt(1 + xi^2) at each xi.  Transmit power
@@ -47,9 +50,8 @@ sweep points.  An n_ris sweep's later points build only their cascades
 (`channel.cascade_block`), into the first point's cache with its feed,
 factor of C_s and flags (`se.DecompositionCache.with_cascade`).  The
 variates, the phases and the channel stacks of every block are written
-into one workspace, allocated once per run at the block size and the
-largest scenario, and each block's rate terms into arrays of [reps, ...]
-per point and strategy, so no block allocates, frees and faults back in
+into one workspace (`_Workspace`), allocated once per run at the block size
+and the largest scenario, so no block allocates, frees and faults back in
 arrays of its own.
 
 Replications whose projected direct Gram matrix is ill conditioned
@@ -253,99 +255,89 @@ class _Workspace:
         return self.buffers[name][: math.prod(shape)].reshape(shape)
 
 
-def _reduce(plan: SweepPlan, strategies) -> list:
-    """Stage 1: draw, flag and reduce every replication at every point.
-
-    A stage-1 point is a scenario and a feed divisor: 1.0 for the scenario's
-    own b (x / 1.0 is exact), hypot(1, xi) for each xi of an xi sweep.  A
-    ptx_dbm or xi sweep has one scenario.  Returns one (flagged, terms) pair
-    per point, terms mapping each strategy to the se.RateTerms of its kept
-    draws [R, ...] in replication order.  A block's variates, pathlosses and
-    random phases are drawn once, at the last scenario (the one with the
-    most: sweep values increase and K is fixed), and serve every point; an
-    n_ris sweep's later points build only their cascades and share the first
-    one's feed, factor of C_s and flags.  Every block is drawn and built in
-    one `_Workspace`, and each block's terms are written into arrays
-    allocated at [reps, ...] per point and strategy, whose kept prefixes are
-    returned.
-    """
+def _block_terms(plan, strategies, work, block, frozen, frozen_pl) -> list:
+    """Stage 1 of one block of replications (`channel.Streams`), drawn and
+    built in the run's `_Workspace` `work`, with the run's frozen positions
+    and their pathlosses (None, None if it has none).  Returns one (flagged,
+    terms) pair per stage-1 point in sweep order, terms mapping each
+    strategy to the se.RateTerms of the block's kept draws [m, ...] in
+    replication order."""
     scenarios = plan.points if plan.variable in ("n_bs", "n_ris") else plan.points[:1]
     xi_sweep = plan.variable == "xi"
     # hypot(1, xi) is sqrt(1 + xi^2) without overflow at large xi
     divisors = [np.hypot(1.0, xi) for xi in plan.values] if xi_sweep else [1.0]
     largest = scenarios[-1]
-    users = largest.n_users
+    n, users = len(block), largest.n_users
+    block_theta = None
+    if any(kind in RANDOM_STRATEGIES for kind in strategies):
+        shape = (n, largest.n_ris)
+        out = (work.take("phase_u", *shape), work.take("theta", *shape))
+        block_theta = random_phase_block(block, largest.n_ris, out=out)
+    out = (work.take("u", n, 2 * users), work.take("x", n, variate_count(largest)))
+    _, pathlosses, x = draw_block(largest, block, frozen, frozen_pl, out=out)
+    points, factor = [], None  # factor: an n_ris sweep's unmasked cache
+    for cfg in scenarios:
+        H_c = work.take("H_c", n, users, cfg.n_ris)
+        if factor is None:
+            out = (work.take("H_d", n, cfg.n_strong, cfg.n_bs), H_c)
+            real = realize_block(cfg, pathlosses, x, out=out)
+            H_d = real.H_d_strong
+            feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
+            caches = (decompose_feed(H_d, H_c, feed / divisor) for divisor in divisors)
+        else:  # only the cascade is new: the factor, feed and flags are the first point's
+            caches = [factor.with_cascade(cascade_block(cfg, pathlosses, x, out=H_c))]
+        for cache in caches:
+            factor = cache if plan.variable == "n_ris" else None
+            keep = ~(cache.cond() > COND_FLAG)
+            m = int(np.count_nonzero(keep))
+            rows = slice(None) if m == n else keep  # a basic slice copies nothing
+            theta = None if block_theta is None else block_theta[rows, : cfg.n_ris]
+            kept = cache if m == n else cache[keep]  # an all-kept cache is not indexed
+            aligned = work.take("aligned", m, cfg.n_ris)
+            points.append((n - m, strategy_terms(strategies, kept, theta, aligned)))
+    return points
+
+
+def _reduce(plan: SweepPlan, strategies) -> list:
+    """Stage 1: `_block_terms` of every block, in replication order, each
+    block's terms written into arrays of [reps, ...] per point and
+    strategy.  Returns one (flagged, terms) pair per stage-1 point, terms
+    mapping each strategy to the kept prefix of its arrays [R, ...]; a
+    point with more than half its draws flagged raises."""
+    largest = plan.points[-1 if plan.variable in ("n_bs", "n_ris") else 0]
     frozen = frozen_positions(largest)
     # frozen positions have one set of pathlosses, which every block shares
     frozen_pl = None if frozen is None else nominal_pathlosses(largest, frozen)
     streams = stream_states(plan.config.seed, range(plan.reps))
     size = max(1, BLOCK_VARIATES // variate_count(largest))  # draws a block
     work = _Workspace(largest, size)
-    flagged = [0] * (len(scenarios) * len(divisors))
-    kept = [0] * len(flagged)  # kept draws so far, per point
     # per point and strategy, RateTerms (eigvals, inv_diag, g, cross) of
     # [reps, K], [reps, K], [reps] and [reps, K]
     K, reps = largest.n_strong, plan.reps
     shapes = ((reps, K), (reps, K), (reps,), (reps, K))
-    terms = [
-        {kind: RateTerms(*map(np.empty, shapes)) for kind in strategies}
-        for _ in flagged
+    flagged = [0] * (1 if plan.variable == "ptx_dbm" else len(plan.values))
+    stores = [
+        {kind: RateTerms(*map(np.empty, shapes)) for kind in strategies} for _ in flagged
     ]
     for start in range(0, reps, size):
         block = streams[start : start + size]
-        n = len(block)
-        block_theta = None
-        if any(kind in RANDOM_STRATEGIES for kind in strategies):
-            shape = (n, largest.n_ris)
-            out = (work.take("phase_u", *shape), work.take("theta", *shape))
-            block_theta = random_phase_block(block, largest.n_ris, out=out)
-        out = (work.take("u", n, 2 * users), work.take("x", n, variate_count(largest)))
-        _, pathlosses, x = draw_block(largest, block, frozen, frozen_pl, out=out)
-        factor = None  # an n_ris sweep's unmasked cache of its first point
-        for s, cfg in enumerate(scenarios):
-            H_c = work.take("H_c", n, users, cfg.n_ris)
-            if factor is None:
-                out = (work.take("H_d", n, cfg.n_strong, cfg.n_bs), H_c)
-                real = realize_block(cfg, pathlosses, x, out=out)
-                H_d = real.H_d_strong
-                feed = row_space_feed(H_d) if xi_sweep else matvec(H_d, real.b)
-            for i, divisor in enumerate(divisors):
-                if factor is None:
-                    cache = decompose_feed(H_d, H_c, feed / divisor)
-                    keep = ~(cache.cond() > COND_FLAG)
-                    factor = cache if plan.variable == "n_ris" else None
-                else:  # only the cascade is new; keep is the first point's mask
-                    cascade_block(cfg, pathlosses, x, out=H_c)
-                    cache = factor.with_cascade(H_c)
-                point = s * len(divisors) + i
-                m = int(np.count_nonzero(keep))
-                flagged[point] += n - m
-                if m:
-                    # the kept replications; a basic slice copies nothing,
-                    # and a cache whose draws are all kept is not indexed
-                    rows = slice(None) if m == n else keep
-                    if m < n:
-                        cache = cache[keep]
-                    theta = block_theta
-                    if theta is not None:
-                        theta = theta[rows, : cfg.n_ris]
-                    aligned = work.take("aligned", m, cfg.n_ris)
-                    written = slice(kept[point], kept[point] + m)
-                    kept[point] += m
-                    point_terms = strategy_terms(strategies, cache, theta, aligned)
-                    for kind, block_terms in point_terms.items():
-                        for store, value in zip(terms[point][kind], block_terms):
-                            store[written] = value
+        points = _block_terms(plan, strategies, work, block, frozen, frozen_pl)
+        for p, (n_flagged, terms) in enumerate(points):
+            kept = start - flagged[p]  # the point's kept draws so far
+            flagged[p] += n_flagged
+            for kind, block_terms in terms.items():
+                for store, value in zip(stores[p][kind], block_terms):
+                    store[kept : kept + len(value)] = value
     reduced = []
-    for value, n_flagged, n_kept, point_terms in zip(plan.values, flagged, kept, terms):
+    for value, n_flagged, point_stores in zip(plan.values, flagged, stores):
         if 2 * n_flagged > reps:
             raise RuntimeError(
                 f"{n_flagged}/{reps} draws flagged as ill-conditioned at "
                 f"{plan.variable}={value:g}"
             )
         reduced.append((n_flagged, {
-            kind: RateTerms(*(store[:n_kept] for store in stores))
-            for kind, stores in point_terms.items()
+            kind: RateTerms(*(store[: reps - n_flagged] for store in kind_stores))
+            for kind, kind_stores in point_stores.items()
         }))
     return reduced
 

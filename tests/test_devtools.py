@@ -7,14 +7,16 @@ import sys
 from pathlib import Path
 
 import risbc
+from risbc.config import figure_preset
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(risbc.__file__).resolve().parent
 LOC = ROOT / "devtools" / "loc.py"
+TIME_SWEEP = ROOT / "devtools" / "time_sweep.py"
 
 
-def load_loc():
-    spec = importlib.util.spec_from_file_location("loc", LOC)
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,6 +55,17 @@ def f():
 
     return x
 '''
-    assert load_loc().count(text) == {
+    assert load(LOC).count(text) == {
         "code": 5, "docstring": 3, "comment": 2, "blank": 4, "lines": 14,
     }
+
+
+def test_time_sweep_times_a_tiny_plan(monkeypatch):
+    # the script sets sys.dont_write_bytecode when it is loaded; the test
+    # process gets its own setting back
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    time_sweep = load(TIME_SWEEP)
+    for figure, reps in time_sweep.PLANS.values():
+        assert figure_preset(figure, reps=reps).reps == reps
+    ms = time_sweep.median_ms(figure_preset(2, reps=3), calls=2)
+    assert isinstance(ms, float) and ms > 0.0

@@ -21,7 +21,7 @@ from risbc.channel import (
     stream_states,
 )
 from risbc.phases import STRATEGIES, strategy_terms
-from risbc.se import decompose, rate_terms, rates
+from risbc.se import decompose, decompose_feed, rate_terms, rates
 from risbc.sweep import MethodSpec, SweepPlan, run_sweep
 from oracles import (
     align_weak_user_reference,
@@ -231,6 +231,72 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
         assert np.all(gaps >= -1e-9), (precoder, gaps.min())
         steps = np.diff(gaps, axis=0)
         assert np.all(steps <= 1e-9), (precoder, steps.max())
+
+
+def kept_feeds(stack):
+    """(H_d^s, H_c, c, theta): a stack's unflagged draws, their feeds
+    c = H_d^s b and their random phases."""
+    cfg, xi, reps = stack
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
+    b = real.b if xi is None else b_from_xi(real.H_d_strong, xi)
+    H_d, H_c = real.H_d_strong, real.H_c
+    c = linalg.matvec(H_d, b)
+    keep = ~(decompose_feed(H_d, H_c, c).cond() > sweep.COND_FLAG)
+    hypothesis.assume(keep.any())
+    theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
+    return H_d[keep], H_c[keep], c[keep], theta
+
+
+def twelve_rates(H_d, H_c, c, theta) -> list:
+    """ZF and DPC, exact and asymptotic, total, direct and reflected rates
+    [B] of draws at phases theta and p_bar = 10, by the public API."""
+    terms = rate_terms(decompose_feed(H_d, H_c, c), theta)
+    return [
+        rate
+        for precoder, mode in product(("ZF", "DPC"), ("exact", "asymptotic"))
+        for rate in rates(terms, 10.0, precoder, mode)
+    ]
+
+
+def largest_change(got, want) -> float:
+    """The largest difference of two lists of rates, relative to the rate
+    but to at least 1 bpcu: a rate near 0 is log2 of a number near 1, whose
+    last bit is a larger share of the rate."""
+    return max(
+        np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0))
+        for a, b in zip(got, want, strict=True)
+    )
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_permuting_the_ris_elements_leaves_every_rate(stack):
+    # the RIS elements enter only through the sums H_c theta: permuting the
+    # columns of H_c together with theta reorders their terms
+    H_d, H_c, c, theta = kept_feeds(stack)
+    perm = np.random.default_rng(stack[0].seed).permutation(theta.shape[-1])
+    permuted = twelve_rates(H_d, H_c[..., perm], c, theta[..., perm])
+    assert largest_change(permuted, twelve_rates(H_d, H_c, c, theta)) <= 1e-12
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_conjugating_the_channels_feed_and_phases_leaves_every_rate(stack):
+    # the rates are real functions of the draws, so conjugating every
+    # complex input conjugates each of them, which leaves it as it is
+    H_d, H_c, c, theta = kept_feeds(stack)
+    conjugated = twelve_rates(H_d.conj(), H_c.conj(), c.conj(), theta.conj())
+    assert largest_change(conjugated, twelve_rates(H_d, H_c, c, theta)) <= 1e-12
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_a_common_phase_on_theta_alone_changes_the_rates(stack):
+    # the negative control of the two symmetries: the feed c is not rotated
+    # with theta, so the DPC cross terms, and the ZF mitigation term, move
+    H_d, H_c, c, theta = kept_feeds(stack)
+    rotated = twelve_rates(H_d, H_c, c, np.exp(0.5j) * theta)
+    assert largest_change(rotated, twelve_rates(H_d, H_c, c, theta)) > 1e-6
 
 
 # the moduli of the entries a check array starts from: unit (weighted, so

@@ -640,28 +640,45 @@ def test_batched_rows_match_per_draw_loop(monkeypatch, variable, values, block):
     assert_rows_match(run_sweep(plan), per_draw_rows(plan))
 
 
+FLAGGING_CASES = {
+    "ptx_dbm": ("ptx_dbm", (40.0,), [6]),
+    "n_ris": ("n_ris", (4.0, 8.0), [6, 6]),
+    "n_bs": ("n_bs", (3.0, 6.0), [6, 2]),
+}
+
+
 @pytest.mark.parametrize(
-    "variable, values, flagged",
-    [
-        ("ptx_dbm", (40.0,), [6]),
-        ("n_ris", (4.0, 8.0), [6, 6]),
-        ("n_bs", (3.0, 6.0), [6, 2]),
-    ],
-    ids=("ptx_dbm", "n_ris", "n_bs"),
+    "variable, values, flagged, block",
+    [(*case, 3) for case in FLAGGING_CASES.values()]
+    + [(*case, 1) for case in FLAGGING_CASES.values()],
+    ids=[*FLAGGING_CASES, *(f"{name}-blocks_of_1" for name in FLAGGING_CASES)],
 )
-def test_partial_flagging_matches_per_draw_loop(monkeypatch, variable, values, flagged):
+def test_partial_flagging_matches_per_draw_loop(
+    monkeypatch, variable, values, flagged, block
+):
     # the flag threshold at the median condition number of the first point
     # flags half its draws.  The points of an n_ris sweep share C_s, so its
     # flags; an n_bs sweep's do not, so a keep-mask reused across the wrong
-    # points, or not reused where it should be, shows in the rows
+    # points, or not reused where it should be, shows in the rows.  In
+    # blocks of 1, each flagged draw leaves its block empty at its point,
+    # and every strategy takes its terms of the empty stack
     cfg = small_cfg(ptx_dbm=40.0, freeze_positions=variable == "n_ris")
     plan = SweepPlan(cfg, variable, values, ALL_METHODS, reps=12)
-    set_block(monkeypatch, plan, 3)
+    set_block(monkeypatch, plan, block)
     conds = [cache.cond() for _, cache, _ in per_draw_draws(plan, values[0])]
     monkeypatch.setattr(sweep, "COND_FLAG", float(np.median(conds)))
+    empty, strategy_terms = [], sweep.strategy_terms
+
+    def spy(kinds, cache, random_theta, out=None):
+        empty.append(len(cache.eigvals) == 0)
+        return strategy_terms(kinds, cache, random_theta, out)
+
+    monkeypatch.setattr(sweep, "strategy_terms", spy)
     result = run_sweep(plan)
     assert [r.flagged for r in result.rows[:: len(ALL_METHODS)]] == flagged
     assert_rows_match(result, per_draw_rows(plan))
+    if block == 1:
+        assert sum(empty) == sum(flagged)
 
 
 def test_negative_mean_raises_at_its_first_row():
@@ -885,6 +902,30 @@ def test_rows_do_not_depend_on_block_size(monkeypatch):
         set_block(monkeypatch, plan, block)
         rows.append(run_sweep(plan).rows)
     assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("figure", (2, 5))
+def test_kept_terms_of_fewer_reps_are_a_prefix_of_more(monkeypatch, figure):
+    # draws are prefix-stable: the kept terms of 40 reps in blocks of 7 are,
+    # bit for bit, the first kept terms of 101 reps under the default budget
+    # (one block of figure 2, blocks of 32 of figure 5), flagged draws
+    # included: the threshold at the 80th percentile of the first point's
+    # condition numbers flags about a fifth of the draws
+    more = figure_preset(figure, reps=101)
+    conds = [cache.cond() for _, cache, _ in per_draw_draws(more, more.values[0])]
+    monkeypatch.setattr(sweep, "COND_FLAG", float(np.quantile(conds, 0.8)))
+    strategies = tuple(dict.fromkeys(m.strategy for m in more.methods))
+    reduced = sweep._reduce(more, strategies)
+    fewer = figure_preset(figure, reps=40)
+    set_block(monkeypatch, fewer, 7)
+    for (flagged, terms), (_, prefixed) in zip(
+        sweep._reduce(fewer, strategies), reduced, strict=True
+    ):
+        assert flagged > 0
+        for kind in strategies:
+            for kept, longer in zip(terms[kind], prefixed[kind], strict=True):
+                assert len(kept) == 40 - flagged
+                assert kept.tobytes() == longer[: len(kept)].tobytes()
 
 
 class StopAtFirstBlock(Exception):
