@@ -1,15 +1,18 @@
-"""Count the code, docstring and comment lines of each `src/risbc` module.
+"""Count the code, docstring and comment lines and the branches of each
+`src/risbc` module.
 
     python devtools/loc.py
 
 Prints one JSON line: for each module of the package, its physical lines
-split into code, docstring, comment and blank lines, and the sum of each
-count over the modules.  A docstring line is a line of a module, class or
-function docstring; a comment line holds a comment and nothing else; a
-code line is any other line with a token on it (a line of code that ends
-in a comment is code); a blank line has none.  So the four counts of a
-module add up to its lines.  Only the stdlib `ast` and `tokenize` modules
-are used.
+split into code, docstring, comment and blank lines, its branches, and the
+sum of each count over the modules.  A docstring line is a line of a module,
+class or function docstring; a comment line holds a comment and nothing
+else; a code line is any other line with a token on it (a line of code that
+ends in a comment is code); a blank line has none.  So the four counts of a
+module add up to its lines.  Its branches are its `if` statements (an
+`elif` is one more) and its conditional expressions (`a if c else b`), the
+code paths it adds beyond one.  Only the stdlib `ast` and `tokenize`
+modules are used.
 """
 
 import ast
@@ -43,9 +46,11 @@ def docstring_lines(tree) -> set:
 
 
 def count(text: str) -> dict:
-    """{kind: lines} of one module's source, with its "lines" in all."""
+    """{kind: lines} of one module's source, with its "lines" in all and
+    its "branches"."""
     lines = len(text.splitlines())
-    docs = docstring_lines(ast.parse(text))
+    tree = ast.parse(text)
+    docs = docstring_lines(tree)
     code, comments = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type == tokenize.COMMENT:
@@ -57,6 +62,8 @@ def count(text: str) -> dict:
     counts = {"code": len(code), "docstring": len(docs), "comment": len(comments)}
     counts["blank"] = lines - sum(counts.values())
     counts["lines"] = lines
+    branches = (ast.If, ast.IfExp)
+    counts["branches"] = sum(isinstance(node, branches) for node in ast.walk(tree))
     return counts
 
 
@@ -65,7 +72,8 @@ def main():
         path.name: count(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    total = {key: sum(m[key] for m in modules.values()) for key in (*KINDS, "lines")}
+    keys = (*KINDS, "lines", "branches")
+    total = {key: sum(m[key] for m in modules.values()) for key in keys}
     print(json.dumps({"modules": modules, "total": total}))
 
 

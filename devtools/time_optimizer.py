@@ -35,7 +35,7 @@ STACKS = {
 def stack(seed, reps, n_ris):
     """The decomposed block of replications 0..reps-1 of the default scenario."""
     cfg = ScenarioConfig(seed=seed, n_ris=n_ris)
-    _, pathlosses, x = draw_block(cfg, stream_states(seed, range(reps)))
+    pathlosses, x = draw_block(cfg, stream_states(seed, range(reps)))
     return decompose(realize_block(cfg, pathlosses, x))
 
 

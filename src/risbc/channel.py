@@ -32,7 +32,9 @@ their starts through one generator set to each in turn, and
 stream starts with the draw's 2(K+1) position uniforms, which
 `user_positions` maps to positions for one draw or a whole block: the
 per-replication loop of `draw_block` only reads the streams, and the
-block's positions and their pathlosses take one array pass each.
+block's positions and their pathlosses take one array pass each.  A run
+with frozen positions passes their pathlosses [K] and [K+1] instead, which
+every draw of a block shares.
 """
 
 import math
@@ -558,48 +560,42 @@ def sample_realization(
 def draw_block(
     cfg: ScenarioConfig,
     streams: Streams,
-    positions: np.ndarray = None,
     pathlosses: PathlossSet = None,
     out: tuple = None,
 ) -> tuple:
     """The variates of replications `streams.reps` of a run, one row per draw.
 
-    Returns (positions [len(streams), K+1, 3], their PathlossSet, x
-    [len(streams), 2(K+1)(N_B+N_R)]): draw i of
+    Returns (pathlosses, x [len(streams), 2(K+1)(N_B+N_R)]): draw i of
     realize_block(cfg, pathlosses, x) is, bit for bit,
     sample_realization(cfg, rng, positions) of the generator
     rng = default_rng(SeedSequence([seed, streams.reps[i]],
-    spawn_key=(CHANNEL,))), and positions[i] the positions it draws.  Each
+    spawn_key=(CHANNEL,))).  Without `pathlosses` (positions None), each
     replication's channel stream is read in the loop (its 2(K+1) position
-    uniforms, then row i of x); the block's positions then
-    come from all the uniforms in one array pass (`user_positions`).  Frozen
-    positions [K+1, 3] are broadcast to every draw and read no uniforms, and
-    so are their pathlosses: `pathlosses` if given (a run of many blocks
-    computes `nominal_pathlosses(cfg, positions)` once), else computed here.
-    Positions depend only on K, the pathlosses on the positions and the
-    geometry, and the normals are drawn in order, so the variates of a
-    scenario with fewer elements or antennas are a prefix of each row:
-    `realize_block` builds any such scenario from this draw and its
-    pathlosses, and `cascade_block` the scenario's cascaded channels alone.
-    `out`, if given, is a pair of caller-owned arrays (u, x) the position
-    uniforms [len(streams), 2(K+1)] and the normals are drawn into, and the
-    returned x is its own; without it both are new arrays.
+    uniforms, then row i of x), and the block's positions come from all the
+    uniforms in one array pass (`user_positions`), their pathlosses
+    [len(streams), ...] in another.  A run with frozen positions passes
+    their pathlosses, nominal_pathlosses(cfg, positions) (L_d [K], L_r
+    [K+1]), which are returned as given and serve every draw; its streams
+    hold no position uniforms, so u is left as it was.  Positions depend
+    only on K, the pathlosses on the positions and the geometry, and the
+    normals are drawn in order, so the variates of a scenario with fewer
+    elements or antennas are a prefix of each row: `realize_block` builds
+    any such scenario from this draw and its pathlosses, and `cascade_block`
+    the scenario's cascaded channels alone.  `out`, if given, is a pair of
+    caller-owned arrays (u, x) the position uniforms [len(streams), 2(K+1)]
+    and the normals are drawn into, and the returned x is its own; without
+    it both are new arrays.
     """
     u, x = (None, None) if out is None else out
     u = out_array(u, (len(streams), 2 * cfg.n_users), float)
     x = out_array(x, (len(streams), variate_count(cfg)), float)
     for rng, u_row, row in zip(streams.starts(CHANNEL), u, x):
-        if positions is None:
+        if pathlosses is None:
             rng.random(out=u_row)
         rng.standard_normal(out=row)
-    if positions is None:
-        positions = user_positions(cfg, u)
-        return positions, nominal_pathlosses(cfg, positions), x
-    pl = nominal_pathlosses(cfg, positions) if pathlosses is None else pathlosses
-    draws = len(streams)
-    L_d, L_r = (np.broadcast_to(L, (draws, *L.shape)) for L in (pl.L_d, pl.L_r))
-    pl = replace(pl, L_d=L_d, L_r=L_r)
-    return np.broadcast_to(positions, (draws, *positions.shape)), pl, x
+    if pathlosses is None:
+        pathlosses = nominal_pathlosses(cfg, user_positions(cfg, u))
+    return pathlosses, x
 
 
 def realize_block(
@@ -609,13 +605,14 @@ def realize_block(
 
     pl and x are the pathlosses and normals of a `draw_block` result for a
     scenario with the same K and geometry and at least cfg's N_B and N_R,
-    or one draw's pathlosses and normals; only the prefix
-    x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry x's
-    leading axes (b is shared).  `out`, if given, is a pair of caller-owned
-    arrays (H_d [..., K, N_B], H_c [..., K+1, N_R]) the strong users'
-    direct and the cascaded channels are built in, and returned as the
-    realization's channels; without it they are new arrays.  H_c goes to
-    `cascade_block`.
+    or one draw's pathlosses and normals; one draw's pathlosses (L_d [K],
+    L_r [K+1], as frozen positions give) serve every draw of x.  Only the
+    prefix x[..., :2(K+1)(N_B+N_R)] is read, and the channel arrays carry
+    x's leading axes (b is shared).  `out`, if given, is a pair of
+    caller-owned arrays (H_d [..., K, N_B], H_c [..., K+1, N_R]) the strong
+    users' direct and the cascaded channels are built in, and returned as
+    the realization's channels; without it they are new arrays.  H_c goes
+    to `cascade_block`.
     """
     H_d, H_c = (None, None) if out is None else out
     return ChannelRealization(

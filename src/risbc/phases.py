@@ -72,11 +72,9 @@ def align_weak_user(h_c_weak: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     r = np.abs(h_c_weak)
     # conj(row) / |row| in place, so a block holds no conjugated copy; the
     # complex divide forms 1 / |row|, which overflows below the smallest
-    # normal float, so such entries (zero ones included), if any, are left
-    # out of it and scaled up by a power of two (exactly) first
+    # normal float, so such entries (zero ones included) are left out of it
+    # and scaled up by a power of two (exactly) first
     out = np.conjugate(h_c_weak, out=out_array(out, h_c_weak.shape))
-    if r.min(initial=np.inf) >= _TINY:
-        return np.divide(out, r, out=out)
     small = r < _TINY
     np.divide(out, r, out=out, where=~small)
     scaled = out[small] * 2.0**64
@@ -287,14 +285,10 @@ def _ascend(cache: DecompositionCache, init: np.ndarray):
                 theta_bar, f, concave, gain = theta_bar[go], f[go], concave[go], gain[go]
                 change, y, y_new = change[go], y[go], y_new[go]
             keep = concave & (gain >= 0.0)
-            if keep.all():
-                lam, f, y = lam / 3.0, f + gain, y_new
-                theta_bar[:, :-1] += change
-            else:
-                lam = np.where(keep, lam / 3.0, lam * 10.0)
-                f = np.where(keep, f + gain, f)
-                y = np.where(keep[:, None], y_new, y)
-                theta_bar[keep, :-1] += change[keep]
+            lam = np.where(keep, lam / 3.0, lam * 10.0)
+            f = np.where(keep, f + gain, f)
+            y = np.where(keep[:, None], y_new, y)
+            theta_bar[keep, :-1] += change[keep]
             theta_bar = _mm_step(MH, lam_max, theta_bar, f, y)
     return out, steps, converged
 

@@ -174,12 +174,9 @@ def unit_phases(theta) -> np.ndarray:
     """Phases theta [..., N_R] as a complex array, which must be finite and
     unit modulus (ValueError otherwise)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-    # one pass: max |(|theta| - 1)| is the larger of max |theta| - 1 and
-    # 1 - min |theta|, each exact where it can pass (Sterbenz: r - 1 is exact
-    # for r in [0.5, 2]), and a NaN or infinite entry fails the first, so
-    # only a rejected theta is checked for finiteness, which is reported first
-    r = np.abs(theta)
-    if not (r.max(initial=-np.inf) - 1.0 <= 1e-12 and 1.0 - r.min(initial=np.inf) <= 1e-12):
+    # a NaN or infinite entry fails the test, so only a rejected theta is
+    # checked for finiteness, which is reported first
+    if not np.max(np.abs(np.abs(theta) - 1.0), initial=0.0) <= 1e-12:
         check_finite(theta, "theta")
         raise ValueError("phase entries must be unit modulus")
     return theta

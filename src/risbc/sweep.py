@@ -36,19 +36,19 @@ order that would not be finite or has a negative mean (a high-SNR form at
 a power too low for it).
 
 Each replication's streams are drawn once per run.  Where they start is
-computed for the whole run in one pass (`channel.stream_states`, which
-checks itself against numpy's SeedSequence seeding once per run and relies
-on numpy keeping those streams stable, NEP 19), and each block takes its
-slice of those starts.  A block's channel variates and the pathlosses of
-its positions, which no swept variable changes, are drawn once, at the point
-with the most variates (`channel.draw_block`), and its random phases at the
-largest N_R (`channel.random_phase_block`); every point realizes its block
-from a prefix of those variates (`channel.realize_block`).  Both streams
-are read in order from their start, so the prefix is exactly what the point
-would draw alone: rows depend neither on the block size nor on the other
-sweep points.  An n_ris sweep's later points build only their cascades
-(`channel.cascade_block`), into the first point's cache with its feed,
-factor of C_s and flags (`se.DecompositionCache.with_cascade`).  The
+computed for the whole run in one pass (`channel.stream_states`), and each
+block takes its slice of those starts.  A block's channel variates and the
+pathlosses of its positions, which no swept variable changes, are drawn
+once, at the point with the most variates (`channel.draw_block`), and its
+random phases at the largest N_R (`channel.random_phase_block`); a run
+with frozen positions forms their pathlosses once and passes them to every
+block's draw, which then reads no positions.  Every point realizes its
+block from a prefix of those variates (`channel.realize_block`).  Both
+streams are read in order from their start, so the prefix is exactly what
+the point would draw alone: rows depend neither on the block size nor on
+the other sweep points.  An n_ris sweep's later points build only their
+cascades (`channel.cascade_block`), into the first point's cache with its
+feed, factor of C_s and flags (`se.DecompositionCache.with_cascade`).  The
 variates, the phases and the channel stacks of every block are written
 into one workspace (`_Workspace`), allocated once per run at the block size
 and the largest scenario, so no block allocates, frees and faults back in
@@ -255,10 +255,10 @@ class _Workspace:
         return self.buffers[name][: math.prod(shape)].reshape(shape)
 
 
-def _block_terms(plan, strategies, work, block, frozen, frozen_pl) -> list:
+def _block_terms(plan, strategies, work, block, frozen_pl) -> list:
     """Stage 1 of one block of replications (`channel.Streams`), drawn and
-    built in the run's `_Workspace` `work`, with the run's frozen positions
-    and their pathlosses (None, None if it has none).  Returns one (flagged,
+    built in the run's `_Workspace` `work`, with the pathlosses of the run's
+    frozen positions (None if it has none).  Returns one (flagged,
     terms) pair per stage-1 point in sweep order, terms mapping each
     strategy to the se.RateTerms of the block's kept draws [m, ...] in
     replication order."""
@@ -274,7 +274,7 @@ def _block_terms(plan, strategies, work, block, frozen, frozen_pl) -> list:
         out = (work.take("phase_u", *shape), work.take("theta", *shape))
         block_theta = random_phase_block(block, largest.n_ris, out=out)
     out = (work.take("u", n, 2 * users), work.take("x", n, variate_count(largest)))
-    _, pathlosses, x = draw_block(largest, block, frozen, frozen_pl, out=out)
+    pathlosses, x = draw_block(largest, block, frozen_pl, out=out)
     points, factor = [], None  # factor: an n_ris sweep's unmasked cache
     for cfg in scenarios:
         H_c = work.take("H_c", n, users, cfg.n_ris)
@@ -321,7 +321,7 @@ def _reduce(plan: SweepPlan, strategies) -> list:
     ]
     for start in range(0, reps, size):
         block = streams[start : start + size]
-        points = _block_terms(plan, strategies, work, block, frozen, frozen_pl)
+        points = _block_terms(plan, strategies, work, block, frozen_pl)
         for p, (n_flagged, terms) in enumerate(points):
             kept = start - flagged[p]  # the point's kept draws so far
             flagged[p] += n_flagged

@@ -313,7 +313,7 @@ def test_criterion_09_orthogonality_power_split_offset(capsys):
     for K, n_bs, xi in ((3, 4, 1e3), (1, 4, 1e6), (3, 4, 1.0), (2, 6, 0.1), (3, 12, 3.0)):
         cfg = ScenarioConfig(n_bs=n_bs, n_strong=K, n_ris=8, ptx_dbm=40.0)
         streams = stream_states(cfg.seed, range(draws))
-        real = realize_block(cfg, *draw_block(cfg, streams)[1:])
+        real = realize_block(cfg, *draw_block(cfg, streams))
         H = real.H_d_strong
         p_strong, p_bar = db_to_lin(cfg.ptx_dbm) / K, cfg.p_bar()
         alone = np.linalg.slogdet(H @ H.conj().swapaxes(-1, -2))[1] / np.log(2.0)

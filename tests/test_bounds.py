@@ -357,8 +357,8 @@ def test_random_phase_lin_upper_is_the_mean_of_the_dense_bound():
     rows, thetas = [], []
     for start in range(0, draws, size):
         block = streams[start : start + size]
-        _, block_pl, x = draw_block(cfg, block, positions, pl)
-        rows.append(cascade_block(cfg, block_pl, x)[:, -1, :])
+        _, x = draw_block(cfg, block, pl)
+        rows.append(cascade_block(cfg, pl, x)[:, -1, :])
         thetas.append(random_phase_block(block, cfg.n_ris))
     rows, thetas = np.concatenate(rows), np.concatenate(thetas)
     a = steering_vector(cfg.n_ris, cfg.aoa, norm="sqrt_n")

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from risbc.channel import (
     cascade_block,
     steering_vector,
     stream_states,
+    user_positions,
     variate_count,
 )
 
@@ -200,9 +202,13 @@ def test_frozen_positions_are_shared():
     r1 = sample_realization(cfg, np.random.default_rng(ch0), positions=pos)
     r2 = sample_realization(cfg, np.random.default_rng(ch1), positions=pos)
     assert not np.array_equal(r1.H_c, r2.H_c)
-    positions, pl, _ = draw_block(cfg, stream_states(0, [0, 1]), pos)
-    assert np.array_equal(positions, [pos, pos])
-    assert np.array_equal(pl.L_r, [pl.L_r[0]] * 2)
+    # a block of frozen draws is handed their one set of pathlosses back
+    pl = nominal_pathlosses(cfg, pos)
+    got, x = draw_block(cfg, stream_states(0, [0, 1]), pl)
+    assert got is pl
+    real = realize_block(cfg, pl, x)
+    for name in ("H_d_strong", "H_c"):
+        assert np.array_equal(getattr(real, name), [getattr(r1, name), getattr(r2, name)])
 
 
 def test_frozen_positions_come_from_the_position_stream():
@@ -220,7 +226,7 @@ def test_ris_channel_variance_matches_pathloss():
     pos = draw_user_positions(cfg, position_rng(cfg.seed))
     pl = nominal_pathlosses(cfg, pos)
     reps = 10_000
-    _, _, x = draw_block(cfg, stream_states(cfg.seed, range(reps)), pos)
+    _, x = draw_block(cfg, stream_states(cfg.seed, range(reps)), pl)
     H_c = realize_block(cfg, pl, x).H_c
     power = np.sum(np.abs(H_c) ** 2, axis=-1) / (pl.L_G * cfg.n_bs * cfg.n_ris)
     rel = np.abs(np.mean(power, axis=0) - pl.L_r) / pl.L_r
@@ -334,10 +340,28 @@ def assert_block_is_reference(cfg, block, reps, positions=None):
         assert_same_draws(block, reference_draw(cfg, rep, positions), i)
 
 
+def drawn_variates(cfg, reps, positions=None):
+    """(positions, pathlosses, variates) of the stacked draws of
+    replications `reps` of the run seeded cfg.seed: the positions of the
+    uniforms draw_block writes into u, or frozen `positions`, whose
+    pathlosses draw_block hands back and every draw shares (both are
+    broadcast over the draws here)."""
+    u = np.full((len(reps), 2 * cfg.n_users), np.nan)
+    frozen_pl = None if positions is None else nominal_pathlosses(cfg, positions)
+    pl, x = draw_block(cfg, stream_states(cfg.seed, reps), frozen_pl, out=(u, None))
+    if positions is None:
+        return user_positions(cfg, u), pl, x
+    assert pl is frozen_pl and np.isnan(u).all()
+    draws = len(reps)
+    L_d, L_r = (np.broadcast_to(L, (draws, *L.shape)) for L in (pl.L_d, pl.L_r))
+    positions = np.broadcast_to(positions, (draws, *positions.shape))
+    return positions, replace(pl, L_d=L_d, L_r=L_r), x
+
+
 def drawn_block(cfg, reps, positions=None):
     """(positions, pathlosses, realization) of the stacked draws of
-    replications `reps` of the run seeded cfg.seed."""
-    positions, pl, x = draw_block(cfg, stream_states(cfg.seed, reps), positions)
+    replications `reps` of the run seeded cfg.seed (`drawn_variates`)."""
+    positions, pl, x = drawn_variates(cfg, reps, positions)
     return positions, pl, realize_block(cfg, pl, x)
 
 
@@ -380,7 +404,7 @@ def test_realize_block_reads_a_prefix_of_a_larger_draw(frozen, larger):
     large = small.with_updates(**larger)
     positions = draw_user_positions(small, position_rng(13)) if frozen else None
     reps = [3, 0, 7, 0]
-    got_positions, pl, x = draw_block(large, stream_states(13, reps), positions)
+    got_positions, pl, x = drawn_variates(large, reps, positions)
     got = (got_positions, pl, realize_block(small, pl, x))
     assert_same_draws(got, drawn_block(small, reps, positions), slice(None))
 
@@ -411,14 +435,19 @@ def filled(shape, dtype=float):
 def test_draw_block_into_out_equals_a_new_draw(frozen):
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=11)
     positions = frozen_positions(cfg.with_updates(freeze_positions=True)) if frozen else None
-    streams = stream_states(cfg.seed, [4, 0, 9])
+    pl = None if positions is None else nominal_pathlosses(cfg, positions)
+    reps = [4, 0, 9]
+    streams = stream_states(cfg.seed, reps)
     u, x = filled((3, 2 * cfg.n_users)), filled((3, variate_count(cfg)))
-    got = draw_block(cfg, streams, positions, out=(u, x))
-    want = draw_block(cfg, streams, positions)
-    assert got[2] is x
-    for got_array, want_array in ((got[0], want[0]), (got[1].L_d, want[1].L_d),
-                                  (got[1].L_r, want[1].L_r), (got[2], want[2])):
+    got = draw_block(cfg, streams, pl, out=(u, x))
+    want = draw_block(cfg, streams, pl)
+    assert got[1] is x
+    for got_array, want_array in ((got[0].L_d, want[0].L_d),
+                                  (got[0].L_r, want[0].L_r), (got[1], want[1])):
         same_bits(got_array, want_array)
+    if not frozen:
+        want_positions = [reference_draw(cfg, rep)[0] for rep in reps]
+        same_bits(user_positions(cfg, u), np.array(want_positions))
 
 
 @pytest.mark.parametrize("extra", [0, 1, 57])
@@ -427,7 +456,7 @@ def test_realize_and_cascade_into_out_equal_new_arrays(extra):
     # more elements, as a sweep's smaller points are built
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7, seed=3)
     larger = cfg.with_updates(n_ris=cfg.n_ris + extra)
-    _, pl, x = draw_block(larger, stream_states(cfg.seed, range(4)))
+    pl, x = draw_block(larger, stream_states(cfg.seed, range(4)))
     H_d = filled((4, cfg.n_strong, cfg.n_bs), complex)
     H_c = filled((4, cfg.n_users, cfg.n_ris), complex)
     got = realize_block(cfg, pl, x, out=(H_d, H_c))
@@ -464,7 +493,7 @@ def test_calls_without_out_return_independent_arrays():
 
     def arrays():
         streams = stream_states(cfg.seed, range(3))
-        _, pl, x = draw_block(cfg, streams)
+        pl, x = draw_block(cfg, streams)
         real = realize_block(cfg, pl, x)
         return (x, real.H_d_strong, real.H_c, cascade_block(cfg, pl, x),
                 random_phase_block(streams, cfg.n_ris))
@@ -494,7 +523,7 @@ def test_draw_block_rejects_an_out_of_another_shape_or_dtype(out):
 
 def test_cascade_block_rejects_an_out_of_another_dtype():
     cfg = ScenarioConfig(n_bs=5, n_strong=2, n_ris=7)
-    _, pl, x = draw_block(cfg, stream_states(0, range(2)))
+    pl, x = draw_block(cfg, stream_states(0, range(2)))
     H_c = np.empty((2, cfg.n_users, cfg.n_ris), np.complex64)
     with pytest.raises(ValueError, match="^out must be a complex128 array"):
         cascade_block(cfg, pl, x, out=H_c)

@@ -35,7 +35,7 @@ def test_loc_counts_every_module_and_the_totals_add_up():
         lines = len((PACKAGE / name).read_text(encoding="utf-8").splitlines())
         assert counts["lines"] == lines == sum(counts[kind] for kind in kinds), name
         assert min(counts.values()) >= 0, name
-    for key in (*kinds, "lines"):
+    for key in (*kinds, "lines", "branches"):
         assert result["total"][key] == sum(counts[key] for counts in modules.values())
 
 
@@ -56,8 +56,25 @@ def f():
     return x
 '''
     assert load(LOC).count(text) == {
-        "code": 5, "docstring": 3, "comment": 2, "blank": 4, "lines": 14,
+        "code": 5, "docstring": 3, "comment": 2, "blank": 4, "lines": 14, "branches": 0,
     }
+
+
+def test_loc_counts_if_statements_and_conditional_expressions_as_branches():
+    # an if, its elif and two conditional expressions are branches; an else,
+    # a comprehension's filter, a short-circuit `and` and a string are not
+    text = '''def f(x):
+    if x > 0:
+        return 1 if x > 1 else 0
+    elif x < 0 and x > -1:
+        return [y for y in range(3) if y]
+    else:
+        return "if x else y"
+
+
+g = (lambda y: -y if y else y)
+'''
+    assert load(LOC).count(text)["branches"] == 4
 
 
 def test_time_sweep_times_a_tiny_plan(monkeypatch):

@@ -41,7 +41,7 @@ def instance(seed, n_bs=6, n_ris=8, n_strong=3, **kw):
 def block(seed, reps, **kw):
     """The decomposed block of replications 0..reps-1 of a scenario."""
     cfg = ScenarioConfig(seed=seed, **kw)
-    _, pl, x = draw_block(cfg, stream_states(seed, range(reps)))
+    pl, x = draw_block(cfg, stream_states(seed, range(reps)))
     return decompose(realize_block(cfg, pl, x))
 
 
@@ -562,9 +562,8 @@ def figure5_block():
     """Figure 5's seed-0 first block at N_R = 256 as the sweep builds it: 32
     draws at the run's frozen positions and their pathlosses."""
     cfg = figure_preset(5).points[-1]
-    frozen = frozen_positions(cfg)
-    pathlosses = nominal_pathlosses(cfg, frozen)
-    _, pl, x = draw_block(cfg, stream_states(cfg.seed, range(32)), frozen, pathlosses)
+    pathlosses = nominal_pathlosses(cfg, frozen_positions(cfg))
+    pl, x = draw_block(cfg, stream_states(cfg.seed, range(32)), pathlosses)
     return decompose(realize_block(cfg, pl, x))
 
 

@@ -163,7 +163,7 @@ def test_stacked_rates_equal_per_draw_rates_and_dpc_dominates(stack):
     # strategy's phases DPC is at least ZF on every draw, in both modes
     cfg, xi, reps = stack
     p_bars = cfg.p_bar() * np.array([0.1, 1.0, 10.0, 1e3])
-    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
@@ -212,7 +212,7 @@ def test_exact_rates_approach_the_asymptotic_ones(stack, kind):
     # (mu_i = 1 / e_i) and DPC (mu_i the eigenvalues of H H^H): the gap is
     # nonnegative and does not grow with p_bar, on every draw
     cfg, xi, reps = stack
-    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
     if xi is not None:
         real = replace(real, b=b_from_xi(real.H_d_strong, xi))
     cache = decompose(real)
@@ -237,7 +237,7 @@ def kept_feeds(stack):
     """(H_d^s, H_c, c, theta): a stack's unflagged draws, their feeds
     c = H_d^s b and their random phases."""
     cfg, xi, reps = stack
-    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps))[1:])
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
     b = real.b if xi is None else b_from_xi(real.H_d_strong, xi)
     H_d, H_c = real.H_d_strong, real.H_c
     c = linalg.matvec(H_d, b)
@@ -247,10 +247,29 @@ def kept_feeds(stack):
     return H_d[keep], H_c[keep], c[keep], theta
 
 
+def kept_draws(stack):
+    """(real, theta): a stack's unflagged draws, each with its own direction
+    b [B, N_B], and their random phases."""
+    cfg, xi, reps = stack
+    real = realize_block(cfg, *draw_block(cfg, stream_states(cfg.seed, reps)))
+    b = real.b if xi is None else b_from_xi(real.H_d_strong, xi)
+    real = replace(real, b=np.broadcast_to(b, real.H_d_strong.shape[:1] + b.shape[-1:]))
+    keep = ~(decompose(real).cond() > sweep.COND_FLAG)
+    hypothesis.assume(keep.any())
+    theta = random_phase_block(stream_states(cfg.seed, reps), cfg.n_ris)[keep]
+    kept = {name: getattr(real, name)[keep] for name in ("H_d_strong", "b", "H_c")}
+    return replace(real, **kept), theta
+
+
 def twelve_rates(H_d, H_c, c, theta) -> list:
     """ZF and DPC, exact and asymptotic, total, direct and reflected rates
     [B] of draws at phases theta and p_bar = 10, by the public API."""
-    terms = rate_terms(decompose_feed(H_d, H_c, c), theta)
+    return cache_rates(decompose_feed(H_d, H_c, c), theta)
+
+
+def cache_rates(cache, theta) -> list:
+    """`twelve_rates` of a decomposed stack of draws."""
+    terms = rate_terms(cache, theta)
     return [
         rate
         for precoder, mode in product(("ZF", "DPC"), ("exact", "asymptotic"))
@@ -297,6 +316,68 @@ def test_a_common_phase_on_theta_alone_changes_the_rates(stack):
     H_d, H_c, c, theta = kept_feeds(stack)
     rotated = twelve_rates(H_d, H_c, c, np.exp(0.5j) * theta)
     assert largest_change(rotated, twelve_rates(H_d, H_c, c, theta)) > 1e-6
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_a_unitary_change_of_the_bs_basis_leaves_every_rate(stack):
+    # H_d^s -> H_d^s Q and b -> Q^H b keep the feed H_d^s b and the Gram
+    # matrix H_d^s H_d^{s,H}, so C_s and every rate stay
+    real, theta = kept_draws(stack)
+    rng = np.random.default_rng(stack[0].seed)
+    H_d, b = real.H_d_strong, real.b
+    shape = H_d.shape[:1] + H_d.shape[-1:] * 2
+    Q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    turned = replace(real, H_d_strong=H_d @ Q, b=linalg.matvec(linalg.herm(Q), b))
+    got = cache_rates(decompose(turned), theta)
+    assert largest_change(got, cache_rates(decompose(real), theta)) <= 1e-12
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_permuting_the_strong_users_leaves_every_rate(stack):
+    # the strong users' rows of H_d^s and of H_c, permuted together with the
+    # weak row kept last, reorder C_s's rows and columns and each strong
+    # user's terms, whose sums are the rates
+    real, theta = kept_draws(stack)
+    K = real.H_d_strong.shape[-2]
+    perm = np.random.default_rng(stack[0].seed).permutation(K)
+    rows = np.append(perm, K)
+    permuted = replace(real, H_d_strong=real.H_d_strong[:, perm], H_c=real.H_c[:, rows])
+    got = cache_rates(decompose(permuted), theta)
+    assert largest_change(got, cache_rates(decompose(real), theta)) <= 1e-12
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=50)
+@hypothesis.given(stacks())
+def test_a_phase_on_each_users_rows_leaves_every_rate(stack):
+    # user k's rows of H_d^s and of H_c times e^{j phi_k}, the weak user's
+    # row of H_c included: C_s turns to Phi C_s Phi^H, the feed to Phi c,
+    # and every rate term is a modulus or an eigenvalue
+    real, theta = kept_draws(stack)
+    K = real.H_d_strong.shape[-2]
+    rng = np.random.default_rng(stack[0].seed)
+    turn = np.exp(2j * np.pi * rng.random((len(theta), K + 1, 1)))
+    turned = replace(real, H_d_strong=turn[:, :K] * real.H_d_strong, H_c=turn * real.H_c)
+    got = cache_rates(decompose(turned), theta)
+    assert largest_change(got, cache_rates(decompose(real), theta)) <= 1e-12
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=30)
+@hypothesis.given(stacks())
+def test_the_optimizer_reaches_the_same_objective_on_permuted_elements(stack):
+    # the optimizer started from permuted phases on permuted RIS elements
+    # stops at the permuted stationary point: f = g / (1 + mitigation) at
+    # its returned phases stays to 1e-12 relative
+    real, theta = kept_draws(stack)
+    cache = decompose(real)
+    perm = np.random.default_rng(stack[0].seed).permutation(theta.shape[-1])
+    permuted = cache.with_cascade(cache.H_c[..., perm])
+    f = []
+    for c, init in ((cache, theta), (permuted, theta[..., perm])):
+        terms = rate_terms(c, phases.optimize_mitigation_aware(c, init))
+        f.append(terms.g / (1.0 + terms.mitigation()))
+    assert np.all(np.abs(f[1] - f[0]) <= 1e-12 * f[0])
 
 
 # the moduli of the entries a check array starts from: unit (weighted, so

@@ -87,7 +87,7 @@ def test_rate_terms_equal_the_extended_phase_product():
     # the one product H_c theta plus the feed against D_s theta_bar, on a
     # stack of draws and on one draw of 256 elements
     cfg = small_cfg()
-    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(6, range(40)))[1:]))
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(6, range(40)))))
     theta = np.exp(2j * np.pi * np.random.default_rng(6).random((40, cfg.n_ris)))
     _, real, one_theta = random_instance(7, n_bs=12, n_ris=256)
     for cache, phases in ((stack, theta), (decompose(real), one_theta)):
@@ -110,7 +110,7 @@ def test_theta_of_the_wrong_shape_is_named():
     _, real, theta = random_instance(3)
     cache = decompose(real)
     cfg = small_cfg()
-    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(2)))[1:]))
+    stack = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(2)))))
     cases = (
         (cache, theta[:-1], r"theta has shape \(7,\), but the cache needs \(8,\)"),
         (cache, np.append(theta, 1.0), r"shape \(9,\), but the cache needs \(8,\)"),
@@ -207,7 +207,7 @@ def test_decompose_shares_no_memory_with_the_channels_or_variates(stacked):
     cfg = small_cfg()
     variates = []
     if stacked:
-        _, pl, x = draw_block(cfg, stream_states(2, range(5)))
+        pl, x = draw_block(cfg, stream_states(2, range(5)))
         real = realize_block(cfg, pl, x)
         variates.append(x)
     else:
@@ -238,7 +238,7 @@ def test_cond_of_an_exactly_singular_c_s_is_inf_without_a_warning():
 
 def test_cache_mask_selects_the_weak_rows():
     cfg = small_cfg()
-    cache = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(6)))[1:]))
+    cache = decompose(realize_block(cfg, *draw_block(cfg, stream_states(3, range(6)))))
     mask = np.array([True, False, True, True, False, True])
     for index in (mask, 2, slice(1, 4)):
         picked = cache[index]
@@ -251,7 +251,7 @@ def test_cache_index_and_cascade_carry_the_factor_terms_bit_for_bit():
     # factor; an indexed cache and one with another cascade carry them, and
     # they equal the terms a cache built from the same arrays forms anew
     cfg = small_cfg()
-    _, pathlosses, x = draw_block(cfg, stream_states(3, range(6)))
+    pathlosses, x = draw_block(cfg, stream_states(3, range(6)))
     cache = decompose(realize_block(cfg, pathlosses, x))
     other = realize_block(cfg.with_updates(n_ris=5), pathlosses, x).H_c
     mask = np.array([True, False, True, True, False, True])
@@ -288,7 +288,7 @@ def test_scaled_row_space_feed_matches_the_b_construction():
     # from 1e-2 to 1e3
     for n_bs in (4, 12):
         cfg = ScenarioConfig(n_bs=n_bs)
-        real = realize_block(cfg, *draw_block(cfg, stream_states(5, range(40)))[1:])
+        real = realize_block(cfg, *draw_block(cfg, stream_states(5, range(40))))
         H = real.H_d_strong
         c0 = row_space_feed(H)
         assert c0.shape == H.shape[:-1]
@@ -544,7 +544,7 @@ def test_delta_terms_nonnegative_and_sum_to_gap():
 
 def test_delta_se_of_a_stack_is_per_draw():
     cfg = small_cfg()
-    real = realize_block(cfg, *draw_block(cfg, stream_states(4, range(4)))[1:])
+    real = realize_block(cfg, *draw_block(cfg, stream_states(4, range(4))))
     cache = decompose(real)
     theta = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * np.pi, (4, cfg.n_ris)))
     dd, dr = delta_se(rate_terms(cache, theta))
@@ -592,10 +592,12 @@ def test_mitigation_no_reflection_b_in_row_space():
 
 # ------------------------------------------------- one factorization of C_s
 
-# The only place in se.py, phases.py, sweep.py, linalg.py and bounds.py
-# allowed to factorize a matrix itself: the SVD behind the feed c(0) of the
-# orthogonality construction.  Everything else, the batched sweep included,
-# reads C_s^{-1} from the cache's eigh factor; the generic-matrix and SVD
+# The one function of se.py, phases.py, sweep.py, linalg.py and bounds.py
+# allowed to call np.linalg's inv, solve, slogdet or svd: row_space_feed, for
+# the SVD behind the feed c(0) of the orthogonality construction.  Every
+# rate reads C_s^{-1} from the cache's eigh factor.  eigh is not banned: the
+# optimizer's eigh of G G^H and of its 2(K+1)-square Woodbury system pass,
+# where a solve of that system would not.  The generic-matrix and SVD
 # cross-checks live in tests/oracles.py.
 FACTORIZATION_ALLOWED = {"row_space_feed"}
 FACTORIZATIONS = {"inv", "solve", "slogdet", "svd"}

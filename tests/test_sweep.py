@@ -20,6 +20,7 @@ from risbc.channel import (
     db_to_lin,
     draw_block,
     draw_user_positions,
+    frozen_positions,
     nominal_pathlosses,
     position_rng,
     random_phase_block,
@@ -473,7 +474,7 @@ def power_split_offset(cfg, reps, xi=1e6):
     BS-RIS direction at orthogonality xi (power split K+1 ways)."""
     K = cfg.n_strong
     streams = stream_states(cfg.seed, range(reps))
-    real = realize_block(cfg, *draw_block(cfg, streams)[1:])
+    real = realize_block(cfg, *draw_block(cfg, streams))
     H = real.H_d_strong
     alone = np.linalg.slogdet(H @ H.conj().swapaxes(-1, -2))[1] / np.log(2.0)
     alone += K * np.log2(db_to_lin(cfg.ptx_dbm) / K)
@@ -1108,9 +1109,9 @@ def test_sweep_draws_equal_the_reference_definition(
     draws, realized, cascaded, phases, passes = [], [], [], [], []
     built = Counter()
 
-    def spy_draw(cfg, streams, positions=None, pathlosses=None, **kw):
-        drawn = draw_block(cfg, streams, positions, pathlosses, **kw)
-        draws.append((drawn[2], streams.reps.tolist(), positions))
+    def spy_draw(cfg, streams, pathlosses=None, **kw):
+        drawn = draw_block(cfg, streams, pathlosses, **kw)
+        draws.append((drawn[1], streams.reps.tolist(), frozen_positions(cfg)))
         return drawn
 
     def spy_realize(cfg, pl, x, **kw):
@@ -1192,7 +1193,10 @@ def test_sweep_draws_equal_the_reference_definition(
                 positions_i = positions
             want_pl = nominal_pathlosses(cfg, positions_i)
             for name in ("L_d", "L_r"):
-                assert np.array_equal(getattr(pl, name)[i], getattr(want_pl, name))
+                got_pl = getattr(pl, name) if frozen else getattr(pl, name)[i]
+                assert np.array_equal(got_pl, getattr(want_pl, name))
+    if frozen:  # their pathlosses are formed once, and every block shares them
+        assert len({id(pl) for *_, pl, _ in realized}) == 1
     # one phase block per drawn block (the two random strategies share it)
     assert len(phases) == len(draws) == 3
     for reps, n_ris, theta in phases:
